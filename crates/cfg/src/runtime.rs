@@ -24,6 +24,7 @@ use crate::slots::{SlotAllocation, SlotAllocator, SlotError, SlotStrategy};
 use crate::system::NocSystem;
 use aethereal_ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
 use aethereal_ni::kernel::{chan_reg_addr, ext_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg};
+use aethereal_ni::message::RequestMsg;
 use aethereal_ni::shell::config::global_addr;
 use aethereal_ni::transaction::{RespStatus, Transaction};
 use noc_sim::{FaultReport, PortIdx, Route, RouteError, RouterId, Topology, SLOT_WORDS};
@@ -196,6 +197,22 @@ pub enum ConfigError {
         /// Words the sender's packet budget guarantees.
         budget_words: usize,
     },
+    /// A configuration connection whose bootstrap cannot complete: Fig. 9
+    /// step 2 sends every register write of the target's response channel
+    /// (Space, `PATH_RQID`, one `PATH_EXT` per continuation segment of the
+    /// return route, Ctrl) into the target's CNIP queue *before* that
+    /// channel is enabled, so no credit can return until the last one
+    /// lands — together they must fit the queue, or the configurator's
+    /// `Space` counter runs dry and the enable is never sent. Give the
+    /// target's CNIP port a deeper queue (`queue_words`), or place the
+    /// configuration module closer.
+    BootstrapQueueTooSmall {
+        /// Words the bootstrap writes occupy (`3 × (3 + continuation
+        /// segments of the return route)`).
+        needed_words: usize,
+        /// Capacity of the target's CNIP destination queue, words.
+        queue_words: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -217,6 +234,18 @@ impl std::fmt::Display for ConfigError {
                     "packet budget of {budget_words} words cannot carry a \
                      {needed_words}-word two-level packet; raise \
                      max_packet_words or reserve a longer consecutive slot run"
+                )
+            }
+            ConfigError::BootstrapQueueTooSmall {
+                needed_words,
+                queue_words,
+            } => {
+                write!(
+                    f,
+                    "configuration-connection bootstrap needs {needed_words} \
+                     words in the target's CNIP queue before any credit can \
+                     return, but the queue holds {queue_words}; deepen the \
+                     CNIP port's queue_words"
                 )
             }
         }
@@ -425,6 +454,22 @@ impl RuntimeConfigurator {
         // acknowledged enable write time out on a starved channel.
         self.budget_check(sys, self.cfg_ni, &p_fwd, Service::BestEffort)?;
         self.budget_check(sys, target, &p_rev, Service::BestEffort)?;
+        let target_cnip = sys.nis[target]
+            .kernel
+            .spec()
+            .cnip_channel
+            .expect("target NI must expose a CNIP");
+        let cnip_space = sys.nis[target].kernel.dst_capacity(target_cnip) as u32;
+        // Step 2 below lands whole in the target's CNIP queue before the
+        // response channel can return a single credit; an oversized
+        // bootstrap would stall silently until the acknowledgment timeout.
+        let needed_words = bootstrap_words(&p_rev);
+        if needed_words > cnip_space as usize {
+            return Err(ConfigError::BootstrapQueueTooSmall {
+                needed_words,
+                queue_words: cnip_space as usize,
+            });
+        }
         let stack = sys.nis[self.cfg_ni].config_mut(self.cfg_port);
         let locals = stack.channels().len();
         if self.next_local >= locals {
@@ -433,12 +478,6 @@ impl RuntimeConfigurator {
         let local = self.next_local;
         let cfg_channel = stack.channels()[local];
         self.next_local += 1;
-        let target_cnip = sys.nis[target]
-            .kernel
-            .spec()
-            .cnip_channel
-            .expect("target NI must expose a CNIP");
-        let cnip_space = sys.nis[target].kernel.dst_capacity(target_cnip) as u32;
         let cfg_space = sys.nis[self.cfg_ni].kernel.dst_capacity(cfg_channel) as u32;
         // Step 1: request channel Cfg → target CNIP, local writes. Space
         // and path are written before enable so a half-configured channel
@@ -782,6 +821,17 @@ pub struct HealOutcome {
     pub masked: Vec<(RouterId, PortIdx)>,
     /// Connections closed and reopened around the mask.
     pub reopened: usize,
+}
+
+/// Words Fig. 9 step 2 sends toward a target CNIP whose return route is
+/// `p_rev`, from the encoded length of the single-register write message
+/// [`RuntimeConfigurator::write`] issues: Space, `PATH_RQID`, one
+/// `PATH_EXT` per continuation segment, Ctrl.
+fn bootstrap_words(p_rev: &Route) -> usize {
+    let write_words = RequestMsg::from_transaction(&Transaction::write(0, vec![0], 0), None)
+        .encode()
+        .len();
+    (3 + p_rev.continuation_words().count()) * write_words
 }
 
 /// The directed router links of `route` from NI `from`, with the

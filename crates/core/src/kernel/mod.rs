@@ -173,6 +173,20 @@ pub struct NiKernel {
     rx_cur: [Option<ChannelId>; 2],
     cnip: Option<CnipState>,
     stats: NiKernelStats,
+    /// Number of reserved entries in `slot_table`. Derived (recounted on
+    /// slot writes and by the persistence walk), so a sleeping kernel that
+    /// owns no slot does no per-cycle accounting at all.
+    owned_slots: u32,
+    /// Whether anything mutated the kernel since the last full
+    /// [`Ni`](crate::Ni) tick ended — the cue that evaluating a sleep
+    /// horizon would be wasted work. Derived; see [`NiKernel::touch`].
+    moved: bool,
+    /// The cached [`dormant_until`](ClockedWith::dormant_until) horizon of
+    /// the enclosing [`Ni`](crate::Ni): every tick strictly before it only
+    /// records reserved-but-unused slots, provided the inbox stays empty.
+    /// `0` = awake. Derived: zeroed by every mutation
+    /// ([`NiKernel::touch`]), never serialised, outside every digest.
+    asleep_until: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -228,12 +242,61 @@ impl NiKernel {
             channels,
             port_first,
             arb: ArbState::default(),
-            tx_gt: VecDeque::new(),
-            tx_be: VecDeque::new(),
+            tx_gt: VecDeque::with_capacity(spec.max_packet_words),
+            tx_be: VecDeque::with_capacity(spec.max_packet_words),
             rx_cur: [None, None],
             cnip,
             stats: NiKernelStats::default(),
+            owned_slots: 0,
+            moved: true,
+            asleep_until: 0,
             spec,
+        }
+    }
+
+    // ---- Sleep state (derived; driven by `Ni::tick`) -------------------
+
+    /// Records a mutation: whatever horizon was cached no longer describes
+    /// this state. Called from every path that changes scheduling-relevant
+    /// state — source pushes, destination pops, register writes, flushes,
+    /// inbox arrivals, packetization — and from the walks that rewrite
+    /// state wholesale (restore, a fast-forward apply) or move time
+    /// without ticking (`skip`). Never from mere access: handing out
+    /// `&mut NiKernel` wakes nothing.
+    #[inline]
+    fn touch(&mut self) {
+        self.moved = true;
+        self.asleep_until = 0;
+    }
+
+    /// The cached sleep horizon (`0` = awake).
+    #[inline]
+    pub(crate) fn asleep_until(&self) -> u64 {
+        self.asleep_until
+    }
+
+    /// Ends a full tick: reports whether nothing moved since the previous
+    /// full tick ended (IP phase included) and re-arms the flag.
+    #[inline]
+    pub(crate) fn settle(&mut self) -> bool {
+        !std::mem::take(&mut self.moved)
+    }
+
+    /// Caches `horizon` as the cycle to sleep until (`0` = stay awake).
+    #[inline]
+    pub(crate) fn sleep_until(&mut self, horizon: u64) {
+        self.asleep_until = horizon;
+    }
+
+    /// One cycle spent asleep: the only effect a tick of a dormant kernel
+    /// has is the reserved slot passing unused at a slot boundary — the
+    /// per-cycle form of the arithmetic in [`skip`](ClockedWith::skip), so
+    /// `gt_slots_unused` stays exact after every cycle.
+    #[inline]
+    pub(crate) fn sleep_tick(&mut self, cycle: u64) {
+        if self.owned_slots != 0 && cycle.is_multiple_of(SLOT_WORDS) {
+            let slot = ((cycle / SLOT_WORDS) % self.spec.stu_slots as u64) as usize;
+            self.stats.gt_slots_unused += u64::from(self.slot_table[slot] != 0);
         }
     }
 
@@ -290,7 +353,9 @@ impl NiKernel {
     ///
     /// Returns [`FifoFullError`] when the queue is full.
     pub fn push_src(&mut self, ch: ChannelId, word: u32, now: u64) -> Result<(), FifoFullError> {
-        self.channels[ch].src_q.push(word, now)
+        self.channels[ch].src_q.push(word, now)?;
+        self.touch();
+        Ok(())
     }
 
     /// Pops one word from the destination queue of `ch`, producing one
@@ -300,6 +365,7 @@ impl NiKernel {
         let c = &mut self.channels[ch];
         let w = c.dst_q.pop(now)?;
         c.credit_counter += 1;
+        self.touch();
         Some(w)
     }
 
@@ -327,11 +393,13 @@ impl NiKernel {
     /// Raises the flush signal of `ch` (threshold bypass snapshot, §4.1).
     pub fn flush(&mut self, ch: ChannelId) {
         self.channels[ch].flush();
+        self.touch();
     }
 
     /// Forces the credits of `ch` out below their threshold.
     pub fn flush_credits(&mut self, ch: ChannelId) {
         self.channels[ch].flush_credits();
+        self.touch();
     }
 
     // ---- Register file ------------------------------------------------
@@ -343,12 +411,15 @@ impl NiKernel {
     ///
     /// See [`RegError`].
     pub fn reg_write(&mut self, addr: u32, value: u32) -> Result<(), RegError> {
+        self.touch();
         match regs::decode_addr(addr, self.spec.stu_slots, self.channels.len())? {
             RegAddr::Global(_) => Err(RegError::ReadOnly { addr }),
             RegAddr::Slot(s) => {
                 if value != 0 && (value - 1) as usize >= self.channels.len() {
                     return Err(RegError::BadValue { addr, value });
                 }
+                self.owned_slots -= u32::from(self.slot_table[s] != 0);
+                self.owned_slots += u32::from(value != 0);
                 self.slot_table[s] = value;
                 Ok(())
             }
@@ -415,6 +486,7 @@ impl NiKernel {
 
     fn depacketize(&mut self, link: &mut NiLink, _cycle: u64) {
         while let Some(w) = link.recv() {
+            self.touch();
             let class = w.class().index();
             if w.is_header() {
                 let qid = usize::from(PacketHeader::qid_of(w.word()));
@@ -567,25 +639,20 @@ impl NiKernel {
         // BE: arbitrate among eligible BE channels (whose packets can make
         // progress within the packet-length limit — see `packet_fits`).
         if self.tx_be.is_empty() {
-            let eligible: Vec<usize> = (0..self.channels.len())
-                .filter(|&ch| {
-                    let c = &self.channels[ch];
-                    c.enabled
-                        && !c.gt
-                        && c.eligible(cycle)
-                        && self.packet_fits(ch, self.spec.max_packet_words, cycle)
-                })
-                .collect();
-            let sendables: Vec<usize> = (0..self.channels.len())
-                .map(|ch| self.channels[ch].sendable(cycle))
-                .collect();
+            let budget = self.spec.max_packet_words;
+            let mut eligible = 0u64;
+            for (ch, c) in self.channels.iter().enumerate() {
+                if c.enabled && !c.gt && c.eligible(cycle) && self.packet_fits(ch, budget, cycle) {
+                    eligible |= 1 << ch;
+                }
+            }
+            let channels = &self.channels;
             if let Some(ch) = self
                 .arb
-                .pick(&self.spec.arb, self.channels.len(), &eligible, |ch| {
-                    sendables[ch]
+                .pick(&self.spec.arb, channels.len(), eligible, |ch| {
+                    channels[ch].sendable(cycle)
                 })
             {
-                let budget = self.spec.max_packet_words;
                 let mut q = std::mem::take(&mut self.tx_be);
                 self.build_packet_into(ch, WordClass::BestEffort, budget, cycle, &mut q);
                 self.tx_be = q;
@@ -608,6 +675,7 @@ impl NiKernel {
         words: &mut VecDeque<LinkWord>,
     ) {
         debug_assert!(words.is_empty(), "packetizer must be idle");
+        self.touch();
         let c = &mut self.channels[ch];
         let ext = c.ext_count();
         let credits = u32::min(c.credit_counter, MAX_HEADER_CREDITS);
@@ -616,12 +684,12 @@ impl NiKernel {
         } else {
             0
         };
-        let header = PacketHeader {
-            path: Path::decode(c.path_bits()),
-            qid: c.remote_qid(),
+        let header = PacketHeader::pack_encoded(
+            Path::canonical_encoded(c.path_bits()),
+            c.remote_qid(),
             credits,
-            flush: c.flush_remaining > 0,
-        };
+            c.flush_remaining > 0,
+        );
         c.credit_counter -= credits;
         c.credit_flush = c.credit_flush && c.credit_counter > 0;
         c.space -= payload as u32;
@@ -638,9 +706,9 @@ impl NiKernel {
             c.stats.credit_only_tx += 1;
         }
         if payload == 0 && ext == 0 {
-            words.push_back(LinkWord::header_only(header.pack(), class));
+            words.push_back(LinkWord::header_only(header, class));
         } else {
-            words.push_back(LinkWord::header(header.pack(), class));
+            words.push_back(LinkWord::header(header, class));
             for k in 0..ext {
                 words.push_back(LinkWord::payload(
                     c.ext_bits(k),
@@ -777,7 +845,10 @@ impl NiKernel {
         } else if !self.tx_be.is_empty() && link.be_credits() > 0 {
             let w = self.tx_be.pop_front().expect("checked non-empty");
             link.send(w);
+        } else {
+            return;
         }
+        self.touch();
     }
 
     /// Whether the kernel's dynamic state is simple enough for analytical
@@ -799,6 +870,9 @@ impl NiKernel {
     /// control state, statistics as periodic counters, and each channel's
     /// registers, queues and counters via [`Channel::ff_visit`].
     pub fn ff_visit(&mut self, v: &mut dyn noc_sim::FfVisit) {
+        // An apply walk rewrites queues and counters wholesale; the sleep
+        // state is derived, outside every digest.
+        self.touch();
         for s in &self.slot_table {
             v.exact(u64::from(*s));
         }
@@ -845,6 +919,10 @@ impl NiKernel {
         for s in &mut self.slot_table {
             persist_u32(s, p);
         }
+        // Derived state is re-derived, not carried: the slot count from the
+        // table just walked, the sleep state by waking.
+        self.owned_slots = self.slot_table.iter().filter(|&&s| s != 0).count() as u32;
+        self.touch();
         self.arb.persist(p);
         let n = p.len(self.tx_gt.len());
         self.tx_gt.resize(n, empty);
@@ -948,6 +1026,7 @@ impl ClockedWith<NiLink> for NiKernel {
             ClockedWith::<NiLink>::dormant_until(self, from_cycle)
                 >= from_cycle.saturating_add(cycles)
         );
+        self.touch();
         // Slot boundaries in [0, n) number ceil(n / SLOT_WORDS).
         let boundaries_before = from_cycle.div_ceil(SLOT_WORDS);
         let boundaries = (from_cycle + cycles).div_ceil(SLOT_WORDS) - boundaries_before;
@@ -955,9 +1034,8 @@ impl ClockedWith<NiLink> for NiKernel {
             return;
         }
         let stu = self.spec.stu_slots as u64;
-        let owned_per_table = self.slot_table.iter().filter(|&&s| s != 0).count() as u64;
         let full_tables = boundaries / stu;
-        let mut unused = full_tables * owned_per_table;
+        let mut unused = full_tables * u64::from(self.owned_slots);
         let first_slot = boundaries_before % stu;
         for j in 0..(boundaries % stu) {
             if self.slot_table[((first_slot + j) % stu) as usize] != 0 {

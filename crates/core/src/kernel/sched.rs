@@ -30,26 +30,42 @@ pub struct ArbState {
     wrr_counter: Vec<i64>,
 }
 
+/// The channel ids in an eligibility mask, ascending.
+fn members(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let ch = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(ch)
+    })
+}
+
 impl ArbState {
-    /// Picks a winner among the `eligible` channel ids. `sendable` returns
-    /// the sendable words of a channel (used by [`ArbPolicy::QueueFill`]).
+    /// Picks a winner among the channels whose bit is set in `eligible`
+    /// (bit `ch` = channel `ch`; an NI has at most
+    /// [`MAX_QUEUES`](noc_sim::header::MAX_QUEUES) channels, so the mask
+    /// always fits). `sendable` returns the sendable words of a channel
+    /// (used by [`ArbPolicy::QueueFill`]). Allocation-free: arbitration
+    /// runs at every slot boundary of every NI.
     ///
     /// Returns `None` when `eligible` is empty.
     pub fn pick(
         &mut self,
         policy: &ArbPolicy,
         n_channels: usize,
-        eligible: &[usize],
+        eligible: u64,
         mut sendable: impl FnMut(usize) -> usize,
     ) -> Option<usize> {
-        if eligible.is_empty() {
+        if eligible == 0 {
             return None;
         }
         match policy {
             ArbPolicy::RoundRobin => {
                 let winner = (0..n_channels)
                     .map(|k| (self.rr_next + k) % n_channels)
-                    .find(|ch| eligible.contains(ch))?;
+                    .find(|&ch| eligible & (1 << ch) != 0)?;
                 self.rr_next = (winner + 1) % n_channels;
                 Some(winner)
             }
@@ -59,21 +75,19 @@ impl ArbState {
                 }
                 let weight = |ch: usize| i64::from(*weights.get(ch).unwrap_or(&1).max(&1));
                 let mut total = 0i64;
-                for &ch in eligible {
+                for ch in members(eligible) {
                     self.wrr_counter[ch] += weight(ch);
                     total += weight(ch);
                 }
-                let &winner = eligible
-                    .iter()
-                    .max_by_key(|&&ch| (self.wrr_counter[ch], std::cmp::Reverse(ch)))
+                let winner = members(eligible)
+                    .max_by_key(|&ch| (self.wrr_counter[ch], std::cmp::Reverse(ch)))
                     .expect("eligible non-empty");
                 self.wrr_counter[winner] -= total;
                 Some(winner)
             }
-            ArbPolicy::QueueFill => eligible
-                .iter()
-                .copied()
-                .max_by_key(|&ch| (sendable(ch), std::cmp::Reverse(ch))),
+            ArbPolicy::QueueFill => {
+                members(eligible).max_by_key(|&ch| (sendable(ch), std::cmp::Reverse(ch)))
+            }
         }
     }
 
@@ -100,9 +114,8 @@ mod tests {
     fn round_robin_cycles_fairly() {
         let mut s = ArbState::default();
         let policy = ArbPolicy::RoundRobin;
-        let elig = vec![0, 1, 2];
         let picks: Vec<_> = (0..6)
-            .map(|_| s.pick(&policy, 3, &elig, |_| 1).unwrap())
+            .map(|_| s.pick(&policy, 3, 0b111, |_| 1).unwrap())
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -112,7 +125,7 @@ mod tests {
         let mut s = ArbState::default();
         let policy = ArbPolicy::RoundRobin;
         let picks: Vec<_> = (0..4)
-            .map(|_| s.pick(&policy, 4, &[1, 3], |_| 1).unwrap())
+            .map(|_| s.pick(&policy, 4, 0b1010, |_| 1).unwrap())
             .collect();
         assert_eq!(picks, vec![1, 3, 1, 3]);
     }
@@ -120,17 +133,16 @@ mod tests {
     #[test]
     fn empty_eligible_returns_none() {
         let mut s = ArbState::default();
-        assert_eq!(s.pick(&ArbPolicy::RoundRobin, 4, &[], |_| 0), None);
-        assert_eq!(s.pick(&ArbPolicy::QueueFill, 4, &[], |_| 0), None);
+        assert_eq!(s.pick(&ArbPolicy::RoundRobin, 4, 0, |_| 0), None);
+        assert_eq!(s.pick(&ArbPolicy::QueueFill, 4, 0, |_| 0), None);
     }
 
     #[test]
     fn wrr_respects_weights() {
         let mut s = ArbState::default();
         let policy = ArbPolicy::WeightedRoundRobin(vec![3, 1]);
-        let elig = vec![0, 1];
         let picks: Vec<_> = (0..8)
-            .map(|_| s.pick(&policy, 2, &elig, |_| 1).unwrap())
+            .map(|_| s.pick(&policy, 2, 0b11, |_| 1).unwrap())
             .collect();
         let wins0 = picks.iter().filter(|&&p| p == 0).count();
         let wins1 = picks.iter().filter(|&&p| p == 1).count();
@@ -142,9 +154,8 @@ mod tests {
     fn wrr_default_weight_is_one() {
         let mut s = ArbState::default();
         let policy = ArbPolicy::WeightedRoundRobin(vec![]);
-        let elig = vec![0, 1];
         let picks: Vec<_> = (0..4)
-            .map(|_| s.pick(&policy, 2, &elig, |_| 1).unwrap())
+            .map(|_| s.pick(&policy, 2, 0b11, |_| 1).unwrap())
             .collect();
         let wins0 = picks.iter().filter(|&&p| p == 0).count();
         assert_eq!(wins0, 2);
@@ -155,7 +166,7 @@ mod tests {
         let mut s = ArbState::default();
         let fills = [2usize, 9, 5];
         let pick = s
-            .pick(&ArbPolicy::QueueFill, 3, &[0, 1, 2], |ch| fills[ch])
+            .pick(&ArbPolicy::QueueFill, 3, 0b111, |ch| fills[ch])
             .unwrap();
         assert_eq!(pick, 1);
     }
@@ -163,7 +174,7 @@ mod tests {
     #[test]
     fn queue_fill_tie_breaks_low_id() {
         let mut s = ArbState::default();
-        let pick = s.pick(&ArbPolicy::QueueFill, 3, &[0, 1, 2], |_| 4).unwrap();
+        let pick = s.pick(&ArbPolicy::QueueFill, 3, 0b111, |_| 4).unwrap();
         assert_eq!(pick, 0);
     }
 

@@ -268,6 +268,100 @@ fn be_budget_too_small_is_rejected_at_open() {
     ));
 }
 
+// ---- Configuration-connection bootstrap on 16x16 ------------------------
+
+/// 16x16, configuration module on NI 0, plain masters elsewhere; the CNIP
+/// ports' queue depth is a parameter.
+fn bootstrap_spec(cnip_queue_words: usize) -> NocSpec {
+    let mut nis = vec![presets::cfg_module_ni(0, 8)];
+    for id in 1..256 {
+        let mut ni = presets::master_ni(id);
+        ni.kernel.ports[0].queue_words = cnip_queue_words;
+        nis.push(ni);
+    }
+    NocSpec::new(
+        TopologySpec::Mesh {
+            width: 16,
+            height: 16,
+            nis_per_router: 1,
+        },
+        nis,
+    )
+}
+
+/// Fig. 9 step 2 sends `3 + g` three-word register writes into the target
+/// CNIP before its response channel can return a credit (`g` =
+/// continuation segments of the return route). With the preset 16-word
+/// queue that fits up to g = 2; beyond, the bootstrap used to burn the
+/// whole 200 000-cycle acknowledgment timeout and return `Timeout`. It is
+/// now rejected up front, naming needed vs available words, and leaves the
+/// configurator able to go on.
+#[test]
+fn config_bootstrap_beyond_cnip_queue_is_rejected_up_front() {
+    let spec = bootstrap_spec(16);
+    let topo = spec.build_topology();
+    let mut sys = NocSystem::from_spec(&spec);
+    let mut cfg = RuntimeConfigurator::new(spec.build_topology(), 0, 0, 8);
+    // NI 15: 16 hops; NI 111: 22 hops; NI 255: 31 hops.
+    for (target, gateways) in [(15usize, 2usize), (111, 3), (255, 4)] {
+        assert_eq!(
+            topo.route_any(target, 0).expect("routes").gateway_count(),
+            gateways
+        );
+        let before = sys.cycle();
+        let result = cfg.open_config_connection(&mut sys, target);
+        if gateways <= 2 {
+            result.expect("15 bootstrap words fit the 16-word CNIP queue");
+            continue;
+        }
+        assert_eq!(
+            result,
+            Err(ConfigError::BootstrapQueueTooSmall {
+                needed_words: 3 * (3 + gateways),
+                queue_words: 16,
+            }),
+            "NI {target}"
+        );
+        assert_eq!(sys.cycle(), before, "rejected before any cycle is spent");
+    }
+    assert_eq!(cfg.stats().config_connections_opened, 1);
+    // The rejections consumed no configuration channel: seven more open.
+    for target in 1..8 {
+        cfg.open_config_connection(&mut sys, target)
+            .expect("free channels remain");
+    }
+}
+
+/// The same far targets open fine once the CNIP queue holds the bootstrap
+/// burst (21 words at four gateways), and the connection works: a user
+/// connection across the full diagonal is configured through it.
+#[test]
+fn config_bootstrap_fits_a_deeper_cnip_queue() {
+    let spec = bootstrap_spec(32);
+    let mut sys = NocSystem::from_spec(&spec);
+    let mut cfg = RuntimeConfigurator::new(spec.build_topology(), 0, 0, 8);
+    for target in [111, 255] {
+        cfg.open_config_connection(&mut sys, target)
+            .expect("bootstrap fits a 32-word CNIP queue");
+    }
+    assert!(sys.cycle() < 2_000, "no timeout was involved");
+    cfg.open_connection(
+        &mut sys,
+        &ConnectionRequest::best_effort(
+            ChannelEnd {
+                ni: 255,
+                channel: 1,
+            },
+            ChannelEnd {
+                ni: 111,
+                channel: 1,
+            },
+        ),
+    )
+    .expect("user connection configured over the far config connections");
+    assert_eq!(sys.noc.be_overflows(), 0);
+}
+
 // ---- Sharded parity with partition-aligned regions ----------------------
 
 /// Streams between opposite corners of an 8x8 mesh, with regions matching

@@ -12,6 +12,10 @@
 //! monolithically or sharded: the arena ring simply never sees the dropped
 //! word.
 //!
+//! [`Noc`]: crate::Noc
+//! [`Noc::arm_faults`]: crate::Noc::arm_faults
+//! [`Noc::split`]: crate::Noc::split
+//!
 //! Everything is deterministic. Probabilistic events ([`FaultKind::LinkFlaky`])
 //! roll a per-event [`Rng64`] seeded from the plan seed and the event's plan
 //! index, and the generator advances once per **word** crossing the faulty

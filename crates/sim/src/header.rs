@@ -77,20 +77,31 @@ impl PacketHeader {
     /// Panics if `credits` exceeds [`MAX_HEADER_CREDITS`] or `qid` is not
     /// below [`MAX_QUEUES`]; both are NI invariants enforced upstream.
     pub fn pack(&self) -> Word {
+        Self::pack_encoded(self.path.encode(), self.qid, self.credits, self.flush)
+    }
+
+    /// [`PacketHeader::pack`] from an already encoded path (see
+    /// [`Path::canonical_encoded`]) — the packetizer's form, which never
+    /// materialises a [`Path`].
+    ///
+    /// # Panics
+    ///
+    /// As [`PacketHeader::pack`]; also if `path_bits` does not fit
+    /// [`PATH_BITS`].
+    pub fn pack_encoded(path_bits: u32, qid: u8, credits: u32, flush: bool) -> Word {
         assert!(
-            self.credits <= MAX_HEADER_CREDITS,
-            "credits {} exceed the {CREDIT_BITS}-bit header field",
-            self.credits
+            credits <= MAX_HEADER_CREDITS,
+            "credits {credits} exceed the {CREDIT_BITS}-bit header field"
         );
         assert!(
-            usize::from(self.qid) < MAX_QUEUES,
-            "qid {} exceeds the {QID_BITS}-bit header field",
-            self.qid
+            usize::from(qid) < MAX_QUEUES,
+            "qid {qid} exceeds the {QID_BITS}-bit header field"
         );
-        (self.credits << CREDIT_SHIFT)
-            | (u32::from(self.flush) << FLUSH_SHIFT)
-            | (u32::from(self.qid) << QID_SHIFT)
-            | self.path.encode()
+        assert!(path_bits < (1 << PATH_BITS), "path bits overflow the field");
+        (credits << CREDIT_SHIFT)
+            | (u32::from(flush) << FLUSH_SHIFT)
+            | (u32::from(qid) << QID_SHIFT)
+            | path_bits
     }
 
     /// Unpacks a header from a 32-bit word.

@@ -15,6 +15,7 @@
 //! iteration order, which in turn makes the GT slot alignment arithmetic
 //! (slot `s` on hop `h` ⇒ slot `s+h` on hop `h+1`) exact.
 
+use crate::bitset::{pop_lowest, BitSet};
 use crate::engine::{Clocked, Engine};
 use crate::link::{LinkId, LinkState};
 use crate::path::PortIdx;
@@ -159,6 +160,18 @@ pub struct Noc {
     /// credit returns through the active fault windows. `None` (the
     /// default) keeps the hot path untouched.
     fault: Option<crate::fault::FaultState>,
+    /// Activity set: the routers that may hold work. A router joins when
+    /// [`Clocked::absorb`] registers a word into it (wired link, boundary
+    /// register or fused ring alike) and leaves once an emit finds it
+    /// idle, so every router outside the set is [`Router::idle`] and the
+    /// per-cycle walks visit only members, in ascending id order like the
+    /// dense loops they replace. Derived state: never serialised, never
+    /// part of a fast-forward digest, reset to "everyone" by
+    /// [`Noc::wake_all`].
+    active: BitSet,
+    /// The links whose wire this cycle's emit drove; absorb drains exactly
+    /// these, in ascending link order. Derived, like `active`.
+    driven: BitSet,
 }
 
 /// One shard-boundary attachment: the local half of a cut inter-router
@@ -293,7 +306,20 @@ impl Noc {
             stats: NocStats::new(n_links),
             scratch: TickScratch::default(),
             fault: None,
+            active: BitSet::full(nr),
+            driven: BitSet::full(n_links),
         }
+    }
+
+    /// Resets the derived activity state to "every router may hold work,
+    /// every wire may carry a word" — the one safe value that needs no
+    /// knowledge of the rest of the state. Called wherever that state is
+    /// rewritten wholesale or time moves without ticking (restore, a
+    /// fast-forward apply, `skip`, arming or disarming faults); the next
+    /// cycle re-derives the exact sets.
+    fn wake_all(&mut self) {
+        self.active.fill();
+        self.driven.fill();
     }
 
     /// Current cycle (500 MHz network clock).
@@ -372,6 +398,7 @@ impl Noc {
     pub fn arm_faults(&mut self, plan: &crate::fault::FaultPlan) {
         assert!(self.fault.is_none(), "a fault plan is already armed");
         self.fault = Some(crate::fault::FaultState::arm(plan));
+        self.wake_all();
     }
 
     /// Arms only the events of `plan` whose router is in the **sorted**
@@ -385,6 +412,7 @@ impl Noc {
     pub fn arm_faults_for(&mut self, plan: &crate::fault::FaultPlan, owned: &[RouterId]) {
         assert!(self.fault.is_none(), "a fault plan is already armed");
         self.fault = Some(crate::fault::FaultState::arm_for(plan, owned));
+        self.wake_all();
     }
 
     /// Drops the armed fault machinery (scheduled windows, generator
@@ -392,6 +420,7 @@ impl Noc {
     /// hot path and re-enabling fast-forward eligibility.
     pub fn disarm_faults(&mut self) {
         self.fault = None;
+        self.wake_all();
     }
 
     /// Whether fault machinery is armed — `true` from [`Noc::arm_faults`]
@@ -679,14 +708,16 @@ impl Noc {
     /// notion is weaker — it also holds while scheduled GT emissions wait
     /// for their due cycle.
     pub fn drained(&self) -> bool {
-        self.routers.iter().all(Router::idle) && self.calendar_dormant()
+        self.active.iter().all(|r| self.routers[r].idle()) && self.calendar_dormant()
     }
 
     /// The non-router part of quiescence: wires, NI handles and boundaries
-    /// all empty, routers holding at most scheduled GT emissions.
+    /// all empty, routers holding at most scheduled GT emissions. Routers
+    /// outside the active set are idle and undriven wires are empty, so
+    /// only members of the two sets are inspected.
     fn calendar_dormant(&self) -> bool {
-        self.routers.iter().all(Router::calendar_idle)
-            && self.links.iter().all(|l| l.wire.is_none())
+        self.active.iter().all(|r| self.routers[r].calendar_idle())
+            && self.driven.iter().all(|l| self.links[l].wire.is_none())
             && self
                 .ni_links
                 .iter()
@@ -772,6 +803,9 @@ impl Noc {
     /// router.
     pub fn ff_visit(&mut self, v: &mut dyn crate::ff::FfVisit) {
         use crate::ff::{visit_opt_word, visit_word};
+        // An apply walk rewrites queues and calendars wholesale; the
+        // activity sets are derived state, outside every digest.
+        self.wake_all();
         // Armed faults make the future non-extrapolable (drops are not
         // periodic, and flaky links are probabilistic): poison any
         // fast-forward certification outright, independent of the
@@ -899,14 +933,18 @@ impl Noc {
         if let Some(f) = &mut self.fault {
             f.persist(p);
         }
+        // The activity sets are derived: never written, and reset so a
+        // restored network re-derives them from the state it was given.
+        self.wake_all();
     }
 
     /// The earliest due cycle across every router's GT calendar (`u64::MAX`
-    /// when all calendars are empty).
+    /// when all calendars are empty). Idle routers hold no calendar
+    /// entries, so only the active set is consulted.
     pub fn next_gt_due(&self) -> u64 {
-        self.routers
+        self.active
             .iter()
-            .map(Router::next_gt_due)
+            .map(|r| self.routers[r].next_gt_due())
             .min()
             .unwrap_or(u64::MAX)
     }
@@ -937,9 +975,23 @@ impl Clocked for Noc {
 
     /// Phase 1: every router output and every NI staging register places at
     /// most one word on its outgoing wire, based on previous-cycle state.
+    ///
+    /// Only routers in the active set are visited (an idle router emits
+    /// nothing, dequeues nothing and — an empty result passes the fault
+    /// filter untouched — draws no fault randomness), in ascending id
+    /// order. A router that [`Router::emit_into`] found idle leaves the
+    /// set; one that emits its last word leaves on the next cycle, so
+    /// busy routers never pay for an idleness test.
     fn emit(&mut self) {
         let cycle = self.cycle;
         debug_assert!(self.scratch.credit_returns.is_empty());
+        debug_assert!(
+            self.routers
+                .iter()
+                .enumerate()
+                .all(|(r, router)| self.active.contains(r) || router.idle()),
+            "a router outside the active set holds work"
+        );
         // Armed faults: one comparison per cycle decides whether any event
         // window is open; only then does the per-router filter run. The
         // filter acts here — before emissions reach a wire, boundary
@@ -953,55 +1005,67 @@ impl Clocked for Noc {
         // handle is moved out for the phase so boundary state stays
         // borrowable).
         let exchange = self.exchange.take();
-        // Routers.
-        for r in 0..self.routers.len() {
-            let mut result = std::mem::take(&mut self.scratch.emit);
-            self.routers[r].emit_into(cycle, &mut result);
-            if fault_active {
-                let rid = self.routers[r].id();
-                if let Some(f) = &mut self.fault {
-                    f.filter(rid, cycle, &mut result);
+        let mut result = std::mem::take(&mut self.scratch.emit);
+        for w in 0..self.active.word_count() {
+            let mut members = self.active.word(w);
+            while let Some(bit) = pop_lowest(&mut members) {
+                let r = 64 * w + bit;
+                let router = &mut self.routers[r];
+                let conflicts = router.gt_conflicts();
+                if router.emit_into(cycle, &mut result) {
+                    self.active.remove(r);
+                    continue;
                 }
-            }
-            for e in &result.emissions {
-                if let Some(l) = self.out_link[r][e.port as usize] {
-                    debug_assert!(self.links[l].wire.is_none());
-                    self.links[l].wire = Some(e.word);
-                } else if let Some(b) = self.boundary_at[r][e.port as usize] {
-                    if let Some(x) = &exchange {
-                        x.out_ring(b).send_word(cycle, e.word);
+                self.stats.gt_conflicts += router.gt_conflicts() - conflicts;
+                if fault_active {
+                    if let Some(f) = &mut self.fault {
+                        f.filter(router.id(), cycle, &mut result);
+                    }
+                }
+                for e in &result.emissions {
+                    if let Some(l) = self.out_link[r][e.port as usize] {
+                        debug_assert!(self.links[l].wire.is_none());
+                        self.links[l].wire = Some(e.word);
+                        self.driven.insert(l);
+                    } else if let Some(b) = self.boundary_at[r][e.port as usize] {
+                        if let Some(x) = &exchange {
+                            x.out_ring(b).send_word(cycle, e.word);
+                        } else {
+                            debug_assert!(self.boundaries[b].out_word.is_none());
+                            self.boundaries[b].out_word = Some(e.word);
+                            Self::mark_boundary_dirty(&mut self.boundaries, &mut self.dirty_out, b);
+                        }
+                    }
+                }
+                for &input in &result.be_dequeues {
+                    // A dequeue at a boundary input earns its credit for the
+                    // *remote* producer: export it now so the exchange
+                    // delivers it into the same cycle's absorb, exactly like
+                    // the wired-link return below.
+                    if let Some(b) = self.boundary_at[r][input as usize] {
+                        if let Some(x) = &exchange {
+                            x.out_ring(b).send_credits(cycle, 1);
+                        } else {
+                            self.boundaries[b].out_credits += 1;
+                            Self::mark_boundary_dirty(&mut self.boundaries, &mut self.dirty_out, b);
+                        }
                     } else {
-                        debug_assert!(self.boundaries[b].out_word.is_none());
-                        self.boundaries[b].out_word = Some(e.word);
-                        Self::mark_boundary_dirty(&mut self.boundaries, &mut self.dirty_out, b);
+                        self.scratch.credit_returns.push((r, input));
                     }
                 }
             }
-            for &input in &result.be_dequeues {
-                // A dequeue at a boundary input earns its credit for the
-                // *remote* producer: export it now so the exchange delivers
-                // it into the same cycle's absorb, exactly like the
-                // wired-link return below.
-                if let Some(b) = self.boundary_at[r][input as usize] {
-                    if let Some(x) = &exchange {
-                        x.out_ring(b).send_credits(cycle, 1);
-                    } else {
-                        self.boundaries[b].out_credits += 1;
-                        Self::mark_boundary_dirty(&mut self.boundaries, &mut self.dirty_out, b);
-                    }
-                } else {
-                    self.scratch.credit_returns.push((r, input));
-                }
-            }
-            self.scratch.emit = result;
         }
+        self.scratch.emit = result;
         self.exchange = exchange;
-        // NIs.
+        // NI staging registers. `NiLink::send` is reachable through a bare
+        // `&mut NiLink`, so the network cannot learn of a staged word any
+        // earlier than this scan (one `Option` test per NI).
         for (ni, handle) in self.ni_links.iter_mut().enumerate() {
             if let Some(word) = handle.outgoing.take() {
                 let l = self.ni_out_link[ni];
                 debug_assert!(self.links[l].wire.is_none());
                 self.links[l].wire = Some(word);
+                self.driven.insert(l);
             }
         }
     }
@@ -1009,6 +1073,11 @@ impl Clocked for Noc {
     /// Phase 2: every router input and NI inbox registers the word on its
     /// incoming wire; BE dequeues from phase 1 return link-level credits to
     /// the upstream producers.
+    ///
+    /// Only the wires phase 1 drove are visited, in ascending link order —
+    /// the order of the dense walk this replaces, so every GT-calendar
+    /// insertion, conflict and overflow falls exactly as before. Every
+    /// router that registers a word joins the active set.
     fn absorb(&mut self) {
         let cycle = self.cycle;
         // Boundary ingress: words and credits the shard runner delivered
@@ -1022,6 +1091,7 @@ impl Clocked for Noc {
             if let Some(word) = bp.in_word.take() {
                 bp.stats.record(word.class(), word.is_header());
                 self.routers[r].absorb(p, word, cycle);
+                self.active.insert(r);
             }
             for _ in 0..std::mem::take(&mut self.boundaries[b].in_credits) {
                 self.routers[r].add_out_credit(p);
@@ -1040,6 +1110,7 @@ impl Clocked for Noc {
                     if let Some(word) = word {
                         bp.stats.record(word.class(), word.is_header());
                         self.routers[r].absorb(p, word, cycle);
+                        self.active.insert(r);
                     }
                     for _ in 0..credits {
                         self.routers[r].add_out_credit(p);
@@ -1048,23 +1119,30 @@ impl Clocked for Noc {
             }
         }
         self.exchange = exchange;
-        for l in 0..self.links.len() {
-            let Some(word) = self.links[l].wire.take() else {
-                continue;
-            };
-            self.stats.links[l].record(word.class(), word.is_header());
-            match self.links[l].dst {
-                Endpoint::Router { router, port } => {
-                    self.routers[router].absorb(port, word, cycle);
-                }
-                Endpoint::Ni { ni } => {
-                    let handle = &mut self.ni_links[ni];
-                    if handle.incoming.push_back(word).is_ok() {
-                        self.stats.delivered[word.class().index()] += 1;
-                    } else {
-                        // NI failed to drain: account as BE overflow; the
-                        // invariant tests require this to stay zero.
-                        self.stats.be_overflows += 1;
+        for w in 0..self.driven.word_count() {
+            let mut members = self.driven.take_word(w);
+            while let Some(bit) = pop_lowest(&mut members) {
+                let l = 64 * w + bit;
+                // After `wake_all` the set over-approximates: most members
+                // carry nothing.
+                let Some(word) = self.links[l].wire.take() else {
+                    continue;
+                };
+                self.stats.links[l].record(word.class(), word.is_header());
+                match self.links[l].dst {
+                    Endpoint::Router { router, port } => {
+                        self.routers[router].absorb(port, word, cycle);
+                        self.active.insert(router);
+                    }
+                    Endpoint::Ni { ni } => {
+                        let handle = &mut self.ni_links[ni];
+                        if handle.incoming.push_back(word).is_ok() {
+                            self.stats.delivered[word.class().index()] += 1;
+                        } else {
+                            // NI failed to drain: account as BE overflow; the
+                            // invariant tests require this to stay zero.
+                            self.stats.be_overflows += 1;
+                        }
                     }
                 }
             }
@@ -1081,7 +1159,6 @@ impl Clocked for Noc {
                 None => {}
             }
         }
-        self.stats.gt_conflicts = self.gt_conflicts();
         self.cycle += 1;
         self.stats.cycles = self.cycle;
     }
@@ -1112,7 +1189,7 @@ impl Clocked for Noc {
         );
         self.cycle += cycles;
         self.stats.cycles = self.cycle;
-        self.stats.gt_conflicts = self.gt_conflicts();
+        self.wake_all();
     }
 }
 
@@ -1283,6 +1360,11 @@ mod tests {
         assert!(
             noc.gt_conflicts() > 0,
             "engineered slot collision must be detected"
+        );
+        assert_eq!(
+            noc.stats().gt_conflicts,
+            noc.gt_conflicts(),
+            "the incremental tally equals the routers' sum"
         );
     }
 
@@ -1522,6 +1604,96 @@ mod tests {
             assert_eq!(got[1].word(), src as u32);
         }
         assert_eq!(noc.be_overflows(), 0);
+    }
+
+    fn members(set: &BitSet) -> Vec<usize> {
+        set.iter().collect()
+    }
+
+    #[test]
+    fn activity_sets_follow_the_words() {
+        let topo = Topology::mesh(3, 3, 1);
+        let mut noc = Noc::new(&topo);
+        assert_eq!(members(&noc.active).len(), 9, "born with everyone awake");
+        noc.tick();
+        assert!(
+            members(&noc.active).is_empty(),
+            "one cycle derives the truth"
+        );
+        assert!(members(&noc.driven).is_empty());
+        // NI 0 → NI 8: E, E, S, S, eject — routers 0, 1, 2, 5, 8 in turn.
+        let path = topo.route(0, 8).unwrap();
+        noc.ni_link_mut(0).send(LinkWord::header_only(
+            PacketHeader {
+                path,
+                qid: 0,
+                credits: 0,
+                flush: false,
+            }
+            .pack(),
+            WordClass::BestEffort,
+        ));
+        noc.emit();
+        assert_eq!(members(&noc.driven), vec![noc.ni_out_link[0]]);
+        noc.absorb();
+        assert!(
+            members(&noc.driven).is_empty(),
+            "absorb drains what emit drove"
+        );
+        let mut visited = Vec::new();
+        while noc.ni_link(8).pending() == 0 {
+            assert!(
+                members(&noc.active).len() <= 2,
+                "a single word never keeps more than its router and the one it left awake"
+            );
+            visited.extend(members(&noc.active));
+            noc.tick();
+        }
+        visited.dedup();
+        assert_eq!(visited, vec![0, 1, 2, 5, 8]);
+        noc.tick();
+        noc.tick();
+        assert!(members(&noc.active).is_empty(), "asleep again once drained");
+        assert!(noc.ni_link_mut(8).recv().is_some());
+        assert!(noc.drained() && Clocked::quiescent(&noc));
+        // Time moving without ticks, a state walk or a fault plan: back to
+        // "everyone", to be re-derived by the next cycle.
+        Clocked::skip(&mut noc, 30);
+        assert_eq!(members(&noc.active).len(), 9);
+        assert_eq!(members(&noc.driven).len(), noc.links.len());
+        noc.tick();
+        assert!(members(&noc.active).is_empty());
+        noc.arm_faults(&crate::fault::FaultPlan::new(1));
+        assert_eq!(members(&noc.active).len(), 9);
+        noc.tick();
+        noc.disarm_faults();
+        assert_eq!(members(&noc.active).len(), 9);
+        noc.tick();
+        let mut saver = crate::persist::StateSaver::new();
+        crate::persist::Persist::persist(&mut noc, &mut saver);
+        assert_eq!(members(&noc.active).len(), 9, "a persistence walk wakes");
+    }
+
+    #[test]
+    fn calendar_only_routers_stay_members_until_they_emit() {
+        // A GT word sits in a router's calendar for a slot: the router is
+        // not idle (it must be visited at its due cycle) though the network
+        // is quiescent in between.
+        let topo = Topology::mesh(2, 1, 1);
+        let mut noc = Noc::new(&topo);
+        noc.tick();
+        let path = topo.route(0, 1).unwrap();
+        noc.ni_link_mut(0).send(gt_packet(path, 0, &[])[0]);
+        noc.tick();
+        assert_eq!(members(&noc.active), vec![0]);
+        assert!(
+            Clocked::quiescent(&noc),
+            "only a scheduled emission pending"
+        );
+        assert_eq!(noc.next_gt_due(), noc.routers()[0].next_gt_due());
+        noc.run(20);
+        assert_eq!(noc.ni_link(1).pending(), 1);
+        assert_eq!(noc.stats().gt_conflicts, noc.gt_conflicts());
     }
 
     #[test]

@@ -185,6 +185,22 @@ impl Path {
         Path { hops }
     }
 
+    /// The canonical encoding of the path in the low [`PATH_BITS`] bits of
+    /// `bits` — what `Path::decode(bits).encode()` yields (every hop slot
+    /// from the first terminator on reads as a terminator) — computed
+    /// without building a [`Path`], so the packetizer's per-packet header
+    /// stays allocation-free.
+    pub fn canonical_encoded(bits: u32) -> u32 {
+        let mask = (1u32 << PATH_BITS) - 1;
+        for slot in 0..MAX_HOPS as u32 {
+            if (bits >> (slot * HOP_BITS)) & HOP_END == HOP_END {
+                let kept = (1u32 << (slot * HOP_BITS)) - 1;
+                return (bits & kept) | (mask & !kept);
+            }
+        }
+        bits & mask
+    }
+
     /// The port a router should take for the low-order hop of an encoded
     /// path, or `None` on the terminator.
     pub fn peek_encoded(bits: u32) -> Option<PortIdx> {
@@ -404,6 +420,20 @@ impl std::fmt::Display for Route {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn canonical_encoded_matches_decode_then_encode() {
+        let mut rng = crate::rng::Rng64::seed_from_u64(0xC0DE);
+        for _ in 0..10_000 {
+            let bits = rng.next_u64() as u32;
+            assert_eq!(
+                Path::canonical_encoded(bits),
+                Path::decode(bits & ((1 << PATH_BITS) - 1)).encode(),
+                "{bits:#x}"
+            );
+        }
+        assert_eq!(Path::canonical_encoded(0), Path::decode(0).encode());
+    }
 
     #[test]
     fn empty_path_roundtrip() {

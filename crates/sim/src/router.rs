@@ -411,13 +411,20 @@ impl Router {
     /// heads marks outputs with a continuing worm or an arbitrable header —
     /// an idle or lightly loaded router no longer walks every output every
     /// cycle.
-    pub fn emit_into(&mut self, cycle: u64, result: &mut EmitResult) {
+    ///
+    /// Returns whether the router was [`idle`](Router::idle) on entry — it
+    /// then produced nothing and still is — which the pass over the input
+    /// heads establishes for free; [`Noc`](crate::Noc) retires such routers
+    /// from its activity set.
+    pub fn emit_into(&mut self, cycle: u64, result: &mut EmitResult) -> bool {
         result.clear();
         let mut ready = self.gt_mask;
+        let mut queued = false;
         for input in 0..self.n_ports {
             if self.be_q[input].is_empty() {
                 continue;
             }
+            queued = true;
             match self.be_route[input] {
                 // A worm mid-flight continues toward its claimed output.
                 Some(out) => ready |= 1 << out,
@@ -451,6 +458,11 @@ impl Router {
                     }
                 },
             }
+        }
+        if !queued && ready == 0 {
+            let idle = self.gt_hold.iter().all(Option::is_none);
+            debug_assert_eq!(idle, self.idle(), "ready mask out of step");
+            return idle;
         }
         let mut rest = ready;
         while rest != 0 {
@@ -552,6 +564,7 @@ impl Router {
                 break;
             }
         }
+        false
     }
 
     /// Phase 2: register the word arriving on input `port` at `cycle`.

@@ -1824,6 +1824,70 @@ mod tests {
         assert_eq!(*single.stats(), merged(&shards), "statistics differ");
     }
 
+    #[test]
+    fn boundary_words_wake_the_idle_routers_they_enter() {
+        // 4x2 mesh cut between its rows. Cut-crossing worms (BE and GT)
+        // enter the bottom band's routers 4 and 5 in three situations: the
+        // band busy elsewhere (a local worm 6 → 7 keeps it ticking, so its
+        // activity set is exact and excludes the entered routers), the
+        // band long asleep, and the band freshly idle. Arrival cycles and
+        // merged statistics must equal the unsplit network's throughout.
+        let topo = Topology::mesh(4, 2, 1);
+        let mut single = Noc::new(&topo);
+        let partition = Partition::mesh_rows(4, 2, 2);
+        let mut shards = single.clone().split(&topo, &partition);
+        let mut runner = ShardRunner::new(shards.len(), wires_of(&shards), 0);
+        runner.fuse(&mut shards);
+        let route = |a, b| topo.route(a, b).unwrap();
+        let mut schedule: Vec<(u64, NiId, LinkWord)> = Vec::new();
+        let mut send = |at: u64, ni: NiId, words: Vec<LinkWord>| {
+            for (i, w) in words.into_iter().enumerate() {
+                schedule.push((at + i as u64, ni, w));
+            }
+        };
+        for round in 0..12 {
+            // Keeps the bottom band awake over [3000, 3120).
+            send(3_000 + 10 * round, 6, be_packet(route(6, 7), 1, &[1, 2, 3]));
+        }
+        send(3_050, 0, be_packet(route(0, 4), 2, &[10, 11]));
+        send(3_051, 1, gt_packet(route(1, 5), 3, &[20]));
+        // Both bands asleep for thousands of cycles by now.
+        send(7_000, 0, gt_packet(route(0, 4), 2, &[30, 31]));
+        send(7_004, 1, be_packet(route(1, 5), 3, &[40]));
+        // And again shortly after the bottom band drained.
+        send(7_040, 0, be_packet(route(0, 4), 2, &[50]));
+        let drains = [4, 5, 7];
+        let (mut got_single, mut got_sharded) = (Vec::new(), Vec::new());
+        for t in 0..7_200 {
+            for &(at, ni, w) in &schedule {
+                if at == t {
+                    single.ni_link_mut(ni).send(w);
+                    let (s, l) = locate(&shards, ni);
+                    runner.wake(&mut shards, s);
+                    shards[s].noc.ni_link_mut(l).send(w);
+                }
+            }
+            single.tick();
+            runner.run(&mut shards, 1);
+            for ni in drains {
+                while let Some(w) = single.ni_link_mut(ni).recv() {
+                    got_single.push((t, ni, w));
+                }
+                let (s, l) = locate(&shards, ni);
+                while let Some(w) = shards[s].noc.ni_link_mut(l).recv() {
+                    got_sharded.push((t, ni, w));
+                }
+            }
+            if t == 6_999 {
+                assert_eq!(runner.awake_count(), 0, "both bands asleep");
+            }
+        }
+        assert_eq!(got_single, got_sharded, "delivery trace differs");
+        assert_eq!(got_single.len(), 12 * 4 + 3 + 2 + 3 + 2 + 2);
+        assert_eq!(*single.stats(), merged(&shards), "statistics differ");
+        assert_eq!(single.gt_conflicts() + single.be_overflows(), 0);
+    }
+
     // ---- Arena wire rings --------------------------------------------
 
     #[test]

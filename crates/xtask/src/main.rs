@@ -14,9 +14,12 @@
 //! * `.unwrap()` is forbidden in `sim`, `core` and `cfg` library code
 //!   (tests are exempt); use `.expect("why this cannot fail")` so every
 //!   panic site documents its invariant.
-//! * `Vec::new` / `Box::new` / `vec![` inside `tick` / `emit` / `absorb`
-//!   function bodies are flagged — the hot per-cycle paths are
-//!   allocation-free by design (see `crates/facade/tests/zero_alloc.rs`).
+//! * `Vec::new` / `Box::new` / `vec![` / `.collect` inside `tick` / `emit`
+//!   / `absorb` function bodies — and inside the router and NI kernel
+//!   functions they reach every cycle (`emit_into`, `build_packets`,
+//!   `build_packet_into`, `stage_word`, `depacketize`) — are flagged: the
+//!   hot per-cycle paths are allocation-free by design (see
+//!   `crates/facade/tests/zero_alloc.rs`).
 //! * `.tick()` inside a loop is forbidden in library code outside the two
 //!   sanctioned drivers (`sim/src/engine.rs`, `sim/src/shard.rs`) — a
 //!   hand-rolled cycle loop silently bypasses the engine's quiescent skip
@@ -45,8 +48,21 @@ const NO_UNWRAP_CRATES: &[&str] = &["sim", "core", "cfg"];
 const BARRIER: &str = concat!("std::sync::", "Barrier");
 const UNWRAP: &str = concat!(".unwrap", "()");
 
-/// Hot per-cycle entry points that must stay allocation-free.
-const HOT_FNS: &[&str] = &["tick", "emit", "absorb"];
+/// Hot per-cycle entry points that must stay allocation-free, plus the
+/// router and NI kernel functions reached from them on every cycle.
+const HOT_FNS: &[&str] = &[
+    "tick",
+    "emit",
+    "absorb",
+    "emit_into",
+    "build_packets",
+    "build_packet_into",
+    "stage_word",
+    "depacketize",
+];
+
+/// Assembled at compile time so the scanner never matches its own source.
+const COLLECT: &str = concat!(".col", "lect");
 
 /// Assembled at compile time so the scanner never matches its own source.
 const TICK_CALL: &str = concat!(".tick", "()");
@@ -76,7 +92,7 @@ const CYCLE_LOOP_FILES: &[&str] = &[
 const PERSIST_AUDIT: &[(&str, &str, usize)] = &[
     ("sim/src/rng.rs", "Rng64", 1),
     ("sim/src/router.rs", "Router", 16),
-    ("sim/src/noc.rs", "Noc", 16),
+    ("sim/src/noc.rs", "Noc", 18),
     ("sim/src/fault.rs", "FaultState", 2),
     ("sim/src/fault.rs", "ArmedFault", 6),
     ("sim/src/shard.rs", "ShardRunner", 12),
@@ -85,7 +101,7 @@ const PERSIST_AUDIT: &[(&str, &str, usize)] = &[
     ("core/src/message.rs", "MessageAssembler", 6),
     ("core/src/kernel/channel.rs", "Channel", 15),
     ("core/src/kernel/sched.rs", "ArbState", 2),
-    ("core/src/kernel/mod.rs", "NiKernel", 10),
+    ("core/src/kernel/mod.rs", "NiKernel", 13),
     ("core/src/kernel/mod.rs", "CnipState", 3),
     ("core/src/shell/master.rs", "MasterStack", 12),
     ("core/src/shell/slave.rs", "SlaveStack", 10),
@@ -453,7 +469,7 @@ fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                 loop_at = Some(depth);
             }
             if let Some((_, name)) = hot_fn {
-                for pat in ["Vec::new", "Box::new", "vec!["] {
+                for pat in ["Vec::new", "Box::new", "vec![", COLLECT] {
                     if line.contains(pat) {
                         findings.push(Finding {
                             file: file.to_path_buf(),
