@@ -86,7 +86,7 @@ impl RawIp for CountingSink {
     }
 
     /// The only dynamic state is the received count.
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
+    fn persist(&mut self, p: &mut dyn noc_sim::StateVisit) {
         p.item(&mut self.received);
     }
 }

@@ -33,8 +33,6 @@ pub struct ShardedSystem {
     pub(crate) runner: ShardRunner,
     /// Per shard: local router id → global router id.
     routers: Vec<Vec<RouterId>>,
-    /// Per shard: local NI id → global NI id.
-    nis: Vec<Vec<NiId>>,
     /// Per shard: local link id → global link id.
     link_maps: Vec<Vec<LinkId>>,
     /// Per shard: boundary id → global ingress link id.
@@ -112,7 +110,6 @@ impl ShardedSystem {
         }
         let mut regions = Vec::with_capacity(n);
         let mut routers = Vec::with_capacity(n);
-        let mut ni_maps = Vec::with_capacity(n);
         let mut link_maps = Vec::with_capacity(n);
         let mut boundary_links = Vec::with_capacity(n);
         let mut region_nis = region_nis.into_iter();
@@ -130,7 +127,6 @@ impl ShardedSystem {
                 ff_stats,
             });
             routers.push(shard.routers);
-            ni_maps.push(shard.nis);
             link_maps.push(shard.link_map);
             boundary_links.push(shard.boundary_links);
         }
@@ -143,7 +139,6 @@ impl ShardedSystem {
             runner,
             regions,
             routers,
-            nis: ni_maps,
             link_maps,
             boundary_links,
             ni_home,
@@ -231,31 +226,15 @@ impl ShardedSystem {
         &self.regions[shard]
     }
 
-    /// Where a global NI id lives: `(shard, local NI id)`.
-    pub fn home_of_ni(&self, ni: NiId) -> (usize, usize) {
-        self.ni_home[ni]
-    }
-
     /// The NI with global id `ni`.
     pub fn ni(&self, ni: NiId) -> &Ni {
         let (s, local) = self.ni_home[ni];
         &self.regions[s].nis[local]
     }
 
-    /// Mutable access to the NI with global id `ni`.
-    pub fn ni_mut(&mut self, ni: NiId) -> &mut Ni {
-        let (s, local) = self.ni_home[ni];
-        &mut self.regions[s].nis[local]
-    }
-
     /// Per shard: local router id → global router id.
     pub fn router_map(&self, shard: usize) -> &[RouterId] {
         &self.routers[shard]
-    }
-
-    /// Per shard: local NI id → global NI id.
-    pub fn ni_map(&self, shard: usize) -> &[NiId] {
-        &self.nis[shard]
     }
 
     /// Reconstructs the global network counters from the shards —

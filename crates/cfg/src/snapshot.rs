@@ -9,12 +9,13 @@
 //! **bit-identical** to never having stopped (pinned by
 //! `crates/facade/tests/snapshot_replay.rs`).
 //!
-//! The state itself travels through the audited persistence walk
+//! The state itself travels through the one state walk
 //! ([`noc_sim::persist`]): each component serializes to a flat `u64`
-//! stream via its `persist` method — the *same* walk for save and load, so
-//! a field can never be saved but forgotten on restore. The JSON layer
-//! here only adds structure (which stream belongs to which component) and
-//! validation (format tag, kind, component counts).
+//! stream via its `walk` method — the *same* walk for save and load (and
+//! for the fast-forward certificate), so a field can never be saved but
+//! forgotten on restore. The JSON layer here only adds structure (which
+//! stream belongs to which component) and validation (format tag, kind,
+//! component counts); the walk validates the items it takes.
 //!
 //! **What a snapshot does not carry**: structure. Topology, NI specs,
 //! channel wiring, IP types and their construction parameters (traces,
@@ -32,7 +33,7 @@
 use crate::json::{self, Value};
 use crate::shard::ShardedSystem;
 use crate::system::NocSystem;
-use noc_sim::{Persist, PersistError, PersistVisit, StateLoader, StateSaver};
+use noc_sim::{PersistError, StateLoader, StateSaver, StateVisit};
 
 /// Snapshot format version accepted by this build.
 pub const SNAPSHOT_FORMAT: u64 = 1;
@@ -79,18 +80,28 @@ fn value_to_words(v: &Value) -> Result<Vec<u64>, SnapshotError> {
 }
 
 /// Runs one component's walk against a saver and packages the stream.
-fn save_walk(f: impl FnOnce(&mut dyn PersistVisit)) -> Result<Value, SnapshotError> {
+fn save_walk(f: impl FnOnce(&mut dyn StateVisit)) -> Result<Value, SnapshotError> {
     let mut saver = StateSaver::new();
     f(&mut saver);
     Ok(words_to_value(saver.finish()?))
 }
 
 /// Runs one component's walk against a loader over `v`'s stream.
-fn load_walk(v: &Value, f: impl FnOnce(&mut dyn PersistVisit)) -> Result<(), SnapshotError> {
+fn load_walk(v: &Value, f: impl FnOnce(&mut dyn StateVisit)) -> Result<(), SnapshotError> {
     let mut loader = StateLoader::new(value_to_words(v)?);
     f(&mut loader);
     loader.finish()?;
     Ok(())
+}
+
+/// Saves a list of components, one stream each — the inverse of
+/// [`load_each`].
+fn save_each<T>(
+    targets: &mut [T],
+    mut f: impl FnMut(&mut T, &mut dyn StateVisit),
+) -> Result<Value, SnapshotError> {
+    let streams = targets.iter_mut().map(|t| save_walk(|p| f(t, p)));
+    Ok(Value::Arr(streams.collect::<Result<_, _>>()?))
 }
 
 /// Validates the envelope and returns the document for field access.
@@ -117,7 +128,7 @@ fn load_each<T>(
     v: &Value,
     what: &str,
     targets: &mut [T],
-    mut f: impl FnMut(&mut T, &mut dyn PersistVisit),
+    mut f: impl FnMut(&mut T, &mut dyn StateVisit),
 ) -> Result<(), SnapshotError> {
     let items = v.as_arr()?;
     if items.len() != targets.len() {
@@ -137,44 +148,28 @@ impl NocSystem {
     /// Captures the complete dynamic state at the current cycle.
     ///
     /// Saving is non-destructive: the system continues bit-identically.
-    /// (`&mut` because the audited walk is a single mutable traversal
-    /// shared with restore — values are written back unchanged.)
+    /// (`&mut` because the state walk is a single mutable traversal
+    /// shared with restore — a save writes nothing back.)
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError`] if any bound IP lacks a persist audit
     /// (the trait default poisons the walk rather than dropping state).
     pub fn snapshot(&mut self) -> Result<Value, SnapshotError> {
-        let noc = save_walk(|p| self.noc.persist(p))?;
-        let nis = self
-            .nis
-            .iter_mut()
-            .map(|ni| save_walk(|p| Persist::persist(ni, p)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let masters = self
-            .masters
-            .iter_mut()
-            .map(|b| save_walk(|p| b.ip.persist(p)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let slaves = self
-            .slaves
-            .iter_mut()
-            .map(|b| save_walk(|p| b.ip.persist(p)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let raws = self
-            .raws
-            .iter_mut()
-            .map(|b| save_walk(|p| b.ip.persist(p)))
-            .collect::<Result<Vec<_>, _>>()?;
+        let noc = save_walk(|p| self.noc.walk(p))?;
+        let nis = save_each(&mut self.nis, |ni, p| ni.walk(p))?;
+        let masters = save_each(&mut self.masters, |b, p| b.ip.persist(p))?;
+        let slaves = save_each(&mut self.slaves, |b, p| b.ip.persist(p))?;
+        let raws = save_each(&mut self.raws, |b, p| b.ip.persist(p))?;
         Ok(Value::obj(vec![
             ("format", Value::Num(SNAPSHOT_FORMAT)),
             ("kind", Value::Str("system".into())),
             ("cycle", Value::Num(self.cycle())),
             ("noc", noc),
-            ("nis", Value::Arr(nis)),
-            ("masters", Value::Arr(masters)),
-            ("slaves", Value::Arr(slaves)),
-            ("raws", Value::Arr(raws)),
+            ("nis", nis),
+            ("masters", masters),
+            ("slaves", slaves),
+            ("raws", raws),
             (
                 "ff",
                 Value::Arr(vec![
@@ -198,10 +193,8 @@ impl NocSystem {
     pub fn restore(&mut self, snap: &Value) -> Result<(), SnapshotError> {
         let snap = check_envelope(snap, "system")?;
         let cycle = snap.get("cycle")?.as_u64()?;
-        load_walk(snap.get("noc")?, |p| self.noc.persist(p))?;
-        load_each(snap.get("nis")?, "NIs", &mut self.nis, |ni, p| {
-            Persist::persist(ni, p)
-        })?;
+        load_walk(snap.get("noc")?, |p| self.noc.walk(p))?;
+        load_each(snap.get("nis")?, "NIs", &mut self.nis, |ni, p| ni.walk(p))?;
         load_each(
             snap.get("masters")?,
             "masters",
@@ -250,7 +243,7 @@ impl ShardedSystem {
             .iter_mut()
             .map(NocSystem::snapshot)
             .collect::<Result<Vec<_>, _>>()?;
-        let runner = save_walk(|p| self.runner.persist(p))?;
+        let runner = save_walk(|p| self.runner.walk(p))?;
         Ok(Value::obj(vec![
             ("format", Value::Num(SNAPSHOT_FORMAT)),
             ("kind", Value::Str("sharded".into())),
@@ -284,7 +277,7 @@ impl ShardedSystem {
         for (region_snap, region) in regions.iter().zip(self.regions.iter_mut()) {
             region.restore(region_snap)?;
         }
-        load_walk(snap.get("runner")?, |p| self.runner.persist(p))?;
+        load_walk(snap.get("runner")?, |p| self.runner.walk(p))?;
         if self.cycle() != cycle {
             return Err(SnapshotError::new(format!(
                 "restored runner is at cycle {}, envelope says {cycle}",

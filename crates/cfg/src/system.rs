@@ -14,10 +14,10 @@ use aethereal_ni::Ni;
 use aethereal_proto::ip::RawPort;
 use aethereal_proto::{MasterIp, RawIp, SlaveIp};
 use noc_sim::engine::{ClockDomain, Clocked, ClockedWith, Engine};
-use noc_sim::ff::{self, FastForwardable, FfDigest, FfOutcome, FfStats, FfVisit};
+use noc_sim::ff::{self, FastForwardable, FfDigest, FfOutcome, FfStats};
 use noc_sim::shard::ShardRegion;
 use noc_sim::word::SLOT_WORDS;
-use noc_sim::{Noc, Router};
+use noc_sim::{Noc, Router, StateVisit};
 
 pub(crate) struct MasterBinding {
     pub(crate) ni: usize,
@@ -144,11 +144,6 @@ impl NocSystem {
     /// The master IP behind handle `idx`.
     pub fn master_ip(&self, idx: usize) -> &dyn MasterIp {
         self.masters[idx].ip.as_ref()
-    }
-
-    /// The slave IP behind handle `idx`.
-    pub fn slave_ip(&self, idx: usize) -> &dyn SlaveIp {
-        self.slaves[idx].ip.as_ref()
     }
 
     /// The raw IP behind handle `idx`.
@@ -342,19 +337,29 @@ impl NocSystem {
                 .sum::<u64>()
     }
 
-    /// One deterministic traversal of the complete wire-visible state:
-    /// network (wires, routers, calendars, statistics), NI kernels
-    /// (channels, queues, slot tables, counters) and raw IPs. Masters and
-    /// slaves are pre-gated empty; idle shell stacks are certified
-    /// stateless by [`Ni::ff_ready`].
-    fn ff_visit_all(&mut self, v: &mut dyn FfVisit) {
-        self.noc.ff_visit(v);
+    /// One deterministic traversal of the complete dynamic state, for the
+    /// fast-forward visitors: the network and the NIs through the same
+    /// state walk a snapshot takes, the raw IPs through their opt-in
+    /// [`RawIp::ff_visit`](aethereal_proto::RawIp::ff_visit) (an unaudited
+    /// model rejects). Masters and slaves are pre-gated empty.
+    fn ff_walk(&mut self, v: &mut dyn StateVisit) {
+        self.noc.walk(v);
         for ni in &mut self.nis {
-            ni.ff_visit(v);
+            ni.walk(v);
         }
         for b in &mut self.raws {
             b.ip.ff_visit(v);
         }
+    }
+
+    /// The periodicity certificate's view of the system at this cycle:
+    /// every field of the state walk, classified. Two systems of one
+    /// structure are in the same state exactly when their digests are
+    /// equal.
+    pub fn ff_digest(&mut self) -> FfDigest {
+        let mut d = FfDigest::new(self.cycle());
+        self.ff_walk(&mut d);
+        d
     }
 
     /// Whether every routable GT channel's source route stays inside this
@@ -396,18 +401,15 @@ impl FastForwardable for NocSystem {
             return FfOutcome::DECLINED;
         }
         let violations = self.ff_violations();
-        let mut d0 = FfDigest::new(self.cycle());
-        self.ff_visit_all(&mut d0);
+        let d0 = self.ff_digest();
         if d0.rejected() {
             return FfOutcome::DECLINED;
         }
         // Probe: two real rotations, digesting after each.
         Engine::run(self, period);
-        let mut d1 = FfDigest::new(self.cycle());
-        self.ff_visit_all(&mut d1);
+        let d1 = self.ff_digest();
         Engine::run(self, period);
-        let mut d2 = FfDigest::new(self.cycle());
-        self.ff_visit_all(&mut d2);
+        let d2 = self.ff_digest();
         let advanced = 2 * period;
         let ticked = FfOutcome {
             advanced,
@@ -426,7 +428,7 @@ impl FastForwardable for NocSystem {
         // Apply: replay the certified per-period deltas k times in one
         // identical traversal of the same state that produced d2.
         let mut apply = ff::FfApply::new(&deltas, k);
-        self.ff_visit_all(&mut apply);
+        self.ff_walk(&mut apply);
         debug_assert!(apply.matched(), "apply traversal diverged from digest");
         self.ff_stats.jumps += 1;
         self.ff_stats.cycles_jumped += k * period;
@@ -659,9 +661,7 @@ mod tests {
     /// digest classifies, rendered through `Debug`. Two systems at the same
     /// cycle are wire-identical iff their snapshots match.
     fn ff_snapshot(sys: &mut NocSystem) -> String {
-        let mut d = FfDigest::new(sys.cycle());
-        sys.ff_visit_all(&mut d);
-        format!("{d:?}")
+        format!("{:?}", sys.ff_digest())
     }
 
     #[test]

@@ -192,34 +192,16 @@ impl HwFifo {
         self.visible.set(0);
     }
 
-    /// Walks the queue through a fast-forward visitor (see
-    /// [`noc_sim::ff`](noc_sim::FfVisit)): occupancy as exact control
-    /// state, each queued word as a wrapping value and its visibility
-    /// timestamp as an absolute-cycle stamp.
+    /// Walks the queue through a state visitor (see [`noc_sim::persist`]):
+    /// occupancy in-stream, then each queued word as a sliding value with
+    /// its absolute visibility timestamp as a stamp. A snapshot that does
+    /// not fit this FIFO's capacity fails the restore.
     ///
-    /// The lazily-synchronized visibility registers (`visible`/`seen_at`)
-    /// are deliberately not visited: they cache a *past* observation. A
-    /// jump shifts every queued stamp forward by the jumped cycles, and
-    /// every post-jump query happens at least that much later, so each
-    /// prefix entry counted at `seen_at` (`t ≤ seen_at`) still satisfies
-    /// `t + jump ≤ now' ` — the cached prefix remains a valid
-    /// under-approximation exactly as it would after ticking.
-    pub fn ff_visit(&mut self, v: &mut dyn noc_sim::FfVisit) {
-        v.exact(self.q.len() as u64);
-        for (w, t) in &mut self.q {
-            v.value(w);
-            v.stamp(t);
-        }
-    }
-
-    /// Walks the queue through a persistence visitor (see
-    /// [`noc_sim::persist`]): occupancy in-stream, then each queued word
-    /// with its absolute visibility timestamp. A snapshot that does not
-    /// fit this FIFO's capacity fails the restore. The visible-count
-    /// register (`visible`/`seen_at`) is a cache of a past observation —
-    /// it is reset instead of persisted; the next query re-derives it
-    /// from the restored timestamps.
-    pub fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
+    /// The lazily-synchronized visible-count register (`visible`/
+    /// `seen_at`) caches a *past* observation: it is reset instead of
+    /// visited, and the next query re-derives it from the timestamps —
+    /// restored, shifted by a jump, or simply as they were.
+    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
         let n = p.len(self.q.len());
         if n > self.capacity {
             p.fail("snapshot fifo contents exceed the target's capacity");
@@ -227,8 +209,8 @@ impl HwFifo {
         }
         self.q.resize(n, (0, 0));
         for (w, t) in &mut self.q {
-            noc_sim::persist::persist_u32(w, p);
-            p.item(t);
+            p.value(w);
+            p.stamp(t);
         }
         self.visible.set(0);
         self.seen_at.set(0);

@@ -139,11 +139,6 @@ impl Channel {
         self.dst_q.capacity()
     }
 
-    /// Source-queue capacity in words.
-    pub fn src_q_capacity(&self) -> usize {
-        self.src_q.capacity()
-    }
-
     /// Encoded source route (path bits of `PATH_RQID`).
     pub(crate) fn path_bits(&self) -> u32 {
         self.path_rqid & ((1 << noc_sim::path::PATH_BITS) - 1)
@@ -199,14 +194,6 @@ impl Channel {
         noc_sim::Path::peek_encoded(self.path_bits()).is_some()
     }
 
-    /// Whether every queued source word has completed its clock-domain
-    /// crossing at `now` — the visible count can then only grow by new
-    /// pushes, so the channel's eligibility cannot change spontaneously
-    /// (the precondition of the kernel's GT-slot dormancy reporting).
-    pub fn fully_visible(&self, now: u64) -> bool {
-        self.src_q.sync_level(now) == self.src_q.level()
-    }
-
     /// Whether the scheduler should consider this channel at all.
     pub fn eligible(&self, now: u64) -> bool {
         self.enabled
@@ -257,57 +244,32 @@ impl Channel {
         }
     }
 
-    /// Walks the channel's wire-visible state through a fast-forward
-    /// visitor (see [`noc_sim::ff`](noc_sim::FfVisit)).
-    pub fn ff_visit(&mut self, v: &mut dyn noc_sim::FfVisit) {
-        v.exact(u64::from(self.enabled));
-        v.exact(u64::from(self.gt));
-        v.exact(u64::from(self.path_rqid));
-        for e in &self.path_ext {
-            v.exact(u64::from(*e));
-        }
-        v.exact(u64::from(self.data_threshold));
-        v.exact(u64::from(self.credit_threshold));
-        v.exact(u64::from(self.space));
-        v.exact(u64::from(self.credit_counter));
-        v.exact(u64::from(self.flush_remaining));
-        v.exact(u64::from(self.credit_flush));
-        self.src_q.ff_visit(v);
-        self.dst_q.ff_visit(v);
-        v.counter(&mut self.stats.words_tx);
-        v.counter(&mut self.stats.words_rx);
-        v.counter(&mut self.stats.packets_tx);
-        v.counter(&mut self.stats.credit_only_tx);
-        v.counter(&mut self.stats.credits_tx);
-        v.counter(&mut self.stats.flushes);
-    }
-
-    /// Walks the channel's complete dynamic state through a persistence
-    /// visitor (see [`noc_sim::persist`]): the CNIP-written registers,
-    /// the flow-control counters, both hardware queues, and statistics —
-    /// the same field list as [`Channel::ff_visit`], in the same order.
-    pub fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{persist_bool, persist_u32};
+    /// Walks the channel's complete dynamic state through a state visitor
+    /// (see [`noc_sim::persist`]): the CNIP-written registers and the
+    /// flow-control counters as exact control state, both hardware queues,
+    /// and the statistics as periodic counters.
+    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::{persist_bool, persist_int};
         persist_bool(&mut self.enabled, p);
         persist_bool(&mut self.gt, p);
-        persist_u32(&mut self.path_rqid, p);
+        persist_int(&mut self.path_rqid, p);
         for e in &mut self.path_ext {
-            persist_u32(e, p);
+            persist_int(e, p);
         }
-        persist_u32(&mut self.data_threshold, p);
-        persist_u32(&mut self.credit_threshold, p);
-        persist_u32(&mut self.space, p);
-        persist_u32(&mut self.credit_counter, p);
-        persist_u32(&mut self.flush_remaining, p);
+        persist_int(&mut self.data_threshold, p);
+        persist_int(&mut self.credit_threshold, p);
+        persist_int(&mut self.space, p);
+        persist_int(&mut self.credit_counter, p);
+        persist_int(&mut self.flush_remaining, p);
         persist_bool(&mut self.credit_flush, p);
-        self.src_q.persist(p);
-        self.dst_q.persist(p);
-        p.item(&mut self.stats.words_tx);
-        p.item(&mut self.stats.words_rx);
-        p.item(&mut self.stats.packets_tx);
-        p.item(&mut self.stats.credit_only_tx);
-        p.item(&mut self.stats.credits_tx);
-        p.item(&mut self.stats.flushes);
+        self.src_q.walk(p);
+        self.dst_q.walk(p);
+        p.counter(&mut self.stats.words_tx);
+        p.counter(&mut self.stats.words_rx);
+        p.counter(&mut self.stats.packets_tx);
+        p.counter(&mut self.stats.credit_only_tx);
+        p.counter(&mut self.stats.credits_tx);
+        p.counter(&mut self.stats.flushes);
     }
 
     /// Resets all dynamic state (used when the CNIP disables the channel —

@@ -174,7 +174,7 @@ pub struct NiKernel {
     cnip: Option<CnipState>,
     stats: NiKernelStats,
     /// Number of reserved entries in `slot_table`. Derived (recounted on
-    /// slot writes and by the persistence walk), so a sleeping kernel that
+    /// slot writes and by the state walk), so a sleeping kernel that
     /// owns no slot does no per-cycle accounting at all.
     owned_slots: u32,
     /// Whether anything mutated the kernel since the last full
@@ -383,11 +383,6 @@ impl NiKernel {
     /// sender's `SPACE` register must be initialized to).
     pub fn dst_capacity(&self, ch: ChannelId) -> usize {
         self.channels[ch].dst_q_capacity()
-    }
-
-    /// Capacity of the source queue of `ch`, words.
-    pub fn src_capacity(&self, ch: ChannelId) -> usize {
-        self.channels[ch].src_q_capacity()
     }
 
     /// Raises the flush signal of `ch` (threshold bypass snapshot, §4.1).
@@ -865,99 +860,45 @@ impl NiKernel {
             && self.channels.iter().all(Channel::ff_ready)
     }
 
-    /// Walks the kernel's complete wire-visible state through a
-    /// fast-forward visitor: slot table and staging queues as exact
-    /// control state, statistics as periodic counters, and each channel's
-    /// registers, queues and counters via [`Channel::ff_visit`].
-    pub fn ff_visit(&mut self, v: &mut dyn noc_sim::FfVisit) {
-        // An apply walk rewrites queues and counters wholesale; the sleep
-        // state is derived, outside every digest.
-        self.touch();
-        for s in &self.slot_table {
-            v.exact(u64::from(*s));
-        }
-        v.exact(self.tx_gt.len() as u64);
-        for w in &mut self.tx_gt {
-            noc_sim::ff::visit_word(w, v);
-        }
-        v.exact(self.tx_be.len() as u64);
-        for w in &mut self.tx_be {
-            noc_sim::ff::visit_word(w, v);
-        }
-        for r in &self.rx_cur {
-            v.exact(r.map_or(0, |ch| ch as u64 + 1));
-        }
-        for p in &mut self.stats.packets_tx {
-            v.counter(p);
-        }
-        for p in &mut self.stats.packets_rx {
-            v.counter(p);
-        }
-        v.counter(&mut self.stats.header_words_tx);
-        v.counter(&mut self.stats.payload_words_tx);
-        v.counter(&mut self.stats.route_ext_words_tx);
-        v.counter(&mut self.stats.credit_only_tx);
-        v.counter(&mut self.stats.gt_slots_unused);
-        v.counter(&mut self.stats.cnip_ops);
-        v.counter(&mut self.stats.rx_drops);
-        for c in &mut self.channels {
-            c.ff_visit(v);
-        }
-    }
-
-    /// Walks the kernel's complete dynamic state through a persistence
-    /// visitor (see [`noc_sim::persist`]): the slot table, BE arbitration
-    /// state, both staging queues, the per-class receive cursors, the
-    /// CNIP's assembler and response buffer, statistics, and every
-    /// channel via [`Channel::persist`] — the same coverage as
-    /// [`NiKernel::ff_visit`] plus the walk-resistant pieces (arbitration
-    /// state, partial CNIP messages) that fast-forward refuses instead of
-    /// modelling.
-    pub fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{persist_opt_usize, persist_u32, persist_word};
-        let empty = LinkWord::header_only(0, WordClass::BestEffort);
+    /// Walks the kernel's complete dynamic state through a state visitor
+    /// (see [`noc_sim::persist`]): the slot table, BE arbitration state,
+    /// both staging queues, the per-class receive cursors, the CNIP's
+    /// assembler and response buffer, statistics, and every channel via
+    /// [`Channel::walk`].
+    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::{persist_deque, persist_int, persist_opt_index, persist_word};
+        let channels = self.channels.len();
         for s in &mut self.slot_table {
-            persist_u32(s, p);
+            persist_int(s, p);
         }
         // Derived state is re-derived, not carried: the slot count from the
         // table just walked, the sleep state by waking.
         self.owned_slots = self.slot_table.iter().filter(|&&s| s != 0).count() as u32;
         self.touch();
-        self.arb.persist(p);
-        let n = p.len(self.tx_gt.len());
-        self.tx_gt.resize(n, empty);
-        for w in &mut self.tx_gt {
-            persist_word(w, p);
-        }
-        let n = p.len(self.tx_be.len());
-        self.tx_be.resize(n, empty);
-        for w in &mut self.tx_be {
-            persist_word(w, p);
-        }
+        self.arb.walk(channels, p);
+        let empty = LinkWord::header_only(0, WordClass::BestEffort);
+        persist_deque(&mut self.tx_gt, empty, p, |w, p| persist_word(w, p));
+        persist_deque(&mut self.tx_be, empty, p, |w, p| persist_word(w, p));
         for r in &mut self.rx_cur {
-            persist_opt_usize(r, p);
+            persist_opt_index(r, channels, p);
         }
         if let Some(c) = &mut self.cnip {
-            c.asm.persist(p);
-            let n = p.len(c.out.len());
-            c.out.resize(n, 0);
-            for w in &mut c.out {
-                persist_u32(w, p);
-            }
+            c.asm.walk(p);
+            persist_deque(&mut c.out, 0, p, |w, p| persist_int(w, p));
         }
-        p.item(&mut self.stats.packets_tx[0]);
-        p.item(&mut self.stats.packets_tx[1]);
-        p.item(&mut self.stats.packets_rx[0]);
-        p.item(&mut self.stats.packets_rx[1]);
-        p.item(&mut self.stats.header_words_tx);
-        p.item(&mut self.stats.payload_words_tx);
-        p.item(&mut self.stats.route_ext_words_tx);
-        p.item(&mut self.stats.credit_only_tx);
-        p.item(&mut self.stats.gt_slots_unused);
-        p.item(&mut self.stats.cnip_ops);
-        p.item(&mut self.stats.rx_drops);
+        p.counter(&mut self.stats.packets_tx[0]);
+        p.counter(&mut self.stats.packets_tx[1]);
+        p.counter(&mut self.stats.packets_rx[0]);
+        p.counter(&mut self.stats.packets_rx[1]);
+        p.counter(&mut self.stats.header_words_tx);
+        p.counter(&mut self.stats.payload_words_tx);
+        p.counter(&mut self.stats.route_ext_words_tx);
+        p.counter(&mut self.stats.credit_only_tx);
+        p.counter(&mut self.stats.gt_slots_unused);
+        p.counter(&mut self.stats.cnip_ops);
+        p.counter(&mut self.stats.rx_drops);
         for c in &mut self.channels {
-            c.persist(p);
+            c.walk(p);
         }
     }
 }

@@ -91,18 +91,17 @@ impl ArbState {
         }
     }
 
-    /// Walks the arbitration state through a persistence visitor: the
-    /// round-robin pointer and the weighted-round-robin deficit counters
-    /// (signed, carried as their two's-complement bits).
-    pub fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        noc_sim::persist::persist_usize(&mut self.rr_next, p);
-        let n = p.len(self.wrr_counter.len());
-        self.wrr_counter.resize(n, 0);
-        for c in &mut self.wrr_counter {
+    /// Walks the arbitration state through a state visitor (see
+    /// [`noc_sim::persist`]): the round-robin pointer (an index below the
+    /// kernel's `n_channels`) and the weighted-round-robin deficit
+    /// counters (signed, carried as their two's-complement bits).
+    pub fn walk(&mut self, n_channels: usize, p: &mut dyn noc_sim::StateVisit) {
+        noc_sim::persist::persist_index(&mut self.rr_next, n_channels, p);
+        noc_sim::persist::persist_list(&mut self.wrr_counter, p, |c, p| {
             let mut w = *c as u64;
             p.item(&mut w);
             *c = w as i64;
-        }
+        });
     }
 }
 

@@ -379,11 +379,6 @@ impl MessageAssembler {
         }
     }
 
-    /// Takes the next complete raw message, if any.
-    pub fn next_raw(&mut self) -> Option<Vec<u32>> {
-        self.ready.pop_front()
-    }
-
     /// Takes the next complete request message.
     ///
     /// # Panics
@@ -423,20 +418,18 @@ impl MessageAssembler {
         self.errors
     }
 
-    /// Walks the assembler's dynamic state through a persistence visitor
+    /// Walks the assembler's dynamic state through a state visitor
     /// (see [`noc_sim::persist`]): the expected length of the message
     /// being framed, the error count, the partial word buffer, and every
     /// complete-but-unconsumed message. `kind`/`ordering` are structural.
-    pub fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{persist_u32_list, persist_usize};
-        persist_usize(&mut self.need, p);
-        p.item(&mut self.errors);
-        persist_u32_list(&mut self.buf, p);
-        let n = p.len(self.ready.len());
-        self.ready.resize(n, Vec::new());
-        for m in &mut self.ready {
-            persist_u32_list(m, p);
-        }
+    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::{persist_deque, persist_int, persist_int_list};
+        persist_int(&mut self.need, p);
+        p.counter(&mut self.errors);
+        persist_int_list(&mut self.buf, p);
+        persist_deque(&mut self.ready, Vec::new(), p, |m, p| {
+            persist_int_list(m, p)
+        });
     }
 }
 

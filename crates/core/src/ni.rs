@@ -223,36 +223,23 @@ impl Ni {
         self.stacks_idle() && self.kernel.ff_ready()
     }
 
-    /// Walks the NI's wire-visible state through a fast-forward visitor.
-    /// Shell stacks are not walked: [`Ni::ff_ready`] certifies them idle,
-    /// and idle stacks hold no state that a pure-GT period can change.
-    pub fn ff_visit(&mut self, v: &mut dyn noc_sim::FfVisit) {
-        self.kernel.ff_visit(v);
-    }
-
-    /// Walks the NI's complete dynamic state through a persistence
-    /// visitor (see [`noc_sim::persist`]): the kernel, then every shell
-    /// stack in port order. Unlike [`Ni::ff_visit`] the shells ARE
-    /// walked — a snapshot may land mid-transaction, where shell state
-    /// (partial messages, histories, serialization progress) is live.
-    /// Raw and CNIP ports hold no shell state; the per-port
+    /// Walks the NI's complete dynamic state through a state visitor (see
+    /// [`noc_sim::persist`]): the kernel, then every shell stack in port
+    /// order — a snapshot may land mid-transaction, where shell state
+    /// (partial messages, histories, serialization progress) is live, and
+    /// a periodicity certificate has to see that idle shells stay as they
+    /// are. Raw and CNIP ports hold no shell state; the per-port
     /// [`ClockDomain`]s are pure dividers with no phase counter.
-    pub fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        self.kernel.persist(p);
+    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        self.kernel.walk(p);
         for s in &mut self.stacks {
             match s {
                 PortStack::Raw | PortStack::Cnip => {}
-                PortStack::Master(m) => m.persist(p),
-                PortStack::Slave(sl) => sl.persist(p),
-                PortStack::Config(c) => c.persist(p),
+                PortStack::Master(m) => m.walk(p),
+                PortStack::Slave(sl) => sl.walk(p),
+                PortStack::Config(c) => c.walk(p),
             }
         }
-    }
-}
-
-impl noc_sim::Persist for Ni {
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        Ni::persist(self, p);
     }
 }
 

@@ -153,29 +153,26 @@ impl ConfigStack {
             && self.resp_out.is_empty()
     }
 
-    /// Walks the stack's complete dynamic state through a persistence
-    /// visitor (see [`noc_sim::persist`]): the run-time route bindings
+    /// Walks the stack's complete dynamic state through a state visitor
+    /// (see [`noc_sim::persist`]): the run-time route bindings
     /// (target NI → local channel, in sorted order for a deterministic
     /// stream), queued operations, the in-flight serialized message, the
     /// response assemblers, the local/remote history, delivered
     /// responses and the operation counter. Bindings are dynamic state —
     /// `bind` is issued at run time, so a restored shell must carry them.
-    pub fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{persist_bool, persist_u32_list, persist_usize};
+    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::{
+            persist_bool, persist_deque, persist_int, persist_int_list, persist_list,
+        };
         let mut routes: Vec<(usize, usize)> = self.route.drain().collect();
         routes.sort_unstable();
-        let n = p.len(routes.len());
-        routes.resize(n, (0, 0));
-        for (ni, local) in &mut routes {
-            persist_usize(ni, p);
-            persist_usize(local, p);
-        }
+        persist_list(&mut routes, p, |(ni, local), p| {
+            persist_int(ni, p);
+            persist_int(local, p);
+        });
         self.route = routes.into_iter().collect();
-        let n = p.len(self.pending.len());
-        self.pending.resize(n, Transaction::persist_default());
-        for t in &mut self.pending {
-            t.persist(p);
-        }
+        let blank = Transaction::persist_default();
+        persist_deque(&mut self.pending, blank, p, |t, p| t.walk(p));
         let mut have_tx = self.tx.is_some();
         persist_bool(&mut have_tx, p);
         if have_tx != self.tx.is_some() {
@@ -186,17 +183,15 @@ impl ConfigStack {
             });
         }
         if let Some(tx) = &mut self.tx {
-            persist_u32_list(&mut tx.words, p);
-            persist_usize(&mut tx.local, p);
-            persist_usize(&mut tx.progress, p);
+            persist_int_list(&mut tx.words, p);
+            persist_int(&mut tx.local, p);
+            persist_int(&mut tx.progress, p);
         }
         for a in &mut self.asm {
-            a.persist(p);
+            a.walk(p);
         }
-        let n = p.len(self.history.len());
-        self.history
-            .resize(n, HistEntry::Local(TransactionResponse::ack(0)));
-        for h in &mut self.history {
+        let blank = HistEntry::Local(TransactionResponse::ack(0));
+        persist_deque(&mut self.history, blank, p, |h, p| {
             let mut tag = match h {
                 HistEntry::Local(_) => 0u64,
                 HistEntry::Remote(_) => 1,
@@ -208,7 +203,7 @@ impl ConfigStack {
                         HistEntry::Local(r) => r.clone(),
                         HistEntry::Remote(_) => TransactionResponse::ack(0),
                     };
-                    r.persist(p);
+                    r.walk(p);
                     *h = HistEntry::Local(r);
                 }
                 1 => {
@@ -216,18 +211,15 @@ impl ConfigStack {
                         HistEntry::Remote(l) => *l,
                         HistEntry::Local(_) => 0,
                     };
-                    persist_usize(&mut local, p);
+                    persist_int(&mut local, p);
                     *h = HistEntry::Remote(local);
                 }
                 _ => p.fail("snapshot item is not a config history tag"),
             }
-        }
-        let n = p.len(self.resp_out.len());
-        self.resp_out.resize(n, TransactionResponse::ack(0));
-        for r in &mut self.resp_out {
-            r.persist(p);
-        }
-        p.item(&mut self.ops);
+        });
+        let blank = TransactionResponse::ack(0);
+        persist_deque(&mut self.resp_out, blank, p, |r, p| r.walk(p));
+        p.counter(&mut self.ops);
     }
 
     /// Advances the shell by one port cycle.

@@ -183,19 +183,16 @@ impl MasterStack {
             && self.resp_out.is_empty()
     }
 
-    /// Walks the stack's complete dynamic state through a persistence
-    /// visitor (see [`noc_sim::persist`]): queued transactions, the
+    /// Walks the stack's complete dynamic state through a state visitor
+    /// (see [`noc_sim::persist`]): queued transactions, the
     /// in-flight serialized message with its per-target progress, every
     /// response assembler, the connection history, delivered-response
     /// queue, sequence counter and error count. `channels`/`sel`/
     /// `ordering`/`clock_div`/`pending_cap` are structural.
-    pub fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{persist_bool, persist_u32, persist_u32_list, persist_usize_list};
-        let n = p.len(self.pending.len());
-        self.pending.resize(n, Transaction::persist_default());
-        for t in &mut self.pending {
-            t.persist(p);
-        }
+    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::{persist_bool, persist_deque, persist_int, persist_int_list};
+        let blank = Transaction::persist_default();
+        persist_deque(&mut self.pending, blank, p, |t, p| t.walk(p));
         let mut have_tx = self.tx.is_some();
         persist_bool(&mut have_tx, p);
         if have_tx != self.tx.is_some() {
@@ -208,27 +205,23 @@ impl MasterStack {
             });
         }
         if let Some(tx) = &mut self.tx {
-            persist_u32_list(&mut tx.words, p);
-            persist_usize_list(&mut tx.targets, p);
-            persist_usize_list(&mut tx.progress, p);
-            p.item(&mut tx.ready_at);
+            persist_int_list(&mut tx.words, p);
+            persist_int_list(&mut tx.targets, p);
+            persist_int_list(&mut tx.progress, p);
+            p.stamp(&mut tx.ready_at);
             persist_bool(&mut tx.flush, p);
         }
         for a in &mut self.asm {
-            a.persist(p);
+            a.walk(p);
         }
-        let n = p.len(self.history.len());
-        self.history.resize(n, HistEntry { locals: Vec::new() });
-        for h in &mut self.history {
-            persist_usize_list(&mut h.locals, p);
-        }
-        let n = p.len(self.resp_out.len());
-        self.resp_out.resize(n, TransactionResponse::ack(0));
-        for r in &mut self.resp_out {
-            r.persist(p);
-        }
-        persist_u32(&mut self.seq_ctr, p);
-        p.item(&mut self.shell_errors);
+        let blank = HistEntry { locals: Vec::new() };
+        persist_deque(&mut self.history, blank, p, |h, p| {
+            persist_int_list(&mut h.locals, p)
+        });
+        let blank = TransactionResponse::ack(0);
+        persist_deque(&mut self.resp_out, blank, p, |r, p| r.walk(p));
+        persist_int(&mut self.seq_ctr, p);
+        p.counter(&mut self.shell_errors);
     }
 
     /// Selects target channels for a transaction; returns `None` on a

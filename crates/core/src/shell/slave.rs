@@ -103,31 +103,21 @@ impl SlaveStack {
             && self.asm.iter().all(|a| a.ready() == 0)
     }
 
-    /// Walks the stack's complete dynamic state through a persistence
-    /// visitor (see [`noc_sim::persist`]): every request assembler, the
+    /// Walks the stack's complete dynamic state through a state visitor
+    /// (see [`noc_sim::persist`]): every request assembler, the
     /// connection history, scheduled requests, responses awaiting
     /// serialization, the in-flight serialized response, the round-robin
     /// pointer and the sequence counter.
-    pub fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{
-            persist_bool, persist_u32, persist_u32_list, persist_usize, persist_usize_list,
-        };
+    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::{persist_bool, persist_deque, persist_int, persist_int_list};
         for a in &mut self.asm {
-            a.persist(p);
+            a.walk(p);
         }
-        let mut hist: Vec<usize> = self.history.iter().copied().collect();
-        persist_usize_list(&mut hist, p);
-        self.history = hist.into();
-        let n = p.len(self.req_out.len());
-        self.req_out.resize(n, Transaction::persist_default());
-        for t in &mut self.req_out {
-            t.persist(p);
-        }
-        let n = p.len(self.resp_pending.len());
-        self.resp_pending.resize(n, TransactionResponse::ack(0));
-        for r in &mut self.resp_pending {
-            r.persist(p);
-        }
+        persist_deque(&mut self.history, 0, p, |l, p| persist_int(l, p));
+        let blank = Transaction::persist_default();
+        persist_deque(&mut self.req_out, blank, p, |t, p| t.walk(p));
+        let blank = TransactionResponse::ack(0);
+        persist_deque(&mut self.resp_pending, blank, p, |r, p| r.walk(p));
         let mut have_tx = self.tx.is_some();
         persist_bool(&mut have_tx, p);
         if have_tx != self.tx.is_some() {
@@ -139,13 +129,13 @@ impl SlaveStack {
             });
         }
         if let Some(tx) = &mut self.tx {
-            persist_u32_list(&mut tx.words, p);
-            persist_usize(&mut tx.local, p);
-            persist_usize(&mut tx.progress, p);
-            p.item(&mut tx.ready_at);
+            persist_int_list(&mut tx.words, p);
+            persist_int(&mut tx.local, p);
+            persist_int(&mut tx.progress, p);
+            p.stamp(&mut tx.ready_at);
         }
-        persist_usize(&mut self.rr, p);
-        persist_u32(&mut self.seq_ctr, p);
+        persist_int(&mut self.rr, p);
+        persist_int(&mut self.seq_ctr, p);
     }
 
     /// Advances the shell by one port cycle (`now` in network cycles).

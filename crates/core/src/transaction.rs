@@ -211,29 +211,27 @@ impl Transaction {
     }
 
     /// A placeholder transaction used as the resize default when a
-    /// persistence walk rebuilds a collection (every field is then
+    /// state walk rebuilds a collection (every field is then
     /// overwritten by the element walk).
     pub fn persist_default() -> Self {
         Transaction::read(0, 0, 0)
     }
 
-    /// Walks the transaction through a persistence visitor (see
+    /// Walks the transaction through a state visitor (see
     /// [`noc_sim::persist`]); the command travels as its 4-bit wire
     /// encoding, unknown encodings fail the restore.
-    pub fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{
-            persist_bool, persist_u16, persist_u32, persist_u32_list, persist_u8,
-        };
+    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::{persist_bool, persist_int, persist_int_list};
         let mut cmd = u64::from(self.cmd.encode());
         p.item(&mut cmd);
         match u8::try_from(cmd).ok().and_then(Cmd::decode) {
             Some(c) => self.cmd = c,
             None => p.fail("snapshot item is not a transaction command"),
         }
-        persist_u32(&mut self.addr, p);
-        persist_u32_list(&mut self.data, p);
-        persist_u8(&mut self.read_len, p);
-        persist_u16(&mut self.trans_id, p);
+        persist_int(&mut self.addr, p);
+        persist_int_list(&mut self.data, p);
+        persist_int(&mut self.read_len, p);
+        persist_int(&mut self.trans_id, p);
         persist_bool(&mut self.flush, p);
     }
 }
@@ -277,19 +275,19 @@ impl TransactionResponse {
         }
     }
 
-    /// Walks the response through a persistence visitor; the status
+    /// Walks the response through a state visitor; the status
     /// travels as its 4-bit wire encoding (unknown codes collapse to
     /// `SlaveError`, exactly as on the wire).
-    pub fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{persist_u16, persist_u32_list};
-        persist_u16(&mut self.trans_id, p);
+    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::{persist_int, persist_int_list};
+        persist_int(&mut self.trans_id, p);
         let mut status = u64::from(self.status.encode());
         p.item(&mut status);
         match u8::try_from(status) {
             Ok(bits) => self.status = RespStatus::decode(bits),
             Err(_) => p.fail("snapshot item is not a response status"),
         }
-        persist_u32_list(&mut self.data, p);
+        persist_int_list(&mut self.data, p);
     }
 }
 

@@ -297,18 +297,38 @@ fn mutate_nth_num(v: &mut Value, target: usize, with: u64, seen: &mut usize) -> 
     }
 }
 
+/// Restores `doc` onto a fresh system and, when the restore is accepted,
+/// runs what it accepted: validation that lets through a state the
+/// simulator then panics on has not validated anything. Returns whether
+/// the restore was accepted.
+fn restore_then_run(spec: &NocSpec, doc: &Value) -> bool {
+    let mut fresh = NocSystem::from_spec(spec);
+    let accepted = fresh.restore(doc).is_ok();
+    if accepted {
+        Engine::run(&mut fresh, 256);
+    }
+    accepted
+}
+
 /// Every numeric leaf of a snapshot is attacker-controlled: lengths,
-/// range-limited register words, counters. Rewriting random leaves with
+/// range-limited register words, indices, counters. Rewriting leaves with
 /// hostile values must produce either a structured error or a state the
-/// audited walk genuinely accepts — never a panic or capacity blow-up.
+/// state walk genuinely accepts *and the simulator can run* — never a
+/// panic or capacity blow-up. Two hundred seeded random rewrites, then
+/// every leaf in turn against a small in-range value, a smaller one, and
+/// one beyond every 32-bit field.
 #[test]
 fn snapshot_hostile_leaves_never_panic() {
     let (spec, snap) = warm_snapshot();
     let leaves = count_nums(&snap);
     assert!(leaves > 100, "snapshot unexpectedly shallow: {leaves} nums");
+    let mutated = |target: usize, hostile: u64| {
+        let mut bad = snap.clone();
+        assert!(mutate_nth_num(&mut bad, target, hostile, &mut 0));
+        bad
+    };
     let mut rng = Rng64::seed_from_u64(base_seed("snapshot_hostile_leaves_never_panic"));
     for i in 0..200 {
-        let mut bad = snap.clone();
         let hostile = match i % 4 {
             0 => u64::MAX,
             1 => u64::from(u32::MAX),
@@ -316,15 +336,23 @@ fn snapshot_hostile_leaves_never_panic() {
             _ => rng.next_u64() % 97,
         };
         let target = (rng.next_u64() as usize) % leaves;
-        let mut seen = 0;
-        assert!(mutate_nth_num(&mut bad, target, hostile, &mut seen));
-        let mut fresh = NocSystem::from_spec(&spec);
-        let _ = fresh.restore(&bad);
+        restore_then_run(&spec, &mutated(target, hostile));
     }
+    let mut accepted = 0;
+    for target in 0..leaves {
+        for hostile in [97, 7, 1 << 40] {
+            accepted += usize::from(restore_then_run(&spec, &mutated(target, hostile)));
+        }
+    }
+    assert!(
+        accepted > leaves,
+        "the sweep must mostly exercise accepted states ({accepted} of {leaves} x 3)"
+    );
 }
 
 /// Byte-level corruption of the serialized snapshot: whatever still
-/// parses must restore with a structured verdict, not a panic.
+/// parses must restore with a structured verdict and, if accepted, run —
+/// not panic.
 #[test]
 fn snapshot_byte_fuzz_never_panics() {
     let (spec, snap) = warm_snapshot();
@@ -337,7 +365,6 @@ fn snapshot_byte_fuzz_never_panics() {
         let Ok(doc) = json::parse(&mangled) else {
             continue;
         };
-        let mut fresh = NocSystem::from_spec(&spec);
-        let _ = fresh.restore(&doc);
+        restore_then_run(&spec, &doc);
     }
 }

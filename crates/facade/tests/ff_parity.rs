@@ -8,7 +8,15 @@
 //! that decline, sharded execution (sequential and parallel, slack batch
 //! 1 and 16), randomized BE bursts interleaved into GT streams, and a
 //! seeded corrupted-calendar mutation that must *never* be extrapolated.
+//!
+//! Parity alone cannot tell a backend that certifies from one that
+//! silently stopped certifying (ticking is always bit-identical), so every
+//! deterministic scenario also pins its exact [`FfStats`] — the values the
+//! backend produced when the certificate and the snapshot were still two
+//! separate walks. And the certificate itself is held to the snapshot:
+//! whatever the snapshot distinguishes, the digest distinguishes.
 
+use aethereal::cfg::json::Value;
 use aethereal::cfg::{presets, NocSpec, NocSystem, RegionsSpec, ShardedSystem, TopologySpec};
 use aethereal::ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
 use aethereal::ni::kernel::{
@@ -17,7 +25,7 @@ use aethereal::ni::kernel::{
 use aethereal::proto::ip::{ClockedWith, RawPort};
 use aethereal::proto::{CountingSink, RawIp, StreamSink, StreamSource};
 use aethereal::sim::shard::Partition;
-use aethereal::sim::{FfVisit, NocStats, Topology};
+use aethereal::sim::{FfStats, NocStats, StateVisit, Topology};
 use aethereal_testkit::prelude::*;
 use aethereal_testkit::{base_seed, Rng64};
 
@@ -152,14 +160,21 @@ fn parity(build: impl Fn() -> (NocSystem, Vec<usize>), horizon: u64) -> NocSyste
     ff
 }
 
+/// One certified jump over `cycles_jumped` cycles.
+fn one_jump(cycles_jumped: u64) -> FfStats {
+    FfStats {
+        jumps: 1,
+        cycles_jumped,
+    }
+}
+
 #[test]
 fn pure_gt_uniform_is_bit_identical_and_jumps() {
     let ff = parity(pure_gt_uniform, 50_000);
-    assert!(ff.ff_stats().jumps > 0, "steady uniform streams certify");
-    assert!(
-        ff.ff_stats().cycles_jumped > 25_000,
-        "most of the run is extrapolated (got {})",
-        ff.ff_stats().cycles_jumped
+    assert_eq!(
+        ff.ff_stats(),
+        one_jump(49_632),
+        "steady uniform streams certify after the 8-rotation warm-up"
     );
     assert_eq!(ff.noc.gt_conflicts(), 0);
     let sink = ff.raw_ip_at::<CountingSink>(1);
@@ -169,7 +184,7 @@ fn pure_gt_uniform_is_bit_identical_and_jumps() {
 #[test]
 fn pure_gt_hotspot_is_bit_identical_and_jumps() {
     let ff = parity(pure_gt_hotspot, 50_000);
-    assert!(ff.ff_stats().jumps > 0, "hotspot streams certify");
+    assert_eq!(ff.ff_stats(), one_jump(49_632), "hotspot streams certify");
     assert_eq!(ff.noc.gt_conflicts(), 0, "slot windows stay disjoint");
 }
 
@@ -227,7 +242,11 @@ fn gateway_routes_decline_but_stay_bit_identical() {
         cc.raw_ip_at::<StreamSink>(63).received()
     );
     assert_eq!(ff.raw_ip_at::<StreamSink>(63).received().len(), 200);
-    assert_eq!(ff.ff_stats().jumps, 0, "BE gateway traffic never certifies");
+    assert_eq!(
+        ff.ff_stats(),
+        FfStats::default(),
+        "BE gateway traffic never certifies"
+    );
 }
 
 // ---- Sharded execution --------------------------------------------------
@@ -258,7 +277,7 @@ fn sharded_local_stream() -> (NocSystem, Topology) {
     (sys, topo)
 }
 
-fn sharded_ff_run(batch: u64, parallel: bool) -> (ShardedSystem, u64) {
+fn sharded_ff_run(batch: u64, parallel: bool) -> (ShardedSystem, FfStats) {
     let (sys, topo) = sharded_local_stream();
     let partition = Partition::mesh_rows(2, 2, 2);
     let mut sharded = ShardedSystem::new(sys, &topo, &partition).with_batch(batch);
@@ -268,8 +287,8 @@ fn sharded_ff_run(batch: u64, parallel: bool) -> (ShardedSystem, u64) {
     } else {
         sharded.run(50_000);
     }
-    let jumps = sharded.ff_stats().jumps;
-    (sharded, jumps)
+    let stats = sharded.ff_stats();
+    (sharded, stats)
 }
 
 #[test]
@@ -284,13 +303,14 @@ fn sharded_sole_awake_region_fast_forwards_bit_identically() {
         (s.count(), s.last())
     };
     for batch in [1u64, 16] {
-        let (sharded, jumps) = sharded_ff_run(batch, false);
+        let (sharded, stats) = sharded_ff_run(batch, false);
         assert_eq!(sharded.merged_noc_stats(), ref_noc, "batch {batch}");
         assert_eq!(sharded.kernel_stats(), ref_kernels, "batch {batch}");
         let s = sharded.raw_ip_as::<CountingSink>(1);
         assert_eq!((s.count(), s.last()), ref_sink, "batch {batch}");
-        assert!(
-            jumps > 0,
+        assert_eq!(
+            stats,
+            one_jump(49_680),
             "sole-awake region must fast-forward (batch {batch})"
         );
     }
@@ -301,8 +321,12 @@ fn sharded_parallel_never_fast_forwards_and_matches() {
     let (mut reference, _) = sharded_local_stream();
     reference.run(50_000);
     for batch in [1u64, 16] {
-        let (sharded, jumps) = sharded_ff_run(batch, true);
-        assert_eq!(jumps, 0, "parallel workers must not offer fast-forward");
+        let (sharded, stats) = sharded_ff_run(batch, true);
+        assert_eq!(
+            stats,
+            FfStats::default(),
+            "parallel workers must not offer fast-forward"
+        );
         assert_eq!(
             sharded.merged_noc_stats(),
             *reference.noc.stats(),
@@ -350,8 +374,8 @@ fn sharded_cross_region_stream_declines_fast_forward() {
     sharded.set_fast_forward(true);
     sharded.run(20_000);
     assert_eq!(
-        sharded.ff_stats().jumps,
-        0,
+        sharded.ff_stats(),
+        FfStats::default(),
         "cross-cut routes must never be extrapolated"
     );
     assert_eq!(sharded.merged_noc_stats(), *reference.noc.stats());
@@ -433,9 +457,9 @@ impl RawIp for BurstSource {
         }
     }
 
-    fn ff_visit(&mut self, v: &mut dyn FfVisit) {
+    fn ff_visit(&mut self, v: &mut dyn StateVisit) {
         if self.finished() {
-            v.exact(self.cur as u64);
+            v.item(&mut (self.cur as u64));
             v.counter(&mut self.produced);
         } else {
             v.reject();
@@ -476,8 +500,9 @@ fn ff_reenters_after_be_burst_drains() {
     ff.run(40_000);
     cc.run(40_000);
     assert_eq!(observe(&ff, &[ff_sink]), observe(&cc, &[ff_sink]));
-    assert!(
-        ff.ff_stats().jumps > 0,
+    assert_eq!(
+        ff.ff_stats(),
+        one_jump(39_168),
         "fast-forward must re-enter once the burst drains"
     );
     let be = ff.raw_ip_as::<CountingSink>(ff_sink);
@@ -547,9 +572,76 @@ fn corrupted_calendar_is_never_fast_forwarded() {
         "the mutation must actually collide (slots {colliding}/{moved})"
     );
     assert_eq!(
-        ff.ff_stats().jumps,
-        0,
+        ff.ff_stats(),
+        FfStats::default(),
         "a violating calendar must never be extrapolated"
     );
     assert_eq!(observe(&ff, &sinks), observe(&cc, &sinks));
+}
+
+// ---- The certificate covers the snapshot --------------------------------
+
+/// The numeric leaves of the per-component state streams of a system
+/// snapshot (`noc`, `nis`, `raws` — everything the state walk produced; the
+/// envelope's own fields are not state of the walk), in document order.
+fn stream_leaves(snap: &mut Value) -> Vec<&mut u64> {
+    fn collect<'a>(v: &'a mut Value, out: &mut Vec<&'a mut u64>) {
+        match v {
+            Value::Num(n) => out.push(n),
+            Value::Arr(items) => items.iter_mut().for_each(|i| collect(i, out)),
+            _ => {}
+        }
+    }
+    let Value::Obj(m) = snap else {
+        panic!("snapshot envelope is an object");
+    };
+    let mut out = Vec::new();
+    for (key, v) in m.iter_mut() {
+        if matches!(key.as_str(), "noc" | "nis" | "raws") {
+            collect(v, &mut out);
+        }
+    }
+    out
+}
+
+/// Whatever the snapshot distinguishes, the digest distinguishes: the
+/// periodicity certificate is derived from the same walk as the snapshot,
+/// so no field the snapshot carries can sit outside it (extrapolated as
+/// frozen without ever being compared). On a warm pure-GT system every
+/// stream leaf is rewritten in turn; wherever restore accepts the rewrite
+/// — the state is a valid, different one — the restored system's digest
+/// must differ from the original's.
+#[test]
+fn digest_distinguishes_whatever_the_snapshot_distinguishes() {
+    let (mut sys, _) = pure_gt_uniform();
+    sys.run(1_000);
+    let mut snap = sys.snapshot().expect("snapshot");
+    let original = {
+        let (mut twin, _) = pure_gt_uniform();
+        twin.restore(&snap).expect("restore");
+        twin.ff_digest()
+    };
+    assert!(!original.rejected(), "the subject is fast-forward material");
+    assert_eq!(original, sys.ff_digest(), "equal states, equal digests");
+    let leaves = stream_leaves(&mut snap).len();
+    assert!(leaves > 500, "snapshot unexpectedly shallow: {leaves}");
+    let mut accepted = 0;
+    for target in 0..leaves {
+        for flip in [1u64, 2] {
+            let mut mutated = snap.clone();
+            *stream_leaves(&mut mutated)[target] ^= flip;
+            let (mut twin, _) = pure_gt_uniform();
+            if twin.restore(&mutated).is_ok() {
+                accepted += 1;
+                assert!(
+                    twin.ff_digest() != original,
+                    "leaf {target} ^ {flip} restores to a state the digest cannot tell apart"
+                );
+            }
+        }
+    }
+    assert!(
+        accepted > leaves,
+        "most rewrites are valid states ({accepted} of {leaves} x 2)"
+    );
 }

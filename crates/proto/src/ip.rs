@@ -69,7 +69,7 @@ pub trait MasterIp: ClockedWith<MasterStack> + Send {
     /// for persistence fails the snapshot loudly instead of silently
     /// dropping its state. Override only when every dynamic field is
     /// either in the walk or provably re-derivable.
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
+    fn persist(&mut self, p: &mut dyn noc_sim::StateVisit) {
         p.fail("IP model has no persist audit");
     }
 }
@@ -94,7 +94,7 @@ pub trait SlaveIp: ClockedWith<SlaveStack> + Send {
 
     /// Walks the IP's complete dynamic state through a persistence visitor
     /// — see [`MasterIp::persist`]. The default poisons the walk.
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
+    fn persist(&mut self, p: &mut dyn noc_sim::StateVisit) {
         p.fail("IP model has no persist audit");
     }
 }
@@ -120,7 +120,7 @@ pub trait RawIp: for<'a> ClockedWith<RawPort<'a>> + Send {
     }
 
     /// Walks the IP's dynamic state through a fast-forward visitor (see
-    /// [`noc_sim::ff`](noc_sim::FfVisit)), so pure-GT streaming systems can
+    /// [`noc_sim::ff`]), so pure-GT streaming systems can
     /// extrapolate the IP together with the network.
     ///
     /// The default **rejects**: an IP that has not been audited for
@@ -129,13 +129,20 @@ pub trait RawIp: for<'a> ClockedWith<RawPort<'a>> + Send {
     /// every field is classified — exact control state, wrapping counters
     /// / values, or absolute-cycle stamps — and the IP's per-cycle
     /// behavior is a pure function of that state.
-    fn ff_visit(&mut self, v: &mut dyn noc_sim::FfVisit) {
+    ///
+    /// Deliberately a separate opt-in from [`persist`](RawIp::persist),
+    /// though both take the same visitor: listing a field for
+    /// serialization is a weaker claim than classifying it for
+    /// extrapolation. An absolute-cycle field walked as a plain `item`
+    /// snapshots correctly, but would certify as constant and be jumped
+    /// past.
+    fn ff_visit(&mut self, v: &mut dyn noc_sim::StateVisit) {
         v.reject();
     }
 
     /// Walks the IP's complete dynamic state through a persistence visitor
     /// — see [`MasterIp::persist`]. The default poisons the walk.
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
+    fn persist(&mut self, p: &mut dyn noc_sim::StateVisit) {
         p.fail("IP model has no persist audit");
     }
 }

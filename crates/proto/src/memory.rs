@@ -145,15 +145,15 @@ impl SlaveIp for MemorySlave {
     /// pipeline of responses waiting to retire, and the access counters.
     /// `latency` is construction state and must match on the restore
     /// target.
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{persist_bool, persist_u32};
+    fn persist(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::{persist_bool, persist_int};
         let mut mem: Vec<(u32, u32)> = self.mem.drain().collect();
         mem.sort_unstable();
         let n = p.len(mem.len());
         mem.resize(n, (0, 0));
         for (addr, value) in &mut mem {
-            persist_u32(addr, p);
-            persist_u32(value, p);
+            persist_int(addr, p);
+            persist_int(value, p);
         }
         self.mem = mem.into_iter().collect();
         let mut have = self.reservation.is_some();
@@ -162,13 +162,13 @@ impl SlaveIp for MemorySlave {
             self.reservation = have.then_some(0);
         }
         if let Some(addr) = &mut self.reservation {
-            persist_u32(addr, p);
+            persist_int(addr, p);
         }
         let n = p.len(self.inflight.len());
         self.inflight.resize(n, (0, TransactionResponse::ack(0)));
         for (ready, resp) in &mut self.inflight {
             p.item(ready);
-            resp.persist(p);
+            resp.walk(p);
         }
         p.item(&mut self.reads);
         p.item(&mut self.writes);

@@ -76,7 +76,7 @@ impl RawIp for StreamSource {
     /// skip straight past. A non-affine `f` needs no special casing: the
     /// generated words land in the channel queue, whose per-period value
     /// deltas then fail certification by themselves.
-    fn ff_visit(&mut self, v: &mut dyn noc_sim::FfVisit) {
+    fn ff_visit(&mut self, v: &mut dyn noc_sim::StateVisit) {
         if self.total == u64::MAX {
             v.counter(&mut self.produced);
         } else {
@@ -86,7 +86,7 @@ impl RawIp for StreamSource {
 
     /// The only dynamic state is the produced count; `total` and `f` are
     /// construction state and must match on the restore target.
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
+    fn persist(&mut self, p: &mut dyn noc_sim::StateVisit) {
         p.item(&mut self.produced);
     }
 }
@@ -153,13 +153,13 @@ impl RawIp for PixelStage {
 
     /// A stage's only dynamic state is the processed count; the words it
     /// moves live in kernel queues, which certify themselves.
-    fn ff_visit(&mut self, v: &mut dyn noc_sim::FfVisit) {
+    fn ff_visit(&mut self, v: &mut dyn noc_sim::StateVisit) {
         v.counter(&mut self.processed);
     }
 
     /// The only dynamic state is the processed count; the transform is
     /// construction state and must match on the restore target.
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
+    fn persist(&mut self, p: &mut dyn noc_sim::StateVisit) {
         p.item(&mut self.processed);
     }
 }
@@ -227,10 +227,10 @@ impl RawIp for StreamSink {
     /// Complete dynamic state: the received words and their arrival
     /// stamps. (The sink rejects fast-forward — its record grows — but it
     /// persists fine: a snapshot captures the record as-is.)
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{persist_u32_list, persist_u64_list};
-        persist_u32_list(&mut self.received, p);
-        persist_u64_list(&mut self.arrival_cycles, p);
+    fn persist(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::persist_int_list;
+        persist_int_list(&mut self.received, p);
+        persist_int_list(&mut self.arrival_cycles, p);
     }
 }
 
@@ -286,15 +286,15 @@ impl RawIp for CountingSink {
 
     /// Count advances by the per-period delivery rate; the last word by
     /// the stream's per-period value stride.
-    fn ff_visit(&mut self, v: &mut dyn noc_sim::FfVisit) {
+    fn ff_visit(&mut self, v: &mut dyn noc_sim::StateVisit) {
         v.counter(&mut self.count);
         v.value(&mut self.last);
     }
 
     /// Complete dynamic state: the running count and the last word seen.
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
+    fn persist(&mut self, p: &mut dyn noc_sim::StateVisit) {
         p.item(&mut self.count);
-        noc_sim::persist::persist_u32(&mut self.last, p);
+        noc_sim::persist::persist_int(&mut self.last, p);
     }
 }
 

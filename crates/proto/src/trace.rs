@@ -169,9 +169,9 @@ impl MasterIp for TraceMaster {
     /// counters, the outstanding map (sorted by id for a canonical
     /// stream), the latency record and the slip accumulator. The trace
     /// itself is construction state and must match on the restore target.
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{persist_u16, persist_u64_list, persist_usize};
-        persist_usize(&mut self.next, p);
+    fn persist(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::{persist_int, persist_int_list};
+        persist_int(&mut self.next, p);
         p.item(&mut self.issued);
         p.item(&mut self.completed);
         let mut inflight: Vec<(u16, u64)> = self.inflight.drain().collect();
@@ -179,11 +179,11 @@ impl MasterIp for TraceMaster {
         let n = p.len(inflight.len());
         inflight.resize(n, (0, 0));
         for (tid, start) in &mut inflight {
-            persist_u16(tid, p);
+            persist_int(tid, p);
             p.item(start);
         }
         self.inflight = inflight.into_iter().collect();
-        persist_u64_list(&mut self.latencies, p);
+        persist_int_list(&mut self.latencies, p);
         p.item(&mut self.slip);
     }
 }

@@ -239,10 +239,10 @@ impl MasterIp for TrafficGenerator {
     /// issue/completion/error counters, the pacing stamp, the outstanding
     /// map (sorted by id for a canonical stream) and the latency record.
     /// `cfg` is construction state and must match on the restore target.
-    fn persist(&mut self, p: &mut dyn noc_sim::PersistVisit) {
-        use noc_sim::persist::{persist_bool, persist_u16, persist_u64_list};
-        noc_sim::Persist::persist(&mut self.rng, p);
-        persist_u16(&mut self.next_tid, p);
+    fn persist(&mut self, p: &mut dyn noc_sim::StateVisit) {
+        use noc_sim::persist::{persist_bool, persist_int, persist_int_list};
+        self.rng.walk(p);
+        persist_int(&mut self.next_tid, p);
         p.item(&mut self.issued);
         p.item(&mut self.completed);
         p.item(&mut self.errors);
@@ -259,11 +259,11 @@ impl MasterIp for TrafficGenerator {
         let n = p.len(inflight.len());
         inflight.resize(n, (0, 0));
         for (tid, start) in &mut inflight {
-            persist_u16(tid, p);
+            persist_int(tid, p);
             p.item(start);
         }
         self.inflight = inflight.into_iter().collect();
-        persist_u64_list(&mut self.latencies, p);
+        persist_int_list(&mut self.latencies, p);
         p.item(&mut self.words_moved);
     }
 }

@@ -22,7 +22,7 @@
 //! port — never per cycle — so quiescent skips, batched shard epochs and
 //! fast-forward-free replays all see the identical drop pattern. The dynamic
 //! remainder (generator states, health counters, the next-activation cache)
-//! rides the [`Persist`](crate::persist::Persist) walk, so a snapshot taken
+//! rides the state walk ([`crate::persist`]), so a snapshot taken
 //! mid-fault restores onto an identically-armed network and replays
 //! bit-identically.
 //!
@@ -235,7 +235,7 @@ impl FaultPlan {
 /// One armed event: the scheduled [`FaultEvent`] plus its dynamic state —
 /// the per-event generator and the health counters the injection filter
 /// maintains. The event and plan index are structural (they come from the
-/// armed plan); the generator and counters ride the `Persist` walk.
+/// armed plan); the generator and counters ride the state walk.
 #[derive(Debug, Clone)]
 struct ArmedFault {
     event: FaultEvent,
@@ -457,19 +457,20 @@ impl FaultState {
     }
 }
 
-impl crate::persist::Persist for FaultState {
-    /// Only the dynamic remainder is persisted — per-event generator
-    /// positions, health counters and the activation cache. The schedule
-    /// itself (kinds, locations, windows) is structural: a snapshot
-    /// restores onto a network armed with the identical plan, exactly like
-    /// topology wiring restores onto an identically-built network.
-    fn persist(&mut self, p: &mut dyn crate::persist::PersistVisit) {
+impl FaultState {
+    /// Walks the dynamic remainder through a state visitor — per-event
+    /// generator positions, health counters and the activation cache. The
+    /// schedule itself (kinds, locations, windows) is structural: a
+    /// snapshot restores onto a network armed with the identical plan,
+    /// exactly like topology wiring restores onto an identically-built
+    /// network.
+    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
         p.item(&mut self.next_active);
         for a in &mut self.events {
-            a.rng.persist(p);
-            p.item(&mut a.dropped_words);
-            p.item(&mut a.corrupted_words);
-            p.item(&mut a.lost_credits);
+            a.rng.walk(p);
+            p.counter(&mut a.dropped_words);
+            p.counter(&mut a.corrupted_words);
+            p.counter(&mut a.lost_credits);
         }
     }
 }
@@ -703,7 +704,7 @@ mod tests {
 
     #[test]
     fn persist_round_trips_dynamic_state() {
-        use crate::persist::{Persist, StateLoader, StateSaver};
+        use crate::persist::{StateLoader, StateSaver};
         let mut plan = FaultPlan::new(42);
         plan.link_flaky(0, 1, 0, u64::MAX, 500_000);
         let mut f = FaultState::arm(&plan);
@@ -713,11 +714,11 @@ mod tests {
             f.filter(0, c, &mut r);
         }
         let mut saver = StateSaver::new();
-        f.persist(&mut saver);
+        f.walk(&mut saver);
         let words = saver.finish().expect("clean save");
         let mut g = FaultState::arm(&plan);
         let mut loader = StateLoader::new(words);
-        g.persist(&mut loader);
+        g.walk(&mut loader);
         loader.finish().expect("clean restore");
         // Continue both: identical decisions.
         for c in 32..64 {

@@ -14,17 +14,20 @@
 //! The contract is deliberately conservative — **certify, then
 //! extrapolate**:
 //!
-//! 1. The fabric walks its complete wire-visible state through [`FfVisit`]
-//!    (one traversal, reused for capture and for the jump), classifying
-//!    every field as [`exact`](FfVisit::exact) (control state that must
-//!    repeat exactly each period), [`stamp`](FfVisit::stamp) (an absolute
-//!    cycle number that slides with time), [`counter`](FfVisit::counter)
-//!    (a 64-bit statistic advancing by a fixed amount per period) or
-//!    [`value`](FfVisit::value) (a 32-bit payload word advancing by a
+//! 1. The fabric walks its complete dynamic state through the one state
+//!    walk ([`StateVisit`], the same declaration that produces snapshots —
+//!    see [`crate::persist`] for the class table): every field is an
+//!    [`item`](StateVisit::item) or [`len`](StateVisit::len) (control
+//!    state that must repeat exactly each period), a
+//!    [`stamp`](StateVisit::stamp) (an absolute cycle number that slides
+//!    with time), a [`counter`](StateVisit::counter) (a 64-bit statistic
+//!    advancing by a fixed amount per period), a
+//!    [`value`](StateVisit::value) (a 32-bit payload word advancing by a
 //!    fixed increment per period — constant payloads, and in particular
-//!    route-continuation words, are the zero-increment special case).
-//!    State the traversal cannot prove periodic calls
-//!    [`reject`](FfVisit::reject).
+//!    route-continuation words, are the zero-increment special case) or a
+//!    [`word`](StateVisit::word) in flight (control bits and headers
+//!    exact, payload a `value`). State the traversal cannot prove
+//!    periodic calls [`reject`](StateVisit::reject).
 //! 2. Two probe rotations (real ticks — always safe) yield three digests;
 //!    the state is certified periodic only if every item repeats its
 //!    per-period delta across both rotations ([`periodic_deltas`]).
@@ -53,6 +56,7 @@
 //! bar is bit-identical state, never approximate stats.
 
 use crate::engine::{Clocked, Engine};
+use crate::persist::StateVisit;
 use crate::word::{LinkWord, SLOT_WORDS};
 
 /// Largest period (in base cycles) worth certifying: beyond this the probe
@@ -115,63 +119,33 @@ pub trait FastForwardable: Clocked {
     fn fast_forward(&mut self, max: u64) -> FfOutcome;
 }
 
-/// The state-classification visitor: one traversal of a fabric's complete
-/// wire-visible state, used both to capture digests and to apply the jump.
-///
-/// The traversal must be deterministic: same state, same sequence of
-/// calls. Mutable access for `stamp`/`counter`/`value` is what lets the
-/// identical walk replay the certified deltas in the apply pass.
-pub trait FfVisit {
-    /// Control state: must repeat exactly every period (queue lengths,
-    /// header words, routes, credit counters, calendar occupancy, …).
-    fn exact(&mut self, v: u64);
-
-    /// An absolute cycle number that slides with time (a FIFO word's
-    /// visibility stamp, a calendar event's due cycle). Certified when its
-    /// offset to the capture cycle is constant across periods; the jump
-    /// shifts it by the jumped cycles.
-    fn stamp(&mut self, v: &mut u64);
-
-    /// A monotone 64-bit statistic advancing by a fixed (wrapping) amount
-    /// per period.
-    fn counter(&mut self, v: &mut u64);
-
-    /// A 32-bit data word advancing by a fixed (wrapping) increment per
-    /// period — position `i` of a steady stream carries `w + Δ` one period
-    /// after it carried `w`. Constants are the `Δ = 0` case.
-    fn value(&mut self, v: &mut u32);
-
-    /// State this analysis does not cover (an IP holding an unbounded
-    /// history, a non-arithmetic accumulator): poisons the attempt.
-    fn reject(&mut self);
-}
-
-/// One classified state item (digest form). `Stamp` stores the cycle
-/// *relative* to the capture cycle as a wrapping difference (spent stamps
-/// keep distinct negative offsets) — see the module docs for why only a
-/// constant relative offset certifies.
+/// The class a walk declared a digest item with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FfItem {
-    Exact(u64),
-    Stamp(u64),
-    Counter(u64),
-    Value(u32),
+enum Class {
+    /// `item` or `len`: must repeat exactly.
+    Exact,
+    Stamp,
+    Counter,
+    Value,
+    Word,
 }
 
-impl FfItem {
-    fn kind(self) -> u8 {
-        match self {
-            FfItem::Exact(_) => 0,
-            FfItem::Stamp(_) => 1,
-            FfItem::Counter(_) => 2,
-            FfItem::Value(_) => 3,
-        }
-    }
+/// One classified state item. In a digest `v` is the captured value — a
+/// `Stamp` *relative* to the capture cycle as a wrapping difference
+/// (spent stamps keep distinct negative offsets; see the module docs for
+/// why only a constant relative offset certifies), a `Word` in its
+/// [`LinkWord::pack_u64`] form. In certified deltas it is the per-period
+/// increment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FfItem {
+    class: Class,
+    v: u64,
 }
 
-/// A captured state digest: the classified item sequence of one
-/// [`FfVisit`] walk at a fixed cycle.
-#[derive(Debug)]
+/// A captured state digest: the classified item sequence of one state
+/// walk at a fixed cycle. Two digests of one structure are equal exactly
+/// when every walked field is.
+#[derive(Debug, PartialEq, Eq)]
 pub struct FfDigest {
     now: u64,
     items: Vec<FfItem>,
@@ -192,23 +166,40 @@ impl FfDigest {
     pub fn rejected(&self) -> bool {
         self.rejected
     }
+
+    fn push(&mut self, class: Class, v: u64) {
+        self.items.push(FfItem { class, v });
+    }
 }
 
-impl FfVisit for FfDigest {
-    fn exact(&mut self, v: u64) {
-        self.items.push(FfItem::Exact(v));
+impl StateVisit for FfDigest {
+    fn item(&mut self, v: &mut u64) {
+        self.push(Class::Exact, *v);
+    }
+
+    fn len(&mut self, cur: usize) -> usize {
+        self.push(Class::Exact, cur as u64);
+        cur
+    }
+
+    fn fail(&mut self, _why: &str) {
+        self.rejected = true;
     }
 
     fn stamp(&mut self, v: &mut u64) {
-        self.items.push(FfItem::Stamp(v.wrapping_sub(self.now)));
+        self.push(Class::Stamp, v.wrapping_sub(self.now));
     }
 
     fn counter(&mut self, v: &mut u64) {
-        self.items.push(FfItem::Counter(*v));
+        self.push(Class::Counter, *v);
     }
 
     fn value(&mut self, v: &mut u32) {
-        self.items.push(FfItem::Value(*v));
+        self.push(Class::Value, u64::from(*v));
+    }
+
+    fn word(&mut self, packed: &mut u64) {
+        self.push(Class::Word, *packed);
     }
 
     fn reject(&mut self) {
@@ -217,9 +208,9 @@ impl FfVisit for FfDigest {
 }
 
 /// Certified per-period deltas: the proof object produced by
-/// [`periodic_deltas`] and consumed by [`FfApply`]. For `Exact` and
-/// `Stamp` items the payload re-states the certified value (structure
-/// bookkeeping); for `Counter` and `Value` it is the per-period increment.
+/// [`periodic_deltas`] and consumed by [`FfApply`] — the digest's class
+/// sequence with every item's per-period increment (zero for the classes
+/// that must repeat).
 #[derive(Debug)]
 pub struct FfDeltas {
     items: Vec<FfItem>,
@@ -227,15 +218,23 @@ pub struct FfDeltas {
     period: u64,
 }
 
+/// Whether a packed wire register holds a payload word — the one kind of
+/// word whose data bits may slide.
+fn slides(packed: u64) -> bool {
+    LinkWord::unpack_u64(packed).is_some_and(|w| !w.is_header())
+}
+
 /// Certifies periodicity from three equally spaced digests (`d1` one
 /// period after `d0`, `d2` one period after `d1`) and derives the
 /// per-period deltas.
 ///
 /// Returns `None` — fall back to ticking — unless every structural
-/// condition holds: no rejections, identical item count and kind sequence,
-/// `Exact` and `Stamp` items equal across all three captures, and
-/// `Counter`/`Value` items advancing by the same (wrapping) delta in both
-/// intervals.
+/// condition holds: no rejections, identical item count and class
+/// sequence, exact items and (relative) stamps equal across all three
+/// captures, counters and values advancing by the same (wrapping) delta in
+/// both intervals, and words keeping their control bits while payload data
+/// advances like a value and everything else (headers, empty registers)
+/// stays put.
 pub fn periodic_deltas(d0: &FfDigest, d1: &FfDigest, d2: &FfDigest) -> Option<FfDeltas> {
     if d0.rejected || d1.rejected || d2.rejected {
         return None;
@@ -249,47 +248,40 @@ pub fn periodic_deltas(d0: &FfDigest, d1: &FfDigest, d2: &FfDigest) -> Option<Ff
     }
     let mut items = Vec::with_capacity(d0.items.len());
     for ((&a, &b), &c) in d0.items.iter().zip(&d1.items).zip(&d2.items) {
-        if a.kind() != b.kind() || b.kind() != c.kind() {
+        if a.class != b.class || b.class != c.class {
             return None;
         }
-        let item = match (a, b, c) {
-            (FfItem::Exact(x), FfItem::Exact(y), FfItem::Exact(z)) => {
-                if x != y || y != z {
-                    return None;
-                }
-                FfItem::Exact(x)
+        let (d01, d12) = (b.v.wrapping_sub(a.v), c.v.wrapping_sub(b.v));
+        let periodic = match a.class {
+            Class::Exact | Class::Stamp => d01 == 0 && d12 == 0,
+            Class::Counter => d01 == d12,
+            // Both are sums of 32-bit data: compare the deltas modulo 2^32
+            // (a borrow out of the data bits is not a change of the word's
+            // control bits, which are compared on their own).
+            Class::Value => d01 as u32 == d12 as u32,
+            Class::Word => {
+                a.v >> 32 == b.v >> 32
+                    && b.v >> 32 == c.v >> 32
+                    && d01 as u32 == d12 as u32
+                    && (d01 as u32 == 0 || slides(a.v))
             }
-            (FfItem::Stamp(x), FfItem::Stamp(y), FfItem::Stamp(z)) => {
-                if x != y || y != z {
-                    return None;
-                }
-                FfItem::Stamp(x)
-            }
-            (FfItem::Counter(x), FfItem::Counter(y), FfItem::Counter(z)) => {
-                let d01 = y.wrapping_sub(x);
-                if z.wrapping_sub(y) != d01 {
-                    return None;
-                }
-                FfItem::Counter(d01)
-            }
-            (FfItem::Value(x), FfItem::Value(y), FfItem::Value(z)) => {
-                let d01 = y.wrapping_sub(x);
-                if z.wrapping_sub(y) != d01 {
-                    return None;
-                }
-                FfItem::Value(d01)
-            }
-            _ => unreachable!("kinds checked above"),
         };
-        items.push(item);
+        if !periodic {
+            return None;
+        }
+        let v = match a.class {
+            Class::Value | Class::Word => u64::from(d01 as u32),
+            _ => d01,
+        };
+        items.push(FfItem { class: a.class, v });
     }
     Some(FfDeltas { items, period })
 }
 
 /// The jump applier: replays the certified deltas `k` times in one
-/// [`FfVisit`] walk over the same state that produced the last digest.
+/// state walk over the same state that produced the last digest.
 ///
-/// The walk is deterministic, so the item sequence matches the deltas by
+/// The walk is deterministic, so the class sequence matches the deltas by
 /// construction; a mismatch is a traversal bug, checked via
 /// [`FfApply::matched`] (and debug assertions).
 #[derive(Debug)]
@@ -322,74 +314,60 @@ impl<'a> FfApply<'a> {
         !self.mismatched && self.i == self.deltas.items.len()
     }
 
-    fn next(&mut self, kind: u8) -> Option<FfItem> {
+    /// The certified delta of the next item, `k` periods' worth, provided
+    /// the walk declares it with the certified class.
+    fn next(&mut self, class: Class) -> u64 {
         match self.deltas.items.get(self.i) {
-            Some(&item) if item.kind() == kind => {
+            Some(item) if item.class == class => {
                 self.i += 1;
-                Some(item)
+                self.k.wrapping_mul(item.v)
             }
             _ => {
                 debug_assert!(false, "ff apply walk diverged from certified digest");
                 self.mismatched = true;
-                None
+                0
             }
         }
     }
 }
 
-impl FfVisit for FfApply<'_> {
-    fn exact(&mut self, _v: u64) {
-        let _ = self.next(0);
+impl StateVisit for FfApply<'_> {
+    fn item(&mut self, _v: &mut u64) {
+        self.next(Class::Exact);
+    }
+
+    fn len(&mut self, cur: usize) -> usize {
+        self.next(Class::Exact);
+        cur
+    }
+
+    fn fail(&mut self, _why: &str) {
+        self.reject();
     }
 
     fn stamp(&mut self, v: &mut u64) {
-        if self.next(1).is_some() {
+        self.next(Class::Stamp);
+        if !self.mismatched {
             *v = v.wrapping_add(self.jump());
         }
     }
 
     fn counter(&mut self, v: &mut u64) {
-        if let Some(FfItem::Counter(d)) = self.next(2) {
-            *v = v.wrapping_add(self.k.wrapping_mul(d));
-        }
+        *v = v.wrapping_add(self.next(Class::Counter));
     }
 
     fn value(&mut self, v: &mut u32) {
-        if let Some(FfItem::Value(d)) = self.next(3) {
-            *v = v.wrapping_add((self.k as u32).wrapping_mul(d));
-        }
+        *v = v.wrapping_add(self.next(Class::Value) as u32);
+    }
+
+    fn word(&mut self, packed: &mut u64) {
+        let data = (*packed as u32).wrapping_add(self.next(Class::Word) as u32);
+        *packed = (*packed >> 32 << 32) | u64::from(data);
     }
 
     fn reject(&mut self) {
         debug_assert!(false, "rejection after certification");
         self.mismatched = true;
-    }
-}
-
-/// Visits one [`LinkWord`] in flight: class/head/tail bits and header
-/// contents (routes, qid, credits — control state) as exact, payload
-/// contents as a sliding [`value`](FfVisit::value).
-pub fn visit_word(w: &mut LinkWord, v: &mut dyn FfVisit) {
-    v.exact(
-        w.class().index() as u64 | (u64::from(w.is_header()) << 1) | (u64::from(w.is_tail()) << 2),
-    );
-    if w.is_header() {
-        v.exact(u64::from(w.word()));
-    } else {
-        let mut payload = w.word();
-        v.value(&mut payload);
-        *w = w.with_word(payload);
-    }
-}
-
-/// Visits an optional wire register: presence as exact, then the word.
-pub fn visit_opt_word(w: &mut Option<LinkWord>, v: &mut dyn FfVisit) {
-    match w {
-        None => v.exact(0),
-        Some(lw) => {
-            v.exact(1);
-            visit_word(lw, v);
-        }
     }
 }
 
@@ -481,8 +459,8 @@ mod tests {
             }
         }
 
-        fn ff_visit(&mut self, v: &mut dyn FfVisit) {
-            v.exact(self.cycle % self.period);
+        fn walk(&mut self, v: &mut dyn StateVisit) {
+            v.item(&mut (self.cycle % self.period));
             v.counter(&mut self.beats);
             v.stamp(&mut self.next_due);
             v.value(&mut self.word);
@@ -514,13 +492,13 @@ mod tests {
                 return FfOutcome::DECLINED;
             }
             let mut d0 = FfDigest::new(self.now());
-            self.ff_visit(&mut d0);
+            self.walk(&mut d0);
             Engine::run(self, period);
             let mut d1 = FfDigest::new(self.now());
-            self.ff_visit(&mut d1);
+            self.walk(&mut d1);
             Engine::run(self, period);
             let mut d2 = FfDigest::new(self.now());
-            self.ff_visit(&mut d2);
+            self.walk(&mut d2);
             let advanced = 2 * period;
             let Some(deltas) = periodic_deltas(&d0, &d1, &d2) else {
                 return FfOutcome {
@@ -537,7 +515,7 @@ mod tests {
             }
             let mut apply = FfApply::new(&deltas, k);
             let jump = apply.jump();
-            self.ff_visit(&mut apply);
+            self.walk(&mut apply);
             assert!(apply.matched());
             self.cycle += jump;
             FfOutcome {
@@ -623,9 +601,9 @@ mod tests {
         let mut d0 = FfDigest::new(0);
         let mut d1 = FfDigest::new(10);
         let mut d2 = FfDigest::new(20);
-        d0.exact(1);
-        d1.exact(1);
-        d2.exact(2);
+        d0.item(&mut 1);
+        d1.item(&mut 1);
+        d2.item(&mut 2);
         assert!(periodic_deltas(&d0, &d1, &d2).is_none());
     }
 
@@ -635,7 +613,7 @@ mod tests {
         let mut d1 = FfDigest::new(10);
         let mut d2 = FfDigest::new(20);
         for d in [&mut d0, &mut d1, &mut d2] {
-            d.exact(7);
+            d.item(&mut 7);
         }
         let mut extra = 1u64;
         d2.counter(&mut extra); // d2 grew an item: not the same structure
@@ -644,8 +622,8 @@ mod tests {
         let mut a = FfDigest::new(0);
         let mut b = FfDigest::new(10);
         let mut c = FfDigest::new(20);
-        a.exact(7);
-        b.exact(7);
+        a.item(&mut 7);
+        b.item(&mut 7);
         let mut x = 7u64;
         c.counter(&mut x);
         assert!(periodic_deltas(&a, &b, &c).is_none());
@@ -658,9 +636,9 @@ mod tests {
         let mut d2 = FfDigest::new(20);
         d1.reject();
         assert!(d1.rejected());
-        d0.exact(0);
-        d1.exact(0);
-        d2.exact(0);
+        d0.item(&mut 0);
+        d1.item(&mut 0);
+        d2.item(&mut 0);
         assert!(periodic_deltas(&d0, &d1, &d2).is_none());
     }
 
@@ -720,35 +698,41 @@ mod tests {
 
     #[test]
     fn visit_word_classifies_header_vs_payload() {
-        let mut header = LinkWord::header_only(0xABCD, crate::WordClass::Guaranteed);
-        let mut d = FfDigest::new(0);
-        visit_word(&mut header, &mut d);
+        use crate::persist::{persist_opt_word, persist_word};
+        let header = LinkWord::header_only(0xABCD, crate::WordClass::Guaranteed);
         let payload = LinkWord::payload(7, crate::WordClass::Guaranteed, true);
-        visit_opt_word(&mut Some(payload), &mut d);
-        visit_opt_word(&mut None, &mut d);
-        assert!(!d.rejected());
-        // A payload word is mutable through the walk (value), a header is
-        // not: apply a +1-per-period delta and check only payload moved.
-        let mut d0 = FfDigest::new(0);
-        let mut d1 = FfDigest::new(10);
-        let mut d2 = FfDigest::new(20);
-        let mut h = header;
-        let mut p = payload;
-        visit_word(&mut h, &mut d0);
-        visit_word(&mut p, &mut d0);
-        visit_word(&mut h, &mut d1);
-        p = p.with_word(8);
-        visit_word(&mut p, &mut d1);
-        visit_word(&mut h, &mut d2);
-        p = p.with_word(9);
-        visit_word(&mut p, &mut d2);
+        // A payload word slides through the walk like a value, a header
+        // and an empty register do not: apply a +1-per-period delta and
+        // check only the payload moved.
+        let digest = |now, h: LinkWord, p: LinkWord| {
+            let mut d = FfDigest::new(now);
+            persist_word(&mut { h }, &mut d);
+            persist_word(&mut { p }, &mut d);
+            persist_opt_word(&mut None, &mut d);
+            assert!(!d.rejected());
+            d
+        };
+        let d0 = digest(0, header, payload);
+        let d1 = digest(10, header, payload.with_word(8));
+        let d2 = digest(20, header, payload.with_word(9));
         let deltas = periodic_deltas(&d0, &d1, &d2).expect("periodic");
+        let (mut h, mut p, mut none) = (header, payload.with_word(9), None);
         let mut apply = FfApply::new(&deltas, 3);
-        visit_word(&mut h, &mut apply);
-        visit_word(&mut p, &mut apply);
+        persist_word(&mut h, &mut apply);
+        persist_word(&mut p, &mut apply);
+        persist_opt_word(&mut none, &mut apply);
         assert!(apply.matched());
-        assert_eq!(h.word(), header.word());
-        assert_eq!(p.word(), 12);
-        let _ = payload;
+        assert_eq!((h, p, none), (header, payload.with_word(12), None));
+        // A header whose contents move, a register that fills, and a word
+        // whose control bits change all refuse certification.
+        let moved = digest(20, header.with_word(0xABCE), payload.with_word(9));
+        assert!(periodic_deltas(&d0, &d1, &moved).is_none());
+        let mut filled = FfDigest::new(20);
+        persist_word(&mut { header }, &mut filled);
+        persist_word(&mut payload.with_word(9), &mut filled);
+        persist_opt_word(&mut Some(payload), &mut filled);
+        assert!(periodic_deltas(&d0, &d1, &filled).is_none());
+        let retagged = LinkWord::payload(9, crate::WordClass::Guaranteed, false);
+        assert!(periodic_deltas(&d0, &d1, &digest(20, header, retagged)).is_none());
     }
 }

@@ -76,12 +76,17 @@ pub mod word;
 
 pub use engine::{ClockDomain, Clocked, ClockedWith, Engine};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultReport, FaultState, SuspectLink};
-pub use ff::{FastForwardable, FfOutcome, FfStats, FfVisit};
+pub use ff::{FastForwardable, FfOutcome, FfStats};
 pub use header::PacketHeader;
 pub use link::{LinkId, LinkState};
 pub use noc::{NiLink, Noc, NocConfig};
 pub use path::{Path, PortIdx, Route, RouteBuildError, MAX_HOPS, MAX_ROUTE_SEGMENTS};
-pub use persist::{Persist, PersistError, PersistVisit, StateLoader, StateSaver};
+pub use persist::{PersistError, StateLoader, StateSaver, StateVisit};
+// The out-of-tree IP-model boundary keeps its two opt-in walks
+// (`RawIp::ff_visit`, `*Ip::persist`), each spelled with the visitor name
+// it was written against; both are the one trait.
+pub use persist::StateVisit as FfVisit;
+pub use persist::StateVisit as PersistVisit;
 pub use ring::Ring;
 pub use rng::Rng64;
 pub use router::Router;

@@ -797,104 +797,30 @@ impl Noc {
         false
     }
 
-    /// Walks the complete wire-visible state of the network through a
-    /// fast-forward visitor (see [`crate::ff`]): the cycle counter, all
-    /// statistics counters, every wire, NI handle, boundary register and
-    /// router.
-    pub fn ff_visit(&mut self, v: &mut dyn crate::ff::FfVisit) {
-        use crate::ff::{visit_opt_word, visit_word};
-        // An apply walk rewrites queues and calendars wholesale; the
-        // activity sets are derived state, outside every digest.
-        self.wake_all();
-        // Armed faults make the future non-extrapolable (drops are not
-        // periodic, and flaky links are probabilistic): poison any
-        // fast-forward certification outright, independent of the
-        // system-level eligibility gates.
-        if self.fault.is_some() {
-            v.reject();
-        }
-        v.counter(&mut self.cycle);
-        v.counter(&mut self.stats.cycles);
-        v.counter(&mut self.stats.gt_conflicts);
-        v.counter(&mut self.stats.be_overflows);
-        for d in &mut self.stats.delivered {
-            v.counter(d);
-        }
-        for ls in &mut self.stats.links {
-            for w in &mut ls.words {
-                v.counter(w);
-            }
-            for h in &mut ls.headers {
-                v.counter(h);
-            }
-        }
-        for l in &mut self.links {
-            visit_opt_word(&mut l.wire, v);
-        }
-        for h in &mut self.ni_links {
-            visit_opt_word(&mut h.outgoing, v);
-            v.exact(h.incoming.len() as u64);
-            for i in 0..h.incoming.len() {
-                visit_word(h.incoming.get_mut(i).expect("index in range"), v);
-            }
-            v.exact(u64::from(h.credits));
-        }
-        v.exact(self.dirty_out.len() as u64);
-        v.exact(self.dirty_in.len() as u64);
-        // Arena ring occupancy on this region's wires: any in-flight cut
-        // word or credit rejects a fast-forward attempt (the jump would
-        // skip its due cycle).
-        if let Some(x) = &self.exchange {
-            v.exact(x.occupied() as u64);
-        }
-        for b in &mut self.boundaries {
-            visit_opt_word(&mut b.out_word, v);
-            v.exact(u64::from(b.out_credits));
-            v.exact(u64::from(b.out_dirty));
-            visit_opt_word(&mut b.in_word, v);
-            v.exact(u64::from(b.in_credits));
-            v.exact(u64::from(b.in_dirty));
-            for w in &mut b.stats.words {
-                v.counter(w);
-            }
-            for hd in &mut b.stats.headers {
-                v.counter(hd);
-            }
-        }
-        for r in &mut self.routers {
-            r.ff_visit(v);
-        }
-    }
-
-    /// Walks the network's complete dynamic state through the persistence
-    /// visitor (see [`crate::persist`]): the snapshot twin of
-    /// [`Noc::ff_visit`]. Everything the fast-forward walk classifies is
-    /// persisted — cycle, statistics, wires, NI handles, boundary
-    /// registers, dirty lists, routers — while structural wiring (the
-    /// topology maps, the config) and the fused exchange handle stay
-    /// outside: a snapshot restores onto an identically-built network, and
-    /// in-flight arena state travels with the shard runner's walk, not the
-    /// region's. The per-tick scratch is transient (cleared at the top of
-    /// every emit) and carries nothing between cycles.
-    fn persist_walk(&mut self, p: &mut dyn crate::persist::PersistVisit) {
+    /// Walks the network's complete dynamic state through a state visitor
+    /// (see [`crate::persist`]): cycle, statistics, wires, NI handles,
+    /// dirty lists, boundary registers, routers, armed fault machinery.
+    /// Structural wiring (the topology maps, the config) stays outside: a
+    /// snapshot restores onto an identically-built network. So does the
+    /// fused exchange handle — in-flight arena state travels with the shard
+    /// runner's walk, not the region's, and a region whose cut wires carry
+    /// anything is not periodic on its own. The per-tick scratch is
+    /// transient (cleared at the top of every emit) and carries nothing
+    /// between cycles.
+    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
         use crate::persist::{
-            persist_bool, persist_opt_word, persist_ring, persist_u32, persist_usize_list,
-            persist_word, Persist,
+            persist_bool, persist_int, persist_int_list, persist_opt_word, persist_ring,
+            persist_word,
         };
-        p.item(&mut self.cycle);
-        p.item(&mut self.stats.cycles);
-        p.item(&mut self.stats.gt_conflicts);
-        p.item(&mut self.stats.be_overflows);
+        p.counter(&mut self.cycle);
+        p.counter(&mut self.stats.cycles);
+        p.counter(&mut self.stats.gt_conflicts);
+        p.counter(&mut self.stats.be_overflows);
         for d in &mut self.stats.delivered {
-            p.item(d);
+            p.counter(d);
         }
         for ls in &mut self.stats.links {
-            for w in &mut ls.words {
-                p.item(w);
-            }
-            for h in &mut ls.headers {
-                p.item(h);
-            }
+            ls.walk(p);
         }
         for l in &mut self.links {
             persist_opt_word(&mut l.wire, p);
@@ -903,38 +829,43 @@ impl Noc {
         for h in &mut self.ni_links {
             persist_opt_word(&mut h.outgoing, p);
             persist_ring(&mut h.incoming, empty, p, |w, p| persist_word(w, p));
-            persist_u32(&mut h.credits, p);
+            persist_int(&mut h.credits, p);
         }
-        persist_usize_list(&mut self.dirty_out, p);
-        persist_usize_list(&mut self.dirty_in, p);
+        persist_int_list(&mut self.dirty_out, p);
+        persist_int_list(&mut self.dirty_in, p);
+        // A cut word or credit in flight on the arena would be skipped
+        // past by a jump.
+        if self.exchange.as_ref().is_some_and(|x| !x.silent()) {
+            p.reject();
+        }
         for b in &mut self.boundaries {
             persist_opt_word(&mut b.out_word, p);
-            persist_u32(&mut b.out_credits, p);
+            persist_int(&mut b.out_credits, p);
             persist_bool(&mut b.out_dirty, p);
             persist_opt_word(&mut b.in_word, p);
-            persist_u32(&mut b.in_credits, p);
+            persist_int(&mut b.in_credits, p);
             persist_bool(&mut b.in_dirty, p);
-            for w in &mut b.stats.words {
-                p.item(w);
-            }
-            for hd in &mut b.stats.headers {
-                p.item(hd);
-            }
+            b.stats.walk(p);
         }
         for r in &mut self.routers {
-            r.persist(p);
+            r.walk(p);
         }
         // Armed fault machinery: dynamic remainder only (generator
         // positions, health counters, activation cache). The schedule is
         // structural — a snapshot of a faulted run restores onto a network
         // armed with the identical plan, exactly as wiring restores onto
         // an identically-built topology; unarmed snapshots carry nothing
-        // extra, so pre-fault golden snapshots stay byte-stable.
+        // extra, so pre-fault golden snapshots stay byte-stable. Armed
+        // faults also make the future non-extrapolable (drops are not
+        // periodic, and flaky links are probabilistic), independent of the
+        // system-level eligibility gates.
         if let Some(f) = &mut self.fault {
-            f.persist(p);
+            p.reject();
+            f.walk(p);
         }
-        // The activity sets are derived: never written, and reset so a
-        // restored network re-derives them from the state it was given.
+        // The activity sets are derived: never visited, and reset so that
+        // a restored or jumped network re-derives them from the state it
+        // was given.
         self.wake_all();
     }
 
@@ -959,12 +890,6 @@ impl Noc {
     /// path).
     pub fn run(&mut self, n: u64) {
         Engine::run(self, n);
-    }
-}
-
-impl crate::persist::Persist for Noc {
-    fn persist(&mut self, p: &mut dyn crate::persist::PersistVisit) {
-        self.persist_walk(p);
     }
 }
 
@@ -1670,7 +1595,7 @@ mod tests {
         assert_eq!(members(&noc.active).len(), 9);
         noc.tick();
         let mut saver = crate::persist::StateSaver::new();
-        crate::persist::Persist::persist(&mut noc, &mut saver);
+        noc.walk(&mut saver);
         assert_eq!(members(&noc.active).len(), 9, "a persistence walk wakes");
     }
 

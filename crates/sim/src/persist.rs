@@ -1,18 +1,20 @@
-//! Full-state persistence: the audited serialization walk behind
-//! snapshot/restore.
+//! The one state walk: every dynamic field declared once, four visitors
+//! derived from the declaration.
 //!
 //! The paper's "flexible network configuration" story (§4) implies a
-//! network whose complete state is inspectable and reconstructible; this
-//! module is the engine-level half of that capability. It follows the same
-//! *audited-walk* discipline as the fast-forward layer ([`crate::ff`]):
-//! every persistable component implements [`Persist`] with **one**
-//! deterministic traversal of its dynamic fields, and the same walk serves
-//! both directions — a [`StateSaver`] records each visited item, a
-//! [`StateLoader`] replays the recorded items in the identical order. A
-//! field that is not visited is a structurally visible omission (the walk
-//! sits next to the struct definition, and the `xtask lint` persist audit
-//! cross-checks field counts), the same argument that keeps `ff_visit`
-//! honest.
+//! network whose complete state is inspectable and reconstructible, and
+//! its guaranteed-throughput class is periodic by construction. Both
+//! capabilities need the same thing — a complete, ordered, classified list
+//! of a component's dynamic fields — so each component has exactly one
+//! `walk(&mut self, v: &mut dyn StateVisit)` next to its struct
+//! definition, and the snapshot stream ([`StateSaver`]), the restore
+//! ([`StateLoader`]), the periodicity certificate
+//! ([`FfDigest`](crate::ff::FfDigest)) and the arithmetic jump
+//! ([`FfApply`](crate::ff::FfApply)) are four implementations of
+//! [`StateVisit`] driven through it. A field that is not visited is a
+//! structurally visible omission for all four at once (the walk sits next
+//! to the struct definition, and the `xtask lint` persist audit
+//! cross-checks field counts and refuses a second walk).
 //!
 //! What gets visited: *dynamic* state only — cycle counters, queue
 //! contents, in-flight words, credit counters, RNG state, runtime-written
@@ -20,24 +22,42 @@
 //! state (topology, capacities, specs, bindings) is deliberately absent:
 //! a snapshot restores onto a freshly built, identically-specified target,
 //! so everything derivable from the spec never enters the item stream.
-//! Derived caches (visibility memos, ready masks rebuilt from visited
-//! state) are reset or re-derived by the restoring walk instead of being
-//! persisted.
+//! Derived caches (visibility memos, activity sets, sleep horizons) are
+//! reset by the walk itself, whichever visitor drives it.
+//!
+//! Every visited field carries its **class**, which is all a visitor
+//! needs to know about it:
+//!
+//! | class | meaning | stream | certificate | jump |
+//! |---|---|---|---|---|
+//! | [`item`](StateVisit::item) | exact control state | one `u64` | equal at every period | untouched |
+//! | [`stamp`](StateVisit::stamp) | absolute cycle that slides with time | one `u64` | constant offset to the capture cycle | shifted by the jump |
+//! | [`counter`](StateVisit::counter) | 64-bit statistic | one `u64` | same wrapping delta every period | `k` deltas |
+//! | [`value`](StateVisit::value) | 32-bit data word | one `u64`, range-checked | same wrapping delta every period | `k` deltas |
+//! | [`word`](StateVisit::word) | link word in flight, or an empty register | [`LinkWord::pack_u64`], `0` = empty | control bits and headers equal, payload as a `value` | payload `k` deltas |
+//! | [`len`](StateVisit::len) | collection length | one `u64`, bounded by what is left | equal at every period | untouched |
+//! | [`reject`](StateVisit::reject) | aperiodic state | ignored | declines | never reached |
+//! | [`fail`](StateVisit::fail) | unpersistable or invalid state | error | declines | never reached |
 //!
 //! The item stream is a flat `Vec<u64>` per component — lossless in the
 //! hand-rolled JSON layer (`aethereal-cfg`'s `Value::Num` is `u64`) and
 //! byte-stable across runs, which is what lets golden snapshots be
-//! checked in and diffed. In-flight words travel as
-//! [`LinkWord::pack_u64`] (zero = no word); lengths travel in-stream via
-//! [`PersistVisit::len`], which is also what lets one walk resize
-//! collections on restore.
+//! checked in and diffed. The walk order *is* the stream order, so it is
+//! format: swapping two fields of a walk is a snapshot-format change.
+//! Snapshot items cross a trust boundary, so the loader validates what it
+//! takes (lengths, ranges, canonical word encodings) and the walks
+//! bounds-check restored indices ([`persist_index`]) and re-derive what
+//! can be derived — each through [`fail`](StateVisit::fail), a structured
+//! error now instead of a panic some cycles later.
 
 use crate::ring::Ring;
 use crate::word::LinkWord;
+use std::collections::VecDeque;
 
 /// Error produced when a save or restore walk cannot complete: a component
-/// declared itself unpersistable, the item stream ran dry, or items were
-/// left over (a walk/snapshot shape mismatch).
+/// declared itself unpersistable, a restored item was out of range, the
+/// item stream ran dry, or items were left over (a walk/snapshot shape
+/// mismatch).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistError {
     /// Human-readable description of what went wrong.
@@ -59,36 +79,81 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// The persistence visitor: one deterministic traversal of a component's
-/// dynamic state, usable for both capture and restore.
+/// The state visitor: one deterministic traversal of a component's
+/// dynamic state, each field declared with its class (see the module
+/// docs for the class table).
 ///
-/// The traversal must visit the same items in the same order for any two
-/// states of the same structure — collection *contents* may differ, but
-/// every length difference must flow through [`PersistVisit::len`] so the
-/// restoring walk can resize before visiting elements.
-pub trait PersistVisit {
-    /// Visits one 64-bit state item: recorded on save, overwritten on
-    /// restore.
+/// The traversal must visit the same classes in the same order for any
+/// two states of the same structure — collection *contents* may differ,
+/// but every length difference must flow through [`StateVisit::len`] so a
+/// restoring walk can resize before visiting elements and a certifying
+/// walk sees the structure change. Mutable access is what lets the
+/// identical walk restore a stream and replay certified deltas.
+///
+/// The provided methods are the *stream* meaning of each class — every
+/// classified field is one `u64` item — so [`StateSaver`] and
+/// [`StateLoader`] implement little more than [`item`](StateVisit::item);
+/// the fast-forward visitors override every class.
+pub trait StateVisit {
+    /// Exact control state (queue occupancy, routes, credit counters,
+    /// registers, …): recorded on save, overwritten on restore, required
+    /// to repeat every period by the certificate.
     fn item(&mut self, v: &mut u64);
 
-    /// Visits a collection length. On save this records `cur` and returns
-    /// it unchanged; on restore it returns the recorded length, which the
-    /// walk must apply (resize/rebuild) before visiting the elements.
+    /// A collection length. A saving or certifying visitor records `cur`
+    /// and returns it unchanged; the restoring visitor returns the
+    /// recorded length, which the walk must apply (resize/rebuild) before
+    /// visiting the elements.
     fn len(&mut self, cur: usize) -> usize;
 
-    /// Marks state this walk cannot persist (an IP model without a persist
-    /// audit, a snapshot that does not fit the target's capacities):
-    /// poisons the save or restore, which then reports an error instead of
-    /// producing a half-true snapshot.
+    /// Marks state no visitor can take: an IP model without a persist
+    /// audit, a snapshot that does not fit the target's capacities, a
+    /// restored index out of range. Poisons the save or restore, which
+    /// then reports an error instead of a half-true snapshot, and declines
+    /// a fast-forward attempt.
     fn fail(&mut self, why: &str);
-}
 
-/// A component whose complete dynamic state can be walked through a
-/// [`PersistVisit`] — the snapshot/restore analogue of
-/// [`FastForwardable`](crate::ff::FastForwardable)'s `ff_visit`.
-pub trait Persist {
-    /// Walks every dynamic field, in a fixed order, through `p`.
-    fn persist(&mut self, p: &mut dyn PersistVisit);
+    /// An absolute cycle number that slides with time (a FIFO word's
+    /// visibility stamp, a calendar event's due cycle). Certified when its
+    /// offset to the capture cycle is constant across periods; the jump
+    /// shifts it by the jumped cycles.
+    fn stamp(&mut self, v: &mut u64) {
+        self.item(v);
+    }
+
+    /// A monotone 64-bit statistic advancing by a fixed (wrapping) amount
+    /// per period.
+    fn counter(&mut self, v: &mut u64) {
+        self.item(v);
+    }
+
+    /// A 32-bit data word advancing by a fixed (wrapping) increment per
+    /// period — position `i` of a steady stream carries `w + Δ` one period
+    /// after it carried `w`; constants are the `Δ = 0` case. Widened in
+    /// the stream; a recorded value that does not fit fails the restore.
+    fn value(&mut self, v: &mut u32) {
+        let mut w = u64::from(*v);
+        self.item(&mut w);
+        match u32::try_from(w) {
+            Ok(x) => *v = x,
+            Err(_) => self.fail("snapshot item does not fit a 32-bit word"),
+        }
+    }
+
+    /// A link word in flight as [`LinkWord::pack_u64`], `0` for an empty
+    /// register (see [`persist_word`] / [`persist_opt_word`]). Class, head
+    /// and tail bits and header contents (routes, qid, credits) are
+    /// control state; payload contents slide like a
+    /// [`value`](StateVisit::value).
+    fn word(&mut self, packed: &mut u64) {
+        self.item(packed);
+    }
+
+    /// Marks state the periodic analysis does not cover (an IP holding an
+    /// unbounded history, armed faults, traffic on a cut wire): the
+    /// fast-forward attempt declines. Such state persists fine, so the
+    /// snapshot visitors ignore the mark.
+    fn reject(&mut self) {}
 }
 
 /// The capturing visitor: records each visited item into a flat stream.
@@ -109,7 +174,7 @@ impl StateSaver {
     /// # Errors
     ///
     /// Returns [`PersistError`] if any visited component called
-    /// [`PersistVisit::fail`].
+    /// [`StateVisit::fail`].
     pub fn finish(self) -> Result<Vec<u64>, PersistError> {
         match self.error {
             Some(msg) => Err(PersistError::new(msg)),
@@ -118,7 +183,7 @@ impl StateSaver {
     }
 }
 
-impl PersistVisit for StateSaver {
+impl StateVisit for StateSaver {
     fn item(&mut self, v: &mut u64) {
         self.items.push(*v);
     }
@@ -189,7 +254,7 @@ impl StateLoader {
     }
 }
 
-impl PersistVisit for StateLoader {
+impl StateVisit for StateLoader {
     fn item(&mut self, v: &mut u64) {
         if let Some(x) = self.next() {
             *v = x;
@@ -227,126 +292,180 @@ impl PersistVisit for StateLoader {
             self.error = Some(why.to_string());
         }
     }
+
+    /// Only what [`LinkWord::pack_u64`] can produce is taken: a stray bit
+    /// above the presence marker, or contents without it, would otherwise
+    /// restore as a different word (or none) than the snapshot spelled.
+    fn word(&mut self, packed: &mut u64) {
+        let Some(x) = self.next() else { return };
+        if x == LinkWord::unpack_u64(x).map_or(0, LinkWord::pack_u64) {
+            *packed = x;
+        } else {
+            self.fail("snapshot item is not a canonically packed link word");
+        }
+    }
 }
 
 // ---- Field helpers ------------------------------------------------------
 
-/// Persists a `u32` (widened in the stream; a recorded value that does not
-/// fit fails the restore).
-pub fn persist_u32(v: &mut u32, p: &mut dyn PersistVisit) {
-    let mut w = u64::from(*v);
-    p.item(&mut w);
-    match u32::try_from(w) {
-        Ok(x) => *v = x,
-        Err(_) => p.fail("snapshot item does not fit u32"),
+/// Visits `v` as the one stream item `enc`, through `visit`, and decodes
+/// what comes back. An item the visitor left alone (a save, a digest, a
+/// jump over control state) is not decoded or stored back: three of the
+/// four visitors then never write to the state they walk.
+#[inline]
+fn recode<T>(
+    v: &mut T,
+    enc: u64,
+    p: &mut dyn StateVisit,
+    visit: impl FnOnce(&mut dyn StateVisit, &mut u64),
+    decode: impl FnOnce(u64) -> Result<T, &'static str>,
+) {
+    let mut w = enc;
+    visit(p, &mut w);
+    if w != enc {
+        match decode(w) {
+            Ok(x) => *v = x,
+            Err(why) => p.fail(why),
+        }
     }
 }
 
-/// Persists a `u16` (widened in the stream).
-pub fn persist_u16(v: &mut u16, p: &mut dyn PersistVisit) {
-    let mut w = u64::from(*v);
-    p.item(&mut w);
-    match u16::try_from(w) {
-        Ok(x) => *v = x,
-        Err(_) => p.fail("snapshot item does not fit u16"),
-    }
+/// [`recode`] as exact control state.
+fn as_item(p: &mut dyn StateVisit, w: &mut u64) {
+    p.item(w);
 }
 
-/// Persists a `u8` (widened in the stream).
-pub fn persist_u8(v: &mut u8, p: &mut dyn PersistVisit) {
-    let mut w = u64::from(*v);
-    p.item(&mut w);
-    match u8::try_from(w) {
-        Ok(x) => *v = x,
-        Err(_) => p.fail("snapshot item does not fit u8"),
-    }
+/// [`recode`] as a link word.
+fn as_word(p: &mut dyn StateVisit, w: &mut u64) {
+    p.word(w);
 }
 
-/// Persists a `usize` (widened in the stream).
-pub fn persist_usize(v: &mut usize, p: &mut dyn PersistVisit) {
-    let mut w = *v as u64;
-    p.item(&mut w);
-    match usize::try_from(w) {
-        Ok(x) => *v = x,
-        Err(_) => p.fail("snapshot item does not fit usize"),
-    }
+/// Visits an integer control field narrower than the stream's `u64`
+/// (`u8`/`u16`/`u32`/`usize`) as an [`item`](StateVisit::item): widened in
+/// the stream; a recorded value that does not fit fails the restore.
+#[inline]
+pub fn persist_int<T>(v: &mut T, p: &mut dyn StateVisit)
+where
+    T: Copy + TryFrom<u64>,
+    u64: TryFrom<T>,
+{
+    let Ok(enc) = u64::try_from(*v) else {
+        return p.fail("field does not fit a 64-bit item");
+    };
+    recode(v, enc, p, as_item, |w| {
+        T::try_from(w).map_err(|_| "snapshot item does not fit the field's integer type")
+    });
 }
 
-/// Persists a `bool` (0/1 in the stream; anything else fails the restore).
-pub fn persist_bool(v: &mut bool, p: &mut dyn PersistVisit) {
-    let mut w = u64::from(*v);
-    p.item(&mut w);
-    match w {
-        0 => *v = false,
-        1 => *v = true,
-        _ => p.fail("snapshot item is not a bool"),
-    }
+/// Visits a `bool` (0/1 in the stream; anything else fails the restore).
+#[inline]
+pub fn persist_bool(v: &mut bool, p: &mut dyn StateVisit) {
+    recode(v, u64::from(*v), p, as_item, |w| match w {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err("snapshot item is not a bool"),
+    });
 }
 
-/// Persists an `Option<usize>` as `0` = `None`, `i + 1` = `Some(i)` — the
-/// same encoding `ff_visit` uses for port options.
-pub fn persist_opt_usize(v: &mut Option<usize>, p: &mut dyn PersistVisit) {
-    let mut w = v.map_or(0, |x| x as u64 + 1);
-    p.item(&mut w);
-    *v = if w == 0 { None } else { Some((w - 1) as usize) };
+/// Why a restored index fails: it would index past the target's
+/// collection at its first use.
+const OUT_OF_RANGE: &str = "snapshot index is out of the target's range";
+
+/// Visits an index into a collection of `bound` entries (a round-robin
+/// pointer): a recorded index at or beyond the target's `bound` fails the
+/// restore instead of panicking later.
+#[inline]
+pub fn persist_index(v: &mut usize, bound: usize, p: &mut dyn StateVisit) {
+    recode(v, *v as u64, p, as_item, |w| {
+        let i = usize::try_from(w).ok().filter(|&i| i < bound);
+        i.ok_or(OUT_OF_RANGE)
+    });
 }
 
-/// Persists an in-flight word via [`LinkWord::pack_u64`].
-pub fn persist_word(w: &mut LinkWord, p: &mut dyn PersistVisit) {
-    let mut packed = w.pack_u64();
-    p.item(&mut packed);
-    match LinkWord::unpack_u64(packed) {
-        Some(x) => *w = x,
-        None => p.fail("snapshot item is not a packed link word"),
-    }
+/// Visits an optional port or channel index (`u8` or `usize`) as `0` =
+/// `None`, `i + 1` = `Some(i)`, bounds-checked like [`persist_index`].
+#[inline]
+pub fn persist_opt_index<I>(v: &mut Option<I>, bound: usize, p: &mut dyn StateVisit)
+where
+    I: Copy + Into<usize> + TryFrom<usize>,
+{
+    let enc = v.map_or(0, |i| i.into() as u64 + 1);
+    recode(v, enc, p, as_item, |w| match usize::try_from(w) {
+        Ok(0) => Ok(None),
+        Ok(i) if i <= bound => I::try_from(i - 1).map(Some).map_err(|_| OUT_OF_RANGE),
+        _ => Err(OUT_OF_RANGE),
+    });
 }
 
-/// Persists a maybe-present word; `0` is the empty encoding.
-pub fn persist_opt_word(w: &mut Option<LinkWord>, p: &mut dyn PersistVisit) {
-    let mut packed = w.map_or(0, LinkWord::pack_u64);
-    p.item(&mut packed);
-    *w = LinkWord::unpack_u64(packed);
+/// Visits a link word that is always present (a queue entry).
+#[inline]
+pub fn persist_word(w: &mut LinkWord, p: &mut dyn StateVisit) {
+    recode(w, w.pack_u64(), p, as_word, |w| {
+        LinkWord::unpack_u64(w).ok_or("snapshot item is not a packed link word")
+    });
 }
 
-/// Persists a list of plain `u64` items, resizing on restore.
-pub fn persist_u64_list(v: &mut Vec<u64>, p: &mut dyn PersistVisit) {
+/// Visits a maybe-present word (a wire or staging register); `0` is the
+/// empty encoding.
+#[inline]
+pub fn persist_opt_word(w: &mut Option<LinkWord>, p: &mut dyn StateVisit) {
+    let enc = w.map_or(0, LinkWord::pack_u64);
+    recode(w, enc, p, as_word, |w| Ok(LinkWord::unpack_u64(w)));
+}
+
+/// Visits a growable list: length in-stream (resized on restore), then
+/// each element through `each`.
+#[inline]
+pub fn persist_list<T: Clone + Default>(
+    v: &mut Vec<T>,
+    p: &mut dyn StateVisit,
+    mut each: impl FnMut(&mut T, &mut dyn StateVisit),
+) {
     let n = p.len(v.len());
-    v.resize(n, 0);
+    v.resize(n, T::default());
     for x in v.iter_mut() {
-        p.item(x);
+        each(x, p);
     }
 }
 
-/// Persists a list of 32-bit words (message buffers, payload data),
-/// resizing on restore.
-pub fn persist_u32_list(v: &mut Vec<u32>, p: &mut dyn PersistVisit) {
-    let n = p.len(v.len());
-    v.resize(n, 0);
-    for x in v.iter_mut() {
-        persist_u32(x, p);
+/// Visits a queue: [`persist_list`] for a `VecDeque`, new entries on
+/// restore starting out as `default`.
+#[inline]
+pub fn persist_deque<T: Clone>(
+    q: &mut VecDeque<T>,
+    default: T,
+    p: &mut dyn StateVisit,
+    mut each: impl FnMut(&mut T, &mut dyn StateVisit),
+) {
+    let n = p.len(q.len());
+    q.resize(n, default);
+    for x in q.iter_mut() {
+        each(x, p);
     }
 }
 
-/// Persists a list of `usize` items (the dirty-boundary lists), resizing
-/// on restore.
-pub fn persist_usize_list(v: &mut Vec<usize>, p: &mut dyn PersistVisit) {
-    let n = p.len(v.len());
-    v.resize(n, 0);
-    for x in v.iter_mut() {
-        persist_usize(x, p);
-    }
+/// Visits a list of integer control items (message buffers, serialized
+/// payloads, index lists), resizing on restore.
+#[inline]
+pub fn persist_int_list<T>(v: &mut Vec<T>, p: &mut dyn StateVisit)
+where
+    T: Copy + Default + TryFrom<u64>,
+    u64: TryFrom<T>,
+{
+    persist_list(v, p, |x, p| persist_int(x, p));
 }
 
-/// Persists a fixed-capacity ring: length in-stream, then each element
+/// Visits a fixed-capacity ring: length in-stream, then each element
 /// through `each`. On restore the ring is rebuilt from `default` elements
 /// (overwritten by the element walk); a recorded length beyond the ring's
 /// capacity fails the restore — the snapshot was taken on a
 /// differently-configured network.
+#[inline]
 pub fn persist_ring<T: Copy>(
     ring: &mut Ring<T>,
     default: T,
-    p: &mut dyn PersistVisit,
-    mut each: impl FnMut(&mut T, &mut dyn PersistVisit),
+    p: &mut dyn StateVisit,
+    mut each: impl FnMut(&mut T, &mut dyn StateVisit),
 ) {
     let n = p.len(ring.len());
     if n != ring.len() {
@@ -370,39 +489,59 @@ mod tests {
 
     #[test]
     fn save_then_load_round_trips_scalars() {
+        #[derive(Debug, PartialEq)]
         struct S {
             a: u64,
             b: u32,
             c: bool,
             d: Option<usize>,
+            e: u32,
+            f: u64,
         }
-        impl Persist for S {
-            fn persist(&mut self, p: &mut dyn PersistVisit) {
+        impl S {
+            fn walk(&mut self, p: &mut dyn StateVisit) {
                 p.item(&mut self.a);
-                persist_u32(&mut self.b, p);
+                persist_int(&mut self.b, p);
                 persist_bool(&mut self.c, p);
-                persist_opt_usize(&mut self.d, p);
+                persist_opt_index(&mut self.d, 4, p);
+                p.value(&mut self.e);
+                p.reject();
+                p.stamp(&mut self.f);
             }
         }
-        let mut src = S {
+        let src = || S {
             a: 7,
             b: 9,
             c: true,
             d: Some(3),
+            e: 0xDEAD_BEEF,
+            f: 1 << 40,
         };
         let mut saver = StateSaver::new();
-        src.persist(&mut saver);
+        src().walk(&mut saver);
         let items = saver.finish().unwrap();
+        assert_eq!(items, [7, 9, 1, 4, 0xDEAD_BEEF, 1 << 40], "one item each");
         let mut dst = S {
             a: 0,
             b: 0,
             c: false,
             d: None,
+            e: 0,
+            f: 0,
         };
-        let mut loader = StateLoader::new(items);
-        dst.persist(&mut loader);
+        let mut loader = StateLoader::new(items.clone());
+        dst.walk(&mut loader);
         loader.finish().unwrap();
-        assert_eq!((dst.a, dst.b, dst.c, dst.d), (7, 9, true, Some(3)));
+        assert_eq!(dst, src());
+        // Out-of-range items fail the load instead of truncating: a u32
+        // control field, a bool, an index at the bound, a data word.
+        for (at, bad) in [(1, 1 << 32), (2, 2), (3, 5), (4, 1 << 32)] {
+            let mut hostile = items.clone();
+            hostile[at] = bad;
+            let mut loader = StateLoader::new(hostile);
+            dst.walk(&mut loader);
+            assert!(loader.finish().is_err(), "item {at} = {bad}");
+        }
     }
 
     #[test]
@@ -426,7 +565,7 @@ mod tests {
         // structurally instead of attempting a giant `resize`.
         let mut v: Vec<u64> = vec![1, 2];
         let mut loader = StateLoader::new(vec![u64::MAX, 1, 2]);
-        persist_u64_list(&mut v, &mut loader);
+        persist_int_list(&mut v, &mut loader);
         assert!(v.is_empty(), "rejected length resizes to zero, not huge");
         assert!(loader.finish().is_err());
     }
@@ -449,6 +588,7 @@ mod tests {
         let mut none: Option<LinkWord> = None;
         persist_opt_word(&mut none, &mut saver);
         let items = saver.finish().unwrap();
+        assert_eq!(items, [w.pack_u64(), 0]);
         let mut loader = StateLoader::new(items);
         let mut got: Option<LinkWord> = None;
         let mut got_none = Some(w);
@@ -457,6 +597,18 @@ mod tests {
         loader.finish().unwrap();
         assert_eq!(got, Some(w));
         assert_eq!(got_none, None);
+        // Only what `pack_u64` produces restores: contents without the
+        // presence bit, or any bit above it, are a corrupt item — not an
+        // empty register, not the word with the stray bit dropped.
+        for bad in [1, w.pack_u64() & !(1 << 35), w.pack_u64() | 1 << 36] {
+            let mut loader = StateLoader::new(vec![bad]);
+            persist_opt_word(&mut got, &mut loader);
+            assert!(loader.finish().is_err(), "{bad:#x}");
+        }
+        // A queue entry cannot be the empty encoding either.
+        let mut loader = StateLoader::new(vec![0]);
+        persist_word(&mut { w }, &mut loader);
+        assert!(loader.finish().is_err());
     }
 
     #[test]

@@ -83,11 +83,12 @@ impl Rng64 {
     }
 }
 
-impl crate::persist::Persist for Rng64 {
-    /// The generator's entire dynamic state is its 64-bit SplitMix64
-    /// counter; persisting it makes restored traffic sources continue the
-    /// exact sequence the snapshot interrupted.
-    fn persist(&mut self, p: &mut dyn crate::persist::PersistVisit) {
+impl Rng64 {
+    /// Walks the generator through a state visitor: its entire dynamic
+    /// state is the 64-bit SplitMix64 counter; carrying it makes restored
+    /// traffic sources continue the exact sequence the snapshot
+    /// interrupted.
+    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
         p.item(&mut self.state);
     }
 }

@@ -257,73 +257,27 @@ impl Router {
             && self.be_owner.iter().all(Option::is_none)
     }
 
-    /// Walks the router's complete wire-visible state through the
-    /// fast-forward classification (see [`crate::ff`]): worm-tracking and
-    /// credit state as exact control items, calendar due cycles as sliding
-    /// stamps, in-flight words via [`ff::visit_word`](crate::ff::visit_word),
-    /// violation counters as periodic counters.
-    pub fn ff_visit(&mut self, v: &mut dyn crate::ff::FfVisit) {
-        use crate::ff::{visit_opt_word, visit_word};
-        for q in &mut self.be_q {
-            v.exact(q.len() as u64);
-            for i in 0..q.len() {
-                visit_word(q.get_mut(i).expect("index in range"), v);
-            }
-        }
-        for r in &self.be_route {
-            v.exact(r.map_or(0, |p| p as u64 + 1));
-        }
-        for r in &self.gt_route {
-            v.exact(r.map_or(0, |p| p as u64 + 1));
-        }
-        for h in &mut self.gt_hold {
-            visit_opt_word(h, v);
-        }
-        for p in &self.gt_pad {
-            v.exact(*p);
-        }
-        for cal in &mut self.gt_cal {
-            v.exact(cal.len() as u64);
-            for i in 0..cal.len() {
-                let ev = cal.get_mut(i).expect("index in range");
-                v.stamp(&mut ev.due);
-                visit_word(&mut ev.word, v);
-            }
-        }
-        for o in &self.be_owner {
-            v.exact(o.map_or(0, |p| p as u64 + 1));
-        }
-        for r in &self.rr {
-            v.exact(*r as u64);
-        }
-        for c in &self.out_credits {
-            v.exact(u64::from(*c));
-        }
-        v.counter(&mut self.gt_conflicts);
-        v.counter(&mut self.be_overflows);
-        v.counter(&mut self.gt_orphans);
-    }
-
-    /// Walks the router's complete dynamic state through the persistence
-    /// visitor (see [`crate::persist`]): the snapshot twin of
-    /// [`Router::ff_visit`], field for field, plus the ready-output mask
-    /// (cheap to carry, and carrying it keeps the walk a pure field list
-    /// with nothing to re-derive).
-    fn persist_walk(&mut self, p: &mut dyn crate::persist::PersistVisit) {
+    /// Walks the router's complete dynamic state through a state visitor
+    /// (see [`crate::persist`]), port by port: worm-tracking, arbitration
+    /// and credit state as exact control items, calendar due cycles as
+    /// sliding stamps, queued and scheduled words as in-flight words, the
+    /// violation counters as periodic counters. The ready-output mask is
+    /// derived from the calendars, but it stays an item of the stream (the
+    /// golden snapshots carry it); a restored mask that disagrees with the
+    /// restored calendars would index a calendar that is not there, so it
+    /// fails the restore, as does any port index beyond this router's.
+    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
         use crate::persist::{
-            persist_opt_usize, persist_opt_word, persist_ring, persist_u32, persist_usize,
+            persist_index, persist_int, persist_opt_index, persist_opt_word, persist_ring,
             persist_word,
         };
+        let n = self.n_ports;
         let empty = LinkWord::header_only(0, WordClass::BestEffort);
-        let opt_port = |o: &mut Option<PortIdx>, p: &mut dyn crate::persist::PersistVisit| {
-            let mut wide = o.map(usize::from);
-            persist_opt_usize(&mut wide, p);
-            *o = wide.map(|x| x as PortIdx);
-        };
-        for i in 0..self.n_ports {
+        let mut scheduled = 0u64;
+        for i in 0..n {
             persist_ring(&mut self.be_q[i], empty, p, |w, p| persist_word(w, p));
-            opt_port(&mut self.be_route[i], p);
-            opt_port(&mut self.gt_route[i], p);
+            persist_opt_index(&mut self.be_route[i], n, p);
+            persist_opt_index(&mut self.gt_route[i], n, p);
             persist_opt_word(&mut self.gt_hold[i], p);
             p.item(&mut self.gt_pad[i]);
             persist_ring(
@@ -334,18 +288,22 @@ impl Router {
                 },
                 p,
                 |ev, p| {
-                    p.item(&mut ev.due);
+                    p.stamp(&mut ev.due);
                     persist_word(&mut ev.word, p);
                 },
             );
-            persist_opt_usize(&mut self.be_owner[i], p);
-            persist_usize(&mut self.rr[i], p);
-            persist_u32(&mut self.out_credits[i], p);
+            scheduled |= u64::from(!self.gt_cal[i].is_empty()) << i;
+            persist_opt_index(&mut self.be_owner[i], n, p);
+            persist_index(&mut self.rr[i], n, p);
+            persist_int(&mut self.out_credits[i], p);
         }
         p.item(&mut self.gt_mask);
-        p.item(&mut self.gt_conflicts);
-        p.item(&mut self.be_overflows);
-        p.item(&mut self.gt_orphans);
+        if self.gt_mask != scheduled {
+            p.fail("snapshot ready-output mask disagrees with the GT calendars");
+        }
+        p.counter(&mut self.gt_conflicts);
+        p.counter(&mut self.be_overflows);
+        p.counter(&mut self.gt_orphans);
     }
 
     /// Installs the next route segment of a continuation word into a held
@@ -669,12 +627,6 @@ impl Router {
                 }
             }
         }
-    }
-}
-
-impl crate::persist::Persist for Router {
-    fn persist(&mut self, p: &mut dyn crate::persist::PersistVisit) {
-        self.persist_walk(p);
     }
 }
 

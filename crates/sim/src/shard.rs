@@ -199,13 +199,6 @@ impl Partition {
         self.shard_of[r]
     }
 
-    /// The shard owning NI `ni` of `topology` (its attachment router's
-    /// shard).
-    pub fn shard_of_ni(&self, topology: &Topology, ni: NiId) -> usize {
-        let (r, _) = topology.ni_attachment(ni).expect("ni in range");
-        self.shard_of[r]
-    }
-
     /// Checks the partition against a topology: the map must cover every
     /// router, and every cut must be an inter-router link. The latter holds
     /// by construction — NIs attach to exactly one router and follow it —
@@ -729,7 +722,7 @@ impl<S: SyncFamily> WireRing<S> {
         true
     }
 
-    /// Persists the ring's unconsumed traffic through the audited walk:
+    /// Persists the ring's unconsumed traffic through a state visitor:
     /// a length (occupied slot count) followed by one
     /// `(due, packed word, credits)` triple per slot, in due order. The
     /// walk always clears and re-places the slots — a save rewrites the
@@ -738,7 +731,7 @@ impl<S: SyncFamily> WireRing<S> {
     /// deliberately **not** part of the walk: it is meaningless between
     /// runner spans and must be re-derived from the restored cycle via
     /// [`WireRing::rebase`].
-    pub fn persist_slots(&self, p: &mut dyn crate::persist::PersistVisit) {
+    pub fn persist_slots(&self, p: &mut dyn crate::persist::StateVisit) {
         let mut entries = self.occupied_slots();
         let n = p.len(entries.len());
         if n > RING_SLOTS {
@@ -887,16 +880,6 @@ impl ExchangeAttachment {
             .iter()
             .chain(self.in_wire.iter())
             .all(|&i| self.arena.ring(i).is_silent())
-    }
-
-    /// Total occupied slots across this region's wires (audit state for
-    /// [`crate::Noc::ff_visit`]).
-    pub fn occupied(&self) -> usize {
-        self.out_wire
-            .iter()
-            .chain(self.in_wire.iter())
-            .map(|&i| self.arena.ring(i).occupied())
-            .sum()
     }
 }
 
@@ -1440,8 +1423,8 @@ impl ShardRunner {
     }
 }
 
-impl crate::persist::Persist for ShardRunner {
-    /// One audited walk over the runner's dynamic state: the global
+impl ShardRunner {
+    /// The state walk over the runner's dynamic state: the global
     /// cycle, the batch size, then every arena ring's unconsumed slots
     /// (see [`WireRing::persist_slots`]).
     ///
@@ -1465,8 +1448,8 @@ impl crate::persist::Persist for ShardRunner {
     /// runs, so waking everyone is exact — quiescent regions re-sleep at
     /// the next epoch boundary. The same class as a FIFO's visibility
     /// cache.
-    fn persist(&mut self, p: &mut dyn crate::persist::PersistVisit) {
-        p.item(&mut self.cycle);
+    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
+        p.counter(&mut self.cycle);
         p.item(&mut self.batch);
         for r in self.arena.rings() {
             r.0.persist_slots(p);

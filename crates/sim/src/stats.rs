@@ -31,6 +31,14 @@ impl LinkStats {
         }
     }
 
+    /// Walks the counters through a state visitor (see
+    /// [`crate::persist`]): words, then headers, per class.
+    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
+        for c in self.words.iter_mut().chain(&mut self.headers) {
+            p.counter(c);
+        }
+    }
+
     /// Records one transported word.
     pub fn record(&mut self, class: WordClass, is_header: bool) {
         self.words[class.index()] += 1;

@@ -211,11 +211,6 @@ impl Regions {
     pub fn router_map(&self) -> &[usize] {
         &self.region_of
     }
-
-    /// The raw per-region gateway list.
-    pub fn gateway_list(&self) -> &[RouterId] {
-        &self.gateways
-    }
 }
 
 /// One directed link traversed by a [`Route`], as enumerated by

@@ -332,11 +332,6 @@ impl Certificate {
     pub fn flow(&self, ni: usize, channel: usize) -> Option<&CertifiedFlow> {
         self.flows.iter().find(|f| f.flow == FlowId { ni, channel })
     }
-
-    /// The certified GT flows.
-    pub fn gt_flows(&self) -> impl Iterator<Item = &CertifiedFlow> {
-        self.flows.iter().filter(|f| f.gt)
-    }
 }
 
 /// Everything extracted from one kernel's registers.

@@ -26,6 +26,12 @@
 //!   and the fast-forward backend; advance time through `Engine::run` /
 //!   the shard runner instead.
 //! * every crate root must carry `#![forbid(unsafe_code)]`.
+//! * every struct that owns snapshot-visible dynamic state is pinned to
+//!   the field count its state walk (`fn walk(&mut self, … &mut dyn
+//!   StateVisit)`) was audited against, and there is one walk: a second,
+//!   fast-forward-only traversal may not reappear in `sim` or `core`
+//!   (the snapshot and the periodicity certificate are derived from the
+//!   same declaration, so a field cannot be in one and not the other).
 //!
 //! The scanner is line-based with a small brace-tracking state machine —
 //! deliberately no syn/proc-macro dependency, per the repo's no-new-deps
@@ -47,6 +53,15 @@ const NO_UNWRAP_CRATES: &[&str] = &["sim", "core", "cfg"];
 /// Assembled at compile time so the scanner never matches its own source.
 const BARRIER: &str = concat!("std::sync::", "Barrier");
 const UNWRAP: &str = concat!(".unwrap", "()");
+
+/// Crates whose structs declare their state through the one state walk.
+const ONE_WALK_CRATES: &[&str] = &["sim", "core"];
+
+/// The retired second traversal (the fast-forward-only walk of PR 7).
+const SECOND_WALK: &str = concat!("fn ff_", "visit");
+
+/// How a file spells the one state walk: the method and its visitor.
+const STATE_WALK: [&str; 2] = ["fn walk(&mut self", "StateVisit"];
 
 /// Hot per-cycle entry points that must stay allocation-free, plus the
 /// router and NI kernel functions reached from them on every cycle.
@@ -80,14 +95,15 @@ const CYCLE_LOOP_FILES: &[&str] = &[
 ];
 
 /// The persistence audit: every struct that owns snapshot-visible dynamic
-/// state, with the field count its `Persist` walk was written against.
+/// state, with the field count its state walk was written against.
 ///
-/// The snapshot layer serializes state through audited walks (`fn
-/// persist`) that must visit **every** dynamic field — a field silently
-/// added to one of these structs would restore as garbage. This table
-/// pins each struct's field count; adding a field without deciding its
-/// persistence story (walked, or derived state reset by the walk) fails
-/// `xtask lint`. To clear a finding: extend the struct's `fn persist`
+/// Snapshot, restore, the fast-forward certificate and the jump are all
+/// derived from one audited walk per struct (`fn walk`) that must visit
+/// **every** dynamic field — a field silently added to one of these
+/// structs would restore as garbage and be extrapolated as frozen. This
+/// table pins each struct's field count; adding a field without deciding
+/// its story (walked with its class, or derived state reset by the walk)
+/// fails `xtask lint`. To clear a finding: extend the struct's `fn walk`
 /// (or its enclosing walk) accordingly, then bump the count here.
 const PERSIST_AUDIT: &[(&str, &str, usize)] = &[
     ("sim/src/rng.rs", "Rng64", 1),
@@ -265,7 +281,7 @@ fn check_crate_root(src: &Path, findings: &mut Vec<Finding>) {
 }
 
 /// Cross-checks every [`PERSIST_AUDIT`] entry: the struct must still
-/// exist, its file must still contain a persist walk, and its field count
+/// exist, its file must still contain a state walk, and its field count
 /// must match the count the walk was audited against.
 fn persist_audit(crates_dir: &Path, findings: &mut Vec<Finding>) {
     for &(rel, name, expected) in PERSIST_AUDIT {
@@ -282,12 +298,12 @@ fn persist_audit(crates_dir: &Path, findings: &mut Vec<Finding>) {
                 continue;
             }
         };
-        if !text.contains("fn persist") {
+        if !STATE_WALK.iter().all(|part| text.contains(part)) {
             findings.push(Finding {
                 file: path.clone(),
                 line: 1,
                 rule: "persist-audit",
-                detail: format!("file holds audited struct {name} but no persist walk"),
+                detail: format!("file holds audited struct {name} but no state walk"),
             });
         }
         match count_struct_fields(&text, name) {
@@ -297,8 +313,8 @@ fn persist_audit(crates_dir: &Path, findings: &mut Vec<Finding>) {
                 rule: "persist-audit",
                 detail: format!(
                     "struct {name} has {got} fields, persist audit expects {expected}: \
-                     a changed field set must be reflected in the Persist walk \
-                     (serialize it, or reset it as derived state) and in \
+                     a changed field set must be reflected in the state walk \
+                     (visit it with its class, or reset it as derived state) and in \
                      PERSIST_AUDIT in crates/xtask/src/main.rs"
                 ),
             }),
@@ -420,6 +436,16 @@ fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) 
             pending_cfg_test = false;
         }
         let in_tests = test_mod_at.is_some();
+        if ONE_WALK_CRATES.contains(&krate) && line.contains(SECOND_WALK) {
+            findings.push(Finding {
+                file: file.to_path_buf(),
+                line: lineno,
+                rule: "one-state-walk",
+                detail: "a second state traversal: declare the field in the struct's \
+                         `walk` with its class instead (see sim::persist)"
+                    .into(),
+            });
+        }
         if !in_tests {
             if line.contains(BARRIER) {
                 findings.push(Finding {
