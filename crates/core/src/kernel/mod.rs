@@ -521,7 +521,13 @@ impl NiKernel {
     /// Services the configuration port: one word in or out per cycle
     /// (a memory-mapped slave operating at line rate).
     fn service_cnip(&mut self, now: u64) {
-        let Some(mut cnip) = self.cnip.take() else {
+        // Almost every cycle of almost every NI has nothing to do here — no
+        // response word staged, no request assembled, no word in the CNIP
+        // channel's destination queue — and then leaves the state in place.
+        let channels = &self.channels;
+        let Some(mut cnip) = self.cnip.take_if(|c| {
+            !(c.out.is_empty() && c.asm.ready() == 0 && channels[c.channel].dst_q.is_empty())
+        }) else {
             return;
         };
         // Drain one staged response word into the source queue.
@@ -637,7 +643,14 @@ impl NiKernel {
             let budget = self.spec.max_packet_words;
             let mut eligible = 0u64;
             for (ch, c) in self.channels.iter().enumerate() {
-                if c.enabled && !c.gt && c.eligible(cycle) && self.packet_fits(ch, budget, cycle) {
+                if !c.enabled || c.gt || !c.route_configured() {
+                    continue;
+                }
+                // `Channel::eligible` and `packet_fits` in one, with the
+                // data side (a FIFO visibility scan) evaluated once.
+                let data = c.data_eligible(cycle);
+                if (data || c.credit_eligible()) && budget >= 1 + c.ext_count() + usize::from(data)
+                {
                     eligible |= 1 << ch;
                 }
             }

@@ -30,8 +30,9 @@ pub struct ArbState {
     wrr_counter: Vec<i64>,
 }
 
-/// The channel ids in an eligibility mask, ascending.
-fn members(mut mask: u64) -> impl Iterator<Item = usize> {
+/// The members of a bitmask (channel ids of an eligibility mask, port
+/// indices of an NI's shell-port mask), ascending.
+pub(crate) fn members(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         if mask == 0 {
             return None;
@@ -63,10 +64,22 @@ impl ArbState {
         }
         match policy {
             ArbPolicy::RoundRobin => {
-                let winner = (0..n_channels)
-                    .map(|k| (self.rr_next + k) % n_channels)
-                    .find(|&ch| eligible & (1 << ch) != 0)?;
-                self.rr_next = (winner + 1) % n_channels;
+                // The first eligible channel at or after the pointer,
+                // wrapping: rotate the pointer down to bit 0 and count.
+                let in_range = 1u64
+                    .checked_shl(n_channels as u32)
+                    .map_or(u64::MAX, |b| b - 1);
+                let eligible = eligible & in_range;
+                if eligible == 0 {
+                    return None;
+                }
+                let ahead = eligible.rotate_right(self.rr_next as u32).trailing_zeros();
+                let winner = (self.rr_next + ahead as usize) & 63;
+                self.rr_next = if winner + 1 == n_channels {
+                    0
+                } else {
+                    winner + 1
+                };
                 Some(winner)
             }
             ArbPolicy::WeightedRoundRobin(weights) => {

@@ -9,6 +9,7 @@
 //! description; `aethereal-cfg` builds it from the NoC-level spec (the XML
 //! stand-in).
 
+use crate::kernel::sched::members;
 use crate::kernel::{ChannelId, NiKernel, NiKernelSpec};
 use crate::message::Ordering;
 use crate::shell::{ConfigStack, ConnSelect, MasterStack, SlaveStack};
@@ -76,6 +77,11 @@ pub struct Ni {
     /// Per-port clock domains (each port "can have a different clock
     /// frequency", §4.1).
     clocks: Vec<ClockDomain>,
+    /// The ports that carry a shell (master, slave or config stack), as a
+    /// bitmask walked in ascending order — the only ports a cycle has to
+    /// look at; raw and CNIP ports never act. Structural: fixed at
+    /// instantiation, never in the snapshot stream.
+    shell_ports: u64,
 }
 
 impl Ni {
@@ -121,14 +127,20 @@ impl Ni {
                     }
                 }
             })
-            .collect();
+            .collect::<Vec<_>>();
         let clocks = (0..kernel.spec().ports.len())
             .map(|p| ClockDomain::new(kernel.port_clock_div(p)))
             .collect();
+        // At most `MAX_QUEUES` channels, at least one per port: the ports
+        // fit a mask.
+        let shell_ports = (0..stacks.len())
+            .filter(|&p| !matches!(stacks[p], PortStack::Raw | PortStack::Cnip))
+            .fold(0, |mask, p| mask | 1 << p);
         Ni {
             kernel,
             stacks,
             clocks,
+            shell_ports,
         }
     }
 
@@ -206,7 +218,7 @@ impl Ni {
     /// Whether every shell stack is idle (the kernel is accounted for
     /// separately by [`ClockedWith::quiescent`]).
     fn stacks_idle(&self) -> bool {
-        self.stacks.iter().all(|s| match s {
+        members(self.shell_ports).all(|p| match &self.stacks[p] {
             PortStack::Raw | PortStack::Cnip => true,
             PortStack::Master(m) => m.is_idle(),
             PortStack::Slave(s) => s.is_idle(),
@@ -250,11 +262,11 @@ impl Ni {
 /// seed's hand-rolled loop.
 impl ClockedWith<NiLink> for Ni {
     fn absorb(&mut self, link: &mut NiLink, cycle: u64) {
-        for (p, stack) in self.stacks.iter_mut().enumerate() {
+        for p in members(self.shell_ports) {
             if !self.clocks[p].ticks_at(cycle) {
                 continue;
             }
-            match stack {
+            match &mut self.stacks[p] {
                 PortStack::Raw | PortStack::Cnip => {}
                 PortStack::Master(m) => m.tick(&mut self.kernel, cycle),
                 PortStack::Slave(s) => s.tick(&mut self.kernel, cycle),

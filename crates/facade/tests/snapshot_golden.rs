@@ -1,8 +1,9 @@
 //! Golden-state differential corpus.
 //!
-//! Three 8x8 scenarios — uniform best-effort traffic with a GT stream,
-//! a hotspot hammering one multi-connection slave, and a multi-segment
-//! gateway stream — are each run to a fixed cycle and snapshotted; the
+//! Four 8x8 scenarios — uniform best-effort traffic with a GT stream,
+//! a hotspot hammering one multi-connection slave, a multi-segment
+//! gateway stream, and the uniform system under a seeded fault storm —
+//! are each run to a fixed cycle and snapshotted; the
 //! compact snapshot JSON is compared byte-for-byte against a checked-in
 //! golden under `tests/goldens/`. Any change to the persisted state
 //! schema, the walk order, or the simulation itself shows up as a golden
@@ -27,7 +28,8 @@ use aethereal::proto::{
     CountingSink, MemorySlave, StreamSink, StreamSource, TrafficGenerator, TrafficGeneratorConfig,
     TrafficMix,
 };
-use aethereal::sim::Engine;
+use aethereal::sim::topology::dir;
+use aethereal::sim::{Engine, FaultPlan};
 
 /// First differing leaf between two JSON values, as a `$.a.b[3]` path.
 fn first_diff(a: &Value, b: &Value, path: &str) -> Option<String> {
@@ -255,6 +257,31 @@ fn gateway_8x8() -> NocSystem {
     sys
 }
 
+/// Faulted: the uniform system with a seeded fault storm armed across the
+/// warm period — flaky and stuck links under the BE columns (truncated
+/// worms, lost tails), corrupted headers on BE columns and on the GT
+/// stream (paths naming other or missing ports or ending early, queue
+/// ids no NI has), swallowed link-level credits and a short router stall. The fault-free
+/// goldens never reach the routers' discard, stale-worm and GT-conflict
+/// paths; this one pins them, together with the armed plan's dynamic
+/// state, which rides the same snapshot.
+fn faulted_8x8() -> NocSystem {
+    let mut sys = uniform_8x8();
+    let t = sys.cycle();
+    let mut plan = FaultPlan::new(0x5EED_FA17);
+    plan.link_flaky(10, dir::SOUTH, t + 20, t + 2_200, 150_000)
+        .slot_corrupt(19, dir::SOUTH, t + 40, t + 900, 0x0000_A5A5)
+        .slot_corrupt(15, dir::SOUTH, t + 300, t + 314, 0x0000_0005)
+        .slot_corrupt(15, dir::SOUTH, t + 400, t + 414, 0x0000_0007)
+        .slot_corrupt(52, dir::SOUTH, t + 100, t + 1_500, 0x0380_0000)
+        .credit_loss(20, dir::NORTH, t + 60, t + 1_800, 5)
+        .link_flaky(45, dir::NORTH, t + 100, t + 2_000, 250_000)
+        .link_stuck(14, dir::SOUTH, t + 500, t + 560)
+        .router_stall(41, t + 700, t + 730);
+    sys.arm_faults(&plan);
+    sys
+}
+
 #[test]
 fn golden_uniform_8x8() {
     check_golden("uniform_8x8", uniform_8x8, 2_500, 500);
@@ -268,4 +295,20 @@ fn golden_hotspot_8x8() {
 #[test]
 fn golden_gateway_8x8() {
     check_golden("gateway_8x8", gateway_8x8, 600, 400);
+}
+
+#[test]
+fn golden_faulted_8x8() {
+    check_golden("faulted_8x8", faulted_8x8, 2_500, 500);
+    // The storm must bite: every fault kind left its mark, and the
+    // symptoms reached the routers' and NIs' own watchdog counters.
+    let mut sys = faulted_8x8();
+    sys.run(2_500);
+    let report = sys.fault_report();
+    let sum =
+        |f: fn(&aethereal::sim::SuspectLink) -> u64| report.suspects.iter().map(f).sum::<u64>();
+    assert!(sum(|s| s.dropped_words) > 0, "{report:?}");
+    assert!(sum(|s| s.corrupted_words) > 0, "{report:?}");
+    assert!(sum(|s| s.lost_credits) > 0, "{report:?}");
+    assert!(report.gt_orphans + report.ni_rx_drops > 0, "{report:?}");
 }

@@ -93,10 +93,11 @@ impl ClockDomain {
         self.div
     }
 
-    /// Whether this domain has a clock edge at base cycle `cycle`.
+    /// Whether this domain has a clock edge at base cycle `cycle`. The
+    /// base domain — nearly every port — answers without dividing.
     #[inline]
     pub fn ticks_at(self, cycle: u64) -> bool {
-        cycle.is_multiple_of(u64::from(self.div))
+        self.div == 1 || cycle.is_multiple_of(u64::from(self.div))
     }
 
     /// The first edge at or after `cycle`.

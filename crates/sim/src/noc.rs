@@ -78,6 +78,7 @@ impl NiLink {
     ///
     /// Panics if a word is already staged this cycle (the link carries one
     /// word per cycle) or if a BE word is sent without credits.
+    #[inline]
     pub fn send(&mut self, word: LinkWord) {
         assert!(
             self.outgoing.is_none(),
@@ -91,26 +92,31 @@ impl NiLink {
     }
 
     /// Whether a word is already staged this cycle.
+    #[inline]
     pub fn is_busy(&self) -> bool {
         self.outgoing.is_some()
     }
 
     /// Link-level BE credits available toward the router input queue.
+    #[inline]
     pub fn be_credits(&self) -> u32 {
         self.credits
     }
 
     /// Takes the next received word, if any.
+    #[inline]
     pub fn recv(&mut self) -> Option<LinkWord> {
         self.incoming.pop_front()
     }
 
     /// Peeks at the next received word.
+    #[inline]
     pub fn peek(&self) -> Option<&LinkWord> {
         self.incoming.front()
     }
 
     /// Number of received words waiting.
+    #[inline]
     pub fn pending(&self) -> usize {
         self.incoming.len()
     }
@@ -121,18 +127,19 @@ impl NiLink {
 pub struct Noc {
     routers: Vec<Router>,
     links: Vec<LinkState>,
-    /// `out_link[router][port] = LinkId` of the directed link leaving there.
-    out_link: Vec<Vec<Option<LinkId>>>,
-    /// `in_src[router][port] = Endpoint` feeding that input.
-    in_src: Vec<Vec<Option<Endpoint>>>,
+    /// The flat wiring table: entry `port_base[router] + port` says where
+    /// that router port's output leads and whom a BE dequeue at its input
+    /// credits. Structural: built with the network (boundaries are entered
+    /// by [`Noc::open_boundary`]), never in the snapshot stream.
+    wiring: Vec<PortWiring>,
+    /// First [`Noc::wiring`] entry of each router. Structural.
+    port_base: Vec<usize>,
     /// `ni_out_link[ni] = LinkId` of the NI → router link.
     ni_out_link: Vec<LinkId>,
     ni_links: Vec<NiLink>,
     /// Shard-boundary attachments: router ports whose physical peer lives
     /// in another shard's `Noc` (see [`crate::shard`]).
     boundaries: Vec<BoundaryPort>,
-    /// `boundary_at[router][port] = boundary id` for boundary ports.
-    boundary_at: Vec<Vec<Option<usize>>>,
     /// Boundary ids whose outbound side was written this cycle (words or
     /// credits) — the dirty list the shard runner drains between the global
     /// emit and absorb phases, so wires with no traffic cost zero exchange
@@ -174,6 +181,38 @@ pub struct Noc {
     driven: BitSet,
 }
 
+/// Where the output of a router port leads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OutTarget {
+    /// Onto the wire of a directed link of this network.
+    Link(LinkId),
+    /// Across a shard cut, through the boundary attachment with this id.
+    Boundary(usize),
+    /// Nowhere: an unwired port swallows the word.
+    Unwired,
+}
+
+/// Who feeds the input of a router port, and so earns the link-level
+/// credit when a BE word is dequeued there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Producer {
+    /// The output `port` of `router` (a local index).
+    Router { router: usize, port: PortIdx },
+    /// The staging side of an NI attachment.
+    Ni(NiId),
+    /// A router in another shard, reached through this boundary.
+    Boundary(usize),
+    /// Nobody (an unwired port).
+    Nobody,
+}
+
+/// One entry of the flat wiring table (see [`Noc::wiring`]).
+#[derive(Debug, Clone, Copy)]
+struct PortWiring {
+    out: OutTarget,
+    producer: Producer,
+}
+
 /// One shard-boundary attachment: the local half of a cut inter-router
 /// link. The port's emissions land in `out_word` (instead of a wire), and
 /// BE dequeues at the port's input earn credits for the remote producer in
@@ -202,8 +241,9 @@ struct BoundaryPort {
 #[derive(Debug, Clone, Default)]
 struct TickScratch {
     emit: EmitResult,
-    /// `(router, input)` pairs owed one link-level BE credit this cycle.
-    credit_returns: Vec<(usize, PortIdx)>,
+    /// The local producers ([`Producer::Router`] or [`Producer::Ni`]) owed
+    /// one link-level BE credit each this cycle.
+    credit_returns: Vec<Producer>,
 }
 
 impl Noc {
@@ -230,15 +270,6 @@ impl Noc {
             .map(|r| Router::new(r, topology.ports_of(r), config.be_queue_words))
             .collect();
         let mut links = Vec::new();
-        let mut out_link: Vec<Vec<Option<LinkId>>> =
-            (0..nr).map(|r| vec![None; topology.ports_of(r)]).collect();
-        let mut in_src: Vec<Vec<Option<Endpoint>>> =
-            (0..nr).map(|r| vec![None; topology.ports_of(r)]).collect();
-        let add = |links: &mut Vec<LinkState>, src: Endpoint, dst: Endpoint| -> LinkId {
-            let id = links.len();
-            links.push(LinkState::new(src, dst));
-            id
-        };
         for e in topology.edges() {
             let a = Endpoint::Router {
                 router: e.a,
@@ -248,12 +279,8 @@ impl Noc {
                 router: e.b,
                 port: e.port_b,
             };
-            let ab = add(&mut links, a, b);
-            let ba = add(&mut links, b, a);
-            out_link[e.a][e.port_a as usize] = Some(ab);
-            out_link[e.b][e.port_b as usize] = Some(ba);
-            in_src[e.b][e.port_b as usize] = Some(a);
-            in_src[e.a][e.port_a as usize] = Some(b);
+            links.push(LinkState::new(a, b));
+            links.push(LinkState::new(b, a));
         }
         let mut ni_out_link = Vec::new();
         let mut ni_links = Vec::new();
@@ -261,43 +288,58 @@ impl Noc {
             let (r, p) = topology.ni_attachment(ni).expect("ni in range");
             let nie = Endpoint::Ni { ni };
             let re = Endpoint::Router { router: r, port: p };
-            let to_router = add(&mut links, nie, re);
-            let from_router = add(&mut links, re, nie);
-            let _ = from_router;
-            ni_out_link.push(to_router);
-            out_link[r][p as usize] = Some(from_router);
-            in_src[r][p as usize] = Some(nie);
+            ni_out_link.push(links.len());
+            links.push(LinkState::new(nie, re));
+            links.push(LinkState::new(re, nie));
             ni_links.push(NiLink::new(
                 config.be_queue_words as u32,
                 config.ni_inbox_words,
             ));
         }
-        // Initialize per-output BE credit budgets: the downstream input
-        // queue capacity (router inputs), or effectively unbounded for
-        // router → NI links (the NI sinks at line rate; destination-buffer
-        // space is governed by the NI's end-to-end credits).
-        for (r, ports) in out_link.iter().enumerate() {
-            for (p, l) in ports.iter().enumerate() {
-                if let Some(l) = l {
-                    let credits = match links[*l].dst {
-                        Endpoint::Router { .. } => config.be_queue_words as u32,
-                        Endpoint::Ni { .. } => u32::MAX / 2,
-                    };
-                    routers[r].set_out_credits(p as PortIdx, credits);
-                }
+        // The wiring table follows from the links: a link's source port
+        // leads onto it, and dequeues at its destination port credit its
+        // source.
+        let mut port_base = Vec::with_capacity(nr);
+        let mut n_wired = 0;
+        for r in 0..nr {
+            port_base.push(n_wired);
+            n_wired += topology.ports_of(r);
+        }
+        let unwired = PortWiring {
+            out: OutTarget::Unwired,
+            producer: Producer::Nobody,
+        };
+        let mut wiring = vec![unwired; n_wired];
+        for (id, l) in links.iter().enumerate() {
+            if let Endpoint::Router { router, port } = l.src {
+                wiring[port_base[router] + port as usize].out = OutTarget::Link(id);
+                // Per-output BE credit budget: the downstream input queue
+                // capacity (router inputs), or effectively unbounded for
+                // router → NI links (the NI sinks at line rate;
+                // destination-buffer space is governed by the NI's
+                // end-to-end credits).
+                let credits = match l.dst {
+                    Endpoint::Router { .. } => config.be_queue_words as u32,
+                    Endpoint::Ni { .. } => u32::MAX / 2,
+                };
+                routers[router].set_out_credits(port, credits);
+            }
+            if let Endpoint::Router { router, port } = l.dst {
+                wiring[port_base[router] + port as usize].producer = match l.src {
+                    Endpoint::Router { router, port } => Producer::Router { router, port },
+                    Endpoint::Ni { ni } => Producer::Ni(ni),
+                };
             }
         }
         let n_links = links.len();
-        let boundary_at = (0..nr).map(|r| vec![None; topology.ports_of(r)]).collect();
         Noc {
             routers,
             links,
-            out_link,
-            in_src,
+            wiring,
+            port_base,
             ni_out_link,
             ni_links,
             boundaries: Vec::new(),
-            boundary_at,
             dirty_out: Vec::new(),
             dirty_in: Vec::new(),
             exchange: None,
@@ -445,11 +487,12 @@ impl Noc {
         if let Some(f) = &self.fault {
             f.report_into(self.cycle, &mut report, |gr, p| {
                 let lr = self.routers.iter().position(|r| r.id() == gr)?;
-                match self.in_src[lr].get(p as usize).copied().flatten() {
-                    // `in_src` endpoints are shard-local; report global ids.
-                    Some(Endpoint::Router { router, port }) => {
-                        Some((self.routers[router].id(), port))
-                    }
+                if usize::from(p) >= self.routers[lr].ports() {
+                    return None;
+                }
+                match self.wiring[self.port_base[lr] + usize::from(p)].producer {
+                    // Wiring entries are shard-local; report global ids.
+                    Producer::Router { router, port } => Some((self.routers[router].id(), port)),
                     _ => None,
                 }
             });
@@ -472,14 +515,15 @@ impl Noc {
     ///
     /// Panics if the port is already wired or already a boundary.
     pub fn open_boundary(&mut self, router: RouterId, port: PortIdx) -> usize {
-        let p = port as usize;
+        let at = self.port_base[router] + port as usize;
+        let PortWiring { out, producer } = self.wiring[at];
         assert!(
-            self.out_link[router][p].is_none() && self.in_src[router][p].is_none(),
-            "router {router} port {port} is wired inside this shard"
+            !matches!(out, OutTarget::Boundary(_)),
+            "router {router} port {port} is already a boundary"
         );
         assert!(
-            self.boundary_at[router][p].is_none(),
-            "router {router} port {port} is already a boundary"
+            out == OutTarget::Unwired && producer == Producer::Nobody,
+            "router {router} port {port} is wired inside this shard"
         );
         let id = self.boundaries.len();
         self.boundaries.push(BoundaryPort {
@@ -493,7 +537,10 @@ impl Noc {
             in_dirty: false,
             stats: LinkStats::default(),
         });
-        self.boundary_at[router][p] = Some(id);
+        self.wiring[at] = PortWiring {
+            out: OutTarget::Boundary(id),
+            producer: Producer::Boundary(id),
+        };
         self.routers[router].set_out_credits(port, self.config.be_queue_words as u32);
         id
     }
@@ -783,15 +830,14 @@ impl Noc {
                 // Delivered to an NI; trailing hops can't leave anymore.
                 Endpoint::Ni { .. } => return false,
             };
-            let p = p as usize;
-            if self.boundary_at[r][p].is_some() {
+            // A port the router does not have swallows the word like an
+            // unwired one; conservatively treat both as leaving the region.
+            if usize::from(p) >= self.routers[r].ports() {
                 return true;
             }
-            match self.out_link[r][p] {
-                Some(l) => ep = self.links[l].dst,
-                // An unwired port swallows the word here; conservatively
-                // treat it as leaving the region.
-                None => return true,
+            match self.wiring[self.port_base[r] + usize::from(p)].out {
+                OutTarget::Link(l) => ep = self.links[l].dst,
+                OutTarget::Boundary(_) | OutTarget::Unwired => return true,
             }
         }
         false
@@ -947,35 +993,51 @@ impl Clocked for Noc {
                         f.filter(router.id(), cycle, &mut result);
                     }
                 }
+                let wiring = &self.wiring[self.port_base[r]..];
                 for e in &result.emissions {
-                    if let Some(l) = self.out_link[r][e.port as usize] {
-                        debug_assert!(self.links[l].wire.is_none());
-                        self.links[l].wire = Some(e.word);
-                        self.driven.insert(l);
-                    } else if let Some(b) = self.boundary_at[r][e.port as usize] {
-                        if let Some(x) = &exchange {
-                            x.out_ring(b).send_word(cycle, e.word);
-                        } else {
-                            debug_assert!(self.boundaries[b].out_word.is_none());
-                            self.boundaries[b].out_word = Some(e.word);
-                            Self::mark_boundary_dirty(&mut self.boundaries, &mut self.dirty_out, b);
+                    match wiring[e.port as usize].out {
+                        OutTarget::Link(l) => {
+                            debug_assert!(self.links[l].wire.is_none());
+                            self.links[l].wire = Some(e.word);
+                            self.driven.insert(l);
                         }
+                        OutTarget::Boundary(b) => {
+                            if let Some(x) = &exchange {
+                                x.out_ring(b).send_word(cycle, e.word);
+                            } else {
+                                debug_assert!(self.boundaries[b].out_word.is_none());
+                                self.boundaries[b].out_word = Some(e.word);
+                                Self::mark_boundary_dirty(
+                                    &mut self.boundaries,
+                                    &mut self.dirty_out,
+                                    b,
+                                );
+                            }
+                        }
+                        OutTarget::Unwired => {}
                     }
                 }
                 for &input in &result.be_dequeues {
-                    // A dequeue at a boundary input earns its credit for the
-                    // *remote* producer: export it now so the exchange
-                    // delivers it into the same cycle's absorb, exactly like
-                    // the wired-link return below.
-                    if let Some(b) = self.boundary_at[r][input as usize] {
-                        if let Some(x) = &exchange {
-                            x.out_ring(b).send_credits(cycle, 1);
-                        } else {
-                            self.boundaries[b].out_credits += 1;
-                            Self::mark_boundary_dirty(&mut self.boundaries, &mut self.dirty_out, b);
+                    match wiring[input as usize].producer {
+                        // A dequeue at a boundary input earns its credit
+                        // for the *remote* producer: export it now so the
+                        // exchange delivers it into the same cycle's
+                        // absorb, exactly like the local returns queued
+                        // below.
+                        Producer::Boundary(b) => {
+                            if let Some(x) = &exchange {
+                                x.out_ring(b).send_credits(cycle, 1);
+                            } else {
+                                self.boundaries[b].out_credits += 1;
+                                Self::mark_boundary_dirty(
+                                    &mut self.boundaries,
+                                    &mut self.dirty_out,
+                                    b,
+                                );
+                            }
                         }
-                    } else {
-                        self.scratch.credit_returns.push((r, input));
+                        Producer::Nobody => {}
+                        local => self.scratch.credit_returns.push(local),
                     }
                 }
             }
@@ -1073,15 +1135,11 @@ impl Clocked for Noc {
             }
         }
         // Return link-level credits earned by this cycle's BE dequeues.
-        for (r, input) in self.scratch.credit_returns.drain(..) {
-            match self.in_src[r][input as usize] {
-                Some(Endpoint::Router { router, port }) => {
-                    self.routers[router].add_out_credit(port);
-                }
-                Some(Endpoint::Ni { ni }) => {
-                    self.ni_links[ni].credits += 1;
-                }
-                None => {}
+        for producer in self.scratch.credit_returns.drain(..) {
+            match producer {
+                Producer::Router { router, port } => self.routers[router].add_out_credit(port),
+                Producer::Ni(ni) => self.ni_links[ni].credits += 1,
+                Producer::Boundary(_) | Producer::Nobody => {}
             }
         }
         self.cycle += 1;

@@ -371,14 +371,17 @@ pub fn persist_bool(v: &mut bool, p: &mut dyn StateVisit) {
 /// collection at its first use.
 const OUT_OF_RANGE: &str = "snapshot index is out of the target's range";
 
-/// Visits an index into a collection of `bound` entries (a round-robin
-/// pointer): a recorded index at or beyond the target's `bound` fails the
-/// restore instead of panicking later.
+/// Visits an index (`u8` or `usize`) into a collection of `bound` entries
+/// (a round-robin pointer): a recorded index at or beyond the target's
+/// `bound` fails the restore instead of panicking later.
 #[inline]
-pub fn persist_index(v: &mut usize, bound: usize, p: &mut dyn StateVisit) {
-    recode(v, *v as u64, p, as_item, |w| {
+pub fn persist_index<I>(v: &mut I, bound: usize, p: &mut dyn StateVisit)
+where
+    I: Copy + Into<usize> + TryFrom<usize>,
+{
+    recode(v, (*v).into() as u64, p, as_item, |w| {
         let i = usize::try_from(w).ok().filter(|&i| i < bound);
-        i.ok_or(OUT_OF_RANGE)
+        i.and_then(|i| I::try_from(i).ok()).ok_or(OUT_OF_RANGE)
     });
 }
 

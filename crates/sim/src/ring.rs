@@ -66,6 +66,19 @@ impl<T: Copy> Ring<T> {
         self.len == self.buf.len()
     }
 
+    /// The slot holding the value at offset `i < len` from the front:
+    /// `head + i` wrapped with a compare (both are below the capacity, so
+    /// one subtraction suffices) — no division on the per-cycle paths.
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        let at = self.head + i;
+        if at >= self.buf.len() {
+            at - self.buf.len()
+        } else {
+            at
+        }
+    }
+
     /// Appends a value.
     ///
     /// # Errors
@@ -76,7 +89,7 @@ impl<T: Copy> Ring<T> {
         if self.is_full() {
             return Err(RingFullError);
         }
-        let tail = (self.head + self.len) % self.buf.len();
+        let tail = self.slot(self.len);
         self.buf[tail] = Some(value);
         self.len += 1;
         Ok(())
@@ -89,7 +102,7 @@ impl<T: Copy> Ring<T> {
             return None;
         }
         let v = self.buf[self.head].take();
-        self.head = (self.head + 1) % self.buf.len();
+        self.head = self.slot(1);
         self.len -= 1;
         v
     }
@@ -110,7 +123,7 @@ impl<T: Copy> Ring<T> {
         if i >= self.len {
             None
         } else {
-            self.buf[(self.head + i) % self.buf.len()].as_ref()
+            self.buf[self.slot(i)].as_ref()
         }
     }
 
@@ -121,7 +134,7 @@ impl<T: Copy> Ring<T> {
         if i >= self.len {
             None
         } else {
-            let idx = (self.head + i) % self.buf.len();
+            let idx = self.slot(i);
             self.buf[idx].as_mut()
         }
     }
@@ -132,7 +145,7 @@ impl<T: Copy> Ring<T> {
         if self.len == 0 {
             None
         } else {
-            self.buf[(self.head + self.len - 1) % self.buf.len()].as_ref()
+            self.buf[self.slot(self.len - 1)].as_ref()
         }
     }
 
@@ -148,7 +161,7 @@ impl<T: Copy> Ring<T> {
     /// Iterates front to back.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         (0..self.len).map(move |i| {
-            self.buf[(self.head + i) % self.buf.len()]
+            self.buf[self.slot(i)]
                 .as_ref()
                 .expect("occupied slot in range")
         })

@@ -83,7 +83,7 @@ impl LinkWord {
     /// Creates a single-word packet: header and tail at once (a credit-only
     /// packet carrying no payload).
     #[inline]
-    pub fn header_only(word: Word, class: WordClass) -> Self {
+    pub const fn header_only(word: Word, class: WordClass) -> Self {
         LinkWord {
             word,
             class,
