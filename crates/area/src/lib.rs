@@ -3,9 +3,9 @@
 //!
 //! The paper's evaluation (§5) is a synthesis experiment: component areas in
 //! a 0.13 µm CMOS technology at 500 MHz. Synthesis is not reproducible in a
-//! pure-Rust environment, so — per the substitution policy in `DESIGN.md` —
-//! this crate provides an **analytical area model anchored to the published
-//! numbers**:
+//! pure-Rust environment, so this crate substitutes an **analytical area
+//! model anchored to the published numbers** (the `e1_area` bench asserts
+//! the anchors):
 //!
 //! | component            | paper (mm²) |
 //! |----------------------|-------------|

@@ -116,7 +116,7 @@ impl std::error::Error for SlotError {}
 /// route is computed with one occupancy lookup and one mask rotation per
 /// link (instead of one hash probe per candidate slot per link), so the
 /// allocate/free hot path stays in the tens-of-nanoseconds-per-link range
-/// — see the `slot_allocate_free` micro-benchmark.
+/// — see `cfg.slots.allocate_free_ns` in `benchmark/`.
 #[derive(Debug, Clone, Default)]
 pub struct SlotAllocator {
     stu_slots: usize,

@@ -487,6 +487,24 @@ fn heal_bench(blocker_slots: Option<usize>) -> HealBench {
     HealBench { sys, cfg, handles }
 }
 
+/// A report fingering (router 0, SOUTH) — mid-route for the [`heal_bench`]
+/// stream — as detection leaves it once the outage window has closed.
+fn south_link_report() -> FaultReport {
+    FaultReport {
+        suspects: vec![SuspectLink {
+            event: 0,
+            router: 0,
+            port: dir::SOUTH,
+            router_wide: false,
+            dropped_words: 12,
+            corrupted_words: 0,
+            lost_credits: 0,
+            active: false,
+        }],
+        ..FaultReport::default()
+    }
+}
+
 #[test]
 fn heal_reroutes_around_failed_link_and_recertifies() {
     let HealBench {
@@ -563,19 +581,7 @@ fn heal_fails_loudly_when_gt_cannot_be_reestablished() {
         mut cfg,
         handles,
     } = heal_bench(Some(8));
-    let report = FaultReport {
-        suspects: vec![SuspectLink {
-            event: 0,
-            router: 0,
-            port: dir::SOUTH,
-            router_wide: false,
-            dropped_words: 12,
-            corrupted_words: 0,
-            lost_credits: 0,
-            active: false,
-        }],
-        ..FaultReport::default()
-    };
+    let report = south_link_report();
     let outcome = cfg
         .heal(&mut sys, &report, handles)
         .expect("heal plumbing succeeds");
@@ -598,4 +604,35 @@ fn heal_fails_loudly_when_gt_cannot_be_reestablished() {
     );
     // The survivor still certifies against the masked topology.
     certify_system_with(cfg.topo(), &sys).expect("surviving flows certify");
+}
+
+#[test]
+fn heal_reopens_a_best_effort_connection_beside_the_gt_stream() {
+    let HealBench {
+        mut sys,
+        mut cfg,
+        mut handles,
+    } = heal_bench(None);
+    // NI 3 shares router 1 with the stream's source, so its XY route to
+    // NI 4 crosses (router 0, SOUTH) as well.
+    handles.push(
+        cfg.open_connection(
+            &mut sys,
+            &ConnectionRequest::best_effort(
+                ChannelEnd { ni: 3, channel: 1 },
+                ChannelEnd { ni: 4, channel: 2 },
+            ),
+        )
+        .expect("BE connection opens"),
+    );
+    let report = south_link_report();
+    let outcome = cfg
+        .heal(&mut sys, &report, handles)
+        .expect("heal plumbing succeeds");
+    assert!(outcome.failed.is_empty(), "both connections fit the detour");
+    assert_eq!(outcome.reopened, 2, "the GT stream and the BE connection");
+    for healed in &outcome.healthy {
+        assert!(!healed.fwd_links().contains(&(0, dir::SOUTH)));
+    }
+    certify_system_with(cfg.topo(), &sys).expect("healed system certifies");
 }

@@ -72,18 +72,21 @@ fn gt_channel(sys: &mut NocSystem, ni: usize, ch: usize, path_rqid: u32, slots: 
     }
 }
 
-/// Two disjoint endless GT stream pairs on a 2x2 mesh (NI 0 → NI 1 and
-/// NI 3 → NI 2), raw ports at clock div 4 so production (6 words per
-/// 24-cycle rotation) never outruns the 4 reserved forward slots. Returns
-/// the system and the sink handles.
-fn pure_gt_uniform() -> (NocSystem, Vec<usize>) {
+/// Disjoint endless GT stream pairs between the horizontally adjacent NIs
+/// of every row of a `width × height` mesh, direction alternating row by
+/// row (on 2x2: NI 0 → NI 1 and NI 3 → NI 2), raw ports at clock div 4 so
+/// production (6 words per 24-cycle rotation) never outruns the 4 reserved
+/// forward slots. Returns the system and the sink handles.
+fn pure_gt_uniform(width: usize, height: usize) -> (NocSystem, Vec<usize>) {
     let mut spec = NocSpec::new(
         TopologySpec::Mesh {
-            width: 2,
-            height: 2,
+            width,
+            height,
             nis_per_router: 1,
         },
-        (0..4).map(|id| presets::raw_ni(id, 1)).collect(),
+        (0..width * height)
+            .map(|id| presets::raw_ni(id, 1))
+            .collect(),
     );
     for ni in &mut spec.nis {
         ni.kernel.ports[1].clock_div = 4;
@@ -91,7 +94,12 @@ fn pure_gt_uniform() -> (NocSystem, Vec<usize>) {
     let topo = spec.topology.build();
     let mut sys = NocSystem::from_spec(&spec);
     let mut sinks = Vec::new();
-    for (src, dst) in [(0usize, 1usize), (3, 2)] {
+    for left in (0..width * height).step_by(2) {
+        let (src, dst) = if (left / width).is_multiple_of(2) {
+            (left, left + 1)
+        } else {
+            (left + 1, left)
+        };
         let fwd = topo.route(src, dst).unwrap();
         let rev = topo.route(dst, src).unwrap();
         gt_channel(&mut sys, src, 1, pack_path_rqid(&fwd, 1), &[0, 2, 4, 6]);
@@ -170,7 +178,7 @@ fn one_jump(cycles_jumped: u64) -> FfStats {
 
 #[test]
 fn pure_gt_uniform_is_bit_identical_and_jumps() {
-    let ff = parity(pure_gt_uniform, 50_000);
+    let ff = parity(|| pure_gt_uniform(2, 2), 50_000);
     assert_eq!(
         ff.ff_stats(),
         one_jump(49_632),
@@ -179,6 +187,11 @@ fn pure_gt_uniform_is_bit_identical_and_jumps() {
     assert_eq!(ff.noc.gt_conflicts(), 0);
     let sink = ff.raw_ip_at::<CountingSink>(1);
     assert!(sink.count() > 10_000, "the stream actually flowed");
+    // All 128 pairs of a 16x16 mesh — the shape the benchmark's `gt16_ff`
+    // workload times — certify after the same warm-up.
+    let ff = parity(|| pure_gt_uniform(16, 16), 2_000);
+    assert_eq!(ff.ff_stats(), one_jump(1_632), "16x16 certifies");
+    assert_eq!(ff.noc.gt_conflicts(), 0);
 }
 
 #[test]
@@ -613,11 +626,11 @@ fn stream_leaves(snap: &mut Value) -> Vec<&mut u64> {
 /// must differ from the original's.
 #[test]
 fn digest_distinguishes_whatever_the_snapshot_distinguishes() {
-    let (mut sys, _) = pure_gt_uniform();
+    let (mut sys, _) = pure_gt_uniform(2, 2);
     sys.run(1_000);
     let mut snap = sys.snapshot().expect("snapshot");
     let original = {
-        let (mut twin, _) = pure_gt_uniform();
+        let (mut twin, _) = pure_gt_uniform(2, 2);
         twin.restore(&snap).expect("restore");
         twin.ff_digest()
     };
@@ -630,7 +643,7 @@ fn digest_distinguishes_whatever_the_snapshot_distinguishes() {
         for flip in [1u64, 2] {
             let mut mutated = snap.clone();
             *stream_leaves(&mut mutated)[target] ^= flip;
-            let (mut twin, _) = pure_gt_uniform();
+            let (mut twin, _) = pure_gt_uniform(2, 2);
             if twin.restore(&mutated).is_ok() {
                 accepted += 1;
                 assert!(

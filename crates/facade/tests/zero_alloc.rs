@@ -5,8 +5,8 @@
 //! reusable per-tick scratch buffers. With `LinkWord: Copy`, every word now
 //! moves by value through preallocated storage — so after warm-up, ticking
 //! a loaded network must hit the allocator exactly zero times. A counting
-//! global allocator enforces that here; the `micro` bench tracks the same
-//! path's speed.
+//! global allocator enforces that here; `benchmark/`'s `uniform8`
+//! workload tracks the same path's speed.
 //!
 //! The pipelined shard exchange extends the property across region cuts:
 //! boundary words and credits move through the preallocated

@@ -5,8 +5,8 @@
 //! queue id (i.e., the queue of the remote NI in which the data will be
 //! stored), and piggybacked credits."*
 //!
-//! Bit layout of the 32-bit header used here (documented design decision
-//! D3 in `DESIGN.md`):
+//! Bit layout of the 32-bit header used here (the paper names the fields,
+//! not their widths; see *Wire format* in `docs/ARCHITECTURE.md`):
 //!
 //! ```text
 //!  31..27   26      25..21   20..0

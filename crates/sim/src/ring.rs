@@ -6,7 +6,7 @@
 //! per-cycle path. [`Ring`] is the replacement: one boxed slice allocated at
 //! construction, words moved in and out **by value**, no reallocation ever.
 //! The steady-state `Noc` tick performs zero allocations as a result
-//! (pinned by the facade's `zero_alloc` test and the `micro` bench).
+//! (pinned by the facade's `zero_alloc` test).
 
 /// Error returned when pushing into a full ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

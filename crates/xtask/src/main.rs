@@ -1,9 +1,5 @@
 //! Repo-local automation, invoked as `cargo run -p xtask -- <command>`.
 //!
-//! `bench-diff` compares two recorded `BENCH_*.json` files and gates on
-//! per-benchmark regressions (see [`bench_diff`]); CI runs it on the bench
-//! smoke output against the committed baseline.
-//!
 //! `lint` runs a hand-rolled source scanner over `crates/*/src` enforcing
 //! repo conventions that `clippy` cannot express:
 //!
@@ -39,8 +35,6 @@
 //! would trip it, so phrase messages accordingly.
 
 #![forbid(unsafe_code)]
-
-mod bench_diff;
 
 use std::fmt;
 use std::fs;
@@ -149,14 +143,12 @@ impl fmt::Display for Finding {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
+    match std::env::args().nth(1).as_deref() {
         Some("lint") => lint(),
-        Some("bench-diff") => bench_diff::run(&mut args),
         Some("regen-goldens") => regen_goldens(),
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint | regen-goldens | bench-diff <old.json> <new.json> [--threshold X]   (got {:?})",
+                "usage: cargo run -p xtask -- lint | regen-goldens   (got {:?})",
                 other.unwrap_or("<none>")
             );
             ExitCode::FAILURE
