@@ -71,8 +71,8 @@ impl NiDump {
 /// Reads back a remote (or local) NI's full configuration through the
 /// configuration port.
 ///
-/// Requires the configuration connection to `target` to be open (the
-/// configurator opens it on demand).
+/// `(cfg_ni, cfg_port)` is the configurator's own port. The configuration
+/// connection to `target` is opened on demand.
 ///
 /// # Errors
 ///
@@ -90,16 +90,7 @@ pub fn dump_ni(
         sys.nis[cfg_ni]
             .config_mut(cfg_port)
             .submit(Transaction::read(global_addr(target, reg), len, tid));
-        for _ in 0..200_000 {
-            if let Some(r) = sys.nis[cfg_ni].config_mut(cfg_port).take_response() {
-                if r.trans_id == tid {
-                    return Ok(r.data);
-                }
-                continue;
-            }
-            sys.tick();
-        }
-        Err(ConfigError::Timeout)
+        Ok(cfg.wait_response(sys, tid)?.data)
     };
     let ni_id = read(0, 1)?[0];
     let stu_slots = read(1, 1)?[0] as usize;

@@ -26,8 +26,8 @@ use aethereal_ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
 use aethereal_ni::kernel::{chan_reg_addr, ext_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg};
 use aethereal_ni::message::RequestMsg;
 use aethereal_ni::shell::config::global_addr;
-use aethereal_ni::transaction::{RespStatus, Transaction};
-use noc_sim::{FaultReport, PortIdx, Route, RouteError, RouterId, Topology, SLOT_WORDS};
+use aethereal_ni::transaction::{RespStatus, Transaction, TransactionResponse};
+use noc_sim::{Engine, FaultReport, PortIdx, Route, RouteError, RouterId, Topology, SLOT_WORDS};
 use std::collections::HashMap;
 
 /// One end of a connection: a channel of an NI.
@@ -342,9 +342,12 @@ impl RuntimeConfigurator {
         }
         sys.nis[self.cfg_ni].config_mut(self.cfg_port).submit(t);
         if ack {
-            let resp = self.wait_response(sys, tid)?;
-            if resp != RespStatus::Ok {
-                return Err(ConfigError::Nack(resp));
+            let from = sys.cycle();
+            let resp = self.wait_response(sys, tid);
+            self.stats.cycles_waited += sys.cycle() - from;
+            let status = resp?.status;
+            if status != RespStatus::Ok {
+                return Err(ConfigError::Nack(status));
             }
             self.stats.acks += 1;
             if target_ni != self.cfg_ni {
@@ -354,22 +357,33 @@ impl RuntimeConfigurator {
         Ok(())
     }
 
-    fn wait_response(&mut self, sys: &mut NocSystem, tid: u16) -> Result<RespStatus, ConfigError> {
-        for _ in 0..self.ack_timeout {
-            if let Some(r) = sys.nis[self.cfg_ni]
-                .config_mut(self.cfg_port)
-                .take_response()
-            {
-                if r.trans_id == tid {
-                    return Ok(r.status);
-                }
-                // A stale ack from an earlier acked write: ignore.
-                continue;
+    /// Advances `sys` until the response to transaction `tid` is on the
+    /// configuration port, and takes it. Exact to the cycle: a response
+    /// arrives only through activity, and every active cycle is ticked
+    /// and checked; only a system that cannot answer is skipped over.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::Timeout`] once `ack_timeout` cycles have passed.
+    pub(crate) fn wait_response(
+        &self,
+        sys: &mut NocSystem,
+        tid: u16,
+    ) -> Result<TransactionResponse, ConfigError> {
+        let (ni, port) = (self.cfg_ni, self.cfg_port);
+        let deadline = sys.cycle() + self.ack_timeout;
+        loop {
+            let left = deadline - sys.cycle();
+            if !Engine::run_until_horizon(sys, |s| s.nis[ni].config_response_ready(port), left) {
+                return Err(ConfigError::Timeout);
             }
-            sys.tick();
-            self.stats.cycles_waited += 1;
+            let taken = sys.nis[ni].config_mut(port).take_response();
+            let r = taken.expect("the wait ended on a response");
+            if r.trans_id == tid {
+                return Ok(r);
+            }
+            // A stale ack from an earlier acked write: ignore.
         }
-        Err(ConfigError::Timeout)
     }
 
     /// Writes the route registers of a channel: `PATH_RQID` with the header

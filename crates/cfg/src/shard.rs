@@ -130,11 +130,7 @@ impl ShardedSystem {
             link_maps.push(shard.link_map);
             boundary_links.push(shard.boundary_links);
         }
-        // Fuse the regions onto the runner's exchange arena: cut-wire
-        // words and credits flow through the preallocated rings in place,
-        // not through per-event dirty-list drains.
-        let runner = ShardRunner::new(n, wires, start_cycle);
-        runner.fuse(&mut regions);
+        let runner = ShardRunner::new(&mut regions, wires, start_cycle);
         ShardedSystem {
             runner,
             regions,

@@ -35,8 +35,10 @@ use crate::shard::ShardedSystem;
 use crate::system::NocSystem;
 use noc_sim::{PersistError, StateLoader, StateSaver, StateVisit};
 
-/// Snapshot format version accepted by this build.
-pub const SNAPSHOT_FORMAT: u64 = 1;
+/// Snapshot format version accepted by this build. Format 1 also carried
+/// each network's boundary registers and dirty lists (empty in every
+/// snapshot `cfg` could produce); it has no reader.
+pub const SNAPSHOT_FORMAT: u64 = 2;
 
 /// Error produced by snapshot capture or restore.
 #[derive(Debug, Clone, PartialEq, Eq)]

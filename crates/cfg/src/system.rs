@@ -15,7 +15,7 @@ use aethereal_proto::ip::RawPort;
 use aethereal_proto::{MasterIp, RawIp, SlaveIp};
 use noc_sim::engine::{ClockDomain, Clocked, ClockedWith, Engine};
 use noc_sim::ff::{self, FastForwardable, FfDigest, FfOutcome, FfStats};
-use noc_sim::shard::ShardRegion;
+use noc_sim::shard::{ExchangeAttachment, ShardRegion};
 use noc_sim::word::SLOT_WORDS;
 use noc_sim::{Noc, Router, StateVisit};
 
@@ -498,11 +498,12 @@ impl Clocked for NocSystem {
         self.masters.iter().all(|b| b.ip.idle_until(now) > now)
             && self.slaves.iter().all(|b| b.ip.idle_until(now) > now)
             && self.raws.iter().all(|b| b.ip.idle_until(now) > now)
+            // Network before NIs: activity sets answer faster than a walk.
+            && self.noc.quiescent()
             && self
                 .nis
                 .iter()
                 .all(|ni| ClockedWith::dormant_until(ni, now) > now)
-            && self.noc.quiescent()
     }
 
     fn skip(&mut self, cycles: u64) {
@@ -545,15 +546,11 @@ impl Clocked for NocSystem {
 
 /// A `NocSystem` is a shard region: a partition of a larger mesh (or a
 /// whole standalone system) driven by the lockstep
-/// [`ShardRunner`](noc_sim::shard::ShardRunner), with the boundary
-/// mailboxes living in its network.
+/// [`ShardRunner`](noc_sim::shard::ShardRunner), whose exchange arena its
+/// network's cut ports write and read.
 impl ShardRegion for NocSystem {
-    fn shard_noc(&self) -> &Noc {
-        &self.noc
-    }
-
-    fn shard_noc_mut(&mut self) -> &mut Noc {
-        &mut self.noc
+    fn adopt_exchange(&mut self, exchange: ExchangeAttachment) {
+        self.noc.attach_exchange(exchange);
     }
 
     /// A region fast-forwards only while its cut wires are silent and

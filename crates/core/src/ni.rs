@@ -190,6 +190,11 @@ impl Ni {
         }
     }
 
+    /// Whether config port `port` holds a response not yet taken.
+    pub fn config_response_ready(&self, port: usize) -> bool {
+        matches!(&self.stacks[port], PortStack::Config(c) if c.has_response())
+    }
+
     /// The master stack of `port` together with the kernel, split-borrowed
     /// (needed by adapters such as
     /// [`AxiMasterAdapter`](crate::shell::AxiMasterAdapter) whose tick

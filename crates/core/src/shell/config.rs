@@ -87,11 +87,6 @@ impl ConfigStack {
         }
     }
 
-    /// The NI this shell configures locally.
-    pub fn local_ni(&self) -> usize {
-        self.local_ni
-    }
-
     /// The kernel channels owned by this stack.
     pub fn channels(&self) -> &[ChannelId] {
         &self.channels
@@ -134,14 +129,14 @@ impl ConfigStack {
         self.resp_out.pop_front()
     }
 
+    /// Whether [`ConfigStack::take_response`] would return a response.
+    pub fn has_response(&self) -> bool {
+        !self.resp_out.is_empty()
+    }
+
     /// Operations processed so far.
     pub fn ops(&self) -> u64 {
         self.ops
-    }
-
-    /// Submitted operations not yet answered.
-    pub fn outstanding(&self) -> usize {
-        self.pending.len() + self.history.len() + usize::from(self.tx.is_some())
     }
 
     /// Whether a tick of this shell (against a quiescent kernel) can change

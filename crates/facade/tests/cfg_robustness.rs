@@ -135,6 +135,10 @@ fn snapshot_structural_mutations_are_rejected() {
             Box::new(|v| set(v, "format", Value::Num(99))),
         ),
         (
+            "retired format 1",
+            Box::new(|v| set(v, "format", Value::Num(1))),
+        ),
+        (
             "wrong kind",
             Box::new(|v| set(v, "kind", Value::Str("noc".into()))),
         ),

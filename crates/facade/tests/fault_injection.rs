@@ -636,3 +636,33 @@ fn heal_reopens_a_best_effort_connection_beside_the_gt_stream() {
     }
     certify_system_with(cfg.topo(), &sys).expect("healed system certifies");
 }
+
+#[test]
+fn lost_acknowledgment_times_out_after_exactly_the_timeout() {
+    // The one acked write of a configuration-connection bootstrap reaches
+    // NI 6, but both mesh links out of its router are stuck for good, so
+    // the acknowledgment never comes back: a structured `Timeout`, with
+    // time advanced by exactly the configurator's 200 000-cycle budget.
+    let HealBench {
+        mut sys, mut cfg, ..
+    } = heal_bench(None);
+    let mut plan = FaultPlan::new(7);
+    plan.link_stuck(3, dir::NORTH, sys.cycle(), u64::MAX)
+        .link_stuck(3, dir::WEST, sys.cycle(), u64::MAX);
+    sys.arm_faults(&plan);
+    let (before, stats) = (sys.cycle(), *cfg.stats());
+    let err = cfg
+        .open_config_connection(&mut sys, 6)
+        .expect_err("no acknowledgment can arrive");
+    assert!(matches!(err, ConfigError::Timeout), "{err}");
+    assert_eq!(sys.cycle() - before, 200_000);
+    assert_eq!(cfg.stats().cycles_waited - stats.cycles_waited, 200_000);
+    assert_eq!(cfg.stats().acks, stats.acks);
+    let dropped: u64 = sys
+        .fault_report()
+        .suspects
+        .iter()
+        .map(|s| s.dropped_words)
+        .sum();
+    assert!(dropped > 0, "the acknowledgment was sent and dropped");
+}

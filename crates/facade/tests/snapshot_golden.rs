@@ -9,7 +9,10 @@
 //! schema, the walk order, or the simulation itself shows up as a golden
 //! mismatch and must be either fixed or consciously re-baselined with
 //! `cargo run -p xtask -- regen-goldens` (which reruns these tests with
-//! `REGEN_GOLDENS=1` to rewrite the files).
+//! `REGEN_GOLDENS=1` to rewrite the files). The corpus is at snapshot
+//! format 2: its one re-baseline removed two always-zero list lengths from
+//! each file's `noc` stream and changed nothing else (`docs/ARCHITECTURE.md`,
+//! *The one state walk*).
 //!
 //! Each golden is also *restored* into a freshly built system and run
 //! forward: the corpus stays loadable, and a restore from disk continues

@@ -11,7 +11,7 @@
 //! The pipelined shard exchange extends the property across region cuts:
 //! boundary words and credits move through the preallocated
 //! [`aethereal::sim::shard::WireRing`] arena — written in place at emit,
-//! consumed in place at absorb — so a fused sharded run must be exactly as
+//! consumed in place at absorb — so a sharded run must be exactly as
 //! allocation-free as the monolithic one.
 //!
 //! The whole-system cases extend it up the stack: IP models, NI kernels
@@ -29,7 +29,9 @@ use aethereal::cfg::{presets, NocSpec, NocSystem, TopologySpec};
 use aethereal::ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
 use aethereal::ni::kernel::{chan_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg};
 use aethereal::proto::{CountingSink, StreamSource};
-use aethereal::sim::shard::{wires_of, NocShard, Partition, ShardRegion, ShardRunner};
+use aethereal::sim::shard::{
+    wires_of, ExchangeAttachment, NocShard, Partition, ShardRegion, ShardRunner,
+};
 use aethereal::sim::{Clocked, LinkWord, Noc, PacketHeader, Topology, WordClass};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -146,17 +148,16 @@ fn steady_state_noc_tick_allocates_nothing() {
 }
 
 /// The 2x2 mesh of `steady_state_noc_tick_allocates_nothing`, split down
-/// the row cut into two fused regions: NIs 0/1 live in shard 0 (local
-/// links 0/1), NIs 2/3 in shard 1. Returns the regions, the runner (arena
-/// attached to every region), and the packed BE/GT headers.
+/// the row cut into two regions: NIs 0/1 live in shard 0 (local links
+/// 0/1), NIs 2/3 in shard 1. Returns the regions, their runner, and the
+/// packed BE/GT headers.
 fn fused_split() -> (Vec<NocShard>, ShardRunner, u32, u32) {
     let topo = Topology::mesh(2, 2, 1);
     let noc = Noc::new(&topo);
     let partition = Partition::new(vec![0, 0, 1, 1]).expect("dense partition");
     let mut shards = noc.split(&topo, &partition);
     let wires = wires_of(&shards);
-    let runner = ShardRunner::new(2, wires, 0);
-    runner.fuse(&mut shards);
+    let runner = ShardRunner::new(&mut shards, wires, 0);
     let be = PacketHeader {
         path: topo.route(0, 3).expect("route"),
         qid: 0,
@@ -176,25 +177,26 @@ fn fused_split() -> (Vec<NocShard>, ShardRunner, u32, u32) {
 
 /// Injects one cycle's worth of cut-crossing traffic into shard 0 and
 /// drains shard 1's NI links; both NI↔NoC rings and the boundary arena
-/// are preallocated, so this itself never allocates.
-fn pump<R: ShardRegion>(shards: &mut [R], cycle: u64, be: u32, gt: u32) -> u64 {
+/// are preallocated, so this itself never allocates. `noc` reaches a
+/// region's network.
+fn pump<R>(shards: &mut [R], noc: fn(&mut R) -> &mut Noc, cycle: u64, be: u32, gt: u32) -> u64 {
     {
-        let link = shards[0].shard_noc_mut().ni_link_mut(0);
+        let link = noc(&mut shards[0]).ni_link_mut(0);
         if !link.is_busy() && link.be_credits() > 0 {
             link.send(LinkWord::header_only(be, WordClass::BestEffort));
         }
     }
     {
-        let link = shards[0].shard_noc_mut().ni_link_mut(1);
+        let link = noc(&mut shards[0]).ni_link_mut(1);
         if cycle.is_multiple_of(3) && !link.is_busy() {
             link.send(LinkWord::header_only(gt, WordClass::Guaranteed));
         }
     }
     let mut delivered = 0u64;
-    while shards[1].shard_noc_mut().ni_link_mut(1).recv().is_some() {
+    while noc(&mut shards[1]).ni_link_mut(1).recv().is_some() {
         delivered += 1;
     }
-    while shards[1].shard_noc_mut().ni_link_mut(0).recv().is_some() {
+    while noc(&mut shards[1]).ni_link_mut(0).recv().is_some() {
         delivered += 1;
     }
     delivered
@@ -206,7 +208,7 @@ fn steady_state_fused_shard_exchange_allocates_nothing() {
     let drive = |shards: &mut [NocShard], runner: &mut ShardRunner, from: u64, cycles: u64| {
         let mut delivered = 0u64;
         for c in from..from + cycles {
-            delivered += pump(shards, c, be, gt);
+            delivered += pump(shards, |s| &mut s.noc, c, be, gt);
             runner.run(shards, 1);
         }
         delivered
@@ -283,12 +285,8 @@ impl Clocked for Enrolling {
 }
 
 impl ShardRegion for Enrolling {
-    fn shard_noc(&self) -> &Noc {
-        &self.shard.noc
-    }
-
-    fn shard_noc_mut(&mut self) -> &mut Noc {
-        &mut self.shard.noc
+    fn adopt_exchange(&mut self, exchange: ExchangeAttachment) {
+        self.shard.adopt_exchange(exchange);
     }
 }
 
@@ -308,7 +306,7 @@ fn parallel_shard_exchange_allocation_is_per_call_not_per_cycle() {
     let poke = |shards: &mut [Enrolling], runner: &mut ShardRunner| {
         runner.wake(shards, 0);
         runner.wake(shards, 1);
-        pump(shards, runner.cycle(), be, gt)
+        pump(shards, |s| &mut s.shard.noc, runner.cycle(), be, gt)
     };
     let span = |shards: &mut [Enrolling], runner: &mut ShardRunner, cycles: u64| {
         // A burst of cut-crossing traffic at the span head keeps the arena

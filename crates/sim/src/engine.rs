@@ -36,8 +36,10 @@
 //!
 //! # The driver, the quiescent fast path and the next-event horizon
 //!
-//! [`Engine::run`] / [`Engine::run_until`] are the only run loops in the
-//! workspace. `run` has a slot-table-aware fast path: when a fabric reports
+//! [`Engine::run`], [`Engine::run_until`], [`Engine::run_until_horizon`] and
+//! the fast-forwarding `Engine::run_ff` are four thin callers of one
+//! private stepping loop, the only run loop in the workspace besides the
+//! shard runner's. `run` has a slot-table-aware fast path: when a fabric reports
 //! itself [`quiescent`](Clocked::quiescent) — no words in flight, no
 //! sendable data, no pending credits — ticking it can change nothing except
 //! time-derived counters, so the driver batches cycles into
@@ -261,6 +263,52 @@ impl Engine {
         fabric.absorb();
     }
 
+    /// The one stepping loop behind every public driver: until `pred`
+    /// holds or `max_cycles` elapse, replace a quiescent stretch by a
+    /// [`Clocked::skip`], else let `offer` advance the fabric by other
+    /// means (fast-forward; it returns the cycles it covered, `0` to
+    /// pass), else tick. Returns whether the predicate was met.
+    ///
+    /// A skip reaches the fabric's [`Clocked::next_event`] horizon and is
+    /// not attempted below a slot — unless `every_cycle`, where it covers
+    /// one cycle, so that `pred` sees every cycle boundary.
+    pub(crate) fn drive<C: Clocked + ?Sized>(
+        fabric: &mut C,
+        max_cycles: u64,
+        every_cycle: bool,
+        mut pred: impl FnMut(&C) -> bool,
+        mut offer: impl FnMut(&mut C, u64) -> u64,
+    ) -> bool {
+        let floor = if every_cycle { 1 } else { SLOT_WORDS };
+        let mut remaining = max_cycles;
+        while remaining > 0 {
+            if pred(fabric) {
+                return true;
+            }
+            if remaining >= floor && fabric.quiescent() {
+                let chunk = if every_cycle {
+                    1
+                } else {
+                    let now = fabric.now();
+                    remaining.min(fabric.next_event(now).saturating_sub(now))
+                };
+                if chunk >= floor {
+                    fabric.skip(chunk);
+                    remaining -= chunk;
+                    continue;
+                }
+            }
+            let advanced = offer(fabric, remaining);
+            if advanced > 0 {
+                remaining -= advanced;
+                continue;
+            }
+            Self::tick(fabric);
+            remaining -= 1;
+        }
+        pred(fabric)
+    }
+
     /// Runs `cycles` cycles.
     ///
     /// When the fabric reports itself quiescent and at least one whole slot
@@ -270,20 +318,7 @@ impl Engine {
     /// exact, not approximate. A fully drained fabric (horizon `u64::MAX`)
     /// skips everything that remains in one call.
     pub fn run<C: Clocked + ?Sized>(fabric: &mut C, cycles: u64) {
-        let mut remaining = cycles;
-        while remaining > 0 {
-            if remaining >= SLOT_WORDS && fabric.quiescent() {
-                let now = fabric.now();
-                let chunk = remaining.min(fabric.next_event(now).saturating_sub(now));
-                if chunk >= SLOT_WORDS {
-                    fabric.skip(chunk);
-                    remaining -= chunk;
-                    continue;
-                }
-            }
-            Self::tick(fabric);
-            remaining -= 1;
-        }
+        Self::drive(fabric, cycles, false, |_| false, |_, _| 0);
     }
 
     /// Runs until `pred` holds or `max_cycles` elapse; returns whether the
@@ -296,57 +331,33 @@ impl Engine {
     /// on an idle system no longer pay for full ticks. For cycle-driven
     /// predicates that tolerate coarser stopping points, see
     /// [`Engine::run_until_horizon`].
-    pub fn run_until<C, P>(fabric: &mut C, mut pred: P, max_cycles: u64) -> bool
+    pub fn run_until<C, P>(fabric: &mut C, pred: P, max_cycles: u64) -> bool
     where
         C: Clocked + ?Sized,
         P: FnMut(&C) -> bool,
     {
-        for _ in 0..max_cycles {
-            if pred(fabric) {
-                return true;
-            }
-            if fabric.quiescent() {
-                fabric.skip(1);
-            } else {
-                Self::tick(fabric);
-            }
-        }
-        pred(fabric)
+        Self::drive(fabric, max_cycles, true, pred, |_, _| 0)
     }
 
     /// Like [`Engine::run_until`], but batches quiescent stretches up to
     /// the [`Clocked::next_event`] horizon between predicate checks — the
-    /// explicit opt-in for **cycle-driven** predicates (monotone once-true
-    /// conditions such as "enough cycles elapsed" or "workload done").
+    /// explicit opt-in for predicates that cannot turn true while the
+    /// fabric is quiescent (a response arriving, a workload finishing) or
+    /// that tolerate a coarser stopping point ("enough cycles elapsed").
     ///
     /// While the fabric is quiescent the predicate is *not* evaluated at
     /// every intermediate cycle, so the stopping cycle may overshoot the
     /// predicate's first-true cycle — by at most the distance to the next
-    /// event horizon (or `max_cycles`). State-inspecting predicates that
-    /// need the exact boundary belong on [`Engine::run_until`].
-    pub fn run_until_horizon<C, P>(fabric: &mut C, mut pred: P, max_cycles: u64) -> bool
+    /// event horizon (or `max_cycles`). A predicate that only activity can
+    /// satisfy is still stopped at exactly: every non-quiescent cycle is
+    /// ticked and checked. State-inspecting predicates that can turn true
+    /// in a quiescent stretch belong on [`Engine::run_until`].
+    pub fn run_until_horizon<C, P>(fabric: &mut C, pred: P, max_cycles: u64) -> bool
     where
         C: Clocked + ?Sized,
         P: FnMut(&C) -> bool,
     {
-        let mut remaining = max_cycles;
-        while remaining > 0 {
-            if pred(fabric) {
-                return true;
-            }
-            if remaining >= SLOT_WORDS && fabric.quiescent() {
-                let now = fabric.now();
-                let chunk = remaining.min(fabric.next_event(now).saturating_sub(now));
-                if chunk >= SLOT_WORDS {
-                    fabric.skip(chunk);
-                    remaining -= chunk;
-                    continue;
-                }
-            }
-            Self::tick(fabric);
-            remaining -= 1;
-        }
-        pred(fabric)
+        Self::drive(fabric, max_cycles, false, pred, |_, _| 0)
     }
 }
 

@@ -57,7 +57,7 @@
 
 use crate::engine::{Clocked, Engine};
 use crate::persist::StateVisit;
-use crate::word::{LinkWord, SLOT_WORDS};
+use crate::word::LinkWord;
 
 /// Largest period (in base cycles) worth certifying: beyond this the probe
 /// cost (two full rotations of real ticks) stops paying for itself.
@@ -398,34 +398,21 @@ impl Engine {
     /// — [`FF_COOLDOWN`] at minimum — so non-eligible workloads pay a
     /// bounded, amortized cost instead of a per-cycle scan.
     pub fn run_ff<C: FastForwardable + ?Sized>(fabric: &mut C, cycles: u64) {
-        let mut remaining = cycles;
         let mut cooldown_until = 0u64;
-        while remaining > 0 {
-            if remaining >= SLOT_WORDS && fabric.quiescent() {
-                let now = fabric.now();
-                let chunk = remaining.min(fabric.next_event(now).saturating_sub(now));
-                if chunk >= SLOT_WORDS {
-                    fabric.skip(chunk);
-                    remaining -= chunk;
-                    continue;
-                }
+        let offer = |fabric: &mut C, remaining: u64| {
+            if fabric.now() < cooldown_until {
+                return 0;
             }
-            if fabric.now() >= cooldown_until {
-                let out = fabric.fast_forward(remaining);
-                debug_assert!(out.advanced <= remaining && out.jumped <= out.advanced);
-                if out.jumped == 0 {
-                    cooldown_until = fabric
-                        .now()
-                        .saturating_add((out.advanced * 4).max(FF_COOLDOWN));
-                }
-                if out.advanced > 0 {
-                    remaining -= out.advanced;
-                    continue;
-                }
+            let out = fabric.fast_forward(remaining);
+            debug_assert!(out.advanced <= remaining && out.jumped <= out.advanced);
+            if out.jumped == 0 {
+                cooldown_until = fabric
+                    .now()
+                    .saturating_add((out.advanced * 4).max(FF_COOLDOWN));
             }
-            Self::tick(fabric);
-            remaining -= 1;
-        }
+            out.advanced
+        };
+        Self::drive(fabric, cycles, false, |_| false, offer);
     }
 }
 

@@ -140,19 +140,12 @@ pub struct Noc {
     /// Shard-boundary attachments: router ports whose physical peer lives
     /// in another shard's `Noc` (see [`crate::shard`]).
     boundaries: Vec<BoundaryPort>,
-    /// Boundary ids whose outbound side was written this cycle (words or
-    /// credits) — the dirty list the shard runner drains between the global
-    /// emit and absorb phases, so wires with no traffic cost zero exchange
-    /// work.
-    dirty_out: Vec<usize>,
-    /// Boundary ids with delivered inbound traffic awaiting this cycle's
-    /// absorb — the ingress mirror of `dirty_out`: absorb registers exactly
-    /// these instead of scanning every boundary.
-    dirty_in: Vec<usize>,
-    /// Fused exchange handle (see [`Noc::attach_exchange`]): when present,
-    /// boundary emissions and credits go straight into the shared arena's
-    /// cut-wire rings during emit, and absorb consumes due slots straight
-    /// out of them — the dirty lists and boundary registers stay unused.
+    /// The handle onto the shard runner's exchange arena (see
+    /// [`Noc::attach_exchange`]): boundary emissions and credits go
+    /// straight into the arena's cut-wire rings during emit, and absorb
+    /// consumes due slots straight out of them. `None` only on a network
+    /// without boundaries, or between [`Noc::split`] and the construction
+    /// of the [`ShardRunner`](crate::shard::ShardRunner) that drives it.
     exchange: Option<crate::shard::ExchangeAttachment>,
     /// Construction parameters, kept so [`Noc::split`] can rebuild
     /// identically-configured shard networks.
@@ -168,9 +161,9 @@ pub struct Noc {
     /// default) keeps the hot path untouched.
     fault: Option<crate::fault::FaultState>,
     /// Activity set: the routers that may hold work. A router joins when
-    /// [`Clocked::absorb`] registers a word into it (wired link, boundary
-    /// register or fused ring alike) and leaves once an emit finds it
-    /// idle, so every router outside the set is [`Router::idle`] and the
+    /// [`Clocked::absorb`] registers a word into it (wired link or cut-wire
+    /// ring alike) and leaves once an emit finds it idle, so
+    /// every router outside the set is [`Router::idle`] and the
     /// per-cycle walks visit only members, in ascending id order like the
     /// dense loops they replace. Derived state: never serialised, never
     /// part of a fast-forward digest, reset to "everyone" by
@@ -214,28 +207,23 @@ struct PortWiring {
 }
 
 /// One shard-boundary attachment: the local half of a cut inter-router
-/// link. The port's emissions land in `out_word` (instead of a wire), and
-/// BE dequeues at the port's input earn credits for the remote producer in
-/// `out_credits`; the shard runner exchanges both between the global emit
-/// and absorb phases and delivers the remote side's words and credits into
-/// `in_word` / `in_credits`, which the absorb phase registers exactly as a
-/// wired link would.
+/// link. The port's emissions, and the credits BE dequeues at its input
+/// earn for the remote producer, go onto the boundary's outbound ring of
+/// the exchange arena; the remote side's words and credits are taken off
+/// its inbound ring by the absorb phase, which registers them exactly as
+/// a wired link would. The wire itself holds no state here.
 #[derive(Debug, Clone)]
 struct BoundaryPort {
     router: usize,
     port: PortIdx,
-    out_word: Option<LinkWord>,
-    out_credits: u32,
-    /// Whether this boundary is on the [`Noc::dirty_out`] list.
-    out_dirty: bool,
-    in_word: Option<LinkWord>,
-    in_credits: u32,
-    /// Whether this boundary is on the [`Noc::dirty_in`] list.
-    in_dirty: bool,
     /// Ingress tally: words absorbed from the remote side. Stands in for
     /// the cut directed link's [`LinkStats`] entry.
     stats: LinkStats,
 }
+
+/// Why a boundary emission finds its exchange handle.
+const NO_EXCHANGE: &str =
+    "a network with boundaries runs under a ShardRunner, which attaches its arena";
 
 /// Reusable buffers for one tick.
 #[derive(Debug, Clone, Default)]
@@ -340,8 +328,6 @@ impl Noc {
             ni_out_link,
             ni_links,
             boundaries: Vec::new(),
-            dirty_out: Vec::new(),
-            dirty_in: Vec::new(),
             exchange: None,
             config,
             cycle: 0,
@@ -504,9 +490,8 @@ impl Noc {
 
     /// Declares the unwired `(router, port)` as a shard-boundary
     /// attachment: the local half of an inter-router link that was cut by a
-    /// [`Partition`]. Returns the boundary id surfaced by
-    /// [`Noc::take_dirty_boundary`] and used with
-    /// [`Noc::put_boundary_in`].
+    /// [`Partition`]. Returns the boundary id, the index of the port's
+    /// rings in this network's [`ExchangeAttachment`](crate::shard::ExchangeAttachment).
     ///
     /// The port's output is granted the standard inter-router BE credit
     /// budget (the remote input queue's capacity).
@@ -514,7 +499,7 @@ impl Noc {
     /// # Panics
     ///
     /// Panics if the port is already wired or already a boundary.
-    pub fn open_boundary(&mut self, router: RouterId, port: PortIdx) -> usize {
+    fn open_boundary(&mut self, router: RouterId, port: PortIdx) -> usize {
         let at = self.port_base[router] + port as usize;
         let PortWiring { out, producer } = self.wiring[at];
         assert!(
@@ -529,12 +514,6 @@ impl Noc {
         self.boundaries.push(BoundaryPort {
             router,
             port,
-            out_word: None,
-            out_credits: 0,
-            out_dirty: false,
-            in_word: None,
-            in_credits: 0,
-            in_dirty: false,
             stats: LinkStats::default(),
         });
         self.wiring[at] = PortWiring {
@@ -550,15 +529,13 @@ impl Noc {
         self.boundaries.len()
     }
 
-    /// Installs a fused exchange handle: from here on, boundary emissions
-    /// and earned credits are written **in place** into the shared arena's
-    /// cut-wire rings during [`Clocked::emit`], and [`Clocked::absorb`]
-    /// consumes each inbound ring's slot at exactly its due cycle — no
-    /// dirty lists, no register copies, no per-event runner bridge (see
-    /// [`crate::shard::ShardRunner::fuse`]). Cloning a fused network
-    /// clones the handle, which **shares** the arena — split the clone's
-    /// attachment off with a fresh [`crate::shard::ShardRunner`] before
-    /// driving both.
+    /// Installs the handle onto the shard runner's exchange arena (done by
+    /// [`ShardRunner::new`](crate::shard::ShardRunner::new)): boundary
+    /// emissions and earned credits are written **in place** into the
+    /// arena's cut-wire rings during [`Clocked::emit`], and
+    /// [`Clocked::absorb`] consumes each inbound ring's slot at exactly its
+    /// due cycle. Cloning an attached network clones the handle, which
+    /// **shares** the arena — drive only one of the two.
     ///
     /// # Panics
     ///
@@ -574,54 +551,6 @@ impl Noc {
         self.exchange = Some(exchange);
     }
 
-    /// Whether a fused exchange handle is installed.
-    pub fn exchange_attached(&self) -> bool {
-        self.exchange.is_some()
-    }
-
-    /// Takes one dirty boundary's outbound traffic — the boundary id plus
-    /// the word and credits its emit phase produced this cycle — or `None`
-    /// when every cut wire is quiet. The shard runner drains this between
-    /// the global emit and absorb phases; boundaries with no traffic never
-    /// appear, so quiet wires cost nothing.
-    pub fn take_dirty_boundary(&mut self) -> Option<(usize, Option<LinkWord>, u32)> {
-        let b = self.dirty_out.pop()?;
-        let bp = &mut self.boundaries[b];
-        debug_assert!(bp.out_dirty);
-        bp.out_dirty = false;
-        Some((b, bp.out_word.take(), std::mem::take(&mut bp.out_credits)))
-    }
-
-    /// Marks boundary `b` dirty (first outbound write this cycle appends it
-    /// to the drain list).
-    #[inline]
-    fn mark_boundary_dirty(boundaries: &mut [BoundaryPort], dirty_out: &mut Vec<usize>, b: usize) {
-        if !boundaries[b].out_dirty {
-            boundaries[b].out_dirty = true;
-            dirty_out.push(b);
-        }
-    }
-
-    /// Delivers the remote side's outbound traffic for this cycle; the
-    /// absorb phase registers the word into the router input and returns
-    /// the credits to the local output, exactly as a wired link would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a word is already pending (one word per link per cycle).
-    pub fn put_boundary_in(&mut self, b: usize, word: Option<LinkWord>, credits: u32) {
-        let bp = &mut self.boundaries[b];
-        if word.is_some() {
-            assert!(bp.in_word.is_none(), "boundary {b} already carries a word");
-            bp.in_word = word;
-        }
-        bp.in_credits += credits;
-        if !bp.in_dirty && (bp.in_word.is_some() || bp.in_credits > 0) {
-            bp.in_dirty = true;
-            self.dirty_in.push(b);
-        }
-    }
-
     /// Ingress tally of boundary `b`: the words absorbed from the remote
     /// side, standing in for the cut directed link's per-link counters.
     pub fn boundary_stats(&self, b: usize) -> &LinkStats {
@@ -631,8 +560,8 @@ impl Noc {
     /// Splits a **drained** network into per-shard networks along the cut
     /// computed by `partition`, moving every router, NI handle and per-link
     /// counter into its shard so that lockstep execution of the shards
-    /// (with boundary words exchanged between the global emit and absorb
-    /// phases — see [`crate::shard::ShardRunner`]) is bit-identical to
+    /// (with boundary words crossing through the exchange arena of the
+    /// [`crate::shard::ShardRunner`] built over them) is bit-identical to
     /// ticking `self`.
     ///
     /// `topology` must be the topology this network was built from.
@@ -749,19 +678,20 @@ impl Noc {
     }
 
     /// Whether nothing at all is in flight: all wires idle, all routers
-    /// fully drained (GT calendars included), no staged NI word, no
-    /// undrained NI inbox and no pending boundary traffic. This is the
-    /// strict precondition of [`Noc::split`]; the [`Clocked::quiescent`]
-    /// notion is weaker — it also holds while scheduled GT emissions wait
-    /// for their due cycle.
+    /// fully drained (GT calendars included), no staged NI word and no
+    /// undrained NI inbox. This is the strict precondition of
+    /// [`Noc::split`]; the [`Clocked::quiescent`] notion is weaker — it
+    /// also holds while scheduled GT emissions wait for their due cycle.
     pub fn drained(&self) -> bool {
         self.active.iter().all(|r| self.routers[r].idle()) && self.calendar_dormant()
     }
 
-    /// The non-router part of quiescence: wires, NI handles and boundaries
-    /// all empty, routers holding at most scheduled GT emissions. Routers
-    /// outside the active set are idle and undriven wires are empty, so
-    /// only members of the two sets are inspected.
+    /// The non-router part of quiescence: wires and NI handles all empty,
+    /// routers holding at most scheduled GT emissions. Routers outside the
+    /// active set are idle and undriven wires are empty, so only members
+    /// of the two sets are inspected. Cut wires are the shard runner's to
+    /// watch: a word due on an inbound ring wakes the region (see
+    /// [`crate::shard`]).
     fn calendar_dormant(&self) -> bool {
         self.active.iter().all(|r| self.routers[r].calendar_idle())
             && self.driven.iter().all(|l| self.links[l].wire.is_none())
@@ -769,20 +699,14 @@ impl Noc {
                 .ni_links
                 .iter()
                 .all(|h| h.outgoing.is_none() && h.incoming.is_empty())
-            && self.boundaries.iter().all(|b| {
-                b.out_word.is_none()
-                    && b.in_word.is_none()
-                    && b.out_credits == 0
-                    && b.in_credits == 0
-            })
     }
 
     /// Whether no best-effort traffic exists anywhere in the network: all
     /// router BE queues, worms and arbitration state idle, and no BE-class
-    /// word on any wire, NI handle or boundary register. This is part of
-    /// the fast-forward eligibility gate (see [`crate::ff`]): BE progress
-    /// depends on round-robin arbitration history and credit dynamics,
-    /// which the analytical GT model does not extrapolate.
+    /// word on any wire or NI handle. This is part of the fast-forward
+    /// eligibility gate (see [`crate::ff`]): BE progress depends on
+    /// round-robin arbitration history and credit dynamics, which the
+    /// analytical GT model does not extrapolate.
     pub fn be_quiet(&self) -> bool {
         let be = |w: &LinkWord| w.class() == WordClass::BestEffort;
         self.routers.iter().all(Router::be_quiet)
@@ -791,27 +715,15 @@ impl Noc {
                 .ni_links
                 .iter()
                 .any(|h| h.outgoing.as_ref().is_some_and(be) || h.incoming.iter().any(be))
-            && !self
-                .boundaries
-                .iter()
-                .any(|b| b.out_word.as_ref().is_some_and(be) || b.in_word.as_ref().is_some_and(be))
     }
 
-    /// Whether every shard boundary is completely silent: no pending word,
-    /// credit or dirty mark in either direction. A region may only
-    /// fast-forward while its cut wires are silent — the probe ticks the
-    /// region alone, so any boundary exchange during the probed window
-    /// would be lost.
+    /// Whether every shard boundary is completely silent: no word or
+    /// credit in flight on a cut-wire ring in either direction. A region
+    /// may only fast-forward while its cut wires are silent — the probe
+    /// ticks the region alone, so any boundary exchange during the probed
+    /// window would be lost.
     pub fn boundaries_silent(&self) -> bool {
-        self.dirty_out.is_empty()
-            && self.dirty_in.is_empty()
-            && self.boundaries.iter().all(|b| {
-                b.out_word.is_none()
-                    && b.in_word.is_none()
-                    && b.out_credits == 0
-                    && b.in_credits == 0
-            })
-            && self.exchange.as_ref().is_none_or(|x| x.silent())
+        self.exchange.as_ref().is_none_or(|x| x.silent())
     }
 
     /// Follows a source route hop by hop from NI `ni`'s attachment point
@@ -845,19 +757,16 @@ impl Noc {
 
     /// Walks the network's complete dynamic state through a state visitor
     /// (see [`crate::persist`]): cycle, statistics, wires, NI handles,
-    /// dirty lists, boundary registers, routers, armed fault machinery.
+    /// boundary ingress tallies, routers, armed fault machinery.
     /// Structural wiring (the topology maps, the config) stays outside: a
     /// snapshot restores onto an identically-built network. So does the
-    /// fused exchange handle — in-flight arena state travels with the shard
+    /// exchange handle — in-flight arena state travels with the shard
     /// runner's walk, not the region's, and a region whose cut wires carry
     /// anything is not periodic on its own. The per-tick scratch is
     /// transient (cleared at the top of every emit) and carries nothing
     /// between cycles.
     pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
-        use crate::persist::{
-            persist_bool, persist_int, persist_int_list, persist_opt_word, persist_ring,
-            persist_word,
-        };
+        use crate::persist::{persist_int, persist_opt_word, persist_ring, persist_word};
         p.counter(&mut self.cycle);
         p.counter(&mut self.stats.cycles);
         p.counter(&mut self.stats.gt_conflicts);
@@ -877,20 +786,12 @@ impl Noc {
             persist_ring(&mut h.incoming, empty, p, |w, p| persist_word(w, p));
             persist_int(&mut h.credits, p);
         }
-        persist_int_list(&mut self.dirty_out, p);
-        persist_int_list(&mut self.dirty_in, p);
         // A cut word or credit in flight on the arena would be skipped
         // past by a jump.
         if self.exchange.as_ref().is_some_and(|x| !x.silent()) {
             p.reject();
         }
         for b in &mut self.boundaries {
-            persist_opt_word(&mut b.out_word, p);
-            persist_int(&mut b.out_credits, p);
-            persist_bool(&mut b.out_dirty, p);
-            persist_opt_word(&mut b.in_word, p);
-            persist_int(&mut b.in_credits, p);
-            persist_bool(&mut b.in_dirty, p);
             b.stats.walk(p);
         }
         for r in &mut self.routers {
@@ -965,17 +866,15 @@ impl Clocked for Noc {
         );
         // Armed faults: one comparison per cycle decides whether any event
         // window is open; only then does the per-router filter run. The
-        // filter acts here — before emissions reach a wire, boundary
-        // register or arena ring — so a fault on a cut wire is identical
-        // monolithic or sharded: the exchange simply never sees the word.
+        // filter acts here — before emissions reach a wire or an arena
+        // ring — so a fault on a cut wire is identical monolithic or
+        // sharded: the exchange simply never sees the word.
         let fault_active = match &mut self.fault {
             Some(f) => f.begin_cycle(cycle),
             None => false,
         };
-        // Fused: boundary traffic goes straight into the arena rings (the
-        // handle is moved out for the phase so boundary state stays
-        // borrowable).
-        let exchange = self.exchange.take();
+        // Boundary traffic goes straight into the arena rings.
+        let exchange = self.exchange.as_ref();
         let mut result = std::mem::take(&mut self.scratch.emit);
         for w in 0..self.active.word_count() {
             let mut members = self.active.word(w);
@@ -1001,41 +900,23 @@ impl Clocked for Noc {
                             self.links[l].wire = Some(e.word);
                             self.driven.insert(l);
                         }
-                        OutTarget::Boundary(b) => {
-                            if let Some(x) = &exchange {
-                                x.out_ring(b).send_word(cycle, e.word);
-                            } else {
-                                debug_assert!(self.boundaries[b].out_word.is_none());
-                                self.boundaries[b].out_word = Some(e.word);
-                                Self::mark_boundary_dirty(
-                                    &mut self.boundaries,
-                                    &mut self.dirty_out,
-                                    b,
-                                );
-                            }
-                        }
+                        OutTarget::Boundary(b) => exchange
+                            .expect(NO_EXCHANGE)
+                            .out_ring(b)
+                            .send_word(cycle, e.word),
                         OutTarget::Unwired => {}
                     }
                 }
                 for &input in &result.be_dequeues {
                     match wiring[input as usize].producer {
                         // A dequeue at a boundary input earns its credit
-                        // for the *remote* producer: export it now so the
-                        // exchange delivers it into the same cycle's
-                        // absorb, exactly like the local returns queued
-                        // below.
-                        Producer::Boundary(b) => {
-                            if let Some(x) = &exchange {
-                                x.out_ring(b).send_credits(cycle, 1);
-                            } else {
-                                self.boundaries[b].out_credits += 1;
-                                Self::mark_boundary_dirty(
-                                    &mut self.boundaries,
-                                    &mut self.dirty_out,
-                                    b,
-                                );
-                            }
-                        }
+                        // for the *remote* producer: export it now so it
+                        // is due in the same cycle's absorb, exactly like
+                        // the local returns queued below.
+                        Producer::Boundary(b) => exchange
+                            .expect(NO_EXCHANGE)
+                            .out_ring(b)
+                            .send_credits(cycle, 1),
                         Producer::Nobody => {}
                         local => self.scratch.credit_returns.push(local),
                     }
@@ -1043,7 +924,6 @@ impl Clocked for Noc {
             }
         }
         self.scratch.emit = result;
-        self.exchange = exchange;
         // NI staging registers. `NiLink::send` is reachable through a bare
         // `&mut NiLink`, so the network cannot learn of a staged word any
         // earlier than this scan (one `Option` test per NI).
@@ -1067,32 +947,14 @@ impl Clocked for Noc {
     /// router that registers a word joins the active set.
     fn absorb(&mut self) {
         let cycle = self.cycle;
-        // Boundary ingress: words and credits the shard runner delivered
-        // from remote shards register exactly like wired-link arrivals
-        // (only boundaries that actually received something are visited).
-        while let Some(b) = self.dirty_in.pop() {
-            let bp = &mut self.boundaries[b];
-            debug_assert!(bp.in_dirty);
-            bp.in_dirty = false;
-            let (r, p) = (bp.router, bp.port);
-            if let Some(word) = bp.in_word.take() {
-                bp.stats.record(word.class(), word.is_header());
-                self.routers[r].absorb(p, word, cycle);
-                self.active.insert(r);
-            }
-            for _ in 0..std::mem::take(&mut self.boundaries[b].in_credits) {
-                self.routers[r].add_out_credit(p);
-            }
-        }
-        // Fused boundary ingress: consume each inbound ring's slot at
-        // exactly this cycle, straight out of the arena. Per-output GT
+        // Boundary ingress: consume each inbound ring's slot at exactly
+        // this cycle, straight out of the arena; words and credits
+        // register exactly like wired-link arrivals. Per-output GT
         // calendars make the iteration order across boundaries immaterial,
         // like the wired-link loop below.
-        let exchange = self.exchange.take();
-        if let Some(x) = &exchange {
-            for b in 0..self.boundaries.len() {
+        if let Some(x) = &self.exchange {
+            for (b, bp) in self.boundaries.iter_mut().enumerate() {
                 if let Some((word, credits)) = x.in_ring(b).take_due(cycle) {
-                    let bp = &mut self.boundaries[b];
                     let (r, p) = (bp.router, bp.port);
                     if let Some(word) = word {
                         bp.stats.record(word.class(), word.is_header());
@@ -1105,7 +967,6 @@ impl Clocked for Noc {
                 }
             }
         }
-        self.exchange = exchange;
         for w in 0..self.driven.word_count() {
             let mut members = self.driven.take_word(w);
             while let Some(bit) = pop_lowest(&mut members) {
@@ -1148,7 +1009,7 @@ impl Clocked for Noc {
 
     /// The network is quiescent when a tick can change only time-derived
     /// counters: all wires idle, no staged NI word, no undrained NI inbox,
-    /// no pending boundary traffic, and every router either fully drained
+    /// and every router either fully drained
     /// or holding only *scheduled GT emissions whose due cycle has not
     /// arrived*. Pending calendars do not block quiescence — they are pure
     /// timetables, untouched by ticks before their due cycle — but the

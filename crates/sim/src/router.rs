@@ -249,11 +249,6 @@ impl Router {
         self.ports[port as usize].out_credits += 1;
     }
 
-    /// Current BE credits available toward the downstream of `port`.
-    pub fn out_credits(&self, port: PortIdx) -> u32 {
-        self.ports[port as usize].out_credits
-    }
-
     /// BE words currently queued at input `port`.
     pub fn be_queued(&self, port: PortIdx) -> usize {
         self.ports[port as usize].q_len as usize

@@ -9,11 +9,12 @@
 //! router in the same cycle's absorb phase, and the only state flowing the
 //! other way is the link-level BE credit earned when the far input dequeues.
 //! Cutting at links therefore decomposes the network exactly — each piece
-//! keeps the full two-phase cycle contract, and the cross-shard wires become
-//! *mailboxes* whose contents are exchanged between the global emit and
-//! absorb phases. The exchange at the phase barrier preserves the race-free
-//! discipline: every emit still reads only previous-cycle state, every
-//! absorb registers exactly what a wired link would have carried.
+//! keeps the full two-phase cycle contract, and each cross-shard wire becomes
+//! one preallocated ring that the producing region's emit phase writes and
+//! the consuming region's absorb phase reads at the same cycle. That keeps
+//! the race-free discipline: every emit still reads only previous-cycle
+//! state, every absorb registers exactly what a wired link would have
+//! carried.
 //!
 //! # The pieces
 //!
@@ -21,11 +22,12 @@
 //!   cut-edge computation over a [`Topology`];
 //! * [`Noc::split`](crate::Noc::split) — moves routers, NI handles and
 //!   per-link counters of a drained network into per-shard [`Noc`]s whose
-//!   cut ports are boundary mailboxes (see [`NocShard`]);
-//! * [`ShardRunner`] — the slack-batched driver over the **arena-fused
-//!   exchange**: every directed cut wire owns one preallocated,
-//!   cache-line-padded SPSC [`WireRing`] in a shared [`BoundaryArena`].
-//!   A fused region's emit phase writes boundary words and credits
+//!   cut ports are boundary attachments (see [`NocShard`]);
+//! * [`ShardRunner`] — the slack-batched driver over the **exchange
+//!   arena**, the only representation of a cut wire: every directed cut
+//!   wire owns one preallocated, cache-line-padded SPSC [`WireRing`] in a
+//!   [`BoundaryArena`] that the runner attaches to every region when it is
+//!   built. A region's emit phase writes boundary words and credits
 //!   directly into the ring slot of the emitting cycle, and the consuming
 //!   region's absorb phase consumes each slot at **exactly** its due
 //!   cycle — zero allocation, zero copying through intermediate queues,
@@ -333,17 +335,13 @@ impl Clocked for NocShard {
 }
 
 impl ShardRegion for NocShard {
-    fn shard_noc(&self) -> &Noc {
-        &self.noc
-    }
-
-    fn shard_noc_mut(&mut self) -> &mut Noc {
-        &mut self.noc
+    fn adopt_exchange(&mut self, exchange: ExchangeAttachment) {
+        self.noc.attach_exchange(exchange);
     }
 }
 
-/// One directed cross-shard wire: the mailbox route from a source shard's
-/// boundary to the destination shard's boundary.
+/// One directed cross-shard wire: from a source shard's boundary to the
+/// destination shard's boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundaryWire {
     /// Producing shard.
@@ -423,15 +421,16 @@ where
     merged
 }
 
-/// A [`Clocked`] region with boundary-mailbox access — the shape the shard
-/// runner drives. Implemented by [`Noc`] itself (pure-network shards) and
-/// by `aethereal-cfg`'s `NocSystem` (full-system shards).
+/// A [`Clocked`] region whose cut wires live in a shard runner's exchange
+/// arena — the shape the shard runner drives. Implemented by [`Noc`]
+/// itself (pure-network shards) and by `aethereal-cfg`'s `NocSystem`
+/// (full-system shards).
 pub trait ShardRegion: Clocked + Send {
-    /// The region's network (owner of the boundary mailboxes).
-    fn shard_noc(&self) -> &Noc;
-
-    /// Mutable access to the region's network.
-    fn shard_noc_mut(&mut self) -> &mut Noc;
+    /// Takes the region's handle onto the runner's exchange arena — called
+    /// once, by [`ShardRunner::new`]. A region with a network hands it to
+    /// [`Noc::attach_exchange`]; from then on the region's emit and absorb
+    /// phases read and write its cut-wire rings in place.
+    fn adopt_exchange(&mut self, exchange: ExchangeAttachment);
 
     /// Offers the region up to `max` cycles of analytical fast-forward
     /// (see [`crate::ff`]). Called by [`ShardRunner::run`] only while this
@@ -440,7 +439,7 @@ pub trait ShardRegion: Clocked + Send {
     /// The implementor owns all eligibility checking — in particular it
     /// must decline unless its boundaries are silent and every live
     /// circuit stays inside the region, because the probe ticks the
-    /// region alone, outside the runner's boundary exchange.
+    /// region alone, while its neighbours stand still.
     ///
     /// The default declines: plain network shards fall back to the
     /// quiescent-skip path, which already covers their drained states.
@@ -451,12 +450,8 @@ pub trait ShardRegion: Clocked + Send {
 }
 
 impl ShardRegion for Noc {
-    fn shard_noc(&self) -> &Noc {
-        self
-    }
-
-    fn shard_noc_mut(&mut self) -> &mut Noc {
-        self
+    fn adopt_exchange(&mut self, exchange: ExchangeAttachment) {
+        self.attach_exchange(exchange);
     }
 }
 
@@ -678,7 +673,7 @@ impl<S: SyncFamily> WireRing<S> {
 
     /// Unconsumed slots as `(due, packed word, credits)` triples, in due
     /// order — the ring's entire dynamic state besides the watermark.
-    pub fn occupied_slots(&self) -> Vec<(u64, u64, u64)> {
+    fn occupied_slots(&self) -> Vec<(u64, u64, u64)> {
         let mut v: Vec<(u64, u64, u64)> = self
             .slots
             .iter()
@@ -697,7 +692,7 @@ impl<S: SyncFamily> WireRing<S> {
 
     /// Empties every slot (the restore entry point; the watermark is left
     /// untouched — re-derive it with [`WireRing::rebase`]).
-    pub fn clear_slots(&self) {
+    fn clear_slots(&self) {
         for s in &self.slots {
             s.word.store(EMPTY_WORD, Ordering::Relaxed);
             s.credits.store(0, Ordering::Relaxed);
@@ -757,8 +752,8 @@ impl<S: SyncFamily> WireRing<S> {
 /// The preallocated exchange arena of one split: one cache-line-padded
 /// [`WireRing`] per directed cut wire, indexed like the
 /// [`wires_of`]-enumerated wire table. Shared (via `Arc`) between the
-/// [`ShardRunner`] and every fused region's network, which reads and
-/// writes its rings in place from the engine phases themselves.
+/// [`ShardRunner`] and every region's network, which reads and writes its
+/// rings in place from the engine phases themselves.
 pub struct BoundaryArena {
     rings: Vec<CachePadded<WireRing>>,
 }
@@ -787,21 +782,6 @@ impl BoundaryArena {
         &self.rings[i].0
     }
 
-    /// All rings, in wire order.
-    pub fn rings(&self) -> &[CachePadded<WireRing>] {
-        &self.rings
-    }
-
-    /// Number of wires.
-    pub fn len(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// Whether the arena has no wires.
-    pub fn is_empty(&self) -> bool {
-        self.rings.is_empty()
-    }
-
     /// Rebases every ring's watermark (see [`WireRing::rebase`]).
     pub fn rebase(&self, start: u64) {
         for r in &self.rings {
@@ -810,13 +790,13 @@ impl BoundaryArena {
     }
 }
 
-/// A fused region's handle onto the shared [`BoundaryArena`]: the arena
-/// plus this region's boundary-id → wire-index maps. With the attachment
+/// A region's handle onto the shared [`BoundaryArena`]: the arena plus
+/// this region's boundary-id → wire-index maps. With the attachment
 /// installed (see [`crate::Noc::attach_exchange`]), the network's emit
 /// phase writes cut-wire words and credits straight into the arena and
-/// its absorb phase consumes due slots straight out of it — the
-/// region-pair-fused exchange path, used identically by the sequential
-/// and the worker-thread runner.
+/// its absorb phase consumes due slots straight out of it — the one
+/// exchange path, used identically by the sequential and the
+/// worker-thread runner.
 #[derive(Debug, Clone)]
 pub struct ExchangeAttachment {
     arena: std::sync::Arc<BoundaryArena>,
@@ -827,12 +807,13 @@ pub struct ExchangeAttachment {
 }
 
 impl ExchangeAttachment {
-    /// Creates the attachment for one region.
+    /// Creates the attachment for one region — only a [`ShardRunner`]
+    /// does, so an attachment always names rings its runner drives.
     ///
     /// # Panics
     ///
     /// Panics if a wire index is out of the arena's range.
-    pub fn new(
+    fn new(
         arena: std::sync::Arc<BoundaryArena>,
         out_wire: Vec<usize>,
         in_wire: Vec<usize>,
@@ -846,7 +827,7 @@ impl ExchangeAttachment {
             out_wire
                 .iter()
                 .chain(in_wire.iter())
-                .all(|&i| i < arena.len()),
+                .all(|&i| i < arena.rings.len()),
             "wire index out of arena range"
         );
         ExchangeAttachment {
@@ -891,22 +872,19 @@ impl ExchangeAttachment {
 /// Public (with [`run_worker`]) so the model checker drives the *same*
 /// protocol code the production runner executes, not a re-implementation.
 pub struct ExchangeSlice<'a, S: SyncFamily = StdSync> {
-    /// Per-wire exchange rings, indexed like `wires`.
+    /// Per-wire exchange rings, indexed like the wire table.
     pub rings: &'a [CachePadded<WireRing<S>>],
-    /// The cross-shard wire table (for destination boundary lookups).
-    pub wires: &'a [BoundaryWire],
     /// Wire indices this region produces onto.
     pub out_list: &'a [usize],
     /// Wire indices this region consumes from.
     pub in_list: &'a [usize],
-    /// `my_wire[boundary]` = outbound wire index of that boundary.
-    pub my_wire: &'a [usize],
 }
 
 /// One worker thread's body in [`ShardRunner::run_parallel`]: runs `region`
-/// from cycle `start` to `end`, exchanging boundary traffic through the
-/// arena rings and published-cycle watermarks of `slice`. Returns the
-/// region's final `(awake, wake_at)` scheduler state.
+/// from cycle `start` to `end`, its emit phase writing the outbound rings
+/// of `slice` and its absorb phase consuming the inbound ones, gated by the
+/// rings' published-cycle watermarks. Returns the region's final
+/// `(awake, wake_at)` scheduler state.
 ///
 /// There is no epoch barrier: a worker starts cycle `t` the moment every
 /// inbound wire has published past `t − 1`, so one region's interior cycles
@@ -916,16 +894,13 @@ pub struct ExchangeSlice<'a, S: SyncFamily = StdSync> {
 /// the module docs), which is also what keeps every [`WireRing`] within
 /// its [`RING_SLOTS`] capacity.
 ///
-/// A region whose network holds an [`ExchangeAttachment`] (the fused path,
-/// installed by [`ShardRunner::fuse`]) emits cut words straight into the
-/// rings and absorbs due slots straight out of them; the worker then only
-/// publishes, waits, and runs wake checks. An unfused region is bridged
-/// through its dirty lists, word by word — the model-checker harness uses
-/// this path to drive plain [`Noc`] regions.
+/// The worker never touches a word: it only publishes, waits and decides
+/// who sleeps. The region's phases must reach the same rings the slice
+/// names (see [`ShardRegion::adopt_exchange`]).
 ///
 /// The caller must invoke this once per region, concurrently, with every
 /// worker sharing the same ring slice.
-pub fn run_worker<R: ShardRegion, S: SyncFamily>(
+pub fn run_worker<R: Clocked, S: SyncFamily>(
     region: &mut R,
     slice: &ExchangeSlice<'_, S>,
     start: u64,
@@ -934,8 +909,7 @@ pub fn run_worker<R: ShardRegion, S: SyncFamily>(
     mut awake: bool,
     mut wake_at: u64,
 ) -> (bool, u64) {
-    let (rings, wires) = (slice.rings, slice.wires);
-    let fused = region.shard_noc().exchange_attached();
+    let rings = slice.rings;
     let mut t = start;
     while t < end {
         let t1 = end.min(t + batch);
@@ -947,19 +921,6 @@ pub fn run_worker<R: ShardRegion, S: SyncFamily>(
             }
             if awake {
                 region.emit();
-                if !fused {
-                    while let Some((b, word, credits)) =
-                        region.shard_noc_mut().take_dirty_boundary()
-                    {
-                        let ring = &rings[slice.my_wire[b]].0;
-                        if let Some(w) = word {
-                            ring.send_word(t, w);
-                        }
-                        if credits > 0 {
-                            ring.send_credits(t, credits);
-                        }
-                    }
-                }
             }
             // Publish cycle t on every outbound wire — also while asleep:
             // the watermark is the null message that lets consumers proceed.
@@ -977,17 +938,6 @@ pub fn run_worker<R: ShardRegion, S: SyncFamily>(
                 awake = true;
             }
             if awake {
-                if !fused {
-                    for &i in slice.in_list {
-                        if let Some((word, credits)) = rings[i].0.take_due(t) {
-                            region.shard_noc_mut().put_boundary_in(
-                                wires[i].dst_boundary,
-                                word,
-                                credits,
-                            );
-                        }
-                    }
-                }
                 region.absorb();
             }
             t += 1;
@@ -1011,18 +961,17 @@ pub fn run_worker<R: ShardRegion, S: SyncFamily>(
 
 /// The slack-batched shard driver with per-region activity tracking.
 ///
-/// Every global cycle has the two engine phases, with the boundary
-/// exchange between them:
+/// Every global cycle has the two engine phases, with a wake scan between
+/// them:
 ///
 /// 1. **emit** on every awake region (a sleeping region is quiescent by
 ///    definition, and a quiescent emit is a no-op — so skipping it is
-///    exact);
-/// 2. **exchange**: each region's boundary-dirty list is drained — only
-///    wires that actually carried a word or credits this cycle cost any
-///    work — and delivered to the destination shard for this cycle's
-///    absorb; a sleeping destination is woken first (caught up with one
-///    exact [`Clocked::skip`], its no-op emit run late);
-/// 3. **absorb** on every awake region.
+///    exact) — cut-wire words and credits land in the arena rings here;
+/// 2. **wake**: a sleeping region with a slot due this cycle on one of
+///    its inbound rings is woken (caught up with one exact
+///    [`Clocked::skip`], its no-op emit run late) — the runner reads ring
+///    stamps, it never moves a word;
+/// 3. **absorb** on every awake region, each consuming its due slots.
 ///
 /// Activity-set maintenance is amortized over
 /// [`batch`](ShardRunner::set_batch)-sized epochs: only at an epoch
@@ -1041,19 +990,12 @@ pub fn run_worker<R: ShardRegion, S: SyncFamily>(
 #[derive(Debug)]
 pub struct ShardRunner {
     wires: Vec<BoundaryWire>,
-    /// `dest[shard][boundary]` = the consuming `(shard, boundary)` of the
-    /// wire fed by that outbound boundary.
-    dest: Vec<Vec<(usize, usize)>>,
     /// The shared exchange arena: one ring per wire, indexed like `wires`.
     arena: std::sync::Arc<BoundaryArena>,
     /// `out_w[shard]` = wire indices the shard produces onto.
     out_w: Vec<Vec<usize>>,
     /// `in_w[shard]` = wire indices the shard consumes from.
     in_w: Vec<Vec<usize>>,
-    /// `wire_of[shard][boundary]` = outbound wire index of that boundary.
-    wire_of: Vec<Vec<usize>>,
-    /// `in_wire_of[shard][boundary]` = inbound wire index of that boundary.
-    in_wire_of: Vec<Vec<usize>>,
     batch: u64,
     cycle: u64,
     awake: Vec<bool>,
@@ -1064,82 +1006,56 @@ pub struct ShardRunner {
 }
 
 impl ShardRunner {
-    /// Creates a runner for `regions` regions starting at `start_cycle`
-    /// (the cycle the regions were split at), with the given cross-shard
-    /// wires and a batch size of 1 (scheduling decisions every cycle — see
-    /// [`ShardRunner::set_batch`]).
-    pub fn new(regions: usize, wires: Vec<BoundaryWire>, start_cycle: u64) -> Self {
-        let mut dest: Vec<Vec<(usize, usize)>> = vec![Vec::new(); regions];
-        let mut out_w: Vec<Vec<usize>> = vec![Vec::new(); regions];
-        let mut in_w: Vec<Vec<usize>> = vec![Vec::new(); regions];
-        let mut wire_of: Vec<Vec<usize>> = vec![Vec::new(); regions];
-        let mut in_wire_of: Vec<Vec<usize>> = vec![Vec::new(); regions];
-        for (i, w) in wires.iter().enumerate() {
-            assert!(
-                w.src_shard < regions && w.dst_shard < regions,
-                "wire out of range"
-            );
-            assert_ne!(w.src_shard, w.dst_shard, "wire must cross shards");
-            if dest[w.src_shard].len() <= w.src_boundary {
-                dest[w.src_shard].resize(w.src_boundary + 1, (usize::MAX, usize::MAX));
-            }
-            dest[w.src_shard][w.src_boundary] = (w.dst_shard, w.dst_boundary);
-            out_w[w.src_shard].push(i);
-            in_w[w.dst_shard].push(i);
-            if wire_of[w.src_shard].len() <= w.src_boundary {
-                wire_of[w.src_shard].resize(w.src_boundary + 1, usize::MAX);
-            }
-            wire_of[w.src_shard][w.src_boundary] = i;
-            if in_wire_of[w.dst_shard].len() <= w.dst_boundary {
-                in_wire_of[w.dst_shard].resize(w.dst_boundary + 1, usize::MAX);
-            }
-            in_wire_of[w.dst_shard][w.dst_boundary] = i;
-        }
-        let arena = std::sync::Arc::new(BoundaryArena::new(wires.len(), start_cycle));
-        ShardRunner {
-            wires,
-            dest,
-            arena,
-            out_w,
-            in_w,
-            wire_of,
-            in_wire_of,
-            batch: 1,
-            cycle: start_cycle,
-            awake: vec![true; regions],
-            wake_at: vec![0; regions],
-            ff_cooldown_until: 0,
-        }
-    }
-
-    /// Installs the runner's exchange arena into every region's network
-    /// (see [`crate::Noc::attach_exchange`]): from here on the regions'
-    /// emit/absorb phases read and write the cut-wire rings **in place**,
-    /// and the runner's per-event dirty-list bridge goes quiet — for the
-    /// sequential and the worker-thread runner alike. Call once, right
-    /// after splitting, and on **all** regions or none: a fused producer
-    /// writes rings only a fused consumer reads.
+    /// Creates the runner of `regions`, starting at `start_cycle` (the
+    /// cycle the regions were split at), with the given cross-shard wires
+    /// and a batch size of 1 (scheduling decisions every cycle — see
+    /// [`ShardRunner::set_batch`]). Every region adopts its handle onto
+    /// the runner's exchange arena here, so a region driven by a runner
+    /// always reaches its cut wires.
     ///
     /// # Panics
     ///
-    /// Panics if `regions` does not match the runner's region count, or if
-    /// a region's boundary count disagrees with the wire table.
-    pub fn fuse<R: ShardRegion>(&self, regions: &mut [R]) {
-        assert_eq!(regions.len(), self.awake.len(), "region count mismatch");
-        for (s, region) in regions.iter_mut().enumerate() {
-            region
-                .shard_noc_mut()
-                .attach_exchange(ExchangeAttachment::new(
-                    self.arena.clone(),
-                    self.wire_of[s].clone(),
-                    self.in_wire_of[s].clone(),
-                ));
+    /// Panics if a wire names a shard outside `regions` or does not cross
+    /// shards, or if a region's boundaries disagree with the wire table.
+    pub fn new<R: ShardRegion>(
+        regions: &mut [R],
+        wires: Vec<BoundaryWire>,
+        start_cycle: u64,
+    ) -> Self {
+        let n = regions.len();
+        let mut out_w: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut in_w: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // Per region: boundary id → (outbound, inbound) wire index.
+        let mut wire_of: Vec<(Vec<usize>, Vec<usize>)> = vec![Default::default(); n];
+        fn set(map: &mut Vec<usize>, boundary: usize, wire: usize) {
+            if map.len() <= boundary {
+                map.resize(boundary + 1, usize::MAX);
+            }
+            map[boundary] = wire;
         }
-    }
-
-    /// The shared exchange arena (one ring per cross-shard wire).
-    pub fn arena(&self) -> &std::sync::Arc<BoundaryArena> {
-        &self.arena
+        for (i, w) in wires.iter().enumerate() {
+            assert!(w.src_shard < n && w.dst_shard < n, "wire out of range");
+            assert_ne!(w.src_shard, w.dst_shard, "wire must cross shards");
+            out_w[w.src_shard].push(i);
+            in_w[w.dst_shard].push(i);
+            set(&mut wire_of[w.src_shard].0, w.src_boundary, i);
+            set(&mut wire_of[w.dst_shard].1, w.dst_boundary, i);
+        }
+        let arena = std::sync::Arc::new(BoundaryArena::new(wires.len(), start_cycle));
+        for (region, (out_wire, in_wire)) in regions.iter_mut().zip(wire_of) {
+            region.adopt_exchange(ExchangeAttachment::new(arena.clone(), out_wire, in_wire));
+        }
+        ShardRunner {
+            wires,
+            arena,
+            out_w,
+            in_w,
+            batch: 1,
+            cycle: start_cycle,
+            awake: vec![true; n],
+            wake_at: vec![0; n],
+            ff_cooldown_until: 0,
+        }
     }
 
     /// Sets the batch size `B ≥ 1` and returns `self` (builder form).
@@ -1283,7 +1199,7 @@ impl ShardRunner {
                     }
                 }
             }
-            // One epoch: up to `batch` cycles of emit → exchange → absorb,
+            // One epoch: up to `batch` cycles of emit → wake scan → absorb,
             // with scheduling work deferred to the epoch boundary.
             let t1 = end.min(t0 + self.batch);
             for t in t0..t1 {
@@ -1302,30 +1218,13 @@ impl ShardRunner {
                         region.emit();
                     }
                 }
-                // Exchange: fused regions already emitted straight into
-                // the arena rings — only sleeping destinations need a
-                // wake scan over the wires that actually carry traffic
-                // this cycle. Unfused regions are bridged through their
-                // dirty lists, word by word. Quiet wires are never
-                // visited in either path.
-                for s in 0..regions.len() {
-                    while let Some((b, word, credits)) =
-                        regions[s].shard_noc_mut().take_dirty_boundary()
-                    {
-                        debug_assert!(word.is_some() || credits > 0);
-                        let (ds, db) = self.dest[s][b];
-                        if !self.awake[ds] {
-                            Self::wake_for_input(&mut self.awake, &mut regions[ds], ds, t);
-                        }
-                        regions[ds]
-                            .shard_noc_mut()
-                            .put_boundary_in(db, word, credits);
-                    }
-                    for &i in &self.out_w[s] {
-                        let ds = self.wires[i].dst_shard;
-                        if !self.awake[ds] && self.arena.ring(i).has_due(t) {
-                            Self::wake_for_input(&mut self.awake, &mut regions[ds], ds, t);
-                        }
+                // Wake scan: the regions emitted straight into the arena
+                // rings — only a sleeping destination with a slot due this
+                // cycle needs anything from the runner.
+                for (i, w) in self.wires.iter().enumerate() {
+                    let ds = w.dst_shard;
+                    if !self.awake[ds] && self.arena.ring(i).has_due(t) {
+                        Self::wake_for_input(&mut self.awake, &mut regions[ds], ds, t);
                     }
                 }
                 // Phase 2: absorb.
@@ -1398,11 +1297,9 @@ impl ShardRunner {
                 let mut handles = Vec::with_capacity(n);
                 for (r, region) in regions.iter_mut().enumerate() {
                     let slice = ExchangeSlice {
-                        rings: self.arena.rings(),
-                        wires: &self.wires,
+                        rings: &self.arena.rings,
                         out_list: &self.out_w[r],
                         in_list: &self.in_w[r],
-                        my_wire: &self.wire_of[r],
                     };
                     let awake = self.awake[r];
                     let wake_at = self.wake_at[r];
@@ -1451,7 +1348,7 @@ impl ShardRunner {
     pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
         p.counter(&mut self.cycle);
         p.item(&mut self.batch);
-        for r in self.arena.rings() {
+        for r in &self.arena.rings {
             r.0.persist_slots(p);
         }
         self.awake.fill(true);
@@ -1560,16 +1457,13 @@ mod tests {
     }
 
     /// A split 2x2 mesh: shard 0 owns the top row, shard 1 the bottom.
-    /// Regions come fused onto the runner's exchange arena (the production
-    /// configuration).
     fn split_2x2() -> (Topology, Noc, Vec<NocShard>, ShardRunner) {
         let topo = Topology::mesh(2, 2, 1);
         let single = Noc::new(&topo);
         let partition = Partition::mesh_rows(2, 2, 2);
         let mut shards = single.clone().split(&topo, &partition);
         let wires = wires_of(&shards);
-        let runner = ShardRunner::new(shards.len(), wires, 0);
-        runner.fuse(&mut shards);
+        let runner = ShardRunner::new(&mut shards, wires, 0);
         (topo, single, shards, runner)
     }
 
@@ -1720,8 +1614,7 @@ mod tests {
         let words = be_packet(path, 2, &[7, 8, 9]);
         for (shards, parallel) in [(&mut seq, false), (&mut par, true)] {
             let wires = wires_of(shards);
-            let mut runner = ShardRunner::new(shards.len(), wires, 0);
-            runner.fuse(shards);
+            let mut runner = ShardRunner::new(shards, wires, 0);
             for &w in &words {
                 let (s, l) = locate(shards, 0);
                 runner.wake(shards, s);
@@ -1793,7 +1686,7 @@ mod tests {
         runner.wake(&mut shards, 1);
         assert_eq!(shards[1].noc.cycle(), K, "woken region caught up");
         assert!(
-            runner.arena.is_empty() || shards[1].noc.boundaries_silent(),
+            shards[1].noc.boundaries_silent(),
             "every in-flight word was consumed"
         );
         // The replayed words arrive bit-identically to the monolithic run.
@@ -1819,8 +1712,8 @@ mod tests {
         let mut single = Noc::new(&topo);
         let partition = Partition::mesh_rows(4, 2, 2);
         let mut shards = single.clone().split(&topo, &partition);
-        let mut runner = ShardRunner::new(shards.len(), wires_of(&shards), 0);
-        runner.fuse(&mut shards);
+        let wires = wires_of(&shards);
+        let mut runner = ShardRunner::new(&mut shards, wires, 0);
         let route = |a, b| topo.route(a, b).unwrap();
         let mut schedule: Vec<(u64, NiId, LinkWord)> = Vec::new();
         let mut send = |at: u64, ni: NiId, words: Vec<LinkWord>| {
@@ -2059,46 +1952,23 @@ mod tests {
         schedule
     }
 
-    /// Runs the schedule on a split 2x2 with the given batch size and
-    /// execution mode, driving the runner in *chunks* (so epochs longer
-    /// than one cycle actually engage), and returns the full drain trace
-    /// of `drain` plus the merged statistics.
-    fn batched_observation(
+    /// Drives `schedule` into `fabric` in *chunks* — one run call up to the
+    /// next send cycle, so epochs longer than one cycle actually engage —
+    /// and returns the drain trace, stamped with the cycle each chunk
+    /// ended at. `advance` runs that many cycles and reports the cycle
+    /// reached.
+    fn chunked_trace<F>(
+        fabric: &mut F,
         schedule: &[(u64, NiId, LinkWord)],
         horizon: u64,
-        drain: NiId,
-        batch: u64,
-        parallel: bool,
-        fused: bool,
-    ) -> (Vec<(u64, LinkWord)>, NocStats) {
-        let topo = Topology::mesh(2, 2, 1);
-        let single = Noc::new(&topo);
-        let partition = Partition::mesh_rows(2, 2, 2);
-        let mut shards = single.split(&topo, &partition);
-        let wires = wires_of(&shards);
-        let mut runner = ShardRunner::new(shards.len(), wires, 0).with_batch(batch);
-        if fused {
-            runner.fuse(&mut shards);
-        }
-        let (ds, dl) = locate(&shards, drain);
+        send: impl Fn(&mut F, NiId, LinkWord),
+        advance: impl Fn(&mut F, u64) -> u64,
+        recv: impl Fn(&mut F) -> Option<LinkWord>,
+    ) -> Vec<(u64, LinkWord)> {
         let mut send_cycles: Vec<u64> = schedule.iter().map(|&(at, _, _)| at).collect();
         send_cycles.sort_unstable();
         send_cycles.dedup();
         let mut trace = Vec::new();
-        let advance = |runner: &mut ShardRunner,
-                       shards: &mut Vec<NocShard>,
-                       trace: &mut Vec<(u64, LinkWord)>,
-                       cycles: u64| {
-            if parallel {
-                runner.run_parallel(shards, cycles);
-            } else {
-                runner.run(shards, cycles);
-            }
-            let t = runner.cycle();
-            while let Some(w) = shards[ds].noc.ni_link_mut(dl).recv() {
-                trace.push((t, w));
-            }
-        };
         let mut t = 0;
         while t < horizon {
             // Jump in one chunk to the next send cycle (or the horizon).
@@ -2108,49 +1978,99 @@ mod tests {
                 .find(|&c| c >= t)
                 .unwrap_or(horizon)
                 .min(horizon);
-            if next > t {
-                advance(&mut runner, &mut shards, &mut trace, next - t);
-                t = next;
-                continue;
-            }
-            for &(at, ni, w) in schedule {
-                if at == t {
-                    let (s, l) = locate(&shards, ni);
-                    runner.wake(&mut shards, s);
-                    shards[s].noc.ni_link_mut(l).send(w);
+            let cycles = if next > t {
+                next - t
+            } else {
+                for &(at, ni, w) in schedule {
+                    if at == t {
+                        send(fabric, ni, w);
+                    }
                 }
+                1
+            };
+            t = advance(fabric, cycles);
+            while let Some(w) = recv(fabric) {
+                trace.push((t, w));
             }
-            advance(&mut runner, &mut shards, &mut trace, 1);
-            t += 1;
         }
-        (trace, merged(&shards))
+        trace
+    }
+
+    /// Runs the schedule on a split 2x2 with the given batch size and
+    /// execution mode and returns the full drain trace of `drain` plus the
+    /// merged statistics.
+    fn batched_observation(
+        schedule: &[(u64, NiId, LinkWord)],
+        horizon: u64,
+        drain: NiId,
+        batch: u64,
+        parallel: bool,
+    ) -> (Vec<(u64, LinkWord)>, NocStats) {
+        let (_, _, shards, runner) = split_2x2();
+        let (ds, dl) = locate(&shards, drain);
+        let mut split = (shards, runner.with_batch(batch));
+        let trace = chunked_trace(
+            &mut split,
+            schedule,
+            horizon,
+            |(shards, runner), ni, w| {
+                let (s, l) = locate(shards, ni);
+                runner.wake(shards, s);
+                shards[s].noc.ni_link_mut(l).send(w);
+            },
+            |(shards, runner), cycles| {
+                if parallel {
+                    runner.run_parallel(shards, cycles);
+                } else {
+                    runner.run(shards, cycles);
+                }
+                runner.cycle()
+            },
+            |(shards, _)| shards[ds].noc.ni_link_mut(dl).recv(),
+        );
+        (trace, merged(&split.0))
+    }
+
+    /// The same observation of the unsplit network, ticked one cycle at a
+    /// time by [`Engine::tick`]: no shards, no rings, no epochs, no skip.
+    fn monolithic_observation(
+        schedule: &[(u64, NiId, LinkWord)],
+        horizon: u64,
+        drain: NiId,
+    ) -> (Vec<(u64, LinkWord)>, NocStats) {
+        let mut noc = Noc::new(&Topology::mesh(2, 2, 1));
+        let trace = chunked_trace(
+            &mut noc,
+            schedule,
+            horizon,
+            |noc, ni, w| noc.ni_link_mut(ni).send(w),
+            |noc, cycles| {
+                for _ in 0..cycles {
+                    Engine::tick(noc);
+                }
+                noc.cycle()
+            },
+            |noc| noc.ni_link_mut(drain).recv(),
+        );
+        (trace, noc.stats().clone())
     }
 
     #[test]
     fn batched_runs_are_bit_identical_for_all_batch_sizes() {
-        // Randomized traffic; every batch size, both execution modes and
-        // both exchange paths (arena-fused and dirty-list bridge) must
-        // produce the identical drain trace and merged statistics. The
-        // unfused B=1 sequential run is the reference: it is the original
-        // lockstep semantics.
+        // Randomized traffic; every batch size and both execution modes
+        // must produce the drain trace and (merged) statistics of the
+        // unsplit network ticked cycle by cycle — the reference is simpler
+        // than anything it checks.
         for seed in [0xA37Eu64, 0xBEEF, 0x5EED5] {
             let schedule = random_schedule(seed);
-            let reference = batched_observation(&schedule, 400, 3, 1, false, false);
-            for fused in [false, true] {
-                for batch in [2u64, 3, 7, 16] {
-                    let seq = batched_observation(&schedule, 400, 3, batch, false, fused);
-                    assert_eq!(
-                        seq, reference,
-                        "sequential batch {batch} (fused: {fused}) diverged"
-                    );
-                }
-                for batch in [1u64, 7, 16] {
-                    let par = batched_observation(&schedule, 400, 3, batch, true, fused);
-                    assert_eq!(
-                        par, reference,
-                        "parallel batch {batch} (fused: {fused}) diverged"
-                    );
-                }
+            let reference = monolithic_observation(&schedule, 400, 3);
+            for batch in [1u64, 2, 3, 7, 16] {
+                let seq = batched_observation(&schedule, 400, 3, batch, false);
+                assert_eq!(seq, reference, "sequential batch {batch} diverged");
+            }
+            for batch in [1u64, 7, 16] {
+                let par = batched_observation(&schedule, 400, 3, batch, true);
+                assert_eq!(par, reference, "parallel batch {batch} diverged");
             }
         }
     }
@@ -2257,7 +2177,6 @@ mod tests {
     /// A scripted region: quiescent except at its event cycles, asserting
     /// on every skip that it is never advanced past its reported horizon.
     struct Probe {
-        noc: Noc,
         cycle: u64,
         events: Vec<u64>,
         ticked_at: Vec<u64>,
@@ -2265,11 +2184,7 @@ mod tests {
 
     impl Probe {
         fn new(events: Vec<u64>) -> Self {
-            // A minimal one-router network; the probe's own state machine
-            // carries the scripted activity.
-            let topo = Topology::custom(vec![1], Vec::new(), Vec::new());
             Probe {
-                noc: Noc::new(&topo),
                 cycle: 0,
                 events,
                 ticked_at: Vec::new(),
@@ -2315,12 +2230,8 @@ mod tests {
     }
 
     impl ShardRegion for Probe {
-        fn shard_noc(&self) -> &Noc {
-            &self.noc
-        }
-
-        fn shard_noc_mut(&mut self) -> &mut Noc {
-            &mut self.noc
+        fn adopt_exchange(&mut self, exchange: ExchangeAttachment) {
+            assert_eq!(exchange.boundaries(), 0, "a probe has no cut wires");
         }
     }
 
@@ -2338,7 +2249,7 @@ mod tests {
                 })
                 .collect();
             let span = 50 + rng.below(200);
-            let mut runner = ShardRunner::new(n, Vec::new(), 0);
+            let mut runner = ShardRunner::new(&mut probes, Vec::new(), 0);
             runner.run(&mut probes, span);
             for p in &probes {
                 assert_eq!(p.now(), span, "caught up at span end");

@@ -28,10 +28,8 @@
 //! exchange relies on.
 
 use aethereal_testkit::mc::{self, Config, Failure, ModelSync, Outcome};
-use noc_sim::shard::{
-    run_worker, wires_of, BoundaryWire, CachePadded, ExchangeSlice, WireRing, RING_SLOTS,
-};
-use noc_sim::{Clocked, Noc, NocShard, PacketHeader, Partition, ShardRunner, Topology, WordClass};
+use noc_sim::shard::{run_worker, CachePadded, ExchangeSlice, WireRing, RING_SLOTS};
+use noc_sim::{Clocked, LinkWord, WordClass};
 use std::sync::{Arc, Mutex};
 
 fn assert_pass(outcome: &Outcome) {
@@ -199,73 +197,155 @@ fn mutant_consumer_skipping_wait_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// The full pipelined loop: run_worker on real split regions.
+// The full pipelined loop: run_worker over regions that reach the rings from
+// inside their own phases.
 // ---------------------------------------------------------------------------
 
-/// Builds the 2-region, 2-wire scenario: a 2x1 mesh cut between its two
-/// routers, with one BE packet injected at NI 0 that must cross the cut.
-fn split_two_regions() -> (Vec<NocShard>, Vec<BoundaryWire>) {
-    let topo = Topology::mesh(2, 1, 1);
-    let single = Noc::new(&topo);
-    let partition = Partition::new(vec![0, 1]).expect("dense");
-    let mut shards = single.split(&topo, &partition);
-    let wires = wires_of(&shards);
-    let header = PacketHeader {
-        path: topo.route(0, 1).expect("2x1 mesh route"),
-        qid: 0,
-        credits: 0,
-        flush: false,
-    };
-    let link = shards[0].noc.ni_link_mut(0);
-    link.send(noc_sim::LinkWord::header_only(
-        header.pack(),
-        WordClass::BestEffort,
-    ));
-    (shards, wires)
+type Rings = Arc<Vec<CachePadded<WireRing<ModelSync>>>>;
+
+/// Wire 0 carries the producer's words to the consumer, wire 1 the
+/// consumer's credits back: the two directions of one cut edge.
+const FWD: usize = 0;
+const REV: usize = 1;
+
+/// What one region observed, checked by the finale.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Observed {
+    /// Cycles at which `absorb` took a due slot off the inbound ring.
+    taken_at: Vec<u64>,
+    /// Whether the wake branch under test fired (see the two regions).
+    woken: bool,
+    /// The region's final cycle.
+    now: u64,
 }
 
-/// Per-region exchange lists, as `ShardRunner` derives them.
-fn exchange_lists(
-    wires: &[BoundaryWire],
-    regions: usize,
-) -> Vec<(Vec<usize>, Vec<usize>, Vec<usize>)> {
-    let mut lists = vec![(Vec::new(), Vec::new(), Vec::new()); regions];
-    for (i, w) in wires.iter().enumerate() {
-        lists[w.src_shard].0.push(i);
-        lists[w.dst_shard].1.push(i);
-        let my_wire = &mut lists[w.src_shard].2;
-        if my_wire.len() <= w.src_boundary {
-            my_wire.resize(w.src_boundary + 1, usize::MAX);
-        }
-        my_wire[w.src_boundary] = i;
+/// The producing side of the edge, shaped like `Noc`: `emit` writes the
+/// outbound ring in place, `absorb` takes the inbound ring's due slot.
+/// At each cycle of `events` it sends a word carrying that cycle plus
+/// `cycle + 1` credits, and sleeps to the next event in between — so the
+/// worker has to wake it at its `next_event` horizon.
+struct Producer {
+    rings: Rings,
+    cycle: u64,
+    events: &'static [u64],
+    /// Where the latest `skip` landed.
+    skipped_to: Option<u64>,
+    seen: Observed,
+}
+
+fn stamped(t: u64) -> LinkWord {
+    LinkWord::payload(t as u32, WordClass::BestEffort, true)
+}
+
+impl Clocked for Producer {
+    fn now(&self) -> u64 {
+        self.cycle
     }
-    lists
+
+    fn emit(&mut self) {
+        let t = self.cycle;
+        if self.events.contains(&t) {
+            // Woken by the horizon: the worker skipped straight here.
+            self.seen.woken |= self.skipped_to == Some(t);
+            self.rings[FWD].0.send_word(t, stamped(t));
+            self.rings[FWD].0.send_credits(t, t as u32 + 1);
+        }
+    }
+
+    fn absorb(&mut self) {
+        let t = self.cycle;
+        if let Some((word, credits)) = self.rings[REV].0.take_due(t) {
+            assert_eq!((word, credits), (None, t as u32 + 1), "slot off its stamp");
+            self.seen.taken_at.push(t);
+        }
+        self.cycle += 1;
+    }
+
+    fn quiescent(&self) -> bool {
+        !self.events.contains(&self.cycle)
+    }
+
+    fn skip(&mut self, cycles: u64) {
+        let to = self.cycle + cycles;
+        assert!(
+            !self.events.iter().any(|e| (self.cycle..to).contains(e)),
+            "skipped over an event in {}..{to}",
+            self.cycle
+        );
+        self.cycle = to;
+        self.skipped_to = Some(to);
+    }
+
+    fn next_event(&self, now: u64) -> u64 {
+        let later = self.events.iter().copied().filter(|&e| e > now);
+        later.min().unwrap_or(u64::MAX)
+    }
+}
+
+/// The consuming side: takes each word at its stamp and answers with
+/// credits one cycle later. It has no horizon of its own, so once asleep
+/// only a due slot on its inbound ring (`has_due`) can wake it.
+struct Consumer {
+    rings: Rings,
+    cycle: u64,
+    /// A word was taken last cycle and is still to be answered.
+    owes_credit: bool,
+    skipped_to: Option<u64>,
+    seen: Observed,
+}
+
+impl Clocked for Consumer {
+    fn now(&self) -> u64 {
+        self.cycle
+    }
+
+    fn emit(&mut self) {
+        if std::mem::take(&mut self.owes_credit) {
+            let t = self.cycle;
+            self.rings[REV].0.send_credits(t, t as u32 + 1);
+        }
+    }
+
+    fn absorb(&mut self) {
+        let t = self.cycle;
+        if let Some((word, credits)) = self.rings[FWD].0.take_due(t) {
+            assert_eq!(
+                (word, credits),
+                (Some(stamped(t)), t as u32 + 1),
+                "slot off its stamp"
+            );
+            // Woken by input: the worker skipped here for this very slot.
+            self.seen.woken |= self.skipped_to == Some(t);
+            self.seen.taken_at.push(t);
+            self.owes_credit = true;
+        }
+        self.cycle += 1;
+    }
+
+    fn quiescent(&self) -> bool {
+        !self.owes_credit
+    }
+
+    fn skip(&mut self, cycles: u64) {
+        self.cycle += cycles;
+        self.skipped_to = Some(self.cycle);
+    }
 }
 
 /// Model-checks `run_worker` itself — the production pipelined loop over
 /// arena rings and published-cycle watermarks, with **no barrier**
-/// anywhere — on the 2-region cut, asserting every explored schedule ends
-/// bit-identical to the sequential lockstep reference. This is the overlap
-/// soundness argument run live: one region may be cycles into epoch N+1
-/// while its peer still drains epoch N, and the result must not change.
-fn explore_run_worker(batch: u64, cycles: u64) {
-    // Sequential reference (the lockstep path run_parallel is pinned to).
-    let (mut ref_shards, ref_wires) = split_two_regions();
-    let mut runner = ShardRunner::new(2, ref_wires, 0).with_batch(batch);
-    runner.run(&mut ref_shards, cycles);
-    let expected: Vec<String> = ref_shards
-        .iter()
-        .map(|s| format!("{:?}/{:?}", s.noc.now(), s.noc.stats()))
-        .collect();
-    assert!(
-        ref_shards
-            .iter()
-            .map(|s| s.noc.stats().delivered.iter().sum::<u64>())
-            .sum::<u64>()
-            > 0,
-        "reference run must deliver the boundary-crossing packet"
-    );
-
+/// anywhere — driving the shape production runs: regions that write ring
+/// slots from inside `emit` and take them from inside `absorb`, while the
+/// worker only publishes, waits and decides who sleeps. Every explored
+/// schedule must deliver each slot at exactly its stamp (asserted in the
+/// regions) and end in the one observation a lockstep run produces, with
+/// all three scheduling branches taken: both regions sleep, the producer
+/// is woken by its `next_event` horizon, the consumer by `has_due`.
+fn explore_run_worker(batch: u64) {
+    // Two bursts far enough apart for both regions to fall asleep in
+    // between, at batch 1 and 2 alike.
+    const EVENTS: &[u64] = &[0, 3];
+    const CYCLES: u64 = 5;
     // One involuntary context switch is enough to surface every known
     // ordering bug in this protocol (the mutants above all fail within
     // one); the full-loop state space with two is out of test budget.
@@ -274,41 +354,63 @@ fn explore_run_worker(batch: u64, cycles: u64) {
         ..Config::default()
     };
     let outcome = mc::explore(&config, move |exec| {
-        let (shards, wires) = split_two_regions();
-        let wires = Arc::new(wires);
-        let lists = Arc::new(exchange_lists(&wires, 2));
-        let rings: Arc<Vec<CachePadded<WireRing<ModelSync>>>> = Arc::new(
-            wires
-                .iter()
-                .map(|_| CachePadded(WireRing::new(0)))
-                .collect(),
-        );
-        let results: Arc<Mutex<Vec<Option<String>>>> = Arc::new(Mutex::new(vec![None, None]));
-        for (r, mut shard) in shards.into_iter().enumerate() {
-            let rings = Arc::clone(&rings);
-            let wires = Arc::clone(&wires);
-            let lists = Arc::clone(&lists);
-            let results = Arc::clone(&results);
+        let rings: Rings = Arc::new((0..2).map(|_| CachePadded(WireRing::new(0))).collect());
+        let seen: Arc<Mutex<[Option<Observed>; 2]>> = Arc::new(Mutex::new([None, None]));
+        {
+            let (rings, seen) = (Arc::clone(&rings), Arc::clone(&seen));
             exec.spawn(move || {
+                let mut region = Producer {
+                    rings: Arc::clone(&rings),
+                    cycle: 0,
+                    events: EVENTS,
+                    skipped_to: None,
+                    seen: Observed::default(),
+                };
                 let slice = ExchangeSlice {
                     rings: &rings,
-                    wires: &wires,
-                    out_list: &lists[r].0,
-                    in_list: &lists[r].1,
-                    my_wire: &lists[r].2,
+                    out_list: &[FWD],
+                    in_list: &[REV],
                 };
-                run_worker(&mut shard, &slice, 0, cycles, batch, true, 0);
-                let state = format!("{:?}/{:?}", shard.noc.now(), shard.noc.stats());
-                results.lock().expect("results lock")[r] = Some(state);
+                run_worker(&mut region, &slice, 0, CYCLES, batch, true, 0);
+                region.seen.now = region.cycle;
+                seen.lock().expect("seen lock")[0] = Some(region.seen);
             });
         }
-        let expected = expected.clone();
+        {
+            let seen = Arc::clone(&seen);
+            exec.spawn(move || {
+                let mut region = Consumer {
+                    rings: Arc::clone(&rings),
+                    cycle: 0,
+                    owes_credit: false,
+                    skipped_to: None,
+                    seen: Observed::default(),
+                };
+                let slice = ExchangeSlice {
+                    rings: &rings,
+                    out_list: &[REV],
+                    in_list: &[FWD],
+                };
+                run_worker(&mut region, &slice, 0, CYCLES, batch, true, 0);
+                region.seen.now = region.cycle;
+                seen.lock().expect("seen lock")[1] = Some(region.seen);
+            });
+        }
         exec.finale(move || {
-            let results = results.lock().expect("results lock");
-            for (r, want) in expected.iter().enumerate() {
-                let got = results[r].as_ref().expect("worker finished");
-                assert_eq!(got, want, "region {r} diverged from lockstep reference");
-            }
+            let seen = seen.lock().expect("seen lock");
+            let observed = |taken_at: &[u64]| {
+                Some(Observed {
+                    taken_at: taken_at.to_vec(),
+                    woken: true,
+                    now: CYCLES,
+                })
+            };
+            assert_eq!(
+                seen[0],
+                observed(&[1, 4]),
+                "producer: credits and horizon wake"
+            );
+            assert_eq!(seen[1], observed(EVENTS), "consumer: words and input wake");
         });
     });
     assert_pass(&outcome);
@@ -316,10 +418,10 @@ fn explore_run_worker(batch: u64, cycles: u64) {
 
 #[test]
 fn run_worker_passes_model_check_batch_1() {
-    explore_run_worker(1, 4);
+    explore_run_worker(1);
 }
 
 #[test]
 fn run_worker_passes_model_check_batch_2() {
-    explore_run_worker(2, 6);
+    explore_run_worker(2);
 }

@@ -77,16 +77,8 @@ const COLLECT: &str = concat!(".col", "lect");
 const TICK_CALL: &str = concat!(".tick", "()");
 
 /// The only library files allowed to advance cycles in a loop: the engine
-/// (quiescent skip + fast-forward) and the shard runner built on it, plus
-/// the two configuration-transaction polls whose exit predicate *consumes*
-/// a response mid-loop (`Engine::run_until` predicates are read-only, so
-/// they cannot express a take-and-check poll).
-const CYCLE_LOOP_FILES: &[&str] = &[
-    "sim/src/engine.rs",
-    "sim/src/shard.rs",
-    "cfg/src/runtime.rs",
-    "cfg/src/inspect.rs",
-];
+/// (quiescent skip + fast-forward) and the shard runner built on it.
+const CYCLE_LOOP_FILES: &[&str] = &["sim/src/engine.rs", "sim/src/shard.rs"];
 
 /// The persistence audit: every struct that owns snapshot-visible dynamic
 /// state, with the field count its state walk was written against.
@@ -103,10 +95,10 @@ const PERSIST_AUDIT: &[(&str, &str, usize)] = &[
     ("sim/src/rng.rs", "Rng64", 1),
     ("sim/src/router.rs", "Router", 11),
     ("sim/src/router.rs", "Port", 13),
-    ("sim/src/noc.rs", "Noc", 17),
+    ("sim/src/noc.rs", "Noc", 15),
     ("sim/src/fault.rs", "FaultState", 2),
     ("sim/src/fault.rs", "ArmedFault", 6),
-    ("sim/src/shard.rs", "ShardRunner", 12),
+    ("sim/src/shard.rs", "ShardRunner", 9),
     ("sim/src/shard.rs", "WireSlot", 3),
     ("core/src/fifo.rs", "HwFifo", 5),
     ("core/src/message.rs", "MessageAssembler", 6),
