@@ -14,7 +14,7 @@ use aethereal_ni::Ni;
 use aethereal_proto::ip::RawPort;
 use aethereal_proto::{MasterIp, RawIp, SlaveIp};
 use noc_sim::engine::{ClockDomain, Clocked, ClockedWith, Engine};
-use noc_sim::ff::{self, FastForwardable, FfDigest, FfOutcome, FfStats};
+use noc_sim::ff::{self, FfDigest, FfOutcome, FfStats};
 use noc_sim::shard::{ExchangeAttachment, ShardRegion};
 use noc_sim::word::SLOT_WORDS;
 use noc_sim::{Noc, Router, StateVisit};
@@ -49,8 +49,8 @@ pub struct NocSystem {
     pub(crate) masters: Vec<MasterBinding>,
     pub(crate) slaves: Vec<SlaveBinding>,
     pub(crate) raws: Vec<RawBinding>,
-    /// Whether [`NocSystem::run`] drives the analytical fast-forward
-    /// backend ([`Engine::run_ff`]) instead of plain [`Engine::run`].
+    /// Whether [`Clocked::fast_forward`] may certify and jump; off, every
+    /// offer declines at once.
     pub(crate) ff_enabled: bool,
     pub(crate) ff_stats: FfStats,
 }
@@ -256,17 +256,14 @@ impl NocSystem {
         report
     }
 
-    /// Runs `n` cycles — through [`Engine::run_ff`] when the fast-forward
-    /// backend is enabled ([`NocSystem::set_fast_forward`], or the spec's
-    /// `fast_forward` flag), through plain [`Engine::run`] (with its
-    /// quiescent fast path) otherwise. Bit-identical either way. For a
-    /// predicate-driven run use `Engine::run_until(&mut sys, pred, max)`.
+    /// Runs `n` cycles through [`Engine::run_ff`]: the quiescent fast
+    /// path, plus the fast-forward backend where it is enabled
+    /// ([`NocSystem::set_fast_forward`], or the spec's `fast_forward`
+    /// flag) — disabled, each offer declines at its first gate.
+    /// Bit-identical either way. For a predicate-driven run use
+    /// `Engine::run_until(&mut sys, pred, max)`.
     pub fn run(&mut self, n: u64) {
-        if self.ff_enabled {
-            Engine::run_ff(self, n);
-        } else {
-            Engine::run(self, n);
-        }
+        Engine::run_ff(self, n);
     }
 
     /// Whether every bound master and raw IP reports `done()`.
@@ -296,13 +293,19 @@ impl NocSystem {
     /// is pure threshold-free GT streaming can be periodic. Any master or
     /// slave binding (transaction traffic), any BE word anywhere, any
     /// shell activity, any threshold/flush/CNIP state declines — the
-    /// fallback is always cycle-accurate ticking.
+    /// fallback is always cycle-accurate ticking. A shard region must
+    /// also have silent cut wires and only region-local GT circuits: the
+    /// probe ticks the region alone, so any boundary crossing during the
+    /// probed window would be lost. Both hold trivially when unsplit.
     fn ff_eligible(&self) -> bool {
-        !self.noc.fault_armed()
+        self.ff_enabled
+            && !self.noc.fault_armed()
             && self.masters.is_empty()
             && self.slaves.is_empty()
+            && self.noc.boundaries_silent()
             && self.noc.be_quiet()
             && self.nis.iter().all(Ni::ff_ready)
+            && self.ff_routes_local()
     }
 
     /// The candidate period: every NI's slot-table rotation
@@ -364,8 +367,12 @@ impl NocSystem {
 
     /// Whether every routable GT channel's source route stays inside this
     /// region (no hop through a shard boundary) — the extra gate a shard
-    /// region needs before probing alone.
+    /// region needs before probing alone. A network without boundaries
+    /// answers without scanning its channels.
     fn ff_routes_local(&self) -> bool {
+        if self.noc.boundary_count() == 0 {
+            return true;
+        }
         self.nis.iter().enumerate().all(|(ni, n)| {
             (0..n.kernel.channel_count()).all(|ch| {
                 let c = n.kernel.channel(ch);
@@ -377,65 +384,6 @@ impl NocSystem {
                         .route_crosses_boundary(ni, c.route_hops().into_iter()))
             })
         })
-    }
-}
-
-/// The analytical GT fast-forward backend: certify-then-extrapolate.
-///
-/// After the structural pre-gates pass, the system is ticked cycle-
-/// accurately for two full periods, capturing a state digest at each
-/// period boundary. If the three digests certify as periodic (control
-/// state repeats exactly, counters and queued values advance by identical
-/// deltas, stamps slide by exactly one period — [`ff::periodic_deltas`]),
-/// the remaining whole periods are applied arithmetically in one state
-/// walk. Anything else declines, and [`Engine::run_ff`] falls back to
-/// cycle-accurate ticking — so the backend is bit-identical by
-/// construction: it only ever skips work it has proven repetitive.
-impl FastForwardable for NocSystem {
-    fn fast_forward(&mut self, max: u64) -> FfOutcome {
-        if !self.ff_eligible() {
-            return FfOutcome::DECLINED;
-        }
-        let period = self.ff_period();
-        if period == 0 || period > ff::FF_MAX_PERIOD || max < 3 * period {
-            return FfOutcome::DECLINED;
-        }
-        let violations = self.ff_violations();
-        let d0 = self.ff_digest();
-        if d0.rejected() {
-            return FfOutcome::DECLINED;
-        }
-        // Probe: two real rotations, digesting after each.
-        Engine::run(self, period);
-        let d1 = self.ff_digest();
-        Engine::run(self, period);
-        let d2 = self.ff_digest();
-        let advanced = 2 * period;
-        let ticked = FfOutcome {
-            advanced,
-            jumped: 0,
-        };
-        if self.ff_violations() != violations {
-            return ticked;
-        }
-        let Some(deltas) = ff::periodic_deltas(&d0, &d1, &d2) else {
-            return ticked;
-        };
-        let k = (max - advanced) / period;
-        if k == 0 {
-            return ticked;
-        }
-        // Apply: replay the certified per-period deltas k times in one
-        // identical traversal of the same state that produced d2.
-        let mut apply = ff::FfApply::new(&deltas, k);
-        self.ff_walk(&mut apply);
-        debug_assert!(apply.matched(), "apply traversal diverged from digest");
-        self.ff_stats.jumps += 1;
-        self.ff_stats.cycles_jumped += k * period;
-        FfOutcome {
-            advanced: advanced + k * period,
-            jumped: k * period,
-        }
     }
 }
 
@@ -542,6 +490,63 @@ impl Clocked for NocSystem {
         }
         horizon
     }
+
+    /// The analytical GT fast-forward backend: certify-then-extrapolate.
+    /// After the structural pre-gates pass, the system is ticked cycle-
+    /// accurately for two full periods, capturing a state digest at each
+    /// period boundary. If the three digests certify as periodic (control
+    /// state repeats exactly, counters and queued values advance by
+    /// identical deltas, stamps slide by exactly one period —
+    /// [`ff::periodic_deltas`]), the remaining whole periods are applied
+    /// arithmetically in one state walk. Anything else declines, and
+    /// [`Engine::run_ff`] falls back to cycle-accurate ticking — so the
+    /// backend is bit-identical by construction: it only ever skips work
+    /// it has proven repetitive.
+    fn fast_forward(&mut self, max: u64) -> FfOutcome {
+        if !self.ff_eligible() {
+            return FfOutcome::DECLINED;
+        }
+        let period = self.ff_period();
+        if period == 0 || period > ff::FF_MAX_PERIOD || max < 3 * period {
+            return FfOutcome::DECLINED;
+        }
+        let violations = self.ff_violations();
+        let d0 = self.ff_digest();
+        if d0.rejected() {
+            return FfOutcome::DECLINED;
+        }
+        // Probe: two real rotations, digesting after each.
+        Engine::run(self, period);
+        let d1 = self.ff_digest();
+        Engine::run(self, period);
+        let d2 = self.ff_digest();
+        let advanced = 2 * period;
+        let ticked = FfOutcome {
+            advanced,
+            jumped: 0,
+        };
+        if self.ff_violations() != violations {
+            return ticked;
+        }
+        let Some(deltas) = ff::periodic_deltas(&d0, &d1, &d2) else {
+            return ticked;
+        };
+        let k = (max - advanced) / period;
+        if k == 0 {
+            return ticked;
+        }
+        // Apply: replay the certified per-period deltas k times in one
+        // identical traversal of the same state that produced d2.
+        let mut apply = ff::FfApply::new(&deltas, k);
+        self.ff_walk(&mut apply);
+        debug_assert!(apply.matched(), "apply traversal diverged from digest");
+        self.ff_stats.jumps += 1;
+        self.ff_stats.cycles_jumped += k * period;
+        FfOutcome {
+            advanced: advanced + k * period,
+            jumped: k * period,
+        }
+    }
 }
 
 /// A `NocSystem` is a shard region: a partition of a larger mesh (or a
@@ -551,22 +556,6 @@ impl Clocked for NocSystem {
 impl ShardRegion for NocSystem {
     fn adopt_exchange(&mut self, exchange: ExchangeAttachment) {
         self.noc.attach_exchange(exchange);
-    }
-
-    /// A region fast-forwards only while its cut wires are silent and
-    /// every GT circuit stays inside the region: the probe ticks the
-    /// region alone, so any boundary crossing during the probed window
-    /// would be lost. With both gates passed, the single-system backend
-    /// applies unchanged.
-    fn fast_forward_region(&mut self, max: u64) -> FfOutcome {
-        if !self.ff_enabled
-            || self.noc.fault_armed()
-            || !self.noc.boundaries_silent()
-            || !self.ff_routes_local()
-        {
-            return FfOutcome::DECLINED;
-        }
-        self.fast_forward(max)
     }
 }
 

@@ -860,7 +860,7 @@ impl NiKernel {
     }
 
     /// Whether the kernel's dynamic state is simple enough for analytical
-    /// fast-forward (see [`noc_sim::ff`](noc_sim::FastForwardable)): no BE
+    /// fast-forward (see [`noc_sim::ff`]): no BE
     /// word staged, no CNIP operation in flight (neither buffered words
     /// nor a partially assembled message), and every channel either a
     /// threshold-free GT stream or fully inert

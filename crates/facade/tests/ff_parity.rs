@@ -351,6 +351,30 @@ fn sharded_parallel_never_fast_forwards_and_matches() {
     }
 }
 
+/// "Monolithic is the one-region case": a [`Partition::single`] sharded
+/// system is driven by the same `Engine::run_ff` loop, offer and cool-down
+/// as the unsplit system, so it fast-forwards at the same cycles — not
+/// merely to the same result.
+#[test]
+fn one_region_sharded_system_is_the_monolithic_case() {
+    let (mut mono, sinks) = pure_gt_hotspot();
+    mono.set_fast_forward(true);
+    mono.run(50_000);
+    let (sys, _) = pure_gt_hotspot();
+    let topo = Topology::mesh(2, 2, 1);
+    let mut sharded = ShardedSystem::new(sys, &topo, &Partition::single(4));
+    sharded.set_fast_forward(true);
+    sharded.run(50_000);
+    assert_eq!(sharded.ff_stats(), mono.ff_stats());
+    assert_eq!(sharded.merged_noc_stats(), *mono.noc.stats());
+    for (ch, &idx) in sinks.iter().enumerate() {
+        // One region keeps every binding, in order: the handles carry over.
+        let m = mono.raw_ip_as::<CountingSink>(idx);
+        let s = sharded.region(0).raw_ip_as::<CountingSink>(idx);
+        assert_eq!((s.count(), s.last()), (m.count(), m.last()), "sink {ch}");
+    }
+}
+
 /// An endless GT stream *crossing* the shard cut: even when the sink's
 /// region sleeps and the source's region is sole-awake, the routes-local
 /// gate must refuse to probe (the probe would tick words into the

@@ -301,8 +301,7 @@ fn parallel_shard_exchange_allocation_is_per_call_not_per_cycle() {
     let mut shards: Vec<Enrolling> = shards.into_iter().map(Enrolling::new).collect();
     let mut runner = runner.with_batch(16);
     // Direct NI-link injection bypasses the activity scheduler, so each
-    // poke first wakes both regions (`ShardRunner::wake` — the cooperative
-    // catch-up path — is itself part of what must stay allocation-free).
+    // poke first wakes both regions (`ShardRunner::wake`).
     let poke = |shards: &mut [Enrolling], runner: &mut ShardRunner| {
         runner.wake(shards, 0);
         runner.wake(shards, 1);

@@ -38,12 +38,14 @@
 //!
 //! [`Engine::run`], [`Engine::run_until`], [`Engine::run_until_horizon`] and
 //! the fast-forwarding `Engine::run_ff` are four thin callers of one
-//! private stepping loop, the only run loop in the workspace besides the
-//! shard runner's. `run` has a slot-table-aware fast path: when a fabric reports
-//! itself [`quiescent`](Clocked::quiescent) — no words in flight, no
-//! sendable data, no pending credits — ticking it can change nothing except
-//! time-derived counters, so the driver batches cycles into
-//! [`skip`](Clocked::skip) calls. Implementors of `skip` account for
+//! private stepping loop, the only sequential run loop in the workspace: the
+//! shard runner's `run` is `run_ff` over the runner and its regions taken
+//! as one [`Clocked`] fabric (see [`crate::shard`]); only its worker-thread
+//! body steps regions on its own. `run` has a slot-table-aware fast path:
+//! when a fabric reports itself [`quiescent`](Clocked::quiescent) — no
+//! words in flight, no sendable data, no pending credits — ticking it can
+//! change nothing except time-derived counters, so the driver batches
+//! cycles into [`skip`](Clocked::skip) calls. Implementors of `skip` account for
 //! per-slot effects arithmetically (e.g. the NI kernel adds one unused-slot
 //! event per reserved slot crossed, walking its slot table instead of the
 //! clock).
@@ -64,6 +66,7 @@
 //! predicates, batching whole quiescent stretches up to the next-event
 //! horizon between predicate checks.
 
+use crate::ff::FfOutcome;
 use crate::word::SLOT_WORDS;
 
 /// Integer clock divider against the 500 MHz base network clock.
@@ -184,6 +187,18 @@ pub trait Clocked {
     fn next_event(&self, now: u64) -> u64 {
         let _ = now;
         u64::MAX
+    }
+
+    /// Attempts an analytical fast-forward (see [`crate::ff`]): advances
+    /// the fabric by at most `max` cycles — by real ticks, an arithmetic
+    /// jump, or both — and reports what it did. The implementor owns all
+    /// eligibility checking; when its state is not provably periodic it
+    /// must either decline outright or advance by real ticks only
+    /// (`jumped == 0`), never extrapolate. Only `Engine::run_ff` offers.
+    /// The default declines: never fast-forward.
+    fn fast_forward(&mut self, max: u64) -> FfOutcome {
+        let _ = max;
+        FfOutcome::DECLINED
     }
 }
 

@@ -51,9 +51,10 @@
 //!
 //! Anything non-trivial — BE traffic, threshold gates, blocking, an
 //! aperiodic source — either fails the structural pre-gates of the
-//! [`FastForwardable`] implementor or breaks the delta certification, and
-//! the attempt falls back to the cycle-accurate backend. The acceptance
-//! bar is bit-identical state, never approximate stats.
+//! [`Clocked::fast_forward`] implementor or breaks the delta
+//! certification, and the attempt falls back to the cycle-accurate
+//! backend. The acceptance bar is bit-identical state, never approximate
+//! stats.
 
 use crate::engine::{Clocked, Engine};
 use crate::persist::StateVisit;
@@ -69,7 +70,7 @@ pub const FF_MAX_PERIOD: u64 = 4096;
 /// — a mixed GT/BE workload — must not pay the scan on every cycle.
 pub const FF_COOLDOWN: u64 = 256;
 
-/// Result of one [`FastForwardable::fast_forward`] attempt.
+/// Result of one [`Clocked::fast_forward`] attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FfOutcome {
     /// Total cycles the fabric advanced (probe ticks + the jump). Zero
@@ -104,19 +105,6 @@ impl FfStats {
         self.jumps += other.jumps;
         self.cycles_jumped += other.cycles_jumped;
     }
-}
-
-/// A fabric that can attempt an analytical fast-forward.
-///
-/// `fast_forward(max)` advances the fabric by at most `max` cycles — by
-/// real ticks, an arithmetic jump, or both — and reports what it did. The
-/// implementor owns all eligibility checking; when the state is not
-/// provably periodic it must either decline outright
-/// ([`FfOutcome::DECLINED`]) or advance by real ticks only (`jumped == 0`),
-/// never extrapolate. [`Engine::run_ff`] is the driving loop.
-pub trait FastForwardable: Clocked {
-    /// Attempts to advance by up to `max` cycles; see the trait docs.
-    fn fast_forward(&mut self, max: u64) -> FfOutcome;
 }
 
 /// The class a walk declared a digest item with.
@@ -393,11 +381,14 @@ impl Engine {
     ///
     /// Extends [`Engine::run`]: the quiescent skip fast path is identical,
     /// and on top of it the fabric is periodically offered the remaining
-    /// window via [`FastForwardable::fast_forward`]. A declined attempt
-    /// (no jump) arms a cool-down proportional to the work the attempt did
-    /// — [`FF_COOLDOWN`] at minimum — so non-eligible workloads pay a
-    /// bounded, amortized cost instead of a per-cycle scan.
-    pub fn run_ff<C: FastForwardable + ?Sized>(fabric: &mut C, cycles: u64) {
+    /// window via [`Clocked::fast_forward`]. An attempt without a jump arms
+    /// a cool-down from the cycle it ended at, proportional to the work it
+    /// did — [`FF_COOLDOWN`] at minimum — so a fabric that declines (the
+    /// default, a disabled backend, a mixed workload) pays one comparison
+    /// per cycle and a bounded, amortized cost per attempt instead of a
+    /// per-cycle scan. This is the only cool-down rule: sharded runs are
+    /// driven by this same function.
+    pub fn run_ff<C: Clocked + ?Sized>(fabric: &mut C, cycles: u64) {
         let mut cooldown_until = 0u64;
         let offer = |fabric: &mut C, remaining: u64| {
             if fabric.now() < cooldown_until {
@@ -469,9 +460,7 @@ mod tests {
                 self.next_due += self.period;
             }
         }
-    }
 
-    impl FastForwardable for Metro {
         fn fast_forward(&mut self, max: u64) -> FfOutcome {
             self.ff_attempts += 1;
             let period = self.period;
@@ -552,8 +541,6 @@ mod tests {
             fn absorb(&mut self) {
                 self.cycle += 1;
             }
-        }
-        impl FastForwardable for Stubborn {
             fn fast_forward(&mut self, _max: u64) -> FfOutcome {
                 self.attempts += 1;
                 FfOutcome::DECLINED

@@ -76,7 +76,7 @@ pub mod word;
 
 pub use engine::{ClockDomain, Clocked, ClockedWith, Engine};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultReport, FaultState, SuspectLink};
-pub use ff::{FastForwardable, FfOutcome, FfStats};
+pub use ff::{FfOutcome, FfStats};
 pub use header::PacketHeader;
 pub use link::{LinkId, LinkState};
 pub use noc::{NiLink, Noc, NocConfig};

@@ -67,7 +67,8 @@
 //! [`merge_noc_stats`], pinned by the parity tests here and in the facade
 //! crate.
 
-use crate::engine::Clocked;
+use crate::engine::{Clocked, Engine};
+use crate::ff::FfOutcome;
 use crate::link::LinkId;
 use crate::noc::Noc;
 use crate::path::PortIdx;
@@ -422,37 +423,23 @@ where
 }
 
 /// A [`Clocked`] region whose cut wires live in a shard runner's exchange
-/// arena — the shape the shard runner drives. Implemented by [`Noc`]
-/// itself (pure-network shards) and by `aethereal-cfg`'s `NocSystem`
-/// (full-system shards).
+/// arena — the shape the shard runner drives. Implemented by [`NocShard`]
+/// (pure-network shards) and by `aethereal-cfg`'s `NocSystem` (full-system
+/// shards).
+///
+/// The runner offers a region's [`Clocked::fast_forward`] only while it is
+/// the *sole* awake region and every sleeper's wake horizon lies beyond
+/// the offered window, so nothing can interact with it. The implementor
+/// still owns all eligibility checking — in particular it must decline
+/// unless its boundaries are silent and every live circuit stays inside
+/// the region, because the probe ticks the region alone, while its
+/// neighbours stand still.
 pub trait ShardRegion: Clocked + Send {
     /// Takes the region's handle onto the runner's exchange arena — called
     /// once, by [`ShardRunner::new`]. A region with a network hands it to
     /// [`Noc::attach_exchange`]; from then on the region's emit and absorb
     /// phases read and write its cut-wire rings in place.
     fn adopt_exchange(&mut self, exchange: ExchangeAttachment);
-
-    /// Offers the region up to `max` cycles of analytical fast-forward
-    /// (see [`crate::ff`]). Called by [`ShardRunner::run`] only while this
-    /// region is the *sole* awake region and every sleeper's wake horizon
-    /// lies beyond the offered window, so nothing can interact with it.
-    /// The implementor owns all eligibility checking — in particular it
-    /// must decline unless its boundaries are silent and every live
-    /// circuit stays inside the region, because the probe ticks the
-    /// region alone, while its neighbours stand still.
-    ///
-    /// The default declines: plain network shards fall back to the
-    /// quiescent-skip path, which already covers their drained states.
-    fn fast_forward_region(&mut self, max: u64) -> crate::ff::FfOutcome {
-        let _ = max;
-        crate::ff::FfOutcome::DECLINED
-    }
-}
-
-impl ShardRegion for Noc {
-    fn adopt_exchange(&mut self, exchange: ExchangeAttachment) {
-        self.attach_exchange(exchange);
-    }
 }
 
 /// Slots per [`WireRing`]. A power of two (the ring indexes with a mask).
@@ -607,8 +594,10 @@ impl<S: SyncFamily> WireRing<S> {
     }
 
     /// The earliest pending due cycle at or after `from`, scanning all
-    /// slots (the cooperative-wake probe of [`ShardRunner::wake`]).
-    pub fn next_due(&self, from: u64) -> Option<u64> {
+    /// slots. Test-only: the runner needs no such probe, its rings are
+    /// silent between spans.
+    #[cfg(test)]
+    fn next_due(&self, from: u64) -> Option<u64> {
         self.slots
             .iter()
             .filter_map(|s| match s.stamp.load(Ordering::Relaxed) {
@@ -880,11 +869,75 @@ pub struct ExchangeSlice<'a, S: SyncFamily = StdSync> {
     pub in_list: &'a [usize],
 }
 
+/// One region's place in the activity set: awake, or asleep until its own
+/// next-event horizon `wake_at` — or until input arrives for it, whichever
+/// comes first. The three transitions below are the whole region
+/// scheduler, shared by the sequential runner and the worker threads. A
+/// region is never skipped past its horizon, and never past a cycle in
+/// which input arrives for it — the two properties that make per-region
+/// skipping exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegionSched {
+    awake: bool,
+    wake_at: u64,
+}
+
+impl RegionSched {
+    /// In the activity set — how every region starts a run.
+    pub const AWAKE: RegionSched = RegionSched {
+        awake: true,
+        wake_at: 0,
+    };
+
+    /// Brings a lagging region to cycle `t` with one exact skip. Never a
+    /// `skip(0)`: that would reset a caught-up region's activity sets.
+    fn catch_up<R: Clocked>(region: &mut R, t: u64) {
+        let now = region.now();
+        if now < t {
+            region.skip(t - now);
+        }
+    }
+
+    /// Start of cycle `t`: a sleeper whose horizon has arrived rejoins the
+    /// activity set. Returns whether the region runs this cycle.
+    fn begin<R: Clocked>(&mut self, region: &mut R, t: u64) -> bool {
+        if !self.awake && self.wake_at <= t {
+            Self::catch_up(region, t);
+            self.awake = true;
+        }
+        self.awake
+    }
+
+    /// Mid-cycle `t`, input is due for a sleeper: catch it up, run the
+    /// emit it sat out (a no-op — it is quiescent) so its phase order
+    /// holds, and put it back in the activity set.
+    fn input<R: Clocked>(&mut self, region: &mut R, t: u64) {
+        Self::catch_up(region, t);
+        region.emit();
+        self.awake = true;
+    }
+
+    /// Epoch boundary: a quiescent region leaves the activity set until
+    /// its next-event horizon.
+    fn settle<R: Clocked>(&mut self, region: &mut R) {
+        if self.awake && region.quiescent() {
+            let now = region.now();
+            let horizon = region.next_event(now);
+            if horizon > now {
+                *self = RegionSched {
+                    awake: false,
+                    wake_at: horizon,
+                };
+            }
+        }
+    }
+}
+
 /// One worker thread's body in [`ShardRunner::run_parallel`]: runs `region`
 /// from cycle `start` to `end`, its emit phase writing the outbound rings
 /// of `slice` and its absorb phase consuming the inbound ones, gated by the
-/// rings' published-cycle watermarks. Returns the region's final
-/// `(awake, wake_at)` scheduler state.
+/// rings' published-cycle watermarks. Takes and returns the region's
+/// scheduler state.
 ///
 /// There is no epoch barrier: a worker starts cycle `t` the moment every
 /// inbound wire has published past `t − 1`, so one region's interior cycles
@@ -906,20 +959,14 @@ pub fn run_worker<R: Clocked, S: SyncFamily>(
     start: u64,
     end: u64,
     batch: u64,
-    mut awake: bool,
-    mut wake_at: u64,
-) -> (bool, u64) {
+    mut sched: RegionSched,
+) -> RegionSched {
     let rings = slice.rings;
     let mut t = start;
     while t < end {
         let t1 = end.min(t + batch);
         while t < t1 {
-            if !awake && wake_at <= t {
-                let now = region.now();
-                region.skip(t - now);
-                awake = true;
-            }
-            if awake {
+            if sched.begin(region, t) {
                 region.emit();
             }
             // Publish cycle t on every outbound wire — also while asleep:
@@ -931,62 +978,38 @@ pub fn run_worker<R: Clocked, S: SyncFamily>(
             for &i in slice.in_list {
                 rings[i].0.wait_published(t);
             }
-            if !awake && slice.in_list.iter().any(|&i| rings[i].0.has_due(t)) {
-                let now = region.now();
-                region.skip(t - now);
-                region.emit(); // no-op: region is quiescent
-                awake = true;
+            if !sched.awake && slice.in_list.iter().any(|&i| rings[i].0.has_due(t)) {
+                sched.input(region, t);
             }
-            if awake {
+            if sched.awake {
                 region.absorb();
             }
             t += 1;
         }
         // Epoch boundary: a purely local sleep decision — no re-alignment.
-        if awake && region.quiescent() {
-            let now = region.now();
-            let horizon = region.next_event(now);
-            if horizon > now {
-                awake = false;
-                wake_at = horizon;
-            }
-        }
+        sched.settle(region);
     }
-    let now = region.now();
-    if now < end {
-        region.skip(end - now);
-    }
-    (awake, wake_at)
+    RegionSched::catch_up(region, end);
+    sched
 }
 
 /// The slack-batched shard driver with per-region activity tracking.
 ///
-/// Every global cycle has the two engine phases, with a wake scan between
-/// them:
+/// The runner holds the exchange arena and one [`RegionSched`] per region;
+/// together with the regions it forms one [`Clocked`] fabric (see
+/// [`ShardRunner::run`]), which [`ShardRunner::run_parallel`] instead
+/// steps region by region on worker threads. Activity-set maintenance is
+/// amortized over [`batch`](ShardRunner::set_batch)-sized epochs: only at
+/// an epoch boundary are the awake regions' quiescence and
+/// [`Clocked::next_event`] horizons walked and drained regions let out of
+/// the set. Inside an epoch a quiescent region just keeps ticking (a no-op
+/// by the quiescence contract), so the batch size trades scheduling
+/// overhead against how promptly regions fall asleep — it never affects
+/// what the simulation computes.
 ///
-/// 1. **emit** on every awake region (a sleeping region is quiescent by
-///    definition, and a quiescent emit is a no-op — so skipping it is
-///    exact) — cut-wire words and credits land in the arena rings here;
-/// 2. **wake**: a sleeping region with a slot due this cycle on one of
-///    its inbound rings is woken (caught up with one exact
-///    [`Clocked::skip`], its no-op emit run late) — the runner reads ring
-///    stamps, it never moves a word;
-/// 3. **absorb** on every awake region, each consuming its due slots.
-///
-/// Activity-set maintenance is amortized over
-/// [`batch`](ShardRunner::set_batch)-sized epochs: only at an epoch
-/// boundary does the runner walk the awake regions' quiescence and
-/// [`Clocked::next_event`] horizons and let drained regions leave the set.
-/// Inside an epoch a quiescent region just keeps ticking (a no-op by the
-/// quiescence contract), so the batch size trades scheduling overhead
-/// against how promptly regions fall asleep — it never affects what the
-/// simulation computes.
-///
-/// A region is never skipped past its own next-event horizon, and never
-/// past a cycle in which input arrives for it — the two properties that
-/// make per-region skipping exact. Input the runner cannot see (words
-/// injected directly into a region's NI links between `run` calls) must be
-/// announced with [`ShardRunner::wake`] first.
+/// Input the runner cannot see (words injected directly into a region's NI
+/// links between `run` calls) must be announced with
+/// [`ShardRunner::wake`] first.
 #[derive(Debug)]
 pub struct ShardRunner {
     wires: Vec<BoundaryWire>,
@@ -998,11 +1021,7 @@ pub struct ShardRunner {
     in_w: Vec<Vec<usize>>,
     batch: u64,
     cycle: u64,
-    awake: Vec<bool>,
-    wake_at: Vec<u64>,
-    /// Next cycle at which a declined region fast-forward may be retried
-    /// (declines scan the region's state; see [`crate::ff::FF_COOLDOWN`]).
-    ff_cooldown_until: u64,
+    sched: Vec<RegionSched>,
 }
 
 impl ShardRunner {
@@ -1052,9 +1071,7 @@ impl ShardRunner {
             in_w,
             batch: 1,
             cycle: start_cycle,
-            awake: vec![true; n],
-            wake_at: vec![0; n],
-            ff_cooldown_until: 0,
+            sched: vec![RegionSched::AWAKE; n],
         }
     }
 
@@ -1081,179 +1098,55 @@ impl ShardRunner {
         self.batch
     }
 
-    /// The global cycle (regions lag only while asleep; `run` returns with
-    /// every region caught up to this).
+    /// The global cycle (regions lag only while asleep inside a span;
+    /// `run` and `run_parallel` return with every region caught up to
+    /// this).
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
 
     /// Regions currently in the activity set.
     pub fn awake_count(&self) -> usize {
-        self.awake.iter().filter(|&&a| a).count()
+        self.sched.iter().filter(|s| s.awake).count()
     }
 
-    /// Ensures region `r` is awake and caught up to the runner's cycle.
+    /// Puts region `r` back in the activity set.
     ///
     /// Required before injecting words **directly** into the region's NI
     /// links between `run` calls: such input bypasses the activity
     /// scheduler, which otherwise only wakes regions for boundary traffic
     /// and their own reported horizons. Redundant (and free) for awake
-    /// regions.
+    /// regions. There is nothing to catch up or replay: every span ends
+    /// with every region at the runner's cycle and every ring consumed (a
+    /// cut word is absorbed in the cycle it is emitted).
     pub fn wake<R: ShardRegion>(&mut self, regions: &mut [R], r: usize) {
-        if self.awake[r] {
-            return;
-        }
-        // Cooperate with in-flight arena traffic: a cut word already
-        // sitting in one of the region's inbound rings is due at an exact
-        // cycle, and a blind skip past it would violate the
-        // never-absorb-off-schedule property. Catch up like a one-region
-        // engine instead: while quiescent, skip only to the nearest of the
-        // region's own event horizon and the earliest due cut word; run
-        // every other cycle for real (emit, then absorb — which consumes
-        // due ring slots at exactly their stamps).
-        loop {
-            let now = regions[r].now();
-            if now >= self.cycle {
-                break;
-            }
-            if regions[r].quiescent() {
-                let due = self.in_w[r]
-                    .iter()
-                    .filter_map(|&i| self.arena.ring(i).next_due(now))
-                    .min()
-                    .unwrap_or(u64::MAX);
-                let horizon = regions[r].next_event(now).min(due).min(self.cycle);
-                if horizon > now {
-                    regions[r].skip(horizon - now);
-                    continue;
-                }
-            }
-            regions[r].emit();
-            regions[r].absorb();
-        }
-        self.awake[r] = true;
+        debug_assert_eq!(regions[r].now(), self.cycle, "regions rest caught up");
+        self.sched[r].awake = true;
     }
 
-    /// Wakes region `r` mid-cycle `t` for inbound boundary traffic: catch
-    /// up with one exact skip, run the (no-op) emit so the region's phase
-    /// order holds, and put it back in the activity set.
-    fn wake_for_input<R: ShardRegion>(awake: &mut [bool], region: &mut R, r: usize, t: u64) {
-        let now = region.now();
-        region.skip(t - now);
-        region.emit();
-        awake[r] = true;
-    }
-
-    /// Runs `cycles` global cycles on the calling thread.
+    /// Runs `cycles` global cycles on the calling thread:
+    /// [`Engine::run_ff`] over the runner and its regions as one
+    /// [`Clocked`] fabric (the `Ensemble` below), so the all-asleep skip
+    /// toward the earliest horizon, the fast-forward offer and its
+    /// cool-down are the engine's own, not a copy.
     ///
     /// # Panics
     ///
     /// Panics if `regions` does not match the runner's region count.
     pub fn run<R: ShardRegion>(&mut self, regions: &mut [R], cycles: u64) {
-        assert_eq!(regions.len(), self.awake.len(), "region count mismatch");
+        assert_eq!(regions.len(), self.sched.len(), "region count mismatch");
         let end = self.cycle + cycles;
-        while self.cycle < end {
-            let t0 = self.cycle;
-            // Wake regions whose spontaneous-event horizon arrived.
-            for (r, region) in regions.iter_mut().enumerate() {
-                if !self.awake[r] && self.wake_at[r] <= t0 {
-                    let now = region.now();
-                    region.skip(t0 - now);
-                    self.awake[r] = true;
-                }
-            }
-            // Everyone asleep: jump straight to the earliest horizon.
-            if self.awake.iter().all(|&a| !a) {
-                let next = self.wake_at.iter().copied().min().unwrap_or(end);
-                self.cycle = next.clamp(t0 + 1, end);
-                continue;
-            }
-            // Sole-awake fast-forward: with exactly one region in the
-            // activity set, nothing can reach it before the earliest
-            // sleeper horizon (sleepers are quiescent — their first
-            // possible action is their own wake) — so the whole gap is
-            // offered to the region's analytical fast-forward backend.
-            // A decline is rate-limited; a partial advance (probe ticks
-            // without a certified jump) still moves global time.
-            if self.awake.iter().filter(|&&a| a).count() == 1 && t0 >= self.ff_cooldown_until {
-                let r = self.awake.iter().position(|&a| a).expect("one awake");
-                let gap_end = self
-                    .wake_at
-                    .iter()
-                    .enumerate()
-                    .filter(|&(s, _)| !self.awake[s])
-                    .map(|(_, &w)| w)
-                    .min()
-                    .unwrap_or(end)
-                    .min(end);
-                if gap_end > t0 {
-                    let out = regions[r].fast_forward_region(gap_end - t0);
-                    if out.jumped == 0 {
-                        self.ff_cooldown_until = t0 + out.advanced.max(1) * 4;
-                        self.ff_cooldown_until =
-                            self.ff_cooldown_until.max(t0 + crate::ff::FF_COOLDOWN);
-                    }
-                    if out.advanced > 0 {
-                        self.cycle = t0 + out.advanced;
-                        continue;
-                    }
-                }
-            }
-            // One epoch: up to `batch` cycles of emit → wake scan → absorb,
-            // with scheduling work deferred to the epoch boundary.
-            let t1 = end.min(t0 + self.batch);
-            for t in t0..t1 {
-                if t > t0 {
-                    for (r, region) in regions.iter_mut().enumerate() {
-                        if !self.awake[r] && self.wake_at[r] <= t {
-                            let now = region.now();
-                            region.skip(t - now);
-                            self.awake[r] = true;
-                        }
-                    }
-                }
-                // Phase 1: emit.
-                for (r, region) in regions.iter_mut().enumerate() {
-                    if self.awake[r] {
-                        region.emit();
-                    }
-                }
-                // Wake scan: the regions emitted straight into the arena
-                // rings — only a sleeping destination with a slot due this
-                // cycle needs anything from the runner.
-                for (i, w) in self.wires.iter().enumerate() {
-                    let ds = w.dst_shard;
-                    if !self.awake[ds] && self.arena.ring(i).has_due(t) {
-                        Self::wake_for_input(&mut self.awake, &mut regions[ds], ds, t);
-                    }
-                }
-                // Phase 2: absorb.
-                for (r, region) in regions.iter_mut().enumerate() {
-                    if self.awake[r] {
-                        region.absorb();
-                    }
-                }
-            }
-            self.cycle = t1;
-            // Epoch boundary: let drained regions leave the activity set.
-            for (r, region) in regions.iter_mut().enumerate() {
-                if self.awake[r] && region.quiescent() {
-                    let now = region.now();
-                    let horizon = region.next_event(now);
-                    if horizon > now {
-                        self.awake[r] = false;
-                        self.wake_at[r] = horizon;
-                    }
-                }
-            }
-        }
+        let mut ensemble = Ensemble {
+            epoch_end: self.cycle,
+            end,
+            runner: self,
+            regions,
+        };
+        Engine::run_ff(&mut ensemble, cycles);
         // Catch every sleeper up to the end of the span (never past its
         // horizon: a sleeper's horizon is ≥ end, else it would have woken).
         for region in regions.iter_mut() {
-            let now = region.now();
-            if now < end {
-                region.skip(end - now);
-            }
+            RegionSched::catch_up(region, end);
         }
     }
 
@@ -1269,8 +1162,7 @@ impl ShardRunner {
     /// peers still drain the last one, bounded only by the wire-adjacency
     /// skew the watermarks themselves enforce (see the module docs).
     ///
-    /// The worker protocol never offers
-    /// [`fast_forward_region`](ShardRegion::fast_forward_region): its
+    /// The worker protocol never offers [`Clocked::fast_forward`]: its
     /// sole-awake precondition is a global property the decoupled workers
     /// cannot observe cheaply. A workload periodic enough to fast-forward
     /// is single-region-active by definition — run it through
@@ -1280,7 +1172,7 @@ impl ShardRunner {
     ///
     /// Panics if `regions` does not match the runner's region count.
     pub fn run_parallel<R: ShardRegion>(&mut self, regions: &mut [R], cycles: u64) {
-        assert_eq!(regions.len(), self.awake.len(), "region count mismatch");
+        assert_eq!(regions.len(), self.sched.len(), "region count mismatch");
         let n = regions.len();
         if n <= 1 || cycles == 0 {
             return self.run(regions, cycles);
@@ -1292,31 +1184,127 @@ impl ShardRunner {
         // traffic stays in-flight across the mode switch.
         self.arena.rebase(start);
         let batch = self.batch;
-        let states: Vec<(bool, u64)> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(n);
-                for (r, region) in regions.iter_mut().enumerate() {
-                    let slice = ExchangeSlice {
-                        rings: &self.arena.rings,
-                        out_list: &self.out_w[r],
-                        in_list: &self.in_w[r],
-                    };
-                    let awake = self.awake[r];
-                    let wake_at = self.wake_at[r];
-                    handles.push(scope.spawn(move || {
-                        run_worker(region, &slice, start, end, batch, awake, wake_at)
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-        for (r, (awake, wake_at)) in states.into_iter().enumerate() {
-            self.awake[r] = awake;
-            self.wake_at[r] = wake_at;
-        }
+        self.sched = std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(n);
+            for (r, region) in regions.iter_mut().enumerate() {
+                let slice = ExchangeSlice {
+                    rings: &self.arena.rings,
+                    out_list: &self.out_w[r],
+                    in_list: &self.in_w[r],
+                };
+                let sched = self.sched[r];
+                handles.push(
+                    scope.spawn(move || run_worker(region, &slice, start, end, batch, sched)),
+                );
+            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked"))
+                .collect()
+        });
         self.cycle = end;
+    }
+}
+
+/// A [`ShardRunner`] and its regions as one [`Clocked`] fabric, for one
+/// span of [`ShardRunner::run`]. Every global cycle has the two engine
+/// phases, with a wake scan between them:
+///
+/// 1. **emit**: sleepers whose own horizon has arrived wake, then every
+///    awake region emits (a sleeping region is quiescent by definition,
+///    and a quiescent emit is a no-op — so skipping it is exact) —
+///    cut-wire words and credits land in the arena rings here;
+/// 2. **wake scan**: a sleeping region with a slot due this cycle on one
+///    of its inbound rings is woken ([`RegionSched::input`]) — the runner
+///    reads ring stamps, it never moves a word;
+/// 3. **absorb** on every awake region, each consuming its due slots;
+///    then, at an epoch boundary, every awake region settles.
+///
+/// The fabric is quiescent when nobody is awake, its next event is the
+/// earliest sleeper horizon, and skipping it only advances the global
+/// cycle — sleepers are caught up when they wake.
+struct Ensemble<'a, R> {
+    runner: &'a mut ShardRunner,
+    regions: &'a mut [R],
+    /// End of the span — an epoch boundary whatever the batch size.
+    end: u64,
+    /// End of the current scheduling epoch.
+    epoch_end: u64,
+}
+
+impl<R: ShardRegion> Clocked for Ensemble<'_, R> {
+    fn now(&self) -> u64 {
+        self.runner.cycle
+    }
+
+    fn emit(&mut self) {
+        let run = &mut *self.runner;
+        let t = run.cycle;
+        if t >= self.epoch_end {
+            self.epoch_end = self.end.min(t + run.batch);
+        }
+        for (s, region) in run.sched.iter_mut().zip(self.regions.iter_mut()) {
+            if s.begin(region, t) {
+                region.emit();
+            }
+        }
+        for (i, w) in run.wires.iter().enumerate() {
+            let ds = w.dst_shard;
+            if !run.sched[ds].awake && run.arena.ring(i).has_due(t) {
+                run.sched[ds].input(&mut self.regions[ds], t);
+            }
+        }
+    }
+
+    fn absorb(&mut self) {
+        let run = &mut *self.runner;
+        for (s, region) in run.sched.iter().zip(self.regions.iter_mut()) {
+            if s.awake {
+                region.absorb();
+            }
+        }
+        run.cycle += 1;
+        if run.cycle >= self.epoch_end {
+            for (s, region) in run.sched.iter_mut().zip(self.regions.iter_mut()) {
+                s.settle(region);
+            }
+        }
+    }
+
+    fn quiescent(&self) -> bool {
+        !self.runner.sched.iter().any(|s| s.awake)
+    }
+
+    fn skip(&mut self, cycles: u64) {
+        self.runner.cycle += cycles;
+    }
+
+    /// Only consulted while nobody is awake: the earliest wake horizon.
+    fn next_event(&self, _now: u64) -> u64 {
+        let horizons = self.runner.sched.iter().map(|s| s.wake_at);
+        horizons.min().unwrap_or(u64::MAX)
+    }
+
+    /// With exactly one region in the activity set, nothing can reach it
+    /// before the earliest sleeper horizon (sleepers are quiescent — their
+    /// first possible action is their own wake) — so that whole gap is
+    /// offered to the region. A partial advance (probe ticks without a
+    /// certified jump) still moves global time.
+    fn fast_forward(&mut self, max: u64) -> FfOutcome {
+        let run = &mut *self.runner;
+        // A sleeper due now counts as awake: it is about to act.
+        for (s, region) in run.sched.iter_mut().zip(self.regions.iter_mut()) {
+            s.begin(region, run.cycle);
+        }
+        let mut awake = (0..run.sched.len()).filter(|&r| run.sched[r].awake);
+        let (Some(r), None) = (awake.next(), awake.next()) else {
+            return FfOutcome::DECLINED;
+        };
+        let sleepers = run.sched.iter().filter(|s| !s.awake);
+        let horizon = sleepers.map(|s| s.wake_at).min().unwrap_or(u64::MAX);
+        let out = self.regions[r].fast_forward(max.min(horizon - run.cycle));
+        run.cycle += out.advanced;
+        out
     }
 }
 
@@ -1335,25 +1323,21 @@ impl ShardRunner {
     /// positional copy would strand mid-epoch traffic in the wrong slot
     /// and trip the due-cycle assertions).
     ///
-    /// The scheduler bookkeeping — activity-set membership, wake
-    /// horizons, the fast-forward retry rate-limiter — is **reset**, not
-    /// carried: sleep decisions happen at epoch boundaries and offer
-    /// windows are clipped at each `run()` call's end, so two
-    /// bit-identical executions interrupted at different points
-    /// legitimately disagree on all three (pinned by the batched parity
-    /// tests). Regions are always caught up to the global cycle between
-    /// runs, so waking everyone is exact — quiescent regions re-sleep at
-    /// the next epoch boundary. The same class as a FIFO's visibility
-    /// cache.
+    /// The scheduler bookkeeping — activity-set membership and wake
+    /// horizons — is **reset**, not carried: sleep decisions happen at
+    /// epoch boundaries, so two bit-identical executions interrupted at
+    /// different points legitimately disagree on both (pinned by the
+    /// batched parity tests). Regions are always caught up to the global
+    /// cycle between runs, so waking everyone is exact — quiescent regions
+    /// re-sleep at the next epoch boundary. The same class as a FIFO's
+    /// visibility cache.
     pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
         p.counter(&mut self.cycle);
         p.item(&mut self.batch);
         for r in &self.arena.rings {
             r.0.persist_slots(p);
         }
-        self.awake.fill(true);
-        self.wake_at.fill(0);
-        self.ff_cooldown_until = 0;
+        self.sched.fill(RegionSched::AWAKE);
         self.arena.rebase(self.cycle);
     }
 }
@@ -1361,7 +1345,6 @@ impl ShardRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
     use crate::header::PacketHeader;
     use crate::path::Path;
     use crate::rng::Rng64;
@@ -1647,56 +1630,58 @@ mod tests {
 
     #[test]
     fn wake_replays_in_flight_cut_words_at_exact_cycles() {
-        // Mid-overlap wake: a producer shard has run ahead and left cut
-        // words in the arena rings while the consumer shard sleeps behind
-        // the runner's cycle. `wake` must not blind-skip the consumer past
-        // the due cycles — it has to absorb each in-flight word at exactly
-        // its stamp, then tick (not skip) once it holds live state.
+        // A cut-crossing GT worm driven in two spans — sequential, then
+        // worker threads — with the producer injecting mid-worm across the
+        // span boundary, and the consumer shard (asleep since the first
+        // epoch) woken between the spans for a direct injection of its own
+        // while the worm's head still waits for its slot on the far side
+        // of the cut. `wake` only marks the region awake: between spans
+        // every region stands at the runner's cycle and every ring is
+        // silent (a cut word is absorbed in the cycle it is emitted), so
+        // there is never anything to replay — checked here.
         let (topo, mut single, mut shards, mut runner) = split_2x2();
-        let path = topo.route(0, 2).unwrap(); // S then eject: crosses the cut
-        let words = gt_packet(path, 2, &[11, 22]);
+        let worm = gt_packet(topo.route(0, 2).unwrap(), 2, &[11, 22]); // S: crosses the cut
+        let back = PacketHeader {
+            path: topo.route(3, 1).unwrap(), // N: crosses it the other way
+            qid: 1,
+            credits: 0,
+            flush: false,
+        };
+        let back = LinkWord::header_only(back.pack(), WordClass::BestEffort);
         let (ps, pl) = locate(&shards, 0);
-        assert_eq!(ps, 0, "producer NI lives in shard 0");
-        // Drive the producer shard alone, as a pipelined worker would:
-        // shard 0 runs ahead to cycle K while shard 1 never ticks.
-        const K: u64 = 12;
-        for t in 0..K {
-            for (i, &w) in words.iter().enumerate() {
-                if i as u64 == t {
-                    single.ni_link_mut(0).send(w);
-                    shards[0].noc.ni_link_mut(pl).send(w);
-                }
-            }
+        let (cs, cl) = locate(&shards, 3);
+        assert_eq!((ps, cs), (0, 1), "producer above the cut, consumer below");
+        // Span 1, sequential: the worm's first two words, one per cycle.
+        for &w in &worm[..2] {
+            single.ni_link_mut(0).send(w);
+            runner.wake(&mut shards, ps);
+            shards[ps].noc.ni_link_mut(pl).send(w);
             single.tick();
-            shards[0].noc.tick();
+            runner.run(&mut shards, 1);
         }
-        // Forge the runner's mid-overlap view: global time is K, shard 1
-        // asleep at cycle 0 with no horizon of its own.
-        runner.cycle = K;
-        runner.awake = vec![true, false];
-        runner.wake_at = vec![0, u64::MAX];
-        let in_flight: usize = runner
-            .wires
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.dst_shard == 1)
-            .map(|(i, _)| runner.arena.ring(i).occupied())
-            .sum();
-        assert!(in_flight > 0, "cut words are in flight toward shard 1");
-        runner.wake(&mut shards, 1);
-        assert_eq!(shards[1].noc.cycle(), K, "woken region caught up");
-        assert!(
-            shards[1].noc.boundaries_silent(),
-            "every in-flight word was consumed"
-        );
-        // The replayed words arrive bit-identically to the monolithic run.
+        assert!(runner.awake_count() < 2, "the idle consumer fell asleep");
+        assert!(!shards[ps].noc.drained(), "the worm is still on its way");
+        for s in &shards {
+            assert_eq!(s.now(), runner.cycle(), "regions rest caught up");
+            assert!(s.noc.boundaries_silent(), "rings rest silent");
+        }
+        // Between the spans: the worm's tail, and the consumer's own word.
+        single.ni_link_mut(0).send(worm[2]);
+        runner.wake(&mut shards, ps);
+        shards[ps].noc.ni_link_mut(pl).send(worm[2]);
+        single.ni_link_mut(3).send(back);
+        runner.wake(&mut shards, cs);
+        shards[cs].noc.ni_link_mut(cl).send(back);
+        // Span 2, worker threads.
         single.run(60);
-        runner.run(&mut shards, 60);
-        let (ds, dl) = locate(&shards, 2);
-        let a: Vec<_> = std::iter::from_fn(|| single.ni_link_mut(2).recv()).collect();
-        let b: Vec<_> = std::iter::from_fn(|| shards[ds].noc.ni_link_mut(dl).recv()).collect();
-        assert_eq!(a, b, "delivery differs after the cooperative wake");
-        assert_eq!(a.len(), words.len(), "whole worm delivered");
+        runner.run_parallel(&mut shards, 60);
+        for (ni, words) in [(2, worm.len()), (1, 1)] {
+            let (ds, dl) = locate(&shards, ni);
+            let a: Vec<_> = std::iter::from_fn(|| single.ni_link_mut(ni).recv()).collect();
+            let b: Vec<_> = std::iter::from_fn(|| shards[ds].noc.ni_link_mut(dl).recv()).collect();
+            assert_eq!(a, b, "delivery at NI {ni} differs");
+            assert_eq!(a.len(), words, "everything sent to NI {ni} arrived");
+        }
         assert_eq!(*single.stats(), merged(&shards), "statistics differ");
     }
 

@@ -28,7 +28,7 @@
 //! exchange relies on.
 
 use aethereal_testkit::mc::{self, Config, Failure, ModelSync, Outcome};
-use noc_sim::shard::{run_worker, CachePadded, ExchangeSlice, WireRing, RING_SLOTS};
+use noc_sim::shard::{run_worker, CachePadded, ExchangeSlice, RegionSched, WireRing, RING_SLOTS};
 use noc_sim::{Clocked, LinkWord, WordClass};
 use std::sync::{Arc, Mutex};
 
@@ -371,7 +371,7 @@ fn explore_run_worker(batch: u64) {
                     out_list: &[FWD],
                     in_list: &[REV],
                 };
-                run_worker(&mut region, &slice, 0, CYCLES, batch, true, 0);
+                run_worker(&mut region, &slice, 0, CYCLES, batch, RegionSched::AWAKE);
                 region.seen.now = region.cycle;
                 seen.lock().expect("seen lock")[0] = Some(region.seen);
             });
@@ -391,7 +391,7 @@ fn explore_run_worker(batch: u64) {
                     out_list: &[REV],
                     in_list: &[FWD],
                 };
-                run_worker(&mut region, &slice, 0, CYCLES, batch, true, 0);
+                run_worker(&mut region, &slice, 0, CYCLES, batch, RegionSched::AWAKE);
                 region.seen.now = region.cycle;
                 seen.lock().expect("seen lock")[1] = Some(region.seen);
             });

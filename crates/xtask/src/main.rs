@@ -16,11 +16,11 @@
 //!   `build_packet_into`, `stage_word`, `depacketize`) — are flagged: the
 //!   hot per-cycle paths are allocation-free by design (see
 //!   `crates/facade/tests/zero_alloc.rs`).
-//! * `.tick()` inside a loop is forbidden in library code outside the two
-//!   sanctioned drivers (`sim/src/engine.rs`, `sim/src/shard.rs`) — a
-//!   hand-rolled cycle loop silently bypasses the engine's quiescent skip
-//!   and the fast-forward backend; advance time through `Engine::run` /
-//!   the shard runner instead.
+//! * `.tick()` inside a loop is forbidden in library code outside the one
+//!   sanctioned driver (`sim/src/engine.rs`) — a hand-rolled cycle loop
+//!   silently bypasses the engine's quiescent skip and the fast-forward
+//!   backend; advance time through `Engine::run` / the shard runner (which
+//!   is driven by the engine) instead.
 //! * every crate root must carry `#![forbid(unsafe_code)]`.
 //! * every struct that owns snapshot-visible dynamic state is pinned to
 //!   the field count its state walk (`fn walk(&mut self, … &mut dyn
@@ -76,9 +76,9 @@ const COLLECT: &str = concat!(".col", "lect");
 /// Assembled at compile time so the scanner never matches its own source.
 const TICK_CALL: &str = concat!(".tick", "()");
 
-/// The only library files allowed to advance cycles in a loop: the engine
-/// (quiescent skip + fast-forward) and the shard runner built on it.
-const CYCLE_LOOP_FILES: &[&str] = &["sim/src/engine.rs", "sim/src/shard.rs"];
+/// The only library file allowed to advance cycles in a loop: the engine
+/// (quiescent skip + fast-forward), which also drives the shard runner.
+const CYCLE_LOOP_FILES: &[&str] = &["sim/src/engine.rs"];
 
 /// The persistence audit: every struct that owns snapshot-visible dynamic
 /// state, with the field count its state walk was written against.
@@ -98,7 +98,7 @@ const PERSIST_AUDIT: &[(&str, &str, usize)] = &[
     ("sim/src/noc.rs", "Noc", 15),
     ("sim/src/fault.rs", "FaultState", 2),
     ("sim/src/fault.rs", "ArmedFault", 6),
-    ("sim/src/shard.rs", "ShardRunner", 9),
+    ("sim/src/shard.rs", "ShardRunner", 7),
     ("sim/src/shard.rs", "WireSlot", 3),
     ("core/src/fifo.rs", "HwFifo", 5),
     ("core/src/message.rs", "MessageAssembler", 6),
