@@ -163,13 +163,6 @@ impl SlotAllocator {
             .sum()
     }
 
-    fn links_of(topo: &Topology, from: NiId, path: &Path) -> Vec<(LinkKey, u32)> {
-        topo.links_of_route(from, path)
-            .into_iter()
-            .map(|link| (link, 0))
-            .collect()
-    }
-
     /// The pipeline shift of the link at hop `h` after `g` gateway
     /// rewrites: one slot per hop plus one whole slot per rewrite (the
     /// router aligns each rewrite to the slot grid, so the shift is always
@@ -206,7 +199,7 @@ impl SlotAllocator {
         n_slots: usize,
         strategy: SlotStrategy,
     ) -> Result<SlotAllocation, SlotError> {
-        self.allocate_links(&Self::links_of(topo, from, path), n_slots, strategy)
+        self.allocate_route(topo, from, &Route::single(path.clone()), n_slots, strategy)
     }
 
     /// Reserves `n_slots` slots for a GT connection from NI `from` along a

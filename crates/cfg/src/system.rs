@@ -432,26 +432,38 @@ impl Clocked for NocSystem {
         self.noc.absorb();
     }
 
-    /// The system is quiescent when every IP is idle (done, or dormant
-    /// until a known future cycle — [`MasterIp::idle_until`] and friends),
-    /// every shell stack is drained, every NI kernel is dormant (strictly
-    /// drained, or holding only GT data that cannot move before its next
-    /// reserved slot), and the network carries nothing except scheduled GT
-    /// emissions waiting for their due cycle — then only time-derived
-    /// counters (cycle, reserved-but-unused GT slots) can change, which
-    /// [`skip`](Clocked::skip) computes directly, and nothing else can
-    /// happen before [`next_event`](Clocked::next_event).
-    fn quiescent(&self) -> bool {
-        let now = self.noc.cycle();
-        self.masters.iter().all(|b| b.ip.idle_until(now) > now)
-            && self.slaves.iter().all(|b| b.ip.idle_until(now) > now)
-            && self.raws.iter().all(|b| b.ip.idle_until(now) > now)
-            // Network before NIs: activity sets answer faster than a walk.
-            && self.noc.quiescent()
-            && self
-                .nis
-                .iter()
-                .all(|ni| ClockedWith::dormant_until(ni, now) > now)
+    /// The earliest cycle at which anything could act on its own, `now`
+    /// at the first part that is active. The system is dormant while
+    /// every IP is idle ([`MasterIp::idle_until`] and friends; the horizon
+    /// is rounded up to the port clock's next edge, since an IP is only
+    /// ticked on edges), the network carries nothing except scheduled GT
+    /// emissions waiting for their due cycle, and every NI is dormant
+    /// (shell stacks drained, kernel strictly drained or holding only GT
+    /// data that cannot move before its next reserved slot) — then only
+    /// time-derived counters (cycle, reserved-but-unused GT slots) can
+    /// change before the horizon, which [`skip`](Clocked::skip) computes
+    /// directly.
+    fn dormant_until(&self, now: u64) -> u64 {
+        // An idle IP cannot act before its port clock's next edge.
+        let at_edge = |clock: ClockDomain, at: u64| {
+            if at > now && at != u64::MAX {
+                clock.next_edge(at)
+            } else {
+                at
+            }
+        };
+        let masters = self.masters.iter();
+        let slaves = self.slaves.iter();
+        let raws = self.raws.iter();
+        // Network before NIs: activity sets answer faster than a walk.
+        let mut parts = (masters.map(|b| at_edge(b.clock, b.ip.idle_until(now))))
+            .chain(slaves.map(|b| at_edge(b.clock, b.ip.idle_until(now))))
+            .chain(raws.map(|b| at_edge(b.clock, b.ip.idle_until(now))))
+            .chain(std::iter::once_with(|| self.noc.dormant_until(now)))
+            .chain(self.nis.iter().map(|ni| ni.dormant_until(now)));
+        // The minimum over the parts, stopping at the first active one.
+        let horizon = parts.try_fold(u64::MAX, |h, at| (at > now).then_some(h.min(at)));
+        horizon.unwrap_or(now)
     }
 
     fn skip(&mut self, cycles: u64) {
@@ -460,35 +472,6 @@ impl Clocked for NocSystem {
             ClockedWith::skip(ni, from, cycles);
         }
         self.noc.skip(cycles);
-    }
-
-    /// The earliest cycle at which anything could act on its own: each
-    /// IP's `idle_until` rounded up to its port clock's next edge (an IP is
-    /// only ticked on edges, so nothing can happen in between), each NI
-    /// kernel's dormancy horizon (the next reserved GT slot with sendable
-    /// data), and the network's earliest scheduled GT due cycle.
-    fn next_event(&self, now: u64) -> u64 {
-        fn at_edge(clock: ClockDomain, at: u64) -> u64 {
-            if at == u64::MAX {
-                u64::MAX
-            } else {
-                clock.next_edge(at)
-            }
-        }
-        let mut horizon = self.noc.next_event(now);
-        for b in &self.masters {
-            horizon = horizon.min(at_edge(b.clock, b.ip.idle_until(now)));
-        }
-        for b in &self.slaves {
-            horizon = horizon.min(at_edge(b.clock, b.ip.idle_until(now)));
-        }
-        for b in &self.raws {
-            horizon = horizon.min(at_edge(b.clock, b.ip.idle_until(now)));
-        }
-        for ni in &self.nis {
-            horizon = horizon.min(ClockedWith::dormant_until(ni, now));
-        }
-        horizon
     }
 
     /// The analytical GT fast-forward backend: certify-then-extrapolate.

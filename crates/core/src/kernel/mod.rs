@@ -815,35 +815,6 @@ impl NiKernel {
         horizon
     }
 
-    /// GT-slot dormancy: with no packet staged or draining and the CNIP
-    /// idle, the kernel acts next when some channel first becomes
-    /// schedulable — queued GT data waiting for its reserved slot, words
-    /// still crossing a clock-domain boundary, a threshold-gated channel
-    /// whose visibility schedule will clear the gate, or pending credits
-    /// above their threshold. [`channel_horizon`](Self::channel_horizon)
-    /// computes that cycle per channel; the minimum is the kernel's sleep
-    /// horizon (every tick before it only records reserved-but-unused
-    /// slots, which [`skip`](ClockedWith::skip) accounts for
-    /// arithmetically). Returns `None` when the kernel is genuinely active
-    /// or holds state this analysis does not cover (staged words, CNIP
-    /// traffic).
-    fn gt_slot_horizon(&self, now: u64) -> Option<u64> {
-        if !self.tx_gt.is_empty()
-            || !self.tx_be.is_empty()
-            || self.cnip.as_ref().is_some_and(|c| !c.out.is_empty())
-        {
-            return None;
-        }
-        let mut horizon = u64::MAX;
-        for c in &self.channels {
-            horizon = horizon.min(self.channel_horizon(c, now));
-            if horizon <= now {
-                return None; // schedulable right now: genuinely active
-            }
-        }
-        Some(horizon)
-    }
-
     fn stage_word(&mut self, link: &mut NiLink) {
         if link.is_busy() {
             return;
@@ -933,46 +904,43 @@ impl ClockedWith<NiLink> for NiKernel {
         self.stage_word(link);
     }
 
-    /// Nothing queued, packetized or owed anywhere: a tick can only record
-    /// reserved-but-unused GT slots, which [`skip`](ClockedWith::skip)
-    /// accounts for arithmetically.
-    fn quiescent(&self) -> bool {
-        self.tx_gt.is_empty()
-            && self.tx_be.is_empty()
-            && self
-                .channels
-                .iter()
-                .all(|c| c.src_q.is_empty() && c.dst_q.is_empty() && c.credit_counter == 0)
-            && self.cnip.as_ref().is_none_or(|c| c.out.is_empty())
-    }
-
-    /// A quiescent kernel has no spontaneous events: reserved-but-unused GT
-    /// slot accounting is handled arithmetically by
-    /// [`skip`](ClockedWith::skip), and slot-table due times only matter
-    /// once data is queued — which already blocks quiescence. The horizon
-    /// is therefore unbounded; bounded horizons for queued-but-unsendable
-    /// GT data are reported through
-    /// [`dormant_until`](ClockedWith::dormant_until) instead.
-    fn next_event(&self, now: u64) -> u64 {
-        let _ = now;
-        u64::MAX
-    }
-
-    /// Strictly quiescent → unbounded; otherwise the GT-slot dormancy
-    /// horizon (see `NiKernel::gt_slot_horizon`): queued GT data that is
-    /// fully visible and immediately eligible cannot move before its
-    /// channel's next reserved slot, so a region draining a GT stream
-    /// sleeps between its slots instead of ticking through them.
+    /// GT-slot dormancy: with no packet staged or draining and the CNIP
+    /// idle, the kernel acts next when some channel first becomes
+    /// schedulable — queued GT data waiting for its reserved slot, words
+    /// still crossing a clock-domain boundary, a threshold-gated channel
+    /// whose visibility schedule will clear the gate, or pending credits
+    /// above their threshold. `NiKernel::channel_horizon` computes that
+    /// cycle for each channel that has anything queued or owed (none has
+    /// in a strictly drained kernel, which is dormant forever); the
+    /// minimum is the kernel's sleep horizon: every tick before it
+    /// only records reserved-but-unused slots, which
+    /// [`skip`](ClockedWith::skip) accounts for arithmetically, so a
+    /// region draining a GT stream sleeps between its slots instead of
+    /// ticking through them. The kernel is active (`now`) when a channel
+    /// is schedulable right now or it holds state this analysis does not
+    /// cover (staged words, CNIP traffic).
     fn dormant_until(&self, now: u64) -> u64 {
-        if ClockedWith::<NiLink>::quiescent(self) {
-            return u64::MAX;
+        if !self.tx_gt.is_empty()
+            || !self.tx_be.is_empty()
+            || self.cnip.as_ref().is_some_and(|c| !c.out.is_empty())
+        {
+            return now;
         }
-        self.gt_slot_horizon(now).unwrap_or(now)
+        let mut horizon = u64::MAX;
+        for c in &self.channels {
+            if c.src_q.is_empty() && c.dst_q.is_empty() && c.credit_counter == 0 {
+                continue; // nothing queued or owed: no horizon of its own
+            }
+            horizon = horizon.min(self.channel_horizon(c, now));
+            if horizon <= now {
+                return now;
+            }
+        }
+        horizon
     }
 
-    /// Slot-table-aware time skip: while quiescent (or GT-slot dormant —
-    /// the span then ends at or before the dormancy horizon), the only
-    /// per-cycle effect is one `gt_slots_unused` event per reserved slot
+    /// Slot-table-aware time skip: while dormant (the span ends at or
+    /// before the dormancy horizon), the only per-cycle effect is one `gt_slots_unused` event per reserved slot
     /// whose boundary is crossed — counted here by walking the slot table
     /// once instead of ticking `cycles` times.
     fn skip(&mut self, from_cycle: u64, cycles: u64) {

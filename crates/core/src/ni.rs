@@ -221,7 +221,7 @@ impl Ni {
     }
 
     /// Whether every shell stack is idle (the kernel is accounted for
-    /// separately by [`ClockedWith::quiescent`]).
+    /// separately by its own [`ClockedWith::dormant_until`]).
     fn stacks_idle(&self) -> bool {
         members(self.shell_ports).all(|p| match &self.stacks[p] {
             PortStack::Raw | PortStack::Cnip => true,
@@ -314,18 +314,8 @@ impl ClockedWith<NiLink> for Ni {
         }
     }
 
-    fn quiescent(&self) -> bool {
-        ClockedWith::<NiLink>::quiescent(&self.kernel) && self.stacks_idle()
-    }
-
     fn skip(&mut self, from_cycle: u64, cycles: u64) {
         ClockedWith::<NiLink>::skip(&mut self.kernel, from_cycle, cycles);
-    }
-
-    /// Per-NI activity horizon: shells are request-driven (no spontaneous
-    /// events), so the NI's horizon is its kernel's.
-    fn next_event(&self, now: u64) -> u64 {
-        ClockedWith::<NiLink>::next_event(&self.kernel, now)
     }
 
     /// Shells hold no time-driven state, so the NI is dormant exactly when

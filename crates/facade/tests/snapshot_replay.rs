@@ -7,7 +7,9 @@
 //! interrupted at checkpoint `k`, serialized to JSON text, restored into a
 //! fresh system and continued — compared field-for-field through the
 //! snapshot itself (which carries every wire, FIFO word, link counter,
-//! shell transaction and RNG seed). The matrix covers the single-system
+//! shell transaction and RNG seed), and counter-for-counter through the
+//! statistics accessors, which also see a field the state walk omits. The
+//! matrix covers the single-system
 //! engine, sharded execution (1/2/4 shards, batch 1 and 16, sequential
 //! and worker-thread), randomized checkpoints, snapshot forking, and the
 //! mid-epoch boundary-ring regression.
@@ -17,12 +19,13 @@ use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
 use aethereal::cfg::{
     presets, NocSpec, NocSystem, RuntimeConfigurator, ShardedSystem, SlotStrategy, TopologySpec,
 };
-use aethereal::ni::Transaction;
+use aethereal::ni::kernel::{ChannelStats, NiKernelStats};
+use aethereal::ni::{Ni, Transaction};
 use aethereal::proto::{
     MemorySlave, StreamSink, StreamSource, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
 };
 use aethereal::sim::shard::Partition;
-use aethereal::sim::{Engine, Topology};
+use aethereal::sim::{Engine, FfStats, NocStats, Topology};
 use aethereal_testkit::prelude::*;
 
 /// First structural difference between two snapshot documents, as a
@@ -55,6 +58,31 @@ fn assert_same_state(got: &Value, want: &Value, ctx: &str) {
     if let Some(d) = first_diff(got, want, "$") {
         panic!("{ctx}: restored run diverged from uninterrupted run at {d}");
     }
+}
+
+/// Every counter a user can read, taken off the objects rather than out
+/// of the snapshot: two snapshots agree on a counter the state walk never
+/// visits (neither carries it), these do not.
+type Counters = (NocStats, Vec<NiKernelStats>, Vec<ChannelStats>, FfStats);
+
+fn counters<'a>(noc: NocStats, nis: impl Iterator<Item = &'a Ni>, ff: FfStats) -> Counters {
+    let kernels: Vec<_> = nis.map(|ni| &ni.kernel).collect();
+    let channels = kernels
+        .iter()
+        .flat_map(|k| (0..k.channel_count()).map(|c| *k.channel(c).stats()))
+        .collect();
+    let kernels = kernels.iter().map(|k| *k.stats()).collect();
+    (noc, kernels, channels, ff)
+}
+
+fn system_counters(sys: &NocSystem) -> Counters {
+    counters(sys.noc.stats().clone(), sys.nis.iter(), sys.ff_stats())
+}
+
+fn sharded_counters(s: &ShardedSystem) -> Counters {
+    let nis = s.regions().iter().map(|r| r.nis.len()).sum();
+    let nis = (0..nis).map(|ni| s.ni(ni));
+    counters(s.merged_noc_stats(), nis, s.ff_stats())
 }
 
 /// A 4x4 mesh mixing every kind of dynamic state: a config module (NI 0),
@@ -156,6 +184,7 @@ fn restore_and_continue_is_bit_identical_at_every_checkpoint() {
     }
     reference.run(start + HORIZON - at);
     let ref_final = reference.snapshot().expect("final snapshot");
+    let ref_counters = system_counters(&reference);
     // Each checkpoint: serialize to text, restore into a fresh system,
     // continue to the horizon, demand the identical end state.
     for (&k, snap) in checkpoints.iter().zip(&ref_snaps) {
@@ -170,6 +199,7 @@ fn restore_and_continue_is_bit_identical_at_every_checkpoint() {
             &ref_final,
             &format!("checkpoint {k}"),
         );
+        assert_eq!(system_counters(&fresh), ref_counters, "checkpoint {k}");
     }
     // A restored run must also pass through *later* checkpoints
     // bit-identically, not just reach the same end state.
@@ -253,6 +283,7 @@ proptest! {
         fresh.run(T - k);
         let diff = first_diff(&fresh.snapshot().expect("snapshot"), &ref_final, "$");
         prop_assert!(diff.is_none(), "k={} diverged: {}", k, diff.unwrap_or_default());
+        prop_assert_eq!(system_counters(&fresh), system_counters(&reference));
     }
 }
 
@@ -305,9 +336,9 @@ fn sharded_restore_matrix_is_bit_identical() {
                     &format!("shards={shards} batch={batch} parallel={parallel}"),
                 );
                 assert_eq!(
-                    fresh.merged_noc_stats(),
-                    uninterrupted.merged_noc_stats(),
-                    "merged link counters diverged"
+                    sharded_counters(&fresh),
+                    sharded_counters(&uninterrupted),
+                    "counters diverged"
                 );
             }
         }
@@ -329,6 +360,7 @@ fn restore_may_switch_execution_modes() {
     par.restore(&snap).expect("restore");
     par.run_parallel(HORIZON - 2_003);
     assert_same_state(&par.snapshot().expect("snapshot"), &want, "seq→par switch");
+    assert_eq!(sharded_counters(&par), sharded_counters(&reference));
 }
 
 /// Regression (boundary-ring restore): the exchange rings' published-cycle
@@ -389,6 +421,7 @@ fn rewind_restore_rebases_boundary_rings() {
             &want,
             &format!("rewind k={k}"),
         );
+        assert_eq!(sharded_counters(&sys), sharded_counters(&uninterrupted));
     }
 }
 
@@ -428,6 +461,7 @@ fn forked_restores_are_isolated() {
         &want,
         "undisturbed fork",
     );
+    assert_eq!(system_counters(&fork_a), system_counters(&reference));
     let diverged = first_diff(&fork_b.snapshot().expect("snapshot"), &want, "$");
     assert!(
         diverged.is_some(),

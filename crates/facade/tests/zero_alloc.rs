@@ -269,18 +269,14 @@ impl Clocked for Enrolling {
         self.shard.absorb();
     }
 
-    fn quiescent(&self) -> bool {
+    fn dormant_until(&self, now: u64) -> u64 {
         self.enroll();
-        self.shard.quiescent()
+        self.shard.dormant_until(now)
     }
 
     fn skip(&mut self, cycles: u64) {
         self.enroll();
         self.shard.skip(cycles);
-    }
-
-    fn next_event(&self, now: u64) -> u64 {
-        self.shard.next_event(now)
     }
 }
 

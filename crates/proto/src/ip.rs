@@ -10,13 +10,13 @@
 //! The traits here only add what the contract does not carry: `as_any` for
 //! post-run inspection, `done` for run-to-idle driving, and `idle_until`
 //! for per-component **activity reporting** — the earliest cycle at which
-//! the IP could act on its own. The system orchestrator composes its
-//! quiescence check and its [`Clocked::next_event`] horizon from these, so
-//! a whole region of a sharded mesh can skip exactly while its IPs are
+//! the IP could act on its own, the IP-level form of the one idleness
+//! question. The system orchestrator composes its
+//! [`Clocked::dormant_until`] horizon from these, so a whole region of a sharded mesh can skip exactly while its IPs are
 //! between bursts (see `noc_sim::shard`). All IPs are `Send`: regions run
 //! on worker threads.
 //!
-//! [`Clocked::next_event`]: noc_sim::engine::Clocked::next_event
+//! [`Clocked::dormant_until`]: noc_sim::engine::Clocked::dormant_until
 
 use aethereal_ni::kernel::{ChannelId, NiKernel};
 use aethereal_ni::shell::{MasterStack, SlaveStack};

@@ -34,37 +34,50 @@
 //! have a different clock frequency", §4.1 of the paper), replacing the
 //! inline `cycle % div == 0` checks that were scattered across the crates.
 //!
-//! # The driver, the quiescent fast path and the next-event horizon
+//! # The driver and the one idleness question
 //!
 //! [`Engine::run`], [`Engine::run_until`], [`Engine::run_until_horizon`] and
 //! the fast-forwarding `Engine::run_ff` are four thin callers of one
 //! private stepping loop, the only sequential run loop in the workspace: the
 //! shard runner's `run` is `run_ff` over the runner and its regions taken
 //! as one [`Clocked`] fabric (see [`crate::shard`]); only its worker-thread
-//! body steps regions on its own. `run` has a slot-table-aware fast path:
-//! when a fabric reports itself [`quiescent`](Clocked::quiescent) — no
-//! words in flight, no sendable data, no pending credits — ticking it can
-//! change nothing except time-derived counters, so the driver batches
-//! cycles into [`skip`](Clocked::skip) calls. Implementors of `skip` account for
-//! per-slot effects arithmetically (e.g. the NI kernel adds one unused-slot
-//! event per reserved slot crossed, walking its slot table instead of the
-//! clock).
+//! body steps regions on its own.
 //!
-//! The all-or-nothing skip of the first engine generation is generalized by
-//! [`Clocked::next_event`]: a quiescent fabric reports the earliest future
-//! cycle at which it could *spontaneously* act again (a paced traffic
-//! source's next submission rounded to its port clock's
-//! [`ClockDomain::next_edge`], a trace entry's timestamp, …), and `run`
-//! skips exactly up to that horizon instead of either skipping everything
-//! or nothing. A fully drained fabric reports `u64::MAX`, which degenerates
-//! to the old skip-the-rest behavior.
+//! The paper's NI owns a TDM slot table, so "is it idle?" is really "*until
+//! when* is it idle?" — the next reserved slot with sendable data. A driver
+//! therefore asks one question, once per decision, and the same question
+//! is asked at all three levels of the system:
+//!
+//! * an IP model answers `idle_until(now)` (`aethereal_proto`: a paced
+//!   source's next submission, a trace entry's timestamp);
+//! * an endpoint answers [`ClockedWith::dormant_until`] (the NI kernel: the
+//!   next reserved slot at which queued GT data becomes sendable);
+//! * a fabric answers [`Clocked::dormant_until`], the minimum over its
+//!   parts (IP horizons rounded up to their port clock's
+//!   [`ClockDomain::next_edge`], NI horizons, the network's earliest
+//!   scheduled GT emission), returning `now` at the first active part.
+//!
+//! The answer is the earliest cycle ≥ `now` at which the thing could act
+//! without external input: `now` while active, `u64::MAX` when fully
+//! drained. Every tick strictly before it can change nothing except
+//! time-derived counters, so the driver replaces those ticks by one
+//! [`skip`](Clocked::skip), exactly up to the horizon and never past it.
+//! Implementors of `skip` account for per-slot effects arithmetically
+//! (e.g. the NI kernel adds one unused-slot event per reserved slot
+//! crossed, walking its slot table instead of the clock).
+//!
+//! [`Clocked::quiescent`] and [`Clocked::next_event`] are the two names the
+//! question used to be asked under. They survive as provided views of
+//! `dormant_until` — no impl overrides them (`xtask lint`,
+//! `one-idleness-question`) and no driver calls them — only because
+//! `benchmark/` and the tests still read them.
 //!
 //! `run_until` observes every cycle boundary: the predicate is evaluated
-//! before each cycle, and while the fabric is quiescent the tick itself is
-//! replaced by the (state-identical, by the quiescence contract) `skip(1)`.
+//! before each cycle, and while the fabric is dormant the tick itself is
+//! replaced by the (state-identical, by the dormancy contract) `skip(1)`.
 //! [`Engine::run_until_horizon`] is the explicit opt-in for *cycle-driven*
-//! predicates, batching whole quiescent stretches up to the next-event
-//! horizon between predicate checks.
+//! predicates, batching whole dormant stretches up to the horizon between
+//! predicate checks.
 
 use crate::ff::FfOutcome;
 use crate::word::SLOT_WORDS;
@@ -105,9 +118,13 @@ impl ClockDomain {
         self.div == 1 || cycle.is_multiple_of(u64::from(self.div))
     }
 
-    /// The first edge at or after `cycle`.
+    /// The first edge at or after `cycle`; the base domain answers
+    /// without dividing here too.
     #[inline]
     pub fn next_edge(self, cycle: u64) -> u64 {
+        if self.div == 1 {
+            return cycle;
+        }
         let d = u64::from(self.div);
         cycle.div_ceil(d) * d
     }
@@ -151,20 +168,25 @@ pub trait Clocked {
     /// counter.
     fn absorb(&mut self);
 
-    /// Whether a tick can change nothing but time-derived counters: no
-    /// words in flight, no queued work, no pending credits, and no internal
-    /// source that could create any without external input.
-    ///
-    /// Returning `true` licenses [`Engine::run`] to replace ticks with one
-    /// [`skip`](Clocked::skip). The default is `false`: never skip.
-    fn quiescent(&self) -> bool {
-        false
+    /// The one idleness question: the earliest base cycle ≥ `now` at which
+    /// the fabric could act without external input — `now` itself while
+    /// active, `u64::MAX` when nothing can ever happen on its own. Every
+    /// tick strictly before the answer changes nothing but time-derived
+    /// counters (no words in flight, no sendable data, no pending credits;
+    /// a paced generator's next submission, a scheduled GT emission or a
+    /// reserved slot with queued data bound it), which licenses
+    /// [`Engine::run`] and the shard scheduler ([`crate::shard`]) to
+    /// replace those ticks with one [`skip`](Clocked::skip) that ends at or
+    /// before it. The default is `now`: never skip.
+    fn dormant_until(&self, now: u64) -> u64 {
+        now
     }
 
     /// Advances time-derived state by `cycles` cycles as if ticked while
-    /// [`quiescent`](Clocked::quiescent); must be overridden (together with
-    /// `quiescent`) to make the fast path effective. The default simply
-    /// ticks, which is always correct.
+    /// dormant — the span ends at or before
+    /// [`dormant_until`](Clocked::dormant_until); must be overridden
+    /// (together with `dormant_until`) to make the fast path effective.
+    /// The default simply ticks, which is always correct.
     fn skip(&mut self, cycles: u64) {
         for _ in 0..cycles {
             self.emit();
@@ -172,21 +194,19 @@ pub trait Clocked {
         }
     }
 
-    /// The earliest base cycle at which the fabric could act again *on its
-    /// own* — without any external input — given that it is currently
-    /// [`quiescent`](Clocked::quiescent): a paced generator's next
-    /// submission (rounded up to its port clock's
-    /// [`ClockDomain::next_edge`]), a trace entry's timestamp, and so on.
-    ///
-    /// Only consulted while quiescent; [`Engine::run`] (and the shard
-    /// activity-set scheduler in [`crate::shard`]) will
-    /// [`skip`](Clocked::skip) at most up to this horizon, never past it.
-    /// `u64::MAX` — the default — means "never": nothing can happen without
-    /// external input, which reproduces the original skip-the-rest fast
-    /// path.
+    /// Derived view, not to be overridden: whether the fabric is dormant
+    /// right now. Kept for `benchmark/` and tests; drivers ask
+    /// [`dormant_until`](Clocked::dormant_until).
+    fn quiescent(&self) -> bool {
+        let now = self.now();
+        self.dormant_until(now) > now
+    }
+
+    /// Derived view, not to be overridden: [`dormant_until`](Clocked::dormant_until)
+    /// under its old name (it used to be meaningful only while
+    /// [`quiescent`](Clocked::quiescent)).
     fn next_event(&self, now: u64) -> u64 {
-        let _ = now;
-        u64::MAX
+        self.dormant_until(now)
     }
 
     /// Attempts an analytical fast-forward (see [`crate::ff`]): advances
@@ -221,45 +241,26 @@ pub trait ClockedWith<Ctx: ?Sized> {
         self.emit(ctx, cycle);
     }
 
-    /// Endpoint analogue of [`Clocked::quiescent`]; see there.
-    fn quiescent(&self) -> bool {
-        false
-    }
-
     /// Endpoint analogue of [`Clocked::skip`]: advance time-derived state
     /// across `[from_cycle, from_cycle + cycles)` without ticking. Only
-    /// called while [`quiescent`](ClockedWith::quiescent); implementors
-    /// overriding `quiescent` must override this accordingly.
+    /// called over a span that ends at or before
+    /// [`dormant_until`](ClockedWith::dormant_until); implementors
+    /// overriding that must override this accordingly.
     fn skip(&mut self, from_cycle: u64, cycles: u64) {
         let _ = (from_cycle, cycles);
     }
 
-    /// Endpoint analogue of [`Clocked::next_event`]: the earliest base
-    /// cycle at which this endpoint could act spontaneously while
-    /// quiescent. Containers (an NI over its shells, a system over its
-    /// regions) compose their own horizon as the minimum over their parts.
-    fn next_event(&self, now: u64) -> u64 {
-        let _ = now;
-        u64::MAX
-    }
-
-    /// The earliest base cycle ≥ `now` at which this endpoint could act
-    /// without external input — `now` itself while active. Unlike the
-    /// [`quiescent`](ClockedWith::quiescent)/[`next_event`](ClockedWith::next_event)
-    /// pair, this may report a *bounded* horizon for an endpoint that still
-    /// holds state, as long as every tick strictly before the horizon is a
-    /// no-op: the NI kernel uses it to report the next reserved slot at
-    /// which queued GT data becomes sendable, so a region draining a GT
-    /// stream can sleep between its slots instead of ticking through them.
-    ///
-    /// Implementors overriding this must keep [`skip`](ClockedWith::skip)
-    /// exact over any span that ends at or before the reported horizon.
+    /// Endpoint analogue of [`Clocked::dormant_until`]: the earliest base
+    /// cycle ≥ `now` at which this endpoint could act without external
+    /// input — `now` itself while active (the default). An endpoint that
+    /// still holds state may report a *bounded* horizon, as long as every
+    /// tick strictly before it is a no-op: the NI kernel reports the next
+    /// reserved slot at which queued GT data becomes sendable, so a region
+    /// draining a GT stream can sleep between its slots instead of ticking
+    /// through them. Containers (an NI over its shells, a system over its
+    /// NIs) compose their horizon as the minimum over their parts.
     fn dormant_until(&self, now: u64) -> u64 {
-        if self.quiescent() {
-            self.next_event(now)
-        } else {
-            now
-        }
+        now
     }
 }
 
@@ -279,14 +280,15 @@ impl Engine {
     }
 
     /// The one stepping loop behind every public driver: until `pred`
-    /// holds or `max_cycles` elapse, replace a quiescent stretch by a
+    /// holds or `max_cycles` elapse, replace a dormant stretch by a
     /// [`Clocked::skip`], else let `offer` advance the fabric by other
     /// means (fast-forward; it returns the cycles it covered, `0` to
     /// pass), else tick. Returns whether the predicate was met.
     ///
-    /// A skip reaches the fabric's [`Clocked::next_event`] horizon and is
-    /// not attempted below a slot — unless `every_cycle`, where it covers
-    /// one cycle, so that `pred` sees every cycle boundary.
+    /// A skip reaches the fabric's [`Clocked::dormant_until`] horizon —
+    /// asked once per decision — and is not attempted below a slot, unless
+    /// `every_cycle`, where it covers one cycle, so that `pred` sees every
+    /// cycle boundary.
     pub(crate) fn drive<C: Clocked + ?Sized>(
         fabric: &mut C,
         max_cycles: u64,
@@ -300,13 +302,10 @@ impl Engine {
             if pred(fabric) {
                 return true;
             }
-            if remaining >= floor && fabric.quiescent() {
-                let chunk = if every_cycle {
-                    1
-                } else {
-                    let now = fabric.now();
-                    remaining.min(fabric.next_event(now).saturating_sub(now))
-                };
+            if remaining >= floor {
+                let now = fabric.now();
+                let idle = fabric.dormant_until(now).saturating_sub(now);
+                let chunk = idle.min(if every_cycle { 1 } else { remaining });
                 if chunk >= floor {
                     fabric.skip(chunk);
                     remaining -= chunk;
@@ -326,12 +325,12 @@ impl Engine {
 
     /// Runs `cycles` cycles.
     ///
-    /// When the fabric reports itself quiescent and at least one whole slot
-    /// remains, the cycles up to the fabric's [`Clocked::next_event`]
-    /// horizon are batched into one [`Clocked::skip`] — quiescence cannot
-    /// end before that horizon without external input, so the skip is
-    /// exact, not approximate. A fully drained fabric (horizon `u64::MAX`)
-    /// skips everything that remains in one call.
+    /// When the fabric reports itself dormant and at least one whole slot
+    /// remains, the cycles up to its [`Clocked::dormant_until`] horizon are
+    /// batched into one [`Clocked::skip`] — dormancy cannot end before
+    /// that horizon without external input, so the skip is exact, not
+    /// approximate. A fully drained fabric (horizon `u64::MAX`) skips
+    /// everything that remains in one call.
     pub fn run<C: Clocked + ?Sized>(fabric: &mut C, cycles: u64) {
         Self::drive(fabric, cycles, false, |_| false, |_, _| 0);
     }
@@ -340,8 +339,8 @@ impl Engine {
     /// predicate was met.
     ///
     /// The predicate observes **every** cycle boundary, so the stopping
-    /// cycle is exact for any predicate. While the fabric is quiescent the
-    /// tick is replaced by a `skip(1)` — state-identical by the quiescence
+    /// cycle is exact for any predicate. While the fabric is dormant the
+    /// tick is replaced by a `skip(1)` — state-identical by the dormancy
     /// contract, but without the per-cycle emit/absorb walk — so long waits
     /// on an idle system no longer pay for full ticks. For cycle-driven
     /// predicates that tolerate coarser stopping points, see
@@ -354,19 +353,19 @@ impl Engine {
         Self::drive(fabric, max_cycles, true, pred, |_, _| 0)
     }
 
-    /// Like [`Engine::run_until`], but batches quiescent stretches up to
-    /// the [`Clocked::next_event`] horizon between predicate checks — the
+    /// Like [`Engine::run_until`], but batches dormant stretches up to the
+    /// [`Clocked::dormant_until`] horizon between predicate checks — the
     /// explicit opt-in for predicates that cannot turn true while the
-    /// fabric is quiescent (a response arriving, a workload finishing) or
+    /// fabric is dormant (a response arriving, a workload finishing) or
     /// that tolerate a coarser stopping point ("enough cycles elapsed").
     ///
-    /// While the fabric is quiescent the predicate is *not* evaluated at
+    /// While the fabric is dormant the predicate is *not* evaluated at
     /// every intermediate cycle, so the stopping cycle may overshoot the
-    /// predicate's first-true cycle — by at most the distance to the next
-    /// event horizon (or `max_cycles`). A predicate that only activity can
-    /// satisfy is still stopped at exactly: every non-quiescent cycle is
-    /// ticked and checked. State-inspecting predicates that can turn true
-    /// in a quiescent stretch belong on [`Engine::run_until`].
+    /// predicate's first-true cycle — by at most the distance to the
+    /// horizon (or `max_cycles`). A predicate that only activity can
+    /// satisfy is still stopped at exactly: every active cycle is ticked
+    /// and checked. State-inspecting predicates that can turn true in a
+    /// dormant stretch belong on [`Engine::run_until`].
     pub fn run_until_horizon<C, P>(fabric: &mut C, pred: P, max_cycles: u64) -> bool
     where
         C: Clocked + ?Sized,
@@ -379,6 +378,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     /// A fabric that counts phase calls and can pretend to be quiescent.
     struct Probe {
@@ -387,6 +387,8 @@ mod tests {
         absorbs: u64,
         skipped: u64,
         skip_calls: u64,
+        /// How often a driver asked the idleness question.
+        asks: Cell<u64>,
         quiescent_after: u64,
         /// Spontaneous-event schedule: while quiescent, the next event is
         /// the first entry after the current cycle (`u64::MAX` beyond).
@@ -401,9 +403,18 @@ mod tests {
                 absorbs: 0,
                 skipped: 0,
                 skip_calls: 0,
+                asks: Cell::new(0),
                 quiescent_after,
                 events: Vec::new(),
             }
+        }
+
+        fn horizon(&self, now: u64) -> u64 {
+            if now < self.quiescent_after {
+                return now;
+            }
+            let events = self.events.iter().copied();
+            events.filter(|&e| e >= now).min().unwrap_or(u64::MAX)
         }
     }
 
@@ -423,23 +434,17 @@ mod tests {
             self.cycle += 1;
         }
 
-        fn quiescent(&self) -> bool {
-            self.cycle >= self.quiescent_after && !self.events.contains(&self.cycle)
+        fn dormant_until(&self, now: u64) -> u64 {
+            self.asks.set(self.asks.get() + 1);
+            self.horizon(now)
         }
 
         fn skip(&mut self, cycles: u64) {
+            let horizon = self.horizon(self.cycle);
+            assert!(self.cycle + cycles <= horizon, "skipped past the horizon");
             self.skipped += cycles;
             self.skip_calls += 1;
             self.cycle += cycles;
-        }
-
-        fn next_event(&self, now: u64) -> u64 {
-            self.events
-                .iter()
-                .copied()
-                .filter(|&e| e > now)
-                .min()
-                .unwrap_or(u64::MAX)
         }
     }
 
@@ -478,6 +483,22 @@ mod tests {
         assert_eq!(p.skip_calls, 3, "one batched skip per idle stretch");
         assert_eq!(p.emits, 2, "ticked exactly at the event cycles");
         assert_eq!(p.skipped, 98);
+    }
+
+    #[test]
+    fn run_asks_the_idleness_question_once_per_decision() {
+        let mut p = Probe::new(3);
+        p.events = vec![40, 80];
+        Engine::run(&mut p, 100);
+        assert_eq!(p.now(), 100);
+        // One ask before every tick (3 active cycles + 2 event cycles) and
+        // one before every skip — `Probe::skip` itself asserts that no
+        // skip ends past the cycle that ask reported.
+        assert_eq!((p.emits, p.skip_calls), (5, 3));
+        assert_eq!(p.asks.get(), p.emits + p.skip_calls);
+        // The derived views are the same question under its old names.
+        assert!(p.quiescent());
+        assert_eq!((p.next_event(40), p.next_event(50)), (40, 80));
     }
 
     #[test]

@@ -34,6 +34,12 @@ impl LinkState {
             wire: None,
         }
     }
+
+    /// Walks the link's dynamic state through a state visitor (see
+    /// [`crate::persist`]): the wire; the endpoints are structural.
+    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
+        crate::persist::persist_opt_word(&mut self.wire, p);
+    }
 }
 
 #[cfg(test)]

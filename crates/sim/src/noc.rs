@@ -680,7 +680,7 @@ impl Noc {
     /// Whether nothing at all is in flight: all wires idle, all routers
     /// fully drained (GT calendars included), no staged NI word and no
     /// undrained NI inbox. This is the strict precondition of
-    /// [`Noc::split`]; the [`Clocked::quiescent`] notion is weaker — it
+    /// [`Noc::split`]; dormancy ([`Clocked::dormant_until`]) is weaker — it
     /// also holds while scheduled GT emissions wait for their due cycle.
     pub fn drained(&self) -> bool {
         self.active.iter().all(|r| self.routers[r].idle()) && self.calendar_dormant()
@@ -778,7 +778,7 @@ impl Noc {
             ls.walk(p);
         }
         for l in &mut self.links {
-            persist_opt_word(&mut l.wire, p);
+            l.walk(p);
         }
         let empty = LinkWord::header_only(0, WordClass::BestEffort);
         for h in &mut self.ni_links {
@@ -1007,23 +1007,20 @@ impl Clocked for Noc {
         self.stats.cycles = self.cycle;
     }
 
-    /// The network is quiescent when a tick can change only time-derived
+    /// The network is dormant while a tick can change only time-derived
     /// counters: all wires idle, no staged NI word, no undrained NI inbox,
-    /// and every router either fully drained
-    /// or holding only *scheduled GT emissions whose due cycle has not
-    /// arrived*. Pending calendars do not block quiescence — they are pure
-    /// timetables, untouched by ticks before their due cycle — but the
-    /// earliest due cycle caps [`Clocked::next_event`], so no driver ever
-    /// skips a due emission (the calendar-sleep path).
-    fn quiescent(&self) -> bool {
-        self.calendar_dormant() && self.next_gt_due() > self.cycle
-    }
-
-    /// The earliest scheduled GT due cycle — the only spontaneous future
-    /// event a quiescent network can have (`u64::MAX` when fully drained).
-    fn next_event(&self, now: u64) -> u64 {
-        let _ = now;
-        self.next_gt_due()
+    /// and every router either fully drained or holding only *scheduled GT
+    /// emissions whose due cycle has not arrived*. Pending calendars do
+    /// not make it active — they are pure timetables, untouched by ticks
+    /// before their due cycle — but the earliest due cycle is the horizon
+    /// (`u64::MAX` when fully drained), so no driver ever skips a due
+    /// emission (the calendar-sleep path).
+    fn dormant_until(&self, now: u64) -> u64 {
+        if self.calendar_dormant() {
+            self.next_gt_due().max(now)
+        } else {
+            now
+        }
     }
 
     fn skip(&mut self, cycles: u64) {

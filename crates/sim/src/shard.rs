@@ -34,15 +34,15 @@
 //!   and the cut link's one-cycle latency is never shortened or
 //!   stretched. The runner amortizes its *scheduling* work over
 //!   [`ShardRunner::set_batch`]-sized epochs: activity-set decisions
-//!   (quiescence walks, [`Clocked::next_event`] horizons) run once per
+//!   (one [`Clocked::dormant_until`] walk per awake region) run once per
 //!   epoch instead of once per cycle. [`ShardRunner::run_parallel`] is
 //!   **pipelined**: there is no epoch barrier at all — a worker is gated
 //!   only by the per-wire published-cycle watermarks of its inbound
 //!   rings, so it begins epoch N+1's interior cycles while epoch N's cut
 //!   words are still draining on the neighbour's side. Regions that
-//!   report themselves quiescent leave the activity set and sleep until
-//!   their [`Clocked::next_event`] horizon — which includes the next due
-//!   cycle of a pending router GT calendar — or until a boundary
+//!   report themselves dormant leave the activity set and sleep until
+//!   their [`Clocked::dormant_until`] horizon — which includes the next
+//!   due cycle of a pending router GT calendar — or until a boundary
 //!   word/credit arrives for them, at which point they are caught up with
 //!   one exact [`Clocked::skip`].
 //!
@@ -322,16 +322,12 @@ impl Clocked for NocShard {
         self.noc.absorb();
     }
 
-    fn quiescent(&self) -> bool {
-        self.noc.quiescent()
+    fn dormant_until(&self, now: u64) -> u64 {
+        self.noc.dormant_until(now)
     }
 
     fn skip(&mut self, cycles: u64) {
         self.noc.skip(cycles);
-    }
-
-    fn next_event(&self, now: u64) -> u64 {
-        self.noc.next_event(now)
     }
 }
 
@@ -870,7 +866,7 @@ pub struct ExchangeSlice<'a, S: SyncFamily = StdSync> {
 }
 
 /// One region's place in the activity set: awake, or asleep until its own
-/// next-event horizon `wake_at` — or until input arrives for it, whichever
+/// horizon `wake_at` — or until input arrives for it, whichever
 /// comes first. The three transitions below are the whole region
 /// scheduler, shared by the sequential runner and the worker threads. A
 /// region is never skipped past its horizon, and never past a cycle in
@@ -917,12 +913,12 @@ impl RegionSched {
         self.awake = true;
     }
 
-    /// Epoch boundary: a quiescent region leaves the activity set until
-    /// its next-event horizon.
+    /// Epoch boundary: a dormant region leaves the activity set until its
+    /// horizon.
     fn settle<R: Clocked>(&mut self, region: &mut R) {
-        if self.awake && region.quiescent() {
+        if self.awake {
             let now = region.now();
-            let horizon = region.next_event(now);
+            let horizon = region.dormant_until(now);
             if horizon > now {
                 *self = RegionSched {
                     awake: false,
@@ -1000,10 +996,10 @@ pub fn run_worker<R: Clocked, S: SyncFamily>(
 /// [`ShardRunner::run`]), which [`ShardRunner::run_parallel`] instead
 /// steps region by region on worker threads. Activity-set maintenance is
 /// amortized over [`batch`](ShardRunner::set_batch)-sized epochs: only at
-/// an epoch boundary are the awake regions' quiescence and
-/// [`Clocked::next_event`] horizons walked and drained regions let out of
-/// the set. Inside an epoch a quiescent region just keeps ticking (a no-op
-/// by the quiescence contract), so the batch size trades scheduling
+/// an epoch boundary are the awake regions' [`Clocked::dormant_until`]
+/// horizons walked and dormant regions let out of the set. Inside an
+/// epoch a dormant region just keeps ticking (a no-op by the dormancy
+/// contract), so the batch size trades scheduling
 /// overhead against how promptly regions fall asleep — it never affects
 /// what the simulation computes.
 ///
@@ -1220,9 +1216,9 @@ impl ShardRunner {
 /// 3. **absorb** on every awake region, each consuming its due slots;
 ///    then, at an epoch boundary, every awake region settles.
 ///
-/// The fabric is quiescent when nobody is awake, its next event is the
-/// earliest sleeper horizon, and skipping it only advances the global
-/// cycle — sleepers are caught up when they wake.
+/// The fabric is dormant while nobody is awake, until the earliest sleeper
+/// horizon, and skipping it only advances the global cycle — sleepers are
+/// caught up when they wake.
 struct Ensemble<'a, R> {
     runner: &'a mut ShardRunner,
     regions: &'a mut [R],
@@ -1271,18 +1267,21 @@ impl<R: ShardRegion> Clocked for Ensemble<'_, R> {
         }
     }
 
-    fn quiescent(&self) -> bool {
-        !self.runner.sched.iter().any(|s| s.awake)
+    /// Active while anybody is awake, else dormant until the earliest
+    /// wake horizon.
+    fn dormant_until(&self, now: u64) -> u64 {
+        let mut horizon = u64::MAX;
+        for s in &self.runner.sched {
+            if s.awake {
+                return now;
+            }
+            horizon = horizon.min(s.wake_at);
+        }
+        horizon.max(now)
     }
 
     fn skip(&mut self, cycles: u64) {
         self.runner.cycle += cycles;
-    }
-
-    /// Only consulted while nobody is awake: the earliest wake horizon.
-    fn next_event(&self, _now: u64) -> u64 {
-        let horizons = self.runner.sched.iter().map(|s| s.wake_at);
-        horizons.min().unwrap_or(u64::MAX)
     }
 
     /// With exactly one region in the activity set, nothing can reach it
@@ -2189,28 +2188,20 @@ mod tests {
             self.cycle += 1;
         }
 
-        fn quiescent(&self) -> bool {
-            !self.events.contains(&self.cycle)
+        fn dormant_until(&self, now: u64) -> u64 {
+            let events = self.events.iter().copied();
+            events.filter(|&e| e >= now).min().unwrap_or(u64::MAX)
         }
 
         fn skip(&mut self, cycles: u64) {
             let target = self.cycle + cycles;
-            let horizon = self.next_event(self.cycle);
+            let horizon = self.dormant_until(self.cycle);
             assert!(
                 target <= horizon,
                 "skipped from {} to {target}, past horizon {horizon}",
                 self.cycle
             );
             self.cycle = target;
-        }
-
-        fn next_event(&self, now: u64) -> u64 {
-            self.events
-                .iter()
-                .copied()
-                .filter(|&e| e > now)
-                .min()
-                .unwrap_or(u64::MAX)
         }
     }
 

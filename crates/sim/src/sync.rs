@@ -1,10 +1,12 @@
 //! Pluggable synchronization primitives for the shard exchange protocol.
 //!
 //! The worker-thread runner ([`crate::shard::ShardRunner::run_parallel`])
-//! coordinates regions with hand-rolled atomics: per-wire published-cycle
-//! watermarks, stamped-mailbox mutexes and one spin barrier per epoch. That
-//! protocol is the one part of the codebase a cycle-accurate test cannot
-//! exhaust — its correctness depends on memory orderings, not values.
+//! coordinates regions with hand-rolled atomics and nothing else: every
+//! [`WireRing`](crate::shard::WireRing) carries a published-cycle watermark
+//! and per-slot stamps, and a worker spins on its inbound watermarks — no
+//! mutex, no barrier. That protocol is the one part of the codebase a
+//! cycle-accurate test cannot exhaust — its correctness depends on memory
+//! orderings, not values.
 //!
 //! This module abstracts the primitives behind the [`SyncFamily`] trait so the
 //! *same* protocol code can run either on real `std::sync::atomic` types
@@ -17,8 +19,8 @@
 //! [`Ordering`] arguments) so orderings stay visible at every call site and
 //! a model can interpret — or a seeded mutant weaken — them.
 
+use std::sync::atomic::AtomicU64;
 pub use std::sync::atomic::Ordering;
-use std::sync::atomic::{AtomicU64, AtomicUsize};
 
 /// A shared `u64` cell with the subset of the `std::sync::atomic::AtomicU64`
 /// API the shard protocol uses.
@@ -33,37 +35,12 @@ pub trait AtomicU64Cell: Send + Sync {
     fn fetch_add(&self, v: u64, order: Ordering) -> u64;
 }
 
-/// A shared `usize` cell — see [`AtomicU64Cell`].
-pub trait AtomicUsizeCell: Send + Sync {
-    /// Creates a cell holding `v`.
-    fn new(v: usize) -> Self;
-    /// Atomic load with the given ordering.
-    fn load(&self, order: Ordering) -> usize;
-    /// Atomic store with the given ordering.
-    fn store(&self, v: usize, order: Ordering);
-    /// Atomic fetch-add returning the previous value.
-    fn fetch_add(&self, v: usize, order: Ordering) -> usize;
-}
-
-/// A mutual-exclusion cell protecting a `T`, exposed in closure form so a
-/// model implementation can treat acquire and release as scheduling points.
-pub trait MutexCell<T>: Send + Sync {
-    /// Creates a cell holding `v`.
-    fn new(v: T) -> Self;
-    /// Runs `f` with exclusive access to the protected value.
-    fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R;
-}
-
 /// The family of synchronization primitives the shard exchange protocol is
 /// generic over: real atomics in production ([`StdSync`]), instrumented
 /// model cells under the `testkit::mc` model checker.
 pub trait SyncFamily: 'static {
-    /// The `u64` atomic (watermarks, barrier generations).
+    /// The `u64` atomic (watermarks, slot stamps).
     type AtomicU64: AtomicU64Cell;
-    /// The `usize` atomic (barrier arrival counts).
-    type AtomicUsize: AtomicUsizeCell;
-    /// The mutex (stamped boundary mailboxes).
-    type Mutex<T: Send>: MutexCell<T>;
 
     /// Blocks until `ready` returns true. The production family busy-spins
     /// then yields; a model family parks the thread until another thread
@@ -77,7 +54,7 @@ pub trait SyncFamily: 'static {
 /// fewer cores than regions).
 const SPIN_LIMIT: u32 = 128;
 
-/// The production synchronization family: plain `std` atomics and mutexes,
+/// The production synchronization family: plain `std` atomics,
 /// spin-then-yield waits. Every method inlines to exactly the code the
 /// shard runner used before the shim existed.
 #[derive(Debug)]
@@ -102,40 +79,8 @@ impl AtomicU64Cell for AtomicU64 {
     }
 }
 
-impl AtomicUsizeCell for AtomicUsize {
-    #[inline]
-    fn new(v: usize) -> Self {
-        AtomicUsize::new(v)
-    }
-    #[inline]
-    fn load(&self, order: Ordering) -> usize {
-        AtomicUsize::load(self, order)
-    }
-    #[inline]
-    fn store(&self, v: usize, order: Ordering) {
-        AtomicUsize::store(self, v, order)
-    }
-    #[inline]
-    fn fetch_add(&self, v: usize, order: Ordering) -> usize {
-        AtomicUsize::fetch_add(self, v, order)
-    }
-}
-
-impl<T: Send> MutexCell<T> for std::sync::Mutex<T> {
-    #[inline]
-    fn new(v: T) -> Self {
-        std::sync::Mutex::new(v)
-    }
-    #[inline]
-    fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.lock().expect("sync shim mutex poisoned"))
-    }
-}
-
 impl SyncFamily for StdSync {
     type AtomicU64 = AtomicU64;
-    type AtomicUsize = AtomicUsize;
-    type Mutex<T: Send> = std::sync::Mutex<T>;
 
     #[inline]
     fn spin_until(mut ready: impl FnMut() -> bool) {

@@ -571,6 +571,13 @@ impl Topology {
     ///
     /// See [`RouteError`].
     pub fn route(&self, from: NiId, to: NiId) -> Result<Path, RouteError> {
+        let (_, hops) = self.hops_between(from, to)?;
+        Ok(Path::new(&hops)?)
+    }
+
+    /// The router NI `from` is attached to and the complete minimal hop
+    /// list from there into NI `to`, ejection hop included.
+    fn hops_between(&self, from: NiId, to: NiId) -> Result<(RouterId, Vec<PortIdx>), RouteError> {
         let (fr, _fp) = self
             .ni_attachment(from)
             .ok_or(RouteError::UnknownNi { ni: from })?;
@@ -583,7 +590,7 @@ impl Topology {
             return Err(RouteError::Unreachable { from: fr, to: tr });
         }
         hops.push(tp);
-        Ok(Path::new(&hops)?)
+        Ok((fr, hops))
     }
 
     /// The minimal router-to-router hop list, honouring the failed-link
@@ -647,18 +654,7 @@ impl Topology {
     ///
     /// See [`RouteError`].
     pub fn route_any(&self, from: NiId, to: NiId) -> Result<Route, RouteError> {
-        let (fr, _fp) = self
-            .ni_attachment(from)
-            .ok_or(RouteError::UnknownNi { ni: from })?;
-        let (tr, tp) = self
-            .ni_attachment(to)
-            .ok_or(RouteError::UnknownNi { ni: to })?;
-        let mut hops = self.plan_hops(fr, tr)?;
-        if self.is_masked(tr, tp) {
-            // The ejection link into the destination NI is failed.
-            return Err(RouteError::Unreachable { from: fr, to: tr });
-        }
-        hops.push(tp);
+        let (fr, hops) = self.hops_between(from, to)?;
         if hops.len() <= MAX_HOPS {
             return Ok(Route::single(Path::new(&hops)?));
         }
@@ -778,19 +774,8 @@ impl Topology {
     ///
     /// Used by the slot allocator in `aethereal-cfg`.
     pub fn links_of_route(&self, from: NiId, path: &Path) -> Vec<(RouterId, PortIdx)> {
-        let mut links = Vec::new();
-        let Some((mut r, _)) = self.ni_attachment(from) else {
-            return links;
-        };
-        links.push((usize::MAX, from as PortIdx)); // NI → first router injection link
-        for hop in path.iter() {
-            links.push((r, hop));
-            match self.neighbour(r, hop) {
-                Some((nr, _)) => r = nr,
-                None => break, // ejection hop: link into the destination NI
-            }
-        }
-        links
+        let links = self.links_of_route_segmented(from, &Route::single(path.clone()));
+        links.into_iter().map(|l| (l.router, l.port)).collect()
     }
 
     /// Enumerates the directed links traversed by a multi-segment `route`

@@ -37,9 +37,6 @@
 //!   exhaustive exploration of multi-cycle protocol runs tractable.
 //! * Loads are never reordered (no `Acquire`-load weakening is modeled);
 //!   the model targets delayed-store bugs.
-//! * A [`MutexCell`] critical section is one atomic step. Sound here
-//!   because every `with` body in the protocol touches only the data that
-//!   mutex protects, so its interior cannot race with other threads' steps.
 //! * Spin waits ([`SyncFamily::spin_until`]) park the thread until another
 //!   thread commits a shared write, keeping every schedule finite; a state
 //!   where no thread can run and no buffered store is pending is reported
@@ -73,7 +70,7 @@
 //! assert!(matches!(outcome, Outcome::Fail { .. }));
 //! ```
 
-use noc_sim::sync::{AtomicU64Cell, AtomicUsizeCell, MutexCell, Ordering, SyncFamily};
+use noc_sim::sync::{AtomicU64Cell, Ordering, SyncFamily};
 use std::cell::Cell as StdCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -177,7 +174,6 @@ enum Op {
     Store(usize, bool),
     /// `.1` is true when the RMW is `Release`-class (flushes the buffer).
     Rmw(usize, bool),
-    Lock(usize),
     SpinCheck,
 }
 
@@ -189,7 +185,6 @@ impl Op {
             Op::Store(l, false) => format!("store m{l} (release)"),
             Op::Rmw(l, true) => format!("rmw m{l} (release)"),
             Op::Rmw(l, false) => format!("rmw m{l} (relaxed)"),
-            Op::Lock(m) => format!("mutex x{m}"),
             Op::SpinCheck => "spin-check".to_string(),
         }
     }
@@ -247,8 +242,8 @@ thread_local! {
     static CURRENT: StdCell<Option<Arc<Runtime>>> = const { StdCell::new(None) };
     static TID: StdCell<usize> = const { StdCell::new(usize::MAX) };
     /// Set while a thread executes its granted turn: nested cell operations
-    /// (loads inside a spin predicate, the body of a mutex step) access
-    /// memory directly instead of announcing new scheduling points.
+    /// (loads inside a spin predicate, the finale) access memory directly
+    /// instead of announcing new scheduling points.
     static IN_TURN: StdCell<bool> = const { StdCell::new(false) };
 }
 
@@ -517,77 +512,8 @@ impl AtomicU64Cell for McAtomicU64 {
     }
 }
 
-/// A model `usize` cell — shares [`McAtomicU64`]'s machinery.
-pub struct McAtomicUsize(McAtomicU64);
-
-impl AtomicUsizeCell for McAtomicUsize {
-    fn new(v: usize) -> Self {
-        McAtomicUsize(McAtomicU64::new(v as u64))
-    }
-
-    fn load(&self, _order: Ordering) -> usize {
-        self.0.op_load() as usize
-    }
-
-    fn store(&self, v: usize, order: Ordering) {
-        self.0.op_store(v as u64, order);
-    }
-
-    fn fetch_add(&self, v: usize, order: Ordering) -> usize {
-        self.0.op_rmw(v as u64, order) as usize
-    }
-}
-
-/// A model mutex: the whole critical section is one scheduling step (see
-/// module docs for why that is sound for the protocol under test).
-pub struct McMutex<T> {
-    rt: Arc<Runtime>,
-    id: usize,
-    data: Mutex<T>,
-}
-
-impl<T: Send> MutexCell<T> for McMutex<T> {
-    fn new(v: T) -> Self {
-        let rt = current_runtime();
-        // Mutex data lives outside the u64 memory; allocate an id slot only
-        // for trace labeling.
-        let id = rt.alloc(0);
-        McMutex {
-            rt,
-            id,
-            data: Mutex::new(v),
-        }
-    }
-
-    fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        if !IN_TURN.get() {
-            self.rt.announce(Op::Lock(self.id));
-        }
-        let was = IN_TURN.replace(true);
-        let out = f(&mut self
-            .data
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner));
-        IN_TURN.set(was);
-        if !was {
-            self.rt.finish_turn();
-        }
-        // The critical section's effects are ordinary shared-memory writes
-        // from other threads' perspective: bump the epoch so parked spin
-        // waits re-check (a mailbox push may be exactly what a consumer is
-        // waiting to observe via its watermark — keep wakeups conservative).
-        let mut g = self.rt.lock();
-        g.write_epoch += 1;
-        self.rt.cv.notify_all();
-        drop(g);
-        out
-    }
-}
-
 impl SyncFamily for ModelSync {
     type AtomicU64 = McAtomicU64;
-    type AtomicUsize = McAtomicUsize;
-    type Mutex<T: Send> = McMutex<T>;
 
     fn spin_until(mut ready: impl FnMut() -> bool) {
         let rt = current_runtime();

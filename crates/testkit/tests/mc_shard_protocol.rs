@@ -223,7 +223,7 @@ struct Observed {
 /// outbound ring in place, `absorb` takes the inbound ring's due slot.
 /// At each cycle of `events` it sends a word carrying that cycle plus
 /// `cycle + 1` credits, and sleeps to the next event in between — so the
-/// worker has to wake it at its `next_event` horizon.
+/// worker has to wake it at its `dormant_until` horizon.
 struct Producer {
     rings: Rings,
     cycle: u64,
@@ -261,8 +261,9 @@ impl Clocked for Producer {
         self.cycle += 1;
     }
 
-    fn quiescent(&self) -> bool {
-        !self.events.contains(&self.cycle)
+    fn dormant_until(&self, now: u64) -> u64 {
+        let due = self.events.iter().copied().filter(|&e| e >= now);
+        due.min().unwrap_or(u64::MAX)
     }
 
     fn skip(&mut self, cycles: u64) {
@@ -274,11 +275,6 @@ impl Clocked for Producer {
         );
         self.cycle = to;
         self.skipped_to = Some(to);
-    }
-
-    fn next_event(&self, now: u64) -> u64 {
-        let later = self.events.iter().copied().filter(|&e| e > now);
-        later.min().unwrap_or(u64::MAX)
     }
 }
 
@@ -322,8 +318,12 @@ impl Clocked for Consumer {
         self.cycle += 1;
     }
 
-    fn quiescent(&self) -> bool {
-        !self.owes_credit
+    fn dormant_until(&self, now: u64) -> u64 {
+        if self.owes_credit {
+            now
+        } else {
+            u64::MAX
+        }
     }
 
     fn skip(&mut self, cycles: u64) {
@@ -340,7 +340,7 @@ impl Clocked for Consumer {
 /// schedule must deliver each slot at exactly its stamp (asserted in the
 /// regions) and end in the one observation a lockstep run produces, with
 /// all three scheduling branches taken: both regions sleep, the producer
-/// is woken by its `next_event` horizon, the consumer by `has_due`.
+/// is woken by its `dormant_until` horizon, the consumer by `has_due`.
 fn explore_run_worker(batch: u64) {
     // Two bursts far enough apart for both regions to fall asleep in
     // between, at batch 1 and 2 alike.

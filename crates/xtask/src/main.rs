@@ -28,6 +28,9 @@
 //!   fast-forward-only traversal may not reappear in `sim` or `core`
 //!   (the snapshot and the periodicity certificate are derived from the
 //!   same declaration, so a field cannot be in one and not the other).
+//! * there is one idleness question, `dormant_until(now)`: its two older
+//!   names (`quiescent`, `next_event`) are derived views defined once in
+//!   `sim/src/engine.rs` and may not be implemented anywhere else.
 //!
 //! The scanner is line-based with a small brace-tracking state machine —
 //! deliberately no syn/proc-macro dependency, per the repo's no-new-deps
@@ -53,6 +56,11 @@ const ONE_WALK_CRATES: &[&str] = &["sim", "core"];
 
 /// The retired second traversal (the fast-forward-only walk of PR 7).
 const SECOND_WALK: &str = concat!("fn ff_", "visit");
+
+/// The two derived views of `Clocked::dormant_until`, and the one file
+/// that defines them.
+const IDLENESS_VIEWS: [&str; 2] = [concat!("fn quie", "scent("), concat!("fn next_", "event(")];
+const IDLENESS_FILE: &str = "sim/src/engine.rs";
 
 /// How a file spells the one state walk: the method and its visitor.
 const STATE_WALK: [&str; 2] = ["fn walk(&mut self", "StateVisit"];
@@ -95,7 +103,13 @@ const PERSIST_AUDIT: &[(&str, &str, usize)] = &[
     ("sim/src/rng.rs", "Rng64", 1),
     ("sim/src/router.rs", "Router", 11),
     ("sim/src/router.rs", "Port", 13),
+    ("sim/src/router.rs", "GtEvent", 2),
     ("sim/src/noc.rs", "Noc", 15),
+    ("sim/src/noc.rs", "NiLink", 3),
+    ("sim/src/noc.rs", "BoundaryPort", 3),
+    ("sim/src/link.rs", "LinkState", 3),
+    ("sim/src/stats.rs", "NocStats", 5),
+    ("sim/src/stats.rs", "LinkStats", 2),
     ("sim/src/fault.rs", "FaultState", 2),
     ("sim/src/fault.rs", "ArmedFault", 6),
     ("sim/src/shard.rs", "ShardRunner", 7),
@@ -103,8 +117,10 @@ const PERSIST_AUDIT: &[(&str, &str, usize)] = &[
     ("core/src/fifo.rs", "HwFifo", 5),
     ("core/src/message.rs", "MessageAssembler", 6),
     ("core/src/kernel/channel.rs", "Channel", 15),
+    ("core/src/kernel/channel.rs", "ChannelStats", 6),
     ("core/src/kernel/sched.rs", "ArbState", 2),
     ("core/src/kernel/mod.rs", "NiKernel", 13),
+    ("core/src/kernel/mod.rs", "NiKernelStats", 9),
     ("core/src/kernel/mod.rs", "CnipState", 3),
     ("core/src/shell/master.rs", "MasterStack", 12),
     ("core/src/shell/slave.rs", "SlaveStack", 10),
@@ -428,6 +444,16 @@ fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                 rule: "one-state-walk",
                 detail: "a second state traversal: declare the field in the struct's \
                          `walk` with its class instead (see sim::persist)"
+                    .into(),
+            });
+        }
+        if !file.ends_with(IDLENESS_FILE) && IDLENESS_VIEWS.iter().any(|v| line.contains(v)) {
+            findings.push(Finding {
+                file: file.to_path_buf(),
+                line: lineno,
+                rule: "one-idleness-question",
+                detail: "implement `dormant_until(now)`; the two older names are \
+                         views derived from it in sim/src/engine.rs"
                     .into(),
             });
         }
