@@ -29,8 +29,8 @@ pub use regs::{
 pub use sched::ArbPolicy;
 
 use crate::fifo::{FifoFullError, DEFAULT_CROSSING_CYCLES};
-use crate::message::{MessageAssembler, MsgKind, Ordering, RequestMsg, ResponseMsg};
-use crate::transaction::{Cmd, RespStatus, TransactionResponse};
+use crate::message::{MessageAssembler, MsgKind, Ordering, ResponseMsg};
+use crate::transaction::{Cmd, RespStatus, Transaction, TransactionResponse};
 use noc_sim::engine::ClockedWith;
 use noc_sim::header::MAX_HEADER_CREDITS;
 use noc_sim::{LinkWord, NiLink, PacketHeader, Path, WordClass, SLOT_WORDS};
@@ -486,16 +486,17 @@ impl NiKernel {
             if w.is_header() {
                 let qid = usize::from(PacketHeader::qid_of(w.word()));
                 if qid >= self.channels.len() {
-                    self.stats.rx_drops += 1;
+                    self.stats.rx_drops = self.stats.rx_drops.wrapping_add(1);
                     self.rx_cur[class] = None;
                     continue;
                 }
-                self.channels[qid].space += PacketHeader::credits_of(w.word());
-                self.stats.packets_rx[class] += 1;
+                let c = &mut self.channels[qid];
+                c.space = c.space.wrapping_add(PacketHeader::credits_of(w.word()));
+                self.stats.packets_rx[class] = self.stats.packets_rx[class].wrapping_add(1);
                 self.rx_cur[class] = if w.is_tail() { None } else { Some(qid) };
             } else {
                 let Some(ch) = self.rx_cur[class] else {
-                    self.stats.rx_drops += 1;
+                    self.stats.rx_drops = self.stats.rx_drops.wrapping_add(1);
                     continue;
                 };
                 // End-to-end flow control guarantees destination space in a
@@ -507,9 +508,10 @@ impl NiKernel {
                 // whole simulation down: `rx_drops` is the NI-visible
                 // health counter the fault report aggregates.
                 if self.channels[ch].dst_q.push(w.word(), _cycle).is_ok() {
-                    self.channels[ch].stats.words_rx += 1;
+                    let s = &mut self.channels[ch].stats;
+                    s.words_rx = s.words_rx.wrapping_add(1);
                 } else {
-                    self.stats.rx_drops += 1;
+                    self.stats.rx_drops = self.stats.rx_drops.wrapping_add(1);
                 }
                 if w.is_tail() {
                     self.rx_cur[class] = None;
@@ -542,7 +544,8 @@ impl NiKernel {
         }
         // Execute any completed register transaction.
         while let Some(req) = cnip.asm.next_request() {
-            let resp = self.execute_cnip_request(&req);
+            let (resp, accessed) = self.reg_transaction(&req.into_transaction());
+            self.stats.cnip_ops = self.stats.cnip_ops.wrapping_add(accessed);
             if let Some(resp) = resp {
                 cnip.out
                     .extend(ResponseMsg::from_response(&resp, None).encode());
@@ -551,41 +554,47 @@ impl NiKernel {
         self.cnip = Some(cnip);
     }
 
-    fn execute_cnip_request(&mut self, req: &RequestMsg) -> Option<TransactionResponse> {
+    /// Applies one register transaction — the one executor behind the
+    /// CNIP and the configuration shell's local bypass. A write or read
+    /// covers consecutive registers from `t.addr`; a register that fails
+    /// to decode (or refuses its value) makes the status `DecodeError`,
+    /// and reads `0`. Returns the response, if the command has one, and
+    /// the number of registers accessed.
+    pub(crate) fn reg_transaction(
+        &mut self,
+        t: &Transaction,
+    ) -> (Option<TransactionResponse>, u64) {
         let mut status = RespStatus::Ok;
         let mut data = Vec::new();
-        match req.cmd {
+        let accessed = match t.cmd {
             Cmd::Write | Cmd::AckedWrite => {
-                for (i, &w) in req.data.iter().enumerate() {
-                    if self.reg_write(req.addr + i as u32, w).is_err() {
+                for (i, &w) in (0u32..).zip(&t.data) {
+                    if self.reg_write(t.addr.wrapping_add(i), w).is_err() {
                         status = RespStatus::DecodeError;
                     }
-                    self.stats.cnip_ops += 1;
                 }
+                t.data.len()
             }
             Cmd::Read | Cmd::ReadLinked => {
-                for i in 0..u32::from(req.length) {
-                    match self.reg_read(req.addr + i) {
-                        Ok(v) => data.push(v),
-                        Err(_) => {
-                            status = RespStatus::DecodeError;
-                            data.push(0);
-                        }
-                    }
-                    self.stats.cnip_ops += 1;
+                for i in 0..u32::from(t.read_len) {
+                    data.push(self.reg_read(t.addr.wrapping_add(i)).unwrap_or_else(|_| {
+                        status = RespStatus::DecodeError;
+                        0
+                    }));
                 }
+                data.len()
             }
-            Cmd::WriteConditional => status = RespStatus::Unsupported,
-        }
-        if req.cmd.has_response() {
-            Some(TransactionResponse {
-                trans_id: req.trans_id,
-                status,
-                data,
-            })
-        } else {
-            None
-        }
+            Cmd::WriteConditional => {
+                status = RespStatus::Unsupported;
+                0
+            }
+        };
+        let resp = t.cmd.has_response().then_some(TransactionResponse {
+            trans_id: t.trans_id,
+            status,
+            data,
+        });
+        (resp, accessed as u64)
     }
 
     /// Whether a packet of `budget_words` can make forward progress on
@@ -702,16 +711,19 @@ impl NiKernel {
         c.credit_flush = c.credit_flush && c.credit_counter > 0;
         c.space -= payload as u32;
         c.flush_remaining = c.flush_remaining.saturating_sub(payload as u32);
-        c.stats.packets_tx += 1;
-        c.stats.credits_tx += u64::from(credits);
-        c.stats.words_tx += payload as u64;
-        self.stats.packets_tx[class.index()] += 1;
-        self.stats.header_words_tx += 1;
-        self.stats.payload_words_tx += payload as u64;
-        self.stats.route_ext_words_tx += ext as u64;
+        // Statistics wrap, as the state walk's counter class says they do.
+        let (cs, ks) = (&mut c.stats, &mut self.stats);
+        cs.packets_tx = cs.packets_tx.wrapping_add(1);
+        cs.credits_tx = cs.credits_tx.wrapping_add(u64::from(credits));
+        cs.words_tx = cs.words_tx.wrapping_add(payload as u64);
+        let k = class.index();
+        ks.packets_tx[k] = ks.packets_tx[k].wrapping_add(1);
+        ks.header_words_tx = ks.header_words_tx.wrapping_add(1);
+        ks.payload_words_tx = ks.payload_words_tx.wrapping_add(payload as u64);
+        ks.route_ext_words_tx = ks.route_ext_words_tx.wrapping_add(ext as u64);
         if payload == 0 {
-            self.stats.credit_only_tx += 1;
-            c.stats.credit_only_tx += 1;
+            ks.credit_only_tx = ks.credit_only_tx.wrapping_add(1);
+            cs.credit_only_tx = cs.credit_only_tx.wrapping_add(1);
         }
         if payload == 0 && ext == 0 {
             words.push_back(LinkWord::header_only(header, class));
@@ -854,6 +866,9 @@ impl NiKernel {
         let channels = self.channels.len();
         for s in &mut self.slot_table {
             persist_int(s, p);
+            if *s as usize > channels {
+                p.fail("snapshot slot-table entry names no channel");
+            }
         }
         // Derived state is re-derived, not carried: the slot count from the
         // table just walked, the sleep state by waking.
@@ -1386,12 +1401,8 @@ mod tests {
         k1.reg_write(chan_reg_addr(0, ChanReg::PathRqid), pack_path_rqid(&p10, 0))
             .unwrap();
         // Acked write of SPACE=5 into NI1's channel-3 block.
-        let t = crate::transaction::Transaction::acked_write(
-            chan_reg_addr(3, ChanReg::Space),
-            vec![5],
-            0x42,
-        );
-        let msg = RequestMsg::from_transaction(&t, None).encode();
+        let t = Transaction::acked_write(chan_reg_addr(3, ChanReg::Space), vec![5], 0x42);
+        let msg = crate::message::RequestMsg::from_transaction(&t, None).encode();
         for (i, w) in msg.iter().enumerate() {
             k0.push_src(0, *w, i as u64).unwrap();
         }

@@ -15,10 +15,12 @@
 //!   (STU), BE arbitration ([`kernel::ArbPolicy`]), packetization toward the
 //!   `noc-sim` router link, and the memory-mapped register file reachable
 //!   through the CNIP.
-//! * [`shell`] — the plug-in shells (Figs. 3–6): master/slave protocol
-//!   adapters that (de)sequentialize transactions into the message formats
-//!   of [`message`] (Fig. 7), the narrowcast and multicast connection
-//!   shells, the multi-connection shell, and the configuration shell.
+//! * [`shell`] — the plug-in shells (Figs. 3–6, 8): master/slave protocol
+//!   adapters that (de)sequentialize transactions into the in-order
+//!   message formats of [`message`] (Fig. 7), and the multi-connection
+//!   shell. One master request path serves the direct, narrowcast,
+//!   multicast and configuration shells; the last selects by NI and
+//!   shares the CNIP's register executor for its own NI.
 //! * [`Ni`] — a kernel plus per-port shell stacks, the unit that
 //!   `aethereal-cfg` instantiates from a design-time spec.
 //!
@@ -38,7 +40,6 @@ pub mod fifo;
 pub mod kernel;
 pub mod message;
 pub mod ni;
-pub mod reorder;
 pub mod shell;
 pub mod transaction;
 

@@ -11,7 +11,8 @@
 //! The trailing sequence number exists for *unordered* channels (§2 lists
 //! "in order or un-ordered message delivery" as a configurable channel
 //! property); in-order channels omit it to save a word, which is the default
-//! of the prototype.
+//! of the prototype. The shells only number messages: none reads the
+//! number back, so nothing here restores order on an unordered channel.
 //!
 //! Bit layout of the request header word:
 //!

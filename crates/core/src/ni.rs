@@ -12,7 +12,7 @@
 use crate::kernel::sched::members;
 use crate::kernel::{ChannelId, NiKernel, NiKernelSpec};
 use crate::message::Ordering;
-use crate::shell::{ConfigStack, ConnSelect, MasterStack, SlaveStack};
+use crate::shell::{ConnSelect, MasterStack, SlaveStack};
 use noc_sim::engine::{ClockDomain, ClockedWith};
 use noc_sim::NiLink;
 
@@ -35,7 +35,8 @@ pub enum PortStackSpec {
         /// Message ordering mode.
         ordering: Ordering,
     },
-    /// The configuration master port (config shell).
+    /// The configuration master port: a master shell that selects by NI
+    /// (the configuration shell).
     Config,
     /// The CNIP slave endpoint, serviced inside the kernel; the port's
     /// first channel must be the kernel's `cnip_channel`.
@@ -63,7 +64,7 @@ enum PortStack {
     Raw,
     Master(MasterStack),
     Slave(SlaveStack),
-    Config(ConfigStack),
+    Config(MasterStack),
     Cnip,
 }
 
@@ -115,7 +116,7 @@ impl Ni {
                         PortStack::Slave(SlaveStack::new(channels, ordering, div))
                     }
                     PortStackSpec::Config => {
-                        PortStack::Config(ConfigStack::new(kernel.spec().ni_id, channels))
+                        PortStack::Config(MasterStack::config(kernel.spec().ni_id, channels))
                     }
                     PortStackSpec::Cnip => {
                         assert_eq!(
@@ -183,7 +184,7 @@ impl Ni {
     /// # Panics
     ///
     /// Panics if the port is not a config port.
-    pub fn config_mut(&mut self, port: usize) -> &mut ConfigStack {
+    pub fn config_mut(&mut self, port: usize) -> &mut MasterStack {
         match &mut self.stacks[port] {
             PortStack::Config(c) => c,
             other => panic!("port {port} is not a config port: {other:?}"),
@@ -225,9 +226,8 @@ impl Ni {
     fn stacks_idle(&self) -> bool {
         members(self.shell_ports).all(|p| match &self.stacks[p] {
             PortStack::Raw | PortStack::Cnip => true,
-            PortStack::Master(m) => m.is_idle(),
+            PortStack::Master(m) | PortStack::Config(m) => m.is_idle(),
             PortStack::Slave(s) => s.is_idle(),
-            PortStack::Config(c) => c.is_idle(),
         })
     }
 
@@ -252,9 +252,8 @@ impl Ni {
         for s in &mut self.stacks {
             match s {
                 PortStack::Raw | PortStack::Cnip => {}
-                PortStack::Master(m) => m.walk(p),
+                PortStack::Master(m) | PortStack::Config(m) => m.walk(p),
                 PortStack::Slave(sl) => sl.walk(p),
-                PortStack::Config(c) => c.walk(p),
             }
         }
     }
@@ -273,9 +272,8 @@ impl ClockedWith<NiLink> for Ni {
             }
             match &mut self.stacks[p] {
                 PortStack::Raw | PortStack::Cnip => {}
-                PortStack::Master(m) => m.tick(&mut self.kernel, cycle),
+                PortStack::Master(m) | PortStack::Config(m) => m.tick(&mut self.kernel, cycle),
                 PortStack::Slave(s) => s.tick(&mut self.kernel, cycle),
-                PortStack::Config(c) => c.tick(&mut self.kernel, cycle),
             }
         }
         self.kernel.absorb(link, cycle);

@@ -1,5 +1,5 @@
 //! The master shell (Fig. 5) with its connection shells: narrowcast
-//! (Fig. 3) and multicast.
+//! (Fig. 3), multicast, and the configuration shell (Fig. 8).
 //!
 //! The master shell *sequentializes* transactions into request messages —
 //! the paper budgets 2 cycles for this — pushes the words into the selected
@@ -12,16 +12,30 @@
 //! responses" so that responses are merged back **in order** even when
 //! different slaves answer at different speeds. The multicast shell
 //! duplicates every request to all channels of the connection and merges
-//! the responses (all slaves execute each transaction, §2).
+//! the responses (all slaves execute each transaction, §2). The
+//! configuration shell selects by NI: its address is `(NI, register)`
+//! ([`global_addr`](super::config::global_addr)), its own NI is one more
+//! target answered in place, and every other NI is reached over the
+//! configuration connection bound to it at run time.
+//!
+//! One request path serves all four. A transaction the shell answers
+//! itself — a configuration access to its own NI, an unbound NI, a
+//! narrowcast decode miss — takes its place in the same history as one
+//! answered through the network, so responses leave in submission order
+//! whoever made them.
 
+use super::config::split_addr;
 use crate::kernel::{ChannelId, NiKernel};
 use crate::message::{MessageAssembler, MsgKind, Ordering, RequestMsg};
 use crate::transaction::{RespStatus, Transaction, TransactionResponse};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Sequentialization latency of the master shell, in port cycles (§5:
 /// "2 cycles in the DTL master shell (due to sequentialization)").
 pub const SEQ_LATENCY_CYCLES: u64 = 2;
+
+/// Transactions a master port queues before it back-pressures its IP.
+const PENDING_CAP: usize = 8;
 
 /// An address range served by one channel of a narrowcast connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,11 +71,38 @@ pub enum ConnSelect {
     Multicast,
 }
 
-/// A history entry: which channel(s) the next in-order response comes from.
+/// What picks a transaction's targets: a design-time connection type, or
+/// the configuration shell's run-time binding table.
 #[derive(Debug, Clone)]
-struct HistEntry {
-    /// Local channel indices (within the port) expected to respond.
-    locals: Vec<usize>,
+enum Selector {
+    Conn(ConnSelect),
+    Config {
+        /// The NI this shell sits in: its registers are accessed in place.
+        local_ni: usize,
+        /// Target NI → local channel of its configuration connection.
+        /// Dynamic state: bound at run time, walked with the stack.
+        bound: BTreeMap<usize, usize>,
+    },
+}
+
+/// Where a transaction goes.
+#[derive(Debug, PartialEq, Eq)]
+enum Target {
+    /// Into the network on these local channels, at this address.
+    Remote(Vec<usize>, u32),
+    /// Register `reg` of the shell's own NI (Fig. 8's bypass).
+    Local(u32),
+    /// Nowhere: a narrowcast decode miss, or an NI without a binding.
+    Miss,
+}
+
+/// A history entry: where the next in-order response comes from.
+#[derive(Debug, Clone)]
+enum HistEntry {
+    /// Merged from the responses on these local channels (at least one).
+    Remote(Vec<usize>),
+    /// Answered by the shell itself when the transaction was selected.
+    Answered(TransactionResponse),
 }
 
 /// An in-flight outgoing message: the serialized words and per-target
@@ -75,13 +116,16 @@ struct TxMsg {
     flush: bool,
 }
 
-/// The master shell stack of one NI port.
+/// The master shell stack of one NI port: a master, narrowcast, multicast
+/// or configuration port.
 #[derive(Debug, Clone)]
 pub struct MasterStack {
     channels: Vec<ChannelId>,
-    sel: ConnSelect,
+    sel: Selector,
     ordering: Ordering,
-    clock_div: u32,
+    /// Network cycles between selecting a transaction and pushing its
+    /// first word.
+    seq_latency: u64,
     pending: VecDeque<Transaction>,
     pending_cap: usize,
     tx: Option<TxMsg>,
@@ -89,7 +133,7 @@ pub struct MasterStack {
     history: VecDeque<HistEntry>,
     resp_out: VecDeque<TransactionResponse>,
     seq_ctr: u32,
-    /// Transactions rejected at the shell (e.g. narrowcast address misses).
+    /// Transactions rejected at the shell (narrowcast misses, unbound NIs).
     shell_errors: u64,
 }
 
@@ -107,10 +151,6 @@ impl MasterStack {
         ordering: Ordering,
         clock_div: u32,
     ) -> Self {
-        assert!(
-            !channels.is_empty(),
-            "a master port needs at least one channel"
-        );
         if let ConnSelect::Narrowcast(ranges) = &sel {
             assert_eq!(
                 ranges.len(),
@@ -118,6 +158,46 @@ impl MasterStack {
                 "narrowcast needs one address range per channel"
             );
         }
+        let latency = SEQ_LATENCY_CYCLES * u64::from(clock_div);
+        Self::build(
+            channels,
+            Selector::Conn(sel),
+            ordering,
+            latency,
+            PENDING_CAP,
+        )
+    }
+
+    /// Creates the configuration shell of NI `local_ni` (§4.3), owning
+    /// `channels` for its configuration connections to remote CNIPs.
+    ///
+    /// It adds no sequentialization latency, and its queue never refuses a
+    /// transaction: the run-time configurator issues a whole channel's
+    /// register writes (up to `5 + PATH_EXT_REGS + slots`) before it ticks
+    /// the system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channels` is empty.
+    pub fn config(local_ni: usize, channels: Vec<ChannelId>) -> Self {
+        let sel = Selector::Config {
+            local_ni,
+            bound: BTreeMap::new(),
+        };
+        Self::build(channels, sel, Ordering::InOrder, 0, usize::MAX)
+    }
+
+    fn build(
+        channels: Vec<ChannelId>,
+        sel: Selector,
+        ordering: Ordering,
+        seq_latency: u64,
+        pending_cap: usize,
+    ) -> Self {
+        assert!(
+            !channels.is_empty(),
+            "a master port needs at least one channel"
+        );
         let asm = channels
             .iter()
             .map(|_| MessageAssembler::new(MsgKind::Response, ordering))
@@ -126,9 +206,9 @@ impl MasterStack {
             channels,
             sel,
             ordering,
-            clock_div,
+            seq_latency,
             pending: VecDeque::new(),
-            pending_cap: 8,
+            pending_cap,
             tx: None,
             asm,
             history: VecDeque::new(),
@@ -141,6 +221,22 @@ impl MasterStack {
     /// The kernel channels owned by this stack.
     pub fn channels(&self) -> &[ChannelId] {
         &self.channels
+    }
+
+    /// Binds the configuration connection to NI `ni` onto the port's local
+    /// channel index `local` (the channel must have been configured as the
+    /// request channel toward that NI's CNIP).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `local` is out of range or this is not a configuration
+    /// shell.
+    pub fn bind(&mut self, ni: usize, local: usize) {
+        assert!(local < self.channels.len(), "channel index out of range");
+        let Selector::Config { bound, .. } = &mut self.sel else {
+            panic!("only the configuration shell binds NIs");
+        };
+        bound.insert(ni, local);
     }
 
     /// Whether a transaction can be submitted right now.
@@ -161,6 +257,11 @@ impl MasterStack {
     /// Takes the next in-order transaction response, if available.
     pub fn take_response(&mut self) -> Option<TransactionResponse> {
         self.resp_out.pop_front()
+    }
+
+    /// Whether [`MasterStack::take_response`] would return a response.
+    pub fn has_response(&self) -> bool {
+        !self.resp_out.is_empty()
     }
 
     /// Outstanding transactions (submitted, response not yet delivered).
@@ -184,13 +285,27 @@ impl MasterStack {
     }
 
     /// Walks the stack's complete dynamic state through a state visitor
-    /// (see [`noc_sim::persist`]): queued transactions, the
-    /// in-flight serialized message with its per-target progress, every
-    /// response assembler, the connection history, delivered-response
-    /// queue, sequence counter and error count. `channels`/`sel`/
-    /// `ordering`/`clock_div`/`pending_cap` are structural.
+    /// (see [`noc_sim::persist`]): a configuration shell's bindings (in
+    /// NI order), queued transactions, the in-flight serialized message
+    /// with its per-target progress, every response assembler, the
+    /// history, delivered-response queue, sequence counter and error
+    /// count. A history entry is its target list; an empty list marks an
+    /// entry answered in place, whose response follows. Channel indices
+    /// are bounds-checked. The connection type, `ordering`,
+    /// `seq_latency` and `pending_cap` are structural.
     pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
-        use noc_sim::persist::{persist_bool, persist_deque, persist_int, persist_int_list};
+        use noc_sim::persist::{
+            persist_bool, persist_deque, persist_index, persist_int, persist_int_list, persist_list,
+        };
+        let n = self.channels.len();
+        if let Selector::Config { bound, .. } = &mut self.sel {
+            let mut pairs: Vec<(usize, usize)> = std::mem::take(bound).into_iter().collect();
+            persist_list(&mut pairs, p, |(ni, local), p| {
+                persist_int(ni, p);
+                persist_index(local, n, p);
+            });
+            *bound = pairs.into_iter().collect();
+        }
         let blank = Transaction::persist_default();
         persist_deque(&mut self.pending, blank, p, |t, p| t.walk(p));
         let mut have_tx = self.tx.is_some();
@@ -206,17 +321,30 @@ impl MasterStack {
         }
         if let Some(tx) = &mut self.tx {
             persist_int_list(&mut tx.words, p);
-            persist_int_list(&mut tx.targets, p);
+            persist_targets(&mut tx.targets, n, p);
             persist_int_list(&mut tx.progress, p);
+            if tx.progress.len() != tx.targets.len() {
+                p.fail("snapshot message progress does not match its targets");
+            }
             p.stamp(&mut tx.ready_at);
             persist_bool(&mut tx.flush, p);
         }
         for a in &mut self.asm {
             a.walk(p);
         }
-        let blank = HistEntry { locals: Vec::new() };
+        let blank = HistEntry::Remote(Vec::new());
         persist_deque(&mut self.history, blank, p, |h, p| {
-            persist_int_list(&mut h.locals, p)
+            let (mut locals, mut r) = match std::mem::replace(h, HistEntry::Remote(Vec::new())) {
+                HistEntry::Remote(l) => (l, TransactionResponse::ack(0)),
+                HistEntry::Answered(r) => (Vec::new(), r),
+            };
+            persist_targets(&mut locals, n, p);
+            *h = if locals.is_empty() {
+                r.walk(p);
+                HistEntry::Answered(r)
+            } else {
+                HistEntry::Remote(locals)
+            };
         });
         let blank = TransactionResponse::ack(0);
         persist_deque(&mut self.resp_out, blank, p, |r, p| r.walk(p));
@@ -224,48 +352,64 @@ impl MasterStack {
         p.counter(&mut self.shell_errors);
     }
 
-    /// Selects target channels for a transaction; returns `None` on a
-    /// narrowcast decode miss.
-    fn select(&self, t: &Transaction) -> Option<(Vec<usize>, u32)> {
+    /// Selects the target of a transaction.
+    fn select(&self, t: &Transaction) -> Target {
         match &self.sel {
-            ConnSelect::Direct => Some((vec![0], t.addr)),
-            ConnSelect::Narrowcast(ranges) => {
-                let (i, r) = ranges
-                    .iter()
-                    .enumerate()
-                    .find(|(_, r)| r.contains(t.addr))?;
-                Some((vec![i], t.addr - r.base))
+            Selector::Conn(ConnSelect::Direct) => Target::Remote(vec![0], t.addr),
+            Selector::Conn(ConnSelect::Narrowcast(ranges)) => {
+                match ranges.iter().position(|r| r.contains(t.addr)) {
+                    Some(i) => Target::Remote(vec![i], t.addr - ranges[i].base),
+                    None => Target::Miss,
+                }
             }
-            ConnSelect::Multicast => Some(((0..self.channels.len()).collect(), t.addr)),
+            Selector::Conn(ConnSelect::Multicast) => {
+                Target::Remote((0..self.channels.len()).collect(), t.addr)
+            }
+            Selector::Config { local_ni, bound } => {
+                let (ni, reg) = split_addr(t.addr);
+                if ni == *local_ni {
+                    Target::Local(reg)
+                } else {
+                    bound
+                        .get(&ni)
+                        .map_or(Target::Miss, |&l| Target::Remote(vec![l], reg))
+                }
+            }
         }
     }
 
     /// Advances the shell by one port cycle (`now` is in network cycles).
     pub fn tick(&mut self, kernel: &mut NiKernel, now: u64) {
-        self.serialize_next(now);
+        self.serialize_next(kernel, now);
         self.push_words(kernel, now);
         self.pull_responses(kernel, now);
         self.deliver_in_order();
     }
 
-    fn serialize_next(&mut self, now: u64) {
+    fn serialize_next(&mut self, kernel: &mut NiKernel, now: u64) {
         if self.tx.is_some() {
             return;
         }
         let Some(t) = self.pending.pop_front() else {
             return;
         };
-        let Some((targets, addr)) = self.select(&t) else {
-            // Narrowcast decode miss: the shell answers with an error
-            // response itself (nothing enters the network).
-            self.shell_errors += 1;
-            if t.cmd.has_response() {
-                self.resp_out.push_back(TransactionResponse::error(
-                    t.trans_id,
-                    RespStatus::DecodeError,
-                ));
+        let (targets, addr) = match self.select(&t) {
+            Target::Remote(targets, addr) => (targets, addr),
+            Target::Local(reg) => {
+                // The shell accesses its own NI's register file directly;
+                // nothing enters the network.
+                let (resp, _) = kernel.reg_transaction(&Transaction { addr: reg, ..t });
+                self.history.extend(resp.map(HistEntry::Answered));
+                return;
             }
-            return;
+            Target::Miss => {
+                self.shell_errors = self.shell_errors.wrapping_add(1);
+                if t.cmd.has_response() {
+                    let r = TransactionResponse::error(t.trans_id, RespStatus::DecodeError);
+                    self.history.push_back(HistEntry::Answered(r));
+                }
+                return;
+            }
         };
         let mut msg_t = t.clone();
         msg_t.addr = addr;
@@ -278,16 +422,14 @@ impl MasterStack {
         };
         let words = RequestMsg::from_transaction(&msg_t, seq).encode();
         if t.cmd.has_response() {
-            self.history.push_back(HistEntry {
-                locals: targets.clone(),
-            });
+            self.history.push_back(HistEntry::Remote(targets.clone()));
         }
         let n = targets.len();
         self.tx = Some(TxMsg {
             words,
             targets,
             progress: vec![0; n],
-            ready_at: now + SEQ_LATENCY_CYCLES * u64::from(self.clock_div),
+            ready_at: now + self.seq_latency,
             flush: t.flush,
         });
     }
@@ -331,35 +473,49 @@ impl MasterStack {
 
     fn deliver_in_order(&mut self) {
         while let Some(front) = self.history.front() {
-            let all_ready = front.locals.iter().all(|&l| self.asm[l].ready() > 0);
-            if !all_ready {
-                break;
+            if let HistEntry::Remote(locals) = front {
+                if !locals.iter().all(|&l| self.asm[l].ready() > 0) {
+                    break;
+                }
             }
-            let locals = self.history.pop_front().expect("front checked").locals;
-            let mut merged: Option<TransactionResponse> = None;
-            for l in locals {
-                let r = self.asm[l]
-                    .next_response()
-                    .expect("readiness checked")
-                    .into_response();
-                merged = Some(match merged {
-                    None => r,
-                    Some(mut m) => {
+            let r = match self.history.pop_front().expect("front checked") {
+                HistEntry::Answered(r) => r,
+                HistEntry::Remote(locals) => locals
+                    .into_iter()
+                    .map(|l| {
+                        self.asm[l]
+                            .next_response()
+                            .expect("readiness checked")
+                            .into_response()
+                    })
+                    .reduce(|mut m, r| {
                         // Multicast merge: any failure wins; data from the
                         // first responding slave is kept.
                         m.status = m.status.merge(r.status);
                         m
-                    }
-                });
-            }
-            self.resp_out.push_back(merged.expect("at least one local"));
+                    })
+                    .expect("a remote entry has a target"),
+            };
+            self.resp_out.push_back(r);
         }
+    }
+}
+
+/// Visits a target list: strictly ascending local channel indices below
+/// `n` (what every selector produces), so a restored list can neither
+/// index past the port nor name one channel twice.
+fn persist_targets(v: &mut Vec<usize>, n: usize, p: &mut dyn noc_sim::StateVisit) {
+    use noc_sim::persist::{persist_index, persist_list};
+    persist_list(v, p, |l, p| persist_index(l, n, p));
+    if !v.is_sorted_by(|a, b| a < b) {
+        p.fail("snapshot target list is not strictly ascending");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::NiKernelSpec;
 
     #[test]
     fn addr_range_contains() {
@@ -377,7 +533,7 @@ mod tests {
     fn direct_select_keeps_address() {
         let s = MasterStack::new(vec![3], ConnSelect::Direct, Ordering::InOrder, 1);
         let t = Transaction::read(0xABC, 1, 0);
-        assert_eq!(s.select(&t), Some((vec![0], 0xABC)));
+        assert_eq!(s.select(&t), Target::Remote(vec![0], 0xABC));
     }
 
     #[test]
@@ -399,24 +555,25 @@ mod tests {
         );
         assert_eq!(
             s.select(&Transaction::read(0x40, 1, 0)),
-            Some((vec![0], 0x40))
+            Target::Remote(vec![0], 0x40)
         );
         assert_eq!(
             s.select(&Transaction::read(0x140, 1, 0)),
-            Some((vec![1], 0x40))
+            Target::Remote(vec![1], 0x40)
         );
-        assert_eq!(s.select(&Transaction::read(0x240, 1, 0)), None);
+        assert_eq!(s.select(&Transaction::read(0x240, 1, 0)), Target::Miss);
     }
 
     #[test]
     fn multicast_selects_all() {
         let s = MasterStack::new(vec![1, 2, 5], ConnSelect::Multicast, Ordering::InOrder, 1);
         let t = Transaction::write(0x8, vec![1], 0);
-        assert_eq!(s.select(&t), Some((vec![0, 1, 2], 0x8)));
+        assert_eq!(s.select(&t), Target::Remote(vec![0, 1, 2], 0x8));
     }
 
     #[test]
     fn decode_miss_yields_local_error_response() {
+        let mut kernel = NiKernel::new(NiKernelSpec::reference(0));
         let mut s = MasterStack::new(
             vec![0],
             ConnSelect::Narrowcast(vec![AddrRange { base: 0, size: 4 }]),
@@ -424,7 +581,7 @@ mod tests {
             1,
         );
         s.submit(Transaction::read(0x1000, 1, 7));
-        s.serialize_next(0);
+        s.tick(&mut kernel, 0);
         assert_eq!(s.shell_errors(), 1);
         let r = s.take_response().unwrap();
         assert_eq!(r.trans_id, 7);

@@ -107,13 +107,17 @@ impl SlaveStack {
     /// (see [`noc_sim::persist`]): every request assembler, the
     /// connection history, scheduled requests, responses awaiting
     /// serialization, the in-flight serialized response, the round-robin
-    /// pointer and the sequence counter.
+    /// pointer and the sequence counter. Channel indices are
+    /// bounds-checked.
     pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
-        use noc_sim::persist::{persist_bool, persist_deque, persist_int, persist_int_list};
+        use noc_sim::persist::{
+            persist_bool, persist_deque, persist_index, persist_int, persist_int_list,
+        };
+        let n = self.channels.len();
         for a in &mut self.asm {
             a.walk(p);
         }
-        persist_deque(&mut self.history, 0, p, |l, p| persist_int(l, p));
+        persist_deque(&mut self.history, 0, p, |l, p| persist_index(l, n, p));
         let blank = Transaction::persist_default();
         persist_deque(&mut self.req_out, blank, p, |t, p| t.walk(p));
         let blank = TransactionResponse::ack(0);
@@ -130,11 +134,11 @@ impl SlaveStack {
         }
         if let Some(tx) = &mut self.tx {
             persist_int_list(&mut tx.words, p);
-            persist_int(&mut tx.local, p);
+            persist_index(&mut tx.local, n, p);
             persist_int(&mut tx.progress, p);
             p.stamp(&mut tx.ready_at);
         }
-        persist_int(&mut self.rr, p);
+        persist_index(&mut self.rr, n, p);
         persist_int(&mut self.seq_ctr, p);
     }
 

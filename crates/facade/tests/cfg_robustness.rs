@@ -16,6 +16,10 @@ use aethereal::cfg::{
     fault_plan_from_json, fault_plan_to_json, presets, NocSpec, NocSystem, RuntimeConfigurator,
     TopologySpec,
 };
+use aethereal::ni::kernel::{chan_reg_addr, ChanReg};
+use aethereal::ni::shell::config::global_addr;
+use aethereal::ni::Transaction;
+use aethereal::proto::{MemorySlave, TrafficGenerator, TrafficGeneratorConfig, TrafficMix};
 use aethereal::sim::topology::dir;
 use aethereal::sim::{Engine, FaultPlan};
 use aethereal_testkit::{base_seed, Rng64};
@@ -58,6 +62,77 @@ fn warm_snapshot() -> (NocSpec, Value) {
     Engine::run(&mut sys, 300);
     let snap = sys.snapshot().expect("snapshot");
     (spec, snap)
+}
+
+/// A 2x1 system with every shell mid-transaction: a `TrafficGenerator`
+/// with requests in flight to a slow `MemorySlave`, and the configuration
+/// shell busy with reads of local and remote registers. Restored onto
+/// [`busy_system`], which carries the same IP bindings.
+fn busy_spec() -> NocSpec {
+    NocSpec::new(
+        TopologySpec::Mesh {
+            width: 2,
+            height: 1,
+            nis_per_router: 2,
+        },
+        vec![
+            presets::cfg_module_ni(0, 2),
+            presets::master_ni(1),
+            presets::slave_ni(2),
+            presets::raw_ni(3, 1),
+        ],
+    )
+}
+
+fn bind_ips(sys: &mut NocSystem) {
+    let traffic = TrafficGenerator::new(TrafficGeneratorConfig {
+        seed: 3,
+        addr_range: 0x40,
+        mix: TrafficMix::Mixed { read_fraction: 0.5 },
+        burst: (1, 3),
+        ..TrafficGeneratorConfig::default()
+    });
+    sys.bind_master(1, 1, Box::new(traffic));
+    sys.bind_slave(2, 1, Box::new(MemorySlave::new(20)));
+}
+
+fn busy_system() -> NocSystem {
+    let mut sys = NocSystem::from_spec(&busy_spec());
+    bind_ips(&mut sys);
+    sys
+}
+
+fn busy_snapshot() -> Value {
+    let spec = busy_spec();
+    let mut sys = NocSystem::from_spec(&spec);
+    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
+    cfg.open_connection(
+        &mut sys,
+        &ConnectionRequest::best_effort(
+            ChannelEnd { ni: 1, channel: 1 },
+            ChannelEnd { ni: 2, channel: 1 },
+        ),
+    )
+    .expect("open");
+    bind_ips(&mut sys);
+    Engine::run(&mut sys, 200);
+    let space = chan_reg_addr(1, ChanReg::Space);
+    for (tid, ni) in [(901, 2), (902, 0), (903, 1)] {
+        sys.nis[0]
+            .config_mut(0)
+            .submit(Transaction::read(global_addr(ni, space), 1, tid));
+    }
+    Engine::run(&mut sys, 3);
+    assert!(!sys.nis[0].config_mut(0).is_idle(), "config shell busy");
+    assert!(
+        sys.nis[1].master_mut(1).outstanding() > 0,
+        "requests in flight"
+    );
+    assert!(
+        sys.nis[2].slave_mut(1).responses_owed() > 0,
+        "responses owed"
+    );
+    sys.snapshot().expect("snapshot")
 }
 
 // ---- hand-written pathological documents ---------------------------------
@@ -301,12 +376,12 @@ fn mutate_nth_num(v: &mut Value, target: usize, with: u64, seen: &mut usize) -> 
     }
 }
 
-/// Restores `doc` onto a fresh system and, when the restore is accepted,
-/// runs what it accepted: validation that lets through a state the
-/// simulator then panics on has not validated anything. Returns whether
-/// the restore was accepted.
-fn restore_then_run(spec: &NocSpec, doc: &Value) -> bool {
-    let mut fresh = NocSystem::from_spec(spec);
+/// Restores `doc` onto a fresh system from `build` and, when the restore
+/// is accepted, runs what it accepted: validation that lets through a
+/// state the simulator then panics on has not validated anything. Returns
+/// whether the restore was accepted.
+fn restore_then_run(build: &dyn Fn() -> NocSystem, doc: &Value) -> bool {
+    let mut fresh = build();
     let accepted = fresh.restore(doc).is_ok();
     if accepted {
         Engine::run(&mut fresh, 256);
@@ -320,11 +395,17 @@ fn restore_then_run(spec: &NocSpec, doc: &Value) -> bool {
 /// state walk genuinely accepts *and the simulator can run* — never a
 /// panic or capacity blow-up. Two hundred seeded random rewrites, then
 /// every leaf in turn against a small in-range value, a smaller one, and
-/// one beyond every 32-bit field.
+/// one beyond every 32-bit field. Two subjects: an idle configuration
+/// shell among raw NIs, and [`busy_snapshot`]'s shells mid-transaction.
 #[test]
 fn snapshot_hostile_leaves_never_panic() {
     let (spec, snap) = warm_snapshot();
-    let leaves = count_nums(&snap);
+    hostile_leaf_sweep(&|| NocSystem::from_spec(&spec), &snap);
+    hostile_leaf_sweep(&busy_system, &busy_snapshot());
+}
+
+fn hostile_leaf_sweep(build: &dyn Fn() -> NocSystem, snap: &Value) {
+    let leaves = count_nums(snap);
     assert!(leaves > 100, "snapshot unexpectedly shallow: {leaves} nums");
     let mutated = |target: usize, hostile: u64| {
         let mut bad = snap.clone();
@@ -340,12 +421,12 @@ fn snapshot_hostile_leaves_never_panic() {
             _ => rng.next_u64() % 97,
         };
         let target = (rng.next_u64() as usize) % leaves;
-        restore_then_run(&spec, &mutated(target, hostile));
+        restore_then_run(build, &mutated(target, hostile));
     }
     let mut accepted = 0;
     for target in 0..leaves {
         for hostile in [97, 7, 1 << 40] {
-            accepted += usize::from(restore_then_run(&spec, &mutated(target, hostile)));
+            accepted += usize::from(restore_then_run(build, &mutated(target, hostile)));
         }
     }
     assert!(
@@ -369,6 +450,6 @@ fn snapshot_byte_fuzz_never_panics() {
         let Ok(doc) = json::parse(&mangled) else {
             continue;
         };
-        restore_then_run(&spec, &doc);
+        restore_then_run(&|| NocSystem::from_spec(&spec), &doc);
     }
 }

@@ -58,7 +58,7 @@ impl MemorySlave {
     fn execute(&mut self, t: &Transaction) -> Option<TransactionResponse> {
         match t.cmd {
             Cmd::Read | Cmd::ReadLinked => {
-                self.reads += 1;
+                self.reads = self.reads.wrapping_add(1);
                 if t.cmd == Cmd::ReadLinked {
                     self.reservation = Some(t.addr);
                 }
@@ -68,7 +68,7 @@ impl MemorySlave {
                 Some(TransactionResponse::with_data(t.trans_id, data))
             }
             Cmd::Write | Cmd::AckedWrite => {
-                self.writes += 1;
+                self.writes = self.writes.wrapping_add(1);
                 for (i, &w) in t.data.iter().enumerate() {
                     let addr = t.addr + i as u32;
                     if self.reservation == Some(addr) {
@@ -82,7 +82,7 @@ impl MemorySlave {
             }
             Cmd::WriteConditional => {
                 if self.reservation == Some(t.addr) {
-                    self.writes += 1;
+                    self.writes = self.writes.wrapping_add(1);
                     self.reservation = None;
                     for (i, &w) in t.data.iter().enumerate() {
                         self.mem.insert(t.addr + i as u32, w);

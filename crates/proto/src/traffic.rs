@@ -176,11 +176,11 @@ impl ClockedWith<MasterStack> for TrafficGenerator {
     fn absorb(&mut self, port: &mut MasterStack, now: u64) {
         while let Some(r) = port.take_response() {
             if let Some(start) = self.inflight.remove(&r.trans_id) {
-                self.latencies.push(now - start);
-                self.completed += 1;
-                self.words_moved += r.data.len() as u64;
+                self.latencies.push(now.saturating_sub(start));
+                self.completed = self.completed.wrapping_add(1);
+                self.words_moved = self.words_moved.wrapping_add(r.data.len() as u64);
                 if r.status != aethereal_ni::transaction::RespStatus::Ok {
-                    self.errors += 1;
+                    self.errors = self.errors.wrapping_add(1);
                 }
             }
         }
@@ -199,11 +199,11 @@ impl ClockedWith<MasterStack> for TrafficGenerator {
         {
             let t = self.build_transaction(now);
             let posted = !t.cmd.has_response();
-            self.words_moved += t.data.len() as u64;
+            self.words_moved = self.words_moved.wrapping_add(t.data.len() as u64);
             port.submit(t);
-            self.issued += 1;
+            self.issued = self.issued.wrapping_add(1);
             if posted {
-                self.completed += 1;
+                self.completed = self.completed.wrapping_add(1);
             }
             self.last_submit = Some(now);
         }

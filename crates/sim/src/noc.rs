@@ -985,11 +985,12 @@ impl Clocked for Noc {
                     Endpoint::Ni { ni } => {
                         let handle = &mut self.ni_links[ni];
                         if handle.incoming.push_back(word).is_ok() {
-                            self.stats.delivered[word.class().index()] += 1;
+                            let k = word.class().index();
+                            self.stats.delivered[k] = self.stats.delivered[k].wrapping_add(1);
                         } else {
                             // NI failed to drain: account as BE overflow; the
                             // invariant tests require this to stay zero.
-                            self.stats.be_overflows += 1;
+                            self.stats.be_overflows = self.stats.be_overflows.wrapping_add(1);
                         }
                     }
                 }

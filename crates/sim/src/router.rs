@@ -246,7 +246,8 @@ impl Router {
     /// Returns one BE credit to an output (downstream freed a slot).
     #[inline]
     pub(crate) fn add_out_credit(&mut self, port: PortIdx) {
-        self.ports[port as usize].out_credits += 1;
+        let p = &mut self.ports[port as usize];
+        p.out_credits = p.out_credits.wrapping_add(1);
     }
 
     /// BE words currently queued at input `port`.

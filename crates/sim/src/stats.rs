@@ -41,9 +41,9 @@ impl LinkStats {
 
     /// Records one transported word.
     pub fn record(&mut self, class: WordClass, is_header: bool) {
-        self.words[class.index()] += 1;
+        self.words[class.index()] = self.words[class.index()].wrapping_add(1);
         if is_header {
-            self.headers[class.index()] += 1;
+            self.headers[class.index()] = self.headers[class.index()].wrapping_add(1);
         }
     }
 }

@@ -124,7 +124,6 @@ const PERSIST_AUDIT: &[(&str, &str, usize)] = &[
     ("core/src/kernel/mod.rs", "CnipState", 3),
     ("core/src/shell/master.rs", "MasterStack", 12),
     ("core/src/shell/slave.rs", "SlaveStack", 10),
-    ("core/src/shell/config.rs", "ConfigStack", 9),
     ("core/src/transaction.rs", "Transaction", 6),
     ("core/src/transaction.rs", "TransactionResponse", 3),
     ("core/src/ni.rs", "Ni", 4),
