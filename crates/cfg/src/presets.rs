@@ -6,7 +6,6 @@
 //! pool of channels for configuration connections.
 
 use aethereal_ni::kernel::{NiKernelSpec, PortSpec};
-use aethereal_ni::message::Ordering;
 use aethereal_ni::ni::{NiSpec, PortStackSpec};
 use aethereal_ni::shell::{AddrRange, ConnSelect};
 
@@ -40,7 +39,6 @@ pub fn master_ni(ni_id: usize) -> NiSpec {
             PortStackSpec::Cnip,
             PortStackSpec::Master {
                 conn: ConnSelect::Direct,
-                ordering: Ordering::InOrder,
             },
         ],
     }
@@ -50,12 +48,7 @@ pub fn master_ni(ni_id: usize) -> NiSpec {
 pub fn slave_ni(ni_id: usize) -> NiSpec {
     NiSpec {
         kernel: base_kernel(ni_id, vec![cnip_port(), PortSpec::default()], Some(0)),
-        stacks: vec![
-            PortStackSpec::Cnip,
-            PortStackSpec::Slave {
-                ordering: Ordering::InOrder,
-            },
-        ],
+        stacks: vec![PortStackSpec::Cnip, PortStackSpec::Slave],
     }
 }
 
@@ -74,12 +67,7 @@ pub fn multi_slave_ni(ni_id: usize, connections: usize) -> NiSpec {
             ],
             Some(0),
         ),
-        stacks: vec![
-            PortStackSpec::Cnip,
-            PortStackSpec::Slave {
-                ordering: Ordering::InOrder,
-            },
-        ],
+        stacks: vec![PortStackSpec::Cnip, PortStackSpec::Slave],
     }
 }
 
@@ -102,7 +90,6 @@ pub fn narrowcast_master_ni(ni_id: usize, ranges: Vec<AddrRange>) -> NiSpec {
             PortStackSpec::Cnip,
             PortStackSpec::Master {
                 conn: ConnSelect::Narrowcast(ranges),
-                ordering: Ordering::InOrder,
             },
         ],
     }
@@ -126,7 +113,6 @@ pub fn multicast_master_ni(ni_id: usize, slaves: usize) -> NiSpec {
             PortStackSpec::Cnip,
             PortStackSpec::Master {
                 conn: ConnSelect::Multicast,
-                ordering: Ordering::InOrder,
             },
         ],
     }

@@ -3,7 +3,6 @@
 //! correctness invariants — renderable as a text report.
 
 use crate::system::NocSystem;
-use noc_sim::WordClass;
 
 /// Per-NI traffic summary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,11 +93,6 @@ impl SystemReport {
         self.gt_conflicts == 0 && self.be_overflows == 0
     }
 
-    /// Total packets sent by all NIs for a class.
-    pub fn total_packets_tx(&self, class: WordClass) -> u64 {
-        self.nis.iter().map(|n| n.packets_tx[class.index()]).sum()
-    }
-
     /// Renders a human-readable report.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -174,7 +168,7 @@ mod tests {
         assert!(r.invariants_ok());
         assert!(r.cycles >= 500);
         assert!(r.delivered[1] > 0, "config + data traffic moved");
-        assert!(r.total_packets_tx(WordClass::BestEffort) > 0);
+        assert!(r.nis.iter().any(|n| n.packets_tx[1] > 0), "BE packets sent");
         assert!(r.mean_link_utilization > 0.0);
         assert!(r.peak_link_utilization >= r.mean_link_utilization);
         let text = r.render();

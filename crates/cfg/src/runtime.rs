@@ -24,7 +24,7 @@ use crate::slots::{SlotAllocation, SlotAllocator, SlotError, SlotStrategy};
 use crate::system::NocSystem;
 use aethereal_ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
 use aethereal_ni::kernel::{chan_reg_addr, ext_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg};
-use aethereal_ni::message::RequestMsg;
+use aethereal_ni::message::encode_request;
 use aethereal_ni::shell::config::global_addr;
 use aethereal_ni::transaction::{RespStatus, Transaction, TransactionResponse};
 use noc_sim::{Engine, FaultReport, PortIdx, Route, RouteError, RouterId, Topology, SLOT_WORDS};
@@ -842,9 +842,7 @@ pub struct HealOutcome {
 /// [`RuntimeConfigurator::write`] issues: Space, `PATH_RQID`, one
 /// `PATH_EXT` per continuation segment, Ctrl.
 fn bootstrap_words(p_rev: &Route) -> usize {
-    let write_words = RequestMsg::from_transaction(&Transaction::write(0, vec![0], 0), None)
-        .encode()
-        .len();
+    let write_words = encode_request(&Transaction::write(0, vec![0], 0)).len();
     (3 + p_rev.continuation_words().count()) * write_words
 }
 

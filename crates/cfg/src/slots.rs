@@ -68,11 +68,6 @@ impl SlotAllocation {
         }
         max
     }
-
-    /// Guaranteed fraction of link bandwidth (`n / S`).
-    pub fn bandwidth_fraction(&self, stu_slots: usize) -> f64 {
-        self.injection_slots.len() as f64 / stu_slots as f64
-    }
 }
 
 /// Allocation failures.
@@ -330,7 +325,6 @@ mod tests {
             .allocate(&topo, 0, &path, 2, SlotStrategy::Spread)
             .unwrap();
         assert_eq!(a.injection_slots.len(), 2);
-        assert!((a.bandwidth_fraction(8) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -38,9 +38,11 @@ use noc_sim::{PersistError, StateLoader, StateSaver, StateVisit};
 /// Snapshot format version accepted by this build. Format 1 also carried
 /// each network's boundary registers and dirty lists (empty in every
 /// snapshot `cfg` could produce); format 2 walked the configuration port
-/// with its own shell's layout instead of the master shell's. Neither has
-/// a reader.
-pub const SNAPSHOT_FORMAT: u64 = 3;
+/// with its own shell's layout instead of the master shell's; format 3
+/// also carried each shell's message sequence counter and each message
+/// assembler's expected length (derived from the partial message). None
+/// has a reader.
+pub const SNAPSHOT_FORMAT: u64 = 4;
 
 /// Error produced by snapshot capture or restore.
 #[derive(Debug, Clone, PartialEq, Eq)]

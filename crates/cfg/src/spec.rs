@@ -10,7 +10,6 @@
 
 use crate::json::{self, JsonError, Value};
 use aethereal_ni::kernel::{ArbPolicy, NiKernelSpec, PortSpec};
-use aethereal_ni::message::Ordering;
 use aethereal_ni::ni::{NiSpec, PortStackSpec};
 use aethereal_ni::shell::{AddrRange, ConnSelect};
 use noc_sim::shard::{Partition, PartitionError};
@@ -547,54 +546,34 @@ fn arb_from_value(v: &Value) -> Result<ArbPolicy, JsonError> {
     }
 }
 
-fn ordering_to_value(o: Ordering) -> Value {
-    Value::Str(
-        match o {
-            Ordering::InOrder => "InOrder",
-            Ordering::Sequenced => "Sequenced",
-        }
-        .into(),
-    )
-}
-
-fn ordering_from_value(v: &Value) -> Result<Ordering, JsonError> {
-    match v.as_variant()? {
-        ("InOrder", None) => Ok(Ordering::InOrder),
-        ("Sequenced", None) => Ok(Ordering::Sequenced),
-        (tag, _) => Err(JsonError::new(format!("unknown ordering `{tag}`"))),
-    }
-}
-
 fn stack_to_value(s: &PortStackSpec) -> Value {
     match s {
         PortStackSpec::Raw => Value::Str("Raw".into()),
         PortStackSpec::Config => Value::Str("Config".into()),
         PortStackSpec::Cnip => Value::Str("Cnip".into()),
-        PortStackSpec::Master { conn, ordering } => Value::obj(vec![(
+        PortStackSpec::Slave => Value::Str("Slave".into()),
+        PortStackSpec::Master { conn } => Value::obj(vec![(
             "Master",
-            Value::obj(vec![
-                ("conn", conn_to_value(conn)),
-                ("ordering", ordering_to_value(*ordering)),
-            ]),
-        )]),
-        PortStackSpec::Slave { ordering } => Value::obj(vec![(
-            "Slave",
-            Value::obj(vec![("ordering", ordering_to_value(*ordering))]),
+            Value::obj(vec![("conn", conn_to_value(conn))]),
         )]),
     }
 }
 
 fn stack_from_value(v: &Value) -> Result<PortStackSpec, JsonError> {
     match v.as_variant()? {
+        // Every channel delivers in order; a spec that still asks for an
+        // ordering (in particular unordered delivery) is refused, never
+        // read as in-order.
+        (tag, Some(b)) if b.get_opt("ordering").is_some() => Err(JsonError::new(format!(
+            "port stack `{tag}` names an `ordering`: channels are in order, \
+             unordered delivery is not modelled"
+        ))),
         ("Raw", None) => Ok(PortStackSpec::Raw),
         ("Config", None) => Ok(PortStackSpec::Config),
         ("Cnip", None) => Ok(PortStackSpec::Cnip),
+        ("Slave", None) => Ok(PortStackSpec::Slave),
         ("Master", Some(b)) => Ok(PortStackSpec::Master {
             conn: conn_from_value(b.get("conn")?)?,
-            ordering: ordering_from_value(b.get("ordering")?)?,
-        }),
-        ("Slave", Some(b)) => Ok(PortStackSpec::Slave {
-            ordering: ordering_from_value(b.get("ordering")?)?,
         }),
         (tag, _) => Err(JsonError::new(format!("unknown port stack `{tag}`"))),
     }
@@ -840,8 +819,9 @@ mod tests {
         assert_eq!(back, spec);
         // The built topology carries the regions for route planning.
         let topo = back.build_topology();
-        assert!(topo.regions().is_some());
-        assert_eq!(topo.regions().unwrap().region_count(), 2);
+        let regions = topo.regions().expect("regions carried");
+        assert_eq!(regions.router_map(), &[0, 1]);
+        assert_eq!(regions.gateway(1), Some(1));
         // A pre-regions file (no regions field) still parses.
         let old = small_spec()
             .to_json()

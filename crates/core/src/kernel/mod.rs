@@ -29,7 +29,7 @@ pub use regs::{
 pub use sched::ArbPolicy;
 
 use crate::fifo::{FifoFullError, DEFAULT_CROSSING_CYCLES};
-use crate::message::{MessageAssembler, MsgKind, Ordering, ResponseMsg};
+use crate::message::{encode_response, MessageAssembler, MsgKind};
 use crate::transaction::{Cmd, RespStatus, Transaction, TransactionResponse};
 use noc_sim::engine::ClockedWith;
 use noc_sim::header::MAX_HEADER_CREDITS;
@@ -234,7 +234,7 @@ impl NiKernel {
         }
         let cnip = spec.cnip_channel.map(|channel| CnipState {
             channel,
-            asm: MessageAssembler::new(MsgKind::Request, Ordering::InOrder),
+            asm: MessageAssembler::new(MsgKind::Request),
             out: VecDeque::new(),
         });
         NiKernel {
@@ -544,11 +544,10 @@ impl NiKernel {
         }
         // Execute any completed register transaction.
         while let Some(req) = cnip.asm.next_request() {
-            let (resp, accessed) = self.reg_transaction(&req.into_transaction());
+            let (resp, accessed) = self.reg_transaction(&req);
             self.stats.cnip_ops = self.stats.cnip_ops.wrapping_add(accessed);
             if let Some(resp) = resp {
-                cnip.out
-                    .extend(ResponseMsg::from_response(&resp, None).encode());
+                cnip.out.extend(encode_response(&resp));
             }
         }
         self.cnip = Some(cnip);
@@ -1402,7 +1401,7 @@ mod tests {
             .unwrap();
         // Acked write of SPACE=5 into NI1's channel-3 block.
         let t = Transaction::acked_write(chan_reg_addr(3, ChanReg::Space), vec![5], 0x42);
-        let msg = crate::message::RequestMsg::from_transaction(&t, None).encode();
+        let msg = crate::message::encode_request(&t);
         for (i, w) in msg.iter().enumerate() {
             k0.push_src(0, *w, i as u64).unwrap();
         }

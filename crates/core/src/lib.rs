@@ -44,6 +44,6 @@ pub mod shell;
 pub mod transaction;
 
 pub use kernel::{ArbPolicy, ChannelId, NiKernel, NiKernelSpec, PortSpec};
-pub use message::{MessageAssembler, MsgKind, Ordering, RequestMsg, ResponseMsg};
+pub use message::{MessageAssembler, MsgKind};
 pub use ni::{Ni, NiSpec, PortStackSpec};
 pub use transaction::{Cmd, RespStatus, Transaction, TransactionResponse};

@@ -11,7 +11,6 @@
 
 use crate::kernel::sched::members;
 use crate::kernel::{ChannelId, NiKernel, NiKernelSpec};
-use crate::message::Ordering;
 use crate::shell::{ConnSelect, MasterStack, SlaveStack};
 use noc_sim::engine::{ClockDomain, ClockedWith};
 use noc_sim::NiLink;
@@ -26,15 +25,10 @@ pub enum PortStackSpec {
     Master {
         /// Connection type (direct / narrowcast / multicast).
         conn: ConnSelect,
-        /// Message ordering mode.
-        ordering: Ordering,
     },
     /// A slave port: slave shell, with multi-connection behaviour when the
     /// port has more than one channel.
-    Slave {
-        /// Message ordering mode.
-        ordering: Ordering,
-    },
+    Slave,
     /// The configuration master port: a master shell that selects by NI
     /// (the configuration shell).
     Config,
@@ -109,12 +103,10 @@ impl Ni {
                 let div = kernel.port_clock_div(p);
                 match s {
                     PortStackSpec::Raw => PortStack::Raw,
-                    PortStackSpec::Master { conn, ordering } => {
-                        PortStack::Master(MasterStack::new(channels, conn, ordering, div))
+                    PortStackSpec::Master { conn } => {
+                        PortStack::Master(MasterStack::new(channels, conn, div))
                     }
-                    PortStackSpec::Slave { ordering } => {
-                        PortStack::Slave(SlaveStack::new(channels, ordering, div))
-                    }
+                    PortStackSpec::Slave => PortStack::Slave(SlaveStack::new(channels, div)),
                     PortStackSpec::Config => {
                         PortStack::Config(MasterStack::config(kernel.spec().ni_id, channels))
                     }
@@ -340,7 +332,6 @@ mod tests {
                 PortStackSpec::Cnip,
                 PortStackSpec::Master {
                     conn: ConnSelect::Direct,
-                    ordering: Ordering::InOrder,
                 },
                 PortStackSpec::Master {
                     conn: ConnSelect::Narrowcast(vec![
@@ -353,11 +344,8 @@ mod tests {
                             size: 0x100,
                         },
                     ]),
-                    ordering: Ordering::InOrder,
                 },
-                PortStackSpec::Slave {
-                    ordering: Ordering::InOrder,
-                },
+                PortStackSpec::Slave,
             ],
         };
         Ni::new(spec)

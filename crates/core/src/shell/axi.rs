@@ -246,12 +246,11 @@ impl AxiMasterAdapter {
 mod tests {
     use super::*;
     use crate::kernel::NiKernelSpec;
-    use crate::message::Ordering;
     use crate::shell::ConnSelect;
 
     fn setup() -> (AxiMasterAdapter, MasterStack, NiKernel) {
         let kernel = NiKernel::new(NiKernelSpec::reference(0));
-        let stack = MasterStack::new(vec![1], ConnSelect::Direct, Ordering::InOrder, 1);
+        let stack = MasterStack::new(vec![1], ConnSelect::Direct, 1);
         (AxiMasterAdapter::new(), stack, kernel)
     }
 

@@ -26,7 +26,7 @@
 
 use super::config::split_addr;
 use crate::kernel::{ChannelId, NiKernel};
-use crate::message::{MessageAssembler, MsgKind, Ordering, RequestMsg};
+use crate::message::{encode_request, MessageAssembler, MsgKind};
 use crate::transaction::{RespStatus, Transaction, TransactionResponse};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -122,7 +122,6 @@ struct TxMsg {
 pub struct MasterStack {
     channels: Vec<ChannelId>,
     sel: Selector,
-    ordering: Ordering,
     /// Network cycles between selecting a transaction and pushing its
     /// first word.
     seq_latency: u64,
@@ -132,7 +131,6 @@ pub struct MasterStack {
     asm: Vec<MessageAssembler>,
     history: VecDeque<HistEntry>,
     resp_out: VecDeque<TransactionResponse>,
-    seq_ctr: u32,
     /// Transactions rejected at the shell (narrowcast misses, unbound NIs).
     shell_errors: u64,
 }
@@ -145,12 +143,7 @@ impl MasterStack {
     ///
     /// Panics if `channels` is empty, or if a narrowcast map does not have
     /// exactly one range per channel.
-    pub fn new(
-        channels: Vec<ChannelId>,
-        sel: ConnSelect,
-        ordering: Ordering,
-        clock_div: u32,
-    ) -> Self {
+    pub fn new(channels: Vec<ChannelId>, sel: ConnSelect, clock_div: u32) -> Self {
         if let ConnSelect::Narrowcast(ranges) = &sel {
             assert_eq!(
                 ranges.len(),
@@ -159,13 +152,7 @@ impl MasterStack {
             );
         }
         let latency = SEQ_LATENCY_CYCLES * u64::from(clock_div);
-        Self::build(
-            channels,
-            Selector::Conn(sel),
-            ordering,
-            latency,
-            PENDING_CAP,
-        )
+        Self::build(channels, Selector::Conn(sel), latency, PENDING_CAP)
     }
 
     /// Creates the configuration shell of NI `local_ni` (§4.3), owning
@@ -184,13 +171,12 @@ impl MasterStack {
             local_ni,
             bound: BTreeMap::new(),
         };
-        Self::build(channels, sel, Ordering::InOrder, 0, usize::MAX)
+        Self::build(channels, sel, 0, usize::MAX)
     }
 
     fn build(
         channels: Vec<ChannelId>,
         sel: Selector,
-        ordering: Ordering,
         seq_latency: u64,
         pending_cap: usize,
     ) -> Self {
@@ -200,12 +186,11 @@ impl MasterStack {
         );
         let asm = channels
             .iter()
-            .map(|_| MessageAssembler::new(MsgKind::Response, ordering))
+            .map(|_| MessageAssembler::new(MsgKind::Response))
             .collect();
         MasterStack {
             channels,
             sel,
-            ordering,
             seq_latency,
             pending: VecDeque::new(),
             pending_cap,
@@ -213,7 +198,6 @@ impl MasterStack {
             asm,
             history: VecDeque::new(),
             resp_out: VecDeque::new(),
-            seq_ctr: 0,
             shell_errors: 0,
         }
     }
@@ -288,11 +272,10 @@ impl MasterStack {
     /// (see [`noc_sim::persist`]): a configuration shell's bindings (in
     /// NI order), queued transactions, the in-flight serialized message
     /// with its per-target progress, every response assembler, the
-    /// history, delivered-response queue, sequence counter and error
-    /// count. A history entry is its target list; an empty list marks an
-    /// entry answered in place, whose response follows. Channel indices
-    /// are bounds-checked. The connection type, `ordering`,
-    /// `seq_latency` and `pending_cap` are structural.
+    /// history, delivered-response queue and error count. A history entry
+    /// is its target list; an empty list marks an entry answered in place,
+    /// whose response follows. Channel indices are bounds-checked. The
+    /// connection type, `seq_latency` and `pending_cap` are structural.
     pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
         use noc_sim::persist::{
             persist_bool, persist_deque, persist_index, persist_int, persist_int_list, persist_list,
@@ -348,7 +331,6 @@ impl MasterStack {
         });
         let blank = TransactionResponse::ack(0);
         persist_deque(&mut self.resp_out, blank, p, |r, p| r.walk(p));
-        persist_int(&mut self.seq_ctr, p);
         p.counter(&mut self.shell_errors);
     }
 
@@ -390,7 +372,7 @@ impl MasterStack {
         if self.tx.is_some() {
             return;
         }
-        let Some(t) = self.pending.pop_front() else {
+        let Some(mut t) = self.pending.pop_front() else {
             return;
         };
         let (targets, addr) = match self.select(&t) {
@@ -411,16 +393,8 @@ impl MasterStack {
                 return;
             }
         };
-        let mut msg_t = t.clone();
-        msg_t.addr = addr;
-        let seq = match self.ordering {
-            Ordering::InOrder => None,
-            Ordering::Sequenced => {
-                self.seq_ctr = self.seq_ctr.wrapping_add(1);
-                Some(self.seq_ctr)
-            }
-        };
-        let words = RequestMsg::from_transaction(&msg_t, seq).encode();
+        t.addr = addr;
+        let words = encode_request(&t);
         if t.cmd.has_response() {
             self.history.push_back(HistEntry::Remote(targets.clone()));
         }
@@ -482,12 +456,7 @@ impl MasterStack {
                 HistEntry::Answered(r) => r,
                 HistEntry::Remote(locals) => locals
                     .into_iter()
-                    .map(|l| {
-                        self.asm[l]
-                            .next_response()
-                            .expect("readiness checked")
-                            .into_response()
-                    })
+                    .map(|l| self.asm[l].next_response().expect("readiness checked"))
                     .reduce(|mut m, r| {
                         // Multicast merge: any failure wins; data from the
                         // first responding slave is kept.
@@ -531,7 +500,7 @@ mod tests {
 
     #[test]
     fn direct_select_keeps_address() {
-        let s = MasterStack::new(vec![3], ConnSelect::Direct, Ordering::InOrder, 1);
+        let s = MasterStack::new(vec![3], ConnSelect::Direct, 1);
         let t = Transaction::read(0xABC, 1, 0);
         assert_eq!(s.select(&t), Target::Remote(vec![0], 0xABC));
     }
@@ -550,7 +519,6 @@ mod tests {
                     size: 0x100,
                 },
             ]),
-            Ordering::InOrder,
             1,
         );
         assert_eq!(
@@ -566,7 +534,7 @@ mod tests {
 
     #[test]
     fn multicast_selects_all() {
-        let s = MasterStack::new(vec![1, 2, 5], ConnSelect::Multicast, Ordering::InOrder, 1);
+        let s = MasterStack::new(vec![1, 2, 5], ConnSelect::Multicast, 1);
         let t = Transaction::write(0x8, vec![1], 0);
         assert_eq!(s.select(&t), Target::Remote(vec![0, 1, 2], 0x8));
     }
@@ -577,7 +545,6 @@ mod tests {
         let mut s = MasterStack::new(
             vec![0],
             ConnSelect::Narrowcast(vec![AddrRange { base: 0, size: 4 }]),
-            Ordering::InOrder,
             1,
         );
         s.submit(Transaction::read(0x1000, 1, 7));
@@ -590,7 +557,7 @@ mod tests {
 
     #[test]
     fn backpressure_limits_pending() {
-        let mut s = MasterStack::new(vec![0], ConnSelect::Direct, Ordering::InOrder, 1);
+        let mut s = MasterStack::new(vec![0], ConnSelect::Direct, 1);
         let mut n = 0;
         while s.can_submit() {
             s.submit(Transaction::write(0, vec![], 0));
@@ -605,7 +572,6 @@ mod tests {
         let _ = MasterStack::new(
             vec![0, 1],
             ConnSelect::Narrowcast(vec![AddrRange { base: 0, size: 1 }]),
-            Ordering::InOrder,
             1,
         );
     }

@@ -8,7 +8,7 @@
 //! history so responses are routed back to the right channel in order.
 
 use crate::kernel::{ChannelId, NiKernel};
-use crate::message::{MessageAssembler, MsgKind, Ordering, ResponseMsg};
+use crate::message::{encode_response, MessageAssembler, MsgKind};
 use crate::transaction::{Transaction, TransactionResponse};
 use std::collections::VecDeque;
 
@@ -28,7 +28,6 @@ struct TxResp {
 #[derive(Debug, Clone)]
 pub struct SlaveStack {
     channels: Vec<ChannelId>,
-    ordering: Ordering,
     clock_div: u32,
     asm: Vec<MessageAssembler>,
     /// Connections whose responses are still owed, in consumption order.
@@ -38,7 +37,6 @@ pub struct SlaveStack {
     tx: Option<TxResp>,
     /// Round-robin tiebreak pointer for the multi-connection scheduler.
     rr: usize,
-    seq_ctr: u32,
 }
 
 impl SlaveStack {
@@ -48,18 +46,17 @@ impl SlaveStack {
     /// # Panics
     ///
     /// Panics if `channels` is empty.
-    pub fn new(channels: Vec<ChannelId>, ordering: Ordering, clock_div: u32) -> Self {
+    pub fn new(channels: Vec<ChannelId>, clock_div: u32) -> Self {
         assert!(
             !channels.is_empty(),
             "a slave port needs at least one channel"
         );
         let asm = channels
             .iter()
-            .map(|_| MessageAssembler::new(MsgKind::Request, ordering))
+            .map(|_| MessageAssembler::new(MsgKind::Request))
             .collect();
         SlaveStack {
             channels,
-            ordering,
             clock_div,
             asm,
             history: VecDeque::new(),
@@ -67,7 +64,6 @@ impl SlaveStack {
             resp_pending: VecDeque::new(),
             tx: None,
             rr: 0,
-            seq_ctr: 0,
         }
     }
 
@@ -106,9 +102,8 @@ impl SlaveStack {
     /// Walks the stack's complete dynamic state through a state visitor
     /// (see [`noc_sim::persist`]): every request assembler, the
     /// connection history, scheduled requests, responses awaiting
-    /// serialization, the in-flight serialized response, the round-robin
-    /// pointer and the sequence counter. Channel indices are
-    /// bounds-checked.
+    /// serialization, the in-flight serialized response and the
+    /// round-robin pointer. Channel indices are bounds-checked.
     pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
         use noc_sim::persist::{
             persist_bool, persist_deque, persist_index, persist_int, persist_int_list,
@@ -139,7 +134,6 @@ impl SlaveStack {
             p.stamp(&mut tx.ready_at);
         }
         persist_index(&mut self.rr, n, p);
-        persist_int(&mut self.seq_ctr, p);
     }
 
     /// Advances the shell by one port cycle (`now` in network cycles).
@@ -171,9 +165,8 @@ impl SlaveStack {
             }
         }
         let Some((_, local)) = best else { return };
-        let req = self.asm[local].next_request().expect("ready checked");
+        let t = self.asm[local].next_request().expect("ready checked");
         self.rr = (local + 1) % n;
-        let t = req.into_transaction();
         if t.cmd.has_response() {
             self.history.push_back(local);
         }
@@ -191,15 +184,8 @@ impl SlaveStack {
             .history
             .pop_front()
             .expect("response supplied without an outstanding request");
-        let seq = match self.ordering {
-            Ordering::InOrder => None,
-            Ordering::Sequenced => {
-                self.seq_ctr = self.seq_ctr.wrapping_add(1);
-                Some(self.seq_ctr)
-            }
-        };
         self.tx = Some(TxResp {
-            words: ResponseMsg::from_response(&resp, seq).encode(),
+            words: encode_response(&resp),
             local,
             progress: 0,
             ready_at: now + DESEQ_LATENCY_CYCLES * u64::from(self.clock_div),
@@ -227,17 +213,17 @@ impl SlaveStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::RequestMsg;
+    use crate::message::encode_request;
 
     fn feed_request(s: &mut SlaveStack, local: usize, t: &Transaction) {
-        for w in RequestMsg::from_transaction(t, None).encode() {
+        for w in encode_request(t) {
             s.asm[local].push_word(w);
         }
     }
 
     #[test]
     fn schedules_fullest_connection_first() {
-        let mut s = SlaveStack::new(vec![0, 1], Ordering::InOrder, 1);
+        let mut s = SlaveStack::new(vec![0, 1], 1);
         feed_request(&mut s, 1, &Transaction::read(0, 1, 10));
         feed_request(&mut s, 1, &Transaction::read(4, 1, 11));
         feed_request(&mut s, 0, &Transaction::read(8, 1, 20));
@@ -258,7 +244,7 @@ mod tests {
 
     #[test]
     fn history_routes_responses_in_order() {
-        let mut s = SlaveStack::new(vec![5, 9], Ordering::InOrder, 1);
+        let mut s = SlaveStack::new(vec![5, 9], 1);
         feed_request(&mut s, 0, &Transaction::read(0, 1, 1));
         s.schedule_request();
         feed_request(&mut s, 1, &Transaction::read(0, 1, 2));
@@ -275,7 +261,7 @@ mod tests {
 
     #[test]
     fn posted_writes_owe_no_response() {
-        let mut s = SlaveStack::new(vec![0], Ordering::InOrder, 1);
+        let mut s = SlaveStack::new(vec![0], 1);
         feed_request(&mut s, 0, &Transaction::write(0, vec![1, 2], 0));
         s.schedule_request();
         assert_eq!(s.responses_owed(), 0);
@@ -284,7 +270,7 @@ mod tests {
 
     #[test]
     fn rr_breaks_ties() {
-        let mut s = SlaveStack::new(vec![0, 1], Ordering::InOrder, 1);
+        let mut s = SlaveStack::new(vec![0, 1], 1);
         feed_request(&mut s, 0, &Transaction::read(0, 1, 1));
         feed_request(&mut s, 1, &Transaction::read(0, 1, 2));
         s.schedule_request();
@@ -302,13 +288,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one channel")]
     fn empty_channels_panics() {
-        let _ = SlaveStack::new(vec![], Ordering::InOrder, 1);
+        let _ = SlaveStack::new(vec![], 1);
     }
 
     #[test]
     #[should_panic(expected = "without an outstanding request")]
     fn unsolicited_response_panics() {
-        let mut s = SlaveStack::new(vec![0], Ordering::InOrder, 1);
+        let mut s = SlaveStack::new(vec![0], 1);
         s.respond(TransactionResponse::ack(0));
         s.serialize_response(0);
     }

@@ -4,7 +4,9 @@
 use aethereal_ni::fifo::HwFifo;
 use aethereal_ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
 use aethereal_ni::kernel::{chan_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg};
-use aethereal_ni::message::{MessageAssembler, MsgKind, Ordering, RequestMsg, ResponseMsg};
+use aethereal_ni::message::{
+    decode_request, decode_response, encode_request, encode_response, MessageAssembler, MsgKind,
+};
 use aethereal_ni::transaction::{Cmd, RespStatus, Transaction, TransactionResponse};
 use aethereal_ni::{NiKernel, NiKernelSpec};
 use aethereal_testkit::prelude::*;
@@ -71,20 +73,19 @@ fn arb_response() -> impl Strategy<Value = TransactionResponse> {
 
 proptest! {
     #[test]
-    fn request_message_roundtrip(t in arb_transaction(), seq in any::<Option<u32>>()) {
-        let m = RequestMsg::from_transaction(&t, seq);
-        let ordering = if seq.is_some() { Ordering::Sequenced } else { Ordering::InOrder };
-        let back = RequestMsg::decode(&m.encode(), ordering).expect("well-formed");
-        prop_assert_eq!(back.clone(), m);
-        prop_assert_eq!(back.into_transaction(), t);
+    fn request_message_roundtrip(t in arb_transaction()) {
+        let words = encode_request(&t);
+        // Fig. 7: header + address + write data, nothing else.
+        prop_assert_eq!(words.len(), 2 + t.data.len());
+        prop_assert_eq!(decode_request(&words).expect("well-formed"), t);
     }
 
     #[test]
-    fn response_message_roundtrip(r in arb_response(), seq in any::<Option<u32>>()) {
-        let m = ResponseMsg::from_response(&r, seq);
-        let ordering = if seq.is_some() { Ordering::Sequenced } else { Ordering::InOrder };
-        let back = ResponseMsg::decode(&m.encode(), ordering).expect("well-formed");
-        prop_assert_eq!(back.into_response(), r);
+    fn response_message_roundtrip(r in arb_response()) {
+        let words = encode_response(&r);
+        // Fig. 7: header + read data, nothing else.
+        prop_assert_eq!(words.len(), 1 + r.data.len());
+        prop_assert_eq!(decode_response(&words).expect("well-formed"), r);
     }
 
     #[test]
@@ -93,15 +94,15 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for t in &ts {
-            stream.extend(RequestMsg::from_transaction(t, None).encode());
+            stream.extend(encode_request(t));
         }
-        let mut asm = MessageAssembler::new(MsgKind::Request, Ordering::InOrder);
+        let mut asm = MessageAssembler::new(MsgKind::Request);
         for w in stream {
             asm.push_word(w);
         }
         let mut got = Vec::new();
-        while let Some(m) = asm.next_request() {
-            got.push(m.into_transaction());
+        while let Some(t) = asm.next_request() {
+            got.push(t);
         }
         prop_assert_eq!(got, ts);
         prop_assert_eq!(asm.errors(), 0);

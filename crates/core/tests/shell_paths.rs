@@ -4,7 +4,7 @@
 //! back-pressure, sequentialization latency, and response reassembly.
 
 use aethereal_ni::kernel::{NiKernel, NiKernelSpec, PortSpec};
-use aethereal_ni::message::{MsgKind, Ordering, RequestMsg, ResponseMsg};
+use aethereal_ni::message::{encode_request, encode_response, MsgKind};
 use aethereal_ni::shell::{AddrRange, ConnSelect, MasterStack};
 use aethereal_ni::transaction::{Transaction, TransactionResponse};
 use aethereal_ni::MessageAssembler;
@@ -17,7 +17,7 @@ fn kernel() -> NiKernel {
 #[test]
 fn master_serializes_exactly_one_message_per_transaction() {
     let mut k = kernel();
-    let mut m = MasterStack::new(vec![4], ConnSelect::Direct, Ordering::InOrder, 1);
+    let mut m = MasterStack::new(vec![4], ConnSelect::Direct, 1);
     m.submit(Transaction::write(0x30, vec![9, 8, 7], 5));
     for now in 0..20 {
         m.tick(&mut k, now);
@@ -30,7 +30,7 @@ fn master_serializes_exactly_one_message_per_transaction() {
 #[test]
 fn sequentialization_takes_two_cycles() {
     let mut k = kernel();
-    let mut m = MasterStack::new(vec![4], ConnSelect::Direct, Ordering::InOrder, 1);
+    let mut m = MasterStack::new(vec![4], ConnSelect::Direct, 1);
     m.submit(Transaction::read(0x10, 1, 0));
     m.tick(&mut k, 0);
     assert_eq!(k.channel(4).src_level(), 0, "nothing during seq cycle 1");
@@ -62,7 +62,7 @@ fn multicast_pushes_to_every_channel_even_with_uneven_space() {
         ..NiKernelSpec::reference(0)
     };
     let mut k = NiKernel::new(spec);
-    let mut m = MasterStack::new(vec![1, 2], ConnSelect::Multicast, Ordering::InOrder, 1);
+    let mut m = MasterStack::new(vec![1, 2], ConnSelect::Multicast, 1);
     // Pre-fill channel 2's source queue so it back-pressures immediately.
     for w in 0..3 {
         k.push_src(2, w, 0).expect("room");
@@ -101,7 +101,6 @@ fn narrowcast_responses_reassemble_from_interleaved_words() {
                 size: 0x100,
             },
         ]),
-        Ordering::InOrder,
         1,
     );
     // Two reads: first to the slow slave (ch 5), then the fast one (ch 4).
@@ -112,16 +111,14 @@ fn narrowcast_responses_reassemble_from_interleaved_words() {
     }
     // Responses arrive with the fast one first, interleaved word-by-word
     // into the destination queues.
-    let r1 =
-        ResponseMsg::from_response(&TransactionResponse::with_data(1, vec![11, 12]), None).encode();
-    let r2 =
-        ResponseMsg::from_response(&TransactionResponse::with_data(2, vec![22]), None).encode();
+    let r1 = encode_response(&TransactionResponse::with_data(1, vec![11, 12]));
+    let r2 = encode_response(&TransactionResponse::with_data(2, vec![22]));
     // Push into dst queues directly via the kernel's test-visible path:
     // the depacketizer normally does this; emulate with a tiny assembler
     // feed through channel queues is not public, so verify at assembler
     // level instead:
-    let mut asm4 = MessageAssembler::new(MsgKind::Response, Ordering::InOrder);
-    let mut asm5 = MessageAssembler::new(MsgKind::Response, Ordering::InOrder);
+    let mut asm4 = MessageAssembler::new(MsgKind::Response);
+    let mut asm5 = MessageAssembler::new(MsgKind::Response);
     let max = r1.len().max(r2.len());
     for i in 0..max {
         if let Some(&w) = r2.get(i) {
@@ -141,7 +138,7 @@ fn request_encode_matches_fig7_word_layout() {
     // White-box check of the §4.2/Fig. 7 sequence: cmd+length+flags word,
     // then address, then write data.
     let t = Transaction::acked_write(0xDEAD_BEEF, vec![0x11, 0x22], 0x3FF);
-    let words = RequestMsg::from_transaction(&t, None).encode();
+    let words = encode_request(&t);
     assert_eq!(words.len(), 4);
     assert_eq!(words[0] >> 28, 2, "cmd field = acked write");
     assert_eq!((words[0] >> 20) & 0xFF, 2, "length field");

@@ -17,6 +17,7 @@ use aethereal::cfg::{
     TopologySpec,
 };
 use aethereal::ni::kernel::{chan_reg_addr, ChanReg};
+use aethereal::ni::message::encode_request;
 use aethereal::ni::shell::config::global_addr;
 use aethereal::ni::Transaction;
 use aethereal::proto::{MemorySlave, TrafficGenerator, TrafficGeneratorConfig, TrafficMix};
@@ -210,10 +211,6 @@ fn snapshot_structural_mutations_are_rejected() {
             Box::new(|v| set(v, "format", Value::Num(99))),
         ),
         (
-            "retired format 1",
-            Box::new(|v| set(v, "format", Value::Num(1))),
-        ),
-        (
             "wrong kind",
             Box::new(|v| set(v, "kind", Value::Str("noc".into()))),
         ),
@@ -275,6 +272,153 @@ fn snapshot_structural_mutations_are_rejected() {
         let mut fresh = NocSystem::from_spec(&spec);
         let err = fresh.restore(&bad).expect_err(what);
         assert!(!err.to_string().is_empty(), "{what}");
+    }
+}
+
+/// Formats 1–3 have no reader: each is refused by name, not half-read.
+/// Format 3 differs from 4 only in two items a format-4 walk would
+/// misread: each shell's sequence counter and each assembler's expected
+/// length.
+#[test]
+fn retired_snapshot_formats_are_refused() {
+    let (spec, snap) = warm_snapshot();
+    for format in 1..=3 {
+        let mut old = snap.clone();
+        set(&mut old, "format", Value::Num(format));
+        let err = NocSystem::from_spec(&spec)
+            .restore(&old)
+            .expect_err("retired format");
+        assert!(
+            err.msg
+                .contains(&format!("unsupported snapshot format {format}")),
+            "{err}"
+        );
+    }
+}
+
+/// A port stack that names an `ordering` — unordered delivery in
+/// particular — is refused with a structured error: a spec asking for a
+/// delivery mode the model does not have must never load as in-order.
+#[test]
+fn port_stack_ordering_is_refused() {
+    let spec = pair_spec();
+    let doc = json::parse(&spec.to_json().expect("serializes")).expect("parses");
+    let with_stack = |ni: usize, stack: &str| {
+        let mut doc = doc.clone();
+        let Value::Obj(top) = &mut doc else {
+            unreachable!("a spec is an object")
+        };
+        let Some(Value::Arr(nis)) = top.get_mut("nis") else {
+            unreachable!("a spec lists its NIs")
+        };
+        set(
+            &mut nis[ni],
+            "stacks",
+            Value::Arr(vec![
+                Value::Str("Cnip".into()),
+                json::parse(stack).expect("stack parses"),
+            ]),
+        );
+        json::to_string_pretty(&doc)
+    };
+    // The unmodified stacks load: the edit below is the only difference.
+    let same = with_stack(1, "\"Slave\"");
+    assert_eq!(NocSpec::from_json(&same).expect("loads"), spec);
+    for (ni, stack) in [
+        (
+            0,
+            r#"{"Master": {"conn": "Direct", "ordering": "Sequenced"}}"#,
+        ),
+        (
+            0,
+            r#"{"Master": {"conn": "Direct", "ordering": "InOrder"}}"#,
+        ),
+        (1, r#"{"Slave": {"ordering": "Sequenced"}}"#),
+        (1, r#"{"Slave": {"ordering": "InOrder"}}"#),
+    ] {
+        let err = NocSpec::from_json(&with_stack(ni, stack)).expect_err(stack);
+        assert!(err.msg.contains("ordering"), "{stack}: {err}");
+    }
+}
+
+/// A 2x1 mesh with one master NI and one slave NI.
+fn pair_spec() -> NocSpec {
+    NocSpec::new(
+        TopologySpec::Mesh {
+            width: 2,
+            height: 1,
+            nis_per_router: 1,
+        },
+        vec![presets::master_ni(0), presets::slave_ni(1)],
+    )
+}
+
+/// `snap` with the slave shell's request assembler replaced by one
+/// holding the partial message `buf` and the waiting messages `ready`.
+/// The slave NI's stream ends with its shell: the assembler (error count,
+/// partial buffer, waiting messages), then the empty history, request and
+/// response queues, no response in flight, and the round-robin pointer.
+fn with_slave_assembler(snap: &Value, buf: &[u64], ready: &[Vec<u64>]) -> Value {
+    let mut snap = snap.clone();
+    let Value::Obj(top) = &mut snap else {
+        unreachable!("a snapshot is an object")
+    };
+    let Some(Value::Arr(nis)) = top.get_mut("nis") else {
+        unreachable!("a snapshot lists its NIs")
+    };
+    let Value::Arr(stream) = &mut nis[1] else {
+        unreachable!("an NI stream is an array")
+    };
+    let tail = stream.split_off(stream.len() - 8);
+    assert!(tail.iter().all(|v| *v == Value::Num(0)), "{tail:?}");
+    let mut asm = vec![0, buf.len() as u64];
+    asm.extend(buf);
+    asm.push(ready.len() as u64);
+    for m in ready {
+        asm.push(m.len() as u64);
+        asm.extend(m);
+    }
+    stream.extend(asm.into_iter().chain([0; 5]).map(Value::Num));
+    snap
+}
+
+/// An assembler restores only what framing can produce. A waiting
+/// message that is not exactly one message would panic when the shell
+/// takes it, and a partial buffer as long as its message would swallow
+/// every later word without framing again: both are a `SnapshotError`.
+#[test]
+fn snapshot_assembler_that_cannot_frame_is_refused() {
+    let spec = pair_spec();
+    let mut sys = NocSystem::from_spec(&spec);
+    Engine::run(&mut sys, 20);
+    let snap = sys.snapshot().expect("snapshot");
+    let read = encode_request(&Transaction::read(0x10, 1, 3));
+    let (hdr, addr) = (u64::from(read[0]), u64::from(read[1]));
+    let build = || NocSystem::from_spec(&spec);
+    // What a live assembler can hold restores, and runs.
+    for (buf, ready) in [(vec![hdr], vec![]), (vec![], vec![vec![hdr, addr]])] {
+        let doc = with_slave_assembler(&snap, &buf, &ready);
+        assert!(restore_then_run(&build, &doc), "{buf:?} {ready:?}");
+    }
+    let cases = [
+        ("empty waiting message", vec![], vec![vec![]]),
+        ("short waiting message", vec![], vec![vec![hdr]]),
+        (
+            "waiting message with bad command",
+            vec![],
+            vec![vec![0xF000_0000, addr]],
+        ),
+        ("partial as long as its message", vec![hdr, addr], vec![]),
+        (
+            "partial longer than its message",
+            vec![hdr, addr, 7],
+            vec![],
+        ),
+    ];
+    for (what, buf, ready) in cases {
+        let doc = with_slave_assembler(&snap, &buf, &ready);
+        let err = build().restore(&doc).expect_err(what);
+        assert!(err.msg.contains("message"), "{what}: {err}");
     }
 }
 

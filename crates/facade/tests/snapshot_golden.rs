@@ -10,12 +10,15 @@
 //! mismatch and must be either fixed or consciously re-baselined with
 //! `cargo run -p xtask -- regen-goldens` (which reruns these tests with
 //! `REGEN_GOLDENS=1` to rewrite the files). The corpus is at snapshot
-//! format 3. Format 2 removed two always-zero list lengths from each
+//! format 4. Format 2 removed two always-zero list lengths from each
 //! file's `noc` stream; format 3 walks the configuration port as the
 //! master shell it now is, which changed only the tail of `nis[0]` (the
 //! configuration module's NI) in the three goldens that have one — the
 //! retired operation counter became the master shell's sequence counter
-//! and error count (`docs/ARCHITECTURE.md`, *The one state walk*).
+//! and error count; format 4 drops that sequence counter from every
+//! master, slave and configuration shell and the derived expected length
+//! from every message assembler, and nothing else
+//! (`docs/ARCHITECTURE.md`, *The one state walk*).
 //!
 //! Each golden is also *restored* into a freshly built system and run
 //! forward: the corpus stays loadable, and a restore from disk continues

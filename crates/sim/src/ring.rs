@@ -3,10 +3,13 @@
 //! Router BE input queues, GT calendars and NI inboxes all have hardware
 //! capacities fixed at instantiation time, so modelling them with growable
 //! `VecDeque`s put allocator traffic and spare-capacity bookkeeping on the
-//! per-cycle path. [`Ring`] is the replacement: one boxed slice allocated at
+//! per-cycle path. [`Ring`] is the replacement: one buffer allocated at
 //! construction, words moved in and out **by value**, no reallocation ever.
 //! The steady-state `Noc` tick performs zero allocations as a result
-//! (pinned by the facade's `zero_alloc` test).
+//! (pinned by the facade's `zero_alloc` test). Slots are written in order
+//! on first use rather than at construction, so building a network does
+//! not write every slot of every NI inbox (4096 per NI by default): a
+//! 16x16 mesh is 8 MiB of memory touched only as traffic reaches it.
 
 /// Error returned when pushing into a full ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,13 +23,25 @@ impl std::fmt::Display for RingFullError {
 
 impl std::error::Error for RingFullError {}
 
-/// A bounded FIFO over a fixed slice; `T: Copy` keeps every transfer a
+/// A bounded FIFO over a fixed buffer; `T: Copy` keeps every transfer a
 /// plain move-by-value with no drop glue.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Ring<T: Copy> {
-    buf: Box<[Option<T>]>,
+    /// The slots: `cap` allocated at construction, the first `buf.len()`
+    /// written. Positions are filled in order until the ring first wraps.
+    buf: Vec<Option<T>>,
+    cap: usize,
     head: usize,
     len: usize,
+}
+
+/// A clone keeps the whole allocation, so it never reallocates on push.
+impl<T: Copy> Clone for Ring<T> {
+    fn clone(&self) -> Self {
+        let mut buf = Vec::with_capacity(self.cap);
+        buf.extend_from_slice(&self.buf);
+        Ring { buf, ..*self }
+    }
 }
 
 impl<T: Copy> Ring<T> {
@@ -36,7 +51,8 @@ impl<T: Copy> Ring<T> {
     /// each arriving word counts as an overflow.
     pub fn with_capacity(capacity: usize) -> Self {
         Ring {
-            buf: vec![None; capacity].into_boxed_slice(),
+            buf: Vec::with_capacity(capacity),
+            cap: capacity,
             head: 0,
             len: 0,
         }
@@ -45,7 +61,7 @@ impl<T: Copy> Ring<T> {
     /// Capacity in slots.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.cap
     }
 
     /// Occupancy.
@@ -63,7 +79,7 @@ impl<T: Copy> Ring<T> {
     /// Whether a push would fail.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.len == self.buf.len()
+        self.len == self.cap
     }
 
     /// The slot holding the value at offset `i < len` from the front:
@@ -72,8 +88,8 @@ impl<T: Copy> Ring<T> {
     #[inline]
     fn slot(&self, i: usize) -> usize {
         let at = self.head + i;
-        if at >= self.buf.len() {
-            at - self.buf.len()
+        if at >= self.cap {
+            at - self.cap
         } else {
             at
         }
@@ -90,7 +106,11 @@ impl<T: Copy> Ring<T> {
             return Err(RingFullError);
         }
         let tail = self.slot(self.len);
-        self.buf[tail] = Some(value);
+        if tail == self.buf.len() {
+            self.buf.push(Some(value));
+        } else {
+            self.buf[tail] = Some(value);
+        }
         self.len += 1;
         Ok(())
     }
@@ -151,9 +171,7 @@ impl<T: Copy> Ring<T> {
 
     /// Removes all values.
     pub fn clear(&mut self) {
-        for slot in self.buf.iter_mut() {
-            *slot = None;
-        }
+        self.buf.clear();
         self.head = 0;
         self.len = 0;
     }

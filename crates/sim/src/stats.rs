@@ -79,15 +79,6 @@ impl NocStats {
     pub fn total_delivered(&self) -> u64 {
         self.delivered[0] + self.delivered[1]
     }
-
-    /// Delivered bandwidth in words per cycle for a class.
-    pub fn delivered_rate(&self, class: WordClass) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.delivered[class.index()] as f64 / self.cycles as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,10 +109,7 @@ mod tests {
     #[test]
     fn noc_stats_rates() {
         let mut s = NocStats::new(2);
-        s.cycles = 100;
         s.delivered = [30, 20];
         assert_eq!(s.total_delivered(), 50);
-        assert!((s.delivered_rate(WordClass::Guaranteed) - 0.3).abs() < 1e-12);
-        assert!((s.delivered_rate(WordClass::BestEffort) - 0.2).abs() < 1e-12);
     }
 }

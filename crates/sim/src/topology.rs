@@ -187,11 +187,6 @@ impl Regions {
         })
     }
 
-    /// Number of regions.
-    pub fn region_count(&self) -> usize {
-        self.gateways.len()
-    }
-
     /// The region of `router`, if the map covers it.
     pub fn region_of(&self, router: RouterId) -> Option<usize> {
         self.region_of.get(router).copied()
@@ -514,26 +509,6 @@ impl Topology {
         self.link_mask[router] |= 1 << port;
     }
 
-    /// Clears the failed mark on `(router, port)`.
-    pub fn unmask_link(&mut self, router: RouterId, port: PortIdx) {
-        if let Some(m) = self.link_mask.get_mut(router) {
-            *m &= !(1u64 << port);
-        }
-    }
-
-    /// Masks every output of `router` — the whole router is failed (e.g. a
-    /// stalled output stage).
-    pub fn mask_router(&mut self, router: RouterId) {
-        for p in 0..self.router_ports[router] {
-            self.mask_link(router, p as PortIdx);
-        }
-    }
-
-    /// Clears the entire failed-link mask, restoring pristine routing.
-    pub fn clear_link_mask(&mut self) {
-        self.link_mask.iter_mut().for_each(|m| *m = 0);
-    }
-
     /// Whether the directed link leaving `(router, port)` is masked.
     pub fn is_masked(&self, router: RouterId, port: PortIdx) -> bool {
         self.link_mask
@@ -544,19 +519,6 @@ impl Topology {
     /// Whether any link is currently masked.
     pub fn has_masked_links(&self) -> bool {
         self.link_mask.iter().any(|&m| m != 0)
-    }
-
-    /// Every masked `(router, port)` pair, in router-major order.
-    pub fn masked_links(&self) -> Vec<(RouterId, PortIdx)> {
-        let mut out = Vec::new();
-        for (r, &m) in self.link_mask.iter().enumerate() {
-            for p in 0..self.router_ports[r] {
-                if m & (1 << p) != 0 {
-                    out.push((r, p as PortIdx));
-                }
-            }
-        }
-        out
     }
 
     /// Computes the source route from NI `from` to NI `to`, including the
@@ -949,23 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn unmask_restores_pristine_routing_bit_identically() {
-        let mut t = Topology::mesh(3, 3, 1);
-        let before = t.route(0, 8).unwrap();
-        t.mask_link(0, dir::EAST);
-        assert_ne!(t.route(0, 8).unwrap().iter().collect::<Vec<_>>()[0], {
-            let h: Vec<_> = before.iter().collect();
-            h[0]
-        });
-        t.unmask_link(0, dir::EAST);
-        assert!(!t.has_masked_links());
-        assert_eq!(
-            t.route(0, 8).unwrap().iter().collect::<Vec<_>>(),
-            before.iter().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn mask_cuts_make_destination_unreachable() {
         let mut t = Topology::mesh(2, 2, 1);
         t.mask_link(0, dir::EAST);
@@ -995,8 +940,9 @@ mod tests {
     #[test]
     fn mask_router_blacks_out_every_output() {
         let mut t = Topology::mesh(3, 3, 1);
-        t.mask_router(4); // centre router of the 3x3
-        assert_eq!(t.masked_links().len(), t.ports_of(4));
+        for p in 0..t.ports_of(4) {
+            t.mask_link(4, p as PortIdx); // centre router of the 3x3
+        }
         // 0 → 8 must now avoid the centre entirely.
         let p = t.route(0, 8).unwrap();
         let mut r = 0;
@@ -1007,8 +953,6 @@ mod tests {
                 None => break,
             }
         }
-        t.clear_link_mask();
-        assert!(!t.has_masked_links());
     }
 
     #[test]

@@ -31,6 +31,13 @@
 //! * there is one idleness question, `dormant_until(now)`: its two older
 //!   names (`quiescent`, `next_event`) are derived views defined once in
 //!   `sim/src/engine.rs` and may not be implemented anywhere else.
+//! * no new orphan: a `pub fn` in `sim`, `core`, `cfg`, `proto` or
+//!   `verify` whose name no non-test code uses outside its own definition
+//!   must be on the [`ORPHAN_ALLOW`] list with a reason, and every entry
+//!   of that list must still be an orphan — the list only shrinks.
+//!
+//! `census` prints the line count of every crate, split into non-test and
+//! test lines, and the orphan list the `no-new-orphan` rule checks.
 //!
 //! The scanner is line-based with a small brace-tracking state machine —
 //! deliberately no syn/proc-macro dependency, per the repo's no-new-deps
@@ -115,18 +122,63 @@ const PERSIST_AUDIT: &[(&str, &str, usize)] = &[
     ("sim/src/shard.rs", "ShardRunner", 7),
     ("sim/src/shard.rs", "WireSlot", 3),
     ("core/src/fifo.rs", "HwFifo", 5),
-    ("core/src/message.rs", "MessageAssembler", 6),
+    ("core/src/message.rs", "MessageAssembler", 5),
     ("core/src/kernel/channel.rs", "Channel", 15),
     ("core/src/kernel/channel.rs", "ChannelStats", 6),
     ("core/src/kernel/sched.rs", "ArbState", 2),
     ("core/src/kernel/mod.rs", "NiKernel", 13),
     ("core/src/kernel/mod.rs", "NiKernelStats", 9),
     ("core/src/kernel/mod.rs", "CnipState", 3),
-    ("core/src/shell/master.rs", "MasterStack", 12),
-    ("core/src/shell/slave.rs", "SlaveStack", 10),
+    ("core/src/shell/master.rs", "MasterStack", 10),
+    ("core/src/shell/slave.rs", "SlaveStack", 8),
     ("core/src/transaction.rs", "Transaction", 6),
     ("core/src/transaction.rs", "TransactionResponse", 3),
     ("core/src/ni.rs", "Ni", 4),
+];
+
+/// Crates whose `pub fn`s the orphan census covers.
+const CENSUS_CRATES: &[&str] = &["sim", "core", "cfg", "proto", "verify"];
+
+/// The public functions whose name no non-test code uses outside their own
+/// definition, each with why it stays: `(file under crates/, name,
+/// reason)`. Non-test code is every crate's `src`, `benches` and
+/// `examples` outside `#[cfg(test)]` modules, plus `benchmark/src`;
+/// comments do not count. `xtask lint` refuses an orphan missing here and
+/// an entry that is no longer an orphan, so the list can only shrink:
+/// delete a function (or make it private) and drop its entry.
+#[rustfmt::skip]
+const ORPHAN_ALLOW: &[(&str, &str, &str)] = &[
+    ("sim/src/router.rs", "be_queued", "router unit tests read BE queue fill through it"),
+    ("sim/src/engine.rs", "edges_in", "ClockDomain arithmetic pinned by the sim property tests"),
+    ("sim/src/engine.rs", "local_now", "ClockDomain arithmetic pinned by the sim property tests"),
+    ("sim/src/header.rs", "pack", "struct form of the header codec for tests; the NI packs with pack_encoded"),
+    ("sim/src/header.rs", "unpack", "struct form of the header codec for tests; routers read fields in place"),
+    ("sim/src/path.rs", "from_hops", "Route constructor of the path module's doc example and unit tests"),
+    ("sim/src/noc.rs", "at_slot_boundary", "network unit tests check slot alignment through it"),
+    ("sim/src/noc.rs", "ni_link", "read-only NI link view for tests (activity)"),
+    ("sim/src/shard.rs", "wake", "wakes one region by hand in the shard parity and activity tests"),
+    ("sim/src/fault.rs", "link_stuck", "FaultPlan method: tests and goldens script fault storms with it"),
+    ("sim/src/fault.rs", "link_flaky", "FaultPlan method: tests and goldens script fault storms with it"),
+    ("sim/src/fault.rs", "router_stall", "FaultPlan method: tests and goldens script fault storms with it"),
+    ("sim/src/fault.rs", "credit_loss", "FaultPlan method: tests and goldens script fault storms with it"),
+    ("sim/src/fault.rs", "slot_corrupt", "FaultPlan method: tests and goldens script fault storms with it"),
+    ("sim/src/fault.rs", "is_clean", "FaultReport verdict asserted by fault_injection, named in the README"),
+    ("core/src/transaction.rs", "with_flush", "Transaction constructor for IP authors; tests use it"),
+    ("core/src/transaction.rs", "expected_response_len", "Transaction query for IP authors; its unit test pins it"),
+    ("core/src/ni.rs", "port_count", "Ni query; the NI and preset unit tests check layouts with it"),
+    ("core/src/kernel/channel.rs", "credits_pending", "channel observation point of the activity tests"),
+    ("core/src/shell/slave.rs", "responses_owed", "slave shell observation point of shell and robustness tests"),
+    ("cfg/src/runtime.rs", "rev_slots", "ConnectionHandle query; end_to_end checks reverse GT slots"),
+    ("cfg/src/presets.rs", "multi_slave_ni", "preset of the multi-connection shell (Fig. 4) used by tests"),
+    ("cfg/src/slots.rs", "reserved_on", "SlotAllocator query; its unit tests check link reservations"),
+    ("cfg/src/inspect.rs", "slots_of", "NiDump query; the inspect unit tests read remote slot tables"),
+    ("cfg/src/inspect.rs", "enabled_channels", "NiDump query; the inspect unit tests read remote channels"),
+    ("cfg/src/inspect.rs", "dump_ni", "reads a remote NI's registers through the NoC; protocol_features"),
+    ("cfg/src/spec.rs", "with_partition", "NocSpec setter for sharded specs; tests use it"),
+    ("cfg/src/system.rs", "fast_forward_enabled", "NocSystem query; its unit tests check the spec flag"),
+    ("cfg/src/shard.rs", "shard_count", "ShardedSystem query; shard parity and fault tests use it"),
+    ("proto/src/memory.rs", "poke", "preloads MemorySlave contents in tests"),
+    ("verify/src/bounds.rs", "worst_case_latency", "analytical bound cross-validated by the verify tests"),
 ];
 
 struct Finding {
@@ -152,10 +204,11 @@ impl fmt::Display for Finding {
 fn main() -> ExitCode {
     match std::env::args().nth(1).as_deref() {
         Some("lint") => lint(),
+        Some("census") => census(),
         Some("regen-goldens") => regen_goldens(),
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint | regen-goldens   (got {:?})",
+                "usage: cargo run -p xtask -- lint | census | regen-goldens   (got {:?})",
                 other.unwrap_or("<none>")
             );
             ExitCode::FAILURE
@@ -200,19 +253,9 @@ fn lint() -> ExitCode {
     let root = repo_root();
     let crates_dir = root.join("crates");
     let mut findings = Vec::new();
-    let mut crates: Vec<PathBuf> = fs::read_dir(&crates_dir)
-        .expect("crates/ directory exists")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_dir())
-        .collect();
-    crates.sort();
-    for krate in &crates {
-        let name = krate
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_string();
-        let src = krate.join("src");
+    let crates = crate_names(&root);
+    for name in &crates {
+        let src = crates_dir.join(name).join("src");
         if !src.is_dir() {
             continue;
         }
@@ -222,10 +265,11 @@ fn lint() -> ExitCode {
         files.sort();
         for file in files {
             let text = fs::read_to_string(&file).expect("source files are UTF-8");
-            scan_file(&name, &file, &text, &mut findings);
+            scan_file(name, &file, &text, &mut findings);
         }
     }
     persist_audit(&crates_dir, &mut findings);
+    orphan_audit(&root, &mut findings);
     if findings.is_empty() {
         println!("xtask lint: clean ({} crates scanned)", crates.len());
         ExitCode::SUCCESS
@@ -236,6 +280,195 @@ fn lint() -> ExitCode {
         eprintln!("xtask lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
+}
+
+/// One scanned source file: its path under `crates/` (under the repo root
+/// for `benchmark/`), its text, and per line whether it is test code.
+struct Source {
+    rel: String,
+    text: String,
+    test: Vec<bool>,
+}
+
+impl Source {
+    /// The non-test lines with comments stripped, numbered from 1.
+    fn code(&self) -> impl Iterator<Item = (usize, &str)> {
+        self.text
+            .lines()
+            .zip(&self.test)
+            .enumerate()
+            .filter(|(_, (_, &test))| !test)
+            .map(|(i, (raw, _))| (i + 1, strip_comment(raw)))
+    }
+}
+
+/// Every Rust file under `dir`; in a test directory every line is test
+/// code, elsewhere the lines of `#[cfg(test)]` modules.
+fn sources_in(root: &Path, dir: &Path, test_dir: bool) -> Vec<Source> {
+    if !dir.is_dir() {
+        return Vec::new();
+    }
+    let mut files = Vec::new();
+    collect_rs(dir, &mut files);
+    files.sort();
+    let crates = root.join("crates");
+    files
+        .iter()
+        .map(|path| {
+            let text = fs::read_to_string(path).expect("source files are UTF-8");
+            let test = if test_dir {
+                vec![true; text.lines().count()]
+            } else {
+                test_lines(&text)
+            };
+            let rel = path
+                .strip_prefix(&crates)
+                .or_else(|_| path.strip_prefix(root));
+            Source {
+                rel: rel.unwrap_or(path).to_string_lossy().into_owned(),
+                text,
+                test,
+            }
+        })
+        .collect()
+}
+
+/// Every Rust file of crate `krate`: `src`, `benches`, `examples`, `tests`.
+fn crate_sources(root: &Path, krate: &str) -> Vec<Source> {
+    let dir = root.join("crates").join(krate);
+    [
+        ("src", false),
+        ("benches", false),
+        ("examples", false),
+        ("tests", true),
+    ]
+    .into_iter()
+    .flat_map(|(sub, test_dir)| sources_in(root, &dir.join(sub), test_dir))
+    .collect()
+}
+
+/// The crates under `crates/`, sorted.
+fn crate_names(root: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(root.join("crates"))
+        .expect("crates/ directory exists")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.is_dir())
+        .filter_map(|p| p.file_name()?.to_str().map(str::to_string))
+        .collect();
+    names.sort();
+    names
+}
+
+/// The identifiers of a line of code.
+fn idents(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+/// The census's orphans, as `(file under crates/, line, name)`: the
+/// `pub fn`s of [`CENSUS_CRATES`] whose name appears in no non-test line
+/// but their definition. Name-based, so a call, a path, a function
+/// pointer or another item of the same name all count as a use.
+fn orphans(root: &Path) -> Vec<(String, usize, String)> {
+    // Not xtask itself: its tables name the functions it counts.
+    let mut sources: Vec<(String, Source)> = crate_names(root)
+        .into_iter()
+        .filter(|k| k != "xtask")
+        .flat_map(|k| {
+            crate_sources(root, &k)
+                .into_iter()
+                .map(move |s| (k.clone(), s))
+        })
+        .collect();
+    let benchmark = sources_in(root, &root.join("benchmark/src"), false);
+    sources.extend(benchmark.into_iter().map(|s| ("benchmark".to_string(), s)));
+    let mut uses: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+    let mut defs = Vec::new();
+    for (krate, s) in &sources {
+        let census = CENSUS_CRATES.contains(&krate.as_str()) && s.rel.contains("/src/");
+        for (line, code) in s.code() {
+            for id in idents(code) {
+                *uses.entry(id).or_default() += 1;
+            }
+            let def = code.trim_start().strip_prefix("pub fn ");
+            if let Some(name) = def.filter(|_| census).and_then(|r| idents(r).next()) {
+                defs.push((s.rel.clone(), line, name.to_string()));
+            }
+        }
+    }
+    defs.retain(|(_, _, name)| uses[name.as_str()] == 1);
+    defs
+}
+
+/// Why the orphan `name` in `rel` stays, if it is on [`ORPHAN_ALLOW`].
+fn allow_reason(rel: &str, name: &str) -> Option<&'static str> {
+    ORPHAN_ALLOW
+        .iter()
+        .find(|&&(f, n, _)| f == rel && n == name)
+        .map(|&(_, _, why)| why)
+}
+
+/// The `no-new-orphan` rule: the orphan list must equal [`ORPHAN_ALLOW`].
+fn orphan_audit(root: &Path, findings: &mut Vec<Finding>) {
+    let found = orphans(root);
+    for (rel, line, name) in &found {
+        if allow_reason(rel, name).is_none() {
+            findings.push(Finding {
+                file: root.join("crates").join(rel),
+                line: *line,
+                rule: "no-new-orphan",
+                detail: format!(
+                    "pub fn `{name}` is used by no non-test code: delete it, make it \
+                     private, or add it to ORPHAN_ALLOW in crates/xtask/src/main.rs \
+                     with the reason it stays"
+                ),
+            });
+        }
+    }
+    for &(rel, name, _) in ORPHAN_ALLOW {
+        if !found.iter().any(|(f, _, n)| f == rel && n == name) {
+            findings.push(Finding {
+                file: root.join("crates").join(rel),
+                line: 1,
+                rule: "no-new-orphan",
+                detail: format!(
+                    "stale ORPHAN_ALLOW entry `{name}`: it is used or gone, so drop the \
+                     entry (the list only shrinks)"
+                ),
+            });
+        }
+    }
+}
+
+/// Prints line counts per crate (non-test and test lines, comments and
+/// blank lines included) and the orphan list with each entry's reason.
+fn census() -> ExitCode {
+    let root = repo_root();
+    println!("{:<10} {:>9} {:>9}", "crate", "non-test", "test");
+    let (mut total_code, mut total_test) = (0, 0);
+    for krate in crate_names(&root) {
+        let (mut code, mut test) = (0, 0);
+        for s in crate_sources(&root, &krate) {
+            let t = s.test.iter().filter(|&&t| t).count();
+            test += t;
+            code += s.test.len() - t;
+        }
+        println!("{krate:<10} {code:>9} {test:>9}");
+        total_code += code;
+        total_test += test;
+    }
+    println!("{:<10} {total_code:>9} {total_test:>9}", "total");
+    let found = orphans(&root);
+    println!(
+        "\npub fns in {} used by no non-test code: {}",
+        CENSUS_CRATES.join("/"),
+        found.len()
+    );
+    for (rel, line, name) in &found {
+        let why = allow_reason(rel, name).unwrap_or("NOT ALLOWED");
+        println!("  {rel}:{line} {name} — {why}");
+    }
+    ExitCode::SUCCESS
 }
 
 fn repo_root() -> PathBuf {
@@ -411,11 +644,9 @@ fn is_field_line(trimmed: &str) -> bool {
 /// hot-path function (`tick` / `emit` / `absorb`).
 fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) {
     let mut depth: i32 = 0;
-    // Brace depth at which a `#[cfg(test)] mod ...` body opened; test
-    // code extends until depth drops back to it.
-    let mut test_mod_at: Option<i32> = None;
-    let mut pending_cfg_test = false;
-    // Ditto for the body of a hot-path fn, with its name.
+    let test = test_lines(text);
+    // Brace depth at which the body of a hot-path fn opened, with its
+    // name; the body extends until depth drops back to it.
     let mut hot_fn: Option<(i32, &'static str)> = None;
     // Brace depth at which the outermost loop opened, for the cycle-loop
     // rule.
@@ -423,19 +654,10 @@ fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) 
     let may_cycle_loop = CYCLE_LOOP_FILES
         .iter()
         .any(|allowed| file.ends_with(allowed));
-    for (idx, raw) in text.lines().enumerate() {
+    for ((idx, raw), &in_tests) in text.lines().enumerate().zip(&test) {
         let line = strip_comment(raw);
         let trimmed = line.trim();
         let lineno = idx + 1;
-        if trimmed.contains("#[cfg(test)]") {
-            pending_cfg_test = true;
-        } else if pending_cfg_test && trimmed.starts_with("mod ") {
-            test_mod_at = test_mod_at.or(Some(depth));
-            pending_cfg_test = false;
-        } else if !trimmed.is_empty() && !trimmed.starts_with("#[") {
-            pending_cfg_test = false;
-        }
-        let in_tests = test_mod_at.is_some();
         if ONE_WALK_CRATES.contains(&krate) && line.contains(SECOND_WALK) {
             findings.push(Finding {
                 file: file.to_path_buf(),
@@ -524,9 +746,6 @@ fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                 '{' => depth += 1,
                 '}' => {
                     depth -= 1;
-                    if test_mod_at == Some(depth) {
-                        test_mod_at = None;
-                    }
                     if hot_fn.is_some_and(|(d, _)| d == depth) {
                         hot_fn = None;
                     }
@@ -538,6 +757,44 @@ fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) 
             }
         }
     }
+}
+
+/// Which lines of `text` are test code: the body of a `#[cfg(test)]
+/// module, from its `mod` line through its closing brace.
+fn test_lines(text: &str) -> Vec<bool> {
+    let mut depth: i32 = 0;
+    // Brace depth at which a `#[cfg(test)] mod ...` body opened; test
+    // code extends until depth drops back to it.
+    let mut test_mod_at: Option<i32> = None;
+    let mut pending_cfg_test = false;
+    text.lines()
+        .map(|raw| {
+            let line = strip_comment(raw);
+            let trimmed = line.trim();
+            if trimmed.contains("#[cfg(test)]") {
+                pending_cfg_test = true;
+            } else if pending_cfg_test && trimmed.starts_with("mod ") {
+                test_mod_at = test_mod_at.or(Some(depth));
+                pending_cfg_test = false;
+            } else if !trimmed.is_empty() && !trimmed.starts_with("#[") {
+                pending_cfg_test = false;
+            }
+            let in_tests = test_mod_at.is_some();
+            for ch in line.chars() {
+                match ch {
+                    '{' => depth += 1,
+                    '}' => {
+                        depth -= 1;
+                        if test_mod_at == Some(depth) {
+                            test_mod_at = None;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            in_tests
+        })
+        .collect()
 }
 
 /// Drops `//` comments so commented-out code never trips a rule. Good
