@@ -21,7 +21,7 @@
 //! per-link counters, and every NI kernel counter, IP statistic and
 //! delivered word matches — pinned by `crates/facade/tests/shard_parity.rs`.
 
-use crate::system::NocSystem;
+use crate::system::{Nis, NocSystem};
 use aethereal_ni::kernel::NiKernelStats;
 use aethereal_ni::Ni;
 use noc_sim::shard::{merge_noc_stats, wires_of, Partition, ShardRunner};
@@ -89,23 +89,28 @@ impl ShardedSystem {
             debug_assert_eq!(region_nis[s].len(), local);
             region_nis[s].push(ni);
         }
-        // Distribute IP bindings, remapping their NI to the shard-local id.
+        let mut region_nis: Vec<Nis> = region_nis.into_iter().map(Nis::new).collect();
+        // Distribute IP bindings, remapping their NI to the shard-local id
+        // and marking it bound there.
         let mut region_masters: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         for mut b in masters {
             let (s, local) = ni_home[b.ni];
             b.ni = local;
+            region_nis[s].bind(local);
             region_masters[s].push(b);
         }
         let mut region_slaves: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         for mut b in slaves {
             let (s, local) = ni_home[b.ni];
             b.ni = local;
+            region_nis[s].bind(local);
             region_slaves[s].push(b);
         }
         let mut region_raws: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         for mut b in raws {
             let (s, local) = ni_home[b.ni];
             b.ni = local;
+            region_nis[s].bind(local);
             region_raws[s].push(b);
         }
         let mut regions = Vec::with_capacity(n);

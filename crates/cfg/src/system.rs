@@ -5,7 +5,8 @@
 //! 1. every IP module whose port clock has an edge this cycle runs against
 //!    its port stack (masters submit/collect, slaves serve, raw IPs
 //!    stream);
-//! 2. every NI runs (shells on their port clocks, then the kernel);
+//! 2. every NI that can act runs (shells on their port clocks, then the
+//!    kernel) — see [`Nis`] for which those are;
 //! 3. the network moves one word per link.
 
 use crate::spec::NocSpec;
@@ -13,11 +14,162 @@ use aethereal_ni::kernel::ChannelId;
 use aethereal_ni::Ni;
 use aethereal_proto::ip::RawPort;
 use aethereal_proto::{MasterIp, RawIp, SlaveIp};
+use noc_sim::bitset::{pop_lowest, BitSet};
 use noc_sim::engine::{ClockDomain, Clocked, ClockedWith, Engine};
 use noc_sim::ff::{self, FfDigest, FfOutcome, FfStats};
 use noc_sim::shard::{ExchangeAttachment, ShardRegion};
 use noc_sim::word::SLOT_WORDS;
 use noc_sim::{Noc, Router, StateVisit};
+use std::ops::{Deref, DerefMut, Index, IndexMut, RangeFull};
+
+/// The NIs of a [`NocSystem`], indexed by NI id, together with the set of
+/// those a cycle has to tick.
+///
+/// An NI whose tick is a no-op until something wakes it
+/// ([`Ni::inert`]) is not ticked, and only two things can wake it: a word
+/// arriving in its inbox, which the network tracks
+/// ([`Noc::ni_touched`]), and a mutation, which can only reach it through
+/// this container. So reads wake nothing (`Deref<Target = [Ni]>`,
+/// `Index`, `&` iteration), while every `&mut` path marks what it reaches
+/// awake: `nis[i]` through `IndexMut` that one NI, `DerefMut` (`iter_mut`,
+/// `&mut nis[..]`, a `&mut [Ni]` coercion) and `&mut` iteration every NI.
+/// The kernel's own sleep horizon is still invalidated by mutation; the
+/// container's set by `&mut` access.
+#[derive(Debug)]
+pub struct Nis {
+    list: Vec<Ni>,
+    /// The NIs that may not be inert: each leaves after a tick that left
+    /// it inert and rejoins on `&mut` access. Derived: never serialised,
+    /// filled by every `&mut` walk (the state walk among them).
+    awake: BitSet,
+    /// The NIs with a bound master, slave or raw IP: the system hands
+    /// their IPs the NI's shell or kernel directly, so they join every
+    /// cycle. Structural, like the bindings.
+    bound: BitSet,
+}
+
+impl Nis {
+    /// Every NI of `list` awake, none bound.
+    pub(crate) fn new(list: Vec<Ni>) -> Self {
+        let n = list.len();
+        Nis {
+            list,
+            awake: BitSet::full(n),
+            bound: BitSet::empty(n),
+        }
+    }
+
+    /// Records that an IP is bound to NI `ni`.
+    pub(crate) fn bind(&mut self, ni: usize) {
+        self.bound.insert(ni);
+    }
+
+    /// Ticks the NIs that can act — awake, bound, or whose link the
+    /// network touched — in ascending id order, the order of the dense
+    /// loop this replaces (the others' ticks are no-ops), and retires the
+    /// ones each tick leaves inert, one word of the set at a time.
+    fn tick(&mut self, noc: &mut Noc, cycle: u64) {
+        for w in 0..self.awake.word_count() {
+            let mut members = self.awake.word(w) | self.bound.word(w) | noc.ni_touched().word(w);
+            let mut awake = members;
+            while let Some(bit) = pop_lowest(&mut members) {
+                let i = 64 * w + bit;
+                let (ni, link) = (&mut self.list[i], noc.ni_link_mut(i));
+                ni.tick(link, cycle);
+                if ni.inert(link) {
+                    awake &= !(1 << bit);
+                }
+            }
+            self.awake.set_word(w, awake);
+        }
+    }
+
+    /// Whether every NI that [`Nis::tick`] would pass over is inert.
+    fn sleepers_inert(&self, noc: &Noc) -> bool {
+        let touched = noc.ni_touched();
+        self.list.iter().enumerate().all(|(i, ni)| {
+            self.awake.contains(i)
+                || self.bound.contains(i)
+                || touched.contains(i)
+                || ni.inert(noc.ni_link(i))
+        })
+    }
+}
+
+impl Deref for Nis {
+    type Target = [Ni];
+
+    fn deref(&self) -> &[Ni] {
+        &self.list
+    }
+}
+
+/// Hands out every NI, so wakes every NI.
+impl DerefMut for Nis {
+    fn deref_mut(&mut self) -> &mut [Ni] {
+        self.awake.fill();
+        &mut self.list
+    }
+}
+
+impl Index<usize> for Nis {
+    type Output = Ni;
+
+    fn index(&self, ni: usize) -> &Ni {
+        &self.list[ni]
+    }
+}
+
+/// Hands out NI `ni`, so wakes it.
+impl IndexMut<usize> for Nis {
+    fn index_mut(&mut self, ni: usize) -> &mut Ni {
+        let slot = &mut self.list[ni];
+        self.awake.insert(ni);
+        slot
+    }
+}
+
+impl Index<RangeFull> for Nis {
+    type Output = [Ni];
+
+    fn index(&self, _: RangeFull) -> &[Ni] {
+        self
+    }
+}
+
+/// `&mut nis[..]`: hands out every NI, so wakes every NI.
+impl IndexMut<RangeFull> for Nis {
+    fn index_mut(&mut self, _: RangeFull) -> &mut [Ni] {
+        self
+    }
+}
+
+impl IntoIterator for Nis {
+    type Item = Ni;
+    type IntoIter = std::vec::IntoIter<Ni>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.list.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a Nis {
+    type Item = &'a Ni;
+    type IntoIter = std::slice::Iter<'a, Ni>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.list.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Nis {
+    type Item = &'a mut Ni;
+    type IntoIter = std::slice::IterMut<'a, Ni>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
 
 pub(crate) struct MasterBinding {
     pub(crate) ni: usize,
@@ -45,7 +197,7 @@ pub struct NocSystem {
     /// The network.
     pub noc: Noc,
     /// The NIs, indexed by NI id.
-    pub nis: Vec<Ni>,
+    pub nis: Nis,
     pub(crate) masters: Vec<MasterBinding>,
     pub(crate) slaves: Vec<SlaveBinding>,
     pub(crate) raws: Vec<RawBinding>,
@@ -77,7 +229,7 @@ impl NocSystem {
         spec.validate().expect("invalid NoC spec");
         let topology = spec.topology.build();
         let noc = Noc::with_config(&topology, spec.noc_config());
-        let nis = spec.nis.iter().cloned().map(Ni::new).collect();
+        let nis = Nis::new(spec.nis.iter().cloned().map(Ni::new).collect());
         NocSystem {
             noc,
             nis,
@@ -97,6 +249,7 @@ impl NocSystem {
             "port {port} of NI {ni} is not a master port"
         );
         let clock = ClockDomain::new(self.nis[ni].kernel.port_clock_div(port));
+        self.nis.bind(ni);
         self.masters.push(MasterBinding {
             ni,
             port,
@@ -113,6 +266,7 @@ impl NocSystem {
             "port {port} of NI {ni} is not a slave port"
         );
         let clock = ClockDomain::new(self.nis[ni].kernel.port_clock_div(port));
+        self.nis.bind(ni);
         self.slaves.push(SlaveBinding {
             ni,
             port,
@@ -132,6 +286,7 @@ impl NocSystem {
         ip: Box<dyn RawIp>,
     ) -> usize {
         let clock = ClockDomain::new(self.nis[ni].kernel.port_clock_div(port));
+        self.nis.bind(ni);
         self.raws.push(RawBinding {
             ni,
             channels,
@@ -401,30 +556,35 @@ impl Clocked for NocSystem {
 
     fn emit(&mut self) {
         let cycle = self.noc.cycle();
+        debug_assert!(
+            self.nis.sleepers_inert(&self.noc),
+            "an NI outside the awake, bound and touched sets can act"
+        );
+        // Bound NIs join every cycle, so the IPs reach them past the
+        // container's marking.
+        let nis = &mut self.nis.list;
         for b in &mut self.masters {
             if b.clock.ticks_at(cycle) {
-                b.ip.tick(self.nis[b.ni].master_mut(b.port), cycle);
+                b.ip.tick(nis[b.ni].master_mut(b.port), cycle);
             }
         }
         for b in &mut self.slaves {
             if b.clock.ticks_at(cycle) {
-                b.ip.tick(self.nis[b.ni].slave_mut(b.port), cycle);
+                b.ip.tick(nis[b.ni].slave_mut(b.port), cycle);
             }
         }
         for b in &mut self.raws {
             if b.clock.ticks_at(cycle) {
                 b.ip.tick(
                     &mut RawPort {
-                        kernel: &mut self.nis[b.ni].kernel,
+                        kernel: &mut nis[b.ni].kernel,
                         channels: &b.channels,
                     },
                     cycle,
                 );
             }
         }
-        for (i, ni) in self.nis.iter_mut().enumerate() {
-            ni.tick(self.noc.ni_link_mut(i), cycle);
-        }
+        self.nis.tick(&mut self.noc, cycle);
         self.noc.emit();
     }
 
@@ -442,7 +602,9 @@ impl Clocked for NocSystem {
     /// data that cannot move before its next reserved slot) — then only
     /// time-derived counters (cycle, reserved-but-unused GT slots) can
     /// change before the horizon, which [`skip`](Clocked::skip) computes
-    /// directly.
+    /// directly. Only awake NIs are asked: every other NI was inert after
+    /// its last tick and nothing but an inbox word — which the network
+    /// answers for — has reached it since.
     fn dormant_until(&self, now: u64) -> u64 {
         // An idle IP cannot act before its port clock's next edge.
         let at_edge = |clock: ClockDomain, at: u64| {
@@ -460,16 +622,25 @@ impl Clocked for NocSystem {
             .chain(slaves.map(|b| at_edge(b.clock, b.ip.idle_until(now))))
             .chain(raws.map(|b| at_edge(b.clock, b.ip.idle_until(now))))
             .chain(std::iter::once_with(|| self.noc.dormant_until(now)))
-            .chain(self.nis.iter().map(|ni| ni.dormant_until(now)));
+            .chain(
+                self.nis
+                    .awake
+                    .iter()
+                    .map(|i| self.nis.list[i].dormant_until(now)),
+            );
         // The minimum over the parts, stopping at the first active one.
         let horizon = parts.try_fold(u64::MAX, |h, at| (at > now).then_some(h.min(at)));
         horizon.unwrap_or(now)
     }
 
+    /// Skips the awake NIs and the network. The other NIs are inert: they
+    /// have no time-derived state, and leaving them untouched keeps them
+    /// asleep.
     fn skip(&mut self, cycles: u64) {
         let from = self.noc.cycle();
-        for ni in &mut self.nis {
-            ClockedWith::skip(ni, from, cycles);
+        let Nis { list, awake, .. } = &mut self.nis;
+        for i in awake.iter() {
+            ClockedWith::skip(&mut list[i], from, cycles);
         }
         self.noc.skip(cycles);
     }
@@ -691,6 +862,67 @@ mod tests {
         assert!(sys.fast_forward_enabled());
         let sys2 = NocSystem::from_spec(&NocSpec::from_json(&spec.to_json().unwrap()).unwrap());
         assert!(sys2.fast_forward_enabled());
+    }
+
+    /// The NIs the next emit ticks.
+    fn to_tick(sys: &NocSystem) -> Vec<usize> {
+        let touched = sys.noc.ni_touched();
+        (0..sys.nis.len())
+            .filter(|&i| {
+                sys.nis.awake.contains(i) || sys.nis.bound.contains(i) || touched.contains(i)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_settled_idle_mesh_ticks_no_ni_and_a_bound_one_every_cycle() {
+        let spec = NocSpec::new(
+            TopologySpec::Mesh {
+                width: 8,
+                height: 8,
+                nis_per_router: 2,
+            },
+            (0..128)
+                .map(|id| match id {
+                    0 => presets::cfg_module_ni(0, 4),
+                    _ if id % 2 == 1 => presets::master_ni(id),
+                    _ => presets::slave_ni(id),
+                })
+                .collect(),
+        );
+        let mut sys = NocSystem::from_spec(&spec);
+        assert_eq!(to_tick(&sys).len(), 128, "born awake");
+        // The first tick ends with everything moved, the second settles.
+        sys.tick();
+        sys.tick();
+        for _ in 0..100 {
+            assert_eq!(to_tick(&sys), Vec::<usize>::new());
+            sys.tick();
+        }
+        // Reads wake nothing; `&mut` access wakes what it reaches.
+        assert_eq!(sys.nis[9].kernel.stats().packets_tx, [0, 0]);
+        let configurable = sys
+            .nis
+            .iter()
+            .filter(|ni| ni.kernel.spec().cnip_channel.is_some());
+        assert_eq!(configurable.count(), 127);
+        assert_eq!(to_tick(&sys), Vec::<usize>::new());
+        let _ = &mut sys.nis[9];
+        assert_eq!(to_tick(&sys), vec![9]);
+        sys.tick();
+        assert_eq!(to_tick(&sys), Vec::<usize>::new(), "asleep again");
+        let _ = sys.nis.iter_mut();
+        assert_eq!(to_tick(&sys).len(), 128);
+        sys.tick();
+        assert_eq!(to_tick(&sys), Vec::<usize>::new());
+        // A bound NI is ticked every cycle, idle or not.
+        sys.bind_slave(6, 1, Box::new(aethereal_proto::MemorySlave::new(1)));
+        for _ in 0..50 {
+            sys.tick();
+            assert_eq!(to_tick(&sys), vec![6]);
+        }
+        assert!(sys.nis[6].inert(sys.noc.ni_link(6)), "bound, yet inert");
+        assert!(Clocked::quiescent(&sys));
     }
 
     #[test]

@@ -275,6 +275,13 @@ impl NiKernel {
         self.asleep_until
     }
 
+    /// Whether a sleeping tick of this kernel is a no-op until the next
+    /// mutation: it has no horizon at all and owns no slot to account.
+    #[inline]
+    pub(crate) fn inert(&self) -> bool {
+        self.asleep_until == u64::MAX && self.owned_slots == 0
+    }
+
     /// Ends a full tick: reports whether nothing moved since the previous
     /// full tick ended (IP phase included) and re-arms the flag.
     #[inline]

@@ -223,6 +223,17 @@ impl Ni {
         })
     }
 
+    /// Whether a tick of this NI against `link` is a no-op until something
+    /// wakes it: the kernel's cached horizon is `u64::MAX` and it owns no
+    /// GT slot (so a sleeping tick has nothing to account), the inbox is
+    /// empty and every shell is idle. Only a mutation of the NI or a word
+    /// arriving in its inbox can end that, so a container that stops
+    /// ticking an inert NI resumes on exactly those two events.
+    #[inline]
+    pub fn inert(&self, link: &NiLink) -> bool {
+        self.kernel.inert() && link.pending() == 0 && self.stacks_idle()
+    }
+
     /// Whether this NI is eligible for analytical fast-forward: all shell
     /// stacks idle (an in-flight transaction couples message progress to
     /// shell state the extrapolation does not model) and the kernel's

@@ -1,10 +1,11 @@
 //! Activity-proportional cycles: sleeping routers, links and NIs must be
 //! invisible.
 //!
-//! `Noc::emit`/`absorb` visit only routers and wires with work, and
-//! `Ni::tick` returns early while the NI is dormant. The state behind those
-//! early-outs is *derived* — owned by the component that gets mutated,
-//! invalidated by mutation, never serialised — so none of it may ever show:
+//! `Noc::emit`/`absorb` visit only routers, wires and NI links with work,
+//! `Ni::tick` returns early while the NI is dormant, and `NocSystem` does
+//! not tick an inert NI at all. The state behind those early-outs is
+//! *derived* — invalidated by mutation (the kernel) or by `&mut` access
+//! (the containers), never serialised — so none of it may ever show:
 //!
 //! * **time-shift invariance** — the same traffic injected after a longer
 //!   sleep produces the same timeline, shifted, and the same counters up
@@ -18,9 +19,10 @@
 //!   taking it changes nothing about the donor's future.
 //!
 //! Whether components actually *do* sleep is asserted next to the state
-//! itself (unit tests in `noc-sim` and `aethereal-ni`) and measured by the
-//! benchmark; every debug build additionally asserts coherence on each
-//! early-out, so the whole tier-1 matrix exercises the invariant.
+//! itself (unit tests in `noc-sim`, `aethereal-ni` and `aethereal-cfg`) and
+//! measured by the benchmark; every debug build additionally asserts
+//! coherence on each early-out, so the whole tier-1 matrix exercises the
+//! invariant.
 
 use aethereal::cfg::json;
 use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest};
@@ -30,8 +32,13 @@ use aethereal::ni::kernel::{
     chan_reg_addr, ext_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg, NiKernelStats,
 };
 use aethereal::ni::transaction::Transaction;
-use aethereal::proto::{MemorySlave, TrafficGenerator, TrafficGeneratorConfig, TrafficMix};
-use aethereal::sim::{LinkWord, NocStats, PacketHeader, Topology, WordClass, SLOT_WORDS};
+use aethereal::proto::ip::RawPort;
+use aethereal::proto::{
+    CountingSink, MemorySlave, RawIp, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
+};
+use aethereal::sim::{
+    ClockedWith, LinkWord, NocStats, PacketHeader, StateVisit, Topology, WordClass, SLOT_WORDS,
+};
 
 const STU_SLOTS: u64 = 8;
 
@@ -499,11 +506,14 @@ fn shell_submissions_and_responses_wake_sleeping_nis() {
         ChannelEnd { ni: 10, channel: 1 },
         2,
     );
+    for ni in [5, 10] {
+        assert!(inert(&sleepy, ni), "NI {ni} sleeps before the open");
+    }
     awake.snapshot().expect("snapshot");
-    sleepy_cfg
+    let handle = sleepy_cfg
         .open_connection(&mut sleepy, &req)
         .expect("opens on the sleepy system");
-    awake_cfg
+    let awake_handle = awake_cfg
         .open_connection(&mut awake, &req)
         .expect("opens on the awake twin");
     assert_eq!(sleepy_cfg.stats(), awake_cfg.stats(), "incl. cycles_waited");
@@ -531,6 +541,139 @@ fn shell_submissions_and_responses_wake_sleeping_nis() {
     let g = sleepy.master_ip_as::<TrafficGenerator>(0);
     assert_eq!((g.issued(), g.completed(), g.errors()), (6, 6, 0));
     assert_eq!(sleepy.noc.gt_conflicts(), 0);
+    // Closing reaches both ends through their CNIPs again (both own GT
+    // slots now, so neither is inert).
+    awake.snapshot().expect("snapshot");
+    sleepy_cfg
+        .close_connection(&mut sleepy, &handle)
+        .expect("closes on the sleepy system");
+    awake_cfg
+        .close_connection(&mut awake, &awake_handle)
+        .expect("closes on the awake twin");
+    assert_eq!(sleepy_cfg.stats(), awake_cfg.stats(), "incl. cycles_waited");
+    assert_same(&sleepy, &awake, "after the close");
+    lockstep(&mut sleepy, &mut awake, 300, |_, _| {});
+    finish(sleepy, awake);
+}
+
+/// Whether NI `ni` of `sys` sleeps so soundly that the system does not
+/// even tick it.
+fn inert(sys: &NocSystem, ni: usize) -> bool {
+    sys.nis[ni].inert(sys.noc.ni_link(ni))
+}
+
+/// Pushes one word into its first channel at each scheduled cycle.
+struct LatePush {
+    at: Vec<u64>,
+    next: u64,
+}
+
+impl<'a> ClockedWith<RawPort<'a>> for LatePush {
+    fn absorb(&mut self, _port: &mut RawPort<'a>, _now: u64) {}
+
+    fn emit(&mut self, port: &mut RawPort<'a>, now: u64) {
+        if self.at.get(self.next as usize) == Some(&now) {
+            port.kernel
+                .push_src(port.channels[0], now as u32, now)
+                .expect("space");
+            self.next += 1;
+        }
+    }
+}
+
+impl RawIp for LatePush {
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn idle_until(&self, now: u64) -> u64 {
+        self.at
+            .get(self.next as usize)
+            .map_or(u64::MAX, |&at| at.max(now))
+    }
+
+    fn persist(&mut self, p: &mut dyn StateVisit) {
+        p.item(&mut self.next);
+    }
+}
+
+/// Runs the pair up to cycle `at`, checks that NI `ni` of `sleepy` is
+/// inert there, then applies `poke` to both before cycle `at`.
+fn wake_at(
+    sleepy: &mut NocSystem,
+    awake: &mut NocSystem,
+    at: u64,
+    ni: usize,
+    poke: impl FnMut(&mut NocSystem, u64),
+) {
+    lockstep(sleepy, awake, at - sleepy.cycle(), |_, _| {});
+    assert!(inert(sleepy, ni), "NI {ni} is inert before cycle {at}");
+    lockstep(sleepy, awake, 1, poke);
+}
+
+#[test]
+fn every_container_path_wakes_an_inert_ni() {
+    // Besides the two pairs: NI 2 → NI 13 loaded but disabled, and a raw
+    // IP bound to NI 7 that pushes toward NI 8 long after everything fell
+    // asleep. Bound sinks drain every receiver, so each NI falls asleep
+    // again after every poke.
+    let (mut sleepy, mut awake) = poke_pair(600, |sys, topo| {
+        configure(sys, topo, (2, 1), (13, 2), false, false);
+        configure(sys, topo, (13, 2), (2, 1), false, true);
+        sys.nis[2].kernel.push_src(1, 0xA, 0).expect("space");
+        connect(sys, topo, 7, 8, None);
+        let late = LatePush {
+            at: vec![650, 651],
+            next: 0,
+        };
+        sys.bind_raw(7, 1, vec![1], Box::new(late));
+        for ni in [8, 13, 14] {
+            sys.bind_raw(ni, 1, vec![2], Box::new(CountingSink::new()));
+        }
+    });
+    wake_at(&mut sleepy, &mut awake, 610, 1, |sys, now| {
+        sys.nis[1].kernel.push_src(1, 1, now).expect("space");
+    });
+    wake_at(&mut sleepy, &mut awake, 650, 7, |_, _| {}); // the bound IP pushes
+    wake_at(&mut sleepy, &mut awake, 700, 2, |sys, _| {
+        sys.nis[2]
+            .kernel
+            .reg_write(chan_reg_addr(1, ChanReg::Ctrl), ctrl(false))
+            .expect("ctrl");
+    });
+    wake_at(&mut sleepy, &mut awake, 800, 1, |sys, now| {
+        for ni in sys.nis.iter_mut().filter(|ni| ni.id() == 1) {
+            ni.kernel.push_src(1, 2, now).expect("space");
+        }
+    });
+    wake_at(&mut sleepy, &mut awake, 900, 2, |sys, now| {
+        let all = &mut sys.nis[..];
+        all[2].kernel.push_src(1, 3, now).expect("space");
+    });
+    // A word staged on NI 5's link by hand, then arriving in NI 12's
+    // inbox: neither NI is reached through the container. NI 12's channel
+    // 2 is not configured: the header's credits still land.
+    let header = PacketHeader {
+        path: Topology::mesh(4, 4, 1).route(5, 12).expect("route"),
+        qid: 2,
+        credits: 3,
+        flush: false,
+    }
+    .pack();
+    assert!(inert(&sleepy, 12));
+    wake_at(&mut sleepy, &mut awake, 1_000, 5, |sys, _| {
+        sys.noc
+            .ni_link_mut(5)
+            .send(LinkWord::header_only(header, WordClass::BestEffort));
+    });
+    wake_at(&mut sleepy, &mut awake, 1_100, 12, |sys, _| {
+        let snap = sys.snapshot().expect("snapshot");
+        sys.restore(&snap).expect("restore");
+    });
+    lockstep(&mut sleepy, &mut awake, 200, |_, _| {});
+    let received = |ni| sleepy.raw_ip_at::<CountingSink>(ni).count();
+    assert_eq!([received(14), received(8), received(13)], [2, 2, 2]);
+    assert_eq!(sleepy.nis[12].kernel.channel(2).space(), 3);
     finish(sleepy, awake);
 }
 

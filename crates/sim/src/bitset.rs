@@ -1,6 +1,7 @@
 //! A fixed-size bitset over component indices — the storage behind the
-//! [`Noc`](crate::Noc)'s activity sets (routers that may hold work, links
-//! whose wire was driven this cycle).
+//! activity sets: the [`Noc`](crate::Noc)'s (routers that may hold work,
+//! links whose wire was driven this cycle, NI links that may hold a word)
+//! and the system's set of NIs that can act.
 //!
 //! Sized once at construction, never reallocated: membership updates on the
 //! per-cycle paths are single word operations. Iteration is by ascending
@@ -10,24 +11,29 @@
 
 /// A set of indices in `0..len`.
 #[derive(Debug, Clone)]
-pub(crate) struct BitSet {
+pub struct BitSet {
     words: Vec<u64>,
     len: usize,
 }
 
 impl BitSet {
-    /// The set holding every index in `0..len`.
-    pub(crate) fn full(len: usize) -> Self {
-        let mut set = BitSet {
+    /// The empty set over `0..len`.
+    pub fn empty(len: usize) -> Self {
+        BitSet {
             words: vec![0; len.div_ceil(64)],
             len,
-        };
+        }
+    }
+
+    /// The set holding every index in `0..len`.
+    pub fn full(len: usize) -> Self {
+        let mut set = Self::empty(len);
         set.fill();
         set
     }
 
     /// Inserts every index in `0..len`.
-    pub(crate) fn fill(&mut self) {
+    pub fn fill(&mut self) {
         self.words.fill(u64::MAX);
         if !self.len.is_multiple_of(64) {
             if let Some(last) = self.words.last_mut() {
@@ -36,43 +42,57 @@ impl BitSet {
         }
     }
 
+    /// Inserts `i`.
     #[inline]
-    pub(crate) fn insert(&mut self, i: usize) {
+    pub fn insert(&mut self, i: usize) {
         debug_assert!(i < self.len);
         self.words[i / 64] |= 1 << (i % 64);
     }
 
+    /// Removes `i`.
     #[inline]
-    pub(crate) fn remove(&mut self, i: usize) {
+    pub fn remove(&mut self, i: usize) {
         self.words[i / 64] &= !(1 << (i % 64));
     }
 
+    /// Whether `i` is a member.
     #[inline]
-    pub(crate) fn contains(&self, i: usize) -> bool {
+    pub fn contains(&self, i: usize) -> bool {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
     /// Number of 64-index words (for index-based walks that mutate the set
     /// or its owner while iterating).
     #[inline]
-    pub(crate) fn word_count(&self) -> usize {
+    pub fn word_count(&self) -> usize {
         self.words.len()
     }
 
     /// The members in `64 * w .. 64 * (w + 1)`, as a bitmask.
     #[inline]
-    pub(crate) fn word(&self, w: usize) -> u64 {
+    pub fn word(&self, w: usize) -> u64 {
         self.words[w]
+    }
+
+    /// Replaces the members in `64 * w .. 64 * (w + 1)` with `bits` — how a
+    /// walk applies the removals it decided for one word at once.
+    #[inline]
+    pub fn set_word(&mut self, w: usize, bits: u64) {
+        debug_assert!(
+            64 * w + (64 - bits.leading_zeros() as usize) <= self.len,
+            "member beyond the set's length"
+        );
+        self.words[w] = bits;
     }
 
     /// Removes and returns the members in `64 * w .. 64 * (w + 1)`.
     #[inline]
-    pub(crate) fn take_word(&mut self, w: usize) -> u64 {
+    pub fn take_word(&mut self, w: usize) -> u64 {
         std::mem::take(&mut self.words[w])
     }
 
     /// The members in ascending order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &bits)| {
             let mut rest = bits;
             std::iter::from_fn(move || pop_lowest(&mut rest).map(|bit| 64 * w + bit))
@@ -83,7 +103,7 @@ impl BitSet {
 /// Pops the lowest member of a [`BitSet::word`] mask, returning its offset
 /// within the word.
 #[inline]
-pub(crate) fn pop_lowest(bits: &mut u64) -> Option<usize> {
+pub fn pop_lowest(bits: &mut u64) -> Option<usize> {
     if *bits == 0 {
         return None;
     }
@@ -101,6 +121,7 @@ mod tests {
         for len in [0, 1, 63, 64, 65, 130] {
             let s = BitSet::full(len);
             assert_eq!(s.iter().collect::<Vec<_>>(), (0..len).collect::<Vec<_>>());
+            assert_eq!(BitSet::empty(len).iter().next(), None);
         }
     }
 
@@ -121,6 +142,8 @@ mod tests {
         assert_eq!(pop_lowest(&mut bits), Some(3));
         assert_eq!(pop_lowest(&mut bits), Some(63));
         assert_eq!(pop_lowest(&mut bits), None);
+        s.set_word(2, s.word(2) & !(1 << 2));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 63, 199]);
         s.fill();
         assert_eq!(s.iter().count(), 200);
     }

@@ -56,7 +56,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bitset;
+pub mod bitset;
 pub mod engine;
 pub mod fault;
 pub mod ff;

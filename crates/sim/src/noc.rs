@@ -172,6 +172,12 @@ pub struct Noc {
     /// The links whose wire this cycle's emit drove; absorb drains exactly
     /// these, in ascending link order. Derived, like `active`.
     driven: BitSet,
+    /// The NI links that may hold a staged word or an undrained inbox word.
+    /// A link joins in [`Noc::ni_link_mut`] — the only way to reach
+    /// [`NiLink::send`] — and where absorb delivers into its inbox; emit's
+    /// staging scan visits members only and retires those it leaves empty.
+    /// Every NI link outside the set is empty. Derived, like `active`.
+    ni_touched: BitSet,
 }
 
 /// Where the output of a router port leads.
@@ -320,6 +326,7 @@ impl Noc {
             }
         }
         let n_links = links.len();
+        let n_nis = ni_links.len();
         Noc {
             routers,
             links,
@@ -336,18 +343,20 @@ impl Noc {
             fault: None,
             active: BitSet::full(nr),
             driven: BitSet::full(n_links),
+            ni_touched: BitSet::full(n_nis),
         }
     }
 
     /// Resets the derived activity state to "every router may hold work,
-    /// every wire may carry a word" — the one safe value that needs no
-    /// knowledge of the rest of the state. Called wherever that state is
-    /// rewritten wholesale or time moves without ticking (restore, a
-    /// fast-forward apply, `skip`, arming or disarming faults); the next
+    /// every wire and NI link may carry a word" — the one safe value that
+    /// needs no knowledge of the rest of the state. Called wherever that
+    /// state is rewritten wholesale or time moves without ticking (restore,
+    /// a fast-forward apply, `skip`, arming or disarming faults); the next
     /// cycle re-derives the exact sets.
     fn wake_all(&mut self) {
         self.active.fill();
         self.driven.fill();
+        self.ni_touched.fill();
     }
 
     /// Current cycle (500 MHz network clock).
@@ -370,18 +379,30 @@ impl Noc {
         self.ni_links.len()
     }
 
-    /// The attachment handle of NI `ni`.
+    /// The attachment handle of NI `ni`. Marks the link touched: whatever
+    /// the caller stages or drains through it, the next emit looks.
     ///
     /// # Panics
     ///
     /// Panics if `ni` is out of range.
+    #[inline]
     pub fn ni_link_mut(&mut self, ni: NiId) -> &mut NiLink {
-        &mut self.ni_links[ni]
+        let link = &mut self.ni_links[ni];
+        self.ni_touched.insert(ni);
+        link
     }
 
     /// Immutable access to the attachment handle of NI `ni`.
     pub fn ni_link(&self, ni: NiId) -> &NiLink {
         &self.ni_links[ni]
+    }
+
+    /// The NI links that may hold a staged word or an undrained inbox
+    /// word; every NI link outside the set is empty. A link joins when
+    /// [`Noc::ni_link_mut`] hands it out or a word arrives in its inbox,
+    /// and leaves when emit finds it empty.
+    pub fn ni_touched(&self) -> &BitSet {
+        &self.ni_touched
     }
 
     /// The routers (for inspection).
@@ -688,33 +709,44 @@ impl Noc {
 
     /// The non-router part of quiescence: wires and NI handles all empty,
     /// routers holding at most scheduled GT emissions. Routers outside the
-    /// active set are idle and undriven wires are empty, so only members
-    /// of the two sets are inspected. Cut wires are the shard runner's to
-    /// watch: a word due on an inbound ring wakes the region (see
-    /// [`crate::shard`]).
+    /// active set are idle, undriven wires and untouched NI links are
+    /// empty, so only members of the three sets are inspected. Cut wires
+    /// are the shard runner's to watch: a word due on an inbound ring wakes
+    /// the region (see [`crate::shard`]).
     fn calendar_dormant(&self) -> bool {
         self.active.iter().all(|r| self.routers[r].calendar_idle())
             && self.driven.iter().all(|l| self.links[l].wire.is_none())
-            && self
-                .ni_links
-                .iter()
-                .all(|h| h.outgoing.is_none() && h.incoming.is_empty())
+            && self.ni_touched.iter().all(|ni| {
+                let h = &self.ni_links[ni];
+                h.outgoing.is_none() && h.incoming.is_empty()
+            })
     }
 
-    /// Whether no best-effort traffic exists anywhere in the network: all
-    /// router BE queues, worms and arbitration state idle, and no BE-class
-    /// word on any wire or NI handle. This is part of the fast-forward
-    /// eligibility gate (see [`crate::ff`]): BE progress depends on
-    /// round-robin arbitration history and credit dynamics, which the
-    /// analytical GT model does not extrapolate.
+    /// Whether no best-effort traffic is held in the network: no BE word
+    /// queued in a router, on a wire or on an NI handle, and no BE worm
+    /// claiming a port of an active router. This is part of the
+    /// fast-forward eligibility gate (see [`crate::ff`]): BE progress
+    /// depends on round-robin arbitration history and credit dynamics,
+    /// which the analytical GT model does not extrapolate.
+    ///
+    /// Only members of the activity sets are inspected. An idle router may
+    /// still hold a worm's claim while the worm's remaining words wait
+    /// upstream: in this network, where the sets see them, or in the
+    /// sending NI's kernel. So the answer covers a whole system together
+    /// with the NIs' own test, as the system's fast-forward gate applies
+    /// it. (A sharded run offers fast-forward to one region only while
+    /// every other region sleeps, and a sleeping region holds no BE word.)
     pub fn be_quiet(&self) -> bool {
         let be = |w: &LinkWord| w.class() == WordClass::BestEffort;
-        self.routers.iter().all(Router::be_quiet)
-            && !self.links.iter().any(|l| l.wire.as_ref().is_some_and(be))
+        self.active.iter().all(|r| self.routers[r].be_quiet())
             && !self
-                .ni_links
+                .driven
                 .iter()
-                .any(|h| h.outgoing.as_ref().is_some_and(be) || h.incoming.iter().any(be))
+                .any(|l| self.links[l].wire.as_ref().is_some_and(be))
+            && !self.ni_touched.iter().any(|ni| {
+                let h = &self.ni_links[ni];
+                h.outgoing.as_ref().is_some_and(be) || h.incoming.iter().any(be)
+            })
     }
 
     /// Whether every shard boundary is completely silent: no word or
@@ -853,7 +885,8 @@ impl Clocked for Noc {
     /// filter untouched — draws no fault randomness), in ascending id
     /// order. A router that [`Router::emit_into`] found idle leaves the
     /// set; one that emits its last word leaves on the next cycle, so
-    /// busy routers never pay for an idleness test.
+    /// busy routers never pay for an idleness test. Likewise only touched
+    /// NI links are scanned for a staged word.
     fn emit(&mut self) {
         let cycle = self.cycle;
         debug_assert!(self.scratch.credit_returns.is_empty());
@@ -863,6 +896,12 @@ impl Clocked for Noc {
                 .enumerate()
                 .all(|(r, router)| self.active.contains(r) || router.idle()),
             "a router outside the active set holds work"
+        );
+        debug_assert!(
+            self.ni_links.iter().enumerate().all(|(ni, h)| {
+                self.ni_touched.contains(ni) || (h.outgoing.is_none() && h.incoming.is_empty())
+            }),
+            "an NI link outside the touched set holds a word"
         );
         // Armed faults: one comparison per cycle decides whether any event
         // window is open; only then does the per-router filter run. The
@@ -924,16 +963,26 @@ impl Clocked for Noc {
             }
         }
         self.scratch.emit = result;
-        // NI staging registers. `NiLink::send` is reachable through a bare
-        // `&mut NiLink`, so the network cannot learn of a staged word any
-        // earlier than this scan (one `Option` test per NI).
-        for (ni, handle) in self.ni_links.iter_mut().enumerate() {
-            if let Some(word) = handle.outgoing.take() {
-                let l = self.ni_out_link[ni];
-                debug_assert!(self.links[l].wire.is_none());
-                self.links[l].wire = Some(word);
-                self.driven.insert(l);
+        // NI staging registers: only touched links can hold a word. A link
+        // left with an empty inbox leaves the set; the removals of one
+        // word of the set are applied together.
+        for w in 0..self.ni_touched.word_count() {
+            let mut members = self.ni_touched.word(w);
+            let mut keep = members;
+            while let Some(bit) = pop_lowest(&mut members) {
+                let ni = 64 * w + bit;
+                let handle = &mut self.ni_links[ni];
+                if let Some(word) = handle.outgoing.take() {
+                    let l = self.ni_out_link[ni];
+                    debug_assert!(self.links[l].wire.is_none());
+                    self.links[l].wire = Some(word);
+                    self.driven.insert(l);
+                }
+                if handle.incoming.is_empty() {
+                    keep &= !(1 << bit);
+                }
             }
+            self.ni_touched.set_word(w, keep);
         }
     }
 
@@ -983,6 +1032,7 @@ impl Clocked for Noc {
                         self.active.insert(router);
                     }
                     Endpoint::Ni { ni } => {
+                        self.ni_touched.insert(ni);
                         let handle = &mut self.ni_links[ni];
                         if handle.incoming.push_back(word).is_ok() {
                             let k = word.class().index();
@@ -1514,6 +1564,47 @@ mod tests {
         let mut saver = crate::persist::StateSaver::new();
         noc.walk(&mut saver);
         assert_eq!(members(&noc.active).len(), 9, "a persistence walk wakes");
+    }
+
+    #[test]
+    fn the_staging_set_follows_the_words() {
+        let topo = Topology::mesh(2, 1, 1);
+        let mut noc = Noc::new(&topo);
+        assert_eq!(members(&noc.ni_touched), vec![0, 1], "born touched");
+        noc.tick();
+        assert!(members(&noc.ni_touched).is_empty(), "one emit retires both");
+        // Handing out the link is enough to be looked at once.
+        let _ = noc.ni_link_mut(1);
+        assert_eq!(members(&noc.ni_touched), vec![1]);
+        noc.emit();
+        assert!(members(&noc.ni_touched).is_empty());
+        noc.absorb();
+        let path = topo.route(0, 1).unwrap();
+        noc.ni_link_mut(0)
+            .send(be_packet(path, 0, &[]).pop().unwrap());
+        noc.emit();
+        assert!(
+            members(&noc.ni_touched).is_empty(),
+            "a staged word leaves with the emit that takes it"
+        );
+        noc.absorb();
+        while noc.ni_link(1).pending() == 0 {
+            assert!(members(&noc.ni_touched).is_empty(), "in flight");
+            noc.tick();
+        }
+        assert_eq!(members(&noc.ni_touched), vec![1], "the arrival joins");
+        assert!(
+            !Clocked::quiescent(&noc),
+            "an undrained inbox keeps it awake"
+        );
+        noc.tick();
+        assert_eq!(members(&noc.ni_touched), vec![1], "undrained: stays");
+        assert!(noc.ni_link_mut(1).recv().is_some());
+        noc.tick();
+        assert!(members(&noc.ni_touched).is_empty(), "drained: retired");
+        assert!(Clocked::quiescent(&noc) && noc.be_quiet());
+        Clocked::skip(&mut noc, 30);
+        assert_eq!(members(&noc.ni_touched), vec![0, 1], "skip wakes all");
     }
 
     #[test]

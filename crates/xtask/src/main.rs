@@ -111,7 +111,7 @@ const PERSIST_AUDIT: &[(&str, &str, usize)] = &[
     ("sim/src/router.rs", "Router", 11),
     ("sim/src/router.rs", "Port", 13),
     ("sim/src/router.rs", "GtEvent", 2),
-    ("sim/src/noc.rs", "Noc", 15),
+    ("sim/src/noc.rs", "Noc", 16),
     ("sim/src/noc.rs", "NiLink", 3),
     ("sim/src/noc.rs", "BoundaryPort", 3),
     ("sim/src/link.rs", "LinkState", 3),
@@ -155,7 +155,6 @@ const ORPHAN_ALLOW: &[(&str, &str, &str)] = &[
     ("sim/src/header.rs", "unpack", "struct form of the header codec for tests; routers read fields in place"),
     ("sim/src/path.rs", "from_hops", "Route constructor of the path module's doc example and unit tests"),
     ("sim/src/noc.rs", "at_slot_boundary", "network unit tests check slot alignment through it"),
-    ("sim/src/noc.rs", "ni_link", "read-only NI link view for tests (activity)"),
     ("sim/src/shard.rs", "wake", "wakes one region by hand in the shard parity and activity tests"),
     ("sim/src/fault.rs", "link_stuck", "FaultPlan method: tests and goldens script fault storms with it"),
     ("sim/src/fault.rs", "link_flaky", "FaultPlan method: tests and goldens script fault storms with it"),
