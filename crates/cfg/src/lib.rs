@@ -42,5 +42,5 @@ pub use runtime::{
 pub use shard::ShardedSystem;
 pub use slots::{SlotAllocation, SlotAllocator, SlotStrategy};
 pub use snapshot::{SnapshotError, SNAPSHOT_FORMAT};
-pub use spec::{fault_plan_from_json, fault_plan_to_json, NocSpec, RegionsSpec, TopologySpec};
+pub use spec::{fault_plan_from_json, fault_plan_to_json, NocSpec, TopologySpec};
 pub use system::NocSystem;

@@ -151,17 +151,11 @@ impl ShardedSystem {
         self.regions.len()
     }
 
-    /// Sets the runner's batch size `B ≥ 1` and returns `self` (builder
-    /// form): how many cycles run between scheduling epochs — the
-    /// activity-set walks in both modes (workers pipeline freely across
-    /// epochs; there is no barrier). A pure performance knob: execution
-    /// is bit-identical for every `B` (pinned by the batched parity tests).
-    pub fn with_batch(mut self, batch: u64) -> Self {
-        self.set_batch(batch);
-        self
-    }
-
-    /// Sets the runner's batch size (see [`ShardedSystem::with_batch`]).
+    /// Sets the runner's batch size `B ≥ 1`: how many cycles run between
+    /// scheduling epochs — the activity-set walks in both modes (workers
+    /// pipeline freely across epochs; there is no barrier). A pure
+    /// performance knob: execution is bit-identical for every `B` (pinned
+    /// by the batched parity tests).
     ///
     /// # Panics
     ///
@@ -170,17 +164,12 @@ impl ShardedSystem {
         self.runner.set_batch(batch);
     }
 
-    /// The configured batch size.
-    pub fn batch(&self) -> u64 {
-        self.runner.batch()
-    }
-
     /// The global cycle (all regions are caught up to this between runs).
     pub fn cycle(&self) -> u64 {
         self.runner.cycle()
     }
 
-    /// Regions currently in the activity set (for diagnostics).
+    /// How many regions are in the activity set (for diagnostics).
     pub fn awake_count(&self) -> usize {
         self.runner.awake_count()
     }
@@ -231,11 +220,6 @@ impl ShardedSystem {
     pub fn ni(&self, ni: NiId) -> &Ni {
         let (s, local) = self.ni_home[ni];
         &self.regions[s].nis[local]
-    }
-
-    /// Per shard: local router id → global router id.
-    pub fn router_map(&self, shard: usize) -> &[RouterId] {
-        &self.routers[shard]
     }
 
     /// Reconstructs the global network counters from the shards —
@@ -382,8 +366,7 @@ mod tests {
                 nis_per_router: 1,
             },
             (0..4).map(|id| presets::raw_ni(id, 1)).collect(),
-        )
-        .with_partition(vec![0, 0, 1, 1]);
+        );
         let topo = spec.topology.build();
         let mut sys = NocSystem::from_spec(&spec);
         // Direct (local) channel configuration, as in the kernel tests.
@@ -401,7 +384,7 @@ mod tests {
         }
         sys.bind_raw(0, 1, vec![1], Box::new(StreamSource::counting(100)));
         sys.bind_raw(3, 1, vec![1], Box::new(StreamSink::new()));
-        let partition = spec.build_partition().unwrap().expect("partition set");
+        let partition = Partition::mesh_rows(2, 2, 2);
         (ShardedSystem::new(sys, &topo, &partition), topo)
     }
 
@@ -440,26 +423,5 @@ mod tests {
             seq.raw_ip_as::<StreamSink>(3).received(),
             par.raw_ip_as::<StreamSink>(3).received()
         );
-    }
-
-    #[test]
-    fn spec_partition_validation_rejects_bad_maps() {
-        let mut spec = NocSpec::new(
-            TopologySpec::Mesh {
-                width: 2,
-                height: 2,
-                nis_per_router: 1,
-            },
-            (0..4).map(|id| presets::raw_ni(id, 1)).collect(),
-        );
-        spec.partition = Some(vec![0, 0, 1]); // wrong length
-        assert!(matches!(
-            spec.validate(),
-            Err(crate::spec::SpecError::Partition(_))
-        ));
-        spec.partition = Some(vec![0, 0, 2, 2]); // sparse shard ids
-        assert!(spec.validate().is_err());
-        spec.partition = Some(vec![0, 0, 1, 1]);
-        assert_eq!(spec.validate(), Ok(()));
     }
 }

@@ -231,9 +231,8 @@ impl NocSystem {
 
 impl ShardedSystem {
     /// Captures the complete dynamic state of the sharded system: every
-    /// region as a nested system snapshot, plus the runner (global cycle,
-    /// activity set, wake horizons, and any word still in flight on a cut
-    /// wire's boundary ring).
+    /// region as a nested system snapshot, plus the runner (global cycle
+    /// and batch size; the cut-wire rings are always empty between runs).
     ///
     /// May be taken between any two [`run`](ShardedSystem::run) /
     /// [`run_parallel`](ShardedSystem::run_parallel) calls — including
@@ -261,9 +260,8 @@ impl ShardedSystem {
 
     /// Restores a snapshot onto this sharded system, which must be freshly
     /// built from the same spec, bindings and partition. The runner's walk
-    /// re-derives every boundary ring's published-cycle watermark and slot
-    /// home index from the restored global cycle — they are positional
-    /// state, not snapshot state.
+    /// re-derives every boundary ring's published-cycle watermark from the
+    /// restored global cycle — it is positional state, not snapshot state.
     ///
     /// # Errors
     ///

@@ -12,9 +12,7 @@ use crate::json::{self, JsonError, Value};
 use aethereal_ni::kernel::{ArbPolicy, NiKernelSpec, PortSpec};
 use aethereal_ni::ni::{NiSpec, PortStackSpec};
 use aethereal_ni::shell::{AddrRange, ConnSelect};
-use noc_sim::shard::{Partition, PartitionError};
-use noc_sim::topology::RegionError;
-use noc_sim::{FaultEvent, FaultKind, FaultPlan, NocConfig, Regions, Topology};
+use noc_sim::{FaultEvent, FaultKind, FaultPlan, NocConfig, Topology};
 
 /// Topology description.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,31 +67,6 @@ impl TopologySpec {
     }
 }
 
-/// Declarative region/gateway grouping for two-level routing (the
-/// serialized form of [`noc_sim::Regions`]): long routes split at the
-/// declared gateway routers when they lie on the minimal path, so header
-/// rewrites align with, e.g., the execution [`partition`](NocSpec::partition)
-/// of a large mesh.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionsSpec {
-    /// `router_regions[router] = region id` (dense ids, every region
-    /// non-empty).
-    pub router_regions: Vec<usize>,
-    /// `gateways[region] = router id`, each inside its own region.
-    pub gateways: Vec<usize>,
-}
-
-impl RegionsSpec {
-    /// Validates and builds the runtime [`Regions`] value.
-    ///
-    /// # Errors
-    ///
-    /// See [`RegionError`].
-    pub fn build(&self) -> Result<Regions, RegionError> {
-        Regions::new(self.router_regions.clone(), self.gateways.clone())
-    }
-}
-
 /// A complete design-time NoC description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NocSpec {
@@ -103,13 +76,6 @@ pub struct NocSpec {
     pub nis: Vec<NiSpec>,
     /// Router BE input-queue depth, words.
     pub be_queue_words: usize,
-    /// Optional execution partitioning: router → shard, cut at link
-    /// boundaries for sharded simulation (see
-    /// [`ShardedSystem`](crate::ShardedSystem)). `None` runs single-region.
-    pub partition: Option<Vec<usize>>,
-    /// Optional region/gateway declaration steering where routes longer
-    /// than one header split (two-level routing). `None` splits greedily.
-    pub regions: Option<RegionsSpec>,
     /// Whether the built system runs with the analytical GT fast-forward
     /// backend enabled (see `noc_sim::ff`): pure-GT steady states are
     /// certified over two slot-table rotations and then extrapolated
@@ -136,20 +102,6 @@ pub enum SpecError {
         /// Declared `ni_id`.
         declared: usize,
     },
-    /// The execution partition does not fit the topology (wrong length,
-    /// sparse shard ids, or an empty shard) — every cut must be an
-    /// inter-router link, which the router → shard map guarantees only
-    /// when it covers exactly the topology's routers.
-    Partition(PartitionError),
-    /// The region declaration is internally inconsistent.
-    Regions(RegionError),
-    /// The region map does not cover exactly the topology's routers.
-    RegionCoverage {
-        /// Routers in the topology.
-        routers: usize,
-        /// Routers covered by the region map.
-        mapped: usize,
-    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -164,14 +116,6 @@ impl std::fmt::Display for SpecError {
             SpecError::NiIdMismatch { index, declared } => {
                 write!(f, "NI at position {index} declares id {declared}")
             }
-            SpecError::Partition(e) => write!(f, "invalid partition: {e}"),
-            SpecError::Regions(e) => write!(f, "invalid regions: {e}"),
-            SpecError::RegionCoverage { routers, mapped } => {
-                write!(
-                    f,
-                    "region map covers {mapped} routers but the topology has {routers}"
-                )
-            }
         }
     }
 }
@@ -179,29 +123,14 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 impl NocSpec {
-    /// Creates a spec with default router queues, no partitioning and no
-    /// regions.
+    /// Creates a spec with default router queues.
     pub fn new(topology: TopologySpec, nis: Vec<NiSpec>) -> Self {
         NocSpec {
             topology,
             nis,
             be_queue_words: 8,
-            partition: None,
-            regions: None,
             fast_forward: false,
         }
-    }
-
-    /// Sets the execution partition (router → shard map).
-    pub fn with_partition(mut self, partition: Vec<usize>) -> Self {
-        self.partition = Some(partition);
-        self
-    }
-
-    /// Sets the region/gateway declaration for two-level routing.
-    pub fn with_regions(mut self, regions: RegionsSpec) -> Self {
-        self.regions = Some(regions);
-        self
     }
 
     /// Enables (or disables) the analytical GT fast-forward backend.
@@ -210,59 +139,13 @@ impl NocSpec {
         self
     }
 
-    /// The validated region declaration, if one is specified.
-    ///
-    /// # Errors
-    ///
-    /// See [`SpecError::Regions`] and [`SpecError::RegionCoverage`].
-    pub fn build_regions(&self) -> Result<Option<Regions>, SpecError> {
-        let Some(spec) = &self.regions else {
-            return Ok(None);
-        };
-        let routers = self.topology.router_count();
-        if spec.router_regions.len() != routers {
-            return Err(SpecError::RegionCoverage {
-                routers,
-                mapped: spec.router_regions.len(),
-            });
-        }
-        spec.build().map(Some).map_err(SpecError::Regions)
-    }
-
-    /// Builds the topology with any declared regions attached — the
-    /// topology value route planners should use (plain
-    /// [`TopologySpec::build`] ignores regions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails validation.
+    /// Builds the topology (the same value as [`TopologySpec::build`]).
     pub fn build_topology(&self) -> Topology {
-        let topo = self.topology.build();
-        match self.build_regions().expect("invalid regions in NoC spec") {
-            Some(regions) => topo.with_regions(regions),
-            None => topo,
-        }
+        self.topology.build()
     }
 
-    /// The validated execution partition, if one is specified.
-    ///
-    /// # Errors
-    ///
-    /// See [`SpecError::Partition`].
-    pub fn build_partition(&self) -> Result<Option<Partition>, SpecError> {
-        let Some(map) = &self.partition else {
-            return Ok(None);
-        };
-        let p = Partition::new(map.clone()).map_err(SpecError::Partition)?;
-        p.validate(&self.topology.build())
-            .map_err(SpecError::Partition)?;
-        Ok(Some(p))
-    }
-
-    /// Validates internal consistency, including the partitioning pass:
-    /// the shard map must cover exactly the topology's routers with dense,
-    /// non-empty shards — which guarantees every cut edge is an
-    /// inter-router link (NIs follow their attachment router).
+    /// Validates internal consistency: one NI per attachment point, each
+    /// declaring its own position as its id.
     ///
     /// # Errors
     ///
@@ -283,8 +166,6 @@ impl NocSpec {
                 });
             }
         }
-        self.build_partition()?;
-        self.build_regions()?;
         Ok(())
     }
 
@@ -325,39 +206,26 @@ impl NocSpec {
                 Value::Arr(self.nis.iter().map(ni_spec_to_value).collect()),
             ),
             ("be_queue_words", Value::Num(self.be_queue_words as u64)),
-            (
-                "partition",
-                match &self.partition {
-                    Some(map) => Value::Arr(map.iter().map(|&s| Value::Num(s as u64)).collect()),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "regions",
-                match &self.regions {
-                    Some(r) => Value::obj(vec![
-                        (
-                            "router_regions",
-                            Value::Arr(
-                                r.router_regions
-                                    .iter()
-                                    .map(|&v| Value::Num(v as u64))
-                                    .collect(),
-                            ),
-                        ),
-                        (
-                            "gateways",
-                            Value::Arr(r.gateways.iter().map(|&v| Value::Num(v as u64)).collect()),
-                        ),
-                    ]),
-                    None => Value::Null,
-                },
-            ),
             ("fast_forward", Value::Bool(self.fast_forward)),
         ])
     }
 
     fn from_value(v: &Value) -> Result<Self, JsonError> {
+        // Two retired keys: older files carry them as `null`, which
+        // parses; a value is refused rather than silently dropped.
+        for (key, why) in [
+            (
+                "partition",
+                "shard a built system with `ShardedSystem::new` instead",
+            ),
+            ("regions", "long routes always split greedily"),
+        ] {
+            if !matches!(v.get_opt(key), None | Some(Value::Null)) {
+                return Err(JsonError::new(format!(
+                    "spec key `{key}` is retired and must be null: {why}"
+                )));
+            }
+        }
         Ok(NocSpec {
             topology: topology_from_value(v.get("topology")?)?,
             nis: v
@@ -367,34 +235,6 @@ impl NocSpec {
                 .map(ni_spec_from_value)
                 .collect::<Result<_, _>>()?,
             be_queue_words: v.get("be_queue_words")?.as_usize()?,
-            // Absent in pre-sharding spec files: treat as unpartitioned.
-            partition: match v.get_opt("partition") {
-                None | Some(Value::Null) => None,
-                Some(arr) => Some(
-                    arr.as_arr()?
-                        .iter()
-                        .map(Value::as_usize)
-                        .collect::<Result<_, _>>()?,
-                ),
-            },
-            // Absent in pre-two-level-routing spec files: greedy splits.
-            regions: match v.get_opt("regions") {
-                None | Some(Value::Null) => None,
-                Some(r) => Some(RegionsSpec {
-                    router_regions: r
-                        .get("router_regions")?
-                        .as_arr()?
-                        .iter()
-                        .map(Value::as_usize)
-                        .collect::<Result<_, _>>()?,
-                    gateways: r
-                        .get("gateways")?
-                        .as_arr()?
-                        .iter()
-                        .map(Value::as_usize)
-                        .collect::<Result<_, _>>()?,
-                }),
-            },
             // Absent in pre-fast-forward spec files: cycle-accurate only.
             fast_forward: match v.get_opt("fast_forward") {
                 None | Some(Value::Null) => false,
@@ -788,50 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_roundtrips_and_old_files_parse() {
-        let spec = small_spec().with_partition(vec![0, 1]);
-        assert_eq!(spec.validate(), Ok(()));
-        let json = spec.to_json().expect("serializes");
-        assert!(json.contains("partition"));
-        let back = NocSpec::from_json(&json).expect("parses");
-        assert_eq!(back, spec);
-        assert!(back.build_partition().unwrap().is_some());
-        // A pre-sharding file (no partition field) still parses.
-        let old = small_spec()
-            .to_json()
-            .unwrap()
-            .replace(",\n  \"partition\": null", "");
-        assert!(!old.contains("partition"), "field stripped: {old}");
-        let parsed = NocSpec::from_json(&old).expect("old files parse");
-        assert_eq!(parsed.partition, None);
-    }
-
-    #[test]
-    fn regions_roundtrip_and_validate() {
-        let spec = small_spec().with_regions(RegionsSpec {
-            router_regions: vec![0, 1],
-            gateways: vec![0, 1],
-        });
-        assert_eq!(spec.validate(), Ok(()));
-        let json = spec.to_json().expect("serializes");
-        assert!(json.contains("router_regions"));
-        let back = NocSpec::from_json(&json).expect("parses");
-        assert_eq!(back, spec);
-        // The built topology carries the regions for route planning.
-        let topo = back.build_topology();
-        let regions = topo.regions().expect("regions carried");
-        assert_eq!(regions.router_map(), &[0, 1]);
-        assert_eq!(regions.gateway(1), Some(1));
-        // A pre-regions file (no regions field) still parses.
-        let old = small_spec()
-            .to_json()
-            .unwrap()
-            .replace(",\n  \"regions\": null", "");
-        let parsed = NocSpec::from_json(&old).expect("old files parse");
-        assert_eq!(parsed.regions, None);
-    }
-
-    #[test]
     fn fast_forward_roundtrips_and_old_files_parse() {
         let spec = small_spec().with_fast_forward(true);
         let json = spec.to_json().expect("serializes");
@@ -851,22 +647,14 @@ mod tests {
 
     #[test]
     fn bad_regions_rejected() {
-        let wrong_len = small_spec().with_regions(RegionsSpec {
-            router_regions: vec![0],
-            gateways: vec![0],
-        });
-        assert_eq!(
-            wrong_len.validate(),
-            Err(SpecError::RegionCoverage {
-                routers: 2,
-                mapped: 1
-            })
-        );
-        let bad_gateway = small_spec().with_regions(RegionsSpec {
-            router_regions: vec![0, 1],
-            gateways: vec![0, 0],
-        });
-        assert!(matches!(bad_gateway.validate(), Err(SpecError::Regions(_))));
+        // The key is retired: `null` (older files) parses, any value not.
+        let json = small_spec().to_json().expect("serializes");
+        let with = |value: &str| json.replacen('{', &format!("{{\"regions\": {value},"), 1);
+        let parsed = NocSpec::from_json(&with("null")).expect("null parses");
+        assert_eq!(parsed, small_spec());
+        let err = NocSpec::from_json(&with(r#"{"router_regions": [0, 1], "gateways": [0, 1]}"#))
+            .expect_err("a region map is refused");
+        assert!(err.msg.contains("`regions`"), "{err}");
     }
 
     #[test]

@@ -341,6 +341,39 @@ fn port_stack_ordering_is_refused() {
     }
 }
 
+/// The retired `partition` and `regions` keys: a file written before they
+/// were retired carries them as `null` and still loads, while a value for
+/// either is refused with a structured error naming the key, never
+/// silently dropped.
+#[test]
+fn spec_with_regions_or_partition_is_refused() {
+    let spec = pair_spec();
+    let doc = json::parse(&spec.to_json().expect("serializes")).expect("parses");
+    let with_key = |key: &str, value: &str| {
+        let mut doc = doc.clone();
+        set(&mut doc, key, json::parse(value).expect("value parses"));
+        json::to_string_pretty(&doc)
+    };
+    let mut old = doc.clone();
+    set(&mut old, "partition", Value::Null);
+    set(&mut old, "regions", Value::Null);
+    let old = json::to_string_pretty(&old);
+    assert!(old.contains("\"partition\": null") && old.contains("\"regions\": null"));
+    assert_eq!(NocSpec::from_json(&old).expect("old files load"), spec);
+    for (key, value) in [
+        ("partition", "[0, 1]"),
+        ("partition", "[]"),
+        (
+            "regions",
+            r#"{"router_regions": [0, 1], "gateways": [0, 1]}"#,
+        ),
+        ("regions", "{}"),
+    ] {
+        let err = NocSpec::from_json(&with_key(key, value)).expect_err(value);
+        assert!(err.msg.contains(key), "{key}: {err}");
+    }
+}
+
 /// A 2x1 mesh with one master NI and one slave NI.
 fn pair_spec() -> NocSpec {
     NocSpec::new(

@@ -223,7 +223,8 @@ fn sharded_faulted(shards: usize, parallel: bool, batch: u64) -> Observed {
     } else {
         Partition::mesh_rows(4, 4, shards)
     };
-    let mut sharded = ShardedSystem::new(s.sys, &s.topo, &partition).with_batch(batch);
+    let mut sharded = ShardedSystem::new(s.sys, &s.topo, &partition);
+    sharded.set_batch(batch);
     assert_eq!(sharded.shard_count(), shards);
     sharded.arm_faults(&plan);
     assert!(sharded.fault_armed());

@@ -17,7 +17,7 @@
 //! whatever the snapshot distinguishes, the digest distinguishes.
 
 use aethereal::cfg::json::Value;
-use aethereal::cfg::{presets, NocSpec, NocSystem, RegionsSpec, ShardedSystem, TopologySpec};
+use aethereal::cfg::{presets, NocSpec, NocSystem, ShardedSystem, TopologySpec};
 use aethereal::ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
 use aethereal::ni::kernel::{
     chan_reg_addr, ext_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg, NiKernelStats,
@@ -25,7 +25,7 @@ use aethereal::ni::kernel::{
 use aethereal::proto::ip::{ClockedWith, RawPort};
 use aethereal::proto::{CountingSink, RawIp, StreamSink, StreamSource};
 use aethereal::sim::shard::Partition;
-use aethereal::sim::{FfStats, NocStats, StateVisit, Topology};
+use aethereal::sim::{FfStats, NocStats, Path, Route, StateVisit, Topology};
 use aethereal_testkit::prelude::*;
 use aethereal_testkit::{base_seed, Rng64};
 
@@ -201,6 +201,23 @@ fn pure_gt_hotspot_is_bit_identical_and_jumps() {
     assert_eq!(ff.noc.gt_conflicts(), 0, "slot windows stay disjoint");
 }
 
+/// NI 0 → NI 63 on an 8x8 mesh: the minimal route split 7/4/4 at routers 7
+/// and 39 (where the lower row band begins on column 7) rather than the
+/// planner's greedy 7/7/1.
+fn corner_route_7_4_4(topo: &Topology) -> Route {
+    let hops: Vec<_> = topo
+        .route_any(0, 63)
+        .expect("route exists")
+        .iter_hops()
+        .collect();
+    let segments =
+        [&hops[..7], &hops[7..11], &hops[11..]].map(|seg| Path::new(seg).expect("fits one header"));
+    let route = Route::from_segments(segments.to_vec()).expect("three segments");
+    let lengths: Vec<_> = route.segments().iter().map(Path::hops).collect();
+    assert_eq!(lengths, [7, 4, 4]);
+    route
+}
+
 /// Gateway (multi-segment) routes on an 8x8 mesh: bounded BE streams whose
 /// headers are rewritten in flight. Fast-forward must decline throughout
 /// (BE words on the wires, then a drained — quiescent-skippable — tail)
@@ -216,16 +233,11 @@ fn gateway_routes_decline_but_stay_bit_identical() {
                 nis_per_router: 1,
             },
             nis,
-        )
-        .with_regions(RegionsSpec {
-            router_regions: (0..64).map(|r| usize::from(r >= 32)).collect(),
-            gateways: vec![7, 39],
-        });
+        );
         let topo = spec.build_topology();
         let mut sys = NocSystem::from_spec(&spec);
-        let fwd = topo.route_any(0, 63).expect("route exists");
+        let fwd = corner_route_7_4_4(&topo);
         let rev = topo.route_any(63, 0).expect("route exists");
-        assert!(!fwd.is_single(), "the stream must exercise gateways");
         for (ni, route, rqid, ch) in [(0usize, &fwd, 2u8, 1usize), (63, &rev, 1, 2)] {
             let k = &mut sys.nis[ni].kernel;
             k.reg_write(chan_reg_addr(ch, ChanReg::Space), 8).unwrap();
@@ -293,7 +305,8 @@ fn sharded_local_stream() -> (NocSystem, Topology) {
 fn sharded_ff_run(batch: u64, parallel: bool) -> (ShardedSystem, FfStats) {
     let (sys, topo) = sharded_local_stream();
     let partition = Partition::mesh_rows(2, 2, 2);
-    let mut sharded = ShardedSystem::new(sys, &topo, &partition).with_batch(batch);
+    let mut sharded = ShardedSystem::new(sys, &topo, &partition);
+    sharded.set_batch(batch);
     sharded.set_fast_forward(true);
     if parallel {
         sharded.run_parallel(50_000);

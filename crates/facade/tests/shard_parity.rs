@@ -231,7 +231,8 @@ fn sharded_run_batched(pattern: Pattern, shards: usize, parallel: bool, batch: u
     } else {
         Partition::mesh_rows(4, 4, shards)
     };
-    let mut sharded = ShardedSystem::new(s.sys, &s.topo, &partition).with_batch(batch);
+    let mut sharded = ShardedSystem::new(s.sys, &s.topo, &partition);
+    sharded.set_batch(batch);
     assert_eq!(sharded.shard_count(), shards);
     if parallel {
         sharded.run_parallel(HORIZON);

@@ -29,7 +29,7 @@ use std::path::PathBuf;
 use aethereal::cfg::json::{self, Value};
 use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
 use aethereal::cfg::{
-    presets, NocSpec, NocSystem, RegionsSpec, RuntimeConfigurator, SlotStrategy, TopologySpec,
+    presets, NocSpec, NocSystem, RuntimeConfigurator, SlotStrategy, TopologySpec,
 };
 use aethereal::ni::kernel::regs::CTRL_ENABLE;
 use aethereal::ni::kernel::{chan_reg_addr, ext_reg_addr, pack_path_rqid, ChanReg};
@@ -38,7 +38,7 @@ use aethereal::proto::{
     TrafficMix,
 };
 use aethereal::sim::topology::dir;
-use aethereal::sim::{Engine, FaultPlan};
+use aethereal::sim::{Engine, FaultPlan, Path, Route};
 
 /// First differing leaf between two JSON values, as a `$.a.b[3]` path.
 fn first_diff(a: &Value, b: &Value, path: &str) -> Option<String> {
@@ -226,8 +226,9 @@ fn hotspot_8x8() -> NocSystem {
 }
 
 /// Gateway: a bounded raw stream whose headers are rewritten in flight at
-/// the two gateway routers between the mesh's region halves (the
-/// multi-segment route shape of `ff_parity`).
+/// gateway routers 7 and 39 (the forward route split 7/4/4; the greedy
+/// planner would split it 7/7/1), with its credits returning over the
+/// greedily split reverse route — the multi-segment shape of `ff_parity`.
 fn gateway_8x8() -> NocSystem {
     let nis: Vec<_> = (0..64).map(|id| presets::raw_ni(id, 2)).collect();
     let spec = NocSpec::new(
@@ -237,16 +238,20 @@ fn gateway_8x8() -> NocSystem {
             nis_per_router: 1,
         },
         nis,
-    )
-    .with_regions(RegionsSpec {
-        router_regions: (0..64).map(|r| usize::from(r >= 32)).collect(),
-        gateways: vec![7, 39],
-    });
+    );
     let topo = spec.build_topology();
     let mut sys = NocSystem::from_spec(&spec);
-    let fwd = topo.route_any(0, 63).expect("route exists");
+    let hops: Vec<_> = topo
+        .route_any(0, 63)
+        .expect("route exists")
+        .iter_hops()
+        .collect();
+    let segments =
+        [&hops[..7], &hops[7..11], &hops[11..]].map(|seg| Path::new(seg).expect("fits one header"));
+    let fwd = Route::from_segments(segments.to_vec()).expect("three segments");
+    let lengths: Vec<_> = fwd.segments().iter().map(Path::hops).collect();
+    assert_eq!(lengths, [7, 4, 4]);
     let rev = topo.route_any(63, 0).expect("route exists");
-    assert!(!fwd.is_single(), "the stream must exercise gateways");
     for (ni, route, rqid, ch) in [(0usize, &fwd, 2u8, 1usize), (63, &rev, 1, 2)] {
         let k = &mut sys.nis[ni].kernel;
         k.reg_write(chan_reg_addr(ch, ChanReg::Space), 8).unwrap();

@@ -296,7 +296,9 @@ fn make_sharded(shards: usize, batch: u64) -> ShardedSystem {
     } else {
         Partition::mesh_rows(4, 4, shards)
     };
-    ShardedSystem::new(sys, &topo, &partition).with_batch(batch)
+    let mut sharded = ShardedSystem::new(sys, &topo, &partition);
+    sharded.set_batch(batch);
+    sharded
 }
 
 fn run_sharded(s: &mut ShardedSystem, cycles: u64, parallel: bool) {
@@ -310,7 +312,7 @@ fn run_sharded(s: &mut ShardedSystem, cycles: u64, parallel: bool) {
 /// The full parity matrix: shards × batch × execution mode, interrupted
 /// at a checkpoint that is deliberately *not* a multiple of any batch
 /// size (mid-epoch for B=16), with the GT stream still crossing the row
-/// cuts — so the snapshot carries in-flight boundary-ring state.
+/// cuts.
 #[test]
 fn sharded_restore_matrix_is_bit_identical() {
     const K: u64 = 2_003;
@@ -374,8 +376,8 @@ fn restore_may_switch_execution_modes() {
 /// re-emitted. Also pins the aligned-snapshot invariant that makes slot
 /// payloads empty here: cut words are due the cycle they are emitted, so
 /// between `run()` calls every ring is drained (the runner stream is
-/// cycle, batch, then a zero slot-count per ring; occupied-slot restore
-/// is pinned by the `WireRing` unit tests in `noc-sim`).
+/// cycle, batch, then one zero length per ring; the `WireRing` unit tests
+/// in `noc-sim` pin that a non-zero one is refused).
 #[test]
 fn rewind_restore_rebases_boundary_rings() {
     for k in [2_001u64, 2_003, 2_005, 2_007] {

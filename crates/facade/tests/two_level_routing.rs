@@ -8,14 +8,13 @@
 //! * **Seed bit-parity**: routes that fit one header produce bit-identical
 //!   header words to the seed encoding (golden literals), and the planner
 //!   never splits them.
-//! * **Shard parity**: an 8x8 run whose regions align with the execution
+//! * **Shard parity**: an 8x8 run whose gateways align with the execution
 //!   partition is bit-identical between the unsplit and sharded drivers,
 //!   gateway rewrites included.
 
 use aethereal::cfg::runtime::{ChannelEnd, ConfigError, ConnectionRequest, Service};
 use aethereal::cfg::{
-    presets, NocSpec, NocSystem, RegionsSpec, RuntimeConfigurator, ShardedSystem, SlotStrategy,
-    TopologySpec,
+    presets, NocSpec, NocSystem, RuntimeConfigurator, ShardedSystem, SlotStrategy, TopologySpec,
 };
 use aethereal::ni::kernel::regs::CTRL_ENABLE;
 use aethereal::ni::kernel::{chan_reg_addr, ext_reg_addr, pack_path_rqid, ChanReg};
@@ -362,12 +361,13 @@ fn config_bootstrap_fits_a_deeper_cnip_queue() {
     assert_eq!(sys.noc.be_overflows(), 0);
 }
 
-// ---- Sharded parity with partition-aligned regions ----------------------
+// ---- Sharded parity with partition-aligned gateways ---------------------
 
-/// Streams between opposite corners of an 8x8 mesh, with regions matching
-/// the two-shard row-band partition (gateways on the routes' minimal
-/// paths: router 7 ends row 0, router 39 is the first region-1 router of
-/// column 7).
+/// Streams between opposite corners of an 8x8 mesh, the route NI 0 → NI 63
+/// split 7/4/4 at gateways aligned with the two-shard row-band partition
+/// (router 7 ends row 0, router 39 is the first lower-band router of
+/// column 7) instead of the planner's greedy 7/7/1; NI 63 → NI 0 is
+/// planned greedily.
 fn stream_8x8() -> (NocSystem, Topology) {
     let nis: Vec<_> = (0..64).map(|id| presets::raw_ni(id, 2)).collect();
     let spec = NocSpec::new(
@@ -377,19 +377,27 @@ fn stream_8x8() -> (NocSystem, Topology) {
             nis_per_router: 1,
         },
         nis,
-    )
-    .with_partition((0..64).map(|r| usize::from(r >= 32)).collect())
-    .with_regions(RegionsSpec {
-        router_regions: (0..64).map(|r| usize::from(r >= 32)).collect(),
-        gateways: vec![7, 39],
-    });
-    spec.validate().expect("spec is consistent");
+    );
     let topo = spec.build_topology();
     let mut sys = NocSystem::from_spec(&spec);
+    let hops: Vec<_> = topo
+        .route_any(0, 63)
+        .expect("route exists")
+        .iter_hops()
+        .collect();
+    let segments =
+        [&hops[..7], &hops[7..11], &hops[11..]].map(|seg| Path::new(seg).expect("fits one header"));
+    let aligned = Route::from_segments(segments.to_vec()).expect("three segments");
+    let lengths: Vec<_> = aligned.segments().iter().map(Path::hops).collect();
+    assert_eq!(lengths, [7, 4, 4]);
+    let route = |from, to| match (from, to) {
+        (0, 63) => aligned.clone(),
+        _ => topo.route_any(from, to).expect("route exists"),
+    };
     // Two corner-to-corner streams crossing the cut, one per direction.
     for (src, dst) in [(0usize, 63usize), (63, 0)] {
-        let fwd = topo.route_any(src, dst).expect("route exists");
-        let rev = topo.route_any(dst, src).expect("route exists");
+        let fwd = route(src, dst);
+        let rev = route(dst, src);
         assert!(!fwd.is_single(), "the stream must exercise gateways");
         for (ni, route, rqid) in [(src, &fwd, 2u8), (dst, &rev, 1u8)] {
             let k = &mut sys.nis[ni].kernel;
@@ -428,7 +436,7 @@ fn sharded_8x8_with_partition_aligned_regions_is_bit_identical() {
         ref_kernels[0].route_ext_words_tx >= 2,
         "streams rode multi-segment routes"
     );
-    // Sharded run along the same cut the regions describe.
+    // Sharded run along the cut the gateways are aligned with.
     let (sys, topo) = stream_8x8();
     let partition = Partition::mesh_rows(8, 8, 2);
     let mut sharded = ShardedSystem::new(sys, &topo, &partition);
@@ -446,13 +454,17 @@ fn sharded_8x8_with_partition_aligned_regions_is_bit_identical() {
 
 // ---- Spec-level plumbing ------------------------------------------------
 
-/// `NocSpec::build_topology` hands the planner its regions; a 16x16 route
-/// stays minimal and within the segment budget.
+/// `NocSpec::build_topology` plans the 16x16 diagonal minimally, split
+/// greedily into the full segment budget.
 #[test]
-fn spec_regions_reach_the_planner_and_16x16_routes_fit() {
-    let topo = Topology::mesh(16, 16, 1);
-    let route = topo.route_any(0, 255).expect("16x16 diagonal routes");
+fn spec_topology_routes_the_16x16_diagonal_in_five_greedy_segments() {
+    let spec = bootstrap_spec(16);
+    let route = spec
+        .build_topology()
+        .route_any(0, 255)
+        .expect("16x16 diagonal routes");
     assert_eq!(route.total_hops(), 31);
-    assert!(route.segments().len() <= aethereal::sim::MAX_ROUTE_SEGMENTS);
-    let _ = Route::single(Path::empty()); // the facade re-exports the API
+    let lengths: Vec<_> = route.segments().iter().map(Path::hops).collect();
+    assert_eq!(lengths, [7, 7, 7, 7, 3]);
+    assert_eq!(lengths.len(), aethereal::sim::MAX_ROUTE_SEGMENTS);
 }

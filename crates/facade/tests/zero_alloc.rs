@@ -293,9 +293,9 @@ fn parallel_shard_exchange_allocation_is_per_call_not_per_cycle() {
     // writes, due-slot consumption, idle virtual cycles — must contribute
     // nothing. Two spans differing only in cycle count must therefore
     // allocate identically, summed over the test thread and every worker.
-    let (shards, runner, be, gt) = fused_split();
+    let (shards, mut runner, be, gt) = fused_split();
     let mut shards: Vec<Enrolling> = shards.into_iter().map(Enrolling::new).collect();
-    let mut runner = runner.with_batch(16);
+    runner.set_batch(16);
     // Direct NI-link injection bypasses the activity scheduler, so each
     // poke first wakes both regions (`ShardRunner::wake`).
     let poke = |shards: &mut [Enrolling], runner: &mut ShardRunner| {

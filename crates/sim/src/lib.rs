@@ -93,7 +93,5 @@ pub use router::Router;
 pub use shard::{NocShard, Partition, ShardRegion, ShardRunner};
 pub use stats::{LinkStats, NocStats};
 pub use sync::{StdSync, SyncFamily};
-pub use topology::{
-    Endpoint, NiId, RegionError, Regions, RouteError, RouteLink, RouterId, Topology, TopologyKind,
-};
+pub use topology::{Endpoint, NiId, RouteError, RouteLink, RouterId, Topology, TopologyKind};
 pub use word::{LinkWord, Word, WordClass, FLIT_WORDS, SLOT_WORDS};

@@ -348,9 +348,10 @@ impl Route {
     }
 
     /// Builds a route from a flat hop list, splitting greedily into
-    /// [`MAX_HOPS`]-hop segments (the split points become gateway rewrites).
-    /// Topology-aware callers should prefer `Topology::route_any`, which
-    /// aligns split points with declared region gateways.
+    /// [`MAX_HOPS`]-hop segments (the split points become gateway rewrites):
+    /// every segment but the last is full, so no route of these hops has
+    /// fewer segments. `Topology::route_any` splits its minimal hop list
+    /// here.
     ///
     /// # Errors
     ///

@@ -39,11 +39,11 @@
 //!   **pipelined**: there is no epoch barrier at all — a worker is gated
 //!   only by the per-wire published-cycle watermarks of its inbound
 //!   rings, so it begins epoch N+1's interior cycles while epoch N's cut
-//!   words are still draining on the neighbour's side. Regions that
-//!   report themselves dormant leave the activity set and sleep until
-//!   their [`Clocked::dormant_until`] horizon — which includes the next
+//!   words are still draining on the neighbour's side. A region that
+//!   reports itself dormant leaves the activity set and sleeps until
+//!   its [`Clocked::dormant_until`] horizon — which includes the next
 //!   due cycle of a pending router GT calendar — or until a boundary
-//!   word/credit arrives for them, at which point they are caught up with
+//!   word/credit arrives for it, at which point it is caught up with
 //!   one exact [`Clocked::skip`].
 //!
 //! # Why the watermark dependency suffices
@@ -640,14 +640,6 @@ impl<S: SyncFamily> WireRing<S> {
             .all(|s| s.stamp.load(Ordering::Relaxed) == 0)
     }
 
-    /// Occupied slots (unconsumed due cycles) — fast-forward audit state.
-    pub fn occupied(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.stamp.load(Ordering::Relaxed) != 0)
-            .count()
-    }
-
     /// Resets the watermark to first-unpublished = `start` without
     /// touching slots. [`ShardRunner::run_parallel`] rebases every ring at
     /// entry: watermarks are meaningless between parallel spans (the
@@ -656,80 +648,18 @@ impl<S: SyncFamily> WireRing<S> {
         self.published.store(start, Ordering::Relaxed);
     }
 
-    /// Unconsumed slots as `(due, packed word, credits)` triples, in due
-    /// order — the ring's entire dynamic state besides the watermark.
-    fn occupied_slots(&self) -> Vec<(u64, u64, u64)> {
-        let mut v: Vec<(u64, u64, u64)> = self
-            .slots
-            .iter()
-            .filter_map(|s| match s.stamp.load(Ordering::Relaxed) {
-                0 => None,
-                stamp => Some((
-                    stamp - 1,
-                    s.word.load(Ordering::Relaxed),
-                    s.credits.load(Ordering::Relaxed),
-                )),
-            })
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Empties every slot (the restore entry point; the watermark is left
-    /// untouched — re-derive it with [`WireRing::rebase`]).
-    fn clear_slots(&self) {
-        for s in &self.slots {
-            s.word.store(EMPTY_WORD, Ordering::Relaxed);
-            s.credits.store(0, Ordering::Relaxed);
-            s.stamp.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Re-places one unconsumed due cycle into the ring at its home index
-    /// `due & (RING_SLOTS - 1)` — the index is a function of the due
-    /// cycle, **not** of the slot's position in any earlier run, which is
-    /// exactly why restore must route through this instead of writing
-    /// slots in order. Returns `false` (leaving the ring unchanged) if
-    /// that home slot already holds another due cycle.
-    pub fn restore_slot(&self, due: u64, word: u64, credits: u64) -> bool {
-        let slot = self.slot(due);
-        if slot.stamp.load(Ordering::Relaxed) != 0 {
-            return false;
-        }
-        slot.word.store(word, Ordering::Relaxed);
-        slot.credits.store(credits, Ordering::Relaxed);
-        slot.stamp.store(due + 1, Ordering::Relaxed);
-        true
-    }
-
-    /// Persists the ring's unconsumed traffic through a state visitor:
-    /// a length (occupied slot count) followed by one
-    /// `(due, packed word, credits)` triple per slot, in due order. The
-    /// walk always clears and re-places the slots — a save rewrites the
-    /// values it just read (a no-op), a load re-derives every slot's home
-    /// index from its restored due cycle. The published watermark is
-    /// deliberately **not** part of the walk: it is meaningless between
-    /// runner spans and must be re-derived from the restored cycle via
-    /// [`WireRing::rebase`].
+    /// Persists the ring's traffic through a state visitor, which between
+    /// runner spans is always none: a cut word is due in the cycle it is
+    /// emitted and absorbed in that same cycle, so every ring is empty at
+    /// a snapshot. The walk is one zero length (kept so the stream does
+    /// not change), and a snapshot claiming any slot is refused. The
+    /// published watermark is not part of the walk either: it is
+    /// meaningless between spans and is re-derived from the restored cycle
+    /// via [`WireRing::rebase`].
     pub fn persist_slots(&self, p: &mut dyn crate::persist::StateVisit) {
-        let mut entries = self.occupied_slots();
-        let n = p.len(entries.len());
-        if n > RING_SLOTS {
-            p.fail("snapshot carries more ring slots than RING_SLOTS");
-            return;
-        }
-        entries.resize(n, (0, 0, 0));
-        for e in &mut entries {
-            p.item(&mut e.0);
-            p.item(&mut e.1);
-            p.item(&mut e.2);
-        }
-        self.clear_slots();
-        for &(due, word, credits) in &entries {
-            if !self.restore_slot(due, word, credits) {
-                p.fail("snapshot ring slots alias the same home index");
-                return;
-            }
+        debug_assert!(self.is_silent(), "a ring holds traffic between spans");
+        if p.len(0) != 0 {
+            p.fail("snapshot carries cut-wire traffic between runner spans");
         }
     }
 }
@@ -1071,12 +1001,6 @@ impl ShardRunner {
         }
     }
 
-    /// Sets the batch size `B ≥ 1` and returns `self` (builder form).
-    pub fn with_batch(mut self, batch: u64) -> Self {
-        self.set_batch(batch);
-        self
-    }
-
     /// Sets the batch size: how many cycles run between scheduling epochs.
     /// A pure performance knob — execution is bit-identical for every
     /// `B ≥ 1` (see the type-level docs).
@@ -1089,11 +1013,6 @@ impl ShardRunner {
         self.batch = batch;
     }
 
-    /// The configured batch size.
-    pub fn batch(&self) -> u64 {
-        self.batch
-    }
-
     /// The global cycle (regions lag only while asleep inside a span;
     /// `run` and `run_parallel` return with every region caught up to
     /// this).
@@ -1101,7 +1020,7 @@ impl ShardRunner {
         self.cycle
     }
 
-    /// Regions currently in the activity set.
+    /// How many regions are in the activity set.
     pub fn awake_count(&self) -> usize {
         self.sched.iter().filter(|s| s.awake).count()
     }
@@ -1309,24 +1228,20 @@ impl<R: ShardRegion> Clocked for Ensemble<'_, R> {
 
 impl ShardRunner {
     /// The state walk over the runner's dynamic state: the global
-    /// cycle, the batch size, then every arena ring's unconsumed slots
-    /// (see [`WireRing::persist_slots`]).
+    /// cycle, the batch size, then every arena ring, each empty (see
+    /// [`WireRing::persist_slots`]).
     ///
-    /// Two pieces of ring state are **re-derived** from the restored
-    /// cycle rather than carried in the snapshot, because both are
-    /// functions of global time, not of history: each ring's published
-    /// watermark is rebased to the restored cycle (a stale watermark
-    /// would let a parallel consumer absorb cycles the restored producer
-    /// has not re-emitted), and each slot's home index is recomputed as
-    /// `due & (RING_SLOTS - 1)` inside [`WireRing::restore_slot`] (a
-    /// positional copy would strand mid-epoch traffic in the wrong slot
-    /// and trip the due-cycle assertions).
+    /// Each ring's published watermark is **re-derived** from the restored
+    /// cycle rather than carried in the snapshot, because it is a function
+    /// of global time, not of history: a stale watermark would let a
+    /// parallel consumer absorb cycles the restored producer has not
+    /// re-emitted.
     ///
     /// The scheduler bookkeeping — activity-set membership and wake
     /// horizons — is **reset**, not carried: sleep decisions happen at
     /// epoch boundaries, so two bit-identical executions interrupted at
     /// different points legitimately disagree on both (pinned by the
-    /// batched parity tests). Regions are always caught up to the global
+    /// batched parity tests). Every region is caught up to the global
     /// cycle between runs, so waking everyone is exact — quiescent regions
     /// re-sleep at the next epoch boundary. The same class as a FIFO's
     /// visibility cache.
@@ -1757,7 +1672,7 @@ mod tests {
         ring.send_word(2, w);
         ring.send_credits(3, 2);
         assert!(!ring.is_silent());
-        assert_eq!(ring.occupied(), 2);
+        assert_eq!(ring.next_due(0), Some(2));
         // Early cycles: nothing, and the slots stay occupied.
         assert_eq!(ring.take_due(0), None);
         assert_eq!(ring.take_due(1), None);
@@ -1824,51 +1739,18 @@ mod tests {
     #[test]
     fn ring_persist_slots_round_trips_and_saving_is_a_noop() {
         use crate::persist::{StateLoader, StateSaver};
+        // Between spans a ring is empty: its stream is one zero length.
         let ring: WireRing = WireRing::new(0);
-        let w = LinkWord::header_only(7, WordClass::BestEffort);
-        ring.send_word(5, w);
-        ring.send_credits(6, 3);
-
         let mut saver = StateSaver::new();
         ring.persist_slots(&mut saver);
         let items = saver.finish().unwrap();
-        // Saving rewrote the same slots in place — the ring is unchanged.
-        assert_eq!(ring.occupied(), 2);
-        assert_eq!(ring.take_due(5), Some((Some(w), 0)));
-
-        // Restore into a fresh ring: traffic re-homes at its due cycles.
+        assert_eq!(items, [0]);
+        assert!(ring.is_silent());
         let fresh: WireRing = WireRing::new(0);
         let mut loader = StateLoader::new(items);
         fresh.persist_slots(&mut loader);
         loader.finish().unwrap();
-        assert_eq!(fresh.occupied(), 2);
-        assert_eq!(fresh.take_due(5), Some((Some(w), 0)));
-        assert_eq!(fresh.take_due(6), Some((None, 3)));
         assert!(fresh.is_silent());
-    }
-
-    #[test]
-    fn ring_restore_slot_rehomes_by_due_cycle_not_position() {
-        // A slot due at a large cycle must land at `due & (RING_SLOTS-1)`,
-        // not at index 0 — a positional restore would make `take_due` at
-        // the due cycle miss it (slot(1337) != slot(0)).
-        let ring: WireRing = WireRing::new(0);
-        let w = LinkWord::header_only(9, WordClass::Guaranteed);
-        assert!(ring.restore_slot(1337, w.pack_u64(), 2));
-        assert!(ring.has_due(1337));
-        assert!(!ring.has_due(1336));
-        assert_eq!(ring.take_due(1337), Some((Some(w), 2)));
-        assert!(ring.is_silent());
-    }
-
-    #[test]
-    fn ring_restore_slot_rejects_home_index_aliasing() {
-        let ring: WireRing = WireRing::new(0);
-        assert!(ring.restore_slot(2, 0, 1));
-        // Same home slot (2 and 2 + RING_SLOTS share an index): refused,
-        // original occupant untouched.
-        assert!(!ring.restore_slot(2 + RING_SLOTS as u64, 0, 9));
-        assert_eq!(ring.take_due(2), Some((None, 1)));
     }
 
     #[test]
@@ -1992,7 +1874,8 @@ mod tests {
     ) -> (Vec<(u64, LinkWord)>, NocStats) {
         let (_, _, shards, runner) = split_2x2();
         let (ds, dl) = locate(&shards, drain);
-        let mut split = (shards, runner.with_batch(batch));
+        let mut split = (shards, runner);
+        split.1.set_batch(batch);
         let trace = chunked_trace(
             &mut split,
             schedule,

@@ -11,13 +11,11 @@
 //! Routes longer than one header ([`crate::MAX_HOPS`] hops) are planned by
 //! [`Topology::route_any`], which splits the minimal hop list into a
 //! multi-segment [`Route`] rewritten en route by gateway routers. Split
-//! points never leave the minimal path; when the topology declares
-//! [`Regions`], the planner prefers to split at declared region gateways
-//! that lie on the path (so gateway rewrites align with, e.g., the shard
-//! partition of a large mesh), and falls back to greedy
-//! [`crate::MAX_HOPS`]-hop splits otherwise.
+//! points never leave the minimal path: the planner splits greedily at
+//! every [`crate::MAX_HOPS`]-hop window end, which uses the fewest
+//! segments.
 
-use crate::path::{Path, PathError, PortIdx, Route, RouteBuildError, MAX_HOPS};
+use crate::path::{Path, PathError, PortIdx, Route, RouteBuildError};
 use std::collections::VecDeque;
 
 /// Identifies a router in the topology.
@@ -89,125 +87,6 @@ pub struct RouterEdge {
     pub port_b: PortIdx,
 }
 
-/// A grouping of routers into contiguous *regions*, each with a designated
-/// *gateway* router — the preferred header-rewrite point for routes that do
-/// not fit a single header (see [`Topology::route_any`]).
-///
-/// Regions are a planning concept only: any router can rewrite a header, so
-/// declaring regions never changes what is routable, merely where long
-/// routes split. Aligning regions with a shard
-/// [`Partition`](crate::shard::Partition) keeps gateway rewrites local to
-/// the region that owns them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Regions {
-    /// `region_of[router] = region id`.
-    region_of: Vec<usize>,
-    /// `gateways[region] = router id` of that region's gateway.
-    gateways: Vec<RouterId>,
-}
-
-/// Error validating a [`Regions`] declaration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegionError {
-    /// Region ids must be dense `0..n` with every region non-empty.
-    SparseRegions {
-        /// The first unused region id.
-        missing: usize,
-    },
-    /// The gateway list length must equal the number of regions.
-    GatewayCountMismatch {
-        /// Regions declared by the router map.
-        regions: usize,
-        /// Gateways provided.
-        gateways: usize,
-    },
-    /// A gateway router does not belong to the region it serves.
-    GatewayOutsideRegion {
-        /// The region.
-        region: usize,
-        /// The offending gateway router.
-        gateway: RouterId,
-    },
-    /// The router map is empty.
-    Empty,
-}
-
-impl std::fmt::Display for RegionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegionError::SparseRegions { missing } => {
-                write!(f, "region ids must be dense: region {missing} is empty")
-            }
-            RegionError::GatewayCountMismatch { regions, gateways } => {
-                write!(f, "{regions} regions but {gateways} gateways")
-            }
-            RegionError::GatewayOutsideRegion { region, gateway } => {
-                write!(f, "gateway {gateway} lies outside region {region}")
-            }
-            RegionError::Empty => write!(f, "region map is empty"),
-        }
-    }
-}
-
-impl std::error::Error for RegionError {}
-
-impl Regions {
-    /// Validates and builds a region declaration from a router → region map
-    /// and a per-region gateway list.
-    ///
-    /// # Errors
-    ///
-    /// See [`RegionError`].
-    pub fn new(region_of: Vec<usize>, gateways: Vec<RouterId>) -> Result<Self, RegionError> {
-        if region_of.is_empty() {
-            return Err(RegionError::Empty);
-        }
-        let n_regions = region_of.iter().max().copied().unwrap_or(0) + 1;
-        let mut occupants = vec![0usize; n_regions];
-        for &region in &region_of {
-            occupants[region] += 1;
-        }
-        if let Some(missing) = occupants.iter().position(|&c| c == 0) {
-            return Err(RegionError::SparseRegions { missing });
-        }
-        if gateways.len() != n_regions {
-            return Err(RegionError::GatewayCountMismatch {
-                regions: n_regions,
-                gateways: gateways.len(),
-            });
-        }
-        for (region, &gateway) in gateways.iter().enumerate() {
-            if region_of.get(gateway).copied() != Some(region) {
-                return Err(RegionError::GatewayOutsideRegion { region, gateway });
-            }
-        }
-        Ok(Regions {
-            region_of,
-            gateways,
-        })
-    }
-
-    /// The region of `router`, if the map covers it.
-    pub fn region_of(&self, router: RouterId) -> Option<usize> {
-        self.region_of.get(router).copied()
-    }
-
-    /// The gateway router of `region`.
-    pub fn gateway(&self, region: usize) -> Option<RouterId> {
-        self.gateways.get(region).copied()
-    }
-
-    /// Whether `router` is some region's gateway.
-    pub fn is_gateway(&self, router: RouterId) -> bool {
-        self.gateways.contains(&router)
-    }
-
-    /// The raw router → region map.
-    pub fn router_map(&self) -> &[usize] {
-        &self.region_of
-    }
-}
-
 /// One directed link traversed by a [`Route`], as enumerated by
 /// [`Topology::links_of_route_segmented`] for the slot allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,8 +121,6 @@ pub struct Topology {
     edges: Vec<RouterEdge>,
     /// `ni_attach[ni] = (router, local port)`.
     ni_attach: Vec<(RouterId, PortIdx)>,
-    /// Optional region/gateway declaration steering long-route splits.
-    regions: Option<Regions>,
     /// Failed-link mask: bit `p` of `link_mask[r]` marks the directed link
     /// leaving router `r` through port `p` as unusable, and the planners
     /// route around it (see [`Topology::mask_link`]). All-zero (the
@@ -351,7 +228,6 @@ impl Topology {
             router_ports: vec![dir::LOCAL0 as usize + nis_per_router; n],
             edges,
             ni_attach,
-            regions: None,
             link_mask: vec![0; n],
         }
     }
@@ -381,7 +257,6 @@ impl Topology {
             router_ports: vec![3; routers],
             edges,
             ni_attach,
-            regions: None,
             link_mask: vec![0; routers],
         }
     }
@@ -403,7 +278,6 @@ impl Topology {
             router_ports,
             edges,
             ni_attach,
-            regions: None,
             link_mask,
         };
         t.validate();
@@ -533,13 +407,12 @@ impl Topology {
     ///
     /// See [`RouteError`].
     pub fn route(&self, from: NiId, to: NiId) -> Result<Path, RouteError> {
-        let (_, hops) = self.hops_between(from, to)?;
-        Ok(Path::new(&hops)?)
+        Ok(Path::new(&self.hops_between(from, to)?)?)
     }
 
-    /// The router NI `from` is attached to and the complete minimal hop
-    /// list from there into NI `to`, ejection hop included.
-    fn hops_between(&self, from: NiId, to: NiId) -> Result<(RouterId, Vec<PortIdx>), RouteError> {
+    /// The complete minimal hop list from NI `from` into NI `to`, ejection
+    /// hop included.
+    fn hops_between(&self, from: NiId, to: NiId) -> Result<Vec<PortIdx>, RouteError> {
         let (fr, _fp) = self
             .ni_attachment(from)
             .ok_or(RouteError::UnknownNi { ni: from })?;
@@ -552,7 +425,7 @@ impl Topology {
             return Err(RouteError::Unreachable { from: fr, to: tr });
         }
         hops.push(tp);
-        Ok((fr, hops))
+        Ok(hops)
     }
 
     /// The minimal router-to-router hop list, honouring the failed-link
@@ -570,44 +443,15 @@ impl Topology {
         })
     }
 
-    /// Attaches a validated region/gateway declaration (builder form).
-    pub fn with_regions(mut self, regions: Regions) -> Self {
-        self.set_regions(regions);
-        self
-    }
-
-    /// Attaches a validated region/gateway declaration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region map does not cover exactly this topology's
-    /// routers.
-    pub fn set_regions(&mut self, regions: Regions) {
-        assert_eq!(
-            regions.router_map().len(),
-            self.router_count(),
-            "region map must cover exactly the topology's routers"
-        );
-        self.regions = Some(regions);
-    }
-
-    /// The region/gateway declaration, if one is attached.
-    pub fn regions(&self) -> Option<&Regions> {
-        self.regions.as_ref()
-    }
-
     /// Computes the source route from NI `from` to NI `to` as a (possibly
     /// multi-segment) [`Route`], lifting the single-header
     /// [`crate::MAX_HOPS`] distance limit of [`Topology::route`].
     ///
     /// The hop list is always the minimal one [`Topology::route`] would
-    /// produce; when it exceeds [`crate::MAX_HOPS`] hops it is split into
-    /// segments rewritten en route by gateway routers. Split points are
-    /// chosen on the minimal path: within each [`crate::MAX_HOPS`]-hop
-    /// window the planner prefers the **last declared region gateway**
-    /// (see [`Regions`]) and otherwise splits greedily at the window end —
-    /// so route length (and thus latency in hops) never depends on the
-    /// region declaration.
+    /// produce; when it exceeds [`crate::MAX_HOPS`] hops it is split
+    /// greedily ([`Route::from_hops`]) into segments rewritten en route by
+    /// gateway routers: every segment but the last carries exactly
+    /// [`crate::MAX_HOPS`] hops, so the route uses the fewest segments.
     ///
     /// Routes that fit one header return as single-segment routes whose
     /// header encoding is bit-identical to [`Topology::route`].
@@ -616,50 +460,7 @@ impl Topology {
     ///
     /// See [`RouteError`].
     pub fn route_any(&self, from: NiId, to: NiId) -> Result<Route, RouteError> {
-        let (fr, hops) = self.hops_between(from, to)?;
-        if hops.len() <= MAX_HOPS {
-            return Ok(Route::single(Path::new(&hops)?));
-        }
-        // The router the packet sits at *before* taking hop i; a split
-        // before hop i makes routers_at[i] the gateway that rewrites. Only
-        // needed to match declared gateways — greedy splits never read it.
-        let routers_at: Vec<RouterId> = if self.regions.is_some() {
-            let mut at = Vec::with_capacity(hops.len());
-            let mut r = fr;
-            for &hop in &hops {
-                at.push(r);
-                if let Some((nr, _)) = self.neighbour(r, hop) {
-                    r = nr;
-                }
-            }
-            at
-        } else {
-            Vec::new()
-        };
-        let mut segments = Vec::new();
-        let mut pos = 0;
-        while hops.len() - pos > MAX_HOPS {
-            let window_end = pos + MAX_HOPS;
-            // An early (gateway-preferred) split spends a segment on fewer
-            // hops, so it is only honoured while the remaining hops still
-            // fit the remaining segment budget — declaring regions must
-            // never make a greedily-routable pair unroutable.
-            let budget_after = crate::path::MAX_ROUTE_SEGMENTS.saturating_sub(segments.len() + 1);
-            let split = match &self.regions {
-                Some(regions) => (pos + 1..=window_end)
-                    .rev()
-                    .find(|&i| {
-                        regions.is_gateway(routers_at[i])
-                            && (hops.len() - i).div_ceil(MAX_HOPS) <= budget_after
-                    })
-                    .unwrap_or(window_end),
-                None => window_end,
-            };
-            segments.push(Path::new(&hops[pos..split])?);
-            pos = split;
-        }
-        segments.push(Path::new(&hops[pos..])?);
-        Ok(Route::from_segments(segments)?)
+        Ok(Route::from_hops(&self.hops_between(from, to)?)?)
     }
 
     fn xy_hops(from: RouterId, to: RouterId, width: usize) -> Vec<PortIdx> {
@@ -1017,7 +818,8 @@ mod tests {
         // Opposite corners: 7 E + 7 S + eject = 15 hops, minimal.
         let r = t.route_any(0, 63).unwrap();
         assert_eq!(r.total_hops(), 15);
-        assert_eq!(r.segments().len(), 3);
+        let lengths: Vec<_> = r.segments().iter().map(Path::hops).collect();
+        assert_eq!(lengths, [7, 7, 1], "greedy: full windows, then the rest");
         let hops: Vec<_> = r.iter_hops().collect();
         let mut expect = vec![dir::EAST; 7];
         expect.extend(vec![dir::SOUTH; 7]);
@@ -1026,86 +828,11 @@ mod tests {
     }
 
     #[test]
-    fn route_any_prefers_region_gateways_on_the_path() {
-        // 8x8 mesh, two row-band regions; gateways at the start of rows 1
-        // and 4 — router 32 (x=0, y=4) lies on the minimal S-then-eject
-        // path from NI 0 down column 0.
-        let regions =
-            Regions::new((0..64).map(|r| usize::from(r >= 32)).collect(), vec![8, 32]).unwrap();
-        let t = Topology::mesh(8, 8, 1).with_regions(regions);
-        // NI 0 → NI 56 (x=0, y=7): 7 S + eject = 8 hops, split required.
-        let r = t.route_any(0, 56).unwrap();
-        assert_eq!(r.total_hops(), 8, "split adds no hops");
-        assert_eq!(r.segments().len(), 2);
-        // The split lands at the declared gateway (router 32, 4 hops in),
-        // not at the greedy 7-hop point.
-        assert_eq!(r.segments()[0].hops(), 4);
-        // And routing is unaffected for in-region pairs.
-        assert!(t.route_any(0, 8).unwrap().is_single());
-    }
-
-    #[test]
-    fn adversarial_gateways_never_exhaust_the_segment_budget() {
-        // 16x16 mesh, 0 → 255 needs 31 hops = 5 greedy segments (the full
-        // budget). Gateways sitting right at the start of the minimal path
-        // would, if always honoured, force tiny segments and overflow the
-        // budget — the planner must skip them instead of failing.
-        let mut region_of = vec![1usize; 256];
-        // Region 0 = the first few routers of row 0, gateways among them.
-        region_of[..4].fill(0);
-        let regions = Regions::new(region_of, vec![1, 255]).unwrap();
-        let t = Topology::mesh(16, 16, 1).with_regions(regions);
-        let r = t.route_any(0, 255).expect("stays routable with regions");
-        assert_eq!(r.total_hops(), 31);
-        assert!(r.segments().len() <= crate::path::MAX_ROUTE_SEGMENTS);
-        // And matches the greedy route's hop sequence.
-        let plain = Topology::mesh(16, 16, 1).route_any(0, 255).unwrap();
-        assert_eq!(
-            r.iter_hops().collect::<Vec<_>>(),
-            plain.iter_hops().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn route_any_ring_and_custom_split() {
         let t = Topology::ring(20);
         let r = t.route_any(0, 10).unwrap(); // 10 hops + eject = 11
         assert_eq!(r.total_hops(), 11);
         assert_eq!(r.segments().len(), 2);
-    }
-
-    #[test]
-    fn regions_validation() {
-        assert!(Regions::new(vec![0, 0, 1, 1], vec![0, 2]).is_ok());
-        assert_eq!(
-            Regions::new(vec![0, 0, 2, 2], vec![0, 2]).unwrap_err(),
-            RegionError::SparseRegions { missing: 1 }
-        );
-        assert_eq!(
-            Regions::new(vec![0, 0, 1, 1], vec![0]).unwrap_err(),
-            RegionError::GatewayCountMismatch {
-                regions: 2,
-                gateways: 1
-            }
-        );
-        assert_eq!(
-            Regions::new(vec![0, 0, 1, 1], vec![0, 1]).unwrap_err(),
-            RegionError::GatewayOutsideRegion {
-                region: 1,
-                gateway: 1
-            }
-        );
-        assert_eq!(
-            Regions::new(vec![], vec![]).unwrap_err(),
-            RegionError::Empty
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "cover exactly")]
-    fn region_map_must_match_router_count() {
-        let regions = Regions::new(vec![0, 0], vec![0]).unwrap();
-        let _ = Topology::mesh(2, 2, 1).with_regions(regions);
     }
 
     #[test]

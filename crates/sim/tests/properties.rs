@@ -3,7 +3,11 @@
 
 use aethereal_testkit::prelude::*;
 use noc_sim::engine::ClockDomain;
-use noc_sim::{LinkWord, Noc, PacketHeader, Path, Topology, WordClass};
+use noc_sim::topology::dir;
+use noc_sim::{
+    LinkWord, Noc, PacketHeader, Path, RouteError, Topology, WordClass, MAX_HOPS,
+    MAX_ROUTE_SEGMENTS,
+};
 
 fn arb_path() -> impl Strategy<Value = Path> {
     prop::collection::vec(0u8..=5, 0..=7).prop_map(|hops| Path::new(&hops).expect("valid hops"))
@@ -296,36 +300,82 @@ proptest! {
         route_is_walkable(&topo, from, to, &route);
     }
 
-    /// Declaring region gateways steers split points but never changes the
-    /// hop sequence — routes stay minimal and walkable, and every split
-    /// lands on a gateway whenever one lies in the search window.
+    /// Long routes split the one greedy way, on 8x8 and 16x16 meshes with
+    /// and without failed links: exactly `ceil(total_hops / MAX_HOPS)`
+    /// segments, every one but the last full, over the hops of the unsplit
+    /// minimal route — the XY list on a maskless mesh, a shortest walkable
+    /// detour around the masked links otherwise.
     #[test]
-    fn region_gateways_never_change_route_length(
-        bands in 2usize..=4,
+    fn route_any_splits_greedily_into_the_fewest_segments(
+        shape in 0usize..4,
         a in any::<u64>(),
         b in any::<u64>(),
+        masks in prop::collection::vec((any::<u64>(), 0u8..4), 1..=8),
     ) {
-        let width = 8;
-        let height = 8;
-        let n = width * height;
-        let rows_per_band = height / bands;
-        let region_of: Vec<usize> = (0..n)
-            .map(|r| usize::min((r / width) / rows_per_band, bands - 1))
-            .collect();
-        // Gateway: first router of each band's first row.
-        let gateways: Vec<usize> = (0..bands).map(|g| g * rows_per_band * width).collect();
-        let regions = noc_sim::Regions::new(region_of, gateways).expect("valid bands");
-        let plain = Topology::mesh(width, height, 1);
-        let regioned = Topology::mesh(width, height, 1).with_regions(regions);
+        let (side, masked) = [(8, false), (16, false), (8, true), (16, true)][shape];
+        let n = side * side;
+        let mut topo = Topology::mesh(side, side, 1);
+        if masked {
+            for &(r, port) in &masks {
+                topo.mask_link((r % n as u64) as usize, port);
+            }
+        }
         let from = (a % n as u64) as usize;
         let to = (b % n as u64) as usize;
-        let r1 = plain.route_any(from, to).expect("routes");
-        let r2 = regioned.route_any(from, to).expect("routes");
-        prop_assert_eq!(
-            r1.iter_hops().collect::<Vec<_>>(),
-            r2.iter_hops().collect::<Vec<_>>(),
-            "same minimal hop sequence"
-        );
-        route_is_walkable(&regioned, from, to, &r2);
+        let planned = topo.route_any(from, to);
+        let Some(distance) = router_distance(&topo, from, to) else {
+            prop_assert!(planned.is_err(), "unreachable pairs are refused");
+            return Ok(());
+        };
+        let total = distance + 1;
+        if total > MAX_HOPS * MAX_ROUTE_SEGMENTS {
+            prop_assert!(matches!(planned, Err(RouteError::Segmenting(_))));
+            return Ok(());
+        }
+        let route = planned.expect("reachable pairs within the segment budget route");
+        prop_assert_eq!(route.total_hops(), total, "minimal length");
+        prop_assert_eq!(route.segments().len(), total.div_ceil(MAX_HOPS));
+        let (last, full) = route.segments().split_last().expect("at least one segment");
+        for seg in full {
+            prop_assert_eq!(seg.hops(), MAX_HOPS, "greedy: every window is full");
+        }
+        prop_assert_eq!(last.hops(), total - MAX_HOPS * full.len());
+        let hops: Vec<_> = route.iter_hops().collect();
+        if masked {
+            route_is_walkable(&topo, from, to, &route);
+            let (mut r, _) = topo.ni_attachment(from).expect("source NI");
+            for &hop in &hops {
+                prop_assert!(!topo.is_masked(r, hop), "router {} port {} is masked", r, hop);
+                r = topo.neighbour(r, hop).map_or(r, |(nr, _)| nr);
+            }
+        } else {
+            let (fx, fy, tx, ty) = (from % side, from / side, to % side, to / side);
+            let mut xy = vec![if tx > fx { dir::EAST } else { dir::WEST }; fx.abs_diff(tx)];
+            xy.extend(vec![if ty > fy { dir::SOUTH } else { dir::NORTH }; fy.abs_diff(ty)]);
+            xy.push(dir::LOCAL0);
+            prop_assert_eq!(hops, xy, "the unsplit XY route");
+        }
     }
+}
+
+/// Breadth-first router distance over the unmasked links (`None` when
+/// unreachable): a minimal route's length before its ejection hop.
+fn router_distance(topo: &Topology, from: usize, to: usize) -> Option<usize> {
+    let (from, _) = topo.ni_attachment(from)?;
+    let (to, _) = topo.ni_attachment(to)?;
+    let mut dist = vec![usize::MAX; topo.router_count()];
+    dist[from] = 0;
+    let mut queue = std::collections::VecDeque::from([from]);
+    while let Some(r) = queue.pop_front() {
+        for p in 0..topo.ports_of(r) as u8 {
+            match topo.neighbour(r, p) {
+                Some((nr, _)) if !topo.is_masked(r, p) && dist[nr] == usize::MAX => {
+                    dist[nr] = dist[r] + 1;
+                    queue.push_back(nr);
+                }
+                _ => {}
+            }
+        }
+    }
+    (dist[to] != usize::MAX).then_some(dist[to])
 }

@@ -153,7 +153,6 @@ const ORPHAN_ALLOW: &[(&str, &str, &str)] = &[
     ("sim/src/engine.rs", "local_now", "ClockDomain arithmetic pinned by the sim property tests"),
     ("sim/src/header.rs", "pack", "struct form of the header codec for tests; the NI packs with pack_encoded"),
     ("sim/src/header.rs", "unpack", "struct form of the header codec for tests; routers read fields in place"),
-    ("sim/src/path.rs", "from_hops", "Route constructor of the path module's doc example and unit tests"),
     ("sim/src/noc.rs", "at_slot_boundary", "network unit tests check slot alignment through it"),
     ("sim/src/shard.rs", "wake", "wakes one region by hand in the shard parity and activity tests"),
     ("sim/src/fault.rs", "link_stuck", "FaultPlan method: tests and goldens script fault storms with it"),
@@ -173,7 +172,6 @@ const ORPHAN_ALLOW: &[(&str, &str, &str)] = &[
     ("cfg/src/inspect.rs", "slots_of", "NiDump query; the inspect unit tests read remote slot tables"),
     ("cfg/src/inspect.rs", "enabled_channels", "NiDump query; the inspect unit tests read remote channels"),
     ("cfg/src/inspect.rs", "dump_ni", "reads a remote NI's registers through the NoC; protocol_features"),
-    ("cfg/src/spec.rs", "with_partition", "NocSpec setter for sharded specs; tests use it"),
     ("cfg/src/system.rs", "fast_forward_enabled", "NocSystem query; its unit tests check the spec flag"),
     ("cfg/src/shard.rs", "shard_count", "ShardedSystem query; shard parity and fault tests use it"),
     ("proto/src/memory.rs", "poke", "preloads MemorySlave contents in tests"),
