@@ -89,35 +89,30 @@ impl ShardedSystem {
             debug_assert_eq!(region_nis[s].len(), local);
             region_nis[s].push(ni);
         }
-        let mut region_nis: Vec<Nis> = region_nis.into_iter().map(Nis::new).collect();
-        // Distribute IP bindings, remapping their NI to the shard-local id
-        // and marking it bound there.
+        // Distribute IP bindings, remapping their NI to the shard-local id.
         let mut region_masters: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         for mut b in masters {
             let (s, local) = ni_home[b.ni];
             b.ni = local;
-            region_nis[s].bind(local);
             region_masters[s].push(b);
         }
         let mut region_slaves: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         for mut b in slaves {
             let (s, local) = ni_home[b.ni];
             b.ni = local;
-            region_nis[s].bind(local);
             region_slaves[s].push(b);
         }
         let mut region_raws: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         for mut b in raws {
             let (s, local) = ni_home[b.ni];
             b.ni = local;
-            region_nis[s].bind(local);
             region_raws[s].push(b);
         }
         let mut regions = Vec::with_capacity(n);
         let mut routers = Vec::with_capacity(n);
         let mut link_maps = Vec::with_capacity(n);
         let mut boundary_links = Vec::with_capacity(n);
-        let mut region_nis = region_nis.into_iter();
+        let mut region_nis = region_nis.into_iter().map(Nis::new);
         let mut region_masters = region_masters.into_iter();
         let mut region_slaves = region_slaves.into_iter();
         let mut region_raws = region_raws.into_iter();

@@ -4,7 +4,8 @@
 //!
 //! 1. every IP module whose port clock has an edge this cycle runs against
 //!    its port stack (masters submit/collect, slaves serve, raw IPs
-//!    stream);
+//!    stream) — unless its NI is inert and its own horizon is still
+//!    ahead, when the tick would be a no-op;
 //! 2. every NI that can act runs (shells on their port clocks, then the
 //!    kernel) — see [`Nis`] for which those are;
 //! 3. the network moves one word per link.
@@ -26,10 +27,12 @@ use std::ops::{Deref, DerefMut, Index, IndexMut, RangeFull};
 /// those a cycle has to tick.
 ///
 /// An NI whose tick is a no-op until something wakes it
-/// ([`Ni::inert`]) is not ticked, and only two things can wake it: a word
-/// arriving in its inbox, which the network tracks
-/// ([`Noc::ni_touched`]), and a mutation, which can only reach it through
-/// this container. So reads wake nothing (`Deref<Target = [Ni]>`,
+/// ([`Ni::inert`]) is not ticked, and only three things can wake it: a
+/// word arriving in its inbox, which the network tracks
+/// ([`Noc::ni_touched`]); a mutation through this container; and a tick
+/// of an IP bound to it, which reaches the NI past the container, so the
+/// system marks the NI awake itself if the tick left it able to act (see
+/// [`NocSystem`]'s `emit`). So reads wake nothing (`Deref<Target = [Ni]>`,
 /// `Index`, `&` iteration), while every `&mut` path marks what it reaches
 /// awake: `nis[i]` through `IndexMut` that one NI, `DerefMut` (`iter_mut`,
 /// `&mut nis[..]`, a `&mut [Ni]` coercion) and `&mut` iteration every NI.
@@ -39,38 +42,29 @@ use std::ops::{Deref, DerefMut, Index, IndexMut, RangeFull};
 pub struct Nis {
     list: Vec<Ni>,
     /// The NIs that may not be inert: each leaves after a tick that left
-    /// it inert and rejoins on `&mut` access. Derived: never serialised,
-    /// filled by every `&mut` walk (the state walk among them).
+    /// it inert and rejoins on `&mut` access or an IP tick that gives it
+    /// work. Derived: never serialised, filled by every `&mut` walk (the
+    /// state walk among them).
     awake: BitSet,
-    /// The NIs with a bound master, slave or raw IP: the system hands
-    /// their IPs the NI's shell or kernel directly, so they join every
-    /// cycle. Structural, like the bindings.
-    bound: BitSet,
 }
 
 impl Nis {
-    /// Every NI of `list` awake, none bound.
+    /// Every NI of `list` awake.
     pub(crate) fn new(list: Vec<Ni>) -> Self {
         let n = list.len();
         Nis {
             list,
             awake: BitSet::full(n),
-            bound: BitSet::empty(n),
         }
     }
 
-    /// Records that an IP is bound to NI `ni`.
-    pub(crate) fn bind(&mut self, ni: usize) {
-        self.bound.insert(ni);
-    }
-
-    /// Ticks the NIs that can act — awake, bound, or whose link the
-    /// network touched — in ascending id order, the order of the dense
-    /// loop this replaces (the others' ticks are no-ops), and retires the
-    /// ones each tick leaves inert, one word of the set at a time.
+    /// Ticks the NIs that can act — awake, or whose link the network
+    /// touched — in ascending id order, the order of the dense loop this
+    /// replaces (the others' ticks are no-ops), and retires the ones each
+    /// tick leaves inert, one word of the set at a time.
     fn tick(&mut self, noc: &mut Noc, cycle: u64) {
         for w in 0..self.awake.word_count() {
-            let mut members = self.awake.word(w) | self.bound.word(w) | noc.ni_touched().word(w);
+            let mut members = self.awake.word(w) | noc.ni_touched().word(w);
             let mut awake = members;
             while let Some(bit) = pop_lowest(&mut members) {
                 let i = 64 * w + bit;
@@ -88,10 +82,7 @@ impl Nis {
     fn sleepers_inert(&self, noc: &Noc) -> bool {
         let touched = noc.ni_touched();
         self.list.iter().enumerate().all(|(i, ni)| {
-            self.awake.contains(i)
-                || self.bound.contains(i)
-                || touched.contains(i)
-                || ni.inert(noc.ni_link(i))
+            self.awake.contains(i) || touched.contains(i) || ni.inert(noc.ni_link(i))
         })
     }
 }
@@ -249,7 +240,6 @@ impl NocSystem {
             "port {port} of NI {ni} is not a master port"
         );
         let clock = ClockDomain::new(self.nis[ni].kernel.port_clock_div(port));
-        self.nis.bind(ni);
         self.masters.push(MasterBinding {
             ni,
             port,
@@ -266,7 +256,6 @@ impl NocSystem {
             "port {port} of NI {ni} is not a slave port"
         );
         let clock = ClockDomain::new(self.nis[ni].kernel.port_clock_div(port));
-        self.nis.bind(ni);
         self.slaves.push(SlaveBinding {
             ni,
             port,
@@ -286,7 +275,6 @@ impl NocSystem {
         ip: Box<dyn RawIp>,
     ) -> usize {
         let clock = ClockDomain::new(self.nis[ni].kernel.port_clock_div(port));
-        self.nis.bind(ni);
         self.raws.push(RawBinding {
             ni,
             channels,
@@ -542,6 +530,39 @@ impl NocSystem {
     }
 }
 
+/// Which bound IPs a cycle ticks. An IP ticks on its port-clock edge while
+/// its NI can act — awake, or touched by the network — and once its own
+/// horizon (`idle_until`, see [`MasterIp::idle_until`]) is reached. Any
+/// other tick would be a no-op: an inert NI holds nothing for its IPs
+/// ([`Ni::inert`]), and before its horizon an IP starts nothing on its own
+/// — the contract every IP model keeps.
+struct IpGate<'a> {
+    awake: &'a mut BitSet,
+    noc: &'a Noc,
+    cycle: u64,
+}
+
+impl IpGate<'_> {
+    /// Whether an IP bound to NI `ni`, whose horizon `idle_until` reports,
+    /// ticks on this edge.
+    #[inline]
+    fn ticks(&self, ni: usize, idle_until: impl FnOnce(u64) -> u64) -> bool {
+        self.awake.contains(ni)
+            || self.noc.ni_touched().contains(ni)
+            || idle_until(self.cycle) <= self.cycle
+    }
+
+    /// Wakes NI `i` if the IP that just ticked against it left it able to
+    /// act: the IP reaches its NI past the container's marking. A tick that
+    /// left the NI inert (a source refused by a full queue) wakes nothing.
+    #[inline]
+    fn ticked(&mut self, i: usize, ni: &Ni) {
+        if !self.awake.contains(i) && !ni.inert(self.noc.ni_link(i)) {
+            self.awake.insert(i);
+        }
+    }
+}
+
 /// The whole system on the engine contract. The emit phase serializes
 /// exactly like the seed's hand-rolled loop: IPs tick against their port
 /// stacks on their port clocks, every NI ticks against its link (shells,
@@ -558,30 +579,34 @@ impl Clocked for NocSystem {
         let cycle = self.noc.cycle();
         debug_assert!(
             self.nis.sleepers_inert(&self.noc),
-            "an NI outside the awake, bound and touched sets can act"
+            "an NI outside the awake and touched sets can act"
         );
-        // Bound NIs join every cycle, so the IPs reach them past the
-        // container's marking.
-        let nis = &mut self.nis.list;
+        let Nis { list, awake } = &mut self.nis;
+        let mut gate = IpGate {
+            awake,
+            noc: &self.noc,
+            cycle,
+        };
         for b in &mut self.masters {
-            if b.clock.ticks_at(cycle) {
-                b.ip.tick(nis[b.ni].master_mut(b.port), cycle);
+            if b.clock.ticks_at(cycle) && gate.ticks(b.ni, |now| b.ip.idle_until(now)) {
+                b.ip.tick(list[b.ni].master_mut(b.port), cycle);
+                gate.ticked(b.ni, &list[b.ni]);
             }
         }
         for b in &mut self.slaves {
-            if b.clock.ticks_at(cycle) {
-                b.ip.tick(nis[b.ni].slave_mut(b.port), cycle);
+            if b.clock.ticks_at(cycle) && gate.ticks(b.ni, |now| b.ip.idle_until(now)) {
+                b.ip.tick(list[b.ni].slave_mut(b.port), cycle);
+                gate.ticked(b.ni, &list[b.ni]);
             }
         }
         for b in &mut self.raws {
-            if b.clock.ticks_at(cycle) {
-                b.ip.tick(
-                    &mut RawPort {
-                        kernel: &mut nis[b.ni].kernel,
-                        channels: &b.channels,
-                    },
-                    cycle,
-                );
+            if b.clock.ticks_at(cycle) && gate.ticks(b.ni, |now| b.ip.idle_until(now)) {
+                let port = &mut RawPort {
+                    kernel: &mut list[b.ni].kernel,
+                    channels: &b.channels,
+                };
+                b.ip.tick(port, cycle);
+                gate.ticked(b.ni, &list[b.ni]);
             }
         }
         self.nis.tick(&mut self.noc, cycle);
@@ -593,18 +618,19 @@ impl Clocked for NocSystem {
     }
 
     /// The earliest cycle at which anything could act on its own, `now`
-    /// at the first part that is active. The system is dormant while
-    /// every IP is idle ([`MasterIp::idle_until`] and friends; the horizon
-    /// is rounded up to the port clock's next edge, since an IP is only
-    /// ticked on edges), the network carries nothing except scheduled GT
-    /// emissions waiting for their due cycle, and every NI is dormant
-    /// (shell stacks drained, kernel strictly drained or holding only GT
-    /// data that cannot move before its next reserved slot) — then only
-    /// time-derived counters (cycle, reserved-but-unused GT slots) can
-    /// change before the horizon, which [`skip`](Clocked::skip) computes
-    /// directly. Only awake NIs are asked: every other NI was inert after
-    /// its last tick and nothing but an inbox word — which the network
-    /// answers for — has reached it since.
+    /// at the first part that is active. The system is dormant while the
+    /// network carries nothing except scheduled GT emissions waiting for
+    /// their due cycle, every NI is dormant (shell stacks idle, kernel
+    /// strictly drained or holding only GT data that cannot move before
+    /// its next reserved slot) and every IP is idle
+    /// ([`MasterIp::idle_until`] and friends; the horizon is rounded up to
+    /// the port clock's next edge, since an IP is only ticked on edges) —
+    /// then only time-derived counters (cycle, reserved-but-unused GT
+    /// slots) can change before the horizon, which
+    /// [`skip`](Clocked::skip) computes directly. Only awake NIs are
+    /// asked: every other NI was inert after its last tick and nothing but
+    /// an inbox word — which the network answers for — has reached it
+    /// since.
     fn dormant_until(&self, now: u64) -> u64 {
         // An idle IP cannot act before its port clock's next edge.
         let at_edge = |clock: ClockDomain, at: u64| {
@@ -614,20 +640,20 @@ impl Clocked for NocSystem {
                 at
             }
         };
-        let masters = self.masters.iter();
-        let slaves = self.slaves.iter();
-        let raws = self.raws.iter();
-        // Network before NIs: activity sets answer faster than a walk.
-        let mut parts = (masters.map(|b| at_edge(b.clock, b.ip.idle_until(now))))
-            .chain(slaves.map(|b| at_edge(b.clock, b.ip.idle_until(now))))
-            .chain(raws.map(|b| at_edge(b.clock, b.ip.idle_until(now))))
-            .chain(std::iter::once_with(|| self.noc.dormant_until(now)))
-            .chain(
-                self.nis
-                    .awake
-                    .iter()
-                    .map(|i| self.nis.list[i].dormant_until(now)),
-            );
+        let masters = self.masters.iter().map(|b| (b.clock, b.ip.idle_until(now)));
+        let slaves = self.slaves.iter().map(|b| (b.clock, b.ip.idle_until(now)));
+        let raws = self.raws.iter().map(|b| (b.clock, b.ip.idle_until(now)));
+        let ips = masters
+            .chain(slaves)
+            .chain(raws)
+            .map(|(clock, at)| at_edge(clock, at));
+        let Nis { list, awake } = &self.nis;
+        // Network first: it answers from its activity sets, and during a
+        // configuration wait it is the active part. Each IP costs a
+        // virtual call, so the IPs come last.
+        let mut parts = std::iter::once(self.noc.dormant_until(now))
+            .chain(awake.iter().map(|i| list[i].dormant_until(now)))
+            .chain(ips);
         // The minimum over the parts, stopping at the first active one.
         let horizon = parts.try_fold(u64::MAX, |h, at| (at > now).then_some(h.min(at)));
         horizon.unwrap_or(now)
@@ -638,7 +664,7 @@ impl Clocked for NocSystem {
     /// asleep.
     fn skip(&mut self, cycles: u64) {
         let from = self.noc.cycle();
-        let Nis { list, awake, .. } = &mut self.nis;
+        let Nis { list, awake } = &mut self.nis;
         for i in awake.iter() {
             ClockedWith::skip(&mut list[i], from, cycles);
         }
@@ -864,18 +890,71 @@ mod tests {
         assert!(sys2.fast_forward_enabled());
     }
 
-    /// The NIs the next emit ticks.
+    /// The NIs the next emit ticks, unless an IP wakes one.
     fn to_tick(sys: &NocSystem) -> Vec<usize> {
         let touched = sys.noc.ni_touched();
         (0..sys.nis.len())
-            .filter(|&i| {
-                sys.nis.awake.contains(i) || sys.nis.bound.contains(i) || touched.contains(i)
-            })
+            .filter(|&i| sys.nis.awake.contains(i) || touched.contains(i))
             .collect()
     }
 
+    /// A memory that logs the cycles it ticks at, and the cycles it
+    /// accepts a request and retires a response at.
+    struct LoggedMemory {
+        mem: aethereal_proto::MemorySlave,
+        ticks: Vec<u64>,
+        accepted: Vec<u64>,
+        retired: Vec<u64>,
+    }
+
+    impl ClockedWith<aethereal_ni::shell::SlaveStack> for LoggedMemory {
+        fn absorb(&mut self, port: &mut aethereal_ni::shell::SlaveStack, now: u64) {
+            self.ticks.push(now);
+            // A response whose latency has elapsed retires in this absorb.
+            if self.mem.idle_until(now) == now {
+                self.retired.push(now);
+            }
+            self.mem.absorb(port, now);
+        }
+
+        fn emit(&mut self, port: &mut aethereal_ni::shell::SlaveStack, now: u64) {
+            let reads = self.mem.reads();
+            self.mem.emit(port, now);
+            if self.mem.reads() != reads {
+                self.accepted.push(now);
+            }
+        }
+    }
+
+    impl SlaveIp for LoggedMemory {
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn idle_until(&self, now: u64) -> u64 {
+            self.mem.idle_until(now)
+        }
+    }
+
+    /// Ticks `sys` until no NI is left to tick and nothing can ever act
+    /// on its own.
+    fn settle(sys: &mut NocSystem) {
+        let settled =
+            |s: &NocSystem| to_tick(s).is_empty() && s.dormant_until(s.cycle()) == u64::MAX;
+        for _ in 0..100 {
+            if settled(sys) {
+                return;
+            }
+            sys.tick();
+        }
+        panic!("not settled after 100 cycles");
+    }
+
     #[test]
-    fn a_settled_idle_mesh_ticks_no_ni_and_a_bound_one_every_cycle() {
+    fn an_idle_bound_memory_ticks_neither_its_ni_nor_itself_until_a_request_comes() {
+        use crate::runtime::{ChannelEnd, ConnectionRequest, RuntimeConfigurator};
+        use aethereal_ni::transaction::Transaction;
+        use aethereal_proto::{MemorySlave, Trace, TraceEntry, TraceMaster};
         let spec = NocSpec::new(
             TopologySpec::Mesh {
                 width: 8,
@@ -915,13 +994,68 @@ mod tests {
         assert_eq!(to_tick(&sys).len(), 128);
         sys.tick();
         assert_eq!(to_tick(&sys), Vec::<usize>::new());
-        // A bound NI is ticked every cycle, idle or not.
-        sys.bind_slave(6, 1, Box::new(aethereal_proto::MemorySlave::new(1)));
+        // A BE connection from the master on NI 5 to the slave on NI 6,
+        // then a memory on NI 6 and, on NI 5, a trace that reads once at
+        // cycle `at`.
+        let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
+        let req = ConnectionRequest::best_effort(
+            ChannelEnd { ni: 5, channel: 1 },
+            ChannelEnd { ni: 6, channel: 1 },
+        );
+        cfg.open_connection(&mut sys, &req).expect("opens");
+        // The open's last posted write lands; then nothing can ever act.
+        settle(&mut sys);
+        let at = sys.cycle() + 200;
+        let memory = LoggedMemory {
+            mem: MemorySlave::new(3),
+            ticks: Vec::new(),
+            accepted: Vec::new(),
+            retired: Vec::new(),
+        };
+        sys.bind_slave(6, 1, Box::new(memory));
+        let read = TraceEntry {
+            at_cycle: at,
+            transaction: Transaction::read(0x10, 2, 1),
+        };
+        sys.bind_master(5, 1, Box::new(TraceMaster::new(Trace::new(vec![read]))));
+        let log = |sys: &NocSystem| sys.slave_ip_as::<LoggedMemory>(0).ticks.clone();
+        // Idle and bound: neither the NIs nor their IPs tick.
+        while sys.cycle() < at {
+            assert_eq!(to_tick(&sys), Vec::<usize>::new());
+            sys.tick();
+        }
+        assert!(log(&sys).is_empty(), "the memory slept");
+        // The trace's horizon wakes the master and NI 5.
+        sys.tick();
+        assert_eq!(to_tick(&sys), vec![5]);
+        // The request reaching NI 6 wakes the NI and, that cycle, the memory.
+        while !to_tick(&sys).contains(&6) {
+            assert!(log(&sys).is_empty() && sys.cycle() < at + 100);
+            sys.tick();
+        }
+        let arrival = sys.cycle();
+        sys.tick();
+        assert_eq!(log(&sys), vec![arrival]);
+        let done = Engine::run_until(&mut sys, |s| s.all_ips_done(), 1_000);
+        assert!(done, "the read completed");
+        let m = sys.slave_ip_as::<LoggedMemory>(0);
+        assert_eq!(m.accepted.len(), 1);
+        assert_eq!(
+            m.retired,
+            vec![m.accepted[0] + 3],
+            "picked up exactly at its ready cycle"
+        );
+        let tm = sys.master_ip_as::<TraceMaster>(0);
+        assert_eq!(tm.completed(), 1);
+        // Everything falls asleep again.
+        settle(&mut sys);
+        let ticked = log(&sys).len();
         for _ in 0..50 {
             sys.tick();
-            assert_eq!(to_tick(&sys), vec![6]);
+            assert_eq!(to_tick(&sys), Vec::<usize>::new());
         }
-        assert!(sys.nis[6].inert(sys.noc.ni_link(6)), "bound, yet inert");
+        assert_eq!(log(&sys).len(), ticked, "bound, yet not ticked");
+        assert!(sys.nis[6].inert(sys.noc.ni_link(6)));
         assert!(Clocked::quiescent(&sys));
     }
 

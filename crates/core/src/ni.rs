@@ -214,10 +214,12 @@ impl Ni {
     }
 
     /// Whether every shell stack is idle (the kernel is accounted for
-    /// separately by its own [`ClockedWith::dormant_until`]).
-    fn stacks_idle(&self) -> bool {
+    /// separately by its own [`ClockedWith::dormant_until`]) — and, if
+    /// `drained`, no master or configuration stack awaits a response.
+    fn stacks_idle(&self, drained: bool) -> bool {
         members(self.shell_ports).all(|p| match &self.stacks[p] {
             PortStack::Raw | PortStack::Cnip => true,
+            PortStack::Master(m) | PortStack::Config(m) if drained => m.is_drained(),
             PortStack::Master(m) | PortStack::Config(m) => m.is_idle(),
             PortStack::Slave(s) => s.is_idle(),
         })
@@ -226,21 +228,24 @@ impl Ni {
     /// Whether a tick of this NI against `link` is a no-op until something
     /// wakes it: the kernel's cached horizon is `u64::MAX` and it owns no
     /// GT slot (so a sleeping tick has nothing to account), the inbox is
-    /// empty and every shell is idle. Only a mutation of the NI or a word
-    /// arriving in its inbox can end that, so a container that stops
-    /// ticking an inert NI resumes on exactly those two events.
+    /// empty and every shell is idle — a master shell may still await a
+    /// response, which can only come through the inbox. Only a mutation of
+    /// the NI or a word arriving in its inbox can end that, so a container
+    /// that stops ticking an inert NI resumes on exactly those two events.
+    /// An inert NI holds nothing for its IPs: no response or request in a
+    /// shell, no word in a destination queue.
     #[inline]
     pub fn inert(&self, link: &NiLink) -> bool {
-        self.kernel.inert() && link.pending() == 0 && self.stacks_idle()
+        self.kernel.inert() && link.pending() == 0 && self.stacks_idle(false)
     }
 
     /// Whether this NI is eligible for analytical fast-forward: all shell
-    /// stacks idle (an in-flight transaction couples message progress to
-    /// shell state the extrapolation does not model) and the kernel's
-    /// dynamic state limited to threshold-free GT streams
-    /// ([`NiKernel::ff_ready`]).
+    /// stacks drained, with no transaction even awaiting its response (an
+    /// in-flight transaction couples message progress to shell state the
+    /// extrapolation does not model), and the kernel's dynamic state
+    /// limited to threshold-free GT streams ([`NiKernel::ff_ready`]).
     pub fn ff_ready(&self) -> bool {
-        self.stacks_idle() && self.kernel.ff_ready()
+        self.stacks_idle(true) && self.kernel.ff_ready()
     }
 
     /// Walks the NI's complete dynamic state through a state visitor (see
@@ -292,11 +297,11 @@ impl ClockedWith<NiLink> for Ni {
     /// accounting, exactly what [`skip`](ClockedWith::skip) would add for
     /// this cycle. The horizon is invalidated by mutation (the kernel
     /// zeroes it in every state-changing method; shells are re-examined
-    /// here because a bare `&mut` stack is handed to its IP on every
-    /// clock edge), never by access. It is evaluated only after a full
+    /// here because a bare `&mut` stack is handed to its IP whenever the
+    /// IP ticks), never by access. It is evaluated only after a full
     /// tick during which nothing moved, so a busy NI pays one flag test.
     fn tick(&mut self, link: &mut NiLink, cycle: u64) {
-        if cycle < self.kernel.asleep_until() && link.pending() == 0 && self.stacks_idle() {
+        if cycle < self.kernel.asleep_until() && link.pending() == 0 && self.stacks_idle(false) {
             debug_assert!(
                 self.dormant_until(cycle) > cycle,
                 "NI {} asleep at cycle {cycle} although a fresh horizon says awake",
@@ -320,10 +325,11 @@ impl ClockedWith<NiLink> for Ni {
     }
 
     /// Shells hold no time-driven state, so the NI is dormant exactly when
-    /// its stacks are idle and its kernel reports dormancy (strict
-    /// quiescence, or queued GT data waiting for its next reserved slot).
+    /// its stacks are idle (awaiting a response counts) and its kernel
+    /// reports dormancy (strict quiescence, or queued GT data waiting for
+    /// its next reserved slot).
     fn dormant_until(&self, now: u64) -> u64 {
-        if !self.stacks_idle() {
+        if !self.stacks_idle(false) {
             return now;
         }
         ClockedWith::<NiLink>::dormant_until(&self.kernel, now)
@@ -394,8 +400,8 @@ mod tests {
             u64::MAX,
             "nothing queued, nothing enabled: no horizon at all"
         );
-        // Mere access wakes nothing — bound IPs get a `&mut` stack on every
-        // clock edge — and neither do refused or empty-handed calls.
+        // Mere access wakes nothing — a bound IP gets a `&mut` stack
+        // whenever it ticks — and neither do refused or empty-handed calls.
         let _ = ni.master_mut(1);
         let _ = &mut ni.kernel;
         assert_eq!(ni.kernel.pop_dst(1, noc.cycle()), None);

@@ -260,12 +260,31 @@ impl MasterStack {
 
     /// Whether a tick of this shell (against a quiescent kernel) can change
     /// nothing: no transaction pending or in serialization, no response
-    /// owed or waiting for the IP.
+    /// waiting for the IP, and the next response owed — if any — still
+    /// being awaited from the network (its assemblers not all ready). An
+    /// awaiting shell is idle: only a response word reaching the kernel,
+    /// which wakes the NI, can move it on.
     pub fn is_idle(&self) -> bool {
         self.pending.is_empty()
             && self.tx.is_none()
-            && self.history.is_empty()
             && self.resp_out.is_empty()
+            && !self.front_deliverable()
+    }
+
+    /// Whether the shell holds no transaction at all: idle, and no
+    /// response owed.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.is_idle() && self.history.is_empty()
+    }
+
+    /// Whether the oldest response owed can be delivered: answered in
+    /// place, or assembled on every channel it is merged from.
+    fn front_deliverable(&self) -> bool {
+        match self.history.front() {
+            None => false,
+            Some(HistEntry::Answered(_)) => true,
+            Some(HistEntry::Remote(locals)) => locals.iter().all(|&l| self.asm[l].ready() > 0),
+        }
     }
 
     /// Walks the stack's complete dynamic state through a state visitor
@@ -446,12 +465,7 @@ impl MasterStack {
     }
 
     fn deliver_in_order(&mut self) {
-        while let Some(front) = self.history.front() {
-            if let HistEntry::Remote(locals) = front {
-                if !locals.iter().all(|&l| self.asm[l].ready() > 0) {
-                    break;
-                }
-            }
+        while self.front_deliverable() {
             let r = match self.history.pop_front().expect("front checked") {
                 HistEntry::Answered(r) => r,
                 HistEntry::Remote(locals) => locals
@@ -553,6 +567,27 @@ mod tests {
         let r = s.take_response().unwrap();
         assert_eq!(r.trans_id, 7);
         assert_eq!(r.status, RespStatus::DecodeError);
+    }
+
+    #[test]
+    fn a_shell_awaiting_its_response_is_idle_until_the_response_assembles() {
+        use crate::message::encode_response;
+        let mut kernel = NiKernel::new(NiKernelSpec::reference(0));
+        let mut s = MasterStack::new(vec![1], ConnSelect::Direct, 1);
+        s.submit(Transaction::read(0x40, 1, 7));
+        assert!(!s.is_idle(), "pending");
+        for now in 0..4 {
+            s.tick(&mut kernel, now);
+        }
+        assert!(s.is_idle() && !s.is_drained(), "sent, awaiting");
+        for w in encode_response(&TransactionResponse::with_data(7, vec![5])) {
+            s.asm[0].push_word(w);
+        }
+        assert!(!s.is_idle(), "assembled: the next tick delivers it");
+        s.tick(&mut kernel, 4);
+        assert!(!s.is_idle(), "delivered, not yet taken");
+        assert_eq!(s.take_response().map(|r| r.trans_id), Some(7));
+        assert!(s.is_drained());
     }
 
     #[test]

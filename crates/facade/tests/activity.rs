@@ -3,7 +3,8 @@
 //!
 //! `Noc::emit`/`absorb` visit only routers, wires and NI links with work,
 //! `Ni::tick` returns early while the NI is dormant, and `NocSystem` does
-//! not tick an inert NI at all. The state behind those early-outs is
+//! not tick an inert NI at all, nor an idle IP bound to one. The state
+//! behind those early-outs is
 //! *derived* — invalidated by mutation (the kernel) or by `&mut` access
 //! (the containers), never serialised — so none of it may ever show:
 //!
@@ -14,6 +15,9 @@
 //!   public mutation path has its effect on exactly the cycle it has on a
 //!   twin that never slept (kept awake by snapshotting it every cycle: the
 //!   persistence walk resets all derived state to "everything awake");
+//! * **gated IPs** — IPs ticked only while their NI can act or their own
+//!   horizon has come match, cycle for cycle, a twin whose every IP
+//!   reports itself active;
 //! * **derived, not carried** — a snapshot taken while components sleep
 //!   restores into a fresh twin that continues byte-identically, and
 //!   taking it changes nothing about the donor's future.
@@ -34,7 +38,8 @@ use aethereal::ni::kernel::{
 use aethereal::ni::transaction::Transaction;
 use aethereal::proto::ip::RawPort;
 use aethereal::proto::{
-    CountingSink, MemorySlave, RawIp, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
+    CountingSink, MasterIp, MemorySlave, PixelStage, RawIp, SlaveIp, StreamSink, StreamSource,
+    Trace, TraceEntry, TraceMaster, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
 };
 use aethereal::sim::{
     ClockedWith, LinkWord, NocStats, PacketHeader, StateVisit, Topology, WordClass, SLOT_WORDS,
@@ -675,6 +680,249 @@ fn every_container_path_wakes_an_inert_ni() {
     assert_eq!([received(14), received(8), received(13)], [2, 2, 2]);
     assert_eq!(sleepy.nis[12].kernel.channel(2).space(), 3);
     finish(sleepy, awake);
+}
+
+// ---- Gated IP ticks ---------------------------------------------------------
+
+/// An IP model that reports itself active on every cycle, so the system
+/// ticks it on every port-clock edge: the dense behaviour the gate on
+/// `idle_until` replaces.
+struct AlwaysHot<T>(T);
+
+impl<Ctx: ?Sized, T: ClockedWith<Ctx>> ClockedWith<Ctx> for AlwaysHot<T> {
+    fn absorb(&mut self, ctx: &mut Ctx, now: u64) {
+        self.0.absorb(ctx, now);
+    }
+
+    fn emit(&mut self, ctx: &mut Ctx, now: u64) {
+        self.0.emit(ctx, now);
+    }
+}
+
+impl<T: MasterIp> MasterIp for AlwaysHot<T> {
+    fn as_any(&self) -> &dyn std::any::Any {
+        self.0.as_any()
+    }
+
+    fn done(&self) -> bool {
+        self.0.done()
+    }
+
+    fn idle_until(&self, now: u64) -> u64 {
+        now
+    }
+
+    fn persist(&mut self, p: &mut dyn StateVisit) {
+        self.0.persist(p);
+    }
+}
+
+impl<T: SlaveIp> SlaveIp for AlwaysHot<T> {
+    fn as_any(&self) -> &dyn std::any::Any {
+        self.0.as_any()
+    }
+
+    fn idle_until(&self, now: u64) -> u64 {
+        now
+    }
+
+    fn persist(&mut self, p: &mut dyn StateVisit) {
+        self.0.persist(p);
+    }
+}
+
+impl<T: RawIp> RawIp for AlwaysHot<T> {
+    fn as_any(&self) -> &dyn std::any::Any {
+        self.0.as_any()
+    }
+
+    fn done(&self) -> bool {
+        self.0.done()
+    }
+
+    fn idle_until(&self, now: u64) -> u64 {
+        now
+    }
+
+    fn persist(&mut self, p: &mut dyn StateVisit) {
+        self.0.persist(p);
+    }
+}
+
+/// Binds IP models to a system, each wrapped in [`AlwaysHot`] if `hot`.
+struct Binder<'a> {
+    sys: &'a mut NocSystem,
+    hot: bool,
+}
+
+impl Binder<'_> {
+    fn master(&mut self, ni: usize, ip: impl MasterIp + 'static) {
+        let ip: Box<dyn MasterIp> = if self.hot {
+            Box::new(AlwaysHot(ip))
+        } else {
+            Box::new(ip)
+        };
+        self.sys.bind_master(ni, 1, ip);
+    }
+
+    fn slave(&mut self, ni: usize, ip: impl SlaveIp + 'static) {
+        let ip: Box<dyn SlaveIp> = if self.hot {
+            Box::new(AlwaysHot(ip))
+        } else {
+            Box::new(ip)
+        };
+        self.sys.bind_slave(ni, 1, ip);
+    }
+
+    fn raw(&mut self, ni: usize, channels: Vec<usize>, ip: impl RawIp + 'static) {
+        let ip: Box<dyn RawIp> = if self.hot {
+            Box::new(AlwaysHot(ip))
+        } else {
+            Box::new(ip)
+        };
+        self.sys.bind_raw(ni, 1, channels, ip);
+    }
+}
+
+/// The BE connection the configurator opens mid-run: traffic generator
+/// on NI 5 → memory on NI 10.
+fn generator_connection() -> ConnectionRequest {
+    ConnectionRequest::best_effort(
+        ChannelEnd { ni: 5, channel: 1 },
+        ChannelEnd { ni: 10, channel: 1 },
+    )
+}
+
+/// A 4x4 mesh with the configuration module on NI 0, a trace replayer on
+/// NI 9 reading and writing a memory on NI 6 over a BE connection the
+/// configurator opened, a bounded stream NI 12 → pixel stage on NI 13 →
+/// sink on NI 14 on port clocks of divider 2, and a master port on NI 5
+/// (divider 2) and a slave port on NI 10 for [`generator_connection`].
+/// With `hot`, every IP is wrapped in [`AlwaysHot`].
+fn ip_mix(hot: bool) -> (NocSystem, RuntimeConfigurator, u64) {
+    let mut nis: Vec<_> = (0..16)
+        .map(|id| match id {
+            0 => presets::cfg_module_ni(0, 4),
+            5 | 9 => presets::master_ni(id),
+            12..=14 => presets::raw_ni(id, 2),
+            _ => presets::slave_ni(id),
+        })
+        .collect();
+    for id in [5, 12, 13, 14] {
+        nis[id].kernel.ports[1].clock_div = 2;
+    }
+    let spec = NocSpec::new(
+        TopologySpec::Mesh {
+            width: 4,
+            height: 4,
+            nis_per_router: 1,
+        },
+        nis,
+    );
+    let topo = spec.topology.build();
+    let mut cfg = RuntimeConfigurator::new(spec.build_topology(), 0, 0, 8);
+    let mut sys = NocSystem::from_spec(&spec);
+    configure(&mut sys, &topo, (12, 1), (13, 1), false, true);
+    configure(&mut sys, &topo, (13, 1), (12, 1), false, true);
+    configure(&mut sys, &topo, (13, 2), (14, 1), false, true);
+    configure(&mut sys, &topo, (14, 1), (13, 2), false, true);
+    let trace_connection = ConnectionRequest::best_effort(
+        ChannelEnd { ni: 9, channel: 1 },
+        ChannelEnd { ni: 6, channel: 1 },
+    );
+    cfg.open_connection(&mut sys, &trace_connection)
+        .expect("opens");
+    let t0 = sys.cycle();
+    let entry = |at: u64, transaction| TraceEntry {
+        at_cycle: t0 + at,
+        transaction,
+    };
+    let trace = Trace::new(vec![
+        entry(100, Transaction::read(0x20, 3, 1)),
+        entry(104, Transaction::acked_write(0x20, vec![7, 8], 2)),
+        entry(700, Transaction::read(0x20, 2, 3)),
+        entry(1_900, Transaction::write(0x30, vec![9], 4)),
+        entry(1_950, Transaction::read(0x30, 1, 5)),
+    ]);
+    let mut bind = Binder { sys: &mut sys, hot };
+    bind.master(9, TraceMaster::new(trace));
+    bind.slave(6, MemorySlave::new(3));
+    bind.raw(12, vec![1], StreamSource::counting(40));
+    bind.raw(13, vec![1, 2], PixelStage::new(|w| w ^ 0xFF00));
+    bind.raw(14, vec![1], StreamSink::new());
+    (sys, cfg, t0)
+}
+
+#[test]
+fn gated_ip_ticks_match_ips_ticked_on_every_edge() {
+    // `sleepy` gates its IPs; `hot` ticks every IP on every edge and, by
+    // a snapshot before every cycle, every NI every cycle. Both get the
+    // same inputs: a configurator open and close mid-run, the bindings
+    // that follow the open, and a snapshot restored into itself.
+    let (mut sleepy, mut sleepy_cfg, t0) = ip_mix(false);
+    let (mut hot, mut hot_cfg, hot_t0) = ip_mix(true);
+    assert_eq!(t0, hot_t0);
+    assert_same(&sleepy, &hot, "after the first open");
+    lockstep(&mut sleepy, &mut hot, 600, |_, _| {});
+    // Between trace entries, with the stream delivered: the NIs of the
+    // bound IPs are inert, so neither they nor their IPs are ticked.
+    for ni in [6, 9, 12, 13, 14] {
+        assert!(inert(&sleepy, ni), "NI {ni} sleeps with its IP bound");
+    }
+    // Open the generator's connection mid-run, then bind it and its
+    // memory.
+    hot.snapshot().expect("snapshot");
+    let handle = sleepy_cfg
+        .open_connection(&mut sleepy, &generator_connection())
+        .expect("opens on the gated system");
+    let hot_handle = hot_cfg
+        .open_connection(&mut hot, &generator_connection())
+        .expect("opens on the hot twin");
+    assert_eq!(sleepy_cfg.stats(), hot_cfg.stats(), "incl. cycles_waited");
+    assert_same(&sleepy, &hot, "after the open");
+    for (sys, hot) in [(&mut sleepy, false), (&mut hot, true)] {
+        let mut bind = Binder { sys, hot };
+        bind.master(
+            5,
+            TrafficGenerator::new(TrafficGeneratorConfig {
+                seed: 3,
+                addr_base: 0,
+                addr_range: 0x40,
+                mix: TrafficMix::Mixed { read_fraction: 0.5 },
+                burst: (1, 3),
+                gap_cycles: 60,
+                total: Some(8),
+                max_outstanding: 2,
+            }),
+        );
+        bind.slave(10, MemorySlave::new(3));
+    }
+    let restore_at = sleepy.cycle() + 300;
+    lockstep(&mut sleepy, &mut hot, 900, |sys, now| {
+        if now == restore_at {
+            let snap = sys.snapshot().expect("snapshot");
+            sys.restore(&snap).expect("restore");
+        }
+    });
+    let g = sleepy.master_ip_as::<TrafficGenerator>(1);
+    assert_eq!((g.issued(), g.completed(), g.errors()), (8, 8, 0));
+    hot.snapshot().expect("snapshot");
+    sleepy_cfg
+        .close_connection(&mut sleepy, &handle)
+        .expect("closes on the gated system");
+    hot_cfg
+        .close_connection(&mut hot, &hot_handle)
+        .expect("closes on the hot twin");
+    assert_eq!(sleepy_cfg.stats(), hot_cfg.stats(), "incl. cycles_waited");
+    assert_same(&sleepy, &hot, "after the close");
+    let end = t0 + 2_200 - sleepy.cycle();
+    lockstep(&mut sleepy, &mut hot, end, |_, _| {});
+    let trace = sleepy.master_ip_as::<TraceMaster>(0);
+    assert_eq!((trace.issued(), trace.completed()), (5, 5));
+    let sink = sleepy.raw_ip_at::<StreamSink>(14).received();
+    assert_eq!(sink.len(), 40);
+    assert!(sink.iter().zip(0..).all(|(&w, i)| w == i ^ 0xFF00));
+    finish(sleepy, hot);
 }
 
 // ---- (c) Derived, not carried ----------------------------------------------

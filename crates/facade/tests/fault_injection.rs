@@ -34,7 +34,7 @@ use aethereal::proto::{
 };
 use aethereal::sim::shard::Partition;
 use aethereal::sim::topology::dir;
-use aethereal::sim::{Engine, FaultPlan, FaultReport, NocStats, SuspectLink, Topology};
+use aethereal::sim::{Clocked, Engine, FaultPlan, FaultReport, NocStats, SuspectLink, Topology};
 use aethereal_verify::certify_system_with;
 
 const HORIZON: u64 = 12_000;
@@ -644,6 +644,8 @@ fn lost_acknowledgment_times_out_after_exactly_the_timeout() {
     // NI 6, but both mesh links out of its router are stuck for good, so
     // the acknowledgment never comes back: a structured `Timeout`, with
     // time advanced by exactly the configurator's 200 000-cycle budget.
+    // A shell that only awaits its response is idle, so once the ack is
+    // dropped the whole wait is one skip, and the system is dormant after.
     let HealBench {
         mut sys, mut cfg, ..
     } = heal_bench(None);
@@ -659,6 +661,7 @@ fn lost_acknowledgment_times_out_after_exactly_the_timeout() {
     assert_eq!(sys.cycle() - before, 200_000);
     assert_eq!(cfg.stats().cycles_waited - stats.cycles_waited, 200_000);
     assert_eq!(cfg.stats().acks, stats.acks);
+    assert!(Clocked::quiescent(&sys), "nothing left to tick");
     let dropped: u64 = sys
         .fault_report()
         .suspects

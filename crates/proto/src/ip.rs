@@ -12,9 +12,21 @@
 //! for per-component **activity reporting** — the earliest cycle at which
 //! the IP could act on its own, the IP-level form of the one idleness
 //! question. The system orchestrator composes its
-//! [`Clocked::dormant_until`] horizon from these, so a whole region of a sharded mesh can skip exactly while its IPs are
-//! between bursts (see `noc_sim::shard`). All IPs are `Send`: regions run
-//! on worker threads.
+//! [`Clocked::dormant_until`] horizon from these, so a whole region of a
+//! sharded mesh can skip exactly while its IPs are between bursts (see
+//! `noc_sim::shard`), and gates every single IP tick on them: on a
+//! port-clock edge an IP is ticked only while its NI can act or once its
+//! horizon is reached. All IPs are `Send`: regions run on worker threads.
+//!
+//! # The `idle_until` contract
+//!
+//! A tick strictly before the reported horizon, while the IP's NI is
+//! inert — its shells hold no request or response, its kernel no word in
+//! a destination queue — must be a no-op: the IP starts nothing and
+//! changes no state of its own. The system skips exactly those ticks. An
+//! IP that cannot promise this for a cycle reports that cycle (`now`),
+//! which is always correct; the defaults do so for every master and raw
+//! IP that is not `done`.
 //!
 //! [`Clocked::dormant_until`]: noc_sim::engine::Clocked::dormant_until
 
@@ -46,7 +58,10 @@ pub trait MasterIp: ClockedWith<MasterStack> + Send {
     /// The earliest base cycle ≥ `now` at which this IP could initiate new
     /// work *without any input*: `now` means "active right now" (blocks
     /// quiescence), a future cycle licenses the engine to skip the gap
-    /// exactly, `u64::MAX` means "never again" (typically [`done`]).
+    /// exactly and the system to leave the IP unticked while its NI is
+    /// inert, `u64::MAX` means "never again" (typically [`done`]). A tick
+    /// before the horizon, while the NI is inert, must be a no-op (the
+    /// module's *`idle_until` contract*).
     ///
     /// The default derives activity from [`done`], reproducing the
     /// engine's original all-or-nothing behavior; pacing-aware IPs (a
