@@ -198,19 +198,43 @@ pub fn to_string_compact(v: &Value) -> String {
     out
 }
 
+/// Appends the decimal digits of `n` — the text of `n.to_string()` — from a
+/// stack buffer, so a number costs no allocation of its own.
+fn write_num(n: u64, out: &mut String) {
+    if n < 10 {
+        out.push(char::from(b'0' + n as u8));
+        return;
+    }
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = buf.len();
+    let mut rest = n;
+    while rest > 0 {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("digits are ascii"));
+}
+
 fn write_compact(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) => out.push_str(&n.to_string()),
+        Value::Num(n) => write_num(*n, out),
         Value::Str(s) => write_string(s, out),
         Value::Arr(items) => {
+            // A state stream is a long array of numbers: write those in
+            // place, and reserve a digit and a comma for each element.
+            out.reserve(2 * items.len() + 2);
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                write_compact(item, out);
+                match item {
+                    Value::Num(n) => write_num(*n, out),
+                    other => write_compact(other, out),
+                }
             }
             out.push(']');
         }
@@ -229,11 +253,19 @@ fn write_compact(v: &Value, out: &mut String) {
     }
 }
 
+/// Starts a new line indented `level` steps of two spaces.
+fn newline(level: usize, out: &mut String) {
+    out.push('\n');
+    for _ in 0..level {
+        out.push_str("  ");
+    }
+}
+
 fn write_value(v: &Value, indent: usize, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) => out.push_str(&n.to_string()),
+        Value::Num(n) => write_num(*n, out),
         Value::Str(s) => write_string(s, out),
         Value::Arr(items) => {
             if items.is_empty() {
@@ -245,12 +277,10 @@ fn write_value(v: &Value, indent: usize, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent + 1));
+                newline(indent + 1, out);
                 write_value(item, indent + 1, out);
             }
-            out.push('\n');
-            out.push_str(&"  ".repeat(indent));
+            newline(indent, out);
             out.push(']');
         }
         Value::Obj(m) => {
@@ -263,14 +293,12 @@ fn write_value(v: &Value, indent: usize, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent + 1));
+                newline(indent + 1, out);
                 write_string(k, out);
                 out.push_str(": ");
                 write_value(item, indent + 1, out);
             }
-            out.push('\n');
-            out.push_str(&"  ".repeat(indent));
+            newline(indent, out);
             out.push('}');
         }
     }
@@ -304,11 +332,10 @@ const MAX_DEPTH: usize = 128;
 /// Returns [`JsonError`] on malformed input, trailing garbage, or nesting
 /// deeper than the parser's depth bound (`MAX_DEPTH`).
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(JsonError::at("trailing characters after document", pos));
     }
     Ok(v)
@@ -329,17 +356,18 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     if depth > MAX_DEPTH {
         return Err(JsonError::at("nesting too deep", *pos));
     }
+    let b = text.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(JsonError::at("unexpected end of input", *pos)),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
+        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -349,7 +377,16 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonErr
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos, depth + 1)?);
+                // A number right at the element's start (the compact form of
+                // a state stream) is read here; anything else — whitespace
+                // first, nesting, errors — goes the general way.
+                let item = match b.get(*pos) {
+                    Some(c) if c.is_ascii_digit() && depth < MAX_DEPTH => {
+                        Value::Num(parse_num(b, pos)?)
+                    }
+                    _ => parse_value(text, pos, depth + 1)?,
+                };
+                items.push(item);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -371,10 +408,10 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonErr
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let v = parse_value(b, pos, depth + 1)?;
+                let v = parse_value(text, pos, depth + 1)?;
                 m.insert(key, v);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -387,18 +424,28 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonErr
                 }
             }
         }
-        Some(c) if c.is_ascii_digit() => {
-            let start = *pos;
-            while *pos < b.len() && b[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).expect("digits are ascii");
-            s.parse::<u64>()
-                .map(Value::Num)
-                .map_err(|_| JsonError::at("number out of range", start))
-        }
+        Some(c) if c.is_ascii_digit() => Ok(Value::Num(parse_num(b, pos)?)),
         Some(_) => Err(JsonError::at("unexpected character", *pos)),
     }
+}
+
+/// Reads the unsigned integer starting at `*pos` (a digit). JSON forbids
+/// leading zeros; a value past `u64::MAX` is out of range. Both errors
+/// point at the number's first byte.
+fn parse_num(b: &[u8], pos: &mut usize) -> Result<u64, JsonError> {
+    let start = *pos;
+    if b[start] == b'0' && b.get(start + 1).is_some_and(u8::is_ascii_digit) {
+        return Err(JsonError::at("number has a leading zero", start));
+    }
+    let mut n = 0u64;
+    while let Some(&c) = b.get(*pos).filter(|c| c.is_ascii_digit()) {
+        n = n
+            .checked_mul(10)
+            .and_then(|n| n.checked_add(u64::from(c - b'0')))
+            .ok_or_else(|| JsonError::at("number out of range", start))?;
+        *pos += 1;
+    }
+    Ok(n)
 }
 
 fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, JsonError> {
@@ -410,10 +457,21 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, Js
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let b = text.as_bytes();
     expect(b, pos, b'"')?;
     let mut s = String::new();
     loop {
+        // Copy the run up to the next byte that needs a decision. Those
+        // bytes are ASCII, hence char boundaries of `text`.
+        let run = *pos;
+        while b
+            .get(*pos)
+            .is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20)
+        {
+            *pos += 1;
+        }
+        s.push_str(&text[run..*pos]);
         match b.get(*pos) {
             None => return Err(JsonError::at("unterminated string", *pos)),
             Some(b'"') => {
@@ -429,43 +487,53 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'n') => s.push('\n'),
                     Some(b'r') => s.push('\r'),
                     Some(b't') => s.push('\t'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| JsonError::at("truncated \\u escape", *pos))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| JsonError::at("bad \\u escape", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError::at("bad \\u escape", *pos))?;
-                        s.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| JsonError::at("bad \\u code point", *pos))?,
-                        );
-                        *pos += 4;
-                    }
+                    Some(b'b') => s.push('\u{8}'),
+                    Some(b'f') => s.push('\u{c}'),
+                    Some(b'u') => s.push(parse_unicode_escape(b, pos)?),
                     _ => return Err(JsonError::at("bad escape", *pos)),
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 code point.
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                s.push_str(
-                    std::str::from_utf8(&b[start..*pos])
-                        .map_err(|_| JsonError::at("invalid UTF-8", start))?,
-                );
-            }
+            Some(_) => return Err(JsonError::at("control character in string", *pos)),
         }
     }
+}
+
+/// Decodes the `\u` escape whose `u` is at `*pos`, leaving `*pos` on its
+/// last hex digit. A high surrogate followed by an escaped low surrogate
+/// is one code point; an unpaired surrogate is an error.
+fn parse_unicode_escape(b: &[u8], pos: &mut usize) -> Result<char, JsonError> {
+    let at = *pos;
+    let mut code = hex4(b, at)?;
+    *pos += 4;
+    if (0xD800..0xDC00).contains(&code) && b.get(*pos + 1..*pos + 3) == Some(b"\\u") {
+        let low = hex4(b, *pos + 2)?;
+        if (0xDC00..0xE000).contains(&low) {
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            *pos += 6;
+        }
+    }
+    char::from_u32(code).ok_or_else(|| JsonError::at("bad \\u code point", at))
+}
+
+/// The four hex digits after the `u` at `at`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, JsonError> {
+    let hex = b
+        .get(at + 1..at + 5)
+        .ok_or_else(|| JsonError::at("truncated \\u escape", at))?;
+    hex.iter().try_fold(0u32, |code, &c| {
+        char::from(c)
+            .to_digit(16)
+            .map(|d| code << 4 | d)
+            .ok_or_else(|| JsonError::at("bad \\u escape", at))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aethereal_testkit::prelude::*;
+    use aethereal_testkit::Rng64;
 
     #[test]
     fn roundtrip_nested() {
@@ -500,9 +568,173 @@ mod tests {
         let deep = "[".repeat(50_000);
         let err = parse(&deep).expect_err("must reject");
         assert!(err.msg.contains("nesting too deep"), "{err}");
-        // At the limit itself, parsing still works.
-        let ok = format!("{}0{}", "[".repeat(100), "]".repeat(100));
-        assert!(parse(&ok).is_ok());
+        // At the limit itself, parsing still works — also for a number read
+        // in place by its array.
+        let nested = |k: usize| format!("{}0{}", "[".repeat(k), "]".repeat(k));
+        assert!(parse(&nested(100)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err, JsonError::at("nesting too deep", MAX_DEPTH + 1));
+    }
+
+    #[test]
+    fn numbers_render_like_to_string() {
+        for n in [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(to_string_compact(&Value::Num(n)), n.to_string());
+            assert_eq!(to_string_pretty(&Value::Num(n)), n.to_string());
+            let arr = Value::Arr(vec![Value::Num(n), Value::Num(n)]);
+            assert_eq!(to_string_compact(&arr), format!("[{n},{n}]"));
+            assert_eq!(to_string_pretty(&arr), format!("[\n  {n},\n  {n}\n]"));
+        }
+    }
+
+    #[test]
+    fn number_past_u64_max_is_out_of_range_at_its_first_byte() {
+        assert_eq!(parse(&u64::MAX.to_string()).unwrap(), Value::Num(u64::MAX));
+        for (text, at) in [
+            ("18446744073709551616", 0),
+            ("[7,18446744073709551616]", 3),
+            ("[7, 99999999999999999999]", 4),
+        ] {
+            let err = parse(text).expect_err(text);
+            assert_eq!(err, JsonError::at("number out of range", at), "{text}");
+        }
+    }
+
+    #[test]
+    fn leading_zeros_are_refused() {
+        assert_eq!(parse("0").unwrap(), Value::Num(0));
+        assert_eq!(
+            parse("[0,10,0]").unwrap(),
+            Value::Arr(vec![Value::Num(0), Value::Num(10), Value::Num(0)])
+        );
+        for (text, at) in [("007", 0), ("[1,00]", 3), ("[ 01 ]", 2), ("{\"a\":05}", 5)] {
+            let err = parse(text).expect_err(text);
+            assert_eq!(
+                err,
+                JsonError::at("number has a leading zero", at),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_refused() {
+        for c in ['\u{0}', '\n', '\t', '\u{1f}'] {
+            let text = format!("\"a{c}b\"");
+            let err = parse(&text).expect_err("raw control character");
+            assert_eq!(err, JsonError::at("control character in string", 2));
+        }
+        // Escaped, they are fine — and the printer escapes them. Every
+        // short escape JSON defines is read.
+        let s = Value::Str("a\u{0}\n\t\u{1f}b".into());
+        assert_eq!(parse(&to_string_compact(&s)).unwrap(), s);
+        assert_eq!(
+            parse(r#""\"\\\/\b\f\n\r\t""#).unwrap(),
+            Value::Str("\"\\/\u{8}\u{c}\n\r\t".into())
+        );
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_decode_and_lone_surrogates_do_not() {
+        // `esc(["d83d", "de00"])` is the JSON text of two `\u` escapes.
+        let esc = |codes: &[&str]| codes.iter().map(|c| format!("\\u{c}")).collect::<String>();
+        assert_eq!(
+            parse(&format!("\"x{}y\"", esc(&["d83d", "de00"]))).unwrap(),
+            Value::Str("x\u{1F600}y".into())
+        );
+        assert_eq!(
+            parse(&format!("\"{}\"", esc(&["D834", "DD1E"]))).unwrap(),
+            Value::Str("\u{1D11E}".into())
+        );
+        for text in [
+            format!("\"{}\"", esc(&["d83d"])),
+            format!("\"{}\"", esc(&["de00"])),
+            format!("\"{}x\"", esc(&["d83d"])),
+            format!("\"{}\"", esc(&["d83d", "0041"])),
+            format!("\"{}\"", esc(&["d83d", "d83d"])),
+        ] {
+            let err = parse(&text).expect_err(&text);
+            assert_eq!(err, JsonError::at("bad \\u code point", 2), "{text}");
+        }
+        let err = parse(r#""\ud83d\uzzzz""#).expect_err("bad hex in the low half");
+        assert_eq!(err, JsonError::at("bad \\u escape", 8));
+    }
+
+    /// A random value up to `depth` levels deep: number arrays (the shape
+    /// of a state stream) are common, strings carry escapes and non-ASCII.
+    fn random_value(rng: &mut Rng64, depth: u32) -> Value {
+        const CHARS: [char; 10] = ['a', 'Z', '"', '\\', '/', '\n', '\u{1}', 'é', '→', '😀'];
+        let leaf = depth == 0 || rng.chance(0.4);
+        match rng.below(if leaf { 4 } else { 7 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.chance(0.5)),
+            2 => Value::Num(rng.next_u64() >> rng.below(64)),
+            3 => Value::Str(
+                (0..rng.below(6))
+                    .map(|_| CHARS[rng.below_usize(CHARS.len())])
+                    .collect(),
+            ),
+            4 => Value::Arr(
+                (0..rng.below(12))
+                    .map(|_| Value::Num(rng.next_u64() >> rng.below(64)))
+                    .collect(),
+            ),
+            5 => Value::Arr(
+                (0..rng.below(5))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Obj(
+                (0..rng.below(5))
+                    .map(|i| (format!("k{i}"), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// `text` with random JSON whitespace before and after every
+    /// structural character outside strings, so between every two tokens.
+    fn respaced(text: &str, rng: &mut Rng64) -> String {
+        const WS: [char; 4] = [' ', '\t', '\n', '\r'];
+        let mut pad = |out: &mut String| {
+            for _ in 0..rng.below(3) {
+                out.push(WS[rng.below_usize(WS.len())]);
+            }
+        };
+        let mut out = String::new();
+        let (mut in_str, mut escaped) = (false, false);
+        pad(&mut out);
+        for c in text.chars() {
+            let structural = !in_str && "[]{},:".contains(c);
+            if structural {
+                pad(&mut out);
+            }
+            out.push(c);
+            if structural {
+                pad(&mut out);
+            }
+            if in_str {
+                (in_str, escaped) = (escaped || c != '"', !escaped && c == '\\');
+            } else {
+                in_str = c == '"';
+            }
+        }
+        pad(&mut out);
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn values_round_trip_through_both_printers_and_any_whitespace(seed in any::<u64>()) {
+            let mut rng = Rng64::seed_from_u64(seed);
+            let v = random_value(&mut rng, 4);
+            for text in [to_string_compact(&v), to_string_pretty(&v)] {
+                prop_assert_eq!(parse(&text).unwrap(), v.clone());
+                let spaced = respaced(&text, &mut rng);
+                prop_assert_eq!(parse(&spaced).unwrap(), v.clone());
+            }
+        }
     }
 
     #[test]

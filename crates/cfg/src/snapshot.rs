@@ -82,7 +82,12 @@ fn words_to_value(words: Vec<u64>) -> Value {
 }
 
 fn value_to_words(v: &Value) -> Result<Vec<u64>, SnapshotError> {
-    v.as_arr()?.iter().map(|w| Ok(w.as_u64()?)).collect()
+    let items = v.as_arr()?;
+    let mut words = Vec::with_capacity(items.len());
+    for item in items {
+        words.push(item.as_u64()?);
+    }
+    Ok(words)
 }
 
 /// Runs one component's walk against a saver and packages the stream.

@@ -19,12 +19,16 @@
 //! routers, links and NIs cost nothing all work out of storage sized at
 //! construction.
 //!
+//! Off the cycle path, rendering a snapshot as text allocates per
+//! document, not per number.
+//!
 //! Allocations are counted **per thread**: `cargo test` runs the cases of
 //! this binary on parallel threads, so a process-wide counter would charge
 //! one case for another's set-up. The one case that spawns threads of its
 //! own (`run_parallel`'s workers) enrolls them explicitly — see
 //! [`Enrolling`].
 
+use aethereal::cfg::json::{self, Value};
 use aethereal::cfg::{presets, NocSpec, NocSystem, TopologySpec};
 use aethereal::ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
 use aethereal::ni::kernel::{chan_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg};
@@ -347,20 +351,21 @@ fn quiescent_skip_allocates_nothing() {
     assert_eq!(noc.stats().cycles, 1_000_010);
 }
 
-/// A 4x4 mesh of raw streaming NIs (channel 1 sends, channel 2 receives),
-/// configured directly through the register files: two endless BE streams
-/// (NI 0 → 5, NI 3 → 12), one endless GT stream with a GT credit-return
-/// channel (NI 15 → 10, 4 + 2 of 8 slots) and one BE stream of `burst`
-/// words (NI 6 → 9) whose endpoints fall asleep once it drains. Eight NIs
-/// and most routers never see a word.
-fn stream_system(burst: u64) -> NocSystem {
+/// A `side` x `side` mesh (`side` ≥ 4) of raw streaming NIs (channel 1
+/// sends, channel 2 receives), configured directly through the register
+/// files: two endless BE streams (NI 0 → 5, NI 3 → 12), one endless GT
+/// stream with a GT credit-return channel (NI 15 → 10, 4 + 2 of 8 slots)
+/// and one BE stream of `burst` words (NI 6 → 9) whose endpoints fall
+/// asleep once it drains. Every other NI and most routers never see a
+/// word.
+fn stream_system(side: usize, burst: u64) -> NocSystem {
     let spec = NocSpec::new(
         TopologySpec::Mesh {
-            width: 4,
-            height: 4,
+            width: side,
+            height: side,
             nis_per_router: 1,
         },
-        (0..16).map(|id| presets::raw_ni(id, 2)).collect(),
+        (0..side * side).map(|id| presets::raw_ni(id, 2)).collect(),
     );
     let topo = spec.topology.build();
     let mut sys = NocSystem::from_spec(&spec);
@@ -417,7 +422,7 @@ fn steady_state_system_tick_allocates_nothing() {
     // IP models, NI kernels (packetization, BE arbitration, GT slots) and
     // the network, BE and GT together, sleeping components beside busy
     // ones: after warm-up the whole cycle works out of fixed storage.
-    let mut sys = stream_system(200);
+    let mut sys = stream_system(4, 200);
     sys.run(2_000);
     let warm = delivered(&sys);
     let before = thread_allocs();
@@ -436,7 +441,7 @@ fn system_run_with_sleeping_nis_allocates_nothing() {
     // The burst drains inside the measured window, so `run` covers NIs
     // that tick throughout, NIs that fall asleep midway and NIs that
     // sleep throughout (and the routers and links behind each).
-    let mut sys = stream_system(2_400);
+    let mut sys = stream_system(4, 2_400);
     sys.run(500);
     let warm = delivered(&sys);
     let before = thread_allocs();
@@ -449,4 +454,35 @@ fn system_run_with_sleeping_nis_allocates_nothing() {
     );
     assert!(delivered(&sys) > warm + 3_000, "streams actually flowed");
     assert_eq!(allocs, 0, "run over ticked and slept NIs must not allocate");
+}
+
+/// Numbers anywhere in `v`.
+fn count_numbers(v: &Value) -> usize {
+    match v {
+        Value::Num(_) => 1,
+        Value::Arr(items) => items.iter().map(count_numbers).sum(),
+        Value::Obj(m) => m.values().map(count_numbers).sum(),
+        _ => 0,
+    }
+}
+
+#[test]
+fn snapshot_text_allocates_per_document_not_per_number() {
+    // The compact printer writes every number from a stack buffer into the
+    // one output string, so its allocator calls are that string's growth
+    // steps (each at least doubles it): a few dozen for any snapshot this
+    // size, where one call per number would be over ten thousand.
+    let mut sys = stream_system(8, 2_400);
+    sys.run(2_000);
+    let snap = sys.snapshot().expect("raw IPs are persist-audited");
+    let numbers = count_numbers(&snap);
+    assert!(numbers >= 10_000, "a warm 8x8 snapshot: {numbers} numbers");
+    let before = thread_allocs();
+    let text = json::to_string_compact(&snap);
+    let allocs = thread_allocs() - before;
+    assert!(
+        allocs <= 32,
+        "{allocs} allocator calls to render {numbers} numbers ({} bytes)",
+        text.len()
+    );
 }
