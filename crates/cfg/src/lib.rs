@@ -16,14 +16,11 @@
 //!
 //! Shared GT resources (TDM slots) are allocated by the **centralized**
 //! [`SlotAllocator`] (the paper's prototype choice, §3, which lets slot
-//! tables be removed from the routers); the **distributed** alternative is
-//! quantified by [`distributed::DistributedModel`] for the §3 trade-off
-//! analysis (bench E5).
+//! tables be removed from the routers).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod distributed;
 pub mod inspect;
 pub mod json;
 pub mod presets;

@@ -17,8 +17,8 @@
 //!    service.
 //!
 //! Every register write and every configuration message is counted in
-//! [`ConfigStats`] — bench E5 regenerates the paper's configuration-cost
-//! discussion from these counters.
+//! [`ConfigStats`] — the `e5_config` test regenerates the paper's
+//! configuration-cost discussion from these counters.
 
 use crate::slots::{SlotAllocation, SlotAllocator, SlotError, SlotStrategy};
 use crate::system::NocSystem;

@@ -422,11 +422,6 @@ impl NocSystem {
         self.ff_enabled = on;
     }
 
-    /// Whether the fast-forward backend is enabled.
-    pub fn fast_forward_enabled(&self) -> bool {
-        self.ff_enabled
-    }
-
     /// Cumulative fast-forward activity (jumps applied, cycles covered).
     pub fn ff_stats(&self) -> FfStats {
         self.ff_stats
@@ -836,7 +831,7 @@ mod tests {
         let mut ff = gt_stream_system(u64::MAX);
         let mut cc = gt_stream_system(u64::MAX);
         ff.set_fast_forward(true);
-        assert!(ff.fast_forward_enabled());
+        assert!(ff.ff_enabled);
         ff.run(50_000);
         cc.run(50_000);
         assert_eq!(ff.cycle(), cc.cycle());
@@ -885,9 +880,9 @@ mod tests {
         )
         .with_fast_forward(true);
         let sys = NocSystem::from_spec(&spec);
-        assert!(sys.fast_forward_enabled());
+        assert!(sys.ff_enabled);
         let sys2 = NocSystem::from_spec(&NocSpec::from_json(&spec.to_json().unwrap()).unwrap());
-        assert!(sys2.fast_forward_enabled());
+        assert!(sys2.ff_enabled);
     }
 
     /// The NIs the next emit ticks, unless an IP wakes one.

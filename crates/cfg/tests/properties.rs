@@ -2,7 +2,7 @@
 
 use aethereal_cfg::{presets, NocSpec, SlotAllocator, SlotStrategy, TopologySpec};
 use aethereal_testkit::prelude::*;
-use noc_sim::{Topology, SLOT_WORDS};
+use noc_sim::{Route, Topology, SLOT_WORDS};
 use std::collections::HashSet;
 
 fn arb_strategy() -> impl Strategy<Value = SlotStrategy> {
@@ -25,10 +25,10 @@ impl GroundTruth {
         injection_slots: &[usize],
         stu: usize,
     ) -> bool {
-        let links = topo.links_of_route(from, path);
+        let links = topo.links_of_route_segmented(from, &Route::single(path.clone()));
         for &s in injection_slots {
-            for (h, &link) in links.iter().enumerate() {
-                if !self.used.insert((link, (s + h) % stu)) {
+            for (h, link) in links.iter().enumerate() {
+                if !self.used.insert(((link.router, link.port), (s + h) % stu)) {
                     return false;
                 }
             }

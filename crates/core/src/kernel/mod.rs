@@ -376,11 +376,6 @@ impl NiKernel {
         Some(w)
     }
 
-    /// Peeks the destination queue of `ch`.
-    pub fn peek_dst(&self, ch: ChannelId, now: u64) -> Option<u32> {
-        self.channels[ch].dst_q.peek(now)
-    }
-
     /// Words visible to the IP side in the destination queue of `ch`.
     pub fn dst_level(&self, ch: ChannelId, now: u64) -> usize {
         self.channels[ch].dst_q.sync_level(now)

@@ -3,7 +3,7 @@
 //! §4.1 of the paper: *"the scheduler selects a BE channel with data and
 //! remote space using some arbitration scheme: e.g. round-robin, weighted
 //! round-robin, or based on the queue filling."* All three are implemented
-//! and selectable per NI instance; the E10 bench ablates them.
+//! and selectable per NI instance; the `e10_arbitration` test ablates them.
 
 /// The BE arbitration scheme of an NI kernel.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -6,7 +6,7 @@
 //! produces a deterministic word sequence, a [`PixelStage`] applies a
 //! word-wise transform between an input and an output channel, and a
 //! [`StreamSink`] consumes and checks the result. Together they form the
-//! GT pipeline of the `video_pipeline` example and the E4 guarantee bench.
+//! GT pipeline of the `video_pipeline` example and the `e4_guarantees` test.
 
 use crate::ip::{ClockedWith, RawIp, RawPort};
 

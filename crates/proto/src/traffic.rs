@@ -2,9 +2,9 @@
 //!
 //! Issues randomized read/write transactions over an address window with a
 //! configurable command mix, burst length and pacing, and records the
-//! request-to-response latency of every completed transaction. The E3/E4
-//! benches use saturating generators to measure throughput and the latency
-//! and jitter of GT connections under BE background load.
+//! request-to-response latency of every completed transaction. The
+//! `e4_guarantees` test loads a GT connection's link with generators to
+//! show its rate and jitter unchanged under BE background load.
 
 use crate::ip::{ClockedWith, MasterIp};
 use crate::stats::LatencySummary;

@@ -1,9 +1,9 @@
 //! Observability: per-link and NoC-wide counters.
 //!
-//! These counters back the paper-reproduction benches: link utilization and
-//! per-class word counts feed the throughput experiment (E3), and the GT
-//! conflict counter is the runtime check of the slot allocator's
-//! contention-freedom invariant (E4).
+//! Per-class word and header counts per link feed the system report's
+//! link utilization, and the GT conflict counter is the runtime check of
+//! the slot allocator's contention-freedom invariant (the paper's
+//! `e3_throughput` and `e4_guarantees` tests assert it stays zero).
 
 use crate::word::WordClass;
 
@@ -20,15 +20,6 @@ impl LinkStats {
     /// Total words transported.
     pub fn total_words(&self) -> u64 {
         self.words[0] + self.words[1]
-    }
-
-    /// Link utilization over `cycles` elapsed cycles (0.0–1.0).
-    pub fn utilization(&self, cycles: u64) -> f64 {
-        if cycles == 0 {
-            0.0
-        } else {
-            self.total_words() as f64 / cycles as f64
-        }
     }
 
     /// Walks the counters through a state visitor (see
@@ -94,16 +85,6 @@ mod tests {
         assert_eq!(s.words, [2, 1]);
         assert_eq!(s.headers, [1, 1]);
         assert_eq!(s.total_words(), 3);
-    }
-
-    #[test]
-    fn utilization_bounds() {
-        let mut s = LinkStats::default();
-        assert_eq!(s.utilization(0), 0.0);
-        for _ in 0..5 {
-            s.record(WordClass::BestEffort, false);
-        }
-        assert!((s.utilization(10) - 0.5).abs() < 1e-12);
     }
 
     #[test]

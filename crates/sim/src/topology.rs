@@ -92,7 +92,7 @@ pub struct RouterEdge {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteLink {
     /// The router owning the output (`usize::MAX` for the NI-injection
-    /// pseudo link, matching [`Topology::links_of_route`]).
+    /// pseudo link).
     pub router: RouterId,
     /// The output port (the source NI id for the injection pseudo link).
     pub port: PortIdx,
@@ -530,23 +530,13 @@ impl Topology {
         Ok(hops)
     }
 
-    /// Enumerates the directed inter-router links traversed by `path`
-    /// starting from NI `from`, as `(router, output port)` pairs — i.e. the
-    /// links whose TDM slots a GT connection must reserve, **including** the
-    /// NI-injection link represented as the pseudo pair `(usize::MAX, ni)`.
-    ///
-    /// Used by the slot allocator in `aethereal-cfg`.
-    pub fn links_of_route(&self, from: NiId, path: &Path) -> Vec<(RouterId, PortIdx)> {
-        let links = self.links_of_route_segmented(from, &Route::single(path.clone()));
-        links.into_iter().map(|l| (l.router, l.port)).collect()
-    }
-
     /// Enumerates the directed links traversed by a multi-segment `route`
-    /// from NI `from`, annotating each with the number of gateway rewrites
-    /// crossed before it (each rewrite costs one cycle of extra pipeline
-    /// delay — see [`RouteLink::gateways_before`]). For single-segment
-    /// routes this reduces exactly to [`Topology::links_of_route`] with
-    /// `gateways_before == 0` everywhere.
+    /// from NI `from` — the links whose TDM slots a GT connection must
+    /// reserve, **including** the NI-injection link as the pseudo link
+    /// `(usize::MAX, ni)` — annotating each with the number of gateway
+    /// rewrites crossed before it (each rewrite costs one cycle of extra
+    /// pipeline delay — see [`RouteLink::gateways_before`]). For
+    /// single-segment routes `gateways_before == 0` everywhere.
     pub fn links_of_route_segmented(&self, from: NiId, route: &Route) -> Vec<RouteLink> {
         let mut links = Vec::new();
         let Some((mut r, _)) = self.ni_attachment(from) else {
@@ -775,7 +765,11 @@ mod tests {
     fn links_of_route_walks_the_path() {
         let t = Topology::mesh(2, 2, 1);
         let p = t.route(0, 3).unwrap();
-        let links = t.links_of_route(0, &p);
+        let links: Vec<_> = t
+            .links_of_route_segmented(0, &Route::single(p))
+            .into_iter()
+            .map(|l| (l.router, l.port))
+            .collect();
         // injection, router0→E, router1→S, router3→local.
         assert_eq!(links.len(), 4);
         assert_eq!(links[0], (usize::MAX, 0));
@@ -840,13 +834,10 @@ mod tests {
         let t = Topology::mesh(2, 2, 1);
         let route = t.route_any(0, 3).unwrap();
         let path = t.route(0, 3).unwrap();
-        let plain = t.links_of_route(0, &path);
+        let plain = t.links_of_route_segmented(0, &Route::single(path));
         let seg = t.links_of_route_segmented(0, &route);
-        assert_eq!(seg.len(), plain.len());
-        for (s, p) in seg.iter().zip(&plain) {
-            assert_eq!((s.router, s.port), *p);
-            assert_eq!(s.gateways_before, 0);
-        }
+        assert_eq!(seg, plain);
+        assert!(seg.iter().all(|s| s.gateways_before == 0));
     }
 
     #[test]

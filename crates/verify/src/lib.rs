@@ -29,9 +29,8 @@
 //! could read back over the CNIP (`reg_read`) plus the static NI geometry
 //! (`NiKernelSpec`), so a certificate speaks about the *configured
 //! hardware*, not about whatever the allocator intended to configure: a
-//! system configured by [`aethereal_cfg::RuntimeConfigurator`], by the
-//! distributed path, or by hand-written register pokes is certified (or
-//! rejected) on equal terms.
+//! system configured by [`aethereal_cfg::RuntimeConfigurator`] or by
+//! hand-written register pokes is certified (or rejected) on equal terms.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -27,8 +27,7 @@
 //!
 //! All checks consume only `reg_read`-visible state plus static NI
 //! geometry, so they apply identically to systems configured by the
-//! [`aethereal_cfg::RuntimeConfigurator`], the distributed path, or raw
-//! register pokes.
+//! [`aethereal_cfg::RuntimeConfigurator`] or by raw register pokes.
 
 use aethereal_cfg::{NocSpec, NocSystem};
 use aethereal_ni::kernel::regs::{

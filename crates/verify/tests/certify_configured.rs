@@ -4,19 +4,22 @@
 //!
 //! * **soundness of acceptance** — every system the
 //!   [`RuntimeConfigurator`] accepts (including two-level routes with
-//!   gateway rewrites, and the direct register pokes of the bench
-//!   scenarios) earns a [`Certificate`];
+//!   gateway rewrites, and the direct register pokes of the streaming
+//!   meshes below) earns a [`Certificate`];
 //! * **soundness of rejection** — a corrupted slot table is rejected
 //!   *statically* with a precise [`Violation::SlotConflict`], and the
 //!   very collision the verifier names then shows up as `gt_conflicts`
 //!   in the cycle-accurate simulation.
 
-use aethereal_bench::shard_scenarios::{stream_mesh, MeshTraffic};
 use aethereal_cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
+use aethereal_cfg::shard::ShardedSystem;
 use aethereal_cfg::{presets, NocSpec, NocSystem, RuntimeConfigurator, SlotStrategy, TopologySpec};
-use aethereal_ni::kernel::regs::slot_reg_addr;
-use aethereal_proto::{StreamSink, StreamSource};
+use aethereal_ni::kernel::regs::{slot_reg_addr, CTRL_ENABLE};
+use aethereal_ni::kernel::{chan_reg_addr, ext_reg_addr, pack_path_rqid, ChanReg, ChannelId};
+use aethereal_proto::{CountingSink, StreamSink, StreamSource};
 use aethereal_verify::{certify, certify_system, Violation};
+use noc_sim::shard::Partition;
+use noc_sim::Topology;
 
 const STU: usize = 8;
 
@@ -135,9 +138,135 @@ fn two_level_gt_route_certifies_with_gateway_shifts() {
     assert_eq!(cert.slot_claims, 2 * 16);
 }
 
-/// The bench streaming meshes (the shard-parity workloads) are certified
-/// as configured — routes valid and minimal, credits within destination
-/// capacity — for every traffic shape.
+/// Traffic shape over the streaming mesh of [`stream_mesh`].
+#[derive(Debug, Clone, Copy)]
+enum MeshTraffic {
+    /// Every NI streams down its column to the NI half the mesh height
+    /// away (a permutation: one stream out and one in per NI). Every
+    /// stream crosses every horizontal row-band cut.
+    Uniform,
+    /// A 2x2 block of center sinks, each fed by several senders from all
+    /// quadrants: heavy contention around the center.
+    Hotspot,
+    /// Streams confined to the top two rows; the rest of the mesh is idle.
+    BusyBand,
+}
+
+/// One configured stream: sender NI (tx channel 1) → receiver NI / rx
+/// channel.
+struct Stream {
+    src: usize,
+    dst: usize,
+    rx_channel: ChannelId,
+}
+
+fn streams_for(width: usize, height: usize, traffic: MeshTraffic) -> Vec<Stream> {
+    match traffic {
+        MeshTraffic::Uniform => (0..width * height)
+            .map(|ni| {
+                let (x, y) = (ni % width, ni / width);
+                let dst = ((y + height / 2) % height) * width + x;
+                Stream {
+                    src: ni,
+                    dst,
+                    rx_channel: 2,
+                }
+            })
+            .collect(),
+        MeshTraffic::Hotspot => {
+            // Senders: the block around the sinks, round-robined over the
+            // sinks' rx channels.
+            let (cx, cy) = (width / 2 - 1, height / 2 - 1);
+            let sinks = [
+                cy * width + cx,
+                cy * width + cx + 1,
+                (cy + 1) * width + cx,
+                (cy + 1) * width + cx + 1,
+            ];
+            let mut streams = Vec::new();
+            for y in cy.saturating_sub(2)..(cy + 4).min(height) {
+                for x in cx.saturating_sub(2)..(cx + 4).min(width) {
+                    let ni = y * width + x;
+                    if sinks.contains(&ni) {
+                        continue;
+                    }
+                    let j = streams.len();
+                    streams.push(Stream {
+                        src: ni,
+                        dst: sinks[j % sinks.len()],
+                        rx_channel: 2 + (j / sinks.len()),
+                    });
+                }
+            }
+            streams
+        }
+        MeshTraffic::BusyBand => (0..width)
+            .map(|x| Stream {
+                src: x,
+                dst: width + x, // row 0 → row 1: stays inside the top band
+                rx_channel: 2,
+            })
+            .collect(),
+    }
+}
+
+/// A `width × height` mesh (one raw NI per router) whose BE streams are
+/// configured **directly** through the local register files, with
+/// two-level routes (`Topology::route_any`) so any pair routes: an endless
+/// source per stream and a [`CountingSink`] per receiving channel.
+fn stream_mesh(width: usize, height: usize, traffic: MeshTraffic) -> (NocSystem, Topology) {
+    let streams = streams_for(width, height, traffic);
+    let n = width * height;
+    // Channel needs per NI: ch1 = tx; rx channels 2.. as assigned.
+    let mut channels = vec![1usize; n];
+    for s in &streams {
+        channels[s.dst] = channels[s.dst].max(s.rx_channel);
+    }
+    let spec = NocSpec::new(
+        TopologySpec::Mesh {
+            width,
+            height,
+            nis_per_router: 1,
+        },
+        (0..n).map(|id| presets::raw_ni(id, channels[id])).collect(),
+    );
+    let topo = spec.topology.build();
+    let mut sys = NocSystem::from_spec(&spec);
+    for s in &streams {
+        let fwd = topo.route_any(s.src, s.dst).expect("any pair routes");
+        let rev = topo.route_any(s.dst, s.src).expect("any pair routes");
+        for (ni, ch, route, rqid) in [
+            (s.src, 1, &fwd, s.rx_channel),
+            (s.dst, s.rx_channel, &rev, 1),
+        ] {
+            let k = &mut sys.nis[ni].kernel;
+            k.reg_write(chan_reg_addr(ch, ChanReg::Space), 8)
+                .expect("space");
+            k.reg_write(
+                chan_reg_addr(ch, ChanReg::PathRqid),
+                pack_path_rqid(route.header_segment(), rqid as u8),
+            )
+            .expect("path");
+            for (i, w) in route.continuation_words().enumerate() {
+                k.reg_write(ext_reg_addr(ch, i), w).expect("continuation");
+            }
+            k.reg_write(chan_reg_addr(ch, ChanReg::Ctrl), CTRL_ENABLE)
+                .expect("enable BE");
+        }
+        sys.bind_raw(
+            s.src,
+            1,
+            vec![1],
+            Box::new(StreamSource::counting(u64::MAX)),
+        );
+        sys.bind_raw(s.dst, 1, vec![s.rx_channel], Box::new(CountingSink::new()));
+    }
+    (sys, topo)
+}
+
+/// The streaming meshes are certified as configured — routes valid and
+/// minimal, credits within destination capacity — for every traffic
+/// shape.
 #[test]
 fn bench_stream_meshes_certify() {
     for traffic in [
@@ -145,7 +274,7 @@ fn bench_stream_meshes_certify() {
         MeshTraffic::Hotspot,
         MeshTraffic::BusyBand,
     ] {
-        let (sys, topo, _sinks) = stream_mesh(8, 8, traffic);
+        let (sys, topo) = stream_mesh(8, 8, traffic);
         let cert = certify(&topo, sys.nis.iter().map(|ni| &ni.kernel))
             .unwrap_or_else(|v| panic!("{traffic:?} mesh must certify, got {v:?}"));
         assert!(
@@ -154,6 +283,25 @@ fn bench_stream_meshes_certify() {
         );
         assert!(!cert.flows.is_empty());
     }
+}
+
+/// The certified busy band runs split into four row bands: its streams
+/// flow while the three idle bands stay out of the shard runner's
+/// activity set.
+#[test]
+fn busy_band_leaves_other_regions_asleep() {
+    let (sys, topo) = stream_mesh(8, 8, MeshTraffic::BusyBand);
+    let mut sharded = ShardedSystem::new(sys, &topo, &Partition::mesh_rows(8, 8, 4));
+    sharded.run(300);
+    assert_eq!(
+        sharded.awake_count(),
+        1,
+        "only the busy band stays in the activity set"
+    );
+    let received: u64 = (8..16)
+        .map(|ni| sharded.raw_ip_as::<CountingSink>(ni).count())
+        .sum();
+    assert!(received > 0, "the band's streams flow");
 }
 
 /// Soundness of rejection, end to end: corrupt one NI's slot table so two
@@ -283,9 +431,7 @@ fn randomly_accepted_configurations_always_certify() {
 /// destination queue, and a dangling destination queue id.
 #[test]
 fn hand_poked_misconfigurations_are_rejected() {
-    use aethereal_ni::kernel::regs::{
-        chan_reg_addr, ext_reg_addr, pack_path_rqid, ChanReg, CTRL_ENABLE, CTRL_GT,
-    };
+    use aethereal_ni::kernel::regs::CTRL_GT;
     let spec = small_spec();
     let mut sys = NocSystem::from_spec(&spec);
     let topo = spec.topology.build();

@@ -141,8 +141,8 @@ const CENSUS_CRATES: &[&str] = &["sim", "core", "cfg", "proto", "verify"];
 
 /// The public functions whose name no non-test code uses outside their own
 /// definition, each with why it stays: `(file under crates/, name,
-/// reason)`. Non-test code is every crate's `src`, `benches` and
-/// `examples` outside `#[cfg(test)]` modules, plus `benchmark/src`;
+/// reason)`. Non-test code is every crate's `src` and `examples` outside
+/// `#[cfg(test)]` modules, plus `benchmark/src`;
 /// comments do not count. `xtask lint` refuses an orphan missing here and
 /// an entry that is no longer an orphan, so the list can only shrink:
 /// delete a function (or make it private) and drop its entry.
@@ -168,11 +168,11 @@ const ORPHAN_ALLOW: &[(&str, &str, &str)] = &[
     ("core/src/shell/slave.rs", "responses_owed", "slave shell observation point of shell and robustness tests"),
     ("cfg/src/runtime.rs", "rev_slots", "ConnectionHandle query; end_to_end checks reverse GT slots"),
     ("cfg/src/presets.rs", "multi_slave_ni", "preset of the multi-connection shell (Fig. 4) used by tests"),
+    ("cfg/src/system.rs", "raw_ip_at", "handle-free raw IP lookup of the activity, fault and ff parity tests"),
     ("cfg/src/slots.rs", "reserved_on", "SlotAllocator query; its unit tests check link reservations"),
     ("cfg/src/inspect.rs", "slots_of", "NiDump query; the inspect unit tests read remote slot tables"),
     ("cfg/src/inspect.rs", "enabled_channels", "NiDump query; the inspect unit tests read remote channels"),
     ("cfg/src/inspect.rs", "dump_ni", "reads a remote NI's registers through the NoC; protocol_features"),
-    ("cfg/src/system.rs", "fast_forward_enabled", "NocSystem query; its unit tests check the spec flag"),
     ("cfg/src/shard.rs", "shard_count", "ShardedSystem query; shard parity and fault tests use it"),
     ("proto/src/memory.rs", "poke", "preloads MemorySlave contents in tests"),
     ("verify/src/bounds.rs", "worst_case_latency", "analytical bound cross-validated by the verify tests"),
@@ -213,15 +213,24 @@ fn main() -> ExitCode {
     }
 }
 
-/// Rewrites the golden-state snapshot corpus by rerunning the
-/// `snapshot_golden` tests with `REGEN_GOLDENS=1` (each test then writes
-/// its scenario's snapshot to `crates/facade/tests/goldens/` instead of
-/// comparing against it), then immediately reruns them in compare mode so
-/// a non-deterministic scenario cannot silently bake in an unstable
+/// Rewrites both golden sets under `crates/facade/tests/goldens/` — the
+/// snapshot corpus (`snapshot_golden`) and the paper's tables
+/// (`paper_conformance`, in `paper/`) — by rerunning their tests with
+/// `REGEN_GOLDENS=1` (each test then writes its file instead of comparing
+/// against it), then immediately reruns them in compare mode so a
+/// non-deterministic scenario cannot silently bake in an unstable
 /// baseline.
 fn regen_goldens() -> ExitCode {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    let args = ["test", "-p", "aethereal", "--test", "snapshot_golden"];
+    let args = [
+        "test",
+        "-p",
+        "aethereal",
+        "--test",
+        "snapshot_golden",
+        "--test",
+        "paper_conformance",
+    ];
     for (label, regen) in [("regenerate", true), ("verify", false)] {
         let mut cmd = std::process::Command::new(&cargo);
         cmd.args(args).current_dir(repo_root());
@@ -242,7 +251,7 @@ fn regen_goldens() -> ExitCode {
             }
         }
     }
-    println!("regen-goldens: corpus rewritten and verified");
+    println!("regen-goldens: snapshot and paper goldens rewritten and verified");
     ExitCode::SUCCESS
 }
 
@@ -330,18 +339,13 @@ fn sources_in(root: &Path, dir: &Path, test_dir: bool) -> Vec<Source> {
         .collect()
 }
 
-/// Every Rust file of crate `krate`: `src`, `benches`, `examples`, `tests`.
+/// Every Rust file of crate `krate`: `src`, `examples`, `tests`.
 fn crate_sources(root: &Path, krate: &str) -> Vec<Source> {
     let dir = root.join("crates").join(krate);
-    [
-        ("src", false),
-        ("benches", false),
-        ("examples", false),
-        ("tests", true),
-    ]
-    .into_iter()
-    .flat_map(|(sub, test_dir)| sources_in(root, &dir.join(sub), test_dir))
-    .collect()
+    [("src", false), ("examples", false), ("tests", true)]
+        .into_iter()
+        .flat_map(|(sub, test_dir)| sources_in(root, &dir.join(sub), test_dir))
+        .collect()
 }
 
 /// The crates under `crates/`, sorted.
