@@ -33,7 +33,7 @@
 use crate::json::{self, Value};
 use crate::shard::ShardedSystem;
 use crate::system::NocSystem;
-use noc_sim::{PersistError, StateLoader, StateSaver, StateVisit};
+use noc_sim::{PersistError, StateLoader, StateSaver};
 
 /// Snapshot format version accepted by this build. Format 1 also carried
 /// each network's boundary registers and dirty lists (empty in every
@@ -91,14 +91,14 @@ fn value_to_words(v: &Value) -> Result<Vec<u64>, SnapshotError> {
 }
 
 /// Runs one component's walk against a saver and packages the stream.
-fn save_walk(f: impl FnOnce(&mut dyn StateVisit)) -> Result<Value, SnapshotError> {
+fn save_walk(f: impl FnOnce(&mut StateSaver)) -> Result<Value, SnapshotError> {
     let mut saver = StateSaver::new();
     f(&mut saver);
     Ok(words_to_value(saver.finish()?))
 }
 
 /// Runs one component's walk against a loader over `v`'s stream.
-fn load_walk(v: &Value, f: impl FnOnce(&mut dyn StateVisit)) -> Result<(), SnapshotError> {
+fn load_walk(v: &Value, f: impl FnOnce(&mut StateLoader)) -> Result<(), SnapshotError> {
     let mut loader = StateLoader::new(value_to_words(v)?);
     f(&mut loader);
     loader.finish()?;
@@ -109,7 +109,7 @@ fn load_walk(v: &Value, f: impl FnOnce(&mut dyn StateVisit)) -> Result<(), Snaps
 /// [`load_each`].
 fn save_each<T>(
     targets: &mut [T],
-    mut f: impl FnMut(&mut T, &mut dyn StateVisit),
+    mut f: impl FnMut(&mut T, &mut StateSaver),
 ) -> Result<Value, SnapshotError> {
     let streams = targets.iter_mut().map(|t| save_walk(|p| f(t, p)));
     Ok(Value::Arr(streams.collect::<Result<_, _>>()?))
@@ -139,7 +139,7 @@ fn load_each<T>(
     v: &Value,
     what: &str,
     targets: &mut [T],
-    mut f: impl FnMut(&mut T, &mut dyn StateVisit),
+    mut f: impl FnMut(&mut T, &mut StateLoader),
 ) -> Result<(), SnapshotError> {
     let items = v.as_arr()?;
     if items.len() != targets.len() {

@@ -482,8 +482,10 @@ impl NocSystem {
     /// fast-forward visitors: the network and the NIs through the same
     /// state walk a snapshot takes, the raw IPs through their opt-in
     /// [`RawIp::ff_visit`](aethereal_proto::RawIp::ff_visit) (an unaudited
-    /// model rejects). Masters and slaves are pre-gated empty.
-    fn ff_walk(&mut self, v: &mut dyn StateVisit) {
+    /// model rejects). Masters and slaves are pre-gated empty. The visitor
+    /// is a static type, so the network and NI walks inline its calls; it
+    /// is `Sized` so the raw IPs can still take it as `&mut dyn StateVisit`.
+    fn ff_walk<V: StateVisit>(&mut self, v: &mut V) {
         self.noc.walk(v);
         for ni in &mut self.nis {
             ni.walk(v);

@@ -201,7 +201,7 @@ impl HwFifo {
     /// `seen_at`) caches a *past* observation: it is reset instead of
     /// visited, and the next query re-derives it from the timestamps —
     /// restored, shifted by a jump, or simply as they were.
-    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+    pub fn walk<V: noc_sim::StateVisit + ?Sized>(&mut self, p: &mut V) {
         let n = p.len(self.q.len());
         if n > self.capacity {
             p.fail("snapshot fifo contents exceed the target's capacity");

@@ -248,7 +248,7 @@ impl Channel {
     /// (see [`noc_sim::persist`]): the CNIP-written registers and the
     /// flow-control counters as exact control state, both hardware queues,
     /// and the statistics as periodic counters.
-    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+    pub fn walk<V: noc_sim::StateVisit + ?Sized>(&mut self, p: &mut V) {
         use noc_sim::persist::{persist_bool, persist_int};
         persist_bool(&mut self.enabled, p);
         persist_bool(&mut self.gt, p);

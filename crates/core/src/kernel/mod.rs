@@ -862,7 +862,7 @@ impl NiKernel {
     /// both staging queues, the per-class receive cursors, the CNIP's
     /// assembler and response buffer, statistics, and every channel via
     /// [`Channel::walk`].
-    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+    pub fn walk<V: noc_sim::StateVisit + ?Sized>(&mut self, p: &mut V) {
         use noc_sim::persist::{persist_deque, persist_int, persist_opt_index, persist_word};
         let channels = self.channels.len();
         for s in &mut self.slot_table {

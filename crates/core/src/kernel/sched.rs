@@ -108,7 +108,7 @@ impl ArbState {
     /// [`noc_sim::persist`]): the round-robin pointer (an index below the
     /// kernel's `n_channels`) and the weighted-round-robin deficit
     /// counters (signed, carried as their two's-complement bits).
-    pub fn walk(&mut self, n_channels: usize, p: &mut dyn noc_sim::StateVisit) {
+    pub fn walk<V: noc_sim::StateVisit + ?Sized>(&mut self, n_channels: usize, p: &mut V) {
         noc_sim::persist::persist_index(&mut self.rr_next, n_channels, p);
         noc_sim::persist::persist_list(&mut self.wrr_counter, p, |c, p| {
             let mut w = *c as u64;

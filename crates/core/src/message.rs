@@ -298,7 +298,7 @@ impl MessageAssembler {
     /// Only what framing can produce is taken: the partial buffer must be
     /// a strict prefix of a valid message, and every waiting message
     /// exactly one.
-    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+    pub fn walk<V: noc_sim::StateVisit + ?Sized>(&mut self, p: &mut V) {
         use noc_sim::persist::{persist_deque, persist_int_list};
         p.counter(&mut self.errors);
         persist_int_list(&mut self.buf, p);

@@ -255,7 +255,7 @@ impl Ni {
     /// a periodicity certificate has to see that idle shells stay as they
     /// are. Raw and CNIP ports hold no shell state; the per-port
     /// [`ClockDomain`]s are pure dividers with no phase counter.
-    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+    pub fn walk<V: noc_sim::StateVisit + ?Sized>(&mut self, p: &mut V) {
         self.kernel.walk(p);
         for s in &mut self.stacks {
             match s {

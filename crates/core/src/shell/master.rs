@@ -295,7 +295,7 @@ impl MasterStack {
     /// is its target list; an empty list marks an entry answered in place,
     /// whose response follows. Channel indices are bounds-checked. The
     /// connection type, `seq_latency` and `pending_cap` are structural.
-    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+    pub fn walk<V: noc_sim::StateVisit + ?Sized>(&mut self, p: &mut V) {
         use noc_sim::persist::{
             persist_bool, persist_deque, persist_index, persist_int, persist_int_list, persist_list,
         };
@@ -487,7 +487,7 @@ impl MasterStack {
 /// Visits a target list: strictly ascending local channel indices below
 /// `n` (what every selector produces), so a restored list can neither
 /// index past the port nor name one channel twice.
-fn persist_targets(v: &mut Vec<usize>, n: usize, p: &mut dyn noc_sim::StateVisit) {
+fn persist_targets<V: noc_sim::StateVisit + ?Sized>(v: &mut Vec<usize>, n: usize, p: &mut V) {
     use noc_sim::persist::{persist_index, persist_list};
     persist_list(v, p, |l, p| persist_index(l, n, p));
     if !v.is_sorted_by(|a, b| a < b) {

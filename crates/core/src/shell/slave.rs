@@ -104,7 +104,7 @@ impl SlaveStack {
     /// connection history, scheduled requests, responses awaiting
     /// serialization, the in-flight serialized response and the
     /// round-robin pointer. Channel indices are bounds-checked.
-    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+    pub fn walk<V: noc_sim::StateVisit + ?Sized>(&mut self, p: &mut V) {
         use noc_sim::persist::{
             persist_bool, persist_deque, persist_index, persist_int, persist_int_list,
         };

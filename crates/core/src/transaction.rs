@@ -220,7 +220,7 @@ impl Transaction {
     /// Walks the transaction through a state visitor (see
     /// [`noc_sim::persist`]); the command travels as its 4-bit wire
     /// encoding, unknown encodings fail the restore.
-    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+    pub fn walk<V: noc_sim::StateVisit + ?Sized>(&mut self, p: &mut V) {
         use noc_sim::persist::{persist_bool, persist_int, persist_int_list};
         let mut cmd = u64::from(self.cmd.encode());
         p.item(&mut cmd);
@@ -278,7 +278,7 @@ impl TransactionResponse {
     /// Walks the response through a state visitor; the status
     /// travels as its 4-bit wire encoding (unknown codes collapse to
     /// `SlaveError`, exactly as on the wire).
-    pub fn walk(&mut self, p: &mut dyn noc_sim::StateVisit) {
+    pub fn walk<V: noc_sim::StateVisit + ?Sized>(&mut self, p: &mut V) {
         use noc_sim::persist::{persist_int, persist_int_list};
         persist_int(&mut self.trans_id, p);
         let mut status = u64::from(self.status.encode());

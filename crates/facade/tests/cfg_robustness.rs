@@ -20,9 +20,12 @@ use aethereal::ni::kernel::{chan_reg_addr, ChanReg};
 use aethereal::ni::message::encode_request;
 use aethereal::ni::shell::config::global_addr;
 use aethereal::ni::Transaction;
-use aethereal::proto::{MemorySlave, TrafficGenerator, TrafficGeneratorConfig, TrafficMix};
+use aethereal::proto::{
+    CountingSink, MemorySlave, StreamSource, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
+};
+use aethereal::sim::ff::FfDigest;
 use aethereal::sim::topology::dir;
-use aethereal::sim::{Engine, FaultPlan};
+use aethereal::sim::{Engine, FaultPlan, StateSaver, StateVisit};
 use aethereal_testkit::{base_seed, Rng64};
 
 /// A 2x2 two-NIs-per-router system with one open connection and a few
@@ -104,6 +107,12 @@ fn busy_system() -> NocSystem {
 }
 
 fn busy_snapshot() -> Value {
+    busy_warm_system().snapshot().expect("snapshot")
+}
+
+/// [`busy_system`] with its connection open and every shell
+/// mid-transaction.
+fn busy_warm_system() -> NocSystem {
     let spec = busy_spec();
     let mut sys = NocSystem::from_spec(&spec);
     let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
@@ -133,7 +142,73 @@ fn busy_snapshot() -> Value {
         sys.nis[2].slave_mut(1).responses_owed() > 0,
         "responses owed"
     );
-    sys.snapshot().expect("snapshot")
+    sys
+}
+
+/// [`spec`]'s 2x2 mesh carrying only GT traffic once configured: three
+/// GT connections between raw NIs, each fed by an endless stream, warmed
+/// until words arrive.
+fn warm_gt_mesh() -> NocSystem {
+    let spec = spec();
+    let mut sys = NocSystem::from_spec(&spec);
+    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
+    let mut sinks = Vec::new();
+    for (src, dst) in [(1, 6), (5, 2), (7, 3)] {
+        let req = ConnectionRequest::guaranteed(
+            ChannelEnd {
+                ni: src,
+                channel: 1,
+            },
+            ChannelEnd {
+                ni: dst,
+                channel: 1,
+            },
+            2,
+        );
+        cfg.open_connection(&mut sys, &req).expect("open");
+        sys.bind_raw(src, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
+        sinks.push(sys.bind_raw(dst, 1, vec![1], Box::new(CountingSink::new())));
+    }
+    Engine::run(&mut sys, 2_000);
+    for idx in sinks {
+        assert!(
+            sys.raw_ip_as::<CountingSink>(idx).count() > 0,
+            "stream flows"
+        );
+    }
+    sys
+}
+
+/// `Noc::walk`, then every `Ni::walk`, with visitor type `V`.
+fn walk_network<V: StateVisit + ?Sized>(sys: &mut NocSystem, v: &mut V) {
+    sys.noc.walk(v);
+    for ni in sys.nis.iter_mut() {
+        ni.walk(v);
+    }
+}
+
+/// Every walk is generic over its visitor: snapshots and fast-forward
+/// instantiate it with their concrete visitor, the IP models reach it
+/// through `&mut dyn StateVisit`. Both dispatches of one walk must yield
+/// one item stream and one digest.
+#[test]
+fn dyn_and_static_dispatch_of_one_walk_agree() {
+    for (what, mut sys) in [
+        ("busy shells", busy_warm_system()),
+        ("pure-GT mesh", warm_gt_mesh()),
+    ] {
+        let now = sys.cycle();
+        let (mut saver, mut digest) = (StateSaver::new(), FfDigest::new(now));
+        walk_network(&mut sys, &mut saver);
+        walk_network(&mut sys, &mut digest);
+        let (mut dyn_saver, mut dyn_digest) = (StateSaver::new(), FfDigest::new(now));
+        walk_network::<dyn StateVisit>(&mut sys, &mut dyn_saver);
+        walk_network::<dyn StateVisit>(&mut sys, &mut dyn_digest);
+        let items = saver.finish().expect("saves");
+        assert!(items.len() > 100, "{what}: a state-rich stream");
+        assert_eq!(items, dyn_saver.finish().expect("saves"), "{what}: items");
+        assert_eq!(digest, dyn_digest, "{what}: digests");
+    }
 }
 
 // ---- hand-written pathological documents ---------------------------------

@@ -464,7 +464,7 @@ impl FaultState {
     /// snapshot restores onto a network armed with the identical plan,
     /// exactly like topology wiring restores onto an identically-built
     /// network.
-    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
+    pub fn walk<V: crate::persist::StateVisit + ?Sized>(&mut self, p: &mut V) {
         p.item(&mut self.next_active);
         for a in &mut self.events {
             a.rng.walk(p);

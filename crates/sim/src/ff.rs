@@ -155,41 +155,50 @@ impl FfDigest {
         self.rejected
     }
 
+    #[inline]
     fn push(&mut self, class: Class, v: u64) {
         self.items.push(FfItem { class, v });
     }
 }
 
 impl StateVisit for FfDigest {
+    #[inline]
     fn item(&mut self, v: &mut u64) {
         self.push(Class::Exact, *v);
     }
 
+    #[inline]
     fn len(&mut self, cur: usize) -> usize {
         self.push(Class::Exact, cur as u64);
         cur
     }
 
+    #[inline]
     fn fail(&mut self, _why: &str) {
         self.rejected = true;
     }
 
+    #[inline]
     fn stamp(&mut self, v: &mut u64) {
         self.push(Class::Stamp, v.wrapping_sub(self.now));
     }
 
+    #[inline]
     fn counter(&mut self, v: &mut u64) {
         self.push(Class::Counter, *v);
     }
 
+    #[inline]
     fn value(&mut self, v: &mut u32) {
         self.push(Class::Value, u64::from(*v));
     }
 
+    #[inline]
     fn word(&mut self, packed: &mut u64) {
         self.push(Class::Word, *packed);
     }
 
+    #[inline]
     fn reject(&mut self) {
         self.rejected = true;
     }
@@ -304,6 +313,7 @@ impl<'a> FfApply<'a> {
 
     /// The certified delta of the next item, `k` periods' worth, provided
     /// the walk declares it with the certified class.
+    #[inline]
     fn next(&mut self, class: Class) -> u64 {
         match self.deltas.items.get(self.i) {
             Some(item) if item.class == class => {
@@ -320,19 +330,23 @@ impl<'a> FfApply<'a> {
 }
 
 impl StateVisit for FfApply<'_> {
+    #[inline]
     fn item(&mut self, _v: &mut u64) {
         self.next(Class::Exact);
     }
 
+    #[inline]
     fn len(&mut self, cur: usize) -> usize {
         self.next(Class::Exact);
         cur
     }
 
+    #[inline]
     fn fail(&mut self, _why: &str) {
         self.reject();
     }
 
+    #[inline]
     fn stamp(&mut self, v: &mut u64) {
         self.next(Class::Stamp);
         if !self.mismatched {
@@ -340,19 +354,23 @@ impl StateVisit for FfApply<'_> {
         }
     }
 
+    #[inline]
     fn counter(&mut self, v: &mut u64) {
         *v = v.wrapping_add(self.next(Class::Counter));
     }
 
+    #[inline]
     fn value(&mut self, v: &mut u32) {
         *v = v.wrapping_add(self.next(Class::Value) as u32);
     }
 
+    #[inline]
     fn word(&mut self, packed: &mut u64) {
         let data = (*packed as u32).wrapping_add(self.next(Class::Word) as u32);
         *packed = (*packed >> 32 << 32) | u64::from(data);
     }
 
+    #[inline]
     fn reject(&mut self) {
         debug_assert!(false, "rejection after certification");
         self.mismatched = true;

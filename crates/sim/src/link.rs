@@ -37,7 +37,7 @@ impl LinkState {
 
     /// Walks the link's dynamic state through a state visitor (see
     /// [`crate::persist`]): the wire; the endpoints are structural.
-    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
+    pub fn walk<V: crate::persist::StateVisit + ?Sized>(&mut self, p: &mut V) {
         crate::persist::persist_opt_word(&mut self.wire, p);
     }
 }

@@ -799,7 +799,7 @@ impl Noc {
     /// anything is not periodic on its own. The per-tick scratch is
     /// transient (cleared at the top of every emit) and carries nothing
     /// between cycles.
-    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
+    pub fn walk<V: crate::persist::StateVisit + ?Sized>(&mut self, p: &mut V) {
         use crate::persist::{persist_int, persist_opt_word, persist_ring, persist_word};
         p.counter(&mut self.cycle);
         p.counter(&mut self.stats.cycles);

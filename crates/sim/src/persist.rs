@@ -6,7 +6,7 @@
 //! its guaranteed-throughput class is periodic by construction. Both
 //! capabilities need the same thing — a complete, ordered, classified list
 //! of a component's dynamic fields — so each component has exactly one
-//! `walk(&mut self, v: &mut dyn StateVisit)` next to its struct
+//! `walk<V: StateVisit + ?Sized>(&mut self, v: &mut V)` next to its struct
 //! definition, and the snapshot stream ([`StateSaver`]), the restore
 //! ([`StateLoader`]), the periodicity certificate
 //! ([`FfDigest`](crate::ff::FfDigest)) and the arithmetic jump
@@ -184,15 +184,18 @@ impl StateSaver {
 }
 
 impl StateVisit for StateSaver {
+    #[inline]
     fn item(&mut self, v: &mut u64) {
         self.items.push(*v);
     }
 
+    #[inline]
     fn len(&mut self, cur: usize) -> usize {
         self.items.push(cur as u64);
         cur
     }
 
+    #[inline]
     fn fail(&mut self, why: &str) {
         if self.error.is_none() {
             self.error = Some(why.to_string());
@@ -220,6 +223,7 @@ impl StateLoader {
     }
 
     /// Reads the next recorded item, or fails the load.
+    #[inline]
     fn next(&mut self) -> Option<u64> {
         match self.items.get(self.at) {
             Some(&v) => {
@@ -255,12 +259,14 @@ impl StateLoader {
 }
 
 impl StateVisit for StateLoader {
+    #[inline]
     fn item(&mut self, v: &mut u64) {
         if let Some(x) = self.next() {
             *v = x;
         }
     }
 
+    #[inline]
     fn len(&mut self, _cur: usize) -> usize {
         match self.next() {
             Some(n) => {
@@ -287,6 +293,7 @@ impl StateVisit for StateLoader {
         }
     }
 
+    #[inline]
     fn fail(&mut self, why: &str) {
         if self.error.is_none() {
             self.error = Some(why.to_string());
@@ -296,6 +303,7 @@ impl StateVisit for StateLoader {
     /// Only what [`LinkWord::pack_u64`] can produce is taken: a stray bit
     /// above the presence marker, or contents without it, would otherwise
     /// restore as a different word (or none) than the snapshot spelled.
+    #[inline]
     fn word(&mut self, packed: &mut u64) {
         let Some(x) = self.next() else { return };
         if x == LinkWord::unpack_u64(x).map_or(0, LinkWord::pack_u64) {
@@ -313,11 +321,11 @@ impl StateVisit for StateLoader {
 /// jump over control state) is not decoded or stored back: three of the
 /// four visitors then never write to the state they walk.
 #[inline]
-fn recode<T>(
+fn recode<T, V: StateVisit + ?Sized>(
     v: &mut T,
     enc: u64,
-    p: &mut dyn StateVisit,
-    visit: impl FnOnce(&mut dyn StateVisit, &mut u64),
+    p: &mut V,
+    visit: impl FnOnce(&mut V, &mut u64),
     decode: impl FnOnce(u64) -> Result<T, &'static str>,
 ) {
     let mut w = enc;
@@ -331,12 +339,12 @@ fn recode<T>(
 }
 
 /// [`recode`] as exact control state.
-fn as_item(p: &mut dyn StateVisit, w: &mut u64) {
+fn as_item<V: StateVisit + ?Sized>(p: &mut V, w: &mut u64) {
     p.item(w);
 }
 
 /// [`recode`] as a link word.
-fn as_word(p: &mut dyn StateVisit, w: &mut u64) {
+fn as_word<V: StateVisit + ?Sized>(p: &mut V, w: &mut u64) {
     p.word(w);
 }
 
@@ -344,7 +352,7 @@ fn as_word(p: &mut dyn StateVisit, w: &mut u64) {
 /// (`u8`/`u16`/`u32`/`usize`) as an [`item`](StateVisit::item): widened in
 /// the stream; a recorded value that does not fit fails the restore.
 #[inline]
-pub fn persist_int<T>(v: &mut T, p: &mut dyn StateVisit)
+pub fn persist_int<T, V: StateVisit + ?Sized>(v: &mut T, p: &mut V)
 where
     T: Copy + TryFrom<u64>,
     u64: TryFrom<T>,
@@ -359,7 +367,7 @@ where
 
 /// Visits a `bool` (0/1 in the stream; anything else fails the restore).
 #[inline]
-pub fn persist_bool(v: &mut bool, p: &mut dyn StateVisit) {
+pub fn persist_bool<V: StateVisit + ?Sized>(v: &mut bool, p: &mut V) {
     recode(v, u64::from(*v), p, as_item, |w| match w {
         0 => Ok(false),
         1 => Ok(true),
@@ -375,7 +383,7 @@ const OUT_OF_RANGE: &str = "snapshot index is out of the target's range";
 /// (a round-robin pointer): a recorded index at or beyond the target's
 /// `bound` fails the restore instead of panicking later.
 #[inline]
-pub fn persist_index<I>(v: &mut I, bound: usize, p: &mut dyn StateVisit)
+pub fn persist_index<I, V: StateVisit + ?Sized>(v: &mut I, bound: usize, p: &mut V)
 where
     I: Copy + Into<usize> + TryFrom<usize>,
 {
@@ -388,7 +396,7 @@ where
 /// Visits an optional port or channel index (`u8` or `usize`) as `0` =
 /// `None`, `i + 1` = `Some(i)`, bounds-checked like [`persist_index`].
 #[inline]
-pub fn persist_opt_index<I>(v: &mut Option<I>, bound: usize, p: &mut dyn StateVisit)
+pub fn persist_opt_index<I, V: StateVisit + ?Sized>(v: &mut Option<I>, bound: usize, p: &mut V)
 where
     I: Copy + Into<usize> + TryFrom<usize>,
 {
@@ -402,7 +410,7 @@ where
 
 /// Visits a link word that is always present (a queue entry).
 #[inline]
-pub fn persist_word(w: &mut LinkWord, p: &mut dyn StateVisit) {
+pub fn persist_word<V: StateVisit + ?Sized>(w: &mut LinkWord, p: &mut V) {
     recode(w, w.pack_u64(), p, as_word, |w| {
         LinkWord::unpack_u64(w).ok_or("snapshot item is not a packed link word")
     });
@@ -411,7 +419,7 @@ pub fn persist_word(w: &mut LinkWord, p: &mut dyn StateVisit) {
 /// Visits a maybe-present word (a wire or staging register); `0` is the
 /// empty encoding.
 #[inline]
-pub fn persist_opt_word(w: &mut Option<LinkWord>, p: &mut dyn StateVisit) {
+pub fn persist_opt_word<V: StateVisit + ?Sized>(w: &mut Option<LinkWord>, p: &mut V) {
     let enc = w.map_or(0, LinkWord::pack_u64);
     recode(w, enc, p, as_word, |w| Ok(LinkWord::unpack_u64(w)));
 }
@@ -419,10 +427,10 @@ pub fn persist_opt_word(w: &mut Option<LinkWord>, p: &mut dyn StateVisit) {
 /// Visits a growable list: length in-stream (resized on restore), then
 /// each element through `each`.
 #[inline]
-pub fn persist_list<T: Clone + Default>(
+pub fn persist_list<T: Clone + Default, V: StateVisit + ?Sized>(
     v: &mut Vec<T>,
-    p: &mut dyn StateVisit,
-    mut each: impl FnMut(&mut T, &mut dyn StateVisit),
+    p: &mut V,
+    mut each: impl FnMut(&mut T, &mut V),
 ) {
     let n = p.len(v.len());
     v.resize(n, T::default());
@@ -434,11 +442,11 @@ pub fn persist_list<T: Clone + Default>(
 /// Visits a queue: [`persist_list`] for a `VecDeque`, new entries on
 /// restore starting out as `default`.
 #[inline]
-pub fn persist_deque<T: Clone>(
+pub fn persist_deque<T: Clone, V: StateVisit + ?Sized>(
     q: &mut VecDeque<T>,
     default: T,
-    p: &mut dyn StateVisit,
-    mut each: impl FnMut(&mut T, &mut dyn StateVisit),
+    p: &mut V,
+    mut each: impl FnMut(&mut T, &mut V),
 ) {
     let n = p.len(q.len());
     q.resize(n, default);
@@ -450,7 +458,7 @@ pub fn persist_deque<T: Clone>(
 /// Visits a list of integer control items (message buffers, serialized
 /// payloads, index lists), resizing on restore.
 #[inline]
-pub fn persist_int_list<T>(v: &mut Vec<T>, p: &mut dyn StateVisit)
+pub fn persist_int_list<T, V: StateVisit + ?Sized>(v: &mut Vec<T>, p: &mut V)
 where
     T: Copy + Default + TryFrom<u64>,
     u64: TryFrom<T>,
@@ -464,11 +472,11 @@ where
 /// capacity fails the restore — the snapshot was taken on a
 /// differently-configured network.
 #[inline]
-pub fn persist_ring<T: Copy>(
+pub fn persist_ring<T: Copy, V: StateVisit + ?Sized>(
     ring: &mut Ring<T>,
     default: T,
-    p: &mut dyn StateVisit,
-    mut each: impl FnMut(&mut T, &mut dyn StateVisit),
+    p: &mut V,
+    mut each: impl FnMut(&mut T, &mut V),
 ) {
     let n = p.len(ring.len());
     if n != ring.len() {

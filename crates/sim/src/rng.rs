@@ -88,7 +88,7 @@ impl Rng64 {
     /// state is the 64-bit SplitMix64 counter; carrying it makes restored
     /// traffic sources continue the exact sequence the snapshot
     /// interrupted.
-    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
+    pub fn walk<V: crate::persist::StateVisit + ?Sized>(&mut self, p: &mut V) {
         p.item(&mut self.state);
     }
 }

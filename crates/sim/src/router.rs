@@ -344,7 +344,7 @@ impl Router {
     /// two occupancy masks are rebuilt from the queues and holds just
     /// walked; request masks and cached candidates live only inside an
     /// emit and are not visited at all.
-    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
+    pub fn walk<V: crate::persist::StateVisit + ?Sized>(&mut self, p: &mut V) {
         use crate::persist::{
             persist_index, persist_int, persist_opt_index, persist_opt_word, persist_ring,
             persist_word,

@@ -656,7 +656,7 @@ impl<S: SyncFamily> WireRing<S> {
     /// published watermark is not part of the walk either: it is
     /// meaningless between spans and is re-derived from the restored cycle
     /// via [`WireRing::rebase`].
-    pub fn persist_slots(&self, p: &mut dyn crate::persist::StateVisit) {
+    pub fn persist_slots<V: crate::persist::StateVisit + ?Sized>(&self, p: &mut V) {
         debug_assert!(self.is_silent(), "a ring holds traffic between spans");
         if p.len(0) != 0 {
             p.fail("snapshot carries cut-wire traffic between runner spans");
@@ -1245,7 +1245,7 @@ impl ShardRunner {
     /// cycle between runs, so waking everyone is exact — quiescent regions
     /// re-sleep at the next epoch boundary. The same class as a FIFO's
     /// visibility cache.
-    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
+    pub fn walk<V: crate::persist::StateVisit + ?Sized>(&mut self, p: &mut V) {
         p.counter(&mut self.cycle);
         p.item(&mut self.batch);
         for r in &self.arena.rings {

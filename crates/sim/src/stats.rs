@@ -24,7 +24,7 @@ impl LinkStats {
 
     /// Walks the counters through a state visitor (see
     /// [`crate::persist`]): words, then headers, per class.
-    pub fn walk(&mut self, p: &mut dyn crate::persist::StateVisit) {
+    pub fn walk<V: crate::persist::StateVisit + ?Sized>(&mut self, p: &mut V) {
         for c in self.words.iter_mut().chain(&mut self.headers) {
             p.counter(c);
         }

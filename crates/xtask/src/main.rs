@@ -23,11 +23,14 @@
 //!   is driven by the engine) instead.
 //! * every crate root must carry `#![forbid(unsafe_code)]`.
 //! * every struct that owns snapshot-visible dynamic state is pinned to
-//!   the field count its state walk (`fn walk(&mut self, … &mut dyn
-//!   StateVisit)`) was audited against, and there is one walk: a second,
-//!   fast-forward-only traversal may not reappear in `sim` or `core`
-//!   (the snapshot and the periodicity certificate are derived from the
-//!   same declaration, so a field cannot be in one and not the other).
+//!   the field count its state walk (`fn walk<V: StateVisit +
+//!   ?Sized>(&mut self, …)`) was audited against, and there is one walk: a
+//!   second, fast-forward-only traversal may not reappear in `sim` or
+//!   `core` (the snapshot and the periodicity certificate are derived from
+//!   the same declaration, so a field cannot be in one and not the other).
+//!   Non-test code of `sim` and `core` never names the visitor as `dyn`:
+//!   the walks are generic so the four in-tree visitors inline into them,
+//!   and dynamic dispatch is left to the IP-model boundary in `proto`.
 //! * there is one idleness question, `dormant_until(now)`: its two older
 //!   names (`quiescent`, `next_event`) are derived views defined once in
 //!   `sim/src/engine.rs` and may not be implemented anywhere else.
@@ -69,8 +72,13 @@ const SECOND_WALK: &str = concat!("fn ff_", "visit");
 const IDLENESS_VIEWS: [&str; 2] = [concat!("fn quie", "scent("), concat!("fn next_", "event(")];
 const IDLENESS_FILE: &str = "sim/src/engine.rs";
 
-/// How a file spells the one state walk: the method and its visitor.
-const STATE_WALK: [&str; 2] = ["fn walk(&mut self", "StateVisit"];
+/// How a file spells the one state walk: the method, generic over its
+/// visitor.
+const STATE_WALK: [&str; 2] = ["fn walk<V: ", "StateVisit + ?Sized>(&mut self"];
+
+/// The visitor trait and its two re-exported names, none of which `sim`
+/// or `core` may take as `dyn` outside tests.
+const VISITOR_NAMES: [&str; 3] = ["StateVisit", "FfVisit", "PersistVisit"];
 
 /// Hot per-cycle entry points that must stay allocation-free, plus the
 /// router and NI kernel functions reached from them on every cycle.
@@ -680,6 +688,20 @@ fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) 
             });
         }
         if !in_tests {
+            if ONE_WALK_CRATES.contains(&krate)
+                && line.contains("dyn ")
+                && VISITOR_NAMES.iter().any(|v| line.contains(v))
+            {
+                findings.push(Finding {
+                    file: file.to_path_buf(),
+                    line: lineno,
+                    rule: "one-state-walk",
+                    detail: "a visitor taken as `dyn`: make the walk or helper generic \
+                             (`<V: StateVisit + ?Sized>`) so the in-tree visitors \
+                             inline; dynamic dispatch belongs at the IP-model boundary"
+                        .into(),
+                });
+            }
             if line.contains(BARRIER) {
                 findings.push(Finding {
                     file: file.to_path_buf(),
