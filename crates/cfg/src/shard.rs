@@ -67,7 +67,7 @@ impl ShardedSystem {
             masters,
             slaves,
             raws,
-            ff_enabled,
+            ff_enabled: _,
             ff_stats,
         } = sys;
         debug_assert_eq!(ff_stats, Default::default(), "split happens before any run");
@@ -123,7 +123,10 @@ impl ShardedSystem {
                 masters: region_masters.next().expect("one binding set per shard"),
                 slaves: region_slaves.next().expect("one binding set per shard"),
                 raws: region_raws.next().expect("one binding set per shard"),
-                ff_enabled,
+                // A region is never offered a jump: the shard runner drives
+                // it with `Engine::run`, and only an unsplit system runs
+                // `Engine::run_ff`.
+                ff_enabled: false,
                 ff_stats,
             });
             routers.push(shard.routers);
@@ -169,18 +172,10 @@ impl ShardedSystem {
         self.runner.awake_count()
     }
 
-    /// Enables (or disables) the analytical fast-forward backend in every
-    /// region (see [`NocSystem::set_fast_forward`]). Only
-    /// [`ShardedSystem::run`] makes fast-forward offers;
-    /// [`ShardedSystem::run_parallel`] never does (see
-    /// [`ShardRunner::run_parallel`](noc_sim::shard::ShardRunner::run_parallel)).
-    pub fn set_fast_forward(&mut self, on: bool) {
-        for r in &mut self.regions {
-            r.set_fast_forward(on);
-        }
-    }
-
-    /// Cumulative fast-forward activity summed across the regions.
+    /// Cumulative fast-forward activity summed across the regions. A
+    /// sharded run never jumps, so this stays at its split-time value,
+    /// zero: a periodic workload fast-forwards unsplit, through
+    /// [`NocSystem::run`].
     pub fn ff_stats(&self) -> noc_sim::FfStats {
         let mut total = noc_sim::FfStats::default();
         for r in &self.regions {

@@ -173,7 +173,6 @@ impl NocSpec {
     pub fn noc_config(&self) -> NocConfig {
         NocConfig {
             be_queue_words: self.be_queue_words,
-            ..NocConfig::default()
         }
     }
 

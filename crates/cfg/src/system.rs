@@ -428,22 +428,24 @@ impl NocSystem {
     }
 
     /// The structural pre-gate: only a system whose entire dynamic state
-    /// is pure threshold-free GT streaming can be periodic. Any master or
-    /// slave binding (transaction traffic), any BE word anywhere, any
-    /// shell activity, any threshold/flush/CNIP state declines — the
-    /// fallback is always cycle-accurate ticking. A shard region must
-    /// also have silent cut wires and only region-local GT circuits: the
-    /// probe ticks the region alone, so any boundary crossing during the
-    /// probed window would be lost. Both hold trivially when unsplit.
+    /// is pure threshold-free GT streaming can be periodic. Anything else
+    /// declines, and the fallback is always cycle-accurate ticking:
+    /// - `ff_enabled`: the spec's `fast_forward` flag (always off in a
+    ///   shard region, which is never offered a jump);
+    /// - no master or slave binding: [`NocSystem::ff_walk`] does not walk
+    ///   them, so the digest could not see their state;
+    /// - [`Noc::be_quiet`]: BE progress depends on arbitration history and
+    ///   credit dynamics the GT model does not extrapolate;
+    /// - [`Ni::ff_ready`]: no shell activity and no threshold, flush or
+    ///   CNIP state.
+    ///
+    /// Armed faults need no gate here: the network walk rejects them.
     fn ff_eligible(&self) -> bool {
         self.ff_enabled
-            && !self.noc.fault_armed()
             && self.masters.is_empty()
             && self.slaves.is_empty()
-            && self.noc.boundaries_silent()
             && self.noc.be_quiet()
             && self.nis.iter().all(Ni::ff_ready)
-            && self.ff_routes_local()
     }
 
     /// The candidate period: every NI's slot-table rotation
@@ -503,27 +505,6 @@ impl NocSystem {
         let mut d = FfDigest::new(self.cycle());
         self.ff_walk(&mut d);
         d
-    }
-
-    /// Whether every routable GT channel's source route stays inside this
-    /// region (no hop through a shard boundary) — the extra gate a shard
-    /// region needs before probing alone. A network without boundaries
-    /// answers without scanning its channels.
-    fn ff_routes_local(&self) -> bool {
-        if self.noc.boundary_count() == 0 {
-            return true;
-        }
-        self.nis.iter().enumerate().all(|(ni, n)| {
-            (0..n.kernel.channel_count()).all(|ch| {
-                let c = n.kernel.channel(ch);
-                !(c.is_enabled()
-                    && c.is_gt()
-                    && c.route_configured()
-                    && self
-                        .noc
-                        .route_crosses_boundary(ni, c.route_hops().into_iter()))
-            })
-        })
     }
 }
 

@@ -213,17 +213,6 @@ impl Channel {
         self.credit_flush = true;
     }
 
-    /// The full hop sequence of the configured source route, across the
-    /// header path and every continuation segment, in travel order. Used
-    /// by the shard runner's fast-forward gate to check route locality.
-    pub fn route_hops(&self) -> Vec<noc_sim::PortIdx> {
-        let mut hops: Vec<_> = noc_sim::Path::decode(self.path_bits()).iter().collect();
-        for k in 0..self.ext_count() {
-            hops.extend(noc_sim::Path::decode(self.ext_bits(k)).iter());
-        }
-        hops
-    }
-
     /// Whether the channel carries no dynamic state a fast-forward probe
     /// would need to model beyond the pure per-cycle GT pattern: no
     /// threshold gating (data/credit thresholds ≤ 1), no flush snapshot in

@@ -5,9 +5,10 @@
 //! not a statistic, not a delivered word, not a cycle count — on any
 //! workload. These tests pin that across the matrix: pure-GT streams
 //! (uniform and hotspot), multi-segment gateway routes, bounded workloads
-//! that decline, sharded execution (sequential and parallel, slack batch
-//! 1 and 16), randomized BE bursts interleaved into GT streams, and a
-//! seeded corrupted-calendar mutation that must *never* be extrapolated.
+//! that decline, sharded execution (which never fast-forwards, sequential
+//! or parallel, slack batch 1 and 16), randomized BE bursts interleaved
+//! into GT streams, and a seeded corrupted-calendar mutation that must
+//! *never* be extrapolated.
 //!
 //! Parity alone cannot tell a backend that certifies from one that
 //! silently stopped certifying (ticking is always bit-identical), so every
@@ -276,10 +277,11 @@ fn gateway_routes_decline_but_stay_bit_identical() {
 
 // ---- Sharded execution --------------------------------------------------
 
-/// One endless local GT stream in region 0 (NI 0 → NI 1, routers of the
-/// top row) while region 1 (bottom row) is completely idle: the canonical
-/// sole-awake-region shape the shard runner offers fast-forward to.
-fn sharded_local_stream() -> (NocSystem, Topology) {
+/// One endless GT stream on a 2x2 mesh, NI 0 → NI `dst`, with its reverse
+/// credit channel, from a spec whose `fast_forward` flag is
+/// `fast_forward`. `dst` 1 keeps the stream in the top row (one region of
+/// a row split); `dst` 2 sends it across the cut into the bottom row.
+fn gt_stream_2x2(dst: usize, fast_forward: bool) -> (NocSystem, Topology) {
     let mut spec = NocSpec::new(
         TopologySpec::Mesh {
             width: 2,
@@ -287,151 +289,55 @@ fn sharded_local_stream() -> (NocSystem, Topology) {
             nis_per_router: 1,
         },
         (0..4).map(|id| presets::raw_ni(id, 1)).collect(),
-    );
+    )
+    .with_fast_forward(fast_forward);
     for ni in &mut spec.nis {
         ni.kernel.ports[1].clock_div = 4;
     }
     let topo = spec.topology.build();
     let mut sys = NocSystem::from_spec(&spec);
-    let fwd = topo.route(0, 1).unwrap();
-    let rev = topo.route(1, 0).unwrap();
+    let fwd = topo.route(0, dst).unwrap();
+    let rev = topo.route(dst, 0).unwrap();
     gt_channel(&mut sys, 0, 1, pack_path_rqid(&fwd, 1), &[0, 2, 4, 6]);
-    gt_channel(&mut sys, 1, 1, pack_path_rqid(&rev, 1), &[1, 5]);
+    gt_channel(&mut sys, dst, 1, pack_path_rqid(&rev, 1), &[1, 5]);
     sys.bind_raw(0, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-    sys.bind_raw(1, 1, vec![1], Box::new(CountingSink::new()));
+    sys.bind_raw(dst, 1, vec![1], Box::new(CountingSink::new()));
     (sys, topo)
 }
 
-fn sharded_ff_run(batch: u64, parallel: bool) -> (ShardedSystem, FfStats) {
-    let (sys, topo) = sharded_local_stream();
-    let partition = Partition::mesh_rows(2, 2, 2);
-    let mut sharded = ShardedSystem::new(sys, &topo, &partition);
-    sharded.set_batch(batch);
-    sharded.set_fast_forward(true);
-    if parallel {
-        sharded.run_parallel(50_000);
-    } else {
-        sharded.run(50_000);
-    }
-    let stats = sharded.ff_stats();
-    (sharded, stats)
-}
-
+/// Fast-forward belongs to the unsplit system: a sharded run never jumps,
+/// sequential or on worker threads, whether the stream stays inside one
+/// region (the other region sleeping throughout) or crosses the cut —
+/// even from a spec that asks for fast-forward. Every run matches the
+/// unsplit, ticked run.
 #[test]
-fn sharded_sole_awake_region_fast_forwards_bit_identically() {
-    // Reference: the unsplit system, cycle-accurate.
-    let (mut reference, _) = sharded_local_stream();
-    reference.run(50_000);
-    let ref_noc = reference.noc.stats().clone();
-    let ref_kernels: Vec<_> = reference.nis.iter().map(|ni| *ni.kernel.stats()).collect();
-    let ref_sink = {
-        let s = reference.raw_ip_at::<CountingSink>(1);
-        (s.count(), s.last())
-    };
-    for batch in [1u64, 16] {
-        let (sharded, stats) = sharded_ff_run(batch, false);
-        assert_eq!(sharded.merged_noc_stats(), ref_noc, "batch {batch}");
-        assert_eq!(sharded.kernel_stats(), ref_kernels, "batch {batch}");
-        let s = sharded.raw_ip_as::<CountingSink>(1);
-        assert_eq!((s.count(), s.last()), ref_sink, "batch {batch}");
-        assert_eq!(
-            stats,
-            one_jump(49_680),
-            "sole-awake region must fast-forward (batch {batch})"
-        );
-    }
-}
-
-#[test]
-fn sharded_parallel_never_fast_forwards_and_matches() {
-    let (mut reference, _) = sharded_local_stream();
-    reference.run(50_000);
-    for batch in [1u64, 16] {
-        let (sharded, stats) = sharded_ff_run(batch, true);
-        assert_eq!(
-            stats,
-            FfStats::default(),
-            "parallel workers must not offer fast-forward"
-        );
-        assert_eq!(
-            sharded.merged_noc_stats(),
-            *reference.noc.stats(),
-            "batch {batch}"
-        );
-        let s = sharded.raw_ip_as::<CountingSink>(1);
-        let r = reference.raw_ip_at::<CountingSink>(1);
-        assert_eq!((s.count(), s.last()), (r.count(), r.last()));
-    }
-}
-
-/// "Monolithic is the one-region case": a [`Partition::single`] sharded
-/// system is driven by the same `Engine::run_ff` loop, offer and cool-down
-/// as the unsplit system, so it fast-forwards at the same cycles — not
-/// merely to the same result.
-#[test]
-fn one_region_sharded_system_is_the_monolithic_case() {
-    let (mut mono, sinks) = pure_gt_hotspot();
-    mono.set_fast_forward(true);
-    mono.run(50_000);
-    let (sys, _) = pure_gt_hotspot();
-    let topo = Topology::mesh(2, 2, 1);
-    let mut sharded = ShardedSystem::new(sys, &topo, &Partition::single(4));
-    sharded.set_fast_forward(true);
-    sharded.run(50_000);
-    assert_eq!(sharded.ff_stats(), mono.ff_stats());
-    assert_eq!(sharded.merged_noc_stats(), *mono.noc.stats());
-    for (ch, &idx) in sinks.iter().enumerate() {
-        // One region keeps every binding, in order: the handles carry over.
-        let m = mono.raw_ip_as::<CountingSink>(idx);
-        let s = sharded.region(0).raw_ip_as::<CountingSink>(idx);
-        assert_eq!((s.count(), s.last()), (m.count(), m.last()), "sink {ch}");
-    }
-}
-
-/// An endless GT stream *crossing* the shard cut: even when the sink's
-/// region sleeps and the source's region is sole-awake, the routes-local
-/// gate must refuse to probe (the probe would tick words into the
-/// boundary outside the exchange). Parity is still exact.
-#[test]
-fn sharded_cross_region_stream_declines_fast_forward() {
-    let build = || {
-        let mut spec = NocSpec::new(
-            TopologySpec::Mesh {
-                width: 2,
-                height: 2,
-                nis_per_router: 1,
-            },
-            (0..4).map(|id| presets::raw_ni(id, 1)).collect(),
-        );
-        for ni in &mut spec.nis {
-            ni.kernel.ports[1].clock_div = 4;
+fn sharded_runs_never_fast_forward_and_match() {
+    const CYCLES: u64 = 50_000;
+    for dst in [1usize, 2] {
+        let (mut reference, _) = gt_stream_2x2(dst, false);
+        reference.run(CYCLES);
+        let ref_kernels: Vec<_> = reference.nis.iter().map(|ni| *ni.kernel.stats()).collect();
+        let r = reference.raw_ip_at::<CountingSink>(dst);
+        let ref_sink = (r.count(), r.last());
+        for parallel in [false, true] {
+            for batch in [1u64, 16] {
+                let at = format!("dst {dst}, parallel {parallel}, batch {batch}");
+                let (sys, topo) = gt_stream_2x2(dst, true);
+                let mut sharded = ShardedSystem::new(sys, &topo, &Partition::mesh_rows(2, 2, 2));
+                sharded.set_batch(batch);
+                if parallel {
+                    sharded.run_parallel(CYCLES);
+                } else {
+                    sharded.run(CYCLES);
+                }
+                assert_eq!(sharded.ff_stats(), FfStats::default(), "{at}");
+                assert_eq!(sharded.merged_noc_stats(), *reference.noc.stats(), "{at}");
+                assert_eq!(sharded.kernel_stats(), ref_kernels, "{at}");
+                let s = sharded.raw_ip_as::<CountingSink>(dst);
+                assert_eq!((s.count(), s.last()), ref_sink, "{at}");
+            }
         }
-        let topo = spec.topology.build();
-        let mut sys = NocSystem::from_spec(&spec);
-        let fwd = topo.route(0, 2).unwrap(); // top row → bottom row
-        let rev = topo.route(2, 0).unwrap();
-        gt_channel(&mut sys, 0, 1, pack_path_rqid(&fwd, 1), &[0, 2, 4, 6]);
-        gt_channel(&mut sys, 2, 1, pack_path_rqid(&rev, 1), &[1, 5]);
-        sys.bind_raw(0, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-        sys.bind_raw(2, 1, vec![1], Box::new(CountingSink::new()));
-        (sys, topo)
-    };
-    let (mut reference, _) = build();
-    reference.run(20_000);
-    let (sys, topo) = build();
-    let partition = Partition::mesh_rows(2, 2, 2);
-    let mut sharded = ShardedSystem::new(sys, &topo, &partition);
-    sharded.set_fast_forward(true);
-    sharded.run(20_000);
-    assert_eq!(
-        sharded.ff_stats(),
-        FfStats::default(),
-        "cross-cut routes must never be extrapolated"
-    );
-    assert_eq!(sharded.merged_noc_stats(), *reference.noc.stats());
-    let s = sharded.raw_ip_as::<CountingSink>(2);
-    let r = reference.raw_ip_at::<CountingSink>(2);
-    assert_eq!((s.count(), s.last()), (r.count(), r.last()));
+    }
 }
 
 // ---- BE bursts into GT streams (property) -------------------------------
@@ -517,11 +423,11 @@ impl RawIp for BurstSource {
     }
 }
 
-/// 2x2 mesh: the endless local GT stream of [`sharded_local_stream`] in
+/// 2x2 mesh: the endless GT stream NI 0 → NI 1 of [`gt_stream_2x2`] in
 /// the top row plus a BE channel NI 2 → NI 3 in the bottom row driven by a
 /// scheduled [`BurstSource`].
 fn gt_with_bursts(schedule: Vec<(u64, u32)>) -> (NocSystem, usize, usize) {
-    let (mut sys, topo) = sharded_local_stream();
+    let (mut sys, topo) = gt_stream_2x2(1, false);
     let fwd = topo.route(2, 3).unwrap();
     let rev = topo.route(3, 2).unwrap();
     for (ni, path) in [(2usize, &fwd), (3, &rev)] {

@@ -39,9 +39,10 @@
 //! [`Engine::run`], [`Engine::run_until`], [`Engine::run_until_horizon`] and
 //! the fast-forwarding `Engine::run_ff` are four thin callers of one
 //! private stepping loop, the only sequential run loop in the workspace: the
-//! shard runner's `run` is `run_ff` over the runner and its regions taken
-//! as one [`Clocked`] fabric (see [`crate::shard`]); only its worker-thread
-//! body steps regions on its own.
+//! shard runner's `run` is [`Engine::run`] over the runner and its regions
+//! taken as one [`Clocked`] fabric (see [`crate::shard`]); only its
+//! worker-thread body steps regions on its own. `run_ff` has one caller,
+//! the unsplit system's run: a sharded run never offers fast-forward.
 //!
 //! The paper's NI owns a TDM slot table, so "is it idle?" is really "*until
 //! when* is it idle?" — the next reserved slot with sendable data. A driver

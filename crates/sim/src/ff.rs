@@ -404,8 +404,8 @@ impl Engine {
     /// did — [`FF_COOLDOWN`] at minimum — so a fabric that declines (the
     /// default, a disabled backend, a mixed workload) pays one comparison
     /// per cycle and a bounded, amortized cost per attempt instead of a
-    /// per-cycle scan. This is the only cool-down rule: sharded runs are
-    /// driven by this same function.
+    /// per-cycle scan. This is the only offer and the only cool-down
+    /// rule.
     pub fn run_ff<C: Clocked + ?Sized>(fabric: &mut C, cycles: u64) {
         let mut cooldown_until = 0u64;
         let offer = |fabric: &mut C, remaining: u64| {

@@ -26,6 +26,10 @@ use crate::stats::{LinkStats, NocStats};
 use crate::topology::{Endpoint, NiId, RouterId, Topology};
 use crate::word::{LinkWord, WordClass, SLOT_WORDS};
 
+/// Capacity of every NI-side inbox, in words: a safety bound on how far an
+/// NI may lag in draining, generous because NIs sink at line rate.
+const NI_INBOX_WORDS: usize = 4096;
+
 /// Construction parameters for a [`Noc`].
 #[derive(Debug, Clone, Copy)]
 pub struct NocConfig {
@@ -35,16 +39,12 @@ pub struct NocConfig {
     /// and a 1-word queue can never admit the continuation (the header's
     /// credit only returns once the rewrite happens).
     pub be_queue_words: usize,
-    /// Capacity of the NI-side inbox (safety bound on how far an NI may lag
-    /// in draining; generous because NIs sink at line rate).
-    pub ni_inbox_words: usize,
 }
 
 impl Default for NocConfig {
     fn default() -> Self {
         NocConfig {
             be_queue_words: DEFAULT_BE_QUEUE_WORDS,
-            ni_inbox_words: 4096,
         }
     }
 }
@@ -285,10 +285,7 @@ impl Noc {
             ni_out_link.push(links.len());
             links.push(LinkState::new(nie, re));
             links.push(LinkState::new(re, nie));
-            ni_links.push(NiLink::new(
-                config.be_queue_words as u32,
-                config.ni_inbox_words,
-            ));
+            ni_links.push(NiLink::new(config.be_queue_words as u32, NI_INBOX_WORDS));
         }
         // The wiring table follows from the links: a link's source port
         // leads onto it, and dequeues at its destination port credit its
@@ -476,7 +473,7 @@ impl Noc {
 
     /// Whether fault machinery is armed — `true` from [`Noc::arm_faults`]
     /// until [`Noc::disarm_faults`], even when every window has expired
-    /// (the conservative fast-forward gate).
+    /// (as long as it is, [`Noc::walk`] rejects every fast-forward).
     pub fn fault_armed(&self) -> bool {
         self.fault.is_some()
     }
@@ -548,7 +545,8 @@ impl Noc {
     }
 
     /// Number of boundary attachments.
-    pub fn boundary_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn boundary_count(&self) -> usize {
         self.boundaries.len()
     }
 
@@ -659,8 +657,9 @@ impl Noc {
             // Armed fault events move to the shard owning their router
             // (ids are global, so no remapping; dynamic state — generator
             // positions, health counters — travels unchanged). Every shard
-            // stays *armed* even with no local events, so the conservative
-            // fast-forward gate holds across the whole fleet.
+            // stays *armed* even with no local events, so every region
+            // answers `fault_armed` and walks fault state as the unsplit
+            // network does.
             if let Some(f) = self.fault.as_mut() {
                 noc.fault = Some(f.extract_owned(&piece.routers));
             }
@@ -736,8 +735,7 @@ impl Noc {
     /// upstream: in this network, where the sets see them, or in the
     /// sending NI's kernel. So the answer covers a whole system together
     /// with the NIs' own test, as the system's fast-forward gate applies
-    /// it. (A sharded run offers fast-forward to one region only while
-    /// every other region sleeps, and a sleeping region holds no BE word.)
+    /// it.
     pub fn be_quiet(&self) -> bool {
         let be = |w: &LinkWord| w.class() == WordClass::BestEffort;
         self.active.iter().all(|r| self.routers[r].be_quiet())
@@ -751,52 +749,13 @@ impl Noc {
             })
     }
 
-    /// Whether every shard boundary is completely silent: no word or
-    /// credit in flight on a cut-wire ring in either direction. A region
-    /// may only fast-forward while its cut wires are silent — the probe
-    /// ticks the region alone, so any boundary exchange during the probed
-    /// window would be lost.
-    pub fn boundaries_silent(&self) -> bool {
-        self.exchange.as_ref().is_none_or(|x| x.silent())
-    }
-
-    /// Follows a source route hop by hop from NI `ni`'s attachment point
-    /// and reports whether it ever leaves this (possibly sharded) network
-    /// through a boundary port or an unwired port. `hops` is the full hop
-    /// sequence across all route segments
-    /// ([`Route::iter_hops`](crate::Route::iter_hops)).
-    ///
-    /// Used by the shard runner's fast-forward gate: a region may only
-    /// extrapolate GT streams whose circuits are entirely local.
-    pub fn route_crosses_boundary(&self, ni: NiId, hops: impl Iterator<Item = PortIdx>) -> bool {
-        let mut ep = self.links[self.ni_out_link[ni]].dst;
-        for p in hops {
-            let r = match ep {
-                Endpoint::Router { router, .. } => router,
-                // Delivered to an NI; trailing hops can't leave anymore.
-                Endpoint::Ni { .. } => return false,
-            };
-            // A port the router does not have swallows the word like an
-            // unwired one; conservatively treat both as leaving the region.
-            if usize::from(p) >= self.routers[r].ports() {
-                return true;
-            }
-            match self.wiring[self.port_base[r] + usize::from(p)].out {
-                OutTarget::Link(l) => ep = self.links[l].dst,
-                OutTarget::Boundary(_) | OutTarget::Unwired => return true,
-            }
-        }
-        false
-    }
-
     /// Walks the network's complete dynamic state through a state visitor
     /// (see [`crate::persist`]): cycle, statistics, wires, NI handles,
     /// boundary ingress tallies, routers, armed fault machinery.
     /// Structural wiring (the topology maps, the config) stays outside: a
     /// snapshot restores onto an identically-built network. So does the
     /// exchange handle — in-flight arena state travels with the shard
-    /// runner's walk, not the region's, and a region whose cut wires carry
-    /// anything is not periodic on its own. The per-tick scratch is
+    /// runner's walk, not the region's. The per-tick scratch is
     /// transient (cleared at the top of every emit) and carries nothing
     /// between cycles.
     pub fn walk<V: crate::persist::StateVisit + ?Sized>(&mut self, p: &mut V) {
@@ -819,11 +778,6 @@ impl Noc {
             persist_opt_word(&mut h.outgoing, p);
             persist_ring(&mut h.incoming, empty, p, |w, p| persist_word(w, p));
             persist_int(&mut h.credits, p);
-        }
-        // A cut word or credit in flight on the arena would be skipped
-        // past by a jump.
-        if self.exchange.as_ref().is_some_and(|x| !x.silent()) {
-            p.reject();
         }
         for b in &mut self.boundaries {
             b.stats.walk(p);

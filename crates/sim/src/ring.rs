@@ -8,8 +8,9 @@
 //! The steady-state `Noc` tick performs zero allocations as a result
 //! (pinned by the facade's `zero_alloc` test). Slots are written in order
 //! on first use rather than at construction, so building a network does
-//! not write every slot of every NI inbox (4096 per NI by default): a
-//! 16x16 mesh is 8 MiB of memory touched only as traffic reaches it.
+//! not write every slot of every NI inbox (4096 words per NI, a fixed
+//! capacity): a 16x16 mesh is 8 MiB of memory touched only as traffic
+//! reaches it.
 
 /// Error returned when pushing into a full ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -68,7 +68,6 @@
 //! crate.
 
 use crate::engine::{Clocked, Engine};
-use crate::ff::FfOutcome;
 use crate::link::LinkId;
 use crate::noc::Noc;
 use crate::path::PortIdx;
@@ -422,14 +421,6 @@ where
 /// arena — the shape the shard runner drives. Implemented by [`NocShard`]
 /// (pure-network shards) and by `aethereal-cfg`'s `NocSystem` (full-system
 /// shards).
-///
-/// The runner offers a region's [`Clocked::fast_forward`] only while it is
-/// the *sole* awake region and every sleeper's wake horizon lies beyond
-/// the offered window, so nothing can interact with it. The implementor
-/// still owns all eligibility checking — in particular it must decline
-/// unless its boundaries are silent and every live circuit stays inside
-/// the region, because the probe ticks the region alone, while its
-/// neighbours stand still.
 pub trait ShardRegion: Clocked + Send {
     /// Takes the region's handle onto the runner's exchange arena — called
     /// once, by [`ShardRunner::new`]. A region with a network hands it to
@@ -643,7 +634,7 @@ impl<S: SyncFamily> WireRing<S> {
     /// Resets the watermark to first-unpublished = `start` without
     /// touching slots. [`ShardRunner::run_parallel`] rebases every ring at
     /// entry: watermarks are meaningless between parallel spans (the
-    /// sequential runner and fast-forward jumps never advance them).
+    /// sequential runner never advances them).
     pub fn rebase(&self, start: u64) {
         self.published.store(start, Ordering::Relaxed);
     }
@@ -767,15 +758,6 @@ impl ExchangeAttachment {
     #[inline]
     pub fn in_ring(&self, b: usize) -> &WireRing {
         self.arena.ring(self.in_wire[b])
-    }
-
-    /// Whether every wire this region touches is silent in both
-    /// directions (the fast-forward boundary gate).
-    pub fn silent(&self) -> bool {
-        self.out_wire
-            .iter()
-            .chain(self.in_wire.iter())
-            .all(|&i| self.arena.ring(i).is_silent())
     }
 }
 
@@ -1040,10 +1022,9 @@ impl ShardRunner {
     }
 
     /// Runs `cycles` global cycles on the calling thread:
-    /// [`Engine::run_ff`] over the runner and its regions as one
-    /// [`Clocked`] fabric (the `Ensemble` below), so the all-asleep skip
-    /// toward the earliest horizon, the fast-forward offer and its
-    /// cool-down are the engine's own, not a copy.
+    /// [`Engine::run`] over the runner and its regions as one [`Clocked`]
+    /// fabric (the `Ensemble` below), so the all-asleep skip toward the
+    /// earliest horizon is the engine's own, not a copy.
     ///
     /// # Panics
     ///
@@ -1057,7 +1038,7 @@ impl ShardRunner {
             runner: self,
             regions,
         };
-        Engine::run_ff(&mut ensemble, cycles);
+        Engine::run(&mut ensemble, cycles);
         // Catch every sleeper up to the end of the span (never past its
         // horizon: a sleeper's horizon is ≥ end, else it would have woken).
         for region in regions.iter_mut() {
@@ -1076,12 +1057,6 @@ impl ShardRunner {
     /// epoch barrier**: workers pipeline freely into the next epoch while
     /// peers still drain the last one, bounded only by the wire-adjacency
     /// skew the watermarks themselves enforce (see the module docs).
-    ///
-    /// The worker protocol never offers [`Clocked::fast_forward`]: its
-    /// sole-awake precondition is a global property the decoupled workers
-    /// cannot observe cheaply. A workload periodic enough to fast-forward
-    /// is single-region-active by definition — run it through
-    /// [`ShardRunner::run`], where the offer is made.
     ///
     /// # Panics
     ///
@@ -1201,28 +1176,6 @@ impl<R: ShardRegion> Clocked for Ensemble<'_, R> {
 
     fn skip(&mut self, cycles: u64) {
         self.runner.cycle += cycles;
-    }
-
-    /// With exactly one region in the activity set, nothing can reach it
-    /// before the earliest sleeper horizon (sleepers are quiescent — their
-    /// first possible action is their own wake) — so that whole gap is
-    /// offered to the region. A partial advance (probe ticks without a
-    /// certified jump) still moves global time.
-    fn fast_forward(&mut self, max: u64) -> FfOutcome {
-        let run = &mut *self.runner;
-        // A sleeper due now counts as awake: it is about to act.
-        for (s, region) in run.sched.iter_mut().zip(self.regions.iter_mut()) {
-            s.begin(region, run.cycle);
-        }
-        let mut awake = (0..run.sched.len()).filter(|&r| run.sched[r].awake);
-        let (Some(r), None) = (awake.next(), awake.next()) else {
-            return FfOutcome::DECLINED;
-        };
-        let sleepers = run.sched.iter().filter(|s| !s.awake);
-        let horizon = sleepers.map(|s| s.wake_at).min().unwrap_or(u64::MAX);
-        let out = self.regions[r].fast_forward(max.min(horizon - run.cycle));
-        run.cycle += out.advanced;
-        out
     }
 }
 
@@ -1577,8 +1530,11 @@ mod tests {
         assert!(!shards[ps].noc.drained(), "the worm is still on its way");
         for s in &shards {
             assert_eq!(s.now(), runner.cycle(), "regions rest caught up");
-            assert!(s.noc.boundaries_silent(), "rings rest silent");
         }
+        assert!(
+            runner.arena.rings.iter().all(|r| r.0.is_silent()),
+            "rings rest silent"
+        );
         // Between the spans: the worm's tail, and the consumer's own word.
         single.ni_link_mut(0).send(worm[2]);
         runner.wake(&mut shards, ps);

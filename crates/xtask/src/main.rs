@@ -34,6 +34,10 @@
 //! * there is one idleness question, `dormant_until(now)`: its two older
 //!   names (`quiescent`, `next_event`) are derived views defined once in
 //!   `sim/src/engine.rs` and may not be implemented anywhere else.
+//! * there is one fast-forward offerer, the unsplit system: outside tests
+//!   `Engine::run_ff` is called only in `cfg/src/system.rs`, and
+//!   `fast_forward` is implemented only there and as the declining trait
+//!   default in `sim/src/engine.rs`. A sharded run never offers.
 //! * no new orphan: a `pub fn` in `sim`, `core`, `cfg`, `proto` or
 //!   `verify` whose name no non-test code uses outside its own definition
 //!   must be on the [`ORPHAN_ALLOW`] list with a reason, and every entry
@@ -71,6 +75,13 @@ const SECOND_WALK: &str = concat!("fn ff_", "visit");
 /// that defines them.
 const IDLENESS_VIEWS: [&str; 2] = [concat!("fn quie", "scent("), concat!("fn next_", "event(")];
 const IDLENESS_FILE: &str = "sim/src/engine.rs";
+
+/// The fast-forward offer and its implementation, and the one file that
+/// may hold either outside tests: the unsplit system. The trait default
+/// in [`IDLENESS_FILE`] is the other implementation allowed.
+const FF_OFFER: &str = concat!("Engine::run", "_ff(");
+const FF_IMPL: &str = concat!("fn fast_", "forward(");
+const FF_OFFER_FILE: &str = "cfg/src/system.rs";
 
 /// How a file spells the one state walk: the method, generic over its
 /// visitor.
@@ -688,6 +699,18 @@ fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) 
             });
         }
         if !in_tests {
+            let offer = line.contains(FF_OFFER);
+            let other_impl = line.contains(FF_IMPL) && !file.ends_with(IDLENESS_FILE);
+            if (offer || other_impl) && !file.ends_with(FF_OFFER_FILE) {
+                findings.push(Finding {
+                    file: file.to_path_buf(),
+                    line: lineno,
+                    rule: "one-offerer",
+                    detail: "fast-forward is offered only by the unsplit system \
+                             (cfg/src/system.rs); a sharded run never offers"
+                        .into(),
+                });
+            }
             if ONE_WALK_CRATES.contains(&krate)
                 && line.contains("dyn ")
                 && VISITOR_NAMES.iter().any(|v| line.contains(v))
