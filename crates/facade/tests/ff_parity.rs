@@ -305,39 +305,48 @@ fn gt_stream_2x2(dst: usize, fast_forward: bool) -> (NocSystem, Topology) {
     (sys, topo)
 }
 
-/// Fast-forward belongs to the unsplit system: a sharded run never jumps,
-/// sequential or on worker threads, whether the stream stays inside one
-/// region (the other region sleeping throughout) or crosses the cut —
-/// even from a spec that asks for fast-forward. Every run matches the
-/// unsplit, ticked run.
-#[test]
-fn sharded_runs_never_fast_forward_and_match() {
+/// Fast-forward belongs to the unsplit system: a sharded run of
+/// [`gt_stream_2x2`] never jumps, sequential or on worker threads, at batch
+/// 1 and 16 — even from a spec that asks for fast-forward. Every run
+/// matches the unsplit, ticked run.
+fn assert_sharded_never_jumps(dst: usize) {
     const CYCLES: u64 = 50_000;
-    for dst in [1usize, 2] {
-        let (mut reference, _) = gt_stream_2x2(dst, false);
-        reference.run(CYCLES);
-        let ref_kernels: Vec<_> = reference.nis.iter().map(|ni| *ni.kernel.stats()).collect();
-        let r = reference.raw_ip_at::<CountingSink>(dst);
-        let ref_sink = (r.count(), r.last());
-        for parallel in [false, true] {
-            for batch in [1u64, 16] {
-                let at = format!("dst {dst}, parallel {parallel}, batch {batch}");
-                let (sys, topo) = gt_stream_2x2(dst, true);
-                let mut sharded = ShardedSystem::new(sys, &topo, &Partition::mesh_rows(2, 2, 2));
-                sharded.set_batch(batch);
-                if parallel {
-                    sharded.run_parallel(CYCLES);
-                } else {
-                    sharded.run(CYCLES);
-                }
-                assert_eq!(sharded.ff_stats(), FfStats::default(), "{at}");
-                assert_eq!(sharded.merged_noc_stats(), *reference.noc.stats(), "{at}");
-                assert_eq!(sharded.kernel_stats(), ref_kernels, "{at}");
-                let s = sharded.raw_ip_as::<CountingSink>(dst);
-                assert_eq!((s.count(), s.last()), ref_sink, "{at}");
+    let (mut reference, _) = gt_stream_2x2(dst, false);
+    reference.run(CYCLES);
+    let ref_kernels: Vec<_> = reference.nis.iter().map(|ni| *ni.kernel.stats()).collect();
+    let r = reference.raw_ip_at::<CountingSink>(dst);
+    let ref_sink = (r.count(), r.last());
+    for parallel in [false, true] {
+        for batch in [1u64, 16] {
+            let at = format!("dst {dst}, parallel {parallel}, batch {batch}");
+            let (sys, topo) = gt_stream_2x2(dst, true);
+            let mut sharded = ShardedSystem::new(sys, &topo, &Partition::mesh_rows(2, 2, 2));
+            sharded.set_batch(batch);
+            if parallel {
+                sharded.run_parallel(CYCLES);
+            } else {
+                sharded.run(CYCLES);
             }
+            assert_eq!(sharded.ff_stats(), FfStats::default(), "{at}");
+            assert_eq!(sharded.merged_noc_stats(), *reference.noc.stats(), "{at}");
+            assert_eq!(sharded.kernel_stats(), ref_kernels, "{at}");
+            let s = sharded.raw_ip_as::<CountingSink>(dst);
+            assert_eq!((s.count(), s.last()), ref_sink, "{at}");
         }
     }
+}
+
+/// A stream inside the top region, the bottom region sleeping throughout:
+/// neither the sequential nor the parallel runner jumps.
+#[test]
+fn sharded_parallel_never_fast_forwards_and_matches() {
+    assert_sharded_never_jumps(1);
+}
+
+/// A stream crossing the shard cut into the bottom region.
+#[test]
+fn sharded_cross_region_stream_declines_fast_forward() {
+    assert_sharded_never_jumps(2);
 }
 
 // ---- BE bursts into GT streams (property) -------------------------------
