@@ -29,12 +29,10 @@
 //! invariant.
 
 use aethereal::cfg::json;
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest};
-use aethereal::cfg::{presets, NocSpec, NocSystem, RuntimeConfigurator, TopologySpec};
+use aethereal::cfg::runtime::ConnectionRequest;
+use aethereal::cfg::{presets, NocSystem, RuntimeConfigurator};
 use aethereal::ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
-use aethereal::ni::kernel::{
-    chan_reg_addr, ext_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg, NiKernelStats,
-};
+use aethereal::ni::kernel::{chan_reg_addr, slot_reg_addr, ChanReg, NiKernelStats};
 use aethereal::ni::transaction::Transaction;
 use aethereal::proto::ip::RawPort;
 use aethereal::proto::{
@@ -44,81 +42,14 @@ use aethereal::proto::{
 use aethereal::sim::{
     ClockedWith, LinkWord, NocStats, PacketHeader, StateVisit, Topology, WordClass, SLOT_WORDS,
 };
+use scenario::{configurable, configure, connect, gt, mesh_spec, raw_mesh, request};
+
+mod scenario;
 
 const STU_SLOTS: u64 = 8;
 
-/// A `width x height` mesh of raw streaming NIs with `channels` data
-/// channels each (channel 0 is the CNIP).
-fn raw_mesh(width: usize, height: usize, nis_per_router: usize, channels: usize) -> NocSpec {
-    NocSpec::new(
-        TopologySpec::Mesh {
-            width,
-            height,
-            nis_per_router,
-        },
-        (0..width * height * nis_per_router)
-            .map(|id| presets::raw_ni(id, channels))
-            .collect(),
-    )
-}
-
-/// Configures channel `ch` of NI `ni` toward `(peer, peer_ch)` directly
-/// through the register file, leaving it enabled unless `enable` is false.
-fn configure(
-    sys: &mut NocSystem,
-    topo: &Topology,
-    (ni, ch): (usize, usize),
-    (peer, peer_ch): (usize, usize),
-    gt: bool,
-    enable: bool,
-) {
-    let route = topo.route_any(ni, peer).expect("any pair routes");
-    let k = &mut sys.nis[ni].kernel;
-    k.reg_write(chan_reg_addr(ch, ChanReg::Space), 8)
-        .expect("space");
-    k.reg_write(
-        chan_reg_addr(ch, ChanReg::PathRqid),
-        pack_path_rqid(route.header_segment(), peer_ch as u8),
-    )
-    .expect("path");
-    for (i, w) in route.continuation_words().enumerate() {
-        k.reg_write(ext_reg_addr(ch, i), w).expect("path ext");
-    }
-    if enable {
-        k.reg_write(chan_reg_addr(ch, ChanReg::Ctrl), ctrl(gt))
-            .expect("ctrl");
-    }
-}
-
 fn ctrl(gt: bool) -> u32 {
     CTRL_ENABLE | if gt { CTRL_GT } else { 0 }
-}
-
-/// A bidirectional channel pair `src.1 → dst.2` (data) / `dst.2 → src.1`
-/// (credits), GT with the given injection slots or BE.
-fn connect(
-    sys: &mut NocSystem,
-    topo: &Topology,
-    src: usize,
-    dst: usize,
-    gt_slots: Option<(&[usize], &[usize])>,
-) {
-    configure(sys, topo, (src, 1), (dst, 2), gt_slots.is_some(), true);
-    configure(sys, topo, (dst, 2), (src, 1), gt_slots.is_some(), true);
-    if let Some((fwd, rev)) = gt_slots {
-        for &s in fwd {
-            sys.nis[src]
-                .kernel
-                .reg_write(slot_reg_addr(s), 2)
-                .expect("slot");
-        }
-        for &s in rev {
-            sys.nis[dst]
-                .kernel
-                .reg_write(slot_reg_addr(s), 3)
-                .expect("slot");
-        }
-    }
 }
 
 /// Everything observable without waking anything: network counters, every
@@ -191,8 +122,14 @@ fn shift_system() -> NocSystem {
         !topo.route_any(BE.0, BE.1).expect("routes").is_single(),
         "the BE pair exercises gateway rewrites"
     );
-    connect(&mut sys, &topo, BE.0, BE.1, None);
-    connect(&mut sys, &topo, GT.0, GT.1, Some((&[0, 4], &[2, 6])));
+    connect(&mut sys, &topo, (BE.0, 1), (BE.1, 2), None);
+    connect(
+        &mut sys,
+        &topo,
+        (GT.0, 1),
+        (GT.1, 2),
+        Some((&[0, 4], &[2, 6])),
+    );
     sys
 }
 
@@ -312,10 +249,10 @@ fn lockstep(
 fn poke_pair(sleep: u64, setup: impl Fn(&mut NocSystem, &Topology)) -> (NocSystem, NocSystem) {
     let build = || {
         let spec = raw_mesh(4, 4, 1, 2);
-        let topo = spec.topology.build();
+        let topo = spec.build_topology();
         let mut sys = NocSystem::from_spec(&spec);
-        connect(&mut sys, &topo, 1, 14, None);
-        connect(&mut sys, &topo, 4, 11, Some((&[1, 5], &[3])));
+        connect(&mut sys, &topo, (1, 1), (14, 2), None);
+        connect(&mut sys, &topo, (4, 1), (11, 2), Some((&[1, 5], &[3])));
         setup(&mut sys, &topo);
         sys
     };
@@ -370,8 +307,8 @@ fn enabling_a_channel_with_queued_data_wakes_a_sleeping_ni() {
     // NI 2 → NI 13 is routed and loaded but left disabled: nothing can
     // move, so NI 2 sleeps with data queued until the Ctrl write.
     let (mut sleepy, mut awake) = poke_pair(500, |sys, topo| {
-        configure(sys, topo, (2, 1), (13, 2), false, false);
-        configure(sys, topo, (13, 2), (2, 1), false, true);
+        configure(sys, topo, (2, 1), (13, 2), None, false);
+        configure(sys, topo, (13, 2), (2, 1), None, true);
         for w in 0..3 {
             sys.nis[2].kernel.push_src(1, w, 0).expect("space");
         }
@@ -460,24 +397,14 @@ fn shell_submissions_and_responses_wake_sleeping_nis() {
     // polls), then a traffic generator runs transactions over it (master
     // and slave shells): every cycle count must match the awake twin's.
     let build = || {
-        let mut nis = vec![presets::cfg_module_ni(0, 4)];
-        for id in 1..16 {
-            nis.push(if id == 5 {
-                presets::master_ni(id)
-            } else {
-                presets::slave_ni(id)
-            });
-        }
-        let spec = NocSpec::new(
-            TopologySpec::Mesh {
-                width: 4,
-                height: 4,
-                nis_per_router: 1,
-            },
-            nis,
-        );
-        let cfg = RuntimeConfigurator::new(spec.build_topology(), 0, 0, 8);
-        (NocSystem::from_spec(&spec), cfg)
+        configurable(
+            &mesh_spec(4, 4, 1, |id| match id {
+                0 => presets::cfg_module_ni(0, 4),
+                5 => presets::master_ni(id),
+                _ => presets::slave_ni(id),
+            }),
+            0,
+        )
     };
     let (mut sleepy, mut sleepy_cfg) = build();
     let (mut awake, mut awake_cfg) = build();
@@ -506,11 +433,7 @@ fn shell_submissions_and_responses_wake_sleeping_nis() {
     // The configurator polls with `sys.tick()`; the twin is woken before
     // and after (its polls in between run on whatever it derives itself —
     // the cycle counts still have to agree).
-    let req = ConnectionRequest::guaranteed(
-        ChannelEnd { ni: 5, channel: 1 },
-        ChannelEnd { ni: 10, channel: 1 },
-        2,
-    );
+    let req = request((5, 1), (10, 1), gt(2), gt(2));
     for ni in [5, 10] {
         assert!(inert(&sleepy, ni), "NI {ni} sleeps before the open");
     }
@@ -623,10 +546,10 @@ fn every_container_path_wakes_an_inert_ni() {
     // asleep. Bound sinks drain every receiver, so each NI falls asleep
     // again after every poke.
     let (mut sleepy, mut awake) = poke_pair(600, |sys, topo| {
-        configure(sys, topo, (2, 1), (13, 2), false, false);
-        configure(sys, topo, (13, 2), (2, 1), false, true);
+        configure(sys, topo, (2, 1), (13, 2), None, false);
+        configure(sys, topo, (13, 2), (2, 1), None, true);
         sys.nis[2].kernel.push_src(1, 0xA, 0).expect("space");
-        connect(sys, topo, 7, 8, None);
+        connect(sys, topo, (7, 1), (8, 2), None);
         let late = LatePush {
             at: vec![650, 651],
             next: 0,
@@ -787,10 +710,7 @@ impl Binder<'_> {
 /// The BE connection the configurator opens mid-run: traffic generator
 /// on NI 5 → memory on NI 10.
 fn generator_connection() -> ConnectionRequest {
-    ConnectionRequest::best_effort(
-        ChannelEnd { ni: 5, channel: 1 },
-        ChannelEnd { ni: 10, channel: 1 },
-    )
+    request((5, 1), (10, 1), scenario::BE, scenario::BE)
 }
 
 /// A 4x4 mesh with the configuration module on NI 0, a trace replayer on
@@ -811,27 +731,19 @@ fn ip_mix(hot: bool) -> (NocSystem, RuntimeConfigurator, u64) {
     for id in [5, 12, 13, 14] {
         nis[id].kernel.ports[1].clock_div = 2;
     }
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 4,
-            height: 4,
-            nis_per_router: 1,
-        },
-        nis,
+    let spec = scenario::mesh(4, 4, 1, nis);
+    let topo = spec.build_topology();
+    let (mut sys, mut cfg) = configurable(&spec, 0);
+    connect(&mut sys, &topo, (12, 1), (13, 1), None);
+    connect(&mut sys, &topo, (13, 2), (14, 1), None);
+    scenario::open(
+        &mut cfg,
+        &mut sys,
+        (9, 1),
+        (6, 1),
+        scenario::BE,
+        scenario::BE,
     );
-    let topo = spec.topology.build();
-    let mut cfg = RuntimeConfigurator::new(spec.build_topology(), 0, 0, 8);
-    let mut sys = NocSystem::from_spec(&spec);
-    configure(&mut sys, &topo, (12, 1), (13, 1), false, true);
-    configure(&mut sys, &topo, (13, 1), (12, 1), false, true);
-    configure(&mut sys, &topo, (13, 2), (14, 1), false, true);
-    configure(&mut sys, &topo, (14, 1), (13, 2), false, true);
-    let trace_connection = ConnectionRequest::best_effort(
-        ChannelEnd { ni: 9, channel: 1 },
-        ChannelEnd { ni: 6, channel: 1 },
-    );
-    cfg.open_connection(&mut sys, &trace_connection)
-        .expect("opens");
     let t0 = sys.cycle();
     let entry = |at: u64, transaction| TraceEntry {
         at_cycle: t0 + at,
@@ -931,10 +843,10 @@ fn gated_ip_ticks_match_ips_ticked_on_every_edge() {
 fn snapshot_of_sleeping_components_restores_and_changes_nothing() {
     let build = || {
         let spec = raw_mesh(4, 4, 1, 2);
-        let topo = spec.topology.build();
+        let topo = spec.build_topology();
         let mut sys = NocSystem::from_spec(&spec);
-        connect(&mut sys, &topo, 1, 14, None);
-        connect(&mut sys, &topo, 4, 11, Some((&[1, 5], &[3])));
+        connect(&mut sys, &topo, (1, 1), (14, 2), None);
+        connect(&mut sys, &topo, (4, 1), (11, 2), Some((&[1, 5], &[3])));
         sys
     };
     // Bursts before and after the snapshot point; receivers drain as they

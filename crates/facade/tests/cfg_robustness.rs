@@ -11,163 +11,53 @@
 //! leaves) of known-good documents.
 
 use aethereal::cfg::json::{self, Value};
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest};
-use aethereal::cfg::{
-    fault_plan_from_json, fault_plan_to_json, presets, NocSpec, NocSystem, RuntimeConfigurator,
-    TopologySpec,
-};
-use aethereal::ni::kernel::{chan_reg_addr, ChanReg};
+use aethereal::cfg::{fault_plan_from_json, fault_plan_to_json, presets, NocSpec, NocSystem};
 use aethereal::ni::message::encode_request;
-use aethereal::ni::shell::config::global_addr;
 use aethereal::ni::Transaction;
-use aethereal::proto::{
-    CountingSink, MemorySlave, StreamSource, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
-};
+use aethereal::proto::CountingSink;
 use aethereal::sim::ff::FfDigest;
 use aethereal::sim::topology::dir;
 use aethereal::sim::{Engine, FaultPlan, StateSaver, StateVisit};
 use aethereal_testkit::{base_seed, Rng64};
+use scenario::{
+    busy_system, busy_warm_system, configurable, counting_sink, gt, mesh, open, raw_mesh, source,
+    with_cfg, BE, ENDLESS,
+};
+
+mod scenario;
 
 /// A 2x2 two-NIs-per-router system with one open connection and a few
 /// hundred cycles of configuration traffic behind it: a small but
 /// state-rich snapshot subject.
 fn spec() -> NocSpec {
-    NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 2,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 16),
-            presets::raw_ni(1, 1),
-            presets::raw_ni(2, 1),
-            presets::raw_ni(3, 1),
-            presets::raw_ni(4, 1),
-            presets::raw_ni(5, 1),
-            presets::raw_ni(6, 1),
-            presets::raw_ni(7, 1),
-        ],
-    )
+    with_cfg(raw_mesh(2, 2, 2, 1), 0, 16)
 }
 
 fn warm_snapshot() -> (NocSpec, Value) {
     let spec = spec();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 6, channel: 1 },
-        ),
-    )
-    .expect("open");
+    let (mut sys, mut cfg) = configurable(&spec, 0);
+    open(&mut cfg, &mut sys, (1, 1), (6, 1), BE, BE);
     Engine::run(&mut sys, 300);
     let snap = sys.snapshot().expect("snapshot");
     (spec, snap)
 }
 
-/// A 2x1 system with every shell mid-transaction: a `TrafficGenerator`
-/// with requests in flight to a slow `MemorySlave`, and the configuration
-/// shell busy with reads of local and remote registers. Restored onto
+/// A snapshot of the busy shells ([`busy_warm_system`]), restored onto
 /// [`busy_system`], which carries the same IP bindings.
-fn busy_spec() -> NocSpec {
-    NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 2),
-            presets::master_ni(1),
-            presets::slave_ni(2),
-            presets::raw_ni(3, 1),
-        ],
-    )
-}
-
-fn bind_ips(sys: &mut NocSystem) {
-    let traffic = TrafficGenerator::new(TrafficGeneratorConfig {
-        seed: 3,
-        addr_range: 0x40,
-        mix: TrafficMix::Mixed { read_fraction: 0.5 },
-        burst: (1, 3),
-        ..TrafficGeneratorConfig::default()
-    });
-    sys.bind_master(1, 1, Box::new(traffic));
-    sys.bind_slave(2, 1, Box::new(MemorySlave::new(20)));
-}
-
-fn busy_system() -> NocSystem {
-    let mut sys = NocSystem::from_spec(&busy_spec());
-    bind_ips(&mut sys);
-    sys
-}
-
 fn busy_snapshot() -> Value {
     busy_warm_system().snapshot().expect("snapshot")
-}
-
-/// [`busy_system`] with its connection open and every shell
-/// mid-transaction.
-fn busy_warm_system() -> NocSystem {
-    let spec = busy_spec();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 2, channel: 1 },
-        ),
-    )
-    .expect("open");
-    bind_ips(&mut sys);
-    Engine::run(&mut sys, 200);
-    let space = chan_reg_addr(1, ChanReg::Space);
-    for (tid, ni) in [(901, 2), (902, 0), (903, 1)] {
-        sys.nis[0]
-            .config_mut(0)
-            .submit(Transaction::read(global_addr(ni, space), 1, tid));
-    }
-    Engine::run(&mut sys, 3);
-    assert!(!sys.nis[0].config_mut(0).is_idle(), "config shell busy");
-    assert!(
-        sys.nis[1].master_mut(1).outstanding() > 0,
-        "requests in flight"
-    );
-    assert!(
-        sys.nis[2].slave_mut(1).responses_owed() > 0,
-        "responses owed"
-    );
-    sys
 }
 
 /// [`spec`]'s 2x2 mesh carrying only GT traffic once configured: three
 /// GT connections between raw NIs, each fed by an endless stream, warmed
 /// until words arrive.
 fn warm_gt_mesh() -> NocSystem {
-    let spec = spec();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
+    let (mut sys, mut cfg) = configurable(&spec(), 0);
     let mut sinks = Vec::new();
     for (src, dst) in [(1, 6), (5, 2), (7, 3)] {
-        let req = ConnectionRequest::guaranteed(
-            ChannelEnd {
-                ni: src,
-                channel: 1,
-            },
-            ChannelEnd {
-                ni: dst,
-                channel: 1,
-            },
-            2,
-        );
-        cfg.open_connection(&mut sys, &req).expect("open");
-        sys.bind_raw(src, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-        sinks.push(sys.bind_raw(dst, 1, vec![1], Box::new(CountingSink::new())));
+        open(&mut cfg, &mut sys, (src, 1), (dst, 1), gt(2), gt(2));
+        source(&mut sys, src, 1, ENDLESS);
+        sinks.push(counting_sink(&mut sys, dst, 1));
     }
     Engine::run(&mut sys, 2_000);
     for idx in sinks {
@@ -451,14 +341,7 @@ fn spec_with_regions_or_partition_is_refused() {
 
 /// A 2x1 mesh with one master NI and one slave NI.
 fn pair_spec() -> NocSpec {
-    NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 1,
-        },
-        vec![presets::master_ni(0), presets::slave_ni(1)],
-    )
+    mesh(2, 1, 1, vec![presets::master_ni(0), presets::slave_ni(1)])
 }
 
 /// `snap` with the slave shell's request assembler replaced by one

@@ -13,16 +13,16 @@
 //!
 //! [`SlotAllocator`]: aethereal::cfg::SlotAllocator
 
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
-use aethereal::cfg::{
-    presets, ConfigError, ConnectionHandle, NocSpec, NocSystem, RuntimeConfigurator, SlotStrategy,
-    TopologySpec,
-};
+use aethereal::cfg::runtime::ConnectionRequest;
+use aethereal::cfg::{ConfigError, ConnectionHandle, NocSystem, RuntimeConfigurator};
 use aethereal::ni::kernel::regs::PATH_EXT_REGS;
 use aethereal::ni::kernel::{chan_reg_addr, ext_reg_addr, slot_reg_addr, ChanReg};
 use aethereal::sim::topology::dir;
 use aethereal::sim::{Engine, FaultReport, SuspectLink};
 use aethereal_testkit::prelude::*;
+use scenario::{configurable, gt, raw_mesh, with_cfg, BE};
+
+mod scenario;
 
 /// The register-visible configuration state of every NI: slot tables,
 /// per-channel control/space/path/threshold registers and all `PATH_EXT`
@@ -57,24 +57,9 @@ fn register_image(sys: &NocSystem) -> Vec<u32> {
 /// routes cross (router 0, SOUTH) — the link the masked variant fails.
 const PAIRS: [(usize, usize); 3] = [(1, 4), (2, 5), (3, 6)];
 
-fn request(pair: usize, gt: bool, slots: usize) -> ConnectionRequest {
-    let (m, s) = PAIRS[pair];
-    let base = ConnectionRequest::best_effort(
-        ChannelEnd { ni: m, channel: 1 },
-        ChannelEnd { ni: s, channel: 1 },
-    );
-    if gt {
-        ConnectionRequest {
-            fwd: Service::Guaranteed {
-                slots,
-                strategy: SlotStrategy::Spread,
-            },
-            rev: Service::BestEffort,
-            ..base
-        }
-    } else {
-        base
-    }
+fn request(pair: usize, gt_fwd: bool, slots: usize) -> ConnectionRequest {
+    let fwd = if gt_fwd { gt(slots) } else { BE };
+    scenario::request((PAIRS[pair].0, 1), (PAIRS[pair].1, 1), fwd, BE)
 }
 
 struct Bench {
@@ -83,26 +68,7 @@ struct Bench {
 }
 
 fn bench(masked: bool) -> Bench {
-    let nis = vec![
-        presets::cfg_module_ni(0, 16),
-        presets::raw_ni(1, 1),
-        presets::raw_ni(2, 1),
-        presets::raw_ni(3, 1),
-        presets::raw_ni(4, 1),
-        presets::raw_ni(5, 1),
-        presets::raw_ni(6, 1),
-        presets::raw_ni(7, 1),
-    ];
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 2,
-            nis_per_router: 2,
-        },
-        nis,
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
+    let (mut sys, mut cfg) = configurable(&with_cfg(raw_mesh(2, 2, 2, 1), 0, 16), 0);
     if masked {
         // Fail (router 0, SOUTH) before anything is routed: every plan in
         // the storm — including the configuration connections themselves —

@@ -2,45 +2,16 @@
 //! through shells, NI kernels, routers and back — including the paper's
 //! Fig. 9 run-time configuration flow executed over the NoC itself.
 
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
-use aethereal::cfg::{
-    presets, NocSpec, NocSystem, RuntimeConfigurator, SlotStrategy, TopologySpec,
-};
 use aethereal::ni::{Cmd, RespStatus, Transaction};
 use aethereal::proto::{MemorySlave, TrafficGenerator, TrafficGeneratorConfig, TrafficMix};
 use aethereal::sim::Engine;
+use scenario::{configurable, configured_pair, gt, master_slave, open, pair_spec, BE};
 
-/// Builds the canonical test system: 2×1 mesh, 2 NIs per router — config
-/// module (NI0) and master (NI1) on router 0, two slaves (NI2, NI3) on
-/// router 1 — and opens a BE connection master→slave(NI2).
-fn configured_system() -> (NocSystem, RuntimeConfigurator) {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 4),
-            presets::master_ni(1),
-            presets::slave_ni(2),
-            presets::slave_ni(3),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    let conn = ConnectionRequest::best_effort(
-        ChannelEnd { ni: 1, channel: 1 },
-        ChannelEnd { ni: 2, channel: 1 },
-    );
-    cfg.open_connection(&mut sys, &conn)
-        .expect("connection opens");
-    (sys, cfg)
-}
+mod scenario;
 
 #[test]
 fn fig9_connection_setup_succeeds_through_the_noc() {
-    let (_sys, cfg) = configured_system();
+    let (_sys, cfg) = configured_pair();
     let s = cfg.stats();
     assert_eq!(s.connections_opened, 1);
     // Config connections to NI1 and NI2 were opened on demand (steps 1-2).
@@ -60,7 +31,7 @@ fn fig9_connection_setup_succeeds_through_the_noc() {
 
 #[test]
 fn acked_write_and_read_roundtrip_over_the_connection() {
-    let (mut sys, _cfg) = configured_system();
+    let (mut sys, _cfg) = configured_pair();
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(2)));
     // Acked write then read-back through the shared-memory abstraction.
     sys.nis[1]
@@ -97,7 +68,7 @@ fn acked_write_and_read_roundtrip_over_the_connection() {
 
 #[test]
 fn traffic_generator_completes_against_memory() {
-    let (mut sys, _cfg) = configured_system();
+    let (mut sys, _cfg) = configured_pair();
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(1)));
     let gen = TrafficGenerator::new(TrafficGeneratorConfig {
         seed: 42,
@@ -124,38 +95,8 @@ fn traffic_generator_completes_against_memory() {
 
 #[test]
 fn gt_connection_opens_with_slot_reservations() {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 4),
-            presets::master_ni(1),
-            presets::slave_ni(2),
-            presets::slave_ni(3),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    let conn = ConnectionRequest {
-        fwd: Service::Guaranteed {
-            slots: 2,
-            strategy: SlotStrategy::Spread,
-        },
-        rev: Service::Guaranteed {
-            slots: 1,
-            strategy: SlotStrategy::Spread,
-        },
-        ..ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 2, channel: 1 },
-        )
-    };
-    let handle = cfg
-        .open_connection(&mut sys, &conn)
-        .expect("GT connection opens");
+    let (mut sys, mut cfg) = configurable(&pair_spec(), 0);
+    let handle = open(&mut cfg, &mut sys, (1, 1), (2, 1), gt(2), gt(1));
     assert_eq!(handle.fwd_slots().unwrap().injection_slots.len(), 2);
     assert_eq!(handle.rev_slots().unwrap().injection_slots.len(), 1);
     // The master NI's slot table now carries channel 1 in two slots.
@@ -187,34 +128,11 @@ fn gt_connection_opens_with_slot_reservations() {
 fn connection_retarget_after_close() {
     // Partial reconfiguration (§3): close the master's connection to NI2,
     // then reopen the same master channel toward NI3.
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 4),
-            presets::master_ni(1),
-            presets::slave_ni(2),
-            presets::slave_ni(3),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    let first = ConnectionRequest::best_effort(
-        ChannelEnd { ni: 1, channel: 1 },
-        ChannelEnd { ni: 2, channel: 1 },
-    );
-    let handle = cfg.open_connection(&mut sys, &first).expect("opens");
+    let (mut sys, mut cfg) = configurable(&pair_spec(), 0);
+    let handle = open(&mut cfg, &mut sys, (1, 1), (2, 1), BE, BE);
     cfg.close_connection(&mut sys, &handle).expect("closes");
     assert!(!sys.nis[1].kernel.channel(1).is_enabled());
-    let second = ConnectionRequest::best_effort(
-        ChannelEnd { ni: 1, channel: 1 },
-        ChannelEnd { ni: 3, channel: 1 },
-    );
-    cfg.open_connection(&mut sys, &second)
-        .expect("reopens toward NI3");
+    open(&mut cfg, &mut sys, (1, 1), (3, 1), BE, BE); // toward NI3
     sys.bind_slave(3, 1, Box::new(MemorySlave::new(1)));
     sys.nis[1]
         .master_mut(1)
@@ -232,29 +150,9 @@ fn connection_retarget_after_close() {
 
 #[test]
 fn multi_slave_system_with_posted_writes() {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 2,
-            nis_per_router: 1,
-        },
-        vec![
-            presets::cfg_module_ni(0, 4),
-            presets::master_ni(1),
-            presets::slave_ni(2),
-            presets::slave_ni(3),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 3, channel: 1 },
-        ),
-    )
-    .expect("opens");
+    // A 2x2 mesh, one NI per router: the master reaches the slave on NI 3
+    // over two hops.
+    let (mut sys, _cfg) = master_slave(2, 2, 1, 4, 3);
     let mem = MemorySlave::new(0);
     sys.bind_slave(3, 1, Box::new(mem));
     for i in 0..10u32 {
@@ -286,7 +184,7 @@ fn posted_write_commands_have_no_response_invariant() {
     // Protocol-level check across the stack: Cmd::Write produces no
     // response message anywhere.
     assert!(!Cmd::Write.has_response());
-    let (mut sys, _cfg) = configured_system();
+    let (mut sys, _cfg) = configured_pair();
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(0)));
     sys.nis[1]
         .master_mut(1)

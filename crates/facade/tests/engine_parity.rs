@@ -12,15 +12,15 @@
 //!   bit-identical to the per-cycle loop in every statistic, including the
 //!   arithmetically-skipped `gt_slots_unused` events.
 
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
-use aethereal::cfg::{
-    presets, NocSpec, NocSystem, RuntimeConfigurator, SlotStrategy, TopologySpec,
-};
+use aethereal::cfg::{presets, NocSystem};
 use aethereal::ni::kernel::NiKernelStats;
 use aethereal::proto::{
-    MemorySlave, StreamSink, StreamSource, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
+    MemorySlave, StreamSink, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
 };
 use aethereal::sim::{Engine, NocStats};
+use scenario::{configurable, gt, mesh_spec, open, recording_sink, source, BE};
+
+mod scenario;
 
 /// The horizon: long enough that every workload drains and the system goes
 /// quiescent well before the end, so `Engine::run` exercises the skip path.
@@ -36,48 +36,15 @@ struct Scenario {
 /// connection, and a GT stream (2 of 8 slots) between raw NIs, sharing a
 /// 2x2 mesh.
 fn mixed_scenario() -> Scenario {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 2,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 8),
-            presets::master_ni(1),
-            presets::slave_ni(2),
-            presets::raw_ni(3, 1),
-            presets::raw_ni(4, 1),
-            presets::slave_ni(5),
-            presets::slave_ni(6),
-            presets::slave_ni(7),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 2, channel: 1 },
-        ),
-    )
-    .expect("BE connection opens");
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest {
-            fwd: Service::Guaranteed {
-                slots: 2,
-                strategy: SlotStrategy::Spread,
-            },
-            rev: Service::BestEffort,
-            ..ConnectionRequest::best_effort(
-                ChannelEnd { ni: 3, channel: 1 },
-                ChannelEnd { ni: 4, channel: 1 },
-            )
-        },
-    )
-    .expect("GT connection opens");
+    let spec = mesh_spec(2, 2, 2, |id| match id {
+        0 => presets::cfg_module_ni(0, 8),
+        1 => presets::master_ni(1),
+        3 | 4 => presets::raw_ni(id, 1),
+        _ => presets::slave_ni(id),
+    });
+    let (mut sys, mut cfg) = configurable(&spec, 0);
+    open(&mut cfg, &mut sys, (1, 1), (2, 1), BE, BE);
+    open(&mut cfg, &mut sys, (3, 1), (4, 1), gt(2), BE);
     let gen = sys.bind_master(
         1,
         1,
@@ -93,8 +60,8 @@ fn mixed_scenario() -> Scenario {
         })),
     );
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(3)));
-    sys.bind_raw(3, 1, vec![1], Box::new(StreamSource::counting(500)));
-    let sink = sys.bind_raw(4, 1, vec![1], Box::new(StreamSink::new()));
+    source(&mut sys, 3, 1, 500);
+    let sink = recording_sink(&mut sys, 4, 1);
     Scenario { sys, gen, sink }
 }
 

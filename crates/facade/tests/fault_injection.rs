@@ -21,120 +21,29 @@
 //!   guarantees cannot be re-established on the detour, it fails loudly
 //!   with a structured error instead of degrading silently.
 
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
-use aethereal::cfg::{
-    presets, ConfigError, NocSpec, NocSystem, RuntimeConfigurator, ShardedSystem, SlotStrategy,
-    TopologySpec,
-};
-use aethereal::ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
-use aethereal::ni::kernel::{chan_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg, NiKernelStats};
-use aethereal::proto::{
-    CountingSink, MemorySlave, StreamSink, StreamSource, TrafficGenerator, TrafficGeneratorConfig,
-    TrafficMix,
-};
+use aethereal::cfg::{presets, ConfigError, NocSystem, RuntimeConfigurator, ShardedSystem};
+use aethereal::ni::kernel::NiKernelStats;
+use aethereal::proto::{CountingSink, StreamSink, TrafficGenerator};
 use aethereal::sim::shard::Partition;
 use aethereal::sim::topology::dir;
-use aethereal::sim::{Clocked, Engine, FaultPlan, FaultReport, NocStats, SuspectLink, Topology};
+use aethereal::sim::{Clocked, FaultPlan, FaultReport, NocStats, SuspectLink};
 use aethereal_verify::certify_system_with;
+use scenario::{
+    configurable, gt, gt_stream_2x2, mixed_4x4, open, raw_mesh, recording_sink, settle, source,
+    with_cfg, Mixed4x4, BE, ENDLESS,
+};
+
+mod scenario;
 
 const HORIZON: u64 = 12_000;
 
 // ---- Shared 4x4 scenario (the shard-parity workload, under fault) -------
 
-struct Scenario {
-    sys: NocSystem,
-    topo: Topology,
-    /// `(ni, port)` of every bound traffic generator.
-    masters: Vec<(usize, usize)>,
-    /// Cycle at which the settled system was handed to the workloads;
-    /// fault windows are scheduled relative to it.
-    start: u64,
-}
-
-/// The shard-parity uniform workload: a 4x4 mesh, config module on NI 0,
-/// traffic generators on NIs 1–6 talking BE to slaves on NIs 8–14, and a
-/// GT stream NI 7 → NI 15 (routers 7 → 11 → 15) crossing every row cut.
-fn scenario() -> Scenario {
-    let mut nis = vec![presets::cfg_module_ni(0, 16)];
-    for id in 1..7 {
-        nis.push(presets::master_ni(id));
-    }
-    nis.push(presets::raw_ni(7, 1));
-    for id in 8..15 {
-        nis.push(presets::slave_ni(id));
-    }
-    nis.push(presets::raw_ni(15, 1));
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 4,
-            height: 4,
-            nis_per_router: 1,
-        },
-        nis,
-    );
-    let topo = spec.topology.build();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    for m in 1..7usize {
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest::best_effort(
-                ChannelEnd { ni: m, channel: 1 },
-                ChannelEnd {
-                    ni: m + 7,
-                    channel: 1,
-                },
-            ),
-        )
-        .expect("BE connection opens");
-    }
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest {
-            fwd: Service::Guaranteed {
-                slots: 2,
-                strategy: SlotStrategy::Spread,
-            },
-            rev: Service::BestEffort,
-            ..ConnectionRequest::best_effort(
-                ChannelEnd { ni: 7, channel: 1 },
-                ChannelEnd { ni: 15, channel: 1 },
-            )
-        },
-    )
-    .expect("GT connection opens");
-    assert!(
-        Engine::run_until(&mut sys, |s| s.noc.drained(), 2_000),
-        "configuration traffic must drain"
-    );
-    let mut masters = Vec::new();
-    for m in 1..7usize {
-        sys.bind_master(
-            m,
-            1,
-            Box::new(TrafficGenerator::new(TrafficGeneratorConfig {
-                seed: 11 * m as u64 + 3,
-                addr_base: 0,
-                addr_range: 0x200,
-                mix: TrafficMix::Mixed { read_fraction: 0.5 },
-                burst: (1, 4),
-                gap_cycles: [0, 7, 23][m % 3],
-                total: Some(30),
-                max_outstanding: 4,
-            })),
-        );
-        masters.push((m, 1));
-        sys.bind_slave(m + 7, 1, Box::new(MemorySlave::new(2 + (m as u64 % 3))));
-    }
-    sys.bind_raw(7, 1, vec![1], Box::new(StreamSource::counting(400)));
-    sys.bind_raw(15, 1, vec![1], Box::new(StreamSink::new()));
-    let start = sys.cycle();
-    Scenario {
-        sys,
-        topo,
-        masters,
-        start,
-    }
+/// The shard-parity uniform workload ([`mixed_4x4`]): traffic generators on
+/// NIs 1–6 talking BE to memories on NIs 8–13 (30 transactions each), and a
+/// 400-word GT stream NI 7 → NI 15 crossing every row cut.
+fn scenario() -> Mixed4x4 {
+    mixed_4x4(false, 30, 400)
 }
 
 /// Every fault kind at once, scheduled on links the workload actually
@@ -165,7 +74,7 @@ struct Observed {
     report: FaultReport,
 }
 
-fn observe_single(s: &Scenario) -> Observed {
+fn observe_single(s: &Mixed4x4) -> Observed {
     Observed {
         cycle: s.sys.cycle(),
         noc: s.sys.noc.stats().clone(),
@@ -337,43 +246,10 @@ fn mid_fault_snapshot_restores_bit_identically() {
 
 // ---- Satellite 1: armed plans decline fast-forward -----------------------
 
-/// Configures channel `ch` of NI `ni` as an enabled GT channel along
-/// `path`, reserving `slots` of the NI's slot table.
-fn gt_channel(sys: &mut NocSystem, ni: usize, ch: usize, path_rqid: u32, slots: &[usize]) {
-    let k = &mut sys.nis[ni].kernel;
-    k.reg_write(chan_reg_addr(ch, ChanReg::Ctrl), CTRL_ENABLE | CTRL_GT)
-        .unwrap();
-    k.reg_write(chan_reg_addr(ch, ChanReg::Space), 8).unwrap();
-    k.reg_write(chan_reg_addr(ch, ChanReg::PathRqid), path_rqid)
-        .unwrap();
-    for &s in slots {
-        k.reg_write(slot_reg_addr(s), ch as u32 + 1).unwrap();
-    }
-}
-
 /// The canonical fast-forwardable workload: one endless local GT stream
 /// (NI 0 → NI 1) on a 2x2 mesh, raw ports at clock div 4.
 fn endless_gt_stream() -> NocSystem {
-    let mut spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 2,
-            nis_per_router: 1,
-        },
-        (0..4).map(|id| presets::raw_ni(id, 1)).collect(),
-    );
-    for ni in &mut spec.nis {
-        ni.kernel.ports[1].clock_div = 4;
-    }
-    let topo = spec.topology.build();
-    let mut sys = NocSystem::from_spec(&spec);
-    let fwd = topo.route(0, 1).unwrap();
-    let rev = topo.route(1, 0).unwrap();
-    gt_channel(&mut sys, 0, 1, pack_path_rqid(&fwd, 1), &[0, 2, 4, 6]);
-    gt_channel(&mut sys, 1, 1, pack_path_rqid(&rev, 1), &[1, 5]);
-    sys.bind_raw(0, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-    sys.bind_raw(1, 1, vec![1], Box::new(CountingSink::new()));
-    sys
+    gt_stream_2x2(1, false).0
 }
 
 fn observe_stream(sys: &NocSystem) -> (u64, NocStats, Vec<NiKernelStats>, u64, u32) {
@@ -432,59 +308,21 @@ struct HealBench {
 }
 
 fn heal_bench(blocker_slots: Option<usize>) -> HealBench {
-    let mut nis = vec![presets::cfg_module_ni(0, 16)];
-    nis.push(presets::raw_ni(1, 1));
-    nis.push(presets::raw_ni(2, 1));
-    nis.push(presets::raw_ni(3, 1));
-    nis.push(presets::raw_ni(4, 2));
-    nis.push(presets::raw_ni(5, 1));
-    nis.push(presets::raw_ni(6, 1));
-    nis.push(presets::raw_ni(7, 1));
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 2,
-            nis_per_router: 2,
-        },
-        nis,
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    let mut handles = Vec::new();
-    handles.push(
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest {
-                fwd: Service::Guaranteed {
-                    slots: 2,
-                    strategy: SlotStrategy::Spread,
-                },
-                rev: Service::BestEffort,
-                ..ConnectionRequest::best_effort(
-                    ChannelEnd { ni: 2, channel: 1 },
-                    ChannelEnd { ni: 4, channel: 1 },
-                )
-            },
-        )
-        .expect("GT stream connection opens"),
-    );
+    let mut spec = with_cfg(raw_mesh(2, 2, 2, 1), 0, 16);
+    spec.nis[4] = presets::raw_ni(4, 2);
+    let (mut sys, mut cfg) = configurable(&spec, 0);
+    let mut handles = vec![open(&mut cfg, &mut sys, (2, 1), (4, 1), gt(2), BE)];
     if let Some(slots) = blocker_slots {
-        handles.push(
-            cfg.open_connection(
-                &mut sys,
-                &ConnectionRequest::guaranteed(
-                    ChannelEnd { ni: 6, channel: 1 },
-                    ChannelEnd { ni: 5, channel: 1 },
-                    slots,
-                ),
-            )
-            .expect("blocker GT connection opens"),
-        );
+        handles.push(open(
+            &mut cfg,
+            &mut sys,
+            (6, 1),
+            (5, 1),
+            gt(slots),
+            gt(slots),
+        ));
     }
-    assert!(
-        Engine::run_until(&mut sys, |s| s.noc.drained(), 2_000),
-        "configuration traffic must drain"
-    );
+    settle(&mut sys, 2_000);
     HealBench { sys, cfg, handles }
 }
 
@@ -513,8 +351,8 @@ fn heal_reroutes_around_failed_link_and_recertifies() {
         mut cfg,
         handles,
     } = heal_bench(None);
-    sys.bind_raw(2, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-    sys.bind_raw(4, 1, vec![1], Box::new(StreamSink::new()));
+    source(&mut sys, 2, 1, ENDLESS);
+    recording_sink(&mut sys, 4, 1);
     // A transient stuck-at window on (router 0, SOUTH) — mid-path on the
     // stream's route — that expires before the heal.
     let start = sys.cycle();
@@ -616,16 +454,7 @@ fn heal_reopens_a_best_effort_connection_beside_the_gt_stream() {
     } = heal_bench(None);
     // NI 3 shares router 1 with the stream's source, so its XY route to
     // NI 4 crosses (router 0, SOUTH) as well.
-    handles.push(
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest::best_effort(
-                ChannelEnd { ni: 3, channel: 1 },
-                ChannelEnd { ni: 4, channel: 2 },
-            ),
-        )
-        .expect("BE connection opens"),
-    );
+    handles.push(open(&mut cfg, &mut sys, (3, 1), (4, 2), BE, BE));
     let report = south_link_report();
     let outcome = cfg
         .heal(&mut sys, &report, handles)

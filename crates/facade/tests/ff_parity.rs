@@ -18,17 +18,19 @@
 //! whatever the snapshot distinguishes, the digest distinguishes.
 
 use aethereal::cfg::json::Value;
-use aethereal::cfg::{presets, NocSpec, NocSystem, ShardedSystem, TopologySpec};
-use aethereal::ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
-use aethereal::ni::kernel::{
-    chan_reg_addr, ext_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg, NiKernelStats,
-};
+use aethereal::cfg::{NocSystem, ShardedSystem};
+use aethereal::ni::kernel::{slot_reg_addr, NiKernelStats};
 use aethereal::proto::ip::{ClockedWith, RawPort};
-use aethereal::proto::{CountingSink, RawIp, StreamSink, StreamSource};
+use aethereal::proto::{CountingSink, RawIp, StreamSink};
 use aethereal::sim::shard::Partition;
-use aethereal::sim::{FfStats, NocStats, Path, Route, StateVisit, Topology};
+use aethereal::sim::{FfStats, NocStats, StateVisit};
 use aethereal_testkit::prelude::*;
 use aethereal_testkit::{base_seed, Rng64};
+use scenario::{
+    configure, counting_sink, gateway_8x8, gt_stream_2x2, pure_gt_hotspot, pure_gt_uniform,
+};
+
+mod scenario;
 
 /// Everything compared between a fast-forwarded and a ticked execution.
 #[derive(Debug, PartialEq)]
@@ -57,103 +59,6 @@ fn observe(sys: &NocSystem, sinks: &[usize]) -> Observed {
         gt_conflicts: sys.noc.gt_conflicts(),
         be_overflows: sys.noc.be_overflows(),
     }
-}
-
-/// Configures channel `ch` of NI `ni` as an enabled GT channel along
-/// `path`, reserving `slots` of the NI's slot table.
-fn gt_channel(sys: &mut NocSystem, ni: usize, ch: usize, path_rqid: u32, slots: &[usize]) {
-    let k = &mut sys.nis[ni].kernel;
-    k.reg_write(chan_reg_addr(ch, ChanReg::Ctrl), CTRL_ENABLE | CTRL_GT)
-        .unwrap();
-    k.reg_write(chan_reg_addr(ch, ChanReg::Space), 8).unwrap();
-    k.reg_write(chan_reg_addr(ch, ChanReg::PathRqid), path_rqid)
-        .unwrap();
-    for &s in slots {
-        k.reg_write(slot_reg_addr(s), ch as u32 + 1).unwrap();
-    }
-}
-
-/// Disjoint endless GT stream pairs between the horizontally adjacent NIs
-/// of every row of a `width × height` mesh, direction alternating row by
-/// row (on 2x2: NI 0 → NI 1 and NI 3 → NI 2), raw ports at clock div 4 so
-/// production (6 words per 24-cycle rotation) never outruns the 4 reserved
-/// forward slots. Returns the system and the sink handles.
-fn pure_gt_uniform(width: usize, height: usize) -> (NocSystem, Vec<usize>) {
-    let mut spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width,
-            height,
-            nis_per_router: 1,
-        },
-        (0..width * height)
-            .map(|id| presets::raw_ni(id, 1))
-            .collect(),
-    );
-    for ni in &mut spec.nis {
-        ni.kernel.ports[1].clock_div = 4;
-    }
-    let topo = spec.topology.build();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut sinks = Vec::new();
-    for left in (0..width * height).step_by(2) {
-        let (src, dst) = if (left / width).is_multiple_of(2) {
-            (left, left + 1)
-        } else {
-            (left + 1, left)
-        };
-        let fwd = topo.route(src, dst).unwrap();
-        let rev = topo.route(dst, src).unwrap();
-        gt_channel(&mut sys, src, 1, pack_path_rqid(&fwd, 1), &[0, 2, 4, 6]);
-        gt_channel(&mut sys, dst, 1, pack_path_rqid(&rev, 1), &[1, 5]);
-        sys.bind_raw(src, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-        sinks.push(sys.bind_raw(dst, 1, vec![1], Box::new(CountingSink::new())));
-    }
-    (sys, sinks)
-}
-
-/// Two endless GT streams hammering one NI: NI 0 ch 1 → NI 2 ch 1 and
-/// NI 1 ch 1 → NI 2 ch 2, raw ports at clock div 4 (6 words per rotation,
-/// exactly filling the 2 reserved slots each). The sources' slot windows
-/// are ≥ 3 cycles apart, so despite their routes' 1-cycle latency skew
-/// the shared router → NI 2 link never sees a conflict.
-fn pure_gt_hotspot() -> (NocSystem, Vec<usize>) {
-    let mut nis = vec![
-        presets::raw_ni(0, 1),
-        presets::raw_ni(1, 1),
-        presets::raw_ni(2, 2),
-        presets::raw_ni(3, 1),
-    ];
-    for ni in &mut nis {
-        ni.kernel.ports[1].clock_div = 4;
-    }
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 2,
-            nis_per_router: 1,
-        },
-        nis,
-    );
-    let topo = spec.topology.build();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut sinks = Vec::new();
-    for (src, dst_ch, fwd_slots, rev_slot) in
-        [(0usize, 1usize, [0usize, 4], 1usize), (1, 2, [2, 6], 5)]
-    {
-        let fwd = topo.route(src, 2).unwrap();
-        let rev = topo.route(2, src).unwrap();
-        gt_channel(
-            &mut sys,
-            src,
-            1,
-            pack_path_rqid(&fwd, dst_ch as u8),
-            &fwd_slots,
-        );
-        gt_channel(&mut sys, 2, dst_ch, pack_path_rqid(&rev, 1), &[rev_slot]);
-        sys.bind_raw(src, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-        sinks.push(sys.bind_raw(2, 1, vec![dst_ch], Box::new(CountingSink::new())));
-    }
-    (sys, sinks)
 }
 
 /// Runs the same builder twice — fast-forward on and off — and demands
@@ -202,63 +107,14 @@ fn pure_gt_hotspot_is_bit_identical_and_jumps() {
     assert_eq!(ff.noc.gt_conflicts(), 0, "slot windows stay disjoint");
 }
 
-/// NI 0 → NI 63 on an 8x8 mesh: the minimal route split 7/4/4 at routers 7
-/// and 39 (where the lower row band begins on column 7) rather than the
-/// planner's greedy 7/7/1.
-fn corner_route_7_4_4(topo: &Topology) -> Route {
-    let hops: Vec<_> = topo
-        .route_any(0, 63)
-        .expect("route exists")
-        .iter_hops()
-        .collect();
-    let segments =
-        [&hops[..7], &hops[7..11], &hops[11..]].map(|seg| Path::new(seg).expect("fits one header"));
-    let route = Route::from_segments(segments.to_vec()).expect("three segments");
-    let lengths: Vec<_> = route.segments().iter().map(Path::hops).collect();
-    assert_eq!(lengths, [7, 4, 4]);
-    route
-}
-
-/// Gateway (multi-segment) routes on an 8x8 mesh: bounded BE streams whose
-/// headers are rewritten in flight. Fast-forward must decline throughout
-/// (BE words on the wires, then a drained — quiescent-skippable — tail)
-/// and change nothing.
+/// Gateway (multi-segment) routes on an 8x8 mesh — the golden build
+/// [`gateway_8x8`]: a bounded BE stream whose headers are rewritten in
+/// flight. Fast-forward must decline throughout (BE words on the wires,
+/// then a drained — quiescent-skippable — tail) and change nothing.
 #[test]
 fn gateway_routes_decline_but_stay_bit_identical() {
-    let build = || {
-        let nis: Vec<_> = (0..64).map(|id| presets::raw_ni(id, 2)).collect();
-        let spec = NocSpec::new(
-            TopologySpec::Mesh {
-                width: 8,
-                height: 8,
-                nis_per_router: 1,
-            },
-            nis,
-        );
-        let topo = spec.build_topology();
-        let mut sys = NocSystem::from_spec(&spec);
-        let fwd = corner_route_7_4_4(&topo);
-        let rev = topo.route_any(63, 0).expect("route exists");
-        for (ni, route, rqid, ch) in [(0usize, &fwd, 2u8, 1usize), (63, &rev, 1, 2)] {
-            let k = &mut sys.nis[ni].kernel;
-            k.reg_write(chan_reg_addr(ch, ChanReg::Space), 8).unwrap();
-            k.reg_write(
-                chan_reg_addr(ch, ChanReg::PathRqid),
-                pack_path_rqid(route.header_segment(), rqid),
-            )
-            .unwrap();
-            for (i, w) in route.continuation_words().enumerate() {
-                k.reg_write(ext_reg_addr(ch, i), w).unwrap();
-            }
-            k.reg_write(chan_reg_addr(ch, ChanReg::Ctrl), CTRL_ENABLE)
-                .unwrap();
-        }
-        sys.bind_raw(0, 1, vec![1], Box::new(StreamSource::counting(200)));
-        sys.bind_raw(63, 1, vec![2], Box::new(StreamSink::new()));
-        sys
-    };
-    let mut ff = build();
-    let mut cc = build();
+    let mut ff = gateway_8x8();
+    let mut cc = gateway_8x8();
     ff.set_fast_forward(true);
     ff.run(8_000);
     cc.run(8_000);
@@ -276,34 +132,6 @@ fn gateway_routes_decline_but_stay_bit_identical() {
 }
 
 // ---- Sharded execution --------------------------------------------------
-
-/// One endless GT stream on a 2x2 mesh, NI 0 → NI `dst`, with its reverse
-/// credit channel, from a spec whose `fast_forward` flag is
-/// `fast_forward`. `dst` 1 keeps the stream in the top row (one region of
-/// a row split); `dst` 2 sends it across the cut into the bottom row.
-fn gt_stream_2x2(dst: usize, fast_forward: bool) -> (NocSystem, Topology) {
-    let mut spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 2,
-            nis_per_router: 1,
-        },
-        (0..4).map(|id| presets::raw_ni(id, 1)).collect(),
-    )
-    .with_fast_forward(fast_forward);
-    for ni in &mut spec.nis {
-        ni.kernel.ports[1].clock_div = 4;
-    }
-    let topo = spec.topology.build();
-    let mut sys = NocSystem::from_spec(&spec);
-    let fwd = topo.route(0, dst).unwrap();
-    let rev = topo.route(dst, 0).unwrap();
-    gt_channel(&mut sys, 0, 1, pack_path_rqid(&fwd, 1), &[0, 2, 4, 6]);
-    gt_channel(&mut sys, dst, 1, pack_path_rqid(&rev, 1), &[1, 5]);
-    sys.bind_raw(0, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-    sys.bind_raw(dst, 1, vec![1], Box::new(CountingSink::new()));
-    (sys, topo)
-}
 
 /// Fast-forward belongs to the unsplit system: a sharded run of
 /// [`gt_stream_2x2`] never jumps, sequential or on worker threads, at batch
@@ -437,18 +265,10 @@ impl RawIp for BurstSource {
 /// scheduled [`BurstSource`].
 fn gt_with_bursts(schedule: Vec<(u64, u32)>) -> (NocSystem, usize, usize) {
     let (mut sys, topo) = gt_stream_2x2(1, false);
-    let fwd = topo.route(2, 3).unwrap();
-    let rev = topo.route(3, 2).unwrap();
-    for (ni, path) in [(2usize, &fwd), (3, &rev)] {
-        let k = &mut sys.nis[ni].kernel;
-        k.reg_write(chan_reg_addr(1, ChanReg::Ctrl), CTRL_ENABLE)
-            .unwrap();
-        k.reg_write(chan_reg_addr(1, ChanReg::Space), 8).unwrap();
-        k.reg_write(chan_reg_addr(1, ChanReg::PathRqid), pack_path_rqid(path, 1))
-            .unwrap();
-    }
+    configure(&mut sys, &topo, (2, 1), (3, 1), None, true);
+    configure(&mut sys, &topo, (3, 1), (2, 1), None, true);
     let burst = sys.bind_raw(2, 1, vec![1], Box::new(BurstSource::new(schedule)));
-    let be_sink = sys.bind_raw(3, 1, vec![1], Box::new(CountingSink::new()));
+    let be_sink = counting_sink(&mut sys, 3, 1);
     (sys, burst, be_sink)
 }
 

@@ -3,62 +3,22 @@
 //! their independence from best-effort interference — the paper's central
 //! compositionality claim, checked against the analytic formulas.
 
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
-use aethereal::cfg::{
-    presets, NocSpec, NocSystem, RuntimeConfigurator, SlotStrategy, TopologySpec,
-};
+use aethereal::cfg::NocSystem;
 use aethereal::proto::{
-    MasterIp, MemorySlave, StreamSink, StreamSource, TrafficGenerator, TrafficGeneratorConfig,
-    TrafficMix,
+    MasterIp, MemorySlave, StreamSink, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
 };
 use aethereal::sim::Engine;
 use aethereal::sim::SLOT_WORDS;
+use scenario::{
+    configurable, gt, harness, open, raw_pair_spec, recording_sink, source, BE, ENDLESS, STU,
+};
 
-const STU: usize = 8;
+mod scenario;
 
 /// GT stream + optional BE interference on a shared link.
 fn gt_with_interference(slots: usize, interference: bool) -> (f64, u64, NocSystem) {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 3,
-        },
-        vec![
-            presets::cfg_module_ni(0, 8),
-            presets::raw_ni(1, 1),
-            presets::master_ni(2),
-            presets::raw_ni(3, 1),
-            presets::slave_ni(4),
-            presets::slave_ni(5),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, STU);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest {
-            fwd: Service::Guaranteed {
-                slots,
-                strategy: SlotStrategy::Spread,
-            },
-            rev: Service::BestEffort,
-            ..ConnectionRequest::best_effort(
-                ChannelEnd { ni: 1, channel: 1 },
-                ChannelEnd { ni: 3, channel: 1 },
-            )
-        },
-    )
-    .expect("GT opens");
+    let mut sys = harness(slots, interference);
     if interference {
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest::best_effort(
-                ChannelEnd { ni: 2, channel: 1 },
-                ChannelEnd { ni: 4, channel: 1 },
-            ),
-        )
-        .expect("BE opens");
         sys.bind_slave(4, 1, Box::new(MemorySlave::new(1)));
         sys.bind_master(
             2,
@@ -71,8 +31,8 @@ fn gt_with_interference(slots: usize, interference: bool) -> (f64, u64, NocSyste
             })),
         );
     }
-    sys.bind_raw(1, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-    let sink = sys.bind_raw(3, 1, vec![1], Box::new(StreamSink::new()));
+    source(&mut sys, 1, 1, ENDLESS);
+    let sink = recording_sink(&mut sys, 3, 1);
     sys.run(2_000);
     let before = sys.raw_ip_as::<StreamSink>(sink).received().len();
     sys.run(24_000);
@@ -115,40 +75,11 @@ fn gt_rate_and_jitter_unchanged_by_interference() {
 #[test]
 fn gt_jitter_bounded_by_max_slot_gap() {
     for slots in 1..=4usize {
-        let spec = NocSpec::new(
-            TopologySpec::Mesh {
-                width: 2,
-                height: 1,
-                nis_per_router: 2,
-            },
-            vec![
-                presets::cfg_module_ni(0, 4),
-                presets::raw_ni(1, 1),
-                presets::raw_ni(2, 1),
-                presets::slave_ni(3),
-            ],
-        );
-        let mut sys = NocSystem::from_spec(&spec);
-        let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, STU);
-        let handle = cfg
-            .open_connection(
-                &mut sys,
-                &ConnectionRequest {
-                    fwd: Service::Guaranteed {
-                        slots,
-                        strategy: SlotStrategy::Spread,
-                    },
-                    rev: Service::BestEffort,
-                    ..ConnectionRequest::best_effort(
-                        ChannelEnd { ni: 1, channel: 1 },
-                        ChannelEnd { ni: 2, channel: 1 },
-                    )
-                },
-            )
-            .expect("opens");
+        let (mut sys, mut cfg) = configurable(&raw_pair_spec(), 0);
+        let handle = open(&mut cfg, &mut sys, (1, 1), (2, 1), gt(slots), BE);
         let gap = handle.fwd_slots().expect("GT").max_gap(STU);
-        sys.bind_raw(1, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-        let sink = sys.bind_raw(2, 1, vec![1], Box::new(StreamSink::new()));
+        source(&mut sys, 1, 1, ENDLESS);
+        let sink = recording_sink(&mut sys, 2, 1);
         sys.run(30_000);
         let measured = sys
             .raw_ip_as::<StreamSink>(sink)
@@ -168,47 +99,8 @@ fn be_makes_progress_even_under_gt_pressure() {
     // A GT connection holding 6 of 8 slots leaves the BE class only the
     // residual bandwidth — but never starves it (BE uses unreserved and
     // unused slots).
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 3,
-        },
-        vec![
-            presets::cfg_module_ni(0, 8),
-            presets::raw_ni(1, 1),
-            presets::master_ni(2),
-            presets::raw_ni(3, 1),
-            presets::slave_ni(4),
-            presets::slave_ni(5),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, STU);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest {
-            fwd: Service::Guaranteed {
-                slots: 6,
-                strategy: SlotStrategy::Spread,
-            },
-            rev: Service::BestEffort,
-            ..ConnectionRequest::best_effort(
-                ChannelEnd { ni: 1, channel: 1 },
-                ChannelEnd { ni: 3, channel: 1 },
-            )
-        },
-    )
-    .expect("GT opens");
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 2, channel: 1 },
-            ChannelEnd { ni: 4, channel: 1 },
-        ),
-    )
-    .expect("BE opens");
-    sys.bind_raw(1, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
+    let mut sys = harness(6, true);
+    source(&mut sys, 1, 1, ENDLESS);
     sys.bind_slave(4, 1, Box::new(MemorySlave::new(1)));
     let be = sys.bind_master(
         1 + 1,
@@ -239,46 +131,7 @@ fn unused_gt_slots_are_recovered_by_be() {
     // A GT connection that sends nothing: its reserved slots pass unused
     // and BE traffic claims every cycle — the combined router's efficiency
     // argument.
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 3,
-        },
-        vec![
-            presets::cfg_module_ni(0, 8),
-            presets::raw_ni(1, 1), // silent GT source
-            presets::master_ni(2),
-            presets::raw_ni(3, 1),
-            presets::slave_ni(4),
-            presets::slave_ni(5),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, STU);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest {
-            fwd: Service::Guaranteed {
-                slots: 7,
-                strategy: SlotStrategy::Spread,
-            },
-            rev: Service::BestEffort,
-            ..ConnectionRequest::best_effort(
-                ChannelEnd { ni: 1, channel: 1 },
-                ChannelEnd { ni: 3, channel: 1 },
-            )
-        },
-    )
-    .expect("GT opens");
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 2, channel: 1 },
-            ChannelEnd { ni: 4, channel: 1 },
-        ),
-    )
-    .expect("BE opens");
+    let mut sys = harness(7, true);
     sys.bind_slave(4, 1, Box::new(MemorySlave::new(1)));
     let be = sys.bind_master(
         2,

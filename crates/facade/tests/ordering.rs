@@ -3,11 +3,13 @@
 //! different speeds, multicast ack merging with stragglers, and pipelined
 //! outstanding transactions on a single connection.
 
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest};
-use aethereal::cfg::{presets, NocSpec, NocSystem, RuntimeConfigurator, TopologySpec};
+use aethereal::cfg::{presets, NocSystem};
 use aethereal::ni::shell::AddrRange;
 use aethereal::ni::{RespStatus, Transaction};
 use aethereal::proto::MemorySlave;
+use scenario::{configurable, configured_pair, mesh_spec, open, two_slave_pair, BE};
+
+mod scenario;
 
 fn collect_responses(
     sys: &mut NocSystem,
@@ -47,38 +49,15 @@ fn narrowcast_preserves_submission_order_across_slave_speeds() {
             size: 0x100,
         },
     ];
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 2,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 8),
-            presets::narrowcast_master_ni(1, ranges),
-            presets::slave_ni(2),
-            presets::slave_ni(3),
-            presets::slave_ni(4),
-            presets::slave_ni(5),
-            presets::slave_ni(6),
-            presets::slave_ni(7),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
+    let spec = mesh_spec(2, 2, 2, |id| match id {
+        0 => presets::cfg_module_ni(0, 8),
+        1 => presets::narrowcast_master_ni(1, ranges.clone()),
+        _ => presets::slave_ni(id),
+    });
+    let (mut sys, mut cfg) = configurable(&spec, 0);
     let slaves = [2usize, 4, 6];
     for (ch, &slave) in (1..=3).zip(&slaves) {
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest::best_effort(
-                ChannelEnd { ni: 1, channel: ch },
-                ChannelEnd {
-                    ni: slave,
-                    channel: 1,
-                },
-            ),
-        )
-        .expect("leg opens");
+        open(&mut cfg, &mut sys, (1, ch), (slave, 1), BE, BE);
     }
     for (k, &slave) in slaves.iter().enumerate() {
         let mut mem = MemorySlave::new(27 / 3u64.pow(2 - k as u32)); // 3, 9, 27... reversed below
@@ -114,34 +93,7 @@ fn narrowcast_preserves_submission_order_across_slave_speeds() {
 
 #[test]
 fn multicast_waits_for_the_slowest_slave() {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 4),
-            presets::multicast_master_ni(1, 2),
-            presets::slave_ni(2),
-            presets::slave_ni(3),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    for (ch, slave) in [(1usize, 2usize), (2, 3)] {
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest::best_effort(
-                ChannelEnd { ni: 1, channel: ch },
-                ChannelEnd {
-                    ni: slave,
-                    channel: 1,
-                },
-            ),
-        )
-        .expect("leg opens");
-    }
+    let mut sys = two_slave_pair(presets::multicast_master_ni(1, 2));
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(1)));
     sys.bind_slave(3, 1, Box::new(MemorySlave::new(60))); // the straggler
     let t0 = sys.cycle();
@@ -159,29 +111,7 @@ fn multicast_waits_for_the_slowest_slave() {
 
 #[test]
 fn pipelined_transactions_on_one_connection_stay_ordered() {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 4),
-            presets::master_ni(1),
-            presets::slave_ni(2),
-            presets::slave_ni(3),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 2, channel: 1 },
-        ),
-    )
-    .expect("opens");
+    let (mut sys, _cfg) = configured_pair();
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(3)));
     // Submit a write+read pair per location without waiting: the connection
     // pipeline must serialize them correctly (read-after-write hazard).

@@ -20,20 +20,24 @@ use std::path::PathBuf;
 
 use aethereal::area::model::{ShellKind, LINK_BANDWIDTH_GBIT, ROUTER_CLOCK_MHZ};
 use aethereal::area::{AreaModel, NiInstance, SwStackModel, HW_NI_LATENCY_MAX, HW_NI_LATENCY_MIN};
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
-use aethereal::cfg::{
-    presets, NocSpec, NocSystem, RuntimeConfigurator, SlotStrategy, TopologySpec,
-};
+use aethereal::cfg::runtime::{ConnectionRequest, Service};
+use aethereal::cfg::{presets, NocSystem, RuntimeConfigurator, SlotStrategy};
 use aethereal::ni::kernel::{chan_reg_addr, ArbPolicy, ChanReg, PortSpec};
 use aethereal::ni::ni::{NiSpec, PortStackSpec};
 use aethereal::ni::shell::AddrRange;
 use aethereal::ni::{RespStatus, Transaction, TransactionResponse};
 use aethereal::proto::ip::{ClockedWith, RawPort};
 use aethereal::proto::{
-    CountingSink, MemorySlave, RawIp, StreamSink, StreamSource, TrafficGenerator,
-    TrafficGeneratorConfig, TrafficMix,
+    MemorySlave, RawIp, StreamSink, StreamSource, TrafficGenerator, TrafficGeneratorConfig,
+    TrafficMix,
 };
 use aethereal::sim::SLOT_WORDS;
+use scenario::{
+    configurable, counting_sink, harness, master_slave, mesh, open, raw_pair_spec, recording_sink,
+    request, source, two_slave_pair, BE, ENDLESS,
+};
+
+mod scenario;
 
 // ---- Rendering and the golden check ----------------------------------------
 
@@ -114,40 +118,15 @@ fn check_golden(name: &str, text: &str) {
 
 // ---- Shared systems ----------------------------------------------------------
 
-/// Builds the canonical master/slave system on a `width × height` mesh with
-/// two NIs per router — cfg module on NI 0, a master on NI 1, slaves on the
-/// remaining attachments — and opens a BE connection master → slave
-/// (NI `2·width·height − 1`, the diagonally farthest attachment).
+/// The canonical master/slave system ([`master_slave`]) on a `width ×
+/// height` mesh with two NIs per router and the configuration module sized
+/// for 8 connections: a BE connection from the master on NI 1 to the
+/// diagonally farthest attachment, NI `2·width·height − 1`.
 ///
 /// Returns the system, the configurator and the slave NI id.
 fn master_slave_system(width: usize, height: usize) -> (NocSystem, RuntimeConfigurator, usize) {
-    let n = 2 * width * height;
-    let mut nis = vec![presets::cfg_module_ni(0, 8), presets::master_ni(1)];
-    for id in 2..n {
-        nis.push(presets::slave_ni(id));
-    }
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width,
-            height,
-            nis_per_router: 2,
-        },
-        nis,
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    let slave = n - 1;
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd {
-                ni: slave,
-                channel: 1,
-            },
-        ),
-    )
-    .expect("connection opens");
+    let slave = 2 * width * height - 1;
+    let (sys, cfg) = master_slave(width, height, 2, 8, slave);
     (sys, cfg, slave)
 }
 
@@ -182,40 +161,22 @@ impl Default for StreamSetup {
 /// (NI 1) on router 0, sink (NI 2) and a spare (NI 3) on router 1, with the
 /// connection source.ch1 → sink.ch1 opened per `setup`.
 fn stream_system(setup: StreamSetup) -> NocSystem {
-    let mut spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 4),
-            presets::raw_ni(1, 1),
-            presets::raw_ni(2, 1),
-            presets::slave_ni(3),
-        ],
-    );
+    let mut spec = raw_pair_spec();
     // The streaming channels' queue depth is a design-time knob (§1).
     spec.nis[1].kernel.ports[1].queue_words = setup.queue_words;
     spec.nis[2].kernel.ports[1].queue_words = setup.queue_words;
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
+    let (mut sys, mut cfg) = configurable(&spec, 0);
     let fwd = match setup.gt_slots {
         Some(slots) => Service::Guaranteed {
             slots,
             strategy: setup.strategy,
         },
-        None => Service::BestEffort,
+        None => BE,
     };
     let req = ConnectionRequest {
-        fwd,
-        rev: Service::BestEffort,
         data_threshold: setup.data_threshold,
         credit_threshold: setup.credit_threshold,
-        ..ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 2, channel: 1 },
-        )
+        ..request((1, 1), (2, 1), fwd, BE)
     };
     cfg.open_connection(&mut sys, &req)
         .expect("stream connection opens");
@@ -626,49 +587,11 @@ struct GuaranteeOutcome {
 fn gt_under_be_load(be_gap: Option<u64>) -> GuaranteeOutcome {
     const WARMUP: u64 = 1_000;
     const WINDOW: u64 = 20_000;
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 3,
-        },
-        vec![
-            presets::cfg_module_ni(0, 8),
-            presets::raw_ni(1, 1), // GT source, router 0
-            presets::master_ni(2), // BE master, router 0
-            presets::raw_ni(3, 1), // GT sink, router 1
-            presets::slave_ni(4),  // BE memory, router 1
-            presets::slave_ni(5),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, E4_STU);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest {
-            fwd: Service::Guaranteed {
-                slots: E4_GT_SLOTS,
-                strategy: SlotStrategy::Spread,
-            },
-            rev: Service::BestEffort,
-            ..ConnectionRequest::best_effort(
-                ChannelEnd { ni: 1, channel: 1 },
-                ChannelEnd { ni: 3, channel: 1 },
-            )
-        },
-    )
-    .expect("GT connection opens");
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 2, channel: 1 },
-            ChannelEnd { ni: 4, channel: 1 },
-        ),
-    )
-    .expect("BE connection opens");
+    // GT source NI 1 → GT sink NI 3; BE master NI 2 → BE memory NI 4.
+    let mut sys = harness(E4_GT_SLOTS, true);
 
-    sys.bind_raw(1, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-    let sink = sys.bind_raw(3, 1, vec![1], Box::new(StreamSink::new()));
+    source(&mut sys, 1, 1, ENDLESS);
+    let sink = recording_sink(&mut sys, 3, 1);
     let be = be_gap.map(|gap| {
         sys.bind_slave(4, 1, Box::new(MemorySlave::new(1)));
         sys.bind_master(
@@ -1194,43 +1117,6 @@ fn poll(sys: &mut NocSystem, ni: usize, port: usize) -> TransactionResponse {
     panic!("no response");
 }
 
-/// A 2×1 mesh with the master NI `master` and two slaves, one BE leg per
-/// master channel opened to each slave.
-fn two_slave_system(master: NiSpec) -> NocSystem {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 4),
-            master,
-            presets::slave_ni(2),
-            presets::slave_ni(3),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    // One point-to-point connection per master-slave pair (§4.2: "we
-    // implement the narrowcast connection as a collection of point-to-point
-    // connections").
-    for (ch, slave) in [(1usize, 2usize), (2, 3)] {
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest::best_effort(
-                ChannelEnd { ni: 1, channel: ch },
-                ChannelEnd {
-                    ni: slave,
-                    channel: 1,
-                },
-            ),
-        )
-        .expect("leg opens");
-    }
-    sys
-}
-
 /// E9a — narrowcast: one master's address space split over two memories.
 fn narrowcast_experiment() -> String {
     let ranges = vec![
@@ -1243,7 +1129,7 @@ fn narrowcast_experiment() -> String {
             size: 0x100,
         },
     ];
-    let mut sys = two_slave_system(presets::narrowcast_master_ni(1, ranges));
+    let mut sys = two_slave_pair(presets::narrowcast_master_ni(1, ranges));
     let m2 = sys.bind_slave(2, 1, Box::new(MemorySlave::new(1)));
     let m3 = sys.bind_slave(3, 1, Box::new(MemorySlave::new(5))); // slower memory
 
@@ -1305,7 +1191,7 @@ fn narrowcast_experiment() -> String {
 
 /// E9b — multicast: every slave executes every transaction.
 fn multicast_experiment() -> String {
-    let mut sys = two_slave_system(presets::multicast_master_ni(1, 2));
+    let mut sys = two_slave_pair(presets::multicast_master_ni(1, 2));
     let m2 = sys.bind_slave(2, 1, Box::new(MemorySlave::new(1)));
     let m3 = sys.bind_slave(3, 1, Box::new(MemorySlave::new(2)));
 
@@ -1385,12 +1271,10 @@ fn source_ni(policy: ArbPolicy) -> NiSpec {
 /// Words sent per channel and the average data-packet payload, for three
 /// saturating streams under `policy`.
 fn arbitrate(policy: ArbPolicy) -> ([u64; 3], f64) {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
+    let spec = mesh(
+        2,
+        1,
+        2,
         vec![
             presets::cfg_module_ni(0, 8),
             source_ni(policy),
@@ -1398,22 +1282,14 @@ fn arbitrate(policy: ArbPolicy) -> ([u64; 3], f64) {
             presets::slave_ni(3),
         ],
     );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
+    let (mut sys, mut cfg) = configurable(&spec, 0);
     for ch in 1..=3usize {
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest::best_effort(
-                ChannelEnd { ni: 1, channel: ch },
-                ChannelEnd { ni: 2, channel: ch },
-            ),
-        )
-        .expect("leg opens");
+        open(&mut cfg, &mut sys, (1, ch), (2, ch), BE, BE);
     }
     for ch in 1..=3usize {
-        sys.bind_raw(1, 1, vec![ch], Box::new(StreamSource::counting(u64::MAX)));
+        source(&mut sys, 1, ch, ENDLESS);
         // Sinks drain at line rate.
-        sys.bind_raw(2, 1, vec![ch], Box::new(CountingSink::new()));
+        counting_sink(&mut sys, 2, ch);
     }
     sys.run(30_000);
     let mut out = [0u64; 3];

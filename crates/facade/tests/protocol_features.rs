@@ -4,14 +4,16 @@
 //! remote introspection.
 
 use aethereal::cfg::inspect::dump_ni;
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest};
-use aethereal::cfg::{presets, NocSpec, NocSystem, RuntimeConfigurator, TopologySpec};
+use aethereal::cfg::{presets, NocSystem};
 use aethereal::ni::shell::axi::{ArBeat, AwBeat, AxiResp, WBeat};
 use aethereal::ni::{Cmd, RespStatus, Transaction};
 use aethereal::proto::{
     MemorySlave, Trace, TraceMaster, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
 };
 use aethereal::sim::Engine;
+use scenario::{configurable, configured_pair, mesh, open, pair_spec, BE};
+
+mod scenario;
 
 fn poll_master(sys: &mut NocSystem, ni: usize) -> aethereal::ni::TransactionResponse {
     for _ in 0..40_000 {
@@ -23,36 +25,9 @@ fn poll_master(sys: &mut NocSystem, ni: usize) -> aethereal::ni::TransactionResp
     panic!("no response");
 }
 
-fn two_node_system() -> (NocSystem, RuntimeConfigurator) {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 4),
-            presets::master_ni(1),
-            presets::slave_ni(2),
-            presets::slave_ni(3),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 2, channel: 1 },
-        ),
-    )
-    .expect("connection opens");
-    (sys, cfg)
-}
-
 #[test]
 fn read_linked_write_conditional_over_the_network() {
-    let (mut sys, _cfg) = two_node_system();
+    let (mut sys, _cfg) = configured_pair();
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(1)));
     // Seed the location.
     sys.nis[1]
@@ -95,12 +70,10 @@ fn multi_connection_slave_serves_two_masters() {
     // Two masters on different NIs share one slave port with two channels:
     // the multi-connection shell (Fig. 4) schedules between the
     // connections and routes responses back correctly.
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
+    let spec = mesh(
+        2,
+        1,
+        2,
         vec![
             presets::cfg_module_ni(0, 4),
             presets::master_ni(1),
@@ -108,24 +81,9 @@ fn multi_connection_slave_serves_two_masters() {
             presets::master_ni(3),
         ],
     );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    for (master_ni, slave_ch) in [(1usize, 1usize), (3, 2)] {
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest::best_effort(
-                ChannelEnd {
-                    ni: master_ni,
-                    channel: 1,
-                },
-                ChannelEnd {
-                    ni: 2,
-                    channel: slave_ch,
-                },
-            ),
-        )
-        .expect("leg opens");
-    }
+    let (mut sys, mut cfg) = configurable(&spec, 0);
+    open(&mut cfg, &mut sys, (1, 1), (2, 1), BE, BE);
+    open(&mut cfg, &mut sys, (3, 1), (2, 2), BE, BE);
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(1)));
     // Both masters write to disjoint locations and read back concurrently.
     sys.nis[1]
@@ -161,7 +119,7 @@ fn multi_connection_slave_serves_two_masters() {
 
 #[test]
 fn axi_adapter_bridges_to_the_noc() {
-    let (mut sys, _cfg) = two_node_system();
+    let (mut sys, _cfg) = configured_pair();
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(1)));
     let mut axi = aethereal::ni::shell::AxiMasterAdapter::new();
     // AXI write burst.
@@ -226,7 +184,7 @@ fn axi_adapter_bridges_to_the_noc() {
 
 #[test]
 fn trace_master_replays_with_timing() {
-    let (mut sys, _cfg) = two_node_system();
+    let (mut sys, _cfg) = configured_pair();
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(1)));
     let trace = Trace::periodic(10, 50, |i| {
         if i % 2 == 0 {
@@ -250,31 +208,10 @@ fn trace_master_replays_with_timing() {
 fn slow_port_clock_still_delivers() {
     // The master's data port runs at a quarter of the network clock; the
     // dual-clock FIFOs bridge the domains (§4.1/§5).
-    let mut master = presets::master_ni(1);
-    master.kernel.ports[1].clock_div = 4;
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 4),
-            master,
-            presets::slave_ni(2),
-            presets::slave_ni(3),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 2, channel: 1 },
-        ),
-    )
-    .expect("opens");
+    let mut spec = pair_spec();
+    spec.nis[1].kernel.ports[1].clock_div = 4;
+    let (mut sys, mut cfg) = configurable(&spec, 0);
+    open(&mut cfg, &mut sys, (1, 1), (2, 1), BE, BE);
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(1)));
     sys.nis[1]
         .master_mut(1)
@@ -289,7 +226,7 @@ fn slow_port_clock_still_delivers() {
 
 #[test]
 fn traffic_generator_under_mixed_load_keeps_invariants() {
-    let (mut sys, _cfg) = two_node_system();
+    let (mut sys, _cfg) = configured_pair();
     sys.bind_slave(2, 1, Box::new(MemorySlave::new(2)));
     let h = sys.bind_master(
         1,
@@ -314,7 +251,7 @@ fn traffic_generator_under_mixed_load_keeps_invariants() {
 
 #[test]
 fn remote_dump_sees_the_configuration() {
-    let (mut sys, mut cfg) = two_node_system();
+    let (mut sys, mut cfg) = configured_pair();
     let dump = dump_ni(&mut cfg, &mut sys, 0, 0, 1).expect("dump");
     assert_eq!(dump.ni_id, 1);
     assert!(

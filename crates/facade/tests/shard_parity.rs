@@ -8,16 +8,16 @@
 //! system, in every per-link counter, NI kernel counter, IP statistic and
 //! delivered word, for both uniform and hotspot traffic.
 
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
-use aethereal::cfg::{
-    presets, NocSpec, NocSystem, RuntimeConfigurator, ShardedSystem, SlotStrategy, TopologySpec,
-};
+use aethereal::cfg::{NocSystem, ShardedSystem};
 use aethereal::ni::kernel::NiKernelStats;
 use aethereal::proto::{
-    MemorySlave, StreamSink, StreamSource, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
+    MemorySlave, StreamSink, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
 };
 use aethereal::sim::shard::Partition;
-use aethereal::sim::{Clocked, Engine, NocStats, Topology};
+use aethereal::sim::{Clocked, Engine, NocStats};
+use scenario::{configure, configured_pair, mixed_4x4, raw_mesh, recording_sink, source, Mixed4x4};
+
+mod scenario;
 
 /// Long enough for every workload to drain and the idle tail to engage the
 /// per-region skip machinery.
@@ -32,124 +32,15 @@ enum Pattern {
     Hotspot,
 }
 
-struct Scenario {
-    sys: NocSystem,
-    topo: Topology,
-    /// `(ni, port)` of every bound traffic generator.
-    masters: Vec<(usize, usize)>,
-    /// Global NI of the GT stream sink.
-    sink: usize,
+/// The 4x4 mixed workload ([`mixed_4x4`]) under `pattern`: 30 transactions
+/// per generator and a 400-word GT stream NI 7 → NI 15 crossing every row
+/// cut.
+fn scenario(pattern: Pattern) -> Mixed4x4 {
+    mixed_4x4(matches!(pattern, Pattern::Hotspot), 30, 400)
 }
 
-/// A 4x4 mesh (one NI per router): config module on NI 0, traffic
-/// generators on NIs 1–6, slaves on the south half, and a GT stream pair
-/// NI 7 → NI 15 crossing every row cut. All connections are opened through
-/// the NoC itself; the system is settled (network drained) before the
-/// workloads are bound, so the same builder serves the unsplit reference
-/// and the sharded run.
-fn scenario(pattern: Pattern) -> Scenario {
-    let mut nis = vec![presets::cfg_module_ni(0, 16)];
-    for id in 1..7 {
-        nis.push(presets::master_ni(id));
-    }
-    nis.push(presets::raw_ni(7, 1));
-    for id in 8..13 {
-        nis.push(presets::slave_ni(id));
-    }
-    nis.push(match pattern {
-        Pattern::Uniform => presets::slave_ni(13),
-        Pattern::Hotspot => presets::multi_slave_ni(13, 6),
-    });
-    nis.push(presets::slave_ni(14));
-    nis.push(presets::raw_ni(15, 1));
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 4,
-            height: 4,
-            nis_per_router: 1,
-        },
-        nis,
-    );
-    let topo = spec.topology.build();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    for m in 1..7usize {
-        let (slave, channel) = match pattern {
-            Pattern::Uniform => (m + 7, 1),
-            Pattern::Hotspot => (13, m),
-        };
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest::best_effort(
-                ChannelEnd { ni: m, channel: 1 },
-                ChannelEnd { ni: slave, channel },
-            ),
-        )
-        .expect("BE connection opens");
-    }
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest {
-            fwd: Service::Guaranteed {
-                slots: 2,
-                strategy: SlotStrategy::Spread,
-            },
-            rev: Service::BestEffort,
-            ..ConnectionRequest::best_effort(
-                ChannelEnd { ni: 7, channel: 1 },
-                ChannelEnd { ni: 15, channel: 1 },
-            )
-        },
-    )
-    .expect("GT connection opens");
-    // Settle: the split point requires a drained network (quiescence alone
-    // would admit GT calendar entries still waiting for their due cycle);
-    // the reference run settles identically so the two executions stay
-    // cycle-aligned.
-    assert!(
-        Engine::run_until(&mut sys, |s| s.noc.drained(), 2_000),
-        "configuration traffic must drain"
-    );
-    let mut masters = Vec::new();
-    for m in 1..7usize {
-        sys.bind_master(
-            m,
-            1,
-            Box::new(TrafficGenerator::new(TrafficGeneratorConfig {
-                seed: 11 * m as u64 + 3,
-                addr_base: 0,
-                addr_range: 0x200,
-                mix: TrafficMix::Mixed { read_fraction: 0.5 },
-                burst: (1, 4),
-                // Mixed pacing: saturating and gappy generators together
-                // exercise both the busy path and the idle-gap horizon.
-                gap_cycles: [0, 7, 23][m % 3],
-                total: Some(30),
-                max_outstanding: 4,
-            })),
-        );
-        masters.push((m, 1));
-        let (slave, port) = match pattern {
-            Pattern::Uniform => (m + 7, 1),
-            Pattern::Hotspot => (13, 1),
-        };
-        if pattern_is_uniform(pattern) || m == 1 {
-            sys.bind_slave(slave, port, Box::new(MemorySlave::new(2 + (m as u64 % 3))));
-        }
-    }
-    sys.bind_raw(7, 1, vec![1], Box::new(StreamSource::counting(400)));
-    sys.bind_raw(15, 1, vec![1], Box::new(StreamSink::new()));
-    Scenario {
-        sys,
-        topo,
-        masters,
-        sink: 15,
-    }
-}
-
-fn pattern_is_uniform(p: Pattern) -> bool {
-    matches!(p, Pattern::Uniform)
-}
+/// Global NI of the GT stream sink.
+const SINK: usize = 15;
 
 /// Everything compared between the unsplit and sharded executions.
 #[derive(Debug, PartialEq)]
@@ -163,7 +54,7 @@ struct Observed {
     be_overflows: u64,
 }
 
-fn observe_single(s: &Scenario) -> Observed {
+fn observe_single(s: &Mixed4x4) -> Observed {
     Observed {
         cycle: s.sys.cycle(),
         noc: s.sys.noc.stats().clone(),
@@ -239,7 +130,7 @@ fn sharded_run_batched(pattern: Pattern, shards: usize, parallel: bool, batch: u
     } else {
         sharded.run(HORIZON);
     }
-    observe_sharded(&sharded, &s.masters, s.sink)
+    observe_sharded(&sharded, &s.masters, SINK)
 }
 
 fn sharded_run(pattern: Pattern, shards: usize, parallel: bool) -> Observed {
@@ -338,42 +229,15 @@ fn drained_regions_leave_the_activity_set_and_stay_exact() {
 /// through the slot-table rotation instead of ticking it, bit-identically.
 #[test]
 fn gt_slot_dormancy_sleeps_between_reserved_slots() {
-    use aethereal::ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
-    use aethereal::ni::kernel::{chan_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg};
-    use aethereal::proto::{StreamSink, StreamSource};
     let build = || {
-        let spec = NocSpec::new(
-            TopologySpec::Mesh {
-                width: 2,
-                height: 1,
-                nis_per_router: 1,
-            },
-            vec![presets::raw_ni(0, 1), presets::raw_ni(1, 1)],
-        );
-        let topo = spec.topology.build();
+        let spec = raw_mesh(2, 1, 1, 1);
+        let topo = spec.build_topology();
         let mut sys = NocSystem::from_spec(&spec);
-        let p01 = topo.route(0, 1).unwrap();
-        let p10 = topo.route(1, 0).unwrap();
-        {
-            let k = &mut sys.nis[0].kernel;
-            k.reg_write(chan_reg_addr(1, ChanReg::Ctrl), CTRL_ENABLE | CTRL_GT)
-                .unwrap();
-            k.reg_write(chan_reg_addr(1, ChanReg::Space), 8).unwrap();
-            k.reg_write(chan_reg_addr(1, ChanReg::PathRqid), pack_path_rqid(&p01, 1))
-                .unwrap();
-            // One slot of eight: long dormant stretches between sends.
-            k.reg_write(slot_reg_addr(0), 2).unwrap();
-        }
-        {
-            let k = &mut sys.nis[1].kernel;
-            k.reg_write(chan_reg_addr(1, ChanReg::Ctrl), CTRL_ENABLE)
-                .unwrap();
-            k.reg_write(chan_reg_addr(1, ChanReg::Space), 8).unwrap();
-            k.reg_write(chan_reg_addr(1, ChanReg::PathRqid), pack_path_rqid(&p10, 1))
-                .unwrap();
-        }
-        sys.bind_raw(0, 1, vec![1], Box::new(StreamSource::counting(6)));
-        sys.bind_raw(1, 1, vec![1], Box::new(StreamSink::new()));
+        // One slot of eight: long dormant stretches between sends.
+        configure(&mut sys, &topo, (0, 1), (1, 1), Some(&[0]), true);
+        configure(&mut sys, &topo, (1, 1), (0, 1), None, true);
+        source(&mut sys, 0, 1, 6);
+        recording_sink(&mut sys, 1, 1);
         sys
     };
     // The dormancy engages: the system reports quiescence with GT data
@@ -424,29 +288,7 @@ fn gt_slot_dormancy_sleeps_between_reserved_slots() {
 #[test]
 fn pacing_gaps_are_skipped_exactly_by_the_engine() {
     let build = || {
-        let spec = NocSpec::new(
-            TopologySpec::Mesh {
-                width: 2,
-                height: 1,
-                nis_per_router: 2,
-            },
-            vec![
-                presets::cfg_module_ni(0, 4),
-                presets::master_ni(1),
-                presets::slave_ni(2),
-                presets::slave_ni(3),
-            ],
-        );
-        let mut sys = NocSystem::from_spec(&spec);
-        let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest::best_effort(
-                ChannelEnd { ni: 1, channel: 1 },
-                ChannelEnd { ni: 2, channel: 1 },
-            ),
-        )
-        .expect("connection opens");
+        let (mut sys, _) = configured_pair();
         sys.bind_master(
             1,
             1,

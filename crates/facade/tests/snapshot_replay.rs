@@ -15,18 +15,16 @@
 //! mid-epoch boundary-ring regression.
 
 use aethereal::cfg::json::{self, Value};
-use aethereal::cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
-use aethereal::cfg::{
-    presets, NocSpec, NocSystem, RuntimeConfigurator, ShardedSystem, SlotStrategy, TopologySpec,
-};
+use aethereal::cfg::{NocSystem, ShardedSystem};
 use aethereal::ni::kernel::{ChannelStats, NiKernelStats};
 use aethereal::ni::{Ni, Transaction};
-use aethereal::proto::{
-    MemorySlave, StreamSink, StreamSource, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
-};
+use aethereal::proto::{MemorySlave, TrafficGenerator, TrafficGeneratorConfig, TrafficMix};
 use aethereal::sim::shard::Partition;
-use aethereal::sim::{Engine, FfStats, NocStats, Topology};
+use aethereal::sim::{FfStats, NocStats, Topology};
 use aethereal_testkit::prelude::*;
+use scenario::{configured_pair, mixed_4x4};
+
+mod scenario;
 
 /// First structural difference between two snapshot documents, as a
 /// JSON path — keeps assertion failures readable instead of dumping two
@@ -85,85 +83,16 @@ fn sharded_counters(s: &ShardedSystem) -> Counters {
     counters(s.merged_noc_stats(), nis, s.ff_stats())
 }
 
-/// A 4x4 mesh mixing every kind of dynamic state: a config module (NI 0),
-/// six traffic generators with mixed pacing (NIs 1–6) against memory
-/// slaves with latency pipelines (NIs 8–13), and a GT stream NI 7 → NI 15
+/// The 4x4 mixed workload ([`mixed_4x4`]), which mixes every kind of
+/// dynamic state: a config module (NI 0), six traffic generators with mixed
+/// pacing (NIs 1–6, 40 transactions each) against memory slaves with
+/// latency pipelines (NIs 8–13), and a 3 000-word GT stream NI 7 → NI 15
 /// crossing every row cut, long enough to still be flowing at every
 /// checkpoint. All connections are opened through the NoC itself, so the
 /// config stacks carry runtime bindings in their dynamic state.
-fn scenario(seed: u64) -> (NocSystem, Topology) {
-    let mut nis = vec![presets::cfg_module_ni(0, 16)];
-    for id in 1..7 {
-        nis.push(presets::master_ni(id));
-    }
-    nis.push(presets::raw_ni(7, 1));
-    for id in 8..15 {
-        nis.push(presets::slave_ni(id));
-    }
-    nis.push(presets::raw_ni(15, 1));
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 4,
-            height: 4,
-            nis_per_router: 1,
-        },
-        nis,
-    );
-    let topo = spec.topology.build();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    for m in 1..7usize {
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest::best_effort(
-                ChannelEnd { ni: m, channel: 1 },
-                ChannelEnd {
-                    ni: m + 7,
-                    channel: 1,
-                },
-            ),
-        )
-        .expect("BE connection opens");
-    }
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest {
-            fwd: Service::Guaranteed {
-                slots: 2,
-                strategy: SlotStrategy::Spread,
-            },
-            rev: Service::BestEffort,
-            ..ConnectionRequest::best_effort(
-                ChannelEnd { ni: 7, channel: 1 },
-                ChannelEnd { ni: 15, channel: 1 },
-            )
-        },
-    )
-    .expect("GT connection opens");
-    assert!(
-        Engine::run_until(&mut sys, |s| s.noc.drained(), 2_000),
-        "configuration traffic must drain"
-    );
-    for m in 1..7usize {
-        sys.bind_master(
-            m,
-            1,
-            Box::new(TrafficGenerator::new(TrafficGeneratorConfig {
-                seed: seed * 101 + 11 * m as u64 + 3,
-                addr_base: 0,
-                addr_range: 0x200,
-                mix: TrafficMix::Mixed { read_fraction: 0.5 },
-                burst: (1, 4),
-                gap_cycles: [0, 7, 23][m % 3],
-                total: Some(40),
-                max_outstanding: 4,
-            })),
-        );
-        sys.bind_slave(m + 7, 1, Box::new(MemorySlave::new(2 + (m as u64 % 3))));
-    }
-    sys.bind_raw(7, 1, vec![1], Box::new(StreamSource::counting(3_000)));
-    sys.bind_raw(15, 1, vec![1], Box::new(StreamSink::new()));
-    (sys, topo)
+fn scenario() -> (NocSystem, Topology) {
+    let s = mixed_4x4(false, 40, 3_000);
+    (s.sys, s.topo)
 }
 
 const HORIZON: u64 = 6_000;
@@ -173,7 +102,7 @@ fn restore_and_continue_is_bit_identical_at_every_checkpoint() {
     let checkpoints = [1u64, 137, 1_024, 2_803, 5_999];
     // Reference: one uninterrupted run, snapshotting (non-destructively)
     // as it passes each checkpoint.
-    let (mut reference, _) = scenario(0);
+    let (mut reference, _) = scenario();
     let start = reference.cycle();
     let mut at = start;
     let mut ref_snaps = Vec::new();
@@ -190,7 +119,7 @@ fn restore_and_continue_is_bit_identical_at_every_checkpoint() {
     for (&k, snap) in checkpoints.iter().zip(&ref_snaps) {
         let text = json::to_string_pretty(snap);
         let reread = json::parse(&text).expect("snapshot text parses");
-        let (mut fresh, _) = scenario(0);
+        let (mut fresh, _) = scenario();
         fresh.restore(&reread).expect("restore");
         assert_eq!(fresh.cycle(), start + k, "restore lands on the checkpoint");
         fresh.run(start + HORIZON - (start + k));
@@ -203,7 +132,7 @@ fn restore_and_continue_is_bit_identical_at_every_checkpoint() {
     }
     // A restored run must also pass through *later* checkpoints
     // bit-identically, not just reach the same end state.
-    let (mut fresh, _) = scenario(0);
+    let (mut fresh, _) = scenario();
     fresh.restore(&ref_snaps[1]).expect("restore");
     for (&k, snap) in checkpoints.iter().zip(&ref_snaps).skip(2) {
         fresh.run(start + k - fresh.cycle());
@@ -215,32 +144,10 @@ fn restore_and_continue_is_bit_identical_at_every_checkpoint() {
     }
 }
 
-/// A small fast scenario for the randomized property: config module,
-/// one paced generator against a latency-2 memory, 2x1 mesh.
+/// A small fast scenario for the randomized property: the configured pair
+/// with one paced generator against a latency-2 memory.
 fn small_scenario(seed: u64, gap: u64) -> NocSystem {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 2,
-        },
-        vec![
-            presets::cfg_module_ni(0, 4),
-            presets::master_ni(1),
-            presets::slave_ni(2),
-            presets::slave_ni(3),
-        ],
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, 8);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 2, channel: 1 },
-        ),
-    )
-    .expect("connection opens");
+    let (mut sys, _) = configured_pair();
     sys.bind_master(
         1,
         1,
@@ -290,7 +197,7 @@ proptest! {
 // ---- Sharded execution --------------------------------------------------
 
 fn make_sharded(shards: usize, batch: u64) -> ShardedSystem {
-    let (sys, topo) = scenario(0);
+    let (sys, topo) = scenario();
     let partition = if shards == 1 {
         Partition::single(topo.router_count())
     } else {
@@ -435,20 +342,20 @@ fn rewind_restore_rebases_boundary_rings() {
 /// text stays byte-stable throughout.
 #[test]
 fn forked_restores_are_isolated() {
-    let (mut parent, _) = scenario(0);
+    let (mut parent, _) = scenario();
     parent.run(2_000);
     let snap = parent.snapshot().expect("snapshot");
     let parent_text = json::to_string_pretty(&snap);
     // Reference: the undisturbed continuation.
-    let (mut reference, _) = scenario(0);
+    let (mut reference, _) = scenario();
     reference.restore(&snap).expect("restore");
     reference.run(2_000);
     let want = reference.snapshot().expect("snapshot");
     // Fork A continues untouched; fork B gets divergent traffic injected
     // directly into a master shell. Interleave their runs to give any
     // accidental shared state every chance to bleed through.
-    let (mut fork_a, _) = scenario(0);
-    let (mut fork_b, _) = scenario(0);
+    let (mut fork_a, _) = scenario();
+    let (mut fork_b, _) = scenario();
     fork_a.restore(&snap).expect("restore A");
     fork_b.restore(&snap).expect("restore B");
     fork_b.nis[1]

@@ -12,18 +12,20 @@
 //!   partition is bit-identical between the unsplit and sharded drivers,
 //!   gateway rewrites included.
 
-use aethereal::cfg::runtime::{ChannelEnd, ConfigError, ConnectionRequest, Service};
-use aethereal::cfg::{
-    presets, NocSpec, NocSystem, RuntimeConfigurator, ShardedSystem, SlotStrategy, TopologySpec,
-};
-use aethereal::ni::kernel::regs::CTRL_ENABLE;
-use aethereal::ni::kernel::{chan_reg_addr, ext_reg_addr, pack_path_rqid, ChanReg};
+use aethereal::cfg::runtime::ConfigError;
+use aethereal::cfg::{presets, NocSpec, NocSystem, ShardedSystem};
 use aethereal::proto::{
-    MemorySlave, StreamSink, StreamSource, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
+    MemorySlave, StreamSink, TrafficGenerator, TrafficGeneratorConfig, TrafficMix,
 };
 use aethereal::sim::shard::Partition;
 use aethereal::sim::PacketHeader;
-use aethereal::sim::{Engine, Path, Route, Topology, MAX_HOPS};
+use aethereal::sim::{Engine, Path, Topology, MAX_HOPS};
+use scenario::{
+    bounded_be_stream, configurable, corner_route_7_4_4, diagonal_spec, gateway_8x8, gt, gt_run,
+    mesh_spec, open, request, with_cfg, BE,
+};
+
+mod scenario;
 
 // ---- Seed bit-parity ----------------------------------------------------
 
@@ -83,19 +85,7 @@ fn planner_never_splits_short_routes() {
 // ---- Runtime configuration across an 8x8 mesh ---------------------------
 
 fn corner_spec() -> NocSpec {
-    let mut nis = vec![presets::cfg_module_ni(0, 8)];
-    for id in 1..63 {
-        nis.push(presets::master_ni(id));
-    }
-    nis.push(presets::slave_ni(63));
-    NocSpec::new(
-        TopologySpec::Mesh {
-            width: 8,
-            height: 8,
-            nis_per_router: 1,
-        },
-        nis,
-    )
+    diagonal_spec(0)
 }
 
 /// The runtime configurator itself now reaches every NI: its config
@@ -104,17 +94,8 @@ fn corner_spec() -> NocSpec {
 /// transaction workload completes across the full mesh diagonal.
 #[test]
 fn runtime_configuration_and_transactions_span_8x8() {
-    let spec = corner_spec();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.build_topology(), 0, 0, 8);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 63, channel: 1 },
-        ),
-    )
-    .expect("BE connection across the diagonal opens");
+    let (mut sys, mut cfg) = configurable(&corner_spec(), 0);
+    open(&mut cfg, &mut sys, (1, 1), (63, 1), BE, BE);
     assert!(
         cfg.stats().remote_writes > 0,
         "CNIP configured over the NoC"
@@ -158,38 +139,10 @@ fn runtime_configuration_and_transactions_span_8x8() {
 /// consecutive 2-slot run works and stays contention-free.
 #[test]
 fn gt_across_8x8_needs_and_gets_a_consecutive_run() {
-    let mut nis = vec![presets::master_ni(0)];
-    for id in 1..63 {
-        if id == 9 {
-            nis.push(presets::cfg_module_ni(9, 8));
-        } else {
-            nis.push(presets::master_ni(id));
-        }
-    }
-    nis.push(presets::slave_ni(63));
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 8,
-            height: 8,
-            nis_per_router: 1,
-        },
-        nis,
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.build_topology(), 9, 0, 8);
+    let (mut sys, mut cfg) = configurable(&diagonal_spec(9), 9);
     // NI 0 → NI 63 is 15 hops = 3 segments: a 3-word Spread packet budget
     // cannot make progress (header + 2 continuations leave no payload).
-    let spread = ConnectionRequest {
-        fwd: Service::Guaranteed {
-            slots: 2,
-            strategy: SlotStrategy::Spread,
-        },
-        rev: Service::BestEffort,
-        ..ConnectionRequest::best_effort(
-            ChannelEnd { ni: 0, channel: 1 },
-            ChannelEnd { ni: 63, channel: 1 },
-        )
-    };
+    let spread = request((0, 1), (63, 1), gt(2), BE);
     match cfg.open_connection(&mut sys, &spread) {
         Err(ConfigError::PacketBudgetTooSmall {
             needed_words: 4,
@@ -197,19 +150,7 @@ fn gt_across_8x8_needs_and_gets_a_consecutive_run() {
         }) => {}
         other => panic!("expected PacketBudgetTooSmall, got {other:?}"),
     }
-    let consecutive = ConnectionRequest {
-        fwd: Service::Guaranteed {
-            slots: 2,
-            strategy: SlotStrategy::Consecutive,
-        },
-        rev: Service::BestEffort,
-        ..ConnectionRequest::best_effort(
-            ChannelEnd { ni: 0, channel: 1 },
-            ChannelEnd { ni: 63, channel: 1 },
-        )
-    };
-    cfg.open_connection(&mut sys, &consecutive)
-        .expect("consecutive-run GT connection opens");
+    open(&mut cfg, &mut sys, (0, 1), (63, 1), gt_run(2), BE);
     sys.bind_master(
         0,
         1,
@@ -249,15 +190,8 @@ fn be_budget_too_small_is_rejected_at_open() {
     // NI 1 → NI 63 is 14 hops = 2 segments: forward progress needs 3-word
     // packets (header + 1 continuation + payload); allow only 2.
     spec.nis[1].kernel.max_packet_words = 2;
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.build_topology(), 0, 0, 8);
-    let result = cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 1, channel: 1 },
-            ChannelEnd { ni: 63, channel: 1 },
-        ),
-    );
+    let (mut sys, mut cfg) = configurable(&spec, 0);
+    let result = cfg.open_connection(&mut sys, &request((1, 1), (63, 1), BE, BE));
     assert!(matches!(
         result,
         Err(ConfigError::PacketBudgetTooSmall {
@@ -272,20 +206,12 @@ fn be_budget_too_small_is_rejected_at_open() {
 /// 16x16, configuration module on NI 0, plain masters elsewhere; the CNIP
 /// ports' queue depth is a parameter.
 fn bootstrap_spec(cnip_queue_words: usize) -> NocSpec {
-    let mut nis = vec![presets::cfg_module_ni(0, 8)];
-    for id in 1..256 {
+    let spec = mesh_spec(16, 16, 1, |id| {
         let mut ni = presets::master_ni(id);
         ni.kernel.ports[0].queue_words = cnip_queue_words;
-        nis.push(ni);
-    }
-    NocSpec::new(
-        TopologySpec::Mesh {
-            width: 16,
-            height: 16,
-            nis_per_router: 1,
-        },
-        nis,
-    )
+        ni
+    });
+    with_cfg(spec, 0, 8)
 }
 
 /// Fig. 9 step 2 sends `3 + g` three-word register writes into the target
@@ -299,8 +225,7 @@ fn bootstrap_spec(cnip_queue_words: usize) -> NocSpec {
 fn config_bootstrap_beyond_cnip_queue_is_rejected_up_front() {
     let spec = bootstrap_spec(16);
     let topo = spec.build_topology();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.build_topology(), 0, 0, 8);
+    let (mut sys, mut cfg) = configurable(&spec, 0);
     // NI 15: 16 hops; NI 111: 22 hops; NI 255: 31 hops.
     for (target, gateways) in [(15usize, 2usize), (111, 3), (255, 4)] {
         assert_eq!(
@@ -336,28 +261,14 @@ fn config_bootstrap_beyond_cnip_queue_is_rejected_up_front() {
 /// connection across the full diagonal is configured through it.
 #[test]
 fn config_bootstrap_fits_a_deeper_cnip_queue() {
-    let spec = bootstrap_spec(32);
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.build_topology(), 0, 0, 8);
+    let (mut sys, mut cfg) = configurable(&bootstrap_spec(32), 0);
     for target in [111, 255] {
         cfg.open_config_connection(&mut sys, target)
             .expect("bootstrap fits a 32-word CNIP queue");
     }
     assert!(sys.cycle() < 2_000, "no timeout was involved");
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd {
-                ni: 255,
-                channel: 1,
-            },
-            ChannelEnd {
-                ni: 111,
-                channel: 1,
-            },
-        ),
-    )
-    .expect("user connection configured over the far config connections");
+    // The user connection is configured over the far config connections.
+    open(&mut cfg, &mut sys, (255, 1), (111, 1), BE, BE);
     assert_eq!(sys.noc.be_overflows(), 0);
 }
 
@@ -369,54 +280,17 @@ fn config_bootstrap_fits_a_deeper_cnip_queue() {
 /// column 7) instead of the planner's greedy 7/7/1; NI 63 → NI 0 is
 /// planned greedily.
 fn stream_8x8() -> (NocSystem, Topology) {
-    let nis: Vec<_> = (0..64).map(|id| presets::raw_ni(id, 2)).collect();
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 8,
-            height: 8,
-            nis_per_router: 1,
-        },
-        nis,
-    );
-    let topo = spec.build_topology();
-    let mut sys = NocSystem::from_spec(&spec);
-    let hops: Vec<_> = topo
-        .route_any(0, 63)
-        .expect("route exists")
-        .iter_hops()
-        .collect();
-    let segments =
-        [&hops[..7], &hops[7..11], &hops[11..]].map(|seg| Path::new(seg).expect("fits one header"));
-    let aligned = Route::from_segments(segments.to_vec()).expect("three segments");
-    let lengths: Vec<_> = aligned.segments().iter().map(Path::hops).collect();
-    assert_eq!(lengths, [7, 4, 4]);
-    let route = |from, to| match (from, to) {
-        (0, 63) => aligned.clone(),
-        _ => topo.route_any(from, to).expect("route exists"),
-    };
+    // The golden gateway build carries the stream NI 0 → NI 63.
+    let mut sys = gateway_8x8();
+    let topo = Topology::mesh(8, 8, 1);
+    let aligned = corner_route_7_4_4(&topo);
+    let greedy = topo.route_any(63, 0).expect("route exists");
     // Two corner-to-corner streams crossing the cut, one per direction.
-    for (src, dst) in [(0usize, 63usize), (63, 0)] {
-        let fwd = route(src, dst);
-        let rev = route(dst, src);
-        assert!(!fwd.is_single(), "the stream must exercise gateways");
-        for (ni, route, rqid) in [(src, &fwd, 2u8), (dst, &rev, 1u8)] {
-            let k = &mut sys.nis[ni].kernel;
-            let ch = if ni == src { 1 } else { 2 };
-            k.reg_write(chan_reg_addr(ch, ChanReg::Space), 8).unwrap();
-            k.reg_write(
-                chan_reg_addr(ch, ChanReg::PathRqid),
-                pack_path_rqid(route.header_segment(), rqid),
-            )
-            .unwrap();
-            for (i, w) in route.continuation_words().enumerate() {
-                k.reg_write(ext_reg_addr(ch, i), w).unwrap();
-            }
-            k.reg_write(chan_reg_addr(ch, ChanReg::Ctrl), CTRL_ENABLE)
-                .unwrap();
-        }
-        sys.bind_raw(src, 1, vec![1], Box::new(StreamSource::counting(200)));
-        sys.bind_raw(dst, 1, vec![2], Box::new(StreamSink::new()));
-    }
+    assert!(
+        !aligned.is_single() && !greedy.is_single(),
+        "the streams must exercise gateways"
+    );
+    bounded_be_stream(&mut sys, (63, &greedy), (0, &aligned));
     (sys, topo)
 }
 

@@ -28,11 +28,13 @@
 //! own (`run_parallel`'s workers) enrolls them explicitly — see
 //! [`Enrolling`].
 
+// The counting allocator implements `GlobalAlloc`, which is unsafe: the one
+// exception to the workspace's `unsafe_code` lint.
+#![allow(unsafe_code)]
+
 use aethereal::cfg::json::{self, Value};
-use aethereal::cfg::{presets, NocSpec, NocSystem, TopologySpec};
-use aethereal::ni::kernel::regs::{CTRL_ENABLE, CTRL_GT};
-use aethereal::ni::kernel::{chan_reg_addr, pack_path_rqid, slot_reg_addr, ChanReg};
-use aethereal::proto::{CountingSink, StreamSource};
+use aethereal::cfg::NocSystem;
+use aethereal::proto::CountingSink;
 use aethereal::sim::shard::{
     wires_of, ExchangeAttachment, NocShard, Partition, ShardRegion, ShardRunner,
 };
@@ -40,6 +42,10 @@ use aethereal::sim::{Clocked, LinkWord, Noc, PacketHeader, Topology, WordClass};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use scenario::{connect, counting_sink, raw_mesh, source, ENDLESS};
+
+mod scenario;
 
 thread_local! {
     /// Allocator calls made by this thread. Const-initialised and without
@@ -359,53 +365,20 @@ fn quiescent_skip_allocates_nothing() {
 /// asleep once it drains. Every other NI and most routers never see a
 /// word.
 fn stream_system(side: usize, burst: u64) -> NocSystem {
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: side,
-            height: side,
-            nis_per_router: 1,
-        },
-        (0..side * side).map(|id| presets::raw_ni(id, 2)).collect(),
-    );
-    let topo = spec.topology.build();
+    let spec = raw_mesh(side, side, 1, 2);
+    let topo = spec.build_topology();
     let mut sys = NocSystem::from_spec(&spec);
     let streams = [
-        (0usize, 5usize, false, u64::MAX),
-        (3, 12, false, u64::MAX),
-        (15, 10, true, u64::MAX),
+        (0usize, 5usize, false, ENDLESS),
+        (3, 12, false, ENDLESS),
+        (15, 10, true, ENDLESS),
         (6, 9, false, burst),
     ];
     for &(src, dst, gt, total) in &streams {
-        let ctrl = CTRL_ENABLE | if gt { CTRL_GT } else { 0 };
-        for (ni, peer, ch, rqid) in [(src, dst, 1, 2), (dst, src, 2, 1)] {
-            let path = topo.route(ni, peer).expect("route fits one header");
-            let k = &mut sys.nis[ni].kernel;
-            k.reg_write(chan_reg_addr(ch, ChanReg::Space), 8)
-                .expect("space");
-            k.reg_write(
-                chan_reg_addr(ch, ChanReg::PathRqid),
-                pack_path_rqid(&path, rqid),
-            )
-            .expect("path");
-            k.reg_write(chan_reg_addr(ch, ChanReg::Ctrl), ctrl)
-                .expect("ctrl");
-        }
-        if gt {
-            for s in [0, 2, 4, 6] {
-                sys.nis[src]
-                    .kernel
-                    .reg_write(slot_reg_addr(s), 2)
-                    .expect("slot");
-            }
-            for s in [1, 5] {
-                sys.nis[dst]
-                    .kernel
-                    .reg_write(slot_reg_addr(s), 3)
-                    .expect("slot");
-            }
-        }
-        sys.bind_raw(src, 1, vec![1], Box::new(StreamSource::counting(total)));
-        sys.bind_raw(dst, 1, vec![2], Box::new(CountingSink::new()));
+        let slots: (&[usize], &[usize]) = (&[0, 2, 4, 6], &[1, 5]);
+        connect(&mut sys, &topo, (src, 1), (dst, 2), gt.then_some(slots));
+        source(&mut sys, src, 1, total);
+        counting_sink(&mut sys, dst, 2);
     }
     sys
 }

@@ -5,8 +5,10 @@
 //! description; here a [`Topology`] value plays that role (see
 //! `aethereal-cfg::spec` for the declarative front end). Meshes use
 //! dimension-ordered XY routing, rings route the short way around, and
-//! arbitrary graphs fall back to breadth-first shortest paths — all three
-//! produce deadlock-free source routes for the BE class.
+//! arbitrary graphs fall back to breadth-first shortest paths. Only the XY
+//! mesh routes are deadlock-free for the BE class by construction: ring
+//! and BFS routes can close a cycle of channel dependencies (Dally & Seitz
+//! 1987), and wormhole BE traffic along such a cycle can deadlock.
 //!
 //! Routes longer than one header ([`crate::MAX_HOPS`] hops) are planned by
 //! [`Topology::route_any`], which splits the minimal hop list into a
@@ -399,9 +401,11 @@ impl Topology {
     /// final ejection hop.
     ///
     /// Meshes use XY (dimension-ordered) routing; rings take the shorter
-    /// direction; custom graphs use BFS shortest paths. All are deadlock-free
-    /// for the BE class (XY is turn-restricted; the others are used with the
-    /// small configurations of the paper where BE buffers bound worm length).
+    /// direction; custom graphs use BFS shortest paths. XY routes are
+    /// deadlock-free for the BE class (XY is turn-restricted). Ring and BFS
+    /// routes are not: their channel dependencies can form a cycle (Dally &
+    /// Seitz 1987), and BE worms along it can then block each other for
+    /// good, as streams to the opposite router of a ring do.
     ///
     /// # Errors
     ///

@@ -8,20 +8,27 @@
 //! * **jitter holds** — the measured max inter-arrival gap at the sink
 //!   never exceeds the analytical `jitter_cycles`;
 //! * **latency holds** — the last word of a finite message lands within
-//!   [`worst_case_latency`] cycles of the run starting.
+//!   [`worst_case_latency`] cycles of the run starting, at every start
+//!   phase of one slot-table revolution.
 //!
 //! Scenarios sweep uniform (disjoint column streams) and hotspot
 //! (converging on the mesh center) traffic on 8x8 and 16x16 meshes, plus
 //! a two-level diagonal route whose gateway rewrites tax both the packet
 //! budget and the path latency.
 
-use aethereal_cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
-use aethereal_cfg::{presets, NocSpec, NocSystem, RuntimeConfigurator, SlotStrategy, TopologySpec};
-use aethereal_proto::{StreamSink, StreamSource};
+use aethereal_cfg::runtime::Service;
+use aethereal_cfg::{NocSpec, NocSystem, SlotStrategy};
+use aethereal_proto::StreamSink;
 use aethereal_verify::bounds::{gt_bounds, worst_case_latency};
 use aethereal_verify::certify_system;
+use scenario::{
+    configurable, gt, harness_spec, open, raw_mesh, recording_sink, source, with_cfg, BE, ENDLESS,
+    STU,
+};
 
-const STU: usize = 8;
+#[path = "../../facade/tests/scenario/mod.rs"]
+mod scenario;
+
 const REVOLUTION: u64 = (STU as u64) * 3; // SLOT_WORDS
 
 /// Mesh of raw streaming NIs with the configuration module at `cfg_ni`,
@@ -34,49 +41,23 @@ fn gt_mesh(
     slots: usize,
     strategy: SlotStrategy,
 ) -> (NocSpec, NocSystem) {
-    let n = width * height;
     // The configurator binds one of its config channels per remote NI it
     // ever touches, so size the module for both ends of every pair.
-    let cfg_channels = 2 * pairs.len() + 2;
-    let nis = (0..n)
-        .map(|id| {
-            if id == cfg_ni {
-                presets::cfg_module_ni(id, cfg_channels)
-            } else {
-                presets::raw_ni(id, 1)
-            }
-        })
-        .collect();
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width,
-            height,
-            nis_per_router: 1,
-        },
-        nis,
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), cfg_ni, 0, STU);
+    let spec = with_cfg(raw_mesh(width, height, 1, 1), cfg_ni, 2 * pairs.len() + 2);
+    let (mut sys, mut cfg) = configurable(&spec, cfg_ni);
     for &(src, dst) in pairs {
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest {
-                fwd: Service::Guaranteed { slots, strategy },
-                rev: Service::BestEffort,
-                ..ConnectionRequest::best_effort(
-                    ChannelEnd {
-                        ni: src,
-                        channel: 1,
-                    },
-                    ChannelEnd {
-                        ni: dst,
-                        channel: 1,
-                    },
-                )
-            },
-        )
-        .unwrap_or_else(|e| panic!("GT {src}->{dst} must open: {e:?}"));
+        let fwd = Service::Guaranteed { slots, strategy };
+        open(&mut cfg, &mut sys, (src, 1), (dst, 1), fwd, BE);
     }
+    (spec, sys)
+}
+
+/// The guarantees harness with raw NIs ([`harness_spec`]) and one GT
+/// connection of `slots` spread slots NI 1 → NI 3.
+fn small_harness(slots: usize) -> (NocSpec, NocSystem) {
+    let spec = harness_spec(false);
+    let (mut sys, mut cfg) = configurable(&spec, 0);
+    open(&mut cfg, &mut sys, (1, 1), (3, 1), gt(slots), BE);
     (spec, sys)
 }
 
@@ -86,11 +67,8 @@ fn check_saturated(spec: &NocSpec, mut sys: NocSystem, pairs: &[(usize, usize)],
     let cert = certify_system(spec, &sys).expect("configured GT mesh certifies");
     let mut sinks = Vec::new();
     for &(src, dst) in pairs {
-        sys.bind_raw(src, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-        sinks.push((
-            src,
-            sys.bind_raw(dst, 1, vec![1], Box::new(StreamSink::new())),
-        ));
+        source(&mut sys, src, 1, ENDLESS);
+        sinks.push((src, recording_sink(&mut sys, dst, 1)));
     }
     sys.run(100 * REVOLUTION); // steady state
     let before: Vec<usize> = sinks
@@ -121,38 +99,7 @@ fn check_saturated(spec: &NocSpec, mut sys: NocSystem, pairs: &[(usize, usize)],
 fn small_harness_throughput_matches_bound_for_every_reservation() {
     // The guarantees-test shape: 2x1 mesh, slots swept 1..=4.
     for slots in 1..=4usize {
-        let spec = NocSpec::new(
-            TopologySpec::Mesh {
-                width: 2,
-                height: 1,
-                nis_per_router: 3,
-            },
-            vec![
-                presets::cfg_module_ni(0, 8),
-                presets::raw_ni(1, 1),
-                presets::raw_ni(2, 1),
-                presets::raw_ni(3, 1),
-                presets::raw_ni(4, 1),
-                presets::slave_ni(5),
-            ],
-        );
-        let mut sys = NocSystem::from_spec(&spec);
-        let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, STU);
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest {
-                fwd: Service::Guaranteed {
-                    slots,
-                    strategy: SlotStrategy::Spread,
-                },
-                rev: Service::BestEffort,
-                ..ConnectionRequest::best_effort(
-                    ChannelEnd { ni: 1, channel: 1 },
-                    ChannelEnd { ni: 3, channel: 1 },
-                )
-            },
-        )
-        .expect("GT opens");
+        let (spec, sys) = small_harness(slots);
         check_saturated(&spec, sys, &[(1, 3)], 1000);
     }
 }
@@ -195,81 +142,62 @@ fn hotspot_16x16_sweep_matches_bounds() {
     check_saturated(&spec, sys, &pairs, 200);
 }
 
+/// Sends a `message`-word message over the certified GT flow of NI `src`
+/// (channel 1) to NI `dst` after idling `phase` cycles, and returns the
+/// cycle its last word lands, counted from when the source was bound.
+/// `bound + 1` cycles are run, and every word must have landed by then.
+fn message_latency(
+    mut sys: NocSystem,
+    (src, dst): (usize, usize),
+    message: usize,
+    phase: u64,
+    bound: u64,
+) -> u64 {
+    // Configuration already advanced the clock; the phase sets where in
+    // the slot-table revolution the message enters the source queue.
+    sys.run(phase);
+    source(&mut sys, src, 1, message as u64);
+    let sink = recording_sink(&mut sys, dst, 1);
+    let t0 = sys.cycle();
+    sys.run(bound + 1);
+    let s = sys.raw_ip_as::<StreamSink>(sink);
+    assert_eq!(
+        s.received().len(),
+        message,
+        "phase {phase}: all {message} words within the bound {bound}"
+    );
+    *s.arrival_cycles().last().expect("non-empty") - t0
+}
+
 /// Latency: the last word of a finite message lands within the analytical
-/// worst case, across message sizes and reservations.
+/// worst case, across message sizes and reservations, whichever phase of
+/// the slot-table revolution the message starts at.
 #[test]
 fn finite_message_latency_within_worst_case_bound() {
-    for (slots, message) in [(1usize, 1usize), (1, 5), (2, 8), (4, 16)] {
-        let spec = NocSpec::new(
-            TopologySpec::Mesh {
-                width: 2,
-                height: 1,
-                nis_per_router: 3,
-            },
-            vec![
-                presets::cfg_module_ni(0, 8),
-                presets::raw_ni(1, 1),
-                presets::raw_ni(2, 1),
-                presets::raw_ni(3, 1),
-                presets::raw_ni(4, 1),
-                presets::slave_ni(5),
-            ],
-        );
-        let mut sys = NocSystem::from_spec(&spec);
-        let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, STU);
-        cfg.open_connection(
-            &mut sys,
-            &ConnectionRequest {
-                fwd: Service::Guaranteed {
-                    slots,
-                    strategy: SlotStrategy::Spread,
-                },
-                rev: Service::BestEffort,
-                ..ConnectionRequest::best_effort(
-                    ChannelEnd { ni: 1, channel: 1 },
-                    ChannelEnd { ni: 3, channel: 1 },
-                )
-            },
-        )
-        .expect("GT opens");
+    for (slots, message) in [(1usize, 1usize), (1, 5), (2, 8), (4, 16), (3, 3)] {
+        let (spec, sys) = small_harness(slots);
         let cert = certify_system(&spec, &sys).expect("certifies");
         let flow = cert.flow(1, 1).expect("flow certified");
         let bound = worst_case_latency(cert.stu_slots, flow, message);
-        sys.bind_raw(
-            1,
-            1,
-            vec![1],
-            Box::new(StreamSource::counting(message as u64)),
-        );
-        let sink = sys.bind_raw(3, 1, vec![1], Box::new(StreamSink::new()));
-        // Configuration already advanced the clock; the message enters the
-        // source queue when this run starts.
-        let t0 = sys.cycle();
-        sys.run(bound + 1);
-        let s = sys.raw_ip_as::<StreamSink>(sink);
-        assert_eq!(
-            s.received().len(),
-            message,
-            "{slots} slots / {message} words: all words within the bound"
-        );
-        let last = *s.arrival_cycles().last().expect("non-empty") - t0;
-        assert!(
-            last <= bound,
-            "{slots} slots / {message} words: last word at {last} > bound {bound}"
-        );
+        for phase in 0..REVOLUTION {
+            let last = message_latency(small_harness(slots).1, (1, 3), message, phase, bound);
+            assert!(
+                last <= bound,
+                "{slots} slots / {message} words, phase {phase}: last word at {last} > bound {bound}"
+            );
+        }
     }
 }
 
 /// Two-level diagonal: gateway continuations shrink the payload per
 /// packet and each rewrite adds a whole slot of path latency — both must
-/// be reflected in the bounds, which the measured run then meets.
+/// be reflected in the bounds, which the measured run then meets at every
+/// start phase.
 #[test]
 fn two_level_route_bounds_hold() {
     let pairs = [(0usize, 63usize)];
-    let (spec, mut sys) = {
-        let (spec, sys) = gt_mesh(8, 8, 9, &pairs, 2, SlotStrategy::Consecutive);
-        (spec, sys)
-    };
+    let build = || gt_mesh(8, 8, 9, &pairs, 2, SlotStrategy::Consecutive);
+    let (spec, sys) = build();
     let cert = certify_system(&spec, &sys).expect("two-level GT certifies");
     let flow = cert.flow(0, 1).expect("flow certified");
     assert_eq!(flow.gateways, 2);
@@ -280,17 +208,11 @@ fn two_level_route_bounds_hold() {
     assert_eq!(b.path_cycles, (15 + 2) * 3);
     let message = 6usize;
     let bound = worst_case_latency(cert.stu_slots, flow, message);
-    sys.bind_raw(
-        0,
-        1,
-        vec![1],
-        Box::new(StreamSource::counting(message as u64)),
-    );
-    let sink = sys.bind_raw(63, 1, vec![1], Box::new(StreamSink::new()));
-    let t0 = sys.cycle();
-    sys.run(bound + 1);
-    let s = sys.raw_ip_as::<StreamSink>(sink);
-    assert_eq!(s.received().len(), message);
-    let last = *s.arrival_cycles().last().expect("non-empty") - t0;
-    assert!(last <= bound, "last word at {last} > bound {bound}");
+    for phase in 0..REVOLUTION {
+        let last = message_latency(build().1, (0, 63), message, phase, bound);
+        assert!(
+            last <= bound,
+            "phase {phase}: last word at {last} > bound {bound}"
+        );
+    }
 }

@@ -11,72 +11,38 @@
 //!   very collision the verifier names then shows up as `gt_conflicts`
 //!   in the cycle-accurate simulation.
 
-use aethereal_cfg::runtime::{ChannelEnd, ConnectionRequest, Service};
+use aethereal_cfg::runtime::ConnectionRequest;
 use aethereal_cfg::shard::ShardedSystem;
-use aethereal_cfg::{presets, NocSpec, NocSystem, RuntimeConfigurator, SlotStrategy, TopologySpec};
-use aethereal_ni::kernel::regs::{slot_reg_addr, CTRL_ENABLE};
-use aethereal_ni::kernel::{chan_reg_addr, ext_reg_addr, pack_path_rqid, ChanReg, ChannelId};
-use aethereal_proto::{CountingSink, StreamSink, StreamSource};
+use aethereal_cfg::{presets, NocSpec, NocSystem};
+use aethereal_ni::kernel::regs::slot_reg_addr;
+use aethereal_ni::kernel::{chan_reg_addr, ChanReg};
+use aethereal_proto::CountingSink;
 use aethereal_verify::{certify, certify_system, Violation};
 use noc_sim::shard::Partition;
-use noc_sim::Topology;
+use scenario::{
+    configurable, configure, diagonal_spec, gt, gt_run, harness_spec, open, raw_mesh,
+    recording_sink, request, ring_stall, source, stream_mesh, with_cfg, MeshTraffic, BE, ENDLESS,
+    STU,
+};
 
-const STU: usize = 8;
+#[path = "../../facade/tests/scenario/mod.rs"]
+mod scenario;
 
 /// 2x1 mesh, three NIs per router: the guarantees-test harness shape.
 fn small_spec() -> NocSpec {
-    NocSpec::new(
-        TopologySpec::Mesh {
-            width: 2,
-            height: 1,
-            nis_per_router: 3,
-        },
-        vec![
-            presets::cfg_module_ni(0, 8),
-            presets::raw_ni(1, 1),
-            presets::raw_ni(2, 1),
-            presets::raw_ni(3, 1),
-            presets::raw_ni(4, 1),
-            presets::slave_ni(5),
-        ],
-    )
+    harness_spec(false)
 }
 
 fn gt_request(src: usize, dst: usize, slots: usize) -> ConnectionRequest {
-    ConnectionRequest {
-        fwd: Service::Guaranteed {
-            slots,
-            strategy: SlotStrategy::Spread,
-        },
-        rev: Service::BestEffort,
-        ..ConnectionRequest::best_effort(
-            ChannelEnd {
-                ni: src,
-                channel: 1,
-            },
-            ChannelEnd {
-                ni: dst,
-                channel: 1,
-            },
-        )
-    }
+    request((src, 1), (dst, 1), gt(slots), BE)
 }
 
 #[test]
 fn configurator_accepted_system_certifies() {
     let spec = small_spec();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, STU);
-    cfg.open_connection(&mut sys, &gt_request(1, 3, 2))
-        .expect("GT opens");
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest::best_effort(
-            ChannelEnd { ni: 2, channel: 1 },
-            ChannelEnd { ni: 4, channel: 1 },
-        ),
-    )
-    .expect("BE opens");
+    let (mut sys, mut cfg) = configurable(&spec, 0);
+    open(&mut cfg, &mut sys, (1, 1), (3, 1), gt(2), BE);
+    open(&mut cfg, &mut sys, (2, 1), (4, 1), BE, BE);
     let cert = certify_system(&spec, &sys).expect("accepted configuration certifies");
     assert_eq!(cert.stu_slots, STU);
     let gt = cert.flow(1, 1).expect("GT flow certified");
@@ -95,40 +61,11 @@ fn configurator_accepted_system_certifies() {
 /// accepted system would be falsely rejected here.
 #[test]
 fn two_level_gt_route_certifies_with_gateway_shifts() {
-    let mut nis = vec![presets::raw_ni(0, 1)];
-    for id in 1..63 {
-        if id == 9 {
-            nis.push(presets::cfg_module_ni(9, 8));
-        } else {
-            nis.push(presets::master_ni(id));
-        }
-    }
-    nis.push(presets::slave_ni(63));
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width: 8,
-            height: 8,
-            nis_per_router: 1,
-        },
-        nis,
-    );
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.build_topology(), 9, 0, STU);
-    cfg.open_connection(
-        &mut sys,
-        &ConnectionRequest {
-            fwd: Service::Guaranteed {
-                slots: 2,
-                strategy: SlotStrategy::Consecutive,
-            },
-            rev: Service::BestEffort,
-            ..ConnectionRequest::best_effort(
-                ChannelEnd { ni: 0, channel: 1 },
-                ChannelEnd { ni: 63, channel: 1 },
-            )
-        },
-    )
-    .expect("consecutive-run GT across the diagonal opens");
+    let mut spec = diagonal_spec(9);
+    spec.nis[0] = presets::raw_ni(0, 1);
+    let (mut sys, mut cfg) = configurable(&spec, 9);
+    // A consecutive-run GT across the diagonal.
+    open(&mut cfg, &mut sys, (0, 1), (63, 1), gt_run(2), BE);
     let cert = certify_system(&spec, &sys).expect("two-level GT certifies");
     let gt = cert.flow(0, 1).expect("diagonal flow certified");
     assert_eq!(gt.hops, 15);
@@ -136,132 +73,6 @@ fn two_level_gt_route_certifies_with_gateway_shifts() {
     assert_eq!(gt.injection_slots.len(), 2);
     // 15 route links + the injection link, one claim per slot each.
     assert_eq!(cert.slot_claims, 2 * 16);
-}
-
-/// Traffic shape over the streaming mesh of [`stream_mesh`].
-#[derive(Debug, Clone, Copy)]
-enum MeshTraffic {
-    /// Every NI streams down its column to the NI half the mesh height
-    /// away (a permutation: one stream out and one in per NI). Every
-    /// stream crosses every horizontal row-band cut.
-    Uniform,
-    /// A 2x2 block of center sinks, each fed by several senders from all
-    /// quadrants: heavy contention around the center.
-    Hotspot,
-    /// Streams confined to the top two rows; the rest of the mesh is idle.
-    BusyBand,
-}
-
-/// One configured stream: sender NI (tx channel 1) → receiver NI / rx
-/// channel.
-struct Stream {
-    src: usize,
-    dst: usize,
-    rx_channel: ChannelId,
-}
-
-fn streams_for(width: usize, height: usize, traffic: MeshTraffic) -> Vec<Stream> {
-    match traffic {
-        MeshTraffic::Uniform => (0..width * height)
-            .map(|ni| {
-                let (x, y) = (ni % width, ni / width);
-                let dst = ((y + height / 2) % height) * width + x;
-                Stream {
-                    src: ni,
-                    dst,
-                    rx_channel: 2,
-                }
-            })
-            .collect(),
-        MeshTraffic::Hotspot => {
-            // Senders: the block around the sinks, round-robined over the
-            // sinks' rx channels.
-            let (cx, cy) = (width / 2 - 1, height / 2 - 1);
-            let sinks = [
-                cy * width + cx,
-                cy * width + cx + 1,
-                (cy + 1) * width + cx,
-                (cy + 1) * width + cx + 1,
-            ];
-            let mut streams = Vec::new();
-            for y in cy.saturating_sub(2)..(cy + 4).min(height) {
-                for x in cx.saturating_sub(2)..(cx + 4).min(width) {
-                    let ni = y * width + x;
-                    if sinks.contains(&ni) {
-                        continue;
-                    }
-                    let j = streams.len();
-                    streams.push(Stream {
-                        src: ni,
-                        dst: sinks[j % sinks.len()],
-                        rx_channel: 2 + (j / sinks.len()),
-                    });
-                }
-            }
-            streams
-        }
-        MeshTraffic::BusyBand => (0..width)
-            .map(|x| Stream {
-                src: x,
-                dst: width + x, // row 0 → row 1: stays inside the top band
-                rx_channel: 2,
-            })
-            .collect(),
-    }
-}
-
-/// A `width × height` mesh (one raw NI per router) whose BE streams are
-/// configured **directly** through the local register files, with
-/// two-level routes (`Topology::route_any`) so any pair routes: an endless
-/// source per stream and a [`CountingSink`] per receiving channel.
-fn stream_mesh(width: usize, height: usize, traffic: MeshTraffic) -> (NocSystem, Topology) {
-    let streams = streams_for(width, height, traffic);
-    let n = width * height;
-    // Channel needs per NI: ch1 = tx; rx channels 2.. as assigned.
-    let mut channels = vec![1usize; n];
-    for s in &streams {
-        channels[s.dst] = channels[s.dst].max(s.rx_channel);
-    }
-    let spec = NocSpec::new(
-        TopologySpec::Mesh {
-            width,
-            height,
-            nis_per_router: 1,
-        },
-        (0..n).map(|id| presets::raw_ni(id, channels[id])).collect(),
-    );
-    let topo = spec.topology.build();
-    let mut sys = NocSystem::from_spec(&spec);
-    for s in &streams {
-        let fwd = topo.route_any(s.src, s.dst).expect("any pair routes");
-        let rev = topo.route_any(s.dst, s.src).expect("any pair routes");
-        for (ni, ch, route, rqid) in [
-            (s.src, 1, &fwd, s.rx_channel),
-            (s.dst, s.rx_channel, &rev, 1),
-        ] {
-            let k = &mut sys.nis[ni].kernel;
-            k.reg_write(chan_reg_addr(ch, ChanReg::Space), 8)
-                .expect("space");
-            k.reg_write(
-                chan_reg_addr(ch, ChanReg::PathRqid),
-                pack_path_rqid(route.header_segment(), rqid as u8),
-            )
-            .expect("path");
-            for (i, w) in route.continuation_words().enumerate() {
-                k.reg_write(ext_reg_addr(ch, i), w).expect("continuation");
-            }
-            k.reg_write(chan_reg_addr(ch, ChanReg::Ctrl), CTRL_ENABLE)
-                .expect("enable BE");
-        }
-        sys.bind_raw(
-            s.src,
-            1,
-            vec![1],
-            Box::new(StreamSource::counting(u64::MAX)),
-        );
-        sys.bind_raw(s.dst, 1, vec![s.rx_channel], Box::new(CountingSink::new()));
-    }
-    (sys, topo)
 }
 
 /// The streaming meshes are certified as configured — routes valid and
@@ -304,6 +115,44 @@ fn busy_band_leaves_other_regions_asleep() {
     assert!(received > 0, "the band's streams flow");
 }
 
+/// The ring-stall fixture: BE streams to the opposite router close a cycle
+/// of channel dependencies around a ring. After a short start the ring
+/// stops delivering for good, with every router's ring input queue full
+/// and nothing overflowed, collided or dropped. It is a wormhole routing
+/// deadlock, not lost words: the configuration is valid (the certifier
+/// does not look for such cycles yet).
+#[test]
+fn ring_be_streams_stall_for_good() {
+    for routers in [4usize, 6] {
+        let (mut sys, _) = ring_stall(routers);
+        let delivered = |sys: &NocSystem| -> u64 {
+            (0..routers)
+                .map(|ni| sys.raw_ip_at::<CountingSink>(ni).count())
+                .sum()
+        };
+        sys.run(10_000);
+        let stalled_at = delivered(&sys);
+        sys.run(10_000);
+        assert_eq!(
+            delivered(&sys),
+            stalled_at,
+            "{routers}-ring: no word is delivered in the second window"
+        );
+        for r in sys.noc.routers() {
+            // Ports 0 and 1 are the ring links, port 2 the NI.
+            assert!(
+                (0..2).any(|port| r.be_queued(port) == r.be_capacity()),
+                "{routers}-ring: router {} has a full ring input queue",
+                r.id()
+            );
+        }
+        assert_eq!(sys.noc.be_overflows(), 0, "{routers}-ring");
+        assert_eq!(sys.noc.gt_conflicts(), 0, "{routers}-ring");
+        let rx_drops: u64 = sys.nis.iter().map(|ni| ni.kernel.stats().rx_drops).sum();
+        assert_eq!(rx_drops, 0, "{routers}-ring");
+    }
+}
+
 /// Soundness of rejection, end to end: corrupt one NI's slot table so two
 /// GT flows claim the same slot on the shared inter-router link. The
 /// verifier must name that exact collision — and the simulator must then
@@ -311,12 +160,9 @@ fn busy_band_leaves_other_regions_asleep() {
 #[test]
 fn corrupted_slot_table_rejected_statically_and_collides_dynamically() {
     let spec = small_spec();
-    let mut sys = NocSystem::from_spec(&spec);
-    let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, STU);
-    cfg.open_connection(&mut sys, &gt_request(1, 3, 1))
-        .expect("first GT opens");
-    cfg.open_connection(&mut sys, &gt_request(2, 4, 1))
-        .expect("second GT opens");
+    let (mut sys, mut cfg) = configurable(&spec, 0);
+    open(&mut cfg, &mut sys, (1, 1), (3, 1), gt(1), BE);
+    open(&mut cfg, &mut sys, (2, 1), (4, 1), gt(1), BE);
     let clean = certify_system(&spec, &sys).expect("disjoint allocation certifies");
     let s1 = clean.flow(1, 1).expect("flow 1").injection_slots[0];
     let s2 = clean.flow(2, 1).expect("flow 2").injection_slots[0];
@@ -345,10 +191,10 @@ fn corrupted_slot_table_rejected_statically_and_collides_dynamically() {
     assert_eq!(conflict.1.len(), 2);
 
     // The same collision is observable in the cycle-accurate run.
-    sys.bind_raw(1, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-    sys.bind_raw(2, 1, vec![1], Box::new(StreamSource::counting(u64::MAX)));
-    sys.bind_raw(3, 1, vec![1], Box::new(StreamSink::new()));
-    sys.bind_raw(4, 1, vec![1], Box::new(StreamSink::new()));
+    source(&mut sys, 1, 1, ENDLESS);
+    source(&mut sys, 2, 1, ENDLESS);
+    recording_sink(&mut sys, 3, 1);
+    recording_sink(&mut sys, 4, 1);
     sys.run(2_000);
     assert!(
         sys.noc.gt_conflicts() > 0,
@@ -372,25 +218,8 @@ fn randomly_accepted_configurations_always_certify() {
     };
     for round in 0..8 {
         let n = 16usize;
-        let nis = (0..n)
-            .map(|id| {
-                if id == 0 {
-                    presets::cfg_module_ni(0, 8)
-                } else {
-                    presets::raw_ni(id, 1)
-                }
-            })
-            .collect();
-        let spec = NocSpec::new(
-            TopologySpec::Mesh {
-                width: 4,
-                height: 4,
-                nis_per_router: 1,
-            },
-            nis,
-        );
-        let mut sys = NocSystem::from_spec(&spec);
-        let mut cfg = RuntimeConfigurator::new(spec.topology.build(), 0, 0, STU);
+        let spec = with_cfg(raw_mesh(4, 4, 1, 1), 0, 8);
+        let (mut sys, mut cfg) = configurable(&spec, 0);
         let mut used = vec![false; n];
         used[0] = true;
         let mut accepted = 0;
@@ -402,16 +231,7 @@ fn randomly_accepted_configurations_always_certify() {
             let req = if next(2) == 0 {
                 gt_request(src, dst, 1 + next(3))
             } else {
-                ConnectionRequest::best_effort(
-                    ChannelEnd {
-                        ni: src,
-                        channel: 1,
-                    },
-                    ChannelEnd {
-                        ni: dst,
-                        channel: 1,
-                    },
-                )
+                request((src, 1), (dst, 1), BE, BE)
             };
             if cfg.open_connection(&mut sys, &req).is_ok() {
                 used[src] = true;
@@ -431,39 +251,19 @@ fn randomly_accepted_configurations_always_certify() {
 /// destination queue, and a dangling destination queue id.
 #[test]
 fn hand_poked_misconfigurations_are_rejected() {
-    use aethereal_ni::kernel::regs::CTRL_GT;
     let spec = small_spec();
     let mut sys = NocSystem::from_spec(&spec);
-    let topo = spec.topology.build();
+    let topo = spec.build_topology();
     // NI 1: a GT flow with a valid destination queue but no slots and
     // more credits than the destination queue holds.
-    let route = topo.route_any(1, 3).expect("routes");
-    let k = &mut sys.nis[1].kernel;
-    k.reg_write(
-        chan_reg_addr(1, ChanReg::PathRqid),
-        pack_path_rqid(route.header_segment(), 1),
-    )
-    .expect("path");
-    for (i, w) in route.continuation_words().enumerate() {
-        k.reg_write(ext_reg_addr(1, i), w).expect("ext");
-    }
-    k.reg_write(chan_reg_addr(1, ChanReg::Space), 63)
+    configure(&mut sys, &topo, (1, 1), (3, 1), Some(&[]), true);
+    sys.nis[1]
+        .kernel
+        .reg_write(chan_reg_addr(1, ChanReg::Space), 63)
         .expect("space");
-    k.reg_write(chan_reg_addr(1, ChanReg::Ctrl), CTRL_ENABLE | CTRL_GT)
-        .expect("enable GT");
     // NI 2: a BE flow whose remote queue id names no channel at the
     // destination (the qid violation pre-empts the credit check there).
-    let route2 = topo.route_any(2, 4).expect("routes");
-    let k2 = &mut sys.nis[2].kernel;
-    k2.reg_write(
-        chan_reg_addr(1, ChanReg::PathRqid),
-        pack_path_rqid(route2.header_segment(), 31),
-    )
-    .expect("path");
-    k2.reg_write(chan_reg_addr(1, ChanReg::Space), 8)
-        .expect("space");
-    k2.reg_write(chan_reg_addr(1, ChanReg::Ctrl), CTRL_ENABLE)
-        .expect("enable BE");
+    configure(&mut sys, &topo, (2, 1), (4, 31), None, true);
     let violations = certify_system(&spec, &sys).expect_err("must be rejected");
     assert!(
         violations

@@ -1,15 +1,11 @@
 //! Repo-local automation, invoked as `cargo run -p xtask -- <command>`.
 //!
 //! `lint` runs a hand-rolled source scanner over `crates/*/src` enforcing
-//! repo conventions that `clippy` cannot express:
+//! repo conventions that `clippy` cannot express (the ones it can are
+//! compiler lints: `unsafe_code` in the workspace `[lints]` table,
+//! `clippy::unwrap_used` in the `sim`, `core` and `cfg` crate roots, and
+//! the `std::sync::Barrier` ban in `clippy.toml`):
 //!
-//! * `std::sync::Barrier` is forbidden outside test code — shard
-//!   synchronization must go through the `sim::sync::SyncFamily` seam so
-//!   the model checker in `aethereal-testkit` can substitute its own
-//!   primitives.
-//! * `.unwrap()` is forbidden in `sim`, `core` and `cfg` library code
-//!   (tests are exempt); use `.expect("why this cannot fail")` so every
-//!   panic site documents its invariant.
 //! * `Vec::new` / `Box::new` / `vec![` / `.collect` inside `tick` / `emit`
 //!   / `absorb` function bodies — and inside the router and NI kernel
 //!   functions they reach every cycle (`emit_into`, `build_packets`,
@@ -21,7 +17,6 @@
 //!   silently bypasses the engine's quiescent skip and the fast-forward
 //!   backend; advance time through `Engine::run` / the shard runner (which
 //!   is driven by the engine) instead.
-//! * every crate root must carry `#![forbid(unsafe_code)]`.
 //! * every struct that owns snapshot-visible dynamic state is pinned to
 //!   the field count its state walk (`fn walk<V: StateVisit +
 //!   ?Sized>(&mut self, …)`) was audited against, and there is one walk: a
@@ -51,19 +46,10 @@
 //! rule. It is conservative: string literals containing the patterns
 //! would trip it, so phrase messages accordingly.
 
-#![forbid(unsafe_code)]
-
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// Crates whose library code must not call `.unwrap()`.
-const NO_UNWRAP_CRATES: &[&str] = &["sim", "core", "cfg"];
-
-/// Assembled at compile time so the scanner never matches its own source.
-const BARRIER: &str = concat!("std::sync::", "Barrier");
-const UNWRAP: &str = concat!(".unwrap", "()");
 
 /// Crates whose structs declare their state through the one state walk.
 const ONE_WALK_CRATES: &[&str] = &["sim", "core"];
@@ -284,7 +270,6 @@ fn lint() -> ExitCode {
         if !src.is_dir() {
             continue;
         }
-        check_crate_root(&src, &mut findings);
         let mut files = Vec::new();
         collect_rs(&src, &mut files);
         files.sort();
@@ -515,24 +500,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn check_crate_root(src: &Path, findings: &mut Vec<Finding>) {
-    for root in ["lib.rs", "main.rs"] {
-        let path = src.join(root);
-        if !path.is_file() {
-            continue;
-        }
-        let text = fs::read_to_string(&path).expect("source files are UTF-8");
-        if !text.contains("#![forbid(unsafe_code)]") {
-            findings.push(Finding {
-                file: path,
-                line: 1,
-                rule: "forbid-unsafe",
-                detail: "crate root lacks #![forbid(unsafe_code)]".into(),
-            });
-        }
-    }
-}
-
 /// Cross-checks every [`PERSIST_AUDIT`] entry: the struct must still
 /// exist, its file must still contain a state walk, and its field count
 /// must match the count the walk was audited against.
@@ -723,22 +690,6 @@ fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                              (`<V: StateVisit + ?Sized>`) so the in-tree visitors \
                              inline; dynamic dispatch belongs at the IP-model boundary"
                         .into(),
-                });
-            }
-            if line.contains(BARRIER) {
-                findings.push(Finding {
-                    file: file.to_path_buf(),
-                    line: lineno,
-                    rule: "no-std-barrier",
-                    detail: format!("{BARRIER} outside tests; use sim::sync::SyncFamily"),
-                });
-            }
-            if NO_UNWRAP_CRATES.contains(&krate) && line.contains(UNWRAP) {
-                findings.push(Finding {
-                    file: file.to_path_buf(),
-                    line: lineno,
-                    rule: "no-unwrap",
-                    detail: "use .expect(\"invariant\") in library code".into(),
                 });
             }
             if hot_fn.is_none() {
