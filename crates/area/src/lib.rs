@@ -28,6 +28,7 @@
 //! compares against (47 instructions for packetization alone, citing
 //! Bhojwani & Mahapatra).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod model;

@@ -18,6 +18,7 @@
 //! [`SlotAllocator`] (the paper's prototype choice, §3, which lets slot
 //! tables be removed from the routers).
 
+#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 #![warn(missing_docs)]
 

@@ -33,6 +33,7 @@
 //! assert_eq!(kernel.channel_count(), 8);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 #![warn(missing_docs)]
 

@@ -57,6 +57,7 @@
 //!
 //! (See `examples/quickstart.rs` for the complete runnable version.)
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use aethereal_area as area;

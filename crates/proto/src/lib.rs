@@ -17,6 +17,7 @@
 //!   `aethereal-cfg` system orchestrator uses to tick IPs on their port
 //!   clocks.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ip;

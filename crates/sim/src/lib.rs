@@ -53,6 +53,7 @@
 //! assert_eq!(PacketHeader::unpack(got.word()).qid, 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 #![warn(missing_docs)]
 

@@ -12,6 +12,7 @@
 //! dependency. Case count defaults to 96 and can be raised with the
 //! `TESTKIT_CASES` environment variable.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod mc;

@@ -30,15 +30,9 @@ use noc_sim::SLOT_WORDS;
 
 /// Margin added to delivery-time bounds for the fixed pipeline stages the
 /// slot arithmetic does not model: NI-link absorption and destination
-/// depacketization (at most one slot in total).
+/// depacketization, including a destination-queue crossing of up to
+/// [`DEFAULT_CROSSING_CYCLES`] (at most one slot in total).
 pub const DELIVERY_MARGIN: u64 = SLOT_WORDS;
-
-/// Source handoff: cycles from a word entering the source queue until the
-/// packetizer can see it. The source queue is a dual-clock FIFO, and a
-/// pushed word crosses it in the model's default crossing latency, so a
-/// word that arrives less than that before an owned slot boundary waits
-/// for the next one.
-const SOURCE_HANDOFF: usize = DEFAULT_CROSSING_CYCLES as usize;
 
 /// Closed-form guarantees of one GT flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -153,16 +147,18 @@ pub fn gt_bounds(stu_slots: usize, flow: &CertifiedFlow) -> GtBounds {
 /// the destination queue.
 ///
 /// Exact replay maximized over every arrival cycle within one
-/// revolution: the source handoff across the source queue's clock-domain
-/// crossing, slot wait, packet emission (header + continuations + payload
-/// at one word per cycle, possibly over several packets), route traversal
-/// at one slot per hop and per gateway rewrite, plus [`DELIVERY_MARGIN`].
+/// revolution: the source handoff (a pushed word is visible to the
+/// packetizer only after the source queue's clock-domain crossing, so a
+/// word that arrives less than that before an owned slot boundary waits
+/// for the next one), slot wait, packet emission (header + continuations +
+/// payload at one word per cycle, possibly over several packets), route
+/// traversal at one slot per hop and per gateway rewrite, plus
+/// [`DELIVERY_MARGIN`] and whatever the destination queue's crossing
+/// exceeds [`DEFAULT_CROSSING_CYCLES`] by.
 ///
-/// In the five single-segment cases of the cross-validation tests the bound
-/// is exact: the worst of a revolution's start phases reaches it. A route
-/// with gateway rewrites keeps slack, one cycle per gateway: on the
-/// two-level diagonal (two gateways) the bound is 108 cycles and the worst
-/// measured phase 106. Each gateway turns the next continuation word into
+/// On a single-segment route with default crossings the worst start phase
+/// reaches the bound. A route with gateway rewrites keeps one cycle of
+/// slack per gateway: each gateway turns the next continuation word into
 /// the packet's header, so the worm that reaches the destination is one
 /// word shorter per gateway and its last word lands that much sooner than
 /// the replay, which counts every continuation word at the source.
@@ -178,11 +174,12 @@ pub fn worst_case_latency(stu_slots: usize, flow: &CertifiedFlow, message_words:
     let w = SLOT_WORDS as usize;
     let revolution = stu_slots * w;
     let ext = flow.gateways;
+    let tail = DELIVERY_MARGIN + flow.dst_crossing.saturating_sub(DEFAULT_CROSSING_CYCLES);
     let mut worst = 0u64;
     for arrival in 0..revolution {
         let mut remaining = message_words;
         let mut busy_until = arrival;
-        let mut k = (arrival + SOURCE_HANDOFF).div_ceil(w);
+        let mut k = (arrival + flow.src_crossing as usize).div_ceil(w);
         // Any schedule that makes progress emits at least one payload
         // word per revolution, plus two revolutions of slack.
         let deadline = arrival + (2 + message_words) * revolution;
@@ -205,7 +202,7 @@ pub fn worst_case_latency(stu_slots: usize, flow: &CertifiedFlow, message_words:
             k += 1;
         };
         let path = (flow.hops + flow.gateways) * w;
-        worst = worst.max((last_emit + path - arrival) as u64 + DELIVERY_MARGIN);
+        worst = worst.max((last_emit + path - arrival) as u64 + tail);
     }
     worst
 }
@@ -226,6 +223,8 @@ mod tests {
             injection_slots: slots.to_vec(),
             space: 8,
             max_packet_words: mp,
+            src_crossing: DEFAULT_CROSSING_CYCLES,
+            dst_crossing: DEFAULT_CROSSING_CYCLES,
         }
     }
 
@@ -283,6 +282,15 @@ mod tests {
         // Worst arrival cycle 23: visible at 25, wait to cycle 48, header
         // 48, payload 49, path 9 -> 58 - 23 = 35 cycles + margin.
         assert_eq!(l, 35 + DELIVERY_MARGIN);
+        // Two more cycles of crossing at each end: visible at 27 from
+        // arrival 23 (and the worst arrival moves to 21), readable two
+        // cycles later.
+        let slow = CertifiedFlow {
+            src_crossing: 4,
+            dst_crossing: 4,
+            ..f
+        };
+        assert_eq!(worst_case_latency(8, &slow, 1), l + 4);
     }
 
     #[test]

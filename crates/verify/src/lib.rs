@@ -32,6 +32,7 @@
 //! system configured by [`aethereal_cfg::RuntimeConfigurator`] or by
 //! hand-written register pokes is certified (or rejected) on equal terms.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bounds;

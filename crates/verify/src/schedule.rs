@@ -311,6 +311,10 @@ pub struct CertifiedFlow {
     pub space: u32,
     /// The source NI's per-packet word ceiling.
     pub max_packet_words: usize,
+    /// Clock-domain-crossing latency of the source queue, in cycles.
+    pub src_crossing: u64,
+    /// Clock-domain-crossing latency of the destination queue, in cycles.
+    pub dst_crossing: u64,
 }
 
 /// A successful certification: the checked flows plus coverage counters.
@@ -355,6 +359,12 @@ struct RawFlow {
 fn read(k: &NiKernel, addr: u32) -> u32 {
     k.reg_read(addr)
         .expect("verifier reads only decodable registers")
+}
+
+/// Clock-domain-crossing latency of the queues of channel `ch` (static NI
+/// geometry: every queue of a port crosses in the port's latency).
+fn crossing(k: &NiKernel, ch: usize) -> u64 {
+    k.spec().ports[k.channel(ch).port()].crossing
 }
 
 /// Reads the programmer-visible image of one kernel: slot table plus every
@@ -560,14 +570,18 @@ pub fn certify<'a>(
                 violations.push(Violation::UnknownDestination { flow, dst_ni });
                 continue;
             };
-            if raw.remote_qid >= dst.channels {
+            let dst_crossing = if raw.remote_qid < dst.channels {
+                crossing(dst.kernel, raw.remote_qid)
+            } else {
+                // Certification fails, so the flow's crossing is never read.
                 violations.push(Violation::BadRemoteQid {
                     flow,
                     qid: raw.remote_qid,
                     dst_ni,
                     channels: dst.channels,
                 });
-            }
+                0
+            };
             let injection_slots: Vec<usize> = (0..im.stu)
                 .filter(|&s| im.slot_table[s] == raw.channel + 1)
                 .collect();
@@ -627,6 +641,8 @@ pub fn certify<'a>(
                 injection_slots,
                 space: raw.space,
                 max_packet_words: im.max_packet_words,
+                src_crossing: crossing(im.kernel, raw.channel),
+                dst_crossing,
             });
             if raw.remote_qid < dst.channels {
                 // Credit soundness against the real destination queue.

@@ -18,6 +18,7 @@
 
 use aethereal_cfg::runtime::Service;
 use aethereal_cfg::{NocSpec, NocSystem, SlotStrategy};
+use aethereal_ni::fifo::DEFAULT_CROSSING_CYCLES;
 use aethereal_proto::StreamSink;
 use aethereal_verify::bounds::{gt_bounds, worst_case_latency};
 use aethereal_verify::certify_system;
@@ -52,10 +53,14 @@ fn gt_mesh(
     (spec, sys)
 }
 
-/// The guarantees harness with raw NIs ([`harness_spec`]) and one GT
-/// connection of `slots` spread slots NI 1 → NI 3.
-fn small_harness(slots: usize) -> (NocSpec, NocSystem) {
-    let spec = harness_spec(false);
+/// The guarantees harness with raw NIs ([`harness_spec`]) whose stream
+/// ports cross clock domains in `crossing` cycles, and one GT connection
+/// of `slots` spread slots NI 1 → NI 3.
+fn small_harness(slots: usize, crossing: u64) -> (NocSpec, NocSystem) {
+    let mut spec = harness_spec(false);
+    for ni in [1, 3] {
+        spec.nis[ni].kernel.ports[1].crossing = crossing;
+    }
     let (mut sys, mut cfg) = configurable(&spec, 0);
     open(&mut cfg, &mut sys, (1, 1), (3, 1), gt(slots), BE);
     (spec, sys)
@@ -99,7 +104,7 @@ fn check_saturated(spec: &NocSpec, mut sys: NocSystem, pairs: &[(usize, usize)],
 fn small_harness_throughput_matches_bound_for_every_reservation() {
     // The guarantees-test shape: 2x1 mesh, slots swept 1..=4.
     for slots in 1..=4usize {
-        let (spec, sys) = small_harness(slots);
+        let (spec, sys) = small_harness(slots, DEFAULT_CROSSING_CYCLES);
         check_saturated(&spec, sys, &[(1, 3)], 1000);
     }
 }
@@ -170,20 +175,31 @@ fn message_latency(
 }
 
 /// Latency: the last word of a finite message lands within the analytical
-/// worst case, across message sizes and reservations, whichever phase of
-/// the slot-table revolution the message starts at.
+/// worst case, across message sizes, reservations and port crossing
+/// latencies, whichever phase of the slot-table revolution the message
+/// starts at; on this single-segment route the worst phase reaches it.
 #[test]
 fn finite_message_latency_within_worst_case_bound() {
-    for (slots, message) in [(1usize, 1usize), (1, 5), (2, 8), (4, 16), (3, 3)] {
-        let (spec, sys) = small_harness(slots);
-        let cert = certify_system(&spec, &sys).expect("certifies");
-        let flow = cert.flow(1, 1).expect("flow certified");
-        let bound = worst_case_latency(cert.stu_slots, flow, message);
-        for phase in 0..REVOLUTION {
-            let last = message_latency(small_harness(slots).1, (1, 3), message, phase, bound);
-            assert!(
-                last <= bound,
-                "{slots} slots / {message} words, phase {phase}: last word at {last} > bound {bound}"
+    for crossing in [DEFAULT_CROSSING_CYCLES, 4] {
+        for (slots, message) in [(1usize, 1usize), (1, 5), (2, 8), (4, 16), (3, 3)] {
+            let (spec, sys) = small_harness(slots, crossing);
+            let cert = certify_system(&spec, &sys).expect("certifies");
+            let flow = cert.flow(1, 1).expect("flow certified");
+            let bound = worst_case_latency(cert.stu_slots, flow, message);
+            let mut worst = 0;
+            for phase in 0..REVOLUTION {
+                let sys = small_harness(slots, crossing).1;
+                let last = message_latency(sys, (1, 3), message, phase, bound);
+                assert!(
+                    last <= bound,
+                    "crossing {crossing}, {slots} slots / {message} words, phase {phase}: \
+                     last word at {last} > bound {bound}"
+                );
+                worst = worst.max(last);
+            }
+            assert_eq!(
+                worst, bound,
+                "crossing {crossing}, {slots} slots / {message} words: the bound is exact"
             );
         }
     }
@@ -192,7 +208,8 @@ fn finite_message_latency_within_worst_case_bound() {
 /// Two-level diagonal: gateway continuations shrink the payload per
 /// packet and each rewrite adds a whole slot of path latency — both must
 /// be reflected in the bounds, which the measured run then meets at every
-/// start phase.
+/// start phase, with the one cycle of slack per gateway that
+/// [`worst_case_latency`] documents.
 #[test]
 fn two_level_route_bounds_hold() {
     let pairs = [(0usize, 63usize)];
@@ -208,11 +225,14 @@ fn two_level_route_bounds_hold() {
     assert_eq!(b.path_cycles, (15 + 2) * 3);
     let message = 6usize;
     let bound = worst_case_latency(cert.stu_slots, flow, message);
+    let mut worst = 0;
     for phase in 0..REVOLUTION {
         let last = message_latency(build().1, (0, 63), message, phase, bound);
         assert!(
             last <= bound,
             "phase {phase}: last word at {last} > bound {bound}"
         );
+        worst = worst.max(last);
     }
+    assert_eq!(worst, bound - flow.gateways as u64);
 }

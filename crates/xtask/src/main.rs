@@ -6,6 +6,10 @@
 //! `clippy::unwrap_used` in the `sim`, `core` and `cfg` crate roots, and
 //! the `std::sync::Barrier` ban in `clippy.toml`):
 //!
+//! * every crate root must carry `#![forbid(unsafe_code)]`. The workspace
+//!   table can only deny the lint (a test target allows it back to count
+//!   allocations), and a denied lint can be allowed on any item; a
+//!   forbidden one cannot, so library and binary code stays safe.
 //! * `Vec::new` / `Box::new` / `vec![` / `.collect` inside `tick` / `emit`
 //!   / `absorb` function bodies — and inside the router and NI kernel
 //!   functions they reach every cycle (`emit_into`, `build_packets`,
@@ -45,6 +49,8 @@
 //! deliberately no syn/proc-macro dependency, per the repo's no-new-deps
 //! rule. It is conservative: string literals containing the patterns
 //! would trip it, so phrase messages accordingly.
+
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::fs;
@@ -270,6 +276,7 @@ fn lint() -> ExitCode {
         if !src.is_dir() {
             continue;
         }
+        check_crate_root(&src, &mut findings);
         let mut files = Vec::new();
         collect_rs(&src, &mut files);
         files.sort();
@@ -496,6 +503,24 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
             collect_rs(&path, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
+        }
+    }
+}
+
+fn check_crate_root(src: &Path, findings: &mut Vec<Finding>) {
+    for root in ["lib.rs", "main.rs"] {
+        let path = src.join(root);
+        if !path.is_file() {
+            continue;
+        }
+        let text = fs::read_to_string(&path).expect("source files are UTF-8");
+        if !text.contains("#![forbid(unsafe_code)]") {
+            findings.push(Finding {
+                file: path,
+                line: 1,
+                rule: "forbid-unsafe",
+                detail: "crate root lacks #![forbid(unsafe_code)]".into(),
+            });
         }
     }
 }
