@@ -25,7 +25,7 @@ use crate::system::{Nis, NocSystem};
 use aethereal_ni::kernel::NiKernelStats;
 use aethereal_ni::Ni;
 use noc_sim::shard::{merge_noc_stats, wires_of, Partition, ShardRunner};
-use noc_sim::{LinkId, NiId, NocStats, RouterId, Topology};
+use noc_sim::{FfStats, LinkId, NiId, NocStats, RouterId, Topology};
 
 /// A [`NocSystem`] split into lockstep shard regions.
 pub struct ShardedSystem {
@@ -39,6 +39,9 @@ pub struct ShardedSystem {
     boundary_links: Vec<Vec<LinkId>>,
     /// Global NI id → (shard, local NI id).
     ni_home: Vec<(usize, usize)>,
+    /// The unsplit system's fast-forward activity at the split. No region
+    /// is ever offered a jump, so this is the whole sharded system's.
+    ff_stats: FfStats,
 }
 
 impl std::fmt::Debug for ShardedSystem {
@@ -70,7 +73,6 @@ impl ShardedSystem {
             ff_enabled: _,
             ff_stats,
         } = sys;
-        debug_assert_eq!(ff_stats, Default::default(), "split happens before any run");
         let start_cycle = noc.cycle();
         let shards = noc.split(topology, partition);
         let wires = wires_of(&shards);
@@ -127,7 +129,7 @@ impl ShardedSystem {
                 // it with `Engine::run`, and only an unsplit system runs
                 // `Engine::run_ff`.
                 ff_enabled: false,
-                ff_stats,
+                ff_stats: FfStats::default(),
             });
             routers.push(shard.routers);
             link_maps.push(shard.link_map);
@@ -141,6 +143,7 @@ impl ShardedSystem {
             link_maps,
             boundary_links,
             ni_home,
+            ff_stats,
         }
     }
 
@@ -172,16 +175,12 @@ impl ShardedSystem {
         self.runner.awake_count()
     }
 
-    /// Cumulative fast-forward activity summed across the regions. A
-    /// sharded run never jumps, so this stays at its split-time value,
-    /// zero: a periodic workload fast-forwards unsplit, through
+    /// Cumulative fast-forward activity: what the unsplit system had done
+    /// before the split. A sharded run never jumps, so this never grows: a
+    /// periodic workload fast-forwards unsplit, through
     /// [`NocSystem::run`].
-    pub fn ff_stats(&self) -> noc_sim::FfStats {
-        let mut total = noc_sim::FfStats::default();
-        for r in &self.regions {
-            total.merge(&r.ff_stats);
-        }
-        total
+    pub fn ff_stats(&self) -> FfStats {
+        self.ff_stats
     }
 
     /// Runs `cycles` lockstep cycles on the calling thread, idle regions

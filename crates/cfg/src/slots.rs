@@ -142,7 +142,8 @@ impl SlotAllocator {
     }
 
     /// Reserved slots on a link.
-    pub fn reserved_on(&self, link: LinkKey) -> usize {
+    #[cfg(test)]
+    pub(crate) fn reserved_on(&self, link: LinkKey) -> usize {
         self.occupancy
             .get(&link)
             .map_or(0, |m| m.count_ones() as usize)

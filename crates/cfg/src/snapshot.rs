@@ -267,6 +267,7 @@ impl ShardedSystem {
     /// built from the same spec, bindings and partition. The runner's walk
     /// re-derives every boundary ring's published-cycle watermark from the
     /// restored global cycle — it is positional state, not snapshot state.
+    /// So is [`ShardedSystem::ff_stats`], fixed when the target was split.
     ///
     /// # Errors
     ///

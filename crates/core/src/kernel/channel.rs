@@ -213,26 +213,6 @@ impl Channel {
         self.credit_flush = true;
     }
 
-    /// Whether the channel carries no dynamic state a fast-forward probe
-    /// would need to model beyond the pure per-cycle GT pattern: no
-    /// threshold gating (data/credit thresholds ≤ 1), no flush snapshot in
-    /// flight and no forced credit flush. Disabled or unroutable channels
-    /// must instead be fully inert (empty queues, no pending credits).
-    pub fn ff_ready(&self) -> bool {
-        if self.enabled && self.gt && self.route_configured() {
-            self.data_threshold <= 1
-                && self.credit_threshold <= 1
-                && self.flush_remaining == 0
-                && !self.credit_flush
-        } else {
-            self.src_q.is_empty()
-                && self.dst_q.is_empty()
-                && self.credit_counter == 0
-                && self.flush_remaining == 0
-                && !self.credit_flush
-        }
-    }
-
     /// Walks the channel's complete dynamic state through a state visitor
     /// (see [`noc_sim::persist`]): the CNIP-written registers and the
     /// flow-control counters as exact control state, both hardware queues,

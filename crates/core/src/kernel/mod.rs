@@ -843,20 +843,6 @@ impl NiKernel {
         self.touch();
     }
 
-    /// Whether the kernel's dynamic state is simple enough for analytical
-    /// fast-forward (see [`noc_sim::ff`]): no BE
-    /// word staged, no CNIP operation in flight (neither buffered words
-    /// nor a partially assembled message), and every channel either a
-    /// threshold-free GT stream or fully inert
-    /// ([`Channel::ff_ready`]).
-    pub fn ff_ready(&self) -> bool {
-        self.tx_be.is_empty()
-            && self.cnip.as_ref().is_none_or(|c| {
-                c.out.is_empty() && c.asm.ready() == 0 && c.asm.partial_words() == 0
-            })
-            && self.channels.iter().all(Channel::ff_ready)
-    }
-
     /// Walks the kernel's complete dynamic state through a state visitor
     /// (see [`noc_sim::persist`]): the slot table, BE arbitration state,
     /// both staging queues, the per-class receive cursors, the CNIP's

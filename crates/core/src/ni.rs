@@ -214,12 +214,10 @@ impl Ni {
     }
 
     /// Whether every shell stack is idle (the kernel is accounted for
-    /// separately by its own [`ClockedWith::dormant_until`]) — and, if
-    /// `drained`, no master or configuration stack awaits a response.
-    fn stacks_idle(&self, drained: bool) -> bool {
+    /// separately by its own [`ClockedWith::dormant_until`]).
+    fn stacks_idle(&self) -> bool {
         members(self.shell_ports).all(|p| match &self.stacks[p] {
             PortStack::Raw | PortStack::Cnip => true,
-            PortStack::Master(m) | PortStack::Config(m) if drained => m.is_drained(),
             PortStack::Master(m) | PortStack::Config(m) => m.is_idle(),
             PortStack::Slave(s) => s.is_idle(),
         })
@@ -236,16 +234,7 @@ impl Ni {
     /// shell, no word in a destination queue.
     #[inline]
     pub fn inert(&self, link: &NiLink) -> bool {
-        self.kernel.inert() && link.pending() == 0 && self.stacks_idle(false)
-    }
-
-    /// Whether this NI is eligible for analytical fast-forward: all shell
-    /// stacks drained, with no transaction even awaiting its response (an
-    /// in-flight transaction couples message progress to shell state the
-    /// extrapolation does not model), and the kernel's dynamic state
-    /// limited to threshold-free GT streams ([`NiKernel::ff_ready`]).
-    pub fn ff_ready(&self) -> bool {
-        self.stacks_idle(true) && self.kernel.ff_ready()
+        self.kernel.inert() && link.pending() == 0 && self.stacks_idle()
     }
 
     /// Walks the NI's complete dynamic state through a state visitor (see
@@ -301,7 +290,7 @@ impl ClockedWith<NiLink> for Ni {
     /// IP ticks), never by access. It is evaluated only after a full
     /// tick during which nothing moved, so a busy NI pays one flag test.
     fn tick(&mut self, link: &mut NiLink, cycle: u64) {
-        if cycle < self.kernel.asleep_until() && link.pending() == 0 && self.stacks_idle(false) {
+        if cycle < self.kernel.asleep_until() && link.pending() == 0 && self.stacks_idle() {
             debug_assert!(
                 self.dormant_until(cycle) > cycle,
                 "NI {} asleep at cycle {cycle} although a fresh horizon says awake",
@@ -329,7 +318,7 @@ impl ClockedWith<NiLink> for Ni {
     /// reports dormancy (strict quiescence, or queued GT data waiting for
     /// its next reserved slot).
     fn dormant_until(&self, now: u64) -> u64 {
-        if !self.stacks_idle(false) {
+        if !self.stacks_idle() {
             return now;
         }
         ClockedWith::<NiLink>::dormant_until(&self.kernel, now)

@@ -271,12 +271,6 @@ impl MasterStack {
             && !self.front_deliverable()
     }
 
-    /// Whether the shell holds no transaction at all: idle, and no
-    /// response owed.
-    pub(crate) fn is_drained(&self) -> bool {
-        self.is_idle() && self.history.is_empty()
-    }
-
     /// Whether the oldest response owed can be delivered: answered in
     /// place, or assembled on every channel it is merged from.
     fn front_deliverable(&self) -> bool {
@@ -579,7 +573,7 @@ mod tests {
         for now in 0..4 {
             s.tick(&mut kernel, now);
         }
-        assert!(s.is_idle() && !s.is_drained(), "sent, awaiting");
+        assert!(s.is_idle() && !s.history.is_empty(), "sent, awaiting");
         for w in encode_response(&TransactionResponse::with_data(7, vec![5])) {
             s.asm[0].push_word(w);
         }
@@ -587,7 +581,7 @@ mod tests {
         s.tick(&mut kernel, 4);
         assert!(!s.is_idle(), "delivered, not yet taken");
         assert_eq!(s.take_response().map(|r| r.trans_id), Some(7));
-        assert!(s.is_drained());
+        assert!(s.is_idle() && s.history.is_empty(), "nothing owed");
     }
 
     #[test]

@@ -19,11 +19,11 @@
 
 use aethereal::cfg::json::Value;
 use aethereal::cfg::{NocSystem, ShardedSystem};
-use aethereal::ni::kernel::{slot_reg_addr, NiKernelStats};
+use aethereal::ni::kernel::{chan_reg_addr, slot_reg_addr, ChanReg, NiKernelStats};
 use aethereal::proto::ip::{ClockedWith, RawPort};
 use aethereal::proto::{CountingSink, RawIp, StreamSink};
 use aethereal::sim::shard::Partition;
-use aethereal::sim::{FfStats, NocStats, StateVisit};
+use aethereal::sim::{Engine, FfStats, NocStats, StateVisit};
 use aethereal_testkit::prelude::*;
 use aethereal_testkit::{base_seed, Rng64};
 use scenario::{
@@ -175,6 +175,96 @@ fn sharded_parallel_never_fast_forwards_and_matches() {
 #[test]
 fn sharded_cross_region_stream_declines_fast_forward() {
     assert_sharded_never_jumps(2);
+}
+
+/// A system split after it has fast-forwarded reports the jumps it made
+/// before the split once, not once per region, and adds none after it.
+#[test]
+fn sharded_system_reports_split_time_ff_stats_once() {
+    let (mut sys, topo) = gt_stream_2x2(2, true);
+    sys.run(200_000);
+    assert_eq!(sys.ff_stats(), one_jump(199_632));
+    // Stop the stream and let the network drain: a split needs it empty.
+    sys.nis[0]
+        .kernel
+        .reg_write(chan_reg_addr(1, ChanReg::Ctrl), 0)
+        .unwrap();
+    assert!(Engine::run_until(&mut sys, |s| s.noc.drained(), 1_000));
+    assert_eq!(sys.cycle(), 200_015);
+    let mut sharded = ShardedSystem::new(sys, &topo, &Partition::mesh_rows(2, 2, 2));
+    assert_eq!(sharded.ff_stats(), one_jump(199_632), "at the split");
+    sharded.run(10_000);
+    assert_eq!(sharded.ff_stats(), one_jump(199_632), "after a sharded run");
+}
+
+// ---- Threshold and flush state on a GT stream -----------------------------
+
+/// The sink's handle in [`gt_stream_2x2`], bound after the source.
+const STREAM_SINK: usize = 1;
+
+/// Runs [`gt_stream_2x2`] (dst 1) twice, fast-forward on and off, to each
+/// of the `checkpoints` (cycles from the start), demanding bit-identical
+/// observations there; `poke` then changes both systems alike. Returns the
+/// fast-forwarded system.
+fn stream_parity(checkpoints: &[u64], poke: impl Fn(&mut NocSystem, u64)) -> NocSystem {
+    let (mut ff, _) = gt_stream_2x2(1, true);
+    let (mut cc, _) = gt_stream_2x2(1, false);
+    let start = ff.cycle();
+    for &at in checkpoints {
+        for sys in [&mut ff, &mut cc] {
+            sys.run(start + at - sys.cycle());
+        }
+        assert_eq!(
+            observe(&ff, &[STREAM_SINK]),
+            observe(&cc, &[STREAM_SINK]),
+            "checkpoint {at}"
+        );
+        poke(&mut ff, at);
+        poke(&mut cc, at);
+    }
+    ff
+}
+
+/// Data threshold 3 at the source and credit threshold 2 at the sink,
+/// written after the plain stream has jumped once: the gated stream does
+/// not repeat within one calendar period, so every later offer declines at
+/// the digest.
+#[test]
+fn thresholded_gt_stream_is_bit_identical() {
+    let ff = stream_parity(&[1_000, 5_000, 20_000, 50_000], |sys, at| {
+        if at == 1_000 {
+            let src = &mut sys.nis[0].kernel;
+            src.reg_write(chan_reg_addr(1, ChanReg::DataThreshold), 3)
+                .unwrap();
+            let dst = &mut sys.nis[1].kernel;
+            dst.reg_write(chan_reg_addr(1, ChanReg::CreditThreshold), 2)
+                .unwrap();
+        }
+    });
+    let threshold = ff.nis[0]
+        .kernel
+        .reg_read(chan_reg_addr(1, ChanReg::DataThreshold));
+    assert_eq!(threshold, Ok(3));
+    assert_eq!(ff.ff_stats(), one_jump(648), "the jump before the write");
+}
+
+/// A flush and a credit flush in the middle of the stream: the offer made
+/// while they are live declines at the digest, and the stream certifies
+/// again once they have drained.
+#[test]
+fn mid_stream_flush_is_bit_identical() {
+    let ff = stream_parity(&[10_000, 10_100, 30_000, 50_000], |sys, at| {
+        if at == 10_000 {
+            sys.nis[0].kernel.flush(1);
+            sys.nis[1].kernel.flush_credits(1);
+        }
+    });
+    assert_eq!(ff.nis[0].kernel.channel(1).stats().flushes, 1);
+    let three_jumps = FfStats {
+        jumps: 3,
+        cycles_jumped: 49_440,
+    };
+    assert_eq!(ff.ff_stats(), three_jumps);
 }
 
 // ---- BE bursts into GT streams (property) -------------------------------

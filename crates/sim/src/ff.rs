@@ -50,11 +50,10 @@
 //! declining rather than guessing whether it may slide.
 //!
 //! Anything non-trivial — BE traffic, threshold gates, blocking, an
-//! aperiodic source — either fails the structural pre-gates of the
-//! [`Clocked::fast_forward`] implementor or breaks the delta
-//! certification, and the attempt falls back to the cycle-accurate
-//! backend. The acceptance bar is bit-identical state, never approximate
-//! stats.
+//! aperiodic source — breaks the delta certification, or is declined
+//! earlier by a cheap pre-filter of the [`Clocked::fast_forward`]
+//! implementor, and the attempt falls back to the cycle-accurate backend.
+//! The acceptance bar is bit-identical state, never approximate stats.
 
 use crate::engine::{Clocked, Engine};
 use crate::persist::StateVisit;
@@ -65,9 +64,9 @@ use crate::word::LinkWord;
 pub const FF_MAX_PERIOD: u64 = 4096;
 
 /// Minimum cool-down (in base cycles) after a declined fast-forward
-/// attempt before the next one. Declines are cheap but not free (the
-/// structural pre-gates scan the fabric), so a fabric that keeps declining
-/// — a mixed GT/BE workload — must not pay the scan on every cycle.
+/// attempt before the next one. Declines are not free (a pre-filter scans
+/// the fabric, a digest walks all of it), so a fabric that keeps declining
+/// — a mixed GT/BE workload — must not pay for an attempt on every cycle.
 pub const FF_COOLDOWN: u64 = 256;
 
 /// Result of one [`Clocked::fast_forward`] attempt.
@@ -90,21 +89,13 @@ impl FfOutcome {
 }
 
 /// Cumulative fast-forward activity of a fabric (exposed by systems that
-/// embed the backend, summed across shard regions by sharded drivers).
+/// embed the backend).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FfStats {
     /// Certified extrapolations applied.
     pub jumps: u64,
     /// Cycles covered arithmetically instead of by ticking.
     pub cycles_jumped: u64,
-}
-
-impl FfStats {
-    /// Accumulates another fabric's counters (shard-region roll-up).
-    pub fn merge(&mut self, other: &FfStats) {
-        self.jumps += other.jumps;
-        self.cycles_jumped += other.cycles_jumped;
-    }
 }
 
 /// The class a walk declared a digest item with.

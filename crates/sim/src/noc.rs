@@ -369,7 +369,8 @@ impl Noc {
     }
 
     /// Whether the current cycle is a slot boundary.
-    pub fn at_slot_boundary(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn at_slot_boundary(&self) -> bool {
         self.cycle.is_multiple_of(SLOT_WORDS)
     }
 
@@ -725,17 +726,15 @@ impl Noc {
 
     /// Whether no best-effort traffic is held in the network: no BE word
     /// queued in a router, on a wire or on an NI handle, and no BE worm
-    /// claiming a port of an active router. This is part of the
-    /// fast-forward eligibility gate (see [`crate::ff`]): BE progress
-    /// depends on round-robin arbitration history and credit dynamics,
-    /// which the analytical GT model does not extrapolate.
+    /// claiming a port of an active router. A fast-forward pre-filter (see
+    /// [`crate::ff`]), kept for its cost, not for soundness: BE state is
+    /// walked and digested like any other, but a network busy with BE
+    /// traffic seldom certifies, and the scan is cheaper than the digests
+    /// of a declined attempt.
     ///
     /// Only members of the activity sets are inspected. An idle router may
     /// still hold a worm's claim while the worm's remaining words wait
-    /// upstream: in this network, where the sets see them, or in the
-    /// sending NI's kernel. So the answer covers a whole system together
-    /// with the NIs' own test, as the system's fast-forward gate applies
-    /// it.
+    /// upstream, here or in the sending NI's kernel; the digest sees those.
     pub fn be_quiet(&self) -> bool {
         let be = |w: &LinkWord| w.class() == WordClass::BestEffort;
         self.active.iter().all(|r| self.routers[r].be_quiet())

@@ -306,11 +306,9 @@ impl Router {
     }
 
     /// Whether the router carries no best-effort state at all: empty BE
-    /// queues, no BE worm in flight on any input or output. One of the
-    /// structural pre-gates of the analytical fast-forward backend (BE
-    /// arbitration depends on cross-stream timing, which the periodic
-    /// certification does not model).
-    pub fn be_quiet(&self) -> bool {
+    /// queues, no BE worm in flight on any input or output. The per-router
+    /// part of [`Noc::be_quiet`](crate::Noc::be_quiet).
+    pub(crate) fn be_quiet(&self) -> bool {
         self.be_mask == 0
             && self
                 .ports

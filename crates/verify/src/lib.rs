@@ -22,8 +22,12 @@
 //!   header-to-last-word latency (slot wait + emission + hops + gateway
 //!   rewrites) and jitter, computed from the same certified flow data and
 //!   cross-validated against cycle-accurate runs in this crate's tests.
-//!   These formulas are the parity seam a future analytical fast-forward
-//!   engine backend can reuse.
+//!
+//! Certification covers the GT schedule only. It does not prove that best
+//! effort traffic is free of deadlock: BE worms on a ring can close a cycle
+//! of channel dependencies and stall for good, and [`certify_system`]
+//! still accepts the configuration (`ring_be_streams_stall_for_good` in
+//! the `certify_configured` tests).
 //!
 //! The verifier deliberately consumes only state a configuration master
 //! could read back over the CNIP (`reg_read`) plus the static NI geometry

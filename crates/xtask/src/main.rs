@@ -37,6 +37,11 @@
 //!   `Engine::run_ff` is called only in `cfg/src/system.rs`, and
 //!   `fast_forward` is implemented only there and as the declining trait
 //!   default in `sim/src/engine.rs`. A sharded run never offers.
+//! * the digest is the proof: the retired hand-written fast-forward gates
+//!   of the NI side (a per-NI, per-kernel and per-channel readiness test
+//!   and a master-shell drain test) may not come back anywhere under the
+//!   `src` of `sim`, `core` or `cfg`. The state walk digests every field
+//!   they read, so a state they would refuse fails certification.
 //! * no new orphan: a `pub fn` in `sim`, `core`, `cfg`, `proto` or
 //!   `verify` whose name no non-test code uses outside its own definition
 //!   must be on the [`ORPHAN_ALLOW`] list with a reason, and every entry
@@ -74,6 +79,11 @@ const IDLENESS_FILE: &str = "sim/src/engine.rs";
 const FF_OFFER: &str = concat!("Engine::run", "_ff(");
 const FF_IMPL: &str = concat!("fn fast_", "forward(");
 const FF_OFFER_FILE: &str = "cfg/src/system.rs";
+
+/// The retired NI-side fast-forward gates, and the crates they may not
+/// come back to.
+const RETIRED_FF_GATES: [&str; 2] = [concat!("fn ff_", "ready("), concat!("fn is_", "drained(")];
+const FF_GATE_CRATES: &[&str] = &["sim", "core", "cfg"];
 
 /// How a file spells the one state walk: the method, generic over its
 /// visitor.
@@ -164,7 +174,6 @@ const ORPHAN_ALLOW: &[(&str, &str, &str)] = &[
     ("sim/src/engine.rs", "local_now", "ClockDomain arithmetic pinned by the sim property tests"),
     ("sim/src/header.rs", "pack", "struct form of the header codec for tests; the NI packs with pack_encoded"),
     ("sim/src/header.rs", "unpack", "struct form of the header codec for tests; routers read fields in place"),
-    ("sim/src/noc.rs", "at_slot_boundary", "network unit tests check slot alignment through it"),
     ("sim/src/shard.rs", "wake", "wakes one region by hand in the shard parity and activity tests"),
     ("sim/src/fault.rs", "link_stuck", "FaultPlan method: tests and goldens script fault storms with it"),
     ("sim/src/fault.rs", "link_flaky", "FaultPlan method: tests and goldens script fault storms with it"),
@@ -180,7 +189,6 @@ const ORPHAN_ALLOW: &[(&str, &str, &str)] = &[
     ("cfg/src/runtime.rs", "rev_slots", "ConnectionHandle query; end_to_end checks reverse GT slots"),
     ("cfg/src/presets.rs", "multi_slave_ni", "preset of the multi-connection shell (Fig. 4) used by tests"),
     ("cfg/src/system.rs", "raw_ip_at", "handle-free raw IP lookup of the activity, fault and ff parity tests"),
-    ("cfg/src/slots.rs", "reserved_on", "SlotAllocator query; its unit tests check link reservations"),
     ("cfg/src/inspect.rs", "slots_of", "NiDump query; the inspect unit tests read remote slot tables"),
     ("cfg/src/inspect.rs", "enabled_channels", "NiDump query; the inspect unit tests read remote channels"),
     ("cfg/src/inspect.rs", "dump_ni", "reads a remote NI's registers through the NoC; protocol_features"),
@@ -687,6 +695,17 @@ fn scan_file(krate: &str, file: &Path, text: &str, findings: &mut Vec<Finding>) 
                 rule: "one-idleness-question",
                 detail: "implement `dormant_until(now)`; the two older names are \
                          views derived from it in sim/src/engine.rs"
+                    .into(),
+            });
+        }
+        if FF_GATE_CRATES.contains(&krate) && RETIRED_FF_GATES.iter().any(|g| line.contains(g)) {
+            findings.push(Finding {
+                file: file.to_path_buf(),
+                line: lineno,
+                rule: "digest-is-the-proof",
+                detail: "a hand-written fast-forward readiness gate: the state walk \
+                         digests every field, so certification decides (see \
+                         ff_eligible in cfg/src/system.rs for the gates that stay)"
                     .into(),
             });
         }
