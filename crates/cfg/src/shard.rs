@@ -7,11 +7,12 @@
 //!
 //! 1. build and configure a single [`NocSystem`] (open connections through
 //!    the NoC with the [`RuntimeConfigurator`](crate::RuntimeConfigurator),
-//!    bind IPs) — configuration is identical whether the run will be
-//!    sharded or not;
+//!    bind IPs, arm a fault plan) — configuration is identical whether the
+//!    run will be sharded or not;
 //! 2. once the network is drained (it is, after configuration settles),
 //!    [`ShardedSystem::new`] splits it along a [`Partition`] — routers, NI
-//!    state, per-link counters and IP bindings all move to their shards;
+//!    state, per-link counters, armed fault events and IP bindings all
+//!    move to their shards;
 //! 3. [`ShardedSystem::run`] (or [`run_parallel`](ShardedSystem::run_parallel))
 //!    advances all regions in lockstep, idle regions skipping via the
 //!    activity-set scheduler.
@@ -25,14 +26,12 @@ use crate::system::{Nis, NocSystem};
 use aethereal_ni::kernel::NiKernelStats;
 use aethereal_ni::Ni;
 use noc_sim::shard::{merge_noc_stats, wires_of, Partition, ShardRunner};
-use noc_sim::{FfStats, LinkId, NiId, NocStats, RouterId, Topology};
+use noc_sim::{FfStats, LinkId, NiId, NocStats, Topology};
 
 /// A [`NocSystem`] split into lockstep shard regions.
 pub struct ShardedSystem {
     pub(crate) regions: Vec<NocSystem>,
     pub(crate) runner: ShardRunner,
-    /// Per shard: local router id → global router id.
-    routers: Vec<Vec<RouterId>>,
     /// Per shard: local link id → global link id.
     link_maps: Vec<Vec<LinkId>>,
     /// Per shard: boundary id → global ingress link id.
@@ -111,7 +110,6 @@ impl ShardedSystem {
             region_raws[s].push(b);
         }
         let mut regions = Vec::with_capacity(n);
-        let mut routers = Vec::with_capacity(n);
         let mut link_maps = Vec::with_capacity(n);
         let mut boundary_links = Vec::with_capacity(n);
         let mut region_nis = region_nis.into_iter().map(Nis::new);
@@ -131,7 +129,6 @@ impl ShardedSystem {
                 ff_enabled: false,
                 ff_stats: FfStats::default(),
             });
-            routers.push(shard.routers);
             link_maps.push(shard.link_map);
             boundary_links.push(shard.boundary_links);
         }
@@ -139,17 +136,11 @@ impl ShardedSystem {
         ShardedSystem {
             runner,
             regions,
-            routers,
             link_maps,
             boundary_links,
             ni_home,
             ff_stats,
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.regions.len()
     }
 
     /// Sets the runner's batch size `B ≥ 1`: how many cycles run between
@@ -200,11 +191,6 @@ impl ShardedSystem {
         &self.regions
     }
 
-    /// One shard region.
-    pub fn region(&self, shard: usize) -> &NocSystem {
-        &self.regions[shard]
-    }
-
     /// The NI with global id `ni`.
     pub fn ni(&self, ni: NiId) -> &Ni {
         let (s, local) = self.ni_home[ni];
@@ -245,33 +231,6 @@ impl ShardedSystem {
         self.regions.iter().all(NocSystem::all_ips_done)
     }
 
-    // ---- Fault injection ------------------------------------------------
-
-    /// Arms `plan` across all shards: each region receives exactly the
-    /// events whose router it owns, keyed by *global* router id, so the
-    /// fault timeline is bit-identical to arming the unsplit system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if faults are already armed in any region.
-    pub fn arm_faults(&mut self, plan: &noc_sim::FaultPlan) {
-        for (s, region) in self.regions.iter_mut().enumerate() {
-            region.noc.arm_faults_for(plan, &self.routers[s]);
-        }
-    }
-
-    /// Disarms fault injection in every region.
-    pub fn disarm_faults(&mut self) {
-        for region in &mut self.regions {
-            region.noc.disarm_faults();
-        }
-    }
-
-    /// Whether any region has a fault plan armed.
-    pub fn fault_armed(&self) -> bool {
-        self.regions.iter().any(|r| r.noc.fault_armed())
-    }
-
     /// Merged [`FaultReport`](noc_sim::FaultReport) across all shards, in
     /// global router ids — shard-count independent because every router
     /// (and hence every armed event and GT watchdog counter) lives in
@@ -300,24 +259,6 @@ impl ShardedSystem {
             .as_any()
             .downcast_ref::<T>()
             .expect("master IP type mismatch")
-    }
-
-    /// Typed access to the slave IP bound at `(global ni, port)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no slave is bound there or the type does not match.
-    pub fn slave_ip_as<T: 'static>(&self, ni: NiId, port: usize) -> &T {
-        let (s, local) = self.ni_home[ni];
-        self.regions[s]
-            .slaves
-            .iter()
-            .find(|b| b.ni == local && b.port == port)
-            .unwrap_or_else(|| panic!("no slave bound at NI {ni} port {port}"))
-            .ip
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("slave IP type mismatch")
     }
 
     /// Typed access to the first raw IP of type `T` bound at global NI
@@ -380,7 +321,7 @@ mod tests {
     #[test]
     fn stream_crosses_the_cut_and_arrives_in_order() {
         let (mut sharded, _) = sharded_stream_pair();
-        assert_eq!(sharded.shard_count(), 2);
+        assert_eq!(sharded.regions().len(), 2);
         sharded.run(2_000);
         let sink = sharded.raw_ip_as::<StreamSink>(3);
         assert_eq!(sink.received().len(), 100);

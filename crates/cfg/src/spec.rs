@@ -26,44 +26,29 @@ pub enum TopologySpec {
         /// NIs per router.
         nis_per_router: usize,
     },
-    /// Bidirectional ring with one NI per router.
-    Ring {
-        /// Number of routers.
-        routers: usize,
-    },
 }
 
 impl TopologySpec {
     /// Builds the concrete topology.
     pub fn build(&self) -> Topology {
-        match *self {
-            TopologySpec::Mesh {
-                width,
-                height,
-                nis_per_router,
-            } => Topology::mesh(width, height, nis_per_router),
-            TopologySpec::Ring { routers } => Topology::ring(routers),
-        }
+        let TopologySpec::Mesh {
+            width,
+            height,
+            nis_per_router,
+        } = *self;
+        Topology::mesh(width, height, nis_per_router)
     }
 
     /// Number of NI attachment points the topology provides.
     pub fn ni_count(&self) -> usize {
-        match *self {
-            TopologySpec::Mesh {
-                width,
-                height,
-                nis_per_router,
-            } => width * height * nis_per_router,
-            TopologySpec::Ring { routers } => routers,
-        }
+        let TopologySpec::Mesh { nis_per_router, .. } = *self;
+        self.router_count() * nis_per_router
     }
 
     /// Number of routers the topology provides.
     pub fn router_count(&self) -> usize {
-        match *self {
-            TopologySpec::Mesh { width, height, .. } => width * height,
-            TopologySpec::Ring { routers } => routers,
-        }
+        let TopologySpec::Mesh { width, height, .. } = *self;
+        width * height
     }
 }
 
@@ -246,24 +231,19 @@ impl NocSpec {
 // ---- JSON conversions (externally tagged enums, serde-style) -------------
 
 fn topology_to_value(t: &TopologySpec) -> Value {
-    match *t {
-        TopologySpec::Mesh {
-            width,
-            height,
-            nis_per_router,
-        } => Value::obj(vec![(
-            "Mesh",
-            Value::obj(vec![
-                ("width", Value::Num(width as u64)),
-                ("height", Value::Num(height as u64)),
-                ("nis_per_router", Value::Num(nis_per_router as u64)),
-            ]),
-        )]),
-        TopologySpec::Ring { routers } => Value::obj(vec![(
-            "Ring",
-            Value::obj(vec![("routers", Value::Num(routers as u64))]),
-        )]),
-    }
+    let TopologySpec::Mesh {
+        width,
+        height,
+        nis_per_router,
+    } = *t;
+    Value::obj(vec![(
+        "Mesh",
+        Value::obj(vec![
+            ("width", Value::Num(width as u64)),
+            ("height", Value::Num(height as u64)),
+            ("nis_per_router", Value::Num(nis_per_router as u64)),
+        ]),
+    )])
 }
 
 fn topology_from_value(v: &Value) -> Result<TopologySpec, JsonError> {
@@ -272,9 +252,6 @@ fn topology_from_value(v: &Value) -> Result<TopologySpec, JsonError> {
             width: b.get("width")?.as_usize()?,
             height: b.get("height")?.as_usize()?,
             nis_per_router: b.get("nis_per_router")?.as_usize()?,
-        }),
-        ("Ring", Some(b)) => Ok(TopologySpec::Ring {
-            routers: b.get("routers")?.as_usize()?,
         }),
         (tag, _) => Err(JsonError::new(format!("unknown topology `{tag}`"))),
     }
@@ -606,7 +583,6 @@ mod tests {
             .ni_count(),
             12
         );
-        assert_eq!(TopologySpec::Ring { routers: 5 }.ni_count(), 5);
     }
 
     #[test]
@@ -624,6 +600,13 @@ mod tests {
     #[test]
     fn malformed_json_rejected() {
         assert!(NocSpec::from_json("{not json").is_err());
+        // A topology the codec does not know gets a structured error.
+        let spec = small_spec();
+        let mesh = json::to_string_compact(&topology_to_value(&spec.topology));
+        let ring =
+            json::to_string_compact(&spec.to_value()).replace(&mesh, r#"{"Ring": {"routers": 4}}"#);
+        let err = NocSpec::from_json(&ring).expect_err("a ring is refused");
+        assert!(err.msg.contains("unknown topology `Ring`"), "{err}");
     }
 
     #[test]
@@ -687,8 +670,6 @@ mod tests {
             nis_per_router: 1,
         }
         .build();
-        assert_eq!(t.router_count(), 4);
-        let t = TopologySpec::Ring { routers: 4 }.build();
         assert_eq!(t.router_count(), 4);
     }
 }

@@ -368,7 +368,9 @@ impl NocSystem {
     /// [`Noc::arm_faults`]). While armed — even after every window expires
     /// — the system never fast-forwards: probabilistic drops are invisible
     /// to the periodicity digests, so certification is conservatively
-    /// declined until [`NocSystem::disarm_faults`].
+    /// declined until [`NocSystem::disarm_faults`]. A sharded run arms
+    /// the unsplit system: [`ShardedSystem::new`](crate::ShardedSystem::new)
+    /// moves each event to the region that owns its router.
     ///
     /// # Panics
     ///

@@ -125,8 +125,8 @@ fn observe_sharded(sharded: &ShardedSystem, masters: &[(usize, usize)]) -> Obser
 }
 
 fn sharded_faulted(shards: usize, parallel: bool, batch: u64) -> Observed {
-    let s = scenario();
-    let plan = storm_plan(s.start);
+    let mut s = scenario();
+    s.sys.arm_faults(&storm_plan(s.start));
     let partition = if shards == 1 {
         Partition::single(s.topo.router_count())
     } else {
@@ -134,9 +134,11 @@ fn sharded_faulted(shards: usize, parallel: bool, batch: u64) -> Observed {
     };
     let mut sharded = ShardedSystem::new(s.sys, &s.topo, &partition);
     sharded.set_batch(batch);
-    assert_eq!(sharded.shard_count(), shards);
-    sharded.arm_faults(&plan);
-    assert!(sharded.fault_armed());
+    assert_eq!(sharded.regions().len(), shards);
+    assert!(
+        sharded.regions().iter().all(NocSystem::fault_armed),
+        "the split carries the armed plan to every region"
+    );
     if parallel {
         sharded.run_parallel(HORIZON);
     } else {
@@ -216,15 +218,15 @@ fn mid_fault_snapshot_restores_bit_identically() {
     assert_eq!(observe_single(&b), reference, "restored run diverged");
 
     // A 2-shard restore of the same mid-fault state continues identically.
-    let s = scenario();
+    let mut s = scenario();
+    s.sys.arm_faults(&plan);
     let partition = Partition::mesh_rows(4, 4, 2);
     let mut sharded = ShardedSystem::new(s.sys, &s.topo, &partition);
-    sharded.arm_faults(&plan);
     sharded.run(600);
     let shard_snap = sharded.snapshot().expect("sharded mid-fault snapshot");
-    let s2 = scenario();
+    let mut s2 = scenario();
+    s2.sys.arm_faults(&plan);
     let mut restored = ShardedSystem::new(s2.sys, &s2.topo, &partition);
-    restored.arm_faults(&plan);
     restored.restore(&shard_snap).expect("sharded restore");
     restored.run(4_000);
     assert_eq!(

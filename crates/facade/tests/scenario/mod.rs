@@ -802,23 +802,59 @@ pub fn stream_mesh(width: usize, height: usize, traffic: MeshTraffic) -> (NocSys
     be_streams(&spec, &streams)
 }
 
-/// The ring-stall fixture: a ring of `routers` routers, one two-channel raw
-/// NI each, where every NI streams BE without end on channel 1 to the NI of
-/// the opposite router and receives on channel 2. The streams' worms close
-/// a cycle of channel dependencies around the ring (a wormhole routing
-/// deadlock, Dally & Seitz 1987), so after a short start the ring stops
-/// delivering for good.
-pub fn ring_stall(routers: usize) -> (NocSystem, Topology) {
-    let spec = NocSpec::new(
-        TopologySpec::Ring { routers },
-        (0..routers).map(|id| presets::raw_ni(id, 2)).collect(),
-    );
-    let streams: Vec<_> = (0..routers)
-        .map(|src| Stream {
-            src,
-            dst: (src + routers / 2) % routers,
-            rx_channel: 2,
-        })
-        .collect();
-    be_streams(&spec, &streams)
+/// The perimeter-ring fixture: a `width × height` mesh of two-channel raw
+/// NIs, one per router, whose perimeter routers each stream BE without end
+/// on channel 1 to the router `hops` steps clockwise round the perimeter,
+/// and receive on channel 2. The forward routes are poked hop by hop round
+/// the perimeter; the credits return clockwise the rest of the way round
+/// with `clockwise_credits`, over the XY route otherwise. With every
+/// router on the perimeter (`width` or `height` at most 2) and `hops` half
+/// of it, the worms close a cycle of channel dependencies (a wormhole
+/// routing deadlock, Dally & Seitz 1987), and after a short start the
+/// ring stops delivering for good.
+pub fn perimeter_streams(
+    width: usize,
+    height: usize,
+    hops: usize,
+    clockwise_credits: bool,
+) -> (NocSystem, Topology) {
+    let spec = raw_mesh(width, height, 1, 2);
+    let topo = spec.build_topology();
+    let mut sys = NocSystem::from_spec(&spec);
+    // Clockwise: the top row, the right column, the bottom row backwards,
+    // the left column upwards.
+    let mut ring: Vec<usize> = (0..width).collect();
+    ring.extend((1..height).map(|y| y * width + width - 1));
+    ring.extend((0..width - 1).rev().map(|x| (height - 1) * width + x));
+    ring.extend((1..height - 1).rev().map(|y| y * width));
+    let n = ring.len();
+    // The route from perimeter position `from` `len` steps clockwise.
+    let clockwise = |from: usize, len: usize| {
+        let mut path: Vec<u8> = (from..from + len)
+            .map(|i| {
+                let (a, b) = (ring[i % n], ring[(i + 1) % n]);
+                match b as isize - a as isize {
+                    1 => dir::EAST,
+                    -1 => dir::WEST,
+                    d if d > 0 => dir::SOUTH,
+                    _ => dir::NORTH,
+                }
+            })
+            .collect();
+        path.push(dir::LOCAL0);
+        Route::from_hops(&path).expect("perimeter routes fit")
+    };
+    for i in 0..n {
+        let (src, dst) = (ring[i], ring[(i + hops) % n]);
+        let credits = if clockwise_credits {
+            clockwise(i + hops, n - hops)
+        } else {
+            topo.route_any(dst, src).expect("any pair routes")
+        };
+        poke(&mut sys, (src, 1), &clockwise(i, hops), 2, None, true);
+        poke(&mut sys, (dst, 2), &credits, 1, None, true);
+        source(&mut sys, src, 1, ENDLESS);
+        counting_sink(&mut sys, dst, 2);
+    }
+    (sys, topo)
 }

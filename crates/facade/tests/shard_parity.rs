@@ -124,7 +124,7 @@ fn sharded_run_batched(pattern: Pattern, shards: usize, parallel: bool, batch: u
     };
     let mut sharded = ShardedSystem::new(s.sys, &s.topo, &partition);
     sharded.set_batch(batch);
-    assert_eq!(sharded.shard_count(), shards);
+    assert_eq!(sharded.regions().len(), shards);
     if parallel {
         sharded.run_parallel(HORIZON);
     } else {

@@ -285,23 +285,11 @@ pub struct FaultState {
 impl FaultState {
     /// Arms every event of `plan`.
     pub fn arm(plan: &FaultPlan) -> Self {
-        Self::arm_filtered(plan, |_| true)
-    }
-
-    /// Arms only the events whose router is in the **sorted** `owned` list —
-    /// the shard-distribution entry point. Original plan indices (and thus
-    /// generator seeds and report keys) are preserved.
-    pub fn arm_for(plan: &FaultPlan, owned: &[RouterId]) -> Self {
-        Self::arm_filtered(plan, |r| owned.binary_search(&r).is_ok())
-    }
-
-    fn arm_filtered(plan: &FaultPlan, keep: impl Fn(RouterId) -> bool) -> Self {
         FaultState {
             events: plan
                 .events
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| keep(e.router))
                 .map(|(i, e)| ArmedFault::arm(plan.seed, i, *e))
                 .collect(),
             next_active: 0,
@@ -665,15 +653,15 @@ mod tests {
             .link_flaky(2, 0, 0, 10, 250_000)
             .router_stall(1, 0, 10);
         let mut whole = FaultState::arm(&plan);
-        let part = FaultState::arm_for(&plan, &[2]);
+        let rng_1 = whole.events[1].rng.clone();
+        let part = whole.extract_owned(&[2]);
         assert_eq!(part.events.len(), 1);
         assert_eq!(part.events[0].index, 1);
-        // Same seed derivation either way.
-        assert_eq!(part.events[0].rng, whole.events[1].rng);
+        // The moved event keeps its plan index and generator.
+        assert_eq!(part.events[0].rng, rng_1);
         let moved = whole.extract_owned(&[0, 1]);
         assert_eq!(moved.events.len(), 2);
-        assert_eq!(whole.events.len(), 1);
-        assert_eq!(whole.events[0].index, 1);
+        assert!(whole.is_empty());
     }
 
     #[test]
@@ -681,8 +669,8 @@ mod tests {
         let mut plan = FaultPlan::new(5);
         plan.link_stuck(0, 1, 0, 10).link_stuck(3, 2, 0, 10);
         let mut whole = FaultState::arm(&plan);
-        let mut a = FaultState::arm_for(&plan, &[0]);
-        let mut b = FaultState::arm_for(&plan, &[3]);
+        let mut b = FaultState::arm(&plan);
+        let mut a = b.extract_owned(&[0]);
         for f in [&mut whole, &mut a, &mut b] {
             let mut r0 = emissions(&[1]);
             f.filter(0, 0, &mut r0);

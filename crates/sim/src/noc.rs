@@ -450,20 +450,6 @@ impl Noc {
         self.wake_all();
     }
 
-    /// Arms only the events of `plan` whose router is in the **sorted**
-    /// `owned` list — how a sharded system distributes one plan across its
-    /// regions so every event runs on exactly one shard, with the same
-    /// per-event generator seeds as a monolithic arm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a plan is already armed.
-    pub fn arm_faults_for(&mut self, plan: &crate::fault::FaultPlan, owned: &[RouterId]) {
-        assert!(self.fault.is_none(), "a fault plan is already armed");
-        self.fault = Some(crate::fault::FaultState::arm_for(plan, owned));
-        self.wake_all();
-    }
-
     /// Drops the armed fault machinery (scheduled windows, generator
     /// state and health counters), returning the network to the unarmed
     /// hot path and re-enabling fast-forward eligibility.
@@ -1588,7 +1574,18 @@ mod tests {
 
     #[test]
     fn ring_topology_delivers() {
-        let topo = Topology::ring(4);
+        // Port 0 faces the next router clockwise, port 1 the previous,
+        // port 2 the NI; BFS breaks the tie to the opposite router
+        // clockwise.
+        let edges = (0..4)
+            .map(|r| crate::topology::RouterEdge {
+                a: r,
+                port_a: 0,
+                b: (r + 1) % 4,
+                port_b: 1,
+            })
+            .collect();
+        let topo = Topology::custom(vec![3; 4], edges, (0..4).map(|r| (r, 2)).collect());
         let mut noc = Noc::new(&topo);
         let path = topo.route(0, 2).unwrap();
         drive(&mut noc, 0, &be_packet(path, 4, &[42]));

@@ -3,12 +3,13 @@
 //!
 //! The Æthereal flow instantiates the topology at design time from an XML
 //! description; here a [`Topology`] value plays that role (see
-//! `aethereal-cfg::spec` for the declarative front end). Meshes use
-//! dimension-ordered XY routing, rings route the short way around, and
-//! arbitrary graphs fall back to breadth-first shortest paths. Only the XY
-//! mesh routes are deadlock-free for the BE class by construction: ring
-//! and BFS routes can close a cycle of channel dependencies (Dally & Seitz
-//! 1987), and wormhole BE traffic along such a cycle can deadlock.
+//! `aethereal-cfg::spec` for the declarative front end). An unmasked mesh
+//! uses dimension-ordered XY routing; every other graph (a mesh with
+//! masked links, or a [`Topology::custom`] piece) falls back to
+//! breadth-first shortest paths. Only the XY routes are deadlock-free for
+//! the BE class by construction: BFS routes can close a cycle of channel
+//! dependencies (Dally & Seitz 1987), and wormhole BE traffic along such a
+//! cycle can deadlock.
 //!
 //! Routes longer than one header ([`crate::MAX_HOPS`] hops) are planned by
 //! [`Topology::route_any`], which splits the minimal hop list into a
@@ -66,11 +67,6 @@ pub enum TopologyKind {
         width: usize,
         /// Routers per column.
         height: usize,
-    },
-    /// Unidirectional-pair ring of `n` routers.
-    Ring {
-        /// Number of routers.
-        routers: usize,
     },
     /// Arbitrary router graph.
     Custom,
@@ -234,35 +230,6 @@ impl Topology {
         }
     }
 
-    /// Builds a bidirectional ring of `routers` routers, one NI each.
-    /// Port 0 faces the next router (clockwise), port 1 the previous, port 2
-    /// is local.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `routers < 2`.
-    pub fn ring(routers: usize) -> Self {
-        assert!(routers >= 2, "a ring needs at least two routers");
-        let mut edges = Vec::new();
-        for r in 0..routers {
-            let next = (r + 1) % routers;
-            edges.push(RouterEdge {
-                a: r,
-                port_a: 0,
-                b: next,
-                port_b: 1,
-            });
-        }
-        let ni_attach = (0..routers).map(|r| (r, 2 as PortIdx)).collect();
-        Topology {
-            kind: TopologyKind::Ring { routers },
-            router_ports: vec![3; routers],
-            edges,
-            ni_attach,
-            link_mask: vec![0; routers],
-        }
-    }
-
     /// Builds a custom topology from explicit parts.
     ///
     /// # Panics
@@ -367,9 +334,9 @@ impl Topology {
     /// While any mask bit is set, every topology kind routes by
     /// breadth-first shortest path over the unmasked links. Detours stay
     /// shortest-path in the degraded graph, but a mesh loses the XY turn
-    /// restriction — re-certify GT schedules after re-planning (see
-    /// `aethereal-verify`) and treat BE deadlock-freedom as a degraded-mode
-    /// concern, as the paper's small configurations do.
+    /// restriction — re-certify after re-planning (see `aethereal-verify`),
+    /// which checks the GT schedules and refuses BE routes whose channel
+    /// dependencies close a cycle.
     ///
     /// # Panics
     ///
@@ -400,12 +367,12 @@ impl Topology {
     /// Computes the source route from NI `from` to NI `to`, including the
     /// final ejection hop.
     ///
-    /// Meshes use XY (dimension-ordered) routing; rings take the shorter
-    /// direction; custom graphs use BFS shortest paths. XY routes are
-    /// deadlock-free for the BE class (XY is turn-restricted). Ring and BFS
-    /// routes are not: their channel dependencies can form a cycle (Dally &
-    /// Seitz 1987), and BE worms along it can then block each other for
-    /// good, as streams to the opposite router of a ring do.
+    /// An unmasked mesh uses XY (dimension-ordered) routing; masked meshes
+    /// and custom graphs use BFS shortest paths. XY routes are deadlock-free
+    /// for the BE class (XY is turn-restricted). BFS routes are not: their
+    /// channel dependencies can form a cycle (Dally & Seitz 1987), and BE
+    /// worms along it can then block each other for good, as streams
+    /// around a ring of routers do.
     ///
     /// # Errors
     ///
@@ -433,18 +400,16 @@ impl Topology {
     }
 
     /// The minimal router-to-router hop list, honouring the failed-link
-    /// mask: maskless topologies use the kind-specific planner unchanged
-    /// (bit-identical to the pre-mask behaviour); any set mask bit switches
-    /// every kind to BFS shortest paths over the unmasked links.
+    /// mask: XY on an unmasked mesh (bit-identical to the pre-mask
+    /// behaviour), BFS shortest paths over the unmasked links everywhere
+    /// else.
     fn plan_hops(&self, fr: RouterId, tr: RouterId) -> Result<Vec<PortIdx>, RouteError> {
-        if self.has_masked_links() {
-            return self.bfs_hops(fr, tr);
+        match self.kind {
+            TopologyKind::Mesh { width, .. } if !self.has_masked_links() => {
+                Ok(Self::xy_hops(fr, tr, width))
+            }
+            _ => self.bfs_hops(fr, tr),
         }
-        Ok(match self.kind {
-            TopologyKind::Mesh { width, .. } => Self::xy_hops(fr, tr, width),
-            TopologyKind::Ring { routers } => Self::ring_hops(fr, tr, routers),
-            TopologyKind::Custom => self.bfs_hops(fr, tr)?,
-        })
     }
 
     /// Computes the source route from NI `from` to NI `to` as a (possibly
@@ -480,16 +445,6 @@ impl Topology {
             hops.push(if dy > 0 { dir::SOUTH } else { dir::NORTH });
         }
         hops
-    }
-
-    fn ring_hops(from: RouterId, to: RouterId, n: usize) -> Vec<PortIdx> {
-        let cw = (to + n - from) % n;
-        let ccw = (from + n - to) % n;
-        if cw <= ccw {
-            vec![0; cw]
-        } else {
-            vec![1; ccw]
-        }
     }
 
     fn bfs_hops(&self, from: RouterId, to: RouterId) -> Result<Vec<PortIdx>, RouteError> {
@@ -576,6 +531,25 @@ impl Topology {
 mod tests {
     use super::*;
 
+    /// A bidirectional ring of `routers` routers built from explicit parts,
+    /// one NI each: port 0 faces the next router (clockwise), port 1 the
+    /// previous, port 2 is local. BFS breaks a tie clockwise.
+    fn ring(routers: usize) -> Topology {
+        let edges = (0..routers)
+            .map(|r| RouterEdge {
+                a: r,
+                port_a: 0,
+                b: (r + 1) % routers,
+                port_b: 1,
+            })
+            .collect();
+        Topology::custom(
+            vec![3; routers],
+            edges,
+            (0..routers).map(|r| (r, 2)).collect(),
+        )
+    }
+
     #[test]
     fn mesh_counts() {
         let t = Topology::mesh(3, 2, 1);
@@ -631,19 +605,6 @@ mod tests {
             assert_eq!(t.neighbour(e.a, e.port_a), Some((e.b, e.port_b)));
             assert_eq!(t.neighbour(e.b, e.port_b), Some((e.a, e.port_a)));
         }
-    }
-
-    #[test]
-    fn ring_routes_short_way() {
-        let t = Topology::ring(6);
-        // 0 → 2: clockwise 2 hops.
-        let p = t.route(0, 2).unwrap();
-        assert_eq!(p.hops(), 3);
-        assert_eq!(p.hop(0), Some(0));
-        // 0 → 5: counter-clockwise 1 hop.
-        let p = t.route(0, 5).unwrap();
-        assert_eq!(p.hops(), 2);
-        assert_eq!(p.hop(0), Some(1));
     }
 
     #[test]
@@ -827,7 +788,7 @@ mod tests {
 
     #[test]
     fn route_any_ring_and_custom_split() {
-        let t = Topology::ring(20);
+        let t = ring(20);
         let r = t.route_any(0, 10).unwrap(); // 10 hops + eject = 11
         assert_eq!(r.total_hops(), 11);
         assert_eq!(r.segments().len(), 2);

@@ -2,6 +2,7 @@
 //! classes — checking losslessness, ordering, class isolation and the
 //! contention invariants under sustained load.
 
+use noc_sim::topology::RouterEdge;
 use noc_sim::{LinkWord, Noc, PacketHeader, Path, Rng64, Topology, WordClass, SLOT_WORDS};
 
 /// A BE packet as link words.
@@ -226,7 +227,17 @@ fn link_stats_account_every_word() {
 
 #[test]
 fn ring_bidirectional_traffic() {
-    let topo = Topology::ring(6);
+    // A 6-router ring from explicit parts: port 0 clockwise, port 1
+    // counter-clockwise, port 2 local; BFS takes the short way.
+    let edges = (0..6)
+        .map(|r| RouterEdge {
+            a: r,
+            port_a: 0,
+            b: (r + 1) % 6,
+            port_b: 1,
+        })
+        .collect();
+    let topo = Topology::custom(vec![3; 6], edges, (0..6).map(|r| (r, 2)).collect());
     let mut noc = Noc::new(&topo);
     // Every NI sends one packet to its opposite.
     let mut streams: Vec<Vec<LinkWord>> = Vec::new();

@@ -14,20 +14,16 @@
 //!   slot-aligned gateway rewrites impose on two-level routes — that every
 //!   route is valid and minimal against the [`noc_sim::Topology`], that
 //!   per-packet word budgets can carry header + continuations + payload,
-//!   and that end-to-end credits never exceed the destination queue. The
-//!   result is a structured [`schedule::Certificate`] or a list of precise
-//!   [`schedule::Violation`]s naming the link, slot and flows involved.
+//!   that end-to-end credits never exceed the destination queue, and that
+//!   the best-effort routes close no cycle of channel dependencies, so BE
+//!   worms cannot deadlock. The result is a structured
+//!   [`schedule::Certificate`] or a list of precise
+//!   [`schedule::Violation`]s naming the links, slot and flows involved.
 //! * [`bounds`] — **analytical service bounds**. Closed-form per-connection
 //!   GT throughput (payload words per slot-table revolution), worst-case
 //!   header-to-last-word latency (slot wait + emission + hops + gateway
 //!   rewrites) and jitter, computed from the same certified flow data and
 //!   cross-validated against cycle-accurate runs in this crate's tests.
-//!
-//! Certification covers the GT schedule only. It does not prove that best
-//! effort traffic is free of deadlock: BE worms on a ring can close a cycle
-//! of channel dependencies and stall for good, and [`certify_system`]
-//! still accepts the configuration (`ring_be_streams_stall_for_good` in
-//! the `certify_configured` tests).
 //!
 //! The verifier deliberately consumes only state a configuration master
 //! could read back over the CNIP (`reg_read`) plus the static NI geometry

@@ -24,6 +24,17 @@
 //! 5. **Credit soundness** — a channel's `Space` counter never exceeds
 //!    the remote destination queue, so end-to-end flow control cannot
 //!    overflow it.
+//! 6. **BE deadlock freedom** — the channel dependency graph of every
+//!    enabled best-effort flow is acyclic (Dally & Seitz 1987). Both
+//!    directions of every connection are flows, so are the configuration
+//!    channels; a flow's links are its injection link, each router output
+//!    it takes and its ejection link, and a worm holding one of them waits
+//!    for the next. GT flows are left out: their words travel in reserved
+//!    slots and never wait in a BE queue. XY routes on a mesh never close
+//!    a cycle. The check is conservative, as the acyclicity condition is
+//!    sufficient, not necessary: streams two hops clockwise round a 3×3
+//!    mesh perimeter, with their credits on XY routes, close a cycle and
+//!    are refused, yet they flow (46 952 words in 20 000 cycles).
 //!
 //! All checks consume only `reg_read`-visible state plus static NI
 //! geometry, so they apply identically to systems configured by the
@@ -37,8 +48,8 @@ use aethereal_ni::kernel::regs::{
 use aethereal_ni::NiKernel;
 use noc_sim::header::QID_BITS;
 use noc_sim::path::PATH_BITS;
-use noc_sim::{Path, Route, Topology, SLOT_WORDS};
-use std::collections::{BTreeMap, HashMap};
+use noc_sim::{Path, Route, RouteLink, Topology, SLOT_WORDS};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A directed link in certification claims: `(router, output port)`, with
 /// the NI-injection pseudo link encoded as `(usize::MAX, ni)`.
@@ -213,6 +224,15 @@ pub enum Violation {
         /// Destination queue capacity in words.
         dst_capacity: usize,
     },
+    /// Best-effort routes close a cycle of channel dependencies, so BE
+    /// worms each holding a link of it can wait on one another for good.
+    DependencyCycle {
+        /// The links of the cycle, each depending on the next and the last
+        /// on the first.
+        links: Vec<LinkKey>,
+        /// Every flow that turns from one link of the cycle into the next.
+        flows: Vec<FlowId>,
+    },
 }
 
 impl std::fmt::Display for Violation {
@@ -285,6 +305,19 @@ impl std::fmt::Display for Violation {
                 f,
                 "{flow}: Space {space} exceeds destination queue capacity {dst_capacity}"
             ),
+            Violation::DependencyCycle { links, flows } => {
+                let links: Vec<String> = links
+                    .iter()
+                    .map(|(r, p)| format!("(router {r}, port {p})"))
+                    .collect();
+                let flows: Vec<String> = flows.iter().map(|fl| fl.to_string()).collect();
+                write!(
+                    f,
+                    "BE channel dependency cycle {} through {}",
+                    links.join(" -> "),
+                    flows.join(", ")
+                )
+            }
         }
     }
 }
@@ -419,6 +452,52 @@ fn extract(k: &NiKernel) -> NiImage<'_> {
     }
 }
 
+/// The certification key of a link that NI `ni`'s route crosses.
+fn link_key(ni: usize, link: &RouteLink) -> LinkKey {
+    if link.router == usize::MAX {
+        (usize::MAX, ni)
+    } else {
+        (link.router, usize::from(link.port))
+    }
+}
+
+/// A cycle of the channel dependency graph `deps` (link → next link → the
+/// flows that turn there), as its links in dependency order: the first one
+/// a depth-first search over the links in ascending order meets, or `None`
+/// when the graph is acyclic.
+fn dependency_cycle(
+    deps: &BTreeMap<LinkKey, BTreeMap<LinkKey, Vec<FlowId>>>,
+) -> Option<Vec<LinkKey>> {
+    let mut done = HashSet::new();
+    for &start in deps.keys() {
+        if done.contains(&start) {
+            continue;
+        }
+        // The links on the current search path, and each one's successors
+        // still to visit.
+        let mut path = vec![start];
+        let mut pending = vec![deps[&start].keys()];
+        while let Some(next) = pending.last_mut() {
+            match next.next() {
+                Some(link) => {
+                    if let Some(at) = path.iter().position(|l| l == link) {
+                        return Some(path.split_off(at));
+                    }
+                    if let Some(after) = deps.get(link).filter(|_| !done.contains(link)) {
+                        path.push(*link);
+                        pending.push(after.keys());
+                    }
+                }
+                None => {
+                    pending.pop();
+                    done.extend(path.pop());
+                }
+            }
+        }
+    }
+    None
+}
+
 /// Walks a route hop by hop; returns the destination NI or the issue.
 fn walk_route(topo: &Topology, from: usize, route: &Route) -> Result<usize, RouteIssue> {
     let Some((mut r, _)) = topo.ni_attachment(from) else {
@@ -529,9 +608,11 @@ pub fn certify<'a>(
         }
     }
 
-    // 2–5 per flow, collecting GT slot claims along the way.
+    // 2–5 per flow, collecting GT slot claims and BE channel dependencies
+    // along the way.
     let mut flows = Vec::new();
     let mut claims: BTreeMap<(LinkKey, usize), Vec<FlowId>> = BTreeMap::new();
+    let mut deps: BTreeMap<LinkKey, BTreeMap<LinkKey, Vec<FlowId>>> = BTreeMap::new();
     for im in &images {
         for raw in &im.flows {
             let flow = FlowId {
@@ -610,18 +691,12 @@ pub fn certify<'a>(
                 }
             }
             // GT claims: slot (s + h + g) mod S on the link at hop h after
-            // g slot-aligned gateway rewrites.
+            // g slot-aligned gateway rewrites. BE dependencies: a worm
+            // holding one link of the route waits on the next.
+            let links = topo.links_of_route_segmented(im.ni, &raw.route);
             if raw.gt {
-                for (h, link) in topo
-                    .links_of_route_segmented(im.ni, &raw.route)
-                    .into_iter()
-                    .enumerate()
-                {
-                    let key: LinkKey = if link.router == usize::MAX {
-                        (usize::MAX, im.ni)
-                    } else {
-                        (link.router, usize::from(link.port))
-                    };
+                for (h, link) in links.iter().enumerate() {
+                    let key = link_key(im.ni, link);
                     let shift = h + link.gateways_before as usize;
                     for &s in &injection_slots {
                         claims
@@ -629,6 +704,14 @@ pub fn certify<'a>(
                             .or_default()
                             .push(flow);
                     }
+                }
+            } else {
+                for pair in links.windows(2) {
+                    deps.entry(link_key(im.ni, &pair[0]))
+                        .or_default()
+                        .entry(link_key(im.ni, &pair[1]))
+                        .or_default()
+                        .push(flow);
                 }
             }
             flows.push(CertifiedFlow {
@@ -669,9 +752,19 @@ pub fn certify<'a>(
         }
     }
 
+    // 6. BE deadlock freedom: no cycle of channel dependencies.
+    if let Some(links) = dependency_cycle(&deps) {
+        let mut flows: Vec<FlowId> = (0..links.len())
+            .flat_map(|i| &deps[&links[i]][&links[(i + 1) % links.len()]])
+            .copied()
+            .collect();
+        flows.sort_unstable();
+        flows.dedup();
+        violations.push(Violation::DependencyCycle { links, flows });
+    }
+
     if violations.is_empty() {
-        let links: std::collections::HashSet<LinkKey> =
-            claims.keys().map(|&(link, _)| link).collect();
+        let links: HashSet<LinkKey> = claims.keys().map(|&(link, _)| link).collect();
         Ok(Certificate {
             stu_slots,
             flows,

@@ -17,11 +17,12 @@ use aethereal_cfg::{presets, NocSpec, NocSystem};
 use aethereal_ni::kernel::regs::slot_reg_addr;
 use aethereal_ni::kernel::{chan_reg_addr, ChanReg};
 use aethereal_proto::CountingSink;
-use aethereal_verify::{certify, certify_system, Violation};
+use aethereal_verify::{certify, certify_system, FlowId, Violation};
 use noc_sim::shard::Partition;
+use noc_sim::topology::dir;
 use scenario::{
-    configurable, configure, diagonal_spec, gt, gt_run, harness_spec, open, raw_mesh,
-    recording_sink, request, ring_stall, source, stream_mesh, with_cfg, MeshTraffic, BE, ENDLESS,
+    configurable, configure, diagonal_spec, gt, gt_run, harness_spec, open, perimeter_streams,
+    raw_mesh, recording_sink, request, source, stream_mesh, with_cfg, MeshTraffic, BE, ENDLESS,
     STU,
 };
 
@@ -115,42 +116,96 @@ fn busy_band_leaves_other_regions_asleep() {
     assert!(received > 0, "the band's streams flow");
 }
 
-/// The ring-stall fixture: BE streams to the opposite router close a cycle
-/// of channel dependencies around a ring. After a short start the ring
-/// stops delivering for good, with every router's ring input queue full
-/// and nothing overflowed, collided or dropped. It is a wormhole routing
-/// deadlock, not lost words: the configuration is valid (the certifier
-/// does not look for such cycles yet).
+/// BE words delivered so far into the [`perimeter_streams`] sinks at
+/// `nis`.
+fn delivered(sys: &NocSystem, nis: impl IntoIterator<Item = usize>) -> u64 {
+    nis.into_iter()
+        .map(|ni| sys.raw_ip_at::<CountingSink>(ni).count())
+        .sum()
+}
+
+/// The perimeter-ring fixtures: BE streams half way round the perimeter of
+/// a 2×2 and a 2×3 mesh, with their credits returning clockwise too, close
+/// a cycle of channel dependencies. After a short start they stop
+/// delivering for good, with a full input queue from the previous router
+/// of the ring at every router and nothing overflowed, collided or
+/// dropped. It is a wormhole routing deadlock, not lost words.
 #[test]
-fn ring_be_streams_stall_for_good() {
-    for routers in [4usize, 6] {
-        let (mut sys, _) = ring_stall(routers);
-        let delivered = |sys: &NocSystem| -> u64 {
-            (0..routers)
-                .map(|ni| sys.raw_ip_at::<CountingSink>(ni).count())
-                .sum()
-        };
+fn perimeter_be_streams_stall_for_good() {
+    for (width, height, hops) in [(2usize, 2usize, 2usize), (2, 3, 3)] {
+        let mesh = format!("{width}x{height} perimeter");
+        let (mut sys, _) = perimeter_streams(width, height, hops, true);
         sys.run(10_000);
-        let stalled_at = delivered(&sys);
+        let all = 0..width * height;
+        let stalled_at = delivered(&sys, all.clone());
         sys.run(10_000);
         assert_eq!(
-            delivered(&sys),
+            delivered(&sys, all),
             stalled_at,
-            "{routers}-ring: no word is delivered in the second window"
+            "{mesh}: no word is delivered in the second window"
         );
         for r in sys.noc.routers() {
-            // Ports 0 and 1 are the ring links, port 2 the NI.
             assert!(
-                (0..2).any(|port| r.be_queued(port) == r.be_capacity()),
-                "{routers}-ring: router {} has a full ring input queue",
+                (0..dir::LOCAL0).any(|port| r.be_queued(port) == r.be_capacity()),
+                "{mesh}: router {} has a full input queue from the ring",
                 r.id()
             );
         }
-        assert_eq!(sys.noc.be_overflows(), 0, "{routers}-ring");
-        assert_eq!(sys.noc.gt_conflicts(), 0, "{routers}-ring");
+        assert_eq!(sys.noc.be_overflows(), 0, "{mesh}");
+        assert_eq!(sys.noc.gt_conflicts(), 0, "{mesh}");
         let rx_drops: u64 = sys.nis.iter().map(|ni| ni.kernel.stats().rx_drops).sum();
-        assert_eq!(rx_drops, 0, "{routers}-ring");
+        assert_eq!(rx_drops, 0, "{mesh}");
     }
+}
+
+/// The certifier refuses the 2×2 deadlock fixture, naming the four
+/// router-to-router links of the cycle and the eight flows (four streams,
+/// four credit returns) that turn along it.
+#[test]
+fn be_dependency_cycle_refused() {
+    let (sys, topo) = perimeter_streams(2, 2, 2, true);
+    let violations = certify(&topo, sys.nis.iter().map(|ni| &ni.kernel))
+        .expect_err("the deadlocking configuration is refused");
+    let [Violation::DependencyCycle { links, flows }] = &violations[..] else {
+        panic!("expected one dependency cycle, got {violations:?}");
+    };
+    // Clockwise: 0 east to 1, south to 3, west to 2, north to 0.
+    assert_eq!(
+        links,
+        &[
+            (0, usize::from(dir::EAST)),
+            (1, usize::from(dir::SOUTH)),
+            (3, usize::from(dir::WEST)),
+            (2, usize::from(dir::NORTH)),
+        ]
+    );
+    let expected: Vec<FlowId> = (0..4)
+        .flat_map(|ni| [FlowId { ni, channel: 1 }, FlowId { ni, channel: 2 }])
+        .collect();
+    assert_eq!(flows, &expected);
+}
+
+/// The dependency check is conservative: streams two hops clockwise round
+/// a 3×3 mesh perimeter, with their credits on XY routes, close a cycle and
+/// are refused, yet they keep flowing.
+#[test]
+fn cyclic_dependencies_that_flow_are_refused_too() {
+    let (mut sys, topo) = perimeter_streams(3, 3, 2, false);
+    let violations = certify(&topo, sys.nis.iter().map(|ni| &ni.kernel))
+        .expect_err("a cyclic configuration is refused");
+    assert!(
+        matches!(&violations[..], [Violation::DependencyCycle { .. }]),
+        "{violations:?}"
+    );
+    // Every NI but the centre one (NI 4) sinks a stream.
+    let perimeter = || (0..9).filter(|&ni| ni != 4);
+    sys.run(2_000);
+    let warm = delivered(&sys, perimeter());
+    sys.run(2_000);
+    assert!(
+        delivered(&sys, perimeter()) > warm,
+        "the perimeter keeps delivering"
+    );
 }
 
 /// Soundness of rejection, end to end: corrupt one NI's slot table so two

@@ -192,7 +192,6 @@ const ORPHAN_ALLOW: &[(&str, &str, &str)] = &[
     ("cfg/src/inspect.rs", "slots_of", "NiDump query; the inspect unit tests read remote slot tables"),
     ("cfg/src/inspect.rs", "enabled_channels", "NiDump query; the inspect unit tests read remote channels"),
     ("cfg/src/inspect.rs", "dump_ni", "reads a remote NI's registers through the NoC; protocol_features"),
-    ("cfg/src/shard.rs", "shard_count", "ShardedSystem query; shard parity and fault tests use it"),
     ("proto/src/memory.rs", "poke", "preloads MemorySlave contents in tests"),
     ("verify/src/bounds.rs", "worst_case_latency", "analytical bound cross-validated by the verify tests"),
 ];
